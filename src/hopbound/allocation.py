@@ -1,8 +1,10 @@
 """Blocklength and time-share allocation across the hops of a linear chain.
 
 Three allocation rules under the total budget sum(Q_n) = Q:
-capacity-optimal time sharing, reliability-optimal (Lagrange, error
-balancing) and information-continuous (common codeword count M).
+capacity-optimal time sharing, reliability-optimal (error balancing) and
+information-continuous (common codeword count M).  The reliability-optimal
+integer split is the greedy marginal allocation, in the log domain, from
+the real Lagrange optimum.
 
 Sums over hops are accumulated left-to-right with plain floats so the
 distributed protocol can reproduce them bit-exactly.
@@ -10,6 +12,7 @@ distributed protocol can reproduce them bit-exactly.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -52,6 +55,7 @@ class Allocation:
     end_to_end_rate: float  # min(Q_n R_n) / Q
     method: str
     real_blocklengths: list[float] | None = None  # pre-repair optimum
+    exponents: list[float] | None = None  # per-hop E_n balanced (reliability-optimal only)
 
     @property
     def total_q(self) -> int:
@@ -78,50 +82,62 @@ def optimal_time_share(capacities: list[float]) -> TimeShare:
 
 
 def _largest_remainder_repair(real_values: list[float], total: int) -> list[int]:
-    """Round real allocations to integers summing to `total`.
+    """Round real allocations summing to `total` to integers summing to `total`.
 
-    Floors first, then hands out the leftover one unit at a time in
+    Floors first, then hands the leftover (at most one unit per hop) out in
     descending order of fractional remainder (ties to the lowest index).
     """
-    floors = [max(int(math.floor(v)), 0) for v in real_values]
-    leftover = total - sum(floors)
+    blocks = [math.floor(v) for v in real_values]
+    leftover = total - sum(blocks)
     if leftover < 0:
         raise AllocationError("real-valued allocation exceeds the budget")
-    remainders = sorted(range(len(real_values)),
-                        key=lambda i: (-(real_values[i] - math.floor(real_values[i])), i))
-    blocks = list(floors)
-    for k in range(leftover):
-        blocks[remainders[k % len(blocks)]] += 1
+    by_remainder = sorted(range(len(blocks)), key=lambda i: (blocks[i] - real_values[i], i))
+    for i in by_remainder[:leftover]:
+        blocks[i] += 1
     return blocks
 
 
-def _exchange_polish(blocks: list[int], exponents: list[float]) -> list[int]:
-    """Greedy one-unit exchanges minimizing sum(exp(-Q_n E_n)).
+def _greedy_integer_blocks(blocks: list[int], exponents: list[float],
+                           total: int) -> list[int]:
+    """Integer minimizer of sum(exp(-Q_n E_n)) with sum(Q_n) = total, Q_n >= 1.
 
-    The objective is separable convex, so a local optimum under single-unit
-    moves is the global integer optimum.
+    step(b, E) = -b E + log(1 - exp(-E)) is the log of the objective drop
+    from Q_n = b to b + 1.  From `blocks` (updated in place), fill (or
+    drain) one unit at a time at the largest gain (smallest loss), then move
+    a unit from the smallest loss to the largest gain while that strictly
+    improves.
     """
-    blocks = list(blocks)
-    n = len(blocks)
+    log_gap = [math.log(-math.expm1(-e)) for e in exponents]
+    # lazy heaps keyed by -step(Q_i) and step(Q_i - 1), ties to the lowest
+    # index; an entry is live while its hop still holds the count it carries
+    gains, losses = [], []
 
-    def delta_add(i):  # objective change from Q_i -> Q_i + 1
-        return math.exp(-(blocks[i] + 1) * exponents[i]) - math.exp(-blocks[i] * exponents[i])
+    def move(i, delta):
+        blocks[i] += delta
+        b, e = blocks[i], exponents[i]
+        heapq.heappush(gains, (b * e - log_gap[i], i, b))
+        if b > 1:
+            heapq.heappush(losses, (log_gap[i] - (b - 1) * e, i, b))
 
-    def delta_sub(i):  # objective change from Q_i -> Q_i - 1
-        return math.exp(-(blocks[i] - 1) * exponents[i]) - math.exp(-blocks[i] * exponents[i])
+    def top(heap):
+        while heap and blocks[heap[0][1]] != heap[0][2]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
-    improved = True
-    while improved:
-        improved = False
-        for i in range(n):
-            for j in range(n):
-                if i == j or blocks[j] <= 1:
-                    continue
-                if delta_add(i) + delta_sub(j) < 0:
-                    blocks[i] += 1
-                    blocks[j] -= 1
-                    improved = True
-    return blocks
+    for i in range(len(blocks)):
+        move(i, 0)
+    placed = sum(blocks)
+    for _ in range(placed, total):
+        move(top(gains)[1], 1)
+    for _ in range(total, placed):
+        move(top(losses)[1], -1)  # placed > total >= N, so some hop holds > 1
+    while True:
+        gain, loss = top(gains), top(losses)
+        # one hop on both tops: no exchange between two hops can improve
+        if loss is None or gain[1] == loss[1] or -gain[0] <= loss[0]:
+            return blocks
+        move(gain[1], 1)
+        move(loss[1], -1)
 
 
 def reliability_lagrange(exponents: list[float], q_total: int) -> float:
@@ -149,33 +165,34 @@ def reliability_real_blocks(exponents: list[float], q_total: int) -> list[float]
 def reliability_optimal_blocks(exponents: list[float], q_total: int,
                                rates: list[float] | None = None,
                                method: str = Method.RELIABILITY_OPTIMAL_RC) -> Allocation:
-    """Integer blocklengths minimizing sum(exp(-Q_n E_n)) under sum(Q_n) = Q.
+    """Integer blocklengths minimizing sum(exp(-Q_n E_n)) under sum(Q_n) = Q, Q_n >= 1.
 
-    Largest-remainder rounding of the real optimum followed by an exchange
-    polish, which makes the result exactly optimal among integer splits.
+    Starts from the floored real Lagrange optimum under Q_n >= 1 and runs
+    the greedy marginal allocation.  It stops only when no one-unit
+    exchange lowers the objective (compared in the log domain), which for
+    this separable convex objective makes the result exactly optimal among
+    integer splits; only strict improvements move, so splits of equal cost
+    keep the starting rounding.  Feasible whenever Q >= N.
     """
     n = len(exponents)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
     real = reliability_real_blocks(exponents, q_total)
-    start = [max(v, 1.0) for v in real]
-    blocks = _largest_remainder_repair(start, q_total)
-    # repair can leave a hop at 0 when its real share is tiny; bump from the largest
-    for i in range(n):
-        while blocks[i] < 1:
-            j = max(range(n), key=lambda k: blocks[k])
-            if blocks[j] <= 1:
-                raise AllocationError("cannot keep every hop at blocklength >= 1")
-            blocks[j] -= 1
-            blocks[i] += 1
-    blocks = _exchange_polish(blocks, exponents)
-    if rates is None:
-        rates_out = [float("nan")] * n
-        e2e = float("nan")
-    else:
-        rates_out = list(rates)
-        e2e = _end_to_end_rate(blocks, rates_out)
-    return Allocation(blocks, rates_out, e2e, method, real_blocklengths=real)
+    # pin hops whose real share is below 1 at 1 and re-balance the rest (each
+    # pass raises lambda), so the floors do not overshoot Q by a wide margin;
+    # the cap bounds the drain where tiny exponents leave the shares inexact
+    free, shares = list(range(n)), real
+    while any(v < 1.0 for v in shares) and any(v >= 1.0 for v in shares):
+        free = [i for i, v in zip(free, shares) if v >= 1.0]
+        shares = reliability_real_blocks([exponents[i] for i in free], q_total - n + len(free))
+    start = [1] * n
+    for i, v in zip(free, shares):
+        start[i] = min(max(math.floor(v), 1), q_total - n + 1)
+    blocks = _greedy_integer_blocks(start, exponents, q_total)
+    rates_out = [float("nan")] * n if rates is None else list(rates)
+    e2e = float("nan") if rates is None else _end_to_end_rate(blocks, rates_out)
+    return Allocation(blocks, rates_out, e2e, method, real_blocklengths=real,
+                      exponents=list(exponents))
 
 
 def info_continuous_log_m(rates: list[float], q_total: int) -> float:

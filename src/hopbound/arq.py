@@ -53,10 +53,6 @@ class ArqChain:
             if not 0.0 <= p < 1.0:
                 raise LatencyError(f"P_e on hop {i} must be in [0, 1), got {p}", hop=i)
 
-    @property
-    def num_states(self) -> int:
-        return len(self.costs) + 1
-
 
 @dataclass(frozen=True)
 class LatencyEstimate:
@@ -113,10 +109,10 @@ def _counter_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
 
 
 def default_workers() -> int:
-    """Worker count from HOPBOUND_THREADS; 1 when unset (deterministic default)."""
+    """Worker count from HOPBOUND_THREADS, capped at the CPU count; 1 when unset."""
     raw = os.environ.get("HOPBOUND_THREADS", "")
     try:
-        return max(1, int(raw))
+        return min(max(1, int(raw)), os.cpu_count() or 1)
     except ValueError:
         return 1
 

@@ -107,10 +107,7 @@ def _sweep_targets(network_cap: float) -> np.ndarray:
 
 def _relopt_allocation(hops, rates) -> Allocation:
     exps = [random_coding_exponent(r, ch).exponent for r, ch in zip(rates, hops)]
-    if any(e <= 0 for e in exps):
-        raise AllocationError("zero exponent at swept rate")
-    return reliability_optimal_blocks(exps, REPRODUCE_Q, rates=rates,
-                                      method=Method.RELIABILITY_OPTIMAL_RC)
+    return reliability_optimal_blocks(exps, REPRODUCE_Q, rates=rates)
 
 
 def _fig3_rows(hops, make_alloc) -> list[list]:
@@ -205,13 +202,9 @@ def cmd_allocate(args) -> int:
         "stationarity_residual": None,
         "ln_m": None,
     }
-    if alloc.method in (Method.RELIABILITY_OPTIMAL_RC, Method.RELIABILITY_OPTIMAL_SP):
-        solver = (random_coding_exponent
-                  if alloc.method == Method.RELIABILITY_OPTIMAL_RC
-                  else sphere_packing_exponent)
-        exps = [solver(r, ch).exponent for r, ch in zip(alloc.rates, sc.hops)]
+    if alloc.exponents is not None:
         balance = [q * e - math.log(e)
-                   for q, e in zip(alloc.real_blocklengths, exps)]
+                   for q, e in zip(alloc.real_blocklengths, alloc.exponents)]
         payload["stationarity_residual"] = max(balance) - min(balance)
     elif alloc.method == Method.INFO_CONTINUOUS:
         payload["ln_m"] = info_continuous_log_m(alloc.rates, sc.total_q)
@@ -312,7 +305,7 @@ def _verify_alloc(seed: int, report) -> bool:
         if got != best:
             report(False, f"alloc instance {i}: Q={q} E={exps} got {got} expected {best}")
             ok = False
-    report(ok, "Lagrange + integer repair matches exhaustive enumeration (20 instances)")
+    report(ok, "greedy integer allocation matches exhaustive enumeration (20 instances)")
     return ok
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .allocation import AllocationError
 from .channel import HopChannel
@@ -63,16 +63,12 @@ class NodeState:
     local_channel: HopChannel
     local_rate: float
     received_broadcast: BroadcastConstants | None = None
-    channel_reads: int = field(default=0, repr=False)  # locality instrumentation
-
-    def _local_exponents(self) -> tuple[float, float]:
-        self.channel_reads += 1
-        e_r = random_coding_exponent(self.local_rate, self.local_channel).exponent
-        e_sp = sphere_packing_exponent(self.local_rate, self.local_channel).exponent
-        return e_r, e_sp
+    local_exponents: tuple[float, float] | None = None  # (E_r, E_sp), set by the forward pass
 
     def local_metrics(self, hop_index: int) -> dict[str, float]:
-        e_r, e_sp = self._local_exponents()
+        e_r = random_coding_exponent(self.local_rate, self.local_channel).exponent
+        e_sp = sphere_packing_exponent(self.local_rate, self.local_channel).exponent
+        self.local_exponents = (e_r, e_sp)
         if e_r <= 0.0 or e_sp <= 0.0:
             raise AllocationError(f"hop {hop_index} has zero exponent (rate at/above capacity)")
         return {
@@ -89,10 +85,10 @@ class NodeState:
         Returns the real-valued reliability-optimal values (RC and SP) and
         the floored information-continuous value.
         """
-        if self.received_broadcast is None:
-            raise AllocationError("node has not received the broadcast")
+        if self.received_broadcast is None or self.local_exponents is None:
+            raise AllocationError("node has not taken part in the forward pass and broadcast")
         bc = self.received_broadcast
-        e_r, e_sp = self._local_exponents()
+        e_r, e_sp = self.local_exponents
         return {
             "q_reliability_rc": (math.log(e_r) - bc.lambda_r) / e_r,
             "q_reliability_sp": (math.log(e_sp) - bc.lambda_sp) / e_sp,

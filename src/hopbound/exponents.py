@@ -48,9 +48,14 @@ class CriticalRate:
 
 
 def _bisect_rate(rate: float, ch: HopChannel, lo: float, hi: float) -> float:
-    """Solve dE0/drho = rate on [lo, hi] (derivative is decreasing in rho)."""
+    """Solve dE0/drho = rate on [lo, hi] (derivative is decreasing in rho).
+
+    Stops at width _RHO_TOL, or at adjacent doubles where that is below an ulp.
+    """
     while hi - lo > _RHO_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if e0_derivative(mid, ch) > rate:
             lo = mid
         else:

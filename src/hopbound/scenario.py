@@ -48,6 +48,8 @@ class Scenario:
             rates = [float(r) for r in self.rate_policy["rates_nats"]]
             if len(rates) != len(self.hops):
                 raise ScenarioError("rates_nats length must match hop count")
+            if not all(0.0 < r < float("inf") for r in rates):  # also rejects NaN
+                raise ScenarioError(f"rates_nats must be finite and positive, got {rates}")
             return rates
         if mode == "capacity_fraction":
             beta = float(self.rate_policy["beta"])
@@ -81,7 +83,7 @@ def load_scenario(path: str) -> Scenario:
     if not hops_spec:
         raise ScenarioError("scenario needs at least one hop")
     total_q = doc.get("total_q")
-    if not isinstance(total_q, int) or total_q < 1:
+    if not isinstance(total_q, int) or isinstance(total_q, bool) or total_q < 1:
         raise ScenarioError("total_q must be a positive integer")
     policy = doc.get("rate_policy")
     if not isinstance(policy, dict) or "mode" not in policy:
@@ -117,12 +119,9 @@ def build_allocation(sc: Scenario) -> tuple[Allocation, int | None]:
     if method == Method.INFO_CONTINUOUS:
         m, alloc = information_continuous_blocks(rates, sc.total_q)
         return alloc, m
-    if method == Method.RELIABILITY_OPTIMAL_RC:
-        exps = [random_coding_exponent(r, ch).exponent
-                for r, ch in zip(rates, sc.hops)]
-    else:
-        exps = [sphere_packing_exponent(r, ch).exponent
-                for r, ch in zip(rates, sc.hops)]
+    solver = (random_coding_exponent if method == Method.RELIABILITY_OPTIMAL_RC
+              else sphere_packing_exponent)
+    exps = [solver(r, ch).exponent for r, ch in zip(rates, sc.hops)]
     if any(e <= 0 for e in exps):
         bad = next(i for i, e in enumerate(exps) if e <= 0)
         raise AllocationError(f"hop {bad}: rate at/above capacity, zero exponent")

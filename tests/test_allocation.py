@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from hopbound.allocation import (AllocationError, Method,
                                  information_continuous_blocks,
@@ -11,6 +15,40 @@ from hopbound.allocation import (AllocationError, Method,
 from hopbound.oracle import exhaustive_allocation
 
 TWO_HOP_CAPS = [math.log(1 + 10 ** 0.9), math.log(1 + 10 ** 0.6)]  # 9 dB, 6 dB
+
+
+def log_objective(blocks, exps):
+    """ln sum(exp(-Q_n E_n)), finite however large Q_n E_n gets."""
+    return float(logsumexp([-b * e for b, e in zip(blocks, exps)]))
+
+
+def best_single_exchange(blocks, exps):
+    """Largest log-domain margin by which one one-unit move between two hops
+    lowers sum(exp(-Q_n E_n)); <= 0 means no single exchange improves.
+
+    A move j -> i improves iff the drop from Q_i -> Q_i + 1 exceeds the rise
+    from Q_j -> Q_j - 1; both are compared as logs, so nothing underflows.
+    The margin is relative to the size of the log terms.
+    """
+    b = np.asarray(blocks, dtype=float)
+    e = np.asarray(exps, dtype=float)
+    gap = np.log(-np.expm1(-e))
+    gain = -b * e + gap
+    loss = np.where(b > 1, -(b - 1) * e + gap, np.inf)
+    scale = np.maximum(1.0, np.abs(np.where(b > 1, loss, 0.0)))
+    margin = (gain[:, None] - loss[None, :]) / scale[None, :]
+    np.fill_diagonal(margin, -np.inf)
+    return float(margin.max())
+
+
+def log_domain_exhaustive(exps, q):
+    """Smallest ln sum(exp(-Q_n E_n)) over all compositions of q into positive parts."""
+    n = len(exps)
+    cuts = np.array(list(itertools.combinations(range(1, q), n - 1)), dtype=float)
+    edges = np.hstack([np.zeros((len(cuts), 1)), cuts.reshape(len(cuts), n - 1),
+                       np.full((len(cuts), 1), float(q))])
+    blocks = np.diff(edges, axis=1)
+    return float(logsumexp(-blocks * np.asarray(exps), axis=1).min())
 
 
 class TestTimeShare:
@@ -117,6 +155,66 @@ class TestReliabilityOptimal:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(AllocationError):
             reliability_optimal_blocks([0.2, 0.0], 100)
+
+    def test_clamped_hops_stay_feasible(self):
+        # the real shares of the two fast hops are below 1; [1, 1, 4] is optimal
+        alloc = reliability_optimal_blocks([20.0, 20.0, 0.01], 6)
+        assert alloc.blocklengths == [1, 1, 4]
+        assert alloc.blocklengths == exhaustive_allocation([20.0, 20.0, 0.01], 6)
+
+    def test_equal_cost_split_keeps_lowest_index_rounding(self):
+        assert reliability_optimal_blocks([0.2, 0.2], 501).blocklengths == [251, 250]
+        assert reliability_optimal_blocks([0.2, 0.2, 0.2], 8).blocklengths == [3, 3, 2]
+
+    def test_carries_balanced_exponents(self):
+        alloc = reliability_optimal_blocks([0.2, 0.1], 1000)
+        assert alloc.exponents == [0.2, 0.1]
+        _, info = information_continuous_blocks([2.0, 1.0], 30)
+        assert info.exponents is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=-3.0, max_value=math.log10(30.0)),
+                    min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=40))
+    def test_property_matches_exhaustive_search(self, log_exps, extra):
+        exps = [10.0 ** x for x in log_exps]
+        q = min(len(exps) + extra, 40)
+        got = reliability_optimal_blocks(exps, q).blocklengths
+        assert sum(got) == q and min(got) >= 1
+        best = log_domain_exhaustive(exps, q)
+        assert log_objective(got, exps) <= best + 1e-12 * max(1.0, abs(best))
+        if len(exps) <= 3:
+            oracle = exhaustive_allocation(exps, q)
+            assert log_objective(got, exps) <= (log_objective(oracle, exps)
+                                                + 1e-12 * max(1.0, abs(best)))
+
+    @pytest.mark.parametrize("n,q", [(2, 10 ** 6), (5, 200_000), (200, 800_000),
+                                     (1000, 10 ** 6)])
+    def test_no_improving_single_exchange_at_scale(self, n, q):
+        rng = np.random.default_rng(n)
+        exps = [float(e) for e in rng.uniform(0.3, 2.0, size=n)]
+        blocks = reliability_optimal_blocks(exps, q).blocklengths
+        assert sum(blocks) == q and min(blocks) >= 1
+        # exp(-Q_n E_n) underflows past 745; the log-domain check still sees it
+        assert max(b * e for b, e in zip(blocks, exps)) > 745
+        assert best_single_exchange(blocks, exps) <= 1e-12
+
+    def test_no_improving_single_exchange_where_exp_underflows(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            n = int(rng.integers(2, 6))
+            q = int(rng.integers(2000, 20_001))
+            exps = [float(e) for e in rng.uniform(0.05, 1.0, size=n)]
+            blocks = reliability_optimal_blocks(exps, q).blocklengths
+            assert sum(blocks) == q
+            assert best_single_exchange(blocks, exps) <= 1e-12
+
+    def test_tiny_exponents_stay_optimal_and_fast(self):
+        # real shares lose all precision once 1/E dwarfs the other hops
+        for exps in ([1e-3, 1e-15], [1e-4, 1e-300], [0.5, 8e-19]):
+            blocks = reliability_optimal_blocks(exps, 1000).blocklengths
+            assert sum(blocks) == 1000 and min(blocks) >= 1
+            assert best_single_exchange(blocks, exps) <= 1e-12
 
     def test_rejects_budget_below_hops(self):
         with pytest.raises(AllocationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hopbound.allocation import Allocation, Method, rate_policy_scale
-from hopbound.arq import (ArqChain, LatencyError, expected_latency,
+from hopbound.arq import (ArqChain, LatencyError, default_workers, expected_latency,
                           latency_bounds, simulate_latency)
 from hopbound.channel import HopChannel, capacity
 from hopbound.system import end_to_end_rate
@@ -89,6 +89,18 @@ class TestSimulateLatency:
         a = simulate_latency(chain, 10_000, 1)
         b = simulate_latency(chain, 10_000, 2)
         assert a.mc_mean != b.mc_mean
+
+    @pytest.mark.parametrize("raw,cpus,expected", [
+        (None, 8, 1), ("", 8, 1), ("junk", 8, 1), ("0", 8, 1), ("-3", 8, 1),
+        ("3", 8, 3), ("8", 8, 8), ("100000", 8, 8), ("100000", 2, 2), ("4", None, 1)])
+    def test_default_workers_capped_at_cpu_count(self, monkeypatch, raw, cpus, expected):
+        # pure function of the environment and the CPU count; starts no thread
+        if raw is None:
+            monkeypatch.delenv("HOPBOUND_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("HOPBOUND_THREADS", raw)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert default_workers() == expected
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

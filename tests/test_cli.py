@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from hopbound.allocation import reliability_real_blocks
 from hopbound.cli import main
+from hopbound.exponents import random_coding_exponent, sphere_packing_exponent
 from hopbound.scenario import ScenarioError, build_allocation, load_scenario
 
 
@@ -87,6 +89,22 @@ class TestScenario:
         with pytest.raises(ScenarioError):
             load_scenario(path)
 
+    def test_rejects_boolean_total_q(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, total_q=True)
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
+        assert main(["allocate", "--scenario", path]) == 3
+        assert "total_q" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.5])
+    @pytest.mark.parametrize("method", ["reliability_optimal_rc", "info_continuous"])
+    def test_rejects_nonfinite_or_nonpositive_explicit_rates(self, tmp_path, capsys,
+                                                            bad, method):
+        path = write_scenario(tmp_path, allocation_method=method, rate_policy={
+            "mode": "explicit", "rates_nats": [0.9, bad]})
+        assert main(["allocate", "--scenario", path]) == 3
+        assert "rates_nats" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+
 
 class TestExponentCommand:
     def test_csv_format(self, tmp_path):
@@ -146,6 +164,24 @@ class TestAllocateCommand:
         assert sum(doc["blocklengths"]) == 1000
         assert doc["stationarity_residual"] == pytest.approx(0.0, abs=1e-8)
         assert doc["ln_m"] is None
+
+    @pytest.mark.parametrize("method,solver", [
+        ("reliability_optimal_rc", random_coding_exponent),
+        ("reliability_optimal_sp", sphere_packing_exponent)])
+    def test_stationarity_residual_matches_resolved_exponents(self, tmp_path, method,
+                                                              solver):
+        # the residual comes from the exponents the allocation balanced; it must
+        # equal the one computed from freshly solved exponents, bit for bit
+        path = write_scenario(tmp_path, allocation_method=method, hops=[
+            {"type": "awgn", "snr_db": db} for db in (9.0, 6.0, 12.0, 3.0)])
+        out = tmp_path / "alloc.json"
+        assert main(["allocate", "--scenario", path, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        sc = load_scenario(path)
+        exps = [solver(r, ch).exponent for r, ch in zip(sc.resolve_rates(), sc.hops)]
+        balance = [q * e - math.log(e)
+                   for q, e in zip(reliability_real_blocks(exps, sc.total_q), exps)]
+        assert doc["stationarity_residual"] == max(balance) - min(balance)
 
     def test_info_continuous_ln_m(self, tmp_path):
         path = write_scenario(tmp_path, allocation_method="info_continuous",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hopbound import distproto
 from hopbound.allocation import (AllocationError, info_continuous_log_m,
                                  rate_policy_scale, reliability_lagrange,
                                  reliability_real_blocks)
@@ -150,6 +151,33 @@ class TestDistributedEqualsCentralized:
             derived.append(node.derive_blocks())
             assert set(log) <= {i}, f"node {i} read non-local channel state"
         assert len(derived) == len(hops)
+
+    def test_each_node_solves_its_exponents_once(self, monkeypatch):
+        calls = []
+
+        def counting(solver):
+            def wrapped(rate, ch):
+                calls.append(solver.__name__)
+                return solver(rate, ch)
+            return wrapped
+
+        monkeypatch.setattr(distproto, "random_coding_exponent",
+                            counting(random_coding_exponent))
+        monkeypatch.setattr(distproto, "sphere_packing_exponent",
+                            counting(sphere_packing_exponent))
+        hops, rates, q = random_scenario(np.random.default_rng(46))
+        run_distributed_allocation(hops, rates, q)
+        assert sorted(calls) == sorted(["random_coding_exponent",
+                                        "sphere_packing_exponent"] * len(hops))
+
+    def test_derive_needs_forward_pass(self):
+        node = NodeState(HopChannel.awgn(10.0), 1.0)
+        msg = MetricMessage(hop_index=1, accumulators={
+            "inv_rate": 1.0, "inv_exp_rc": 1.0, "inv_exp_sp": 1.0,
+            "logexp_over_exp_rc": 0.0, "logexp_over_exp_sp": 0.0})
+        compute_and_broadcast(msg, 100, [node])
+        with pytest.raises(AllocationError):
+            node.derive_blocks()
 
     def test_message_count(self):
         rng = np.random.default_rng(45)

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import hopbound
 
 from hopbound.channel import ChannelError, HopChannel, capacity, e0_derivative
 from hopbound.exponents import (Regime, critical_rate, random_coding_exponent,
@@ -80,6 +85,44 @@ class TestSpherePacking:
     def test_zero_at_capacity(self):
         res = sphere_packing_exponent(math.log(2.0), SNR1)
         assert res.exponent == 0.0
+
+
+def _run_python(args, timeout):
+    """Run the interpreter on `args` against this package; a hang fails the test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopbound.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        return subprocess.run([sys.executable] + args, env=env, capture_output=True,
+                              text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"still running after {timeout} s: {args}")
+
+
+class TestLowRateBisection:
+    """Once rho* > ~8192 an absolute bracket width of 1e-12 is below one ulp."""
+
+    def test_sphere_packing_returns_at_large_rho(self):
+        code = ("from hopbound.channel import HopChannel\n"
+                "from hopbound.exponents import sphere_packing_exponent\n"
+                "r = sphere_packing_exponent(1e-5, HopChannel.awgn(100.0))\n"
+                "print(r.rho_star, r.exponent, r.regime)\n")
+        proc = _run_python(["-c", code], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rho, exponent, regime = proc.stdout.split()
+        assert float(rho) == pytest.approx(22516, rel=1e-3)
+        assert regime == Regime.PARAMETRIC_INTERIOR
+        ch = HopChannel.awgn(100.0)
+        assert e0_derivative(float(rho), ch) == pytest.approx(1e-5, rel=1e-6)
+        assert 0.0 < float(exponent) < ch.snr  # E0(rho) -> snr as rho -> inf
+
+    def test_exponent_command_returns_at_large_rho(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        proc = _run_python(["-m", "hopbound.cli", "exponent", "--snr-db", "20",
+                            "--rate-min", "1e-5", "--rate-max", "1e-4",
+                            "--rate-steps", "4", "--out", str(out)], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 5
 
 
 class TestCriticalRate:
