@@ -21,6 +21,7 @@ __all__ = [
     "Method",
     "TimeShare",
     "Allocation",
+    "end_to_end_rate",
     "optimal_time_share",
     "reliability_lagrange",
     "reliability_real_blocks",
@@ -62,9 +63,9 @@ class Allocation:
         return sum(self.blocklengths)
 
 
-def _end_to_end_rate(blocks: list[int], rates: list[float]) -> float:
-    q = sum(blocks)
-    return min(b * r for b, r in zip(blocks, rates)) / q
+def end_to_end_rate(blocks: list[int], rates: list[float]) -> float:
+    """R = (1/Q) min_n Q_n R_n, the bottleneck end-to-end rate."""
+    return min(b * r for b, r in zip(blocks, rates)) / sum(blocks)
 
 
 def optimal_time_share(capacities: list[float]) -> TimeShare:
@@ -190,7 +191,7 @@ def reliability_optimal_blocks(exponents: list[float], q_total: int,
         start[i] = min(max(math.floor(v), 1), q_total - n + 1)
     blocks = _greedy_integer_blocks(start, exponents, q_total)
     rates_out = [float("nan")] * n if rates is None else list(rates)
-    e2e = float("nan") if rates is None else _end_to_end_rate(blocks, rates_out)
+    e2e = float("nan") if rates is None else end_to_end_rate(blocks, rates_out)
     return Allocation(blocks, rates_out, e2e, method, real_blocklengths=real,
                       exponents=list(exponents))
 
@@ -225,7 +226,7 @@ def information_continuous_blocks(rates: list[float], q_total: int):
     for i in range(n):
         if blocks[i] < 1:
             raise AllocationError("cannot keep every hop at blocklength >= 1")
-    e2e = _end_to_end_rate(blocks, rates)
+    e2e = end_to_end_rate(blocks, rates)
     return m, Allocation(blocks, list(rates), e2e, Method.INFO_CONTINUOUS,
                          real_blocklengths=real)
 

@@ -4,6 +4,9 @@ The chain is a Markov chain with one transient state per hop and an
 absorbing terminal state; each attempt on hop n costs Q_n channel uses
 and fails with a constant probability P_e,n, so attempt counts are
 geometric and the expected latency is sum Q_n / (1 - P_e,n).
+
+The (RC, SP) chains of an allocation take their P_e,n from its
+`SystemBounds`, clamped below 1 in `arq_chains` alone.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import Allocation
-from .channel import HopChannel
-from .system import system_error_bounds
+from .system import SystemBounds
 
 __all__ = [
     "LatencyError",
@@ -25,6 +26,7 @@ __all__ = [
     "LatencyEstimate",
     "expected_latency",
     "simulate_latency",
+    "arq_chains",
     "latency_bounds",
     "default_workers",
 ]
@@ -63,22 +65,11 @@ class LatencyEstimate:
     seed: int
 
 
-def _recursion_latency(chain: ArqChain) -> float:
-    """First-step recursion T_n = Q_n + T_n P_e,n + T_{n+1}(1 - P_e,n), T_{N+1} = 0."""
-    t_next = 0.0
-    for q, p in zip(reversed(chain.costs), reversed(chain.self_loop_probs)):
-        t_next = (q + t_next * (1.0 - p)) / (1.0 - p)
-    return t_next
-
-
 def expected_latency(chain: ArqChain) -> float:
-    """Closed-form expected latency, cross-checked against the recursion."""
+    """Closed-form expected latency sum Q_n / (1 - P_e,n)."""
     closed = 0.0
     for q, p in zip(chain.costs, chain.self_loop_probs):
         closed += q / (1.0 - p)
-    recursed = _recursion_latency(chain)
-    assert abs(closed - recursed) <= 1e-9 * max(abs(closed), 1.0), \
-        "closed form and first-step recursion disagree"
     return closed
 
 
@@ -93,16 +84,11 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _mix64(x: int) -> int:
-    x &= 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
-
-
 def _counter_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
     """Uniforms in (0, 1) keyed by (seed, index); schedule-independent."""
-    key = np.uint64(_mix64(seed + 0x9E3779B97F4A7C15))
+    # a one-element array: uint64 arrays wrap on overflow without a warning
+    key = _splitmix64(np.array([(seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF],
+                               dtype=np.uint64))[0]
     state = key + (indices.astype(np.uint64) + np.uint64(1)) * _SM64_GOLDEN
     bits = _splitmix64(state)
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
@@ -167,20 +153,21 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     )
 
 
-def latency_bounds(alloc: Allocation, hops: list[HopChannel]) -> tuple[float, float]:
-    """(upper, lower) expected latency from the RC / SP per-hop error bounds.
+def arq_chains(bounds: SystemBounds, blocks: list[int]) -> tuple[ArqChain, ArqChain]:
+    """(RC, SP) ARQ chains from the per-hop error bounds, each P_e clamped below 1.
 
-    Raises LatencyError with the offending hop index when a per-hop error
-    bound reaches 1 (zero exponent, rate at/above capacity).
+    Raises LatencyError with the offending hop index when a hop has a zero
+    exponent (rate at/above capacity), where the expected latency is unbounded.
     """
-    bounds = system_error_bounds(alloc, hops)
-    for i, (er, esp) in enumerate(zip(bounds.per_hop_e_r, bounds.per_hop_e_sp)):
-        if er <= 0.0 or esp <= 0.0:
-            raise LatencyError(
-                f"hop {i} has zero exponent (rate at/above capacity); "
-                "expected latency is unbounded", hop=i)
-    pe_rc = [min(p, PE_CLAMP) for p in bounds.per_hop_pe_upper]
-    pe_sp = [min(p, PE_CLAMP) for p in bounds.per_hop_pe_lower]
-    upper = expected_latency(ArqChain(pe_rc, list(alloc.blocklengths)))
-    lower = expected_latency(ArqChain(pe_sp, list(alloc.blocklengths)))
-    return upper, lower
+    if bounds.degenerate_hops:
+        raise LatencyError(
+            f"hop {bounds.degenerate_hops[0]} has zero exponent (rate at/above capacity); "
+            "expected latency is unbounded", hop=bounds.degenerate_hops[0])
+    return tuple(ArqChain([min(p, PE_CLAMP) for p in pe], list(blocks))
+                 for pe in (bounds.per_hop_pe_upper, bounds.per_hop_pe_lower))
+
+
+def latency_bounds(bounds: SystemBounds, blocks: list[int]) -> tuple[float, float]:
+    """(upper, lower) expected latency of the (RC, SP) `arq_chains`; raises as it does."""
+    rc, sp = arq_chains(bounds, blocks)
+    return expected_latency(rc), expected_latency(sp)

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "ChannelError",
     "HopChannel",
-    "E0Curve",
     "e0_awgn",
     "e0_awgn_derivative",
     "e0_dmc",
@@ -58,9 +57,10 @@ class HopChannel:
             p = np.asarray(self.transition, dtype=float)
             if p.ndim != 2:
                 raise ChannelError("transition matrix must be 2-D")
-            if np.any(p < 0):
+            # written so that NaN entries fail the checks
+            if not np.all(p >= 0):
                 raise ChannelError("transition matrix entries must be nonnegative")
-            if np.any(np.abs(p.sum(axis=1) - 1.0) > _ATOL_STOCHASTIC):
+            if not np.all(np.abs(p.sum(axis=1) - 1.0) <= _ATOL_STOCHASTIC):
                 raise ChannelError("transition matrix rows must sum to 1")
             if self.input_dist is None:
                 q = np.full(p.shape[0], 1.0 / p.shape[0])
@@ -68,7 +68,7 @@ class HopChannel:
                 q = np.asarray(self.input_dist, dtype=float)
             if q.shape != (p.shape[0],):
                 raise ChannelError("input_dist length must match the number of inputs")
-            if np.any(q < 0) or abs(q.sum() - 1.0) > _ATOL_STOCHASTIC:
+            if not (np.all(q >= 0) and abs(q.sum() - 1.0) <= _ATOL_STOCHASTIC):
                 raise ChannelError("input_dist must be a probability vector")
             object.__setattr__(self, "transition", p)
             object.__setattr__(self, "input_dist", q)
@@ -92,24 +92,6 @@ class HopChannel:
         if not 0.0 <= p <= 1.0:
             raise ChannelError(f"crossover must be in [0, 1], got {p}")
         return cls.dmc([[1.0 - p, p], [p, 1.0 - p]], input_dist)
-
-
-@dataclass(frozen=True)
-class E0Curve:
-    """Sampled E0(rho) curve on an ascending rho grid."""
-
-    rho_grid: np.ndarray
-    e0_values: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho_grid, dtype=float)
-        vals = np.asarray(self.e0_values, dtype=float)
-        if rho.shape != vals.shape or rho.ndim != 1:
-            raise ChannelError("rho_grid and e0_values must be 1-D and equally long")
-        if np.any(np.diff(rho) <= 0) or rho[0] < 0:
-            raise ChannelError("rho_grid must be ascending and nonnegative")
-        object.__setattr__(self, "rho_grid", rho)
-        object.__setattr__(self, "e0_values", vals)
 
 
 def e0_awgn(rho, snr: float):

@@ -15,17 +15,15 @@ import sys
 
 import numpy as np
 
-from .allocation import (Allocation, AllocationError, Method, info_continuous_log_m,
-                         information_continuous_blocks, rate_policy_scale,
+from .allocation import (AllocationError, Method, info_continuous_log_m,
                          reliability_lagrange, reliability_optimal_blocks,
                          reliability_real_blocks)
-from .arq import ArqChain, LatencyError, PE_CLAMP, latency_bounds, simulate_latency
+from .arq import LatencyError, simulate_latency
 from .channel import ChannelError, HopChannel, capacity
 from .distproto import run_distributed_allocation
 from .exponents import random_coding_exponent, sphere_packing_exponent
 from .oracle import GridSpec, bsc_ensemble_error, exhaustive_allocation, grid_max_exponent
-from .scenario import ScenarioError, build_allocation, load_scenario
-from .system import system_error_bounds
+from .scenario import Evaluation, Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,68 +93,45 @@ def cmd_exponent(args) -> int:
     return EXIT_OK
 
 
-def _single_hop_allocation(rate: float) -> Allocation:
-    return Allocation([REPRODUCE_Q], [rate], rate, Method.MANUAL)
-
-
 def _sweep_targets(network_cap: float) -> np.ndarray:
     return np.linspace(REPRODUCE_SWEEP_RATE_MIN,
                        REPRODUCE_SWEEP_CAP_FRACTION * network_cap,
                        REPRODUCE_SWEEP_POINTS)
 
 
-def _relopt_allocation(hops, rates) -> Allocation:
-    exps = [random_coding_exponent(r, ch).exponent for r, ch in zip(rates, hops)]
-    return reliability_optimal_blocks(exps, REPRODUCE_Q, rates=rates)
+def _sweep_evaluation(hops, method: str, target: float) -> Evaluation:
+    """One swept point: capacity-proportional rates at an end-to-end target."""
+    manual = [REPRODUCE_Q] if method == Method.MANUAL else None
+    return Evaluation(Scenario(REPRODUCE_Q, hops, {"mode": "target_rate", "rate_nats": target},
+                               method, manual))
 
 
-def _fig3_rows(hops, make_alloc) -> list[list]:
-    caps = [capacity(ch) for ch in hops]
-    network_cap = 1.0 / sum(1.0 / c for c in caps)
+def _sweep_rows(hops, method: str, row) -> list[list]:
+    """row(evaluation) at each swept target; a point with a domain error is skipped."""
+    network_cap = 1.0 / sum(1.0 / capacity(ch) for ch in hops)
     rows = []
     for target in _sweep_targets(network_cap):
         try:
-            rates = rate_policy_scale(caps, float(target))
-            alloc = make_alloc(hops, rates)
-            bounds = system_error_bounds(alloc, hops)
+            rows.append(row(_sweep_evaluation(hops, method, float(target))))
         except _DOMAIN_ERRORS as exc:
             print(f"skipping rate {_fmt(float(target))}: {exc}", file=sys.stderr)
-            continue
-        rows.append([alloc.end_to_end_rate, bounds.esys_lower, bounds.esys_upper])
     return rows
 
 
-def _fig4_rows(hops, make_alloc) -> list[list]:
-    caps = [capacity(ch) for ch in hops]
-    network_cap = 1.0 / sum(1.0 / c for c in caps)
-    rows = []
-    for target in _sweep_targets(network_cap):
-        try:
-            rates = rate_policy_scale(caps, float(target))
-            alloc = make_alloc(hops, rates)
-            upper, lower = latency_bounds(alloc, hops)
-            bounds = system_error_bounds(alloc, hops)
-            pe_rc = [min(p, PE_CLAMP) for p in bounds.per_hop_pe_upper]
-            est = simulate_latency(ArqChain(pe_rc, list(alloc.blocklengths)),
-                                   REPRODUCE_MC_TRIALS, REPRODUCE_MC_SEED)
-        except _DOMAIN_ERRORS as exc:
-            print(f"skipping rate {_fmt(float(target))}: {exc}", file=sys.stderr)
-            continue
-        rows.append([alloc.end_to_end_rate, upper, lower, est.mc_mean, est.mc_stderr])
-    return rows
+def _fig3_row(ev: Evaluation) -> list:
+    return [ev.allocation.end_to_end_rate, ev.bounds.esys_lower, ev.bounds.esys_upper]
+
+
+def _fig4_row(ev: Evaluation) -> list:
+    upper, lower = ev.latency
+    est = simulate_latency(ev.chains[0], REPRODUCE_MC_TRIALS, REPRODUCE_MC_SEED)
+    return [ev.allocation.end_to_end_rate, upper, lower, est.mc_mean, est.mc_stderr]
 
 
 def cmd_reproduce(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     single = [HopChannel.awgn(_snr_db_to_linear(db)) for db in REPRODUCE_SINGLE_SNR_DB]
     two = [HopChannel.awgn(_snr_db_to_linear(db)) for db in REPRODUCE_TWO_SNR_DB]
-
-    def single_alloc(hops, rates):
-        return _single_hop_allocation(rates[0])
-
-    def infocont_alloc(hops, rates):
-        return information_continuous_blocks(rates, REPRODUCE_Q)[1]
-
     meta = {
         "total_q": REPRODUCE_Q,
         "single_hop_snr_db": REPRODUCE_SINGLE_SNR_DB,
@@ -173,27 +148,27 @@ def cmd_reproduce(args) -> int:
     if args.figure == "fig3":
         header = "end_to_end_rate_nats,esys_rc,esys_sp"
         _write_csv(os.path.join(args.out_dir, "fig3_single_hop.csv"), header,
-                   _fig3_rows(single, single_alloc))
+                   _sweep_rows(single, Method.MANUAL, _fig3_row))
         _write_csv(os.path.join(args.out_dir, "fig3_two_hop_relopt.csv"), header,
-                   _fig3_rows(two, _relopt_allocation))
+                   _sweep_rows(two, Method.RELIABILITY_OPTIMAL_RC, _fig3_row))
         _write_csv(os.path.join(args.out_dir, "fig3_two_hop_infocont.csv"), header,
-                   _fig3_rows(two, infocont_alloc))
+                   _sweep_rows(two, Method.INFO_CONTINUOUS, _fig3_row))
         _write_json(os.path.join(args.out_dir, "fig3_meta.json"), meta)
     else:
         meta["mc"] = {"trials": REPRODUCE_MC_TRIALS, "seed": REPRODUCE_MC_SEED}
         header = ("end_to_end_rate_nats,latency_upper,latency_lower,"
                   "latency_mc_mean,latency_mc_stderr")
         _write_csv(os.path.join(args.out_dir, "fig4_single_hop.csv"), header,
-                   _fig4_rows(single, single_alloc))
+                   _sweep_rows(single, Method.MANUAL, _fig4_row))
         _write_csv(os.path.join(args.out_dir, "fig4_two_hop.csv"), header,
-                   _fig4_rows(two, _relopt_allocation))
+                   _sweep_rows(two, Method.RELIABILITY_OPTIMAL_RC, _fig4_row))
         _write_json(os.path.join(args.out_dir, "fig4_meta.json"), meta)
     return EXIT_OK
 
 
 def cmd_allocate(args) -> int:
-    sc = load_scenario(args.scenario)
-    alloc, m = build_allocation(sc)
+    ev = Evaluation(load_scenario(args.scenario))
+    alloc, m = ev.allocation_and_m
     payload = {
         "method": alloc.method,
         "blocklengths": alloc.blocklengths,
@@ -207,7 +182,7 @@ def cmd_allocate(args) -> int:
                    for q, e in zip(alloc.real_blocklengths, alloc.exponents)]
         payload["stationarity_residual"] = max(balance) - min(balance)
     elif alloc.method == Method.INFO_CONTINUOUS:
-        payload["ln_m"] = info_continuous_log_m(alloc.rates, sc.total_q)
+        payload["ln_m"] = info_continuous_log_m(alloc.rates, ev.scenario.total_q)
         payload["m"] = m
     _write_json(args.out, payload)
     if args.bits:
@@ -217,13 +192,9 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_latency(args) -> int:
-    sc = load_scenario(args.scenario)
-    alloc, _ = build_allocation(sc)
-    upper, lower = latency_bounds(alloc, sc.hops)
-    bounds = system_error_bounds(alloc, sc.hops)
-    pe_rc = [min(p, PE_CLAMP) for p in bounds.per_hop_pe_upper]
-    est = simulate_latency(ArqChain(pe_rc, list(alloc.blocklengths)),
-                           args.trials, args.seed)
+    ev = Evaluation(load_scenario(args.scenario))
+    upper, lower = ev.latency
+    est = simulate_latency(ev.chains[0], args.trials, args.seed)
     _write_json(args.out, {
         "latency_upper": upper,
         "latency_lower": lower,
@@ -238,21 +209,17 @@ def cmd_latency(args) -> int:
 
 
 def cmd_distributed(args) -> int:
-    sc = load_scenario(args.scenario)
-    rates = sc.resolve_rates()
-    constants, per_node = run_distributed_allocation(sc.hops, rates, sc.total_q,
+    ev = Evaluation(load_scenario(args.scenario))
+    q_total, rates = ev.scenario.total_q, ev.rates
+    constants, per_node = run_distributed_allocation(ev.scenario.hops, rates, q_total,
                                                      trace_path=args.trace)
-    exps_rc = [random_coding_exponent(r, ch).exponent
-               for r, ch in zip(rates, sc.hops)]
-    exps_sp = [sphere_packing_exponent(r, ch).exponent
-               for r, ch in zip(rates, sc.hops)]
-    ln_m_central = info_continuous_log_m(rates, sc.total_q)
-    central_rc = reliability_real_blocks(exps_rc, sc.total_q)
-    central_sp = reliability_real_blocks(exps_sp, sc.total_q)
+    ln_m_central = info_continuous_log_m(rates, q_total)
+    central_rc = reliability_real_blocks(ev.e_r, q_total)
+    central_sp = reliability_real_blocks(ev.e_sp, q_total)
     matches = (
         constants.ln_m == ln_m_central
-        and constants.lambda_r == reliability_lagrange(exps_rc, sc.total_q)
-        and constants.lambda_sp == reliability_lagrange(exps_sp, sc.total_q)
+        and constants.lambda_r == reliability_lagrange(ev.e_r, q_total)
+        and constants.lambda_sp == reliability_lagrange(ev.e_sp, q_total)
         and all(node["q_reliability_rc"] == central_rc[i]
                 and node["q_reliability_sp"] == central_sp[i]
                 and node["q_info_continuous"] == math.floor(ln_m_central / rates[i])
@@ -333,6 +300,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if runner(args.seed, report) else EXIT_INFEASIBLE
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopbound",
@@ -347,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hop", type=int, default=0, help="hop index in the scenario")
     p.add_argument("--rate-min", type=float, required=True)
     p.add_argument("--rate-max", type=float, required=True)
-    p.add_argument("--rate-steps", type=int, required=True)
+    p.add_argument("--rate-steps", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bits", action="store_true",
                    help="echo rates in bits/use on stdout (files stay in nats)")
@@ -368,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("latency", help="ARQ latency bounds and Monte Carlo estimate")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_latency)

@@ -1,23 +1,28 @@
-"""Scenario JSON ingestion and allocation dispatch.
+"""Scenario JSON ingestion and the one evaluation pipeline over a scenario.
 
 A scenario file fixes the hop channels, the total channel-use budget Q,
-a per-hop rate policy, and the allocation method.  SNR is given in dB in
-the file and converted to linear exactly once, here.
+a per-hop rate policy, and the allocation method; SNR in dB is converted
+to linear exactly once, here.  An `Evaluation` computes each derived
+quantity once, on first use: rates, each hop's RC and SP exponents, the
+allocation, the system error bounds and the ARQ chains and latency bounds.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .allocation import (Allocation, AllocationError, Method,
+from .allocation import (Allocation, AllocationError, Method, end_to_end_rate,
                          information_continuous_blocks, rate_policy_scale,
                          reliability_optimal_blocks)
-from .channel import ChannelError, HopChannel, capacity
+from .arq import ArqChain, arq_chains, latency_bounds
+from .channel import HopChannel, capacity
 from .exponents import random_coding_exponent, sphere_packing_exponent
-from .system import end_to_end_rate
+from .system import SystemBounds, system_error_bounds
 
-__all__ = ["ScenarioError", "Scenario", "load_scenario", "build_allocation"]
+__all__ = ["ScenarioError", "Scenario", "Evaluation", "load_scenario", "build_allocation"]
 
 SCHEMA_VERSION = 1
 
@@ -27,6 +32,17 @@ _METHODS = (Method.RELIABILITY_OPTIMAL_RC, Method.RELIABILITY_OPTIMAL_SP,
 
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario document."""
+
+
+def _finite(value, name: str) -> float:
+    """A scenario field as a finite float; ScenarioError otherwise."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -45,46 +61,104 @@ class Scenario:
         """Per-hop rates in nats/use from the rate policy."""
         mode = self.rate_policy["mode"]
         if mode == "explicit":
-            rates = [float(r) for r in self.rate_policy["rates_nats"]]
-            if len(rates) != len(self.hops):
-                raise ScenarioError("rates_nats length must match hop count")
-            if not all(0.0 < r < float("inf") for r in rates):  # also rejects NaN
+            given = self.rate_policy.get("rates_nats")
+            if not isinstance(given, list) or len(given) != len(self.hops):
+                raise ScenarioError("rates_nats must be a list with one rate per hop")
+            rates = [_finite(r, "rates_nats") for r in given]
+            if not all(r > 0.0 for r in rates):
                 raise ScenarioError(f"rates_nats must be finite and positive, got {rates}")
             return rates
         if mode == "capacity_fraction":
-            beta = float(self.rate_policy["beta"])
+            beta = _finite(self.rate_policy.get("beta"), "beta")
             if not 0.0 < beta < 1.0:
                 raise ScenarioError(f"beta must be in (0, 1), got {beta}")
             return [beta * c for c in self.capacities]
         if mode == "target_rate":
             return rate_policy_scale(self.capacities,
-                                     float(self.rate_policy["rate_nats"]))
+                                     _finite(self.rate_policy.get("rate_nats"), "rate_nats"))
         raise ScenarioError(f"unknown rate policy mode {mode!r}")
 
 
-def _parse_hop(spec: dict, index: int) -> HopChannel:
+class Evaluation:
+    """Every derived quantity of one scenario, each computed once on first use.
+
+    The cached lists are shared by all readers and must not be mutated.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+
+    @cached_property
+    def rates(self) -> list[float]:
+        return self.scenario.resolve_rates()
+
+    @cached_property
+    def e_r(self) -> list[float]:
+        """Random-coding exponent of each hop at its rate."""
+        return [random_coding_exponent(r, ch).exponent
+                for r, ch in zip(self.rates, self.scenario.hops)]
+
+    @cached_property
+    def e_sp(self) -> list[float]:
+        """Sphere-packing exponent of each hop at its rate."""
+        return [sphere_packing_exponent(r, ch).exponent
+                for r, ch in zip(self.rates, self.scenario.hops)]
+
+    @cached_property
+    def allocation_and_m(self) -> tuple[Allocation, int | None]:
+        """The split, and the common codeword count M when info-continuous."""
+        return build_allocation(self)
+
+    @property
+    def allocation(self) -> Allocation:
+        return self.allocation_and_m[0]
+
+    @cached_property
+    def bounds(self) -> SystemBounds:
+        return system_error_bounds(self.allocation, self.e_r, self.e_sp)
+
+    @cached_property
+    def chains(self) -> tuple[ArqChain, ArqChain]:
+        """(RC, SP) ARQ chains of the allocation; the RC chain drives the Monte Carlo."""
+        return arq_chains(self.bounds, self.allocation.blocklengths)
+
+    @cached_property
+    def latency(self) -> tuple[float, float]:
+        """(upper, lower) expected latency in channel uses."""
+        return latency_bounds(self.bounds, self.allocation.blocklengths)
+
+
+def _parse_hop(spec, index: int) -> HopChannel:
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"hop {index}: expected an object, got {spec!r}")
     try:
         kind = spec["type"]
         if kind == "awgn":
-            return HopChannel.awgn(10.0 ** (float(spec["snr_db"]) / 10.0))
+            return HopChannel.awgn(10.0 ** (_finite(spec["snr_db"], "snr_db") / 10.0))
         if kind == "dmc":
             return HopChannel.dmc(spec["transition"], spec.get("input_dist"))
-    except (KeyError, ChannelError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"hop {index}: {exc}") from exc
-    raise ScenarioError(f"hop {index}: unknown type {spec.get('type')!r}")
+    raise ScenarioError(f"hop {index}: unknown type {kind!r}")
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ScenarioError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioError("scenario must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    hops_spec = doc.get("hops") or []
-    if not hops_spec:
-        raise ScenarioError("scenario needs at least one hop")
+    hops_spec = doc.get("hops")
+    if not isinstance(hops_spec, list) or not hops_spec:
+        raise ScenarioError("scenario needs a list of at least one hop")
     total_q = doc.get("total_q")
-    if not isinstance(total_q, int) or isinstance(total_q, bool) or total_q < 1:
-        raise ScenarioError("total_q must be a positive integer")
+    # bool is an int subclass; doubles hold every integer only up to 2**53
+    if type(total_q) is not int or not 1 <= total_q <= 2 ** 53:
+        raise ScenarioError("total_q must be an integer in [1, 2**53]")
     policy = doc.get("rate_policy")
     if not isinstance(policy, dict) or "mode" not in policy:
         raise ScenarioError("rate_policy with a mode is required")
@@ -93,9 +167,8 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"allocation_method must be one of {_METHODS}, got {method!r}")
     manual = doc.get("manual_blocks")
     if method == Method.MANUAL:
-        if not manual:
-            raise ScenarioError("manual allocation requires manual_blocks")
-        manual = [int(b) for b in manual]
+        if not isinstance(manual, list) or not all(type(b) is int for b in manual):
+            raise ScenarioError("manual allocation requires integer manual_blocks")
         if sum(manual) != total_q or any(b < 1 for b in manual):
             raise ScenarioError("manual_blocks must be positive and sum to total_q")
         if len(manual) != len(hops_spec):
@@ -107,22 +180,21 @@ def load_scenario(path: str) -> Scenario:
                     allocation_method=method, manual_blocks=manual)
 
 
-def build_allocation(sc: Scenario) -> tuple[Allocation, int | None]:
-    """Allocation for a scenario; second element is M when info-continuous."""
-    rates = sc.resolve_rates()
+def build_allocation(ev: Evaluation) -> tuple[Allocation, int | None]:
+    """Allocation for an evaluated scenario; second element is M when info-continuous.
+
+    A reliability-optimal split reads only the exponent family it balances.
+    """
+    sc = ev.scenario
     method = sc.allocation_method
     if method == Method.MANUAL:
         blocks = list(sc.manual_blocks)
-        alloc = Allocation(blocks, rates, 0.0, Method.MANUAL)
-        alloc = Allocation(blocks, rates, end_to_end_rate(alloc), Method.MANUAL)
-        return alloc, None
+        return Allocation(blocks, ev.rates, end_to_end_rate(blocks, ev.rates), method), None
     if method == Method.INFO_CONTINUOUS:
-        m, alloc = information_continuous_blocks(rates, sc.total_q)
+        m, alloc = information_continuous_blocks(ev.rates, sc.total_q)
         return alloc, m
-    solver = (random_coding_exponent if method == Method.RELIABILITY_OPTIMAL_RC
-              else sphere_packing_exponent)
-    exps = [solver(r, ch).exponent for r, ch in zip(rates, sc.hops)]
+    exps = ev.e_r if method == Method.RELIABILITY_OPTIMAL_RC else ev.e_sp
     if any(e <= 0 for e in exps):
         bad = next(i for i, e in enumerate(exps) if e <= 0)
         raise AllocationError(f"hop {bad}: rate at/above capacity, zero exponent")
-    return reliability_optimal_blocks(exps, sc.total_q, rates=rates, method=method), None
+    return reliability_optimal_blocks(exps, sc.total_q, rates=ev.rates, method=method), None

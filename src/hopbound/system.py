@@ -3,7 +3,8 @@
 The end-to-end error measure is the sum of per-hop error probabilities;
 random-coding exponents give the upper bound on it (hence the lower
 reliability exponent) and sphere-packing exponents the lower bound
-(hence the upper reliability exponent).
+(hence the upper reliability exponent).  The per-hop exponents come in
+already solved (see `scenario.Evaluation`).
 """
 
 from __future__ import annotations
@@ -14,66 +15,45 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .allocation import Allocation
-from .channel import HopChannel, capacity
-from .exponents import random_coding_exponent, sphere_packing_exponent
 
-__all__ = ["SystemBounds", "system_error_bounds", "end_to_end_rate"]
+__all__ = ["SystemBounds", "system_error_bounds"]
 
 
 @dataclass(frozen=True)
 class SystemBounds:
     pe_upper: float  # sum of per-hop RC bounds (union bound, may exceed 1)
     pe_lower: float  # sum of per-hop SP bounds, exponent-only (asymptotic)
-    pe_upper_clamped: float  # min(1, pe_upper), for latency consumers
-    pe_lower_clamped: float
     esys_lower: float  # -(1/Q) ln sum exp(-Q_n E_r,n), nats/use
     esys_upper: float  # -(1/Q) ln sum exp(-Q_n E_sp,n), nats/use
     per_hop_pe_upper: list[float]
     per_hop_pe_lower: list[float]
-    per_hop_e_r: list[float]
-    per_hop_e_sp: list[float]
-    degenerate_hops: list[int]  # hops with rate at/above capacity (zero exponent)
+    degenerate_hops: list[int]  # hops with a zero exponent (rate at/above capacity)
 
 
-def system_error_bounds(alloc: Allocation, hops: list[HopChannel]) -> SystemBounds:
+def system_error_bounds(alloc: Allocation, e_r: list[float],
+                        e_sp: list[float]) -> SystemBounds:
     """Sandwich bounds on system error probability and reliability exponent.
 
-    The sphere-packing side drops the sub-exponential correction, so
-    pe_lower is an asymptotic (exponent-only) lower bound.
+    `e_r` and `e_sp` are the per-hop random-coding and sphere-packing
+    exponents at the allocation's rates.  The sphere-packing side drops the
+    sub-exponential correction, so pe_lower is an asymptotic (exponent-only)
+    lower bound.
     """
-    if len(alloc.blocklengths) != len(hops):
-        raise ValueError("allocation and hop list lengths differ")
+    if not len(alloc.blocklengths) == len(e_r) == len(e_sp):
+        raise ValueError("allocation and exponent list lengths differ")
     q_total = alloc.total_q
     blocks = np.asarray(alloc.blocklengths, dtype=float)
-    e_r = []
-    e_sp = []
-    degenerate = []
-    for i, (rate, ch) in enumerate(zip(alloc.rates, hops)):
-        if rate >= capacity(ch):
-            degenerate.append(i)
-        e_r.append(random_coding_exponent(rate, ch).exponent)
-        e_sp.append(sphere_packing_exponent(rate, ch).exponent)
     log_terms_r = -blocks * np.asarray(e_r)
     log_terms_sp = -blocks * np.asarray(e_sp)
     lse_r = float(logsumexp(log_terms_r))
     lse_sp = float(logsumexp(log_terms_sp))
-    pe_upper = float(np.exp(lse_r))
-    pe_lower = float(np.exp(lse_sp))
     return SystemBounds(
-        pe_upper=pe_upper,
-        pe_lower=pe_lower,
-        pe_upper_clamped=min(1.0, pe_upper),
-        pe_lower_clamped=min(1.0, pe_lower),
+        pe_upper=float(np.exp(lse_r)),
+        pe_lower=float(np.exp(lse_sp)),
         esys_lower=-lse_r / q_total,
         esys_upper=-lse_sp / q_total,
         per_hop_pe_upper=[float(np.exp(t)) for t in log_terms_r],
         per_hop_pe_lower=[float(np.exp(t)) for t in log_terms_sp],
-        per_hop_e_r=e_r,
-        per_hop_e_sp=e_sp,
-        degenerate_hops=degenerate,
+        degenerate_hops=[i for i, (er, esp) in enumerate(zip(e_r, e_sp))
+                         if er <= 0.0 or esp <= 0.0],
     )
-
-
-def end_to_end_rate(alloc: Allocation) -> float:
-    """R = (1/Q) min_n Q_n R_n, the bottleneck end-to-end rate."""
-    return min(b * r for b, r in zip(alloc.blocklengths, alloc.rates)) / alloc.total_q

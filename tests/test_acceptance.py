@@ -10,23 +10,20 @@ import time
 
 import numpy as np
 
-from hopbound.allocation import (info_continuous_log_m,
+from hopbound.allocation import (Method, info_continuous_log_m,
                                  information_continuous_blocks,
-                                 rate_policy_scale, reliability_lagrange,
+                                 reliability_lagrange,
                                  reliability_optimal_blocks,
                                  reliability_real_blocks)
-from hopbound.arq import ArqChain, expected_latency, latency_bounds, \
-    simulate_latency
+from hopbound.arq import ArqChain, expected_latency, simulate_latency
 from hopbound.channel import HopChannel, capacity
-from hopbound.cli import REPRODUCE_Q, _relopt_allocation, \
-    _single_hop_allocation, _sweep_targets, main
+from hopbound.cli import _sweep_evaluation, _sweep_targets, main
 from hopbound.distproto import NodeState, compute_and_broadcast, forward_pass, \
     run_distributed_allocation
 from hopbound.exponents import (critical_rate, random_coding_exponent,
                                 sphere_packing_exponent)
 from hopbound.oracle import GridSpec, bsc_ensemble_error, \
     exhaustive_allocation, grid_max_exponent
-from hopbound.system import system_error_bounds
 
 
 def report(num: int, label: str, ok: bool) -> None:
@@ -150,15 +147,13 @@ def test_criterion_07_two_hop_reliability_dominates_single_hop():
     ok = True
     for target in _sweep_targets(ncap):
         target = float(target)
-        rates = rate_policy_scale(caps, target)
-        relopt = system_error_bounds(_relopt_allocation(two, rates), two)
+        relopt = _sweep_evaluation(two, Method.RELIABILITY_OPTIMAL_RC, target).bounds
         if target < single_cap:
-            base = system_error_bounds(_single_hop_allocation(target), [single])
+            base = _sweep_evaluation([single], Method.MANUAL, target).bounds
             ok = ok and relopt.esys_lower > base.esys_lower
             ok = ok and relopt.esys_upper > base.esys_upper
         if target >= 0.7 * ncap:
-            _, ic = information_continuous_blocks(rates, REPRODUCE_Q)
-            infocont = system_error_bounds(ic, two)
+            infocont = _sweep_evaluation(two, Method.INFO_CONTINUOUS, target).bounds
             for a, b in ((infocont.esys_lower, relopt.esys_lower),
                          (infocont.esys_upper, relopt.esys_upper)):
                 # the curve ends where the exponent hits zero (the summed
@@ -182,19 +177,17 @@ def test_criterion_08_latency_bound_agreement_and_hop_ordering():
     checked_ordering = 0
     for target in _sweep_targets(ncap):
         target = float(target)
-        rates = rate_policy_scale(caps, target)
-        alloc = _relopt_allocation(two, rates)
-        upper, lower = latency_bounds(alloc, two)
-        bounds = system_error_bounds(alloc, two)
+        ev = _sweep_evaluation(two, Method.RELIABILITY_OPTIMAL_RC, target)
+        upper, lower = ev.latency
+        bounds = ev.bounds
         if all(p < 0.01 for p in bounds.per_hop_pe_upper) and \
                 all(p < 0.01 for p in bounds.per_hop_pe_lower):
             ok = ok and abs(upper - lower) <= 0.02 * lower
             checked_agreement += 1
         if target < single_cap:
-            s_alloc = _single_hop_allocation(target)
-            s_exp = random_coding_exponent(target, single).exponent
-            if s_exp > 0:
-                s_upper, _ = latency_bounds(s_alloc, [single])
+            s_ev = _sweep_evaluation([single], Method.MANUAL, target)
+            if s_ev.e_r[0] > 0:
+                s_upper, _ = s_ev.latency
                 ok = ok and upper <= s_upper + 1e-9
                 checked_ordering += 1
     ok = ok and checked_agreement > 0 and checked_ordering > 0

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hopbound.allocation import Allocation, Method, rate_policy_scale
+from hopbound.allocation import rate_policy_scale
 from hopbound.arq import (ArqChain, LatencyError, default_workers, expected_latency,
-                          latency_bounds, simulate_latency)
+                          simulate_latency)
 from hopbound.channel import HopChannel, capacity
-from hopbound.system import end_to_end_rate
+from hopbound.scenario import Evaluation, Scenario
 
 
 def random_chain(rng, max_hops=10):
@@ -84,6 +84,15 @@ class TestSimulateLatency:
         assert a.mc_mean == b.mc_mean
         assert a.mc_stderr == b.mc_stderr
 
+    @pytest.mark.parametrize("seed,mean,stderr", [
+        (0, 341.45, 4.125775020468217), (123456789, 334.47, 4.145178114581037),
+        (-1, 350.06, 4.666022735496278), (2 ** 64 - 1, 350.06, 4.666022735496278),
+        (2 ** 70 + 3, 346.11, 4.563769921446073)])
+    def test_pinned_digits(self, seed, mean, stderr):
+        # the stream is keyed by the seed modulo 2**64; these digits must not move
+        est = simulate_latency(ArqChain([0.3, 0.6, 0.1], [50, 70, 90]), 1000, seed)
+        assert (est.mc_mean, est.mc_stderr) == (mean, stderr)
+
     def test_seed_changes_stream(self):
         chain = ArqChain([0.4], [100])
         a = simulate_latency(chain, 10_000, 1)
@@ -109,14 +118,15 @@ class TestSimulateLatency:
 
 class TestLatencyBounds:
     @staticmethod
-    def alloc(blocks, rates):
-        a = Allocation(list(blocks), list(rates), 0.0, Method.MANUAL)
-        return Allocation(list(blocks), list(rates), end_to_end_rate(a), Method.MANUAL)
+    def latency(blocks, rates, hops):
+        """latency_bounds of a manual split, through the scenario evaluation."""
+        return Evaluation(Scenario(sum(blocks), hops, {"mode": "explicit", "rates_nats": rates},
+                                   "manual", blocks)).latency
 
     def test_low_rate_bounds_collapse_to_budget(self):
         hops = [HopChannel.awgn(10 ** 0.9), HopChannel.awgn(10 ** 0.6)]
         rates = rate_policy_scale([capacity(h) for h in hops], 0.1)
-        upper, lower = latency_bounds(self.alloc([423, 577], rates), hops)
+        upper, lower = self.latency([423, 577], rates, hops)
         assert upper >= lower
         assert upper == pytest.approx(1000.0, rel=1e-10)
         assert lower == pytest.approx(1000.0, rel=1e-10)
@@ -125,12 +135,12 @@ class TestLatencyBounds:
         hops = [HopChannel.awgn(2.0), HopChannel.awgn(1.0)]
         caps = [capacity(h) for h in hops]
         rates = [0.9 * c for c in caps]
-        upper, lower = latency_bounds(self.alloc([500, 500], rates), hops)
+        upper, lower = self.latency([500, 500], rates, hops)
         assert upper >= lower >= 1000.0
 
     def test_rate_at_capacity_errors_with_hop_index(self):
         hops = [HopChannel.awgn(1.0), HopChannel.awgn(1.0)]
         rates = [0.3, capacity(hops[1])]
         with pytest.raises(LatencyError) as err:
-            latency_bounds(self.alloc([500, 500], rates), hops)
+            self.latency([500, 500], rates, hops)
         assert err.value.hop == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hopbound.channel import (ChannelError, E0Curve, HopChannel, capacity, e0,
+from hopbound.channel import (ChannelError, HopChannel, capacity, e0,
                               e0_awgn, e0_awgn_derivative, e0_derivative, e0_dmc)
 
 
@@ -139,11 +139,6 @@ class TestValidation:
     def test_default_input_is_uniform(self):
         ch = HopChannel.dmc([[0.8, 0.2], [0.3, 0.7]])
         np.testing.assert_allclose(ch.input_dist, [0.5, 0.5])
-
-    def test_e0_curve_invariants(self):
-        E0Curve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.2, 0.3]))
-        with pytest.raises(ChannelError):
-            E0Curve(np.array([0.5, 0.5]), np.array([0.0, 0.1]))
 
 
 def test_e0_dispatch_matches_kind():

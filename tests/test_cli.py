@@ -1,23 +1,32 @@
+import collections
+import contextlib
+import io
 import json
 import math
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopbound.allocation import reliability_real_blocks
 from hopbound.cli import main
 from hopbound.exponents import random_coding_exponent, sphere_packing_exponent
-from hopbound.scenario import ScenarioError, build_allocation, load_scenario
+from hopbound.scenario import Evaluation, ScenarioError, load_scenario
+
+
+BASE_DOC = {
+    "schema_version": 1,
+    "total_q": 1000,
+    "hops": [{"type": "awgn", "snr_db": 9.0}, {"type": "awgn", "snr_db": 6.0}],
+    "rate_policy": {"mode": "capacity_fraction", "beta": 0.5},
+    "allocation_method": "reliability_optimal_rc",
+}
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
-    doc = {
-        "schema_version": 1,
-        "total_q": 1000,
-        "hops": [{"type": "awgn", "snr_db": 9.0}, {"type": "awgn", "snr_db": 6.0}],
-        "rate_policy": {"mode": "capacity_fraction", "beta": 0.5},
-        "allocation_method": "reliability_optimal_rc",
-    }
-    doc.update(overrides)
+    doc = dict(BASE_DOC, **overrides)
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
@@ -46,7 +55,7 @@ class TestScenario:
     def test_manual_blocks(self, tmp_path):
         path = write_scenario(tmp_path, allocation_method="manual",
                               manual_blocks=[400, 600])
-        alloc, m = build_allocation(load_scenario(path))
+        alloc, m = Evaluation(load_scenario(path)).allocation_and_m
         assert alloc.blocklengths == [400, 600]
         assert m is None
 
@@ -55,7 +64,7 @@ class TestScenario:
             tmp_path, hops=[{"type": "awgn", "snr_db": 0.0}],
             allocation_method="manual", manual_blocks=[1000],
             rate_policy={"mode": "explicit", "rates_nats": [0.5]})
-        alloc, _ = build_allocation(load_scenario(path))
+        alloc = Evaluation(load_scenario(path)).allocation
         assert alloc.blocklengths == [1000]
         assert alloc.end_to_end_rate == pytest.approx(0.5)
 
@@ -105,6 +114,101 @@ class TestScenario:
         assert main(["allocate", "--scenario", path]) == 3
         assert "rates_nats" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
 
+    @pytest.mark.parametrize("text", [
+        pytest.param(json.dumps(dict(BASE_DOC, **fields)), id=name) for name, fields in (
+            ("snr_db_string", {"hops": [{"type": "awgn", "snr_db": "x"}]}),
+            ("beta_string", {"rate_policy": {"mode": "capacity_fraction", "beta": "half"}}),
+            ("rates_nats_string", {"rate_policy": {"mode": "explicit",
+                                                   "rates_nats": ["abc", 0.5]}}),
+            ("rate_nats_string", {"rate_policy": {"mode": "target_rate", "rate_nats": "z"}}),
+            ("transition_strings", {"hops": [{"type": "dmc",
+                                              "transition": [["a", "b"], [0.5, 0.5]]}]}),
+            ("transition_null", {"hops": [{"type": "dmc",
+                                           "transition": [[None, 1.0], [0.5, 0.5]]}]}),
+            ("rates_nats_missing", {"rate_policy": {"mode": "explicit"}}),
+            ("hop_string", {"hops": ["awgn"]}),
+            ("total_q_beyond_doubles", {"total_q": 10 ** 400}),
+            ("manual_blocks_fraction", {"total_q": 100, "hops": [{"type": "awgn", "snr_db": 0.0}],
+                                        "allocation_method": "manual",
+                                        "manual_blocks": [100.7]}))
+    ] + [pytest.param("[1, 2]", id="top_level_array"),
+         pytest.param("{not json", id="invalid_json")])
+    def test_malformed_document_exits_3(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["allocate", "--scenario", str(path)]) == 3
+        assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
+
+
+# Generated scenario documents: a well-formed document sized so that no
+# example does heavy work (N <= 6, Q <= 1e4, DMCs of at most 3x3), then, in
+# half of the examples, one value anywhere in it (or the whole document)
+# replaced by junk.
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
+                  st.sampled_from([float("nan"), float("inf"), -1.0, 1e308, 10 ** 400, [], {}]))
+
+
+def _stochastic(k):
+    return st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k).map(
+        lambda row: [x / sum(row) for x in row])
+
+
+_AWGN = st.fixed_dictionaries({"type": st.just("awgn"), "snr_db": st.floats(-30.0, 40.0)})
+_DMC = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda shape: st.fixed_dictionaries(
+    {"type": st.just("dmc"),
+     "transition": st.lists(_stochastic(shape[1]), min_size=shape[0], max_size=shape[0])},
+    optional={"input_dist": _stochastic(shape[0])}))
+
+
+@st.composite
+def _scenario_documents(draw):
+    n = draw(st.integers(1, 6))
+    doc = {
+        "schema_version": 1,
+        "total_q": draw(st.integers(1, 10_000)),
+        "hops": draw(st.lists(st.one_of(_AWGN, _DMC), min_size=n, max_size=n)),
+        "rate_policy": draw(st.one_of(
+            st.fixed_dictionaries({"mode": st.just("explicit"), "rates_nats": st.lists(
+                st.floats(1e-3, 3.0), min_size=n, max_size=n)}),
+            st.fixed_dictionaries({"mode": st.just("capacity_fraction"),
+                                   "beta": st.floats(0.01, 0.99)}),
+            st.fixed_dictionaries({"mode": st.just("target_rate"),
+                                   "rate_nats": st.floats(1e-3, 3.0)}))),
+        "allocation_method": draw(st.sampled_from([
+            "reliability_optimal_rc", "reliability_optimal_sp", "info_continuous", "manual"])),
+    }
+    if doc["allocation_method"] == "manual":
+        doc["manual_blocks"] = draw(st.lists(st.integers(1, 1500), min_size=n, max_size=n))
+        doc["total_q"] = sum(doc["manual_blocks"])
+    if not draw(st.booleans()):
+        return doc
+    paths, stack = [], [((), doc)]
+    while stack:
+        path, node = stack.pop()
+        paths.append(path)
+        items = node.items() if isinstance(node, dict) else enumerate(node) \
+            if isinstance(node, list) else ()
+        stack.extend((path + (key,), value) for key, value in items)
+    path = draw(st.sampled_from(paths))
+    if not path:
+        return draw(_JUNK)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_scenario_documents())
+def test_fuzzed_scenario_documents_exit_0_or_3(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/scenario.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["allocate", "--scenario", path]) in (0, 3)
+
 
 class TestExponentCommand:
     def test_csv_format(self, tmp_path):
@@ -147,9 +251,15 @@ class TestExponentCommand:
         main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_usage_error_exit_code(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["exponent", "--rate-min", "0.1"], id="missing_arguments"),
+        pytest.param(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "0.5",
+                      "--rate-steps", "-1", "--out", "never.csv"], id="negative_rate_steps"),
+        pytest.param(["latency", "--scenario", "never.json", "--trials", "0"],
+                     id="zero_trials")])
+    def test_usage_error_exit_code(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
-            main(["exponent", "--rate-min", "0.1"])
+            main(argv)
         assert err.value.code == 2
 
 
@@ -259,3 +369,52 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Exponent solves counted by (family, hop channel, rate), wherever they are called."""
+    counts = collections.Counter()
+    for family, solver in (("rc", random_coding_exponent), ("sp", sphere_packing_exponent)):
+        def counted(rate, ch, family=family, solver=solver):
+            counts[family, id(ch), rate] += 1
+            return solver(rate, ch)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("hopbound"):
+                for attr, value in list(vars(mod).items()):
+                    if value is solver:
+                        monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def family_totals(counts):
+    return tuple(sum(n for (family, _, _), n in counts.items() if family == f)
+                 for f in ("rc", "sp"))
+
+
+MIXED_HOPS = [{"type": "awgn", "snr_db": 9.0},
+              {"type": "dmc", "transition": [[0.9, 0.1], [0.1, 0.9]]},
+              {"type": "awgn", "snr_db": 3.0}]
+
+
+class TestSolveCounts:
+    def test_reproduce_fig4_solves_each_hop_and_rate_once(self, tmp_path, solves):
+        assert main(["reproduce", "--figure", "fig4", "--out-dir", str(tmp_path)]) == 0
+        # 80 swept targets on one single-hop and two two-hop channels
+        assert family_totals(solves) == (240, 240)
+        assert set(solves.values()) == {1}
+
+    @pytest.mark.parametrize("method,expected", [
+        ("reliability_optimal_rc", (3, 0)), ("reliability_optimal_sp", (0, 3)),
+        ("info_continuous", (0, 0))])
+    def test_allocate_solves_only_the_balanced_family(self, tmp_path, solves, method,
+                                                      expected):
+        path = write_scenario(tmp_path, hops=MIXED_HOPS, allocation_method=method)
+        assert main(["allocate", "--scenario", path]) == 0
+        assert family_totals(solves) == expected
+
+    def test_latency_solves_each_hop_once_per_family(self, tmp_path, solves):
+        path = write_scenario(tmp_path, hops=MIXED_HOPS)
+        assert main(["latency", "--scenario", path, "--trials", "100"]) == 0
+        assert family_totals(solves) == (3, 3)
+        assert set(solves.values()) == {1}
