@@ -1,10 +1,10 @@
-"""Blocklength and time-share allocation across the hops of a linear chain.
+"""Blocklength allocation across the hops of a linear chain.
 
-Three allocation rules under the total budget sum(Q_n) = Q:
-capacity-optimal time sharing, reliability-optimal (error balancing) and
-information-continuous (common codeword count M).  The reliability-optimal
-integer split is the greedy marginal allocation, in the log domain, from
-the real Lagrange optimum.
+Two rules split the budget sum(Q_n) = Q into integer blocklengths:
+reliability-optimal (error balancing), the greedy marginal allocation in
+the log domain from the real Lagrange optimum, and information-continuous
+(common codeword count M), which at rates R_n = I_n recovers the
+capacity-optimal time sharing of `network_capacity`.
 
 Sums over hops are accumulated left-to-right with plain floats so the
 distributed protocol can reproduce them bit-exactly.
@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "AllocationError",
     "Method",
-    "TimeShare",
-    "Allocation",
     "end_to_end_rate",
-    "optimal_time_share",
+    "network_capacity",
     "reliability_lagrange",
     "reliability_real_blocks",
     "reliability_optimal_blocks",
@@ -43,33 +40,13 @@ class Method:
     MANUAL = "manual"
 
 
-@dataclass(frozen=True)
-class TimeShare:
-    lambdas: list[float]  # fractional hop durations, sum to 1
-    network_rate: float  # nats per channel use
-
-
-@dataclass(frozen=True)
-class Allocation:
-    blocklengths: list[int]  # integer Q_n, sum exactly Q
-    rates: list[float]  # R_n, nats per channel use
-    end_to_end_rate: float  # min(Q_n R_n) / Q
-    method: str
-    real_blocklengths: list[float] | None = None  # pre-repair optimum
-    exponents: list[float] | None = None  # per-hop E_n balanced (reliability-optimal only)
-
-    @property
-    def total_q(self) -> int:
-        return sum(self.blocklengths)
-
-
 def end_to_end_rate(blocks: list[int], rates: list[float]) -> float:
     """R = (1/Q) min_n Q_n R_n, the bottleneck end-to-end rate."""
     return min(b * r for b, r in zip(blocks, rates)) / sum(blocks)
 
 
-def optimal_time_share(capacities: list[float]) -> TimeShare:
-    """Minimax-optimal time-sharing fractions: lambda_n proportional to 1/I_n."""
+def network_capacity(capacities: list[float]) -> float:
+    """Rate of minimax-optimal time sharing (fractions proportional to 1/I_n): 1/sum(1/I_n)."""
     if not capacities:
         raise AllocationError("need at least one hop")
     if any(c <= 0 for c in capacities):
@@ -77,9 +54,7 @@ def optimal_time_share(capacities: list[float]) -> TimeShare:
     inv_sum = 0.0
     for c in capacities:
         inv_sum += 1.0 / c
-    network_rate = 1.0 / inv_sum
-    lambdas = [network_rate / c for c in capacities]
-    return TimeShare(lambdas, network_rate)
+    return 1.0 / inv_sum
 
 
 def _largest_remainder_repair(real_values: list[float], total: int) -> list[int]:
@@ -87,11 +62,14 @@ def _largest_remainder_repair(real_values: list[float], total: int) -> list[int]
 
     Floors first, then hands the leftover (at most one unit per hop) out in
     descending order of fractional remainder (ties to the lowest index).
+    A larger leftover means the real values lost their sum to rounding.
     """
     blocks = [math.floor(v) for v in real_values]
     leftover = total - sum(blocks)
     if leftover < 0:
         raise AllocationError("real-valued allocation exceeds the budget")
+    if leftover > len(blocks):
+        raise AllocationError(f"real-valued allocation leaves {leftover} of {total} unplaced")
     by_remainder = sorted(range(len(blocks)), key=lambda i: (blocks[i] - real_values[i], i))
     for i in by_remainder[:leftover]:
         blocks[i] += 1
@@ -163,9 +141,7 @@ def reliability_real_blocks(exponents: list[float], q_total: int) -> list[float]
     return [(math.log(e) - lam) / e for e in exponents]
 
 
-def reliability_optimal_blocks(exponents: list[float], q_total: int,
-                               rates: list[float] | None = None,
-                               method: str = Method.RELIABILITY_OPTIMAL_RC) -> Allocation:
+def reliability_optimal_blocks(exponents: list[float], q_total: int) -> list[int]:
     """Integer blocklengths minimizing sum(exp(-Q_n E_n)) under sum(Q_n) = Q, Q_n >= 1.
 
     Starts from the floored real Lagrange optimum under Q_n >= 1 and runs
@@ -178,22 +154,17 @@ def reliability_optimal_blocks(exponents: list[float], q_total: int,
     n = len(exponents)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
-    real = reliability_real_blocks(exponents, q_total)
     # pin hops whose real share is below 1 at 1 and re-balance the rest (each
     # pass raises lambda), so the floors do not overshoot Q by a wide margin;
     # the cap bounds the drain where tiny exponents leave the shares inexact
-    free, shares = list(range(n)), real
+    free, shares = list(range(n)), reliability_real_blocks(exponents, q_total)
     while any(v < 1.0 for v in shares) and any(v >= 1.0 for v in shares):
         free = [i for i, v in zip(free, shares) if v >= 1.0]
         shares = reliability_real_blocks([exponents[i] for i in free], q_total - n + len(free))
     start = [1] * n
     for i, v in zip(free, shares):
         start[i] = min(max(math.floor(v), 1), q_total - n + 1)
-    blocks = _greedy_integer_blocks(start, exponents, q_total)
-    rates_out = [float("nan")] * n if rates is None else list(rates)
-    e2e = float("nan") if rates is None else end_to_end_rate(blocks, rates_out)
-    return Allocation(blocks, rates_out, e2e, method, real_blocklengths=real,
-                      exponents=list(exponents))
+    return _greedy_integer_blocks(start, exponents, q_total)
 
 
 def info_continuous_log_m(rates: list[float], q_total: int) -> float:
@@ -206,29 +177,17 @@ def info_continuous_log_m(rates: list[float], q_total: int) -> float:
     return q_total / inv_sum
 
 
-# exp() overflows doubles near 709; above this ln M stays symbolic
-_LN_M_MATERIALIZE_LIMIT = 700.0
-
-
-def information_continuous_blocks(rates: list[float], q_total: int):
-    """Common-M allocation: Q_n = floor(ln M / R_n), leftovers by remainder.
-
-    Returns (M, Allocation); M is None when ln M > 700 and the codeword
-    count cannot be materialized (ln M is still exact in the allocation).
-    """
+def information_continuous_blocks(rates: list[float], q_total: int) -> list[int]:
+    """Common-M allocation: Q_n = floor(ln M / R_n), leftovers by remainder."""
     n = len(rates)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
     ln_m = info_continuous_log_m(rates, q_total)
-    m = int(math.floor(math.exp(ln_m))) if ln_m <= _LN_M_MATERIALIZE_LIMIT else None
-    real = [ln_m / r for r in rates]
-    blocks = _largest_remainder_repair(real, q_total)
+    blocks = _largest_remainder_repair([ln_m / r for r in rates], q_total)
     for i in range(n):
         if blocks[i] < 1:
             raise AllocationError("cannot keep every hop at blocklength >= 1")
-    e2e = end_to_end_rate(blocks, rates)
-    return m, Allocation(blocks, list(rates), e2e, Method.INFO_CONTINUOUS,
-                         real_blocklengths=real)
+    return blocks
 
 
 def rate_policy_scale(capacities: list[float], target_rate: float) -> list[float]:
@@ -239,9 +198,8 @@ def rate_policy_scale(capacities: list[float], target_rate: float) -> list[float
     """
     if target_rate <= 0:
         raise AllocationError("target rate must be positive")
-    share = optimal_time_share(capacities)
-    if target_rate > share.network_rate:
-        raise AllocationError(
-            f"target rate {target_rate} exceeds network capacity {share.network_rate}")
-    beta = target_rate / share.network_rate
+    network = network_capacity(capacities)
+    if target_rate > network:
+        raise AllocationError(f"target rate {target_rate} exceeds network capacity {network}")
+    beta = target_rate / network
     return [beta * c for c in capacities]

@@ -167,7 +167,7 @@ def arq_chains(bounds: SystemBounds, blocks: list[int]) -> tuple[ArqChain, ArqCh
                  for pe in (bounds.per_hop_pe_upper, bounds.per_hop_pe_lower))
 
 
-def latency_bounds(bounds: SystemBounds, blocks: list[int]) -> tuple[float, float]:
-    """(upper, lower) expected latency of the (RC, SP) `arq_chains`; raises as it does."""
-    rc, sp = arq_chains(bounds, blocks)
+def latency_bounds(chains: tuple[ArqChain, ArqChain]) -> tuple[float, float]:
+    """(upper, lower) expected latency of the (RC, SP) chains from `arq_chains`."""
+    rc, sp = chains
     return expected_latency(rc), expected_latency(sp)

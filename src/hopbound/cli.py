@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from .allocation import (AllocationError, Method, info_continuous_log_m,
-                         reliability_lagrange, reliability_optimal_blocks,
-                         reliability_real_blocks)
+                         network_capacity, reliability_lagrange,
+                         reliability_optimal_blocks, reliability_real_blocks)
 from .arq import LatencyError, simulate_latency
 from .channel import ChannelError, HopChannel, capacity
 from .distproto import run_distributed_allocation
@@ -41,6 +41,9 @@ REPRODUCE_SWEEP_RATE_MIN = 0.02
 REPRODUCE_SWEEP_CAP_FRACTION = 0.98
 REPRODUCE_MC_TRIALS = 100_000
 REPRODUCE_MC_SEED = 20240101
+
+# exp() overflows doubles near 709; above this `allocate` reports M as null
+_LN_M_MATERIALIZE_LIMIT = 700.0
 
 _DOMAIN_ERRORS = (AllocationError, ChannelError, LatencyError, ScenarioError)
 
@@ -108,9 +111,8 @@ def _sweep_evaluation(hops, method: str, target: float) -> Evaluation:
 
 def _sweep_rows(hops, method: str, row) -> list[list]:
     """row(evaluation) at each swept target; a point with a domain error is skipped."""
-    network_cap = 1.0 / sum(1.0 / capacity(ch) for ch in hops)
     rows = []
-    for target in _sweep_targets(network_cap):
+    for target in _sweep_targets(network_capacity([capacity(ch) for ch in hops])):
         try:
             rows.append(row(_sweep_evaluation(hops, method, float(target))))
         except _DOMAIN_ERRORS as exc:
@@ -119,13 +121,13 @@ def _sweep_rows(hops, method: str, row) -> list[list]:
 
 
 def _fig3_row(ev: Evaluation) -> list:
-    return [ev.allocation.end_to_end_rate, ev.bounds.esys_lower, ev.bounds.esys_upper]
+    return [ev.end_to_end_rate, ev.bounds.esys_lower, ev.bounds.esys_upper]
 
 
 def _fig4_row(ev: Evaluation) -> list:
     upper, lower = ev.latency
     est = simulate_latency(ev.chains[0], REPRODUCE_MC_TRIALS, REPRODUCE_MC_SEED)
-    return [ev.allocation.end_to_end_rate, upper, lower, est.mc_mean, est.mc_stderr]
+    return [ev.end_to_end_rate, upper, lower, est.mc_mean, est.mc_stderr]
 
 
 def cmd_reproduce(args) -> int:
@@ -168,25 +170,28 @@ def cmd_reproduce(args) -> int:
 
 def cmd_allocate(args) -> int:
     ev = Evaluation(load_scenario(args.scenario))
-    alloc, m = ev.allocation_and_m
+    sc = ev.scenario
     payload = {
-        "method": alloc.method,
-        "blocklengths": alloc.blocklengths,
-        "rates_nats": alloc.rates,
-        "end_to_end_rate_nats": alloc.end_to_end_rate,
+        "method": sc.allocation_method,
+        "blocklengths": ev.blocks,
+        "rates_nats": ev.rates,
+        "end_to_end_rate_nats": ev.end_to_end_rate,
         "stationarity_residual": None,
         "ln_m": None,
     }
-    if alloc.exponents is not None:
+    exps = ev.balanced_exponents
+    if exps is not None:
         balance = [q * e - math.log(e)
-                   for q, e in zip(alloc.real_blocklengths, alloc.exponents)]
+                   for q, e in zip(reliability_real_blocks(exps, sc.total_q), exps)]
         payload["stationarity_residual"] = max(balance) - min(balance)
-    elif alloc.method == Method.INFO_CONTINUOUS:
-        payload["ln_m"] = info_continuous_log_m(alloc.rates, ev.scenario.total_q)
-        payload["m"] = m
+    elif sc.allocation_method == Method.INFO_CONTINUOUS:
+        ln_m = info_continuous_log_m(ev.rates, sc.total_q)
+        payload["ln_m"] = ln_m
+        payload["m"] = (int(math.floor(math.exp(ln_m)))
+                        if ln_m <= _LN_M_MATERIALIZE_LIMIT else None)
     _write_json(args.out, payload)
     if args.bits:
-        bits = [r / NATS_PER_BIT for r in alloc.rates]
+        bits = [r / NATS_PER_BIT for r in ev.rates]
         print("rates in bits/use:", ", ".join(_fmt(b) for b in bits))
     return EXIT_OK
 
@@ -268,7 +273,7 @@ def _verify_alloc(seed: int, report) -> bool:
         q = int(rng.integers(n, 61))
         exps = [float(e) for e in rng.uniform(0.05, 1.0, size=n)]
         best = exhaustive_allocation(exps, q)
-        got = reliability_optimal_blocks(exps, q).blocklengths
+        got = reliability_optimal_blocks(exps, q)
         if got != best:
             report(False, f"alloc instance {i}: Q={q} E={exps} got {got} expected {best}")
             ok = False

@@ -53,7 +53,6 @@ class BroadcastConstants:
     ln_m: float
     lambda_r: float
     lambda_sp: float
-    q_total: int
 
 
 @dataclass
@@ -129,7 +128,6 @@ def compute_and_broadcast(final_msg: MetricMessage, q_total: int,
         ln_m=q_total / acc["inv_rate"],
         lambda_r=(acc["logexp_over_exp_rc"] - q_total) / acc["inv_exp_rc"],
         lambda_sp=(acc["logexp_over_exp_sp"] - q_total) / acc["inv_exp_sp"],
-        q_total=q_total,
     )
     for i, node in enumerate(nodes):
         node.received_broadcast = constants

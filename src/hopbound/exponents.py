@@ -15,7 +15,6 @@ from .channel import ChannelError, HopChannel, capacity, e0, e0_derivative
 __all__ = [
     "Regime",
     "ExponentResult",
-    "CriticalRate",
     "RHO_MAX",
     "random_coding_exponent",
     "sphere_packing_exponent",
@@ -42,11 +41,6 @@ class ExponentResult:
     regime: str
 
 
-@dataclass(frozen=True)
-class CriticalRate:
-    r_cr: float  # nats per channel use
-
-
 def _bisect_rate(rate: float, ch: HopChannel, lo: float, hi: float) -> float:
     """Solve dE0/drho = rate on [lo, hi] (derivative is decreasing in rho).
 
@@ -63,6 +57,26 @@ def _bisect_rate(rate: float, ch: HopChannel, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _maximize(rate: float, ch: HopChannel, rho_cap: float,
+              capped_regime: str) -> ExponentResult:
+    """max of E0(rho) - rho*rate over 0 <= rho <= rho_cap, for 0 <= rate.
+
+    Doubles the bracket from [0, 1] until dE0/drho falls to the rate, then
+    bisects; if the root lies beyond rho_cap the value at the cap is
+    returned with `capped_regime`.
+    """
+    if rate >= capacity(ch):
+        return ExponentResult(0.0, 0.0, Regime.ZERO_ABOVE_CAPACITY)
+    lo, hi = 0.0, 1.0
+    while e0_derivative(hi, ch) > rate:
+        if hi >= rho_cap:
+            return ExponentResult(e0(hi, ch) - hi * rate, hi, capped_regime)
+        lo, hi = hi, min(2.0 * hi, rho_cap)
+    rho = _bisect_rate(rate, ch, lo, hi)
+    return ExponentResult(max(e0(rho, ch) - rho * rate, 0.0), rho,
+                          Regime.PARAMETRIC_INTERIOR)
+
+
 def random_coding_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     """Random-coding exponent E_r(rate) with its maximizing rho.
 
@@ -71,14 +85,7 @@ def random_coding_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     """
     if rate < 0:
         raise ChannelError(f"rate must be nonnegative, got {rate}")
-    if rate >= capacity(ch):
-        return ExponentResult(0.0, 0.0, Regime.ZERO_ABOVE_CAPACITY)
-    r_at_one = e0_derivative(1.0, ch)
-    if rate < r_at_one:
-        return ExponentResult(e0(1.0, ch) - rate, 1.0, Regime.RHO_CLAMPED_AT_ONE)
-    rho = _bisect_rate(rate, ch, 0.0, 1.0)
-    return ExponentResult(max(e0(rho, ch) - rho * rate, 0.0), rho,
-                          Regime.PARAMETRIC_INTERIOR)
+    return _maximize(rate, ch, 1.0, Regime.RHO_CLAMPED_AT_ONE)
 
 
 def sphere_packing_exponent(rate: float, ch: HopChannel) -> ExponentResult:
@@ -90,21 +97,9 @@ def sphere_packing_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     """
     if rate <= 0:
         raise ChannelError(f"rate must be positive for sphere packing, got {rate}")
-    if rate >= capacity(ch):
-        return ExponentResult(0.0, 0.0, Regime.ZERO_ABOVE_CAPACITY)
-    if e0_derivative(1.0, ch) <= rate:
-        lo, hi = 0.0, 1.0
-    else:
-        lo, hi = 1.0, 2.0
-        while e0_derivative(hi, ch) > rate:
-            lo, hi = hi, min(2.0 * hi, RHO_MAX)
-            if hi >= RHO_MAX and e0_derivative(hi, ch) > rate:
-                return ExponentResult(e0(hi, ch) - hi * rate, hi, Regime.RHO_CAPPED)
-    rho = _bisect_rate(rate, ch, lo, hi)
-    return ExponentResult(max(e0(rho, ch) - rho * rate, 0.0), rho,
-                          Regime.PARAMETRIC_INTERIOR)
+    return _maximize(rate, ch, RHO_MAX, Regime.RHO_CAPPED)
 
 
-def critical_rate(ch: HopChannel) -> CriticalRate:
+def critical_rate(ch: HopChannel) -> float:
     """Smallest rate where the two exponents coincide: dE0/drho at rho = 1."""
-    return CriticalRate(float(e0_derivative(1.0, ch)))
+    return float(e0_derivative(1.0, ch))

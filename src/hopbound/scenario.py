@@ -4,7 +4,8 @@ A scenario file fixes the hop channels, the total channel-use budget Q,
 a per-hop rate policy, and the allocation method; SNR in dB is converted
 to linear exactly once, here.  An `Evaluation` computes each derived
 quantity once, on first use: rates, each hop's RC and SP exponents, the
-allocation, the system error bounds and the ARQ chains and latency bounds.
+split and its end-to-end rate, the system error bounds, the ARQ chains and
+latency bounds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .allocation import (Allocation, AllocationError, Method, end_to_end_rate,
+from .allocation import (AllocationError, Method, end_to_end_rate,
                          information_continuous_blocks, rate_policy_scale,
                          reliability_optimal_blocks)
 from .arq import ArqChain, arq_chains, latency_bounds
@@ -104,28 +105,39 @@ class Evaluation:
         return [sphere_packing_exponent(r, ch).exponent
                 for r, ch in zip(self.rates, self.scenario.hops)]
 
+    @property
+    def balanced_exponents(self) -> list[float] | None:
+        """The exponents a reliability-optimal method balances; None for the others."""
+        method = self.scenario.allocation_method
+        if method == Method.RELIABILITY_OPTIMAL_RC:
+            return self.e_r
+        if method == Method.RELIABILITY_OPTIMAL_SP:
+            return self.e_sp
+        return None
+
     @cached_property
-    def allocation_and_m(self) -> tuple[Allocation, int | None]:
-        """The split, and the common codeword count M when info-continuous."""
+    def blocks(self) -> list[int]:
+        """The integer split of Q by the scenario's allocation method."""
         return build_allocation(self)
 
-    @property
-    def allocation(self) -> Allocation:
-        return self.allocation_and_m[0]
+    @cached_property
+    def end_to_end_rate(self) -> float:
+        """min(Q_n R_n) / Q, nats per channel use."""
+        return end_to_end_rate(self.blocks, self.rates)
 
     @cached_property
     def bounds(self) -> SystemBounds:
-        return system_error_bounds(self.allocation, self.e_r, self.e_sp)
+        return system_error_bounds(self.blocks, self.e_r, self.e_sp)
 
     @cached_property
     def chains(self) -> tuple[ArqChain, ArqChain]:
-        """(RC, SP) ARQ chains of the allocation; the RC chain drives the Monte Carlo."""
-        return arq_chains(self.bounds, self.allocation.blocklengths)
+        """(RC, SP) ARQ chains of the split; the RC chain drives the Monte Carlo."""
+        return arq_chains(self.bounds, self.blocks)
 
     @cached_property
     def latency(self) -> tuple[float, float]:
         """(upper, lower) expected latency in channel uses."""
-        return latency_bounds(self.bounds, self.allocation.blocklengths)
+        return latency_bounds(self.chains)
 
 
 def _parse_hop(spec, index: int) -> HopChannel:
@@ -143,11 +155,13 @@ def _parse_hop(spec, index: int) -> HopChannel:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except ValueError as exc:
-            raise ScenarioError(f"invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario: {exc}") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -180,21 +194,18 @@ def load_scenario(path: str) -> Scenario:
                     allocation_method=method, manual_blocks=manual)
 
 
-def build_allocation(ev: Evaluation) -> tuple[Allocation, int | None]:
-    """Allocation for an evaluated scenario; second element is M when info-continuous.
+def build_allocation(ev: Evaluation) -> list[int]:
+    """Integer split of Q for an evaluated scenario.
 
     A reliability-optimal split reads only the exponent family it balances.
     """
     sc = ev.scenario
-    method = sc.allocation_method
-    if method == Method.MANUAL:
-        blocks = list(sc.manual_blocks)
-        return Allocation(blocks, ev.rates, end_to_end_rate(blocks, ev.rates), method), None
-    if method == Method.INFO_CONTINUOUS:
-        m, alloc = information_continuous_blocks(ev.rates, sc.total_q)
-        return alloc, m
-    exps = ev.e_r if method == Method.RELIABILITY_OPTIMAL_RC else ev.e_sp
+    if sc.allocation_method == Method.MANUAL:
+        return list(sc.manual_blocks)
+    if sc.allocation_method == Method.INFO_CONTINUOUS:
+        return information_continuous_blocks(ev.rates, sc.total_q)
+    exps = ev.balanced_exponents
     if any(e <= 0 for e in exps):
         bad = next(i for i, e in enumerate(exps) if e <= 0)
         raise AllocationError(f"hop {bad}: rate at/above capacity, zero exponent")
-    return reliability_optimal_blocks(exps, sc.total_q, rates=ev.rates, method=method), None
+    return reliability_optimal_blocks(exps, sc.total_q)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .allocation import Allocation
-
 __all__ = ["SystemBounds", "system_error_bounds"]
 
 
@@ -30,21 +28,21 @@ class SystemBounds:
     degenerate_hops: list[int]  # hops with a zero exponent (rate at/above capacity)
 
 
-def system_error_bounds(alloc: Allocation, e_r: list[float],
+def system_error_bounds(blocks: list[int], e_r: list[float],
                         e_sp: list[float]) -> SystemBounds:
     """Sandwich bounds on system error probability and reliability exponent.
 
-    `e_r` and `e_sp` are the per-hop random-coding and sphere-packing
-    exponents at the allocation's rates.  The sphere-packing side drops the
-    sub-exponential correction, so pe_lower is an asymptotic (exponent-only)
-    lower bound.
+    `blocks` is the integer split of Q and `e_r`, `e_sp` the per-hop
+    random-coding and sphere-packing exponents at the hops' rates.  The
+    sphere-packing side drops the sub-exponential correction, so pe_lower
+    is an asymptotic (exponent-only) lower bound.
     """
-    if not len(alloc.blocklengths) == len(e_r) == len(e_sp):
+    if not len(blocks) == len(e_r) == len(e_sp):
         raise ValueError("allocation and exponent list lengths differ")
-    q_total = alloc.total_q
-    blocks = np.asarray(alloc.blocklengths, dtype=float)
-    log_terms_r = -blocks * np.asarray(e_r)
-    log_terms_sp = -blocks * np.asarray(e_sp)
+    q_total = sum(blocks)
+    q_n = np.asarray(blocks, dtype=float)
+    log_terms_r = -q_n * np.asarray(e_r)
+    log_terms_sp = -q_n * np.asarray(e_sp)
     lse_r = float(logsumexp(log_terms_r))
     lse_sp = float(logsumexp(log_terms_sp))
     return SystemBounds(

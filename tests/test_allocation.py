@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from hopbound.allocation import (AllocationError, Method,
+from hopbound.allocation import (AllocationError, end_to_end_rate,
+                                 info_continuous_log_m,
                                  information_continuous_blocks,
-                                 optimal_time_share, rate_policy_scale,
+                                 network_capacity, rate_policy_scale,
                                  reliability_optimal_blocks,
                                  reliability_real_blocks)
 from hopbound.oracle import exhaustive_allocation
@@ -51,39 +52,43 @@ def log_domain_exhaustive(exps, q):
     return float(logsumexp(-blocks * np.asarray(exps), axis=1).min())
 
 
+def time_shares(caps):
+    """Time fractions lambda_n = network_capacity / I_n."""
+    network = network_capacity(caps)
+    return [network / c for c in caps]
+
+
 class TestTimeShare:
     def test_two_hop_harmonic(self):
-        ts = optimal_time_share([2.1909, 1.6056])
-        assert ts.network_rate == pytest.approx(0.9266, abs=1e-4)
-        assert ts.lambdas[0] == pytest.approx(0.4229, abs=1e-4)
-        assert ts.lambdas[1] == pytest.approx(0.5771, abs=1e-4)
+        assert network_capacity([2.1909, 1.6056]) == pytest.approx(0.9266, abs=1e-4)
+        lambdas = time_shares([2.1909, 1.6056])
+        assert lambdas[0] == pytest.approx(0.4229, abs=1e-4)
+        assert lambdas[1] == pytest.approx(0.5771, abs=1e-4)
 
     def test_single_hop(self):
-        ts = optimal_time_share([1.7])
-        assert ts.network_rate == 1.7
-        assert ts.lambdas == [1.0]
+        assert network_capacity([1.7]) == 1.7
+        assert time_shares([1.7]) == [1.0]
 
     def test_symmetric(self):
-        ts = optimal_time_share([0.4, 0.4, 0.4])
-        assert ts.network_rate == pytest.approx(0.4 / 3, abs=1e-14)
-        for lam in ts.lambdas:
+        assert network_capacity([0.4, 0.4, 0.4]) == pytest.approx(0.4 / 3, abs=1e-14)
+        for lam in time_shares([0.4, 0.4, 0.4]):
             assert lam == pytest.approx(1 / 3, abs=1e-14)
 
     def test_balanced_products_and_harmonic_form(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             caps = list(rng.uniform(0.1, 3.0, size=rng.integers(1, 6)))
-            ts = optimal_time_share(caps)
-            products = [lam * c for lam, c in zip(ts.lambdas, caps)]
+            network = network_capacity(caps)
+            lambdas = time_shares(caps)
+            products = [lam * c for lam, c in zip(lambdas, caps)]
             assert max(products) - min(products) <= 1e-10
-            assert sum(ts.lambdas) == pytest.approx(1.0, abs=1e-12)
-            assert ts.network_rate == pytest.approx(products[0], abs=1e-10)
-            assert ts.network_rate == pytest.approx(
-                1.0 / sum(1.0 / c for c in caps), abs=1e-12)
+            assert sum(lambdas) == pytest.approx(1.0, abs=1e-12)
+            assert network == pytest.approx(products[0], abs=1e-10)
+            assert network == pytest.approx(1.0 / sum(1.0 / c for c in caps), abs=1e-12)
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(AllocationError):
-            optimal_time_share([1.0, 0.0])
+            network_capacity([1.0, 0.0])
 
 
 class TestReliabilityOptimal:
@@ -91,16 +96,14 @@ class TestReliabilityOptimal:
         real = reliability_real_blocks([0.2, 0.1], 1000)
         assert real[0] == pytest.approx(335.64, abs=0.01)
         assert real[1] == pytest.approx(664.36, abs=0.01)
-        alloc = reliability_optimal_blocks([0.2, 0.1], 1000)
-        assert alloc.blocklengths == [336, 664]
+        assert reliability_optimal_blocks([0.2, 0.1], 1000) == [336, 664]
         balance = [q * e - math.log(e) for q, e in zip(real, [0.2, 0.1])]
         assert balance[0] == pytest.approx(68.738, abs=1e-3)
         assert balance[0] == pytest.approx(balance[1], abs=1e-8)
 
     def test_symmetry(self):
         for e in (0.01, 0.2, 1.5):
-            alloc = reliability_optimal_blocks([e, e], 500)
-            assert alloc.blocklengths == [250, 250]
+            assert reliability_optimal_blocks([e, e], 500) == [250, 250]
 
     def test_real_valued_stationarity(self):
         rng = np.random.default_rng(12)
@@ -119,24 +122,22 @@ class TestReliabilityOptimal:
             n = int(rng.integers(2, 4))
             q = int(rng.integers(n, 61))
             exps = list(rng.uniform(0.05, 1.0, size=n))
-            assert (reliability_optimal_blocks(exps, q).blocklengths
-                    == exhaustive_allocation(exps, q))
+            assert reliability_optimal_blocks(exps, q) == exhaustive_allocation(exps, q)
 
     def test_three_hop_brute_force(self):
         exps = [0.3, 0.2, 0.1]
-        alloc = reliability_optimal_blocks(exps, 60)
-        assert alloc.blocklengths == exhaustive_allocation(exps, 60)
-        assert sum(alloc.blocklengths) == 60
+        blocks = reliability_optimal_blocks(exps, 60)
+        assert blocks == exhaustive_allocation(exps, 60)
+        assert sum(blocks) == 60
 
     def test_three_hop_stationarity_at_scale(self):
         exps = [0.3, 0.2, 0.1]
         real = reliability_real_blocks(exps, 900)
         balance = [b * e - math.log(e) for b, e in zip(real, exps)]
         assert max(balance) - min(balance) <= 1e-8
-        alloc = reliability_optimal_blocks(exps, 900)
-        assert sum(alloc.blocklengths) == 900
-        int_balance = [b * e - math.log(e)
-                       for b, e in zip(alloc.blocklengths, exps)]
+        blocks = reliability_optimal_blocks(exps, 900)
+        assert sum(blocks) == 900
+        int_balance = [b * e - math.log(e) for b, e in zip(blocks, exps)]
         # integer rounding can shift each hop by at most one symbol's exponent
         assert max(int_balance) - min(int_balance) <= max(exps) + 1e-9
 
@@ -144,8 +145,8 @@ class TestReliabilityOptimal:
         rng = np.random.default_rng(14)
         exps = [0.35, 0.15, 0.08]
         q = 400
-        alloc = reliability_optimal_blocks(exps, q)
-        best = sum(math.exp(-b * e) for b, e in zip(alloc.blocklengths, exps))
+        blocks = reliability_optimal_blocks(exps, q)
+        best = sum(math.exp(-b * e) for b, e in zip(blocks, exps))
         for _ in range(1000):
             cuts = sorted(rng.choice(np.arange(1, q), size=2, replace=False))
             blocks = [cuts[0], cuts[1] - cuts[0], q - cuts[1]]
@@ -158,19 +159,13 @@ class TestReliabilityOptimal:
 
     def test_clamped_hops_stay_feasible(self):
         # the real shares of the two fast hops are below 1; [1, 1, 4] is optimal
-        alloc = reliability_optimal_blocks([20.0, 20.0, 0.01], 6)
-        assert alloc.blocklengths == [1, 1, 4]
-        assert alloc.blocklengths == exhaustive_allocation([20.0, 20.0, 0.01], 6)
+        blocks = reliability_optimal_blocks([20.0, 20.0, 0.01], 6)
+        assert blocks == [1, 1, 4]
+        assert blocks == exhaustive_allocation([20.0, 20.0, 0.01], 6)
 
     def test_equal_cost_split_keeps_lowest_index_rounding(self):
-        assert reliability_optimal_blocks([0.2, 0.2], 501).blocklengths == [251, 250]
-        assert reliability_optimal_blocks([0.2, 0.2, 0.2], 8).blocklengths == [3, 3, 2]
-
-    def test_carries_balanced_exponents(self):
-        alloc = reliability_optimal_blocks([0.2, 0.1], 1000)
-        assert alloc.exponents == [0.2, 0.1]
-        _, info = information_continuous_blocks([2.0, 1.0], 30)
-        assert info.exponents is None
+        assert reliability_optimal_blocks([0.2, 0.2], 501) == [251, 250]
+        assert reliability_optimal_blocks([0.2, 0.2, 0.2], 8) == [3, 3, 2]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(min_value=-3.0, max_value=math.log10(30.0)),
@@ -179,7 +174,7 @@ class TestReliabilityOptimal:
     def test_property_matches_exhaustive_search(self, log_exps, extra):
         exps = [10.0 ** x for x in log_exps]
         q = min(len(exps) + extra, 40)
-        got = reliability_optimal_blocks(exps, q).blocklengths
+        got = reliability_optimal_blocks(exps, q)
         assert sum(got) == q and min(got) >= 1
         best = log_domain_exhaustive(exps, q)
         assert log_objective(got, exps) <= best + 1e-12 * max(1.0, abs(best))
@@ -193,7 +188,7 @@ class TestReliabilityOptimal:
     def test_no_improving_single_exchange_at_scale(self, n, q):
         rng = np.random.default_rng(n)
         exps = [float(e) for e in rng.uniform(0.3, 2.0, size=n)]
-        blocks = reliability_optimal_blocks(exps, q).blocklengths
+        blocks = reliability_optimal_blocks(exps, q)
         assert sum(blocks) == q and min(blocks) >= 1
         # exp(-Q_n E_n) underflows past 745; the log-domain check still sees it
         assert max(b * e for b, e in zip(blocks, exps)) > 745
@@ -205,14 +200,14 @@ class TestReliabilityOptimal:
             n = int(rng.integers(2, 6))
             q = int(rng.integers(2000, 20_001))
             exps = [float(e) for e in rng.uniform(0.05, 1.0, size=n)]
-            blocks = reliability_optimal_blocks(exps, q).blocklengths
+            blocks = reliability_optimal_blocks(exps, q)
             assert sum(blocks) == q
             assert best_single_exchange(blocks, exps) <= 1e-12
 
     def test_tiny_exponents_stay_optimal_and_fast(self):
         # real shares lose all precision once 1/E dwarfs the other hops
         for exps in ([1e-3, 1e-15], [1e-4, 1e-300], [0.5, 8e-19]):
-            blocks = reliability_optimal_blocks(exps, 1000).blocklengths
+            blocks = reliability_optimal_blocks(exps, 1000)
             assert sum(blocks) == 1000 and min(blocks) >= 1
             assert best_single_exchange(blocks, exps) <= 1e-12
 
@@ -223,24 +218,22 @@ class TestReliabilityOptimal:
 
 class TestInformationContinuous:
     def test_two_rate_example(self):
-        m, alloc = information_continuous_blocks([2.0, 1.0], 30)
-        assert m == int(math.floor(math.exp(20.0)))
-        assert alloc.blocklengths == [10, 20]
-        assert alloc.end_to_end_rate == pytest.approx(20.0 / 30.0, abs=1e-12)
+        assert info_continuous_log_m([2.0, 1.0], 30) == pytest.approx(20.0, abs=1e-12)
+        blocks = information_continuous_blocks([2.0, 1.0], 30)
+        assert blocks == [10, 20]
+        assert end_to_end_rate(blocks, [2.0, 1.0]) == pytest.approx(20.0 / 30.0, abs=1e-12)
 
     def test_single_hop(self):
-        m, alloc = information_continuous_blocks([0.7], 100)
-        assert alloc.blocklengths == [100]
-        assert math.log(m) == pytest.approx(70.0, abs=1e-6)
+        assert information_continuous_blocks([0.7], 100) == [100]
+        assert info_continuous_log_m([0.7], 100) == pytest.approx(70.0, abs=1e-6)
 
     def test_leftover_tie_goes_to_first_hop(self):
-        _, alloc = information_continuous_blocks([1.0, 1.0], 101)
-        assert alloc.blocklengths == [51, 50]
+        assert information_continuous_blocks([1.0, 1.0], 101) == [51, 50]
 
     def test_symbolic_ln_m_above_overflow(self):
-        m, alloc = information_continuous_blocks([1.0, 1.0], 2000)
-        assert m is None
-        assert alloc.blocklengths == [1000, 1000]
+        # M = e^1000 overflows a double; ln M and the split stay exact
+        assert info_continuous_log_m([1.0, 1.0], 2000) == 1000.0
+        assert information_continuous_blocks([1.0, 1.0], 2000) == [1000, 1000]
 
     def test_floors_within_one_symbol(self):
         rng = np.random.default_rng(15)
@@ -248,19 +241,34 @@ class TestInformationContinuous:
             n = int(rng.integers(1, 5))
             rates = list(rng.uniform(0.2, 3.0, size=n))
             q = int(rng.integers(50, 5000))
-            _, alloc = information_continuous_blocks(rates, q)
+            blocks = information_continuous_blocks(rates, q)
             ln_m = q / sum(1.0 / r for r in rates)
-            assert sum(alloc.blocklengths) == q
-            for real_b, r in zip(alloc.real_blocklengths, rates):
-                assert abs(math.floor(real_b) * r - ln_m) <= r + 1e-9
+            assert sum(blocks) == q
+            # each block is floor(ln M / R_n), or one more from the leftover
+            for b, r in zip(blocks, rates):
+                assert abs(b * r - ln_m) <= r + 1e-9
 
     def test_reproduces_time_share_fractions(self):
         # rate adaptation R_n = I_n makes blocks track the optimal lambdas
         q = 1000
-        ts = optimal_time_share(TWO_HOP_CAPS)
-        _, alloc = information_continuous_blocks(TWO_HOP_CAPS, q)
-        for b, lam in zip(alloc.blocklengths, ts.lambdas):
+        blocks = information_continuous_blocks(TWO_HOP_CAPS, q)
+        for b, lam in zip(blocks, time_shares(TWO_HOP_CAPS)):
             assert abs(b / q - lam) <= 1.0 / q
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=-310.0, max_value=math.log10(30.0)),
+                    min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=2 ** 53))
+    def test_property_split_sums_to_budget_or_raises(self, log_rates, q):
+        # rates down to 1e-310, where 1/R_n overflows and ln M collapses to 0
+        rates = [10.0 ** x for x in log_rates]
+        try:
+            blocks = information_continuous_blocks(rates, q)
+        except AllocationError:
+            return
+        assert len(blocks) == len(rates)
+        assert min(blocks) >= 1
+        assert sum(blocks) == q
 
 
 class TestRatePolicy:
@@ -293,9 +301,3 @@ class TestRatePolicy:
             achieved = 1.0 / sum(1.0 / r for r in rates)
             assert achieved == pytest.approx(target, rel=1e-12)
 
-
-def test_allocation_method_labels():
-    alloc = reliability_optimal_blocks([0.2, 0.1], 100, rates=[1.0, 1.0],
-                                       method=Method.RELIABILITY_OPTIMAL_SP)
-    assert alloc.method == Method.RELIABILITY_OPTIMAL_SP
-    assert alloc.total_q == 100

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -55,18 +56,16 @@ class TestScenario:
     def test_manual_blocks(self, tmp_path):
         path = write_scenario(tmp_path, allocation_method="manual",
                               manual_blocks=[400, 600])
-        alloc, m = Evaluation(load_scenario(path)).allocation_and_m
-        assert alloc.blocklengths == [400, 600]
-        assert m is None
+        assert Evaluation(load_scenario(path)).blocks == [400, 600]
 
     def test_manual_single_hop_passthrough(self, tmp_path):
         path = write_scenario(
             tmp_path, hops=[{"type": "awgn", "snr_db": 0.0}],
             allocation_method="manual", manual_blocks=[1000],
             rate_policy={"mode": "explicit", "rates_nats": [0.5]})
-        alloc = Evaluation(load_scenario(path)).allocation
-        assert alloc.blocklengths == [1000]
-        assert alloc.end_to_end_rate == pytest.approx(0.5)
+        ev = Evaluation(load_scenario(path))
+        assert ev.blocks == [1000]
+        assert ev.end_to_end_rate == pytest.approx(0.5)
 
     def test_dmc_hop(self, tmp_path):
         path = write_scenario(tmp_path, hops=[{
@@ -114,7 +113,7 @@ class TestScenario:
         assert main(["allocate", "--scenario", path]) == 3
         assert "rates_nats" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
 
-    @pytest.mark.parametrize("text", [
+    @pytest.mark.parametrize("content", [
         pytest.param(json.dumps(dict(BASE_DOC, **fields)), id=name) for name, fields in (
             ("snr_db_string", {"hops": [{"type": "awgn", "snr_db": "x"}]}),
             ("beta_string", {"rate_policy": {"mode": "capacity_fraction", "beta": "half"}}),
@@ -132,12 +131,23 @@ class TestScenario:
                                         "allocation_method": "manual",
                                         "manual_blocks": [100.7]}))
     ] + [pytest.param("[1, 2]", id="top_level_array"),
-         pytest.param("{not json", id="invalid_json")])
-    def test_malformed_document_exits_3(self, tmp_path, capsys, text):
+         pytest.param("{not json", id="invalid_json"),
+         # a callable content makes the path: nothing there, or a directory
+         pytest.param(lambda path: None, id="missing_file"),
+         pytest.param(Path.mkdir, id="directory")])
+    def test_malformed_document_exits_3(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        if callable(content):
+            content(path)
+        else:
+            path.write_text(content)
         assert main(["allocate", "--scenario", str(path)]) == 3
         assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
+        if callable(content):
+            assert main(["exponent", "--scenario", str(path), "--rate-min", "0.1",
+                         "--rate-max", "0.2", "--rate-steps", "2",
+                         "--out", str(tmp_path / "never.csv")]) == 3
+            assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
 
 
 # Generated scenario documents: a well-formed document sized so that no
@@ -304,6 +314,27 @@ class TestAllocateCommand:
         assert doc["ln_m"] == pytest.approx(20.0, abs=1e-12)
         assert doc["blocklengths"] == [10, 20]
         assert doc["m"] == int(math.floor(math.exp(20.0)))
+
+    def test_info_continuous_m_null_above_overflow(self, tmp_path):
+        # ln M = 1000: M overflows a double, so only ln M is reported
+        path = write_scenario(tmp_path, allocation_method="info_continuous",
+                              rate_policy={"mode": "explicit", "rates_nats": [1.0, 1.0]},
+                              total_q=2000)
+        out = tmp_path / "alloc.json"
+        assert main(["allocate", "--scenario", path, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["ln_m"] == 1000.0
+        assert doc["m"] is None
+        assert doc["blocklengths"] == [1000, 1000]
+
+    @pytest.mark.parametrize("rates", [[1e-310, 1e-310], [1e-308, 1e-308], [1e-310, 1.0]],
+                             ids=["both_subnormal", "both_1e-308", "one_subnormal"])
+    def test_info_continuous_overflowing_inverse_rate_exits_3(self, tmp_path, capsys, rates):
+        # sum(1/R_n) overflows, ln M becomes 0 and the floors leave all of Q unplaced
+        path = write_scenario(tmp_path, allocation_method="info_continuous",
+                              rate_policy={"mode": "explicit", "rates_nats": rates})
+        assert main(["allocate", "--scenario", path]) == 3
+        assert "unplaced" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
 
     def test_time_share_equivalence(self, tmp_path):
         path = write_scenario(tmp_path, allocation_method="info_continuous",

@@ -127,19 +127,19 @@ class TestLowRateBisection:
 
 class TestCriticalRate:
     def test_awgn_closed_form(self):
-        assert critical_rate(SNR1).r_cr == pytest.approx(R_CR, abs=1e-12)
+        assert critical_rate(SNR1) == pytest.approx(R_CR, abs=1e-12)
 
     def test_vanishing_channel(self):
-        assert critical_rate(HopChannel.awgn(1e-9)).r_cr < 1e-9
+        assert critical_rate(HopChannel.awgn(1e-9)) < 1e-9
 
     def test_bsc_matches_derivative(self):
         ch = HopChannel.bsc(0.1)
-        assert critical_rate(ch).r_cr == pytest.approx(e0_derivative(1.0, ch), abs=1e-12)
+        assert critical_rate(ch) == pytest.approx(e0_derivative(1.0, ch), abs=1e-12)
 
     def test_below_capacity(self):
         for snr in (0.1, 1.0, 10.0, 100.0):
             ch = HopChannel.awgn(snr)
-            assert 0.0 <= critical_rate(ch).r_cr <= capacity(ch)
+            assert 0.0 <= critical_rate(ch) <= capacity(ch)
 
 
 class TestProperties:
