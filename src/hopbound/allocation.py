@@ -64,6 +64,8 @@ def _largest_remainder_repair(real_values: list[float], total: int) -> list[int]
     descending order of fractional remainder (ties to the lowest index).
     A larger leftover means the real values lost their sum to rounding.
     """
+    if not all(math.isfinite(v) for v in real_values):
+        raise AllocationError("real-valued allocation is not finite")
     blocks = [math.floor(v) for v in real_values]
     leftover = total - sum(blocks)
     if leftover < 0:

@@ -8,6 +8,7 @@ and exponents are in nats per channel use; SNR is stored linear.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +21,9 @@ __all__ = [
     "e0_dmc",
     "e0",
     "e0_derivative",
+    "e0_terms",
     "capacity",
 ]
-
-# central-difference step for the DMC dE0/drho (no closed form available)
-_DMC_DIFF_STEP = 1e-6
 
 _ATOL_STOCHASTIC = 1e-12
 
@@ -49,8 +48,8 @@ class HopChannel:
 
     def __post_init__(self):
         if self.kind == "awgn":
-            if self.snr is None or not self.snr > 0:
-                raise ChannelError(f"AWGN channel requires snr > 0, got {self.snr}")
+            if self.snr is None or not 0 < self.snr < math.inf:
+                raise ChannelError(f"AWGN channel requires a finite snr > 0, got {self.snr}")
         elif self.kind == "dmc":
             if self.transition is None:
                 raise ChannelError("DMC channel requires a transition matrix")
@@ -110,41 +109,24 @@ def e0_awgn(rho, snr: float):
 
 def e0_awgn_derivative(rho, snr: float):
     """Analytic dE0/drho for the Gaussian-input AWGN hop."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ChannelError("rho must be nonnegative")
-    if not snr > 0:
-        raise ChannelError(f"snr must be positive, got {snr}")
-    out = np.log1p(snr / (1.0 + rho)) - rho * snr / ((1.0 + rho) * (1.0 + rho + snr))
-    return float(out) if out.ndim == 0 else out
-
-
-def _e0_dmc_raw(rho, transition: np.ndarray, input_dist: np.ndarray):
-    """Gallager E0 for a finite DMC at fixed input distribution.
-
-    Valid for rho > -1; used with slightly negative rho only inside the
-    central difference at rho = 0.  Zero transition entries contribute
-    zero to the inner sum (measure-zero convention).
-    """
-    rho = np.asarray(rho, dtype=float)
-    scalar = rho.ndim == 0
-    r = np.atleast_1d(rho)[:, None, None]  # (K, 1, 1)
-    p = transition[None, :, :]  # (1, S, Y)
-    with np.errstate(divide="ignore"):
-        tilted = np.where(p > 0, p ** (1.0 / (1.0 + r)), 0.0)
-    inner = np.einsum("s,ksy->ky", input_dist, tilted)
-    vals = -np.log(np.sum(inner ** (1.0 + np.atleast_1d(rho)[:, None]), axis=1))
-    return float(vals[0]) if scalar else vals
+    return e0_derivative(rho, HopChannel.awgn(snr))
 
 
 def e0_dmc(rho, ch: HopChannel):
-    """E0(rho) for a finite DMC hop; 0 at rho = 0."""
+    """E0(rho) for a finite DMC hop, vectorized over rho; 0 at rho = 0.
+
+    Zero transition entries contribute zero (measure-zero convention).
+    """
     if ch.kind != "dmc":
         raise ChannelError("e0_dmc requires a DMC channel")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ChannelError("rho must be nonnegative")
-    return _e0_dmc_raw(rho, ch.transition, ch.input_dist)
+    r = np.atleast_1d(rho)[:, None]  # (K, 1)
+    tilted = ch.transition[None, :, :] ** (1.0 / (1.0 + r))[:, :, None]  # 0^t = 0
+    inner = np.einsum("s,ksy->ky", ch.input_dist, tilted)
+    vals = -np.log(np.sum(inner ** (1.0 + r), axis=1))
+    return float(vals[0]) if rho.ndim == 0 else vals
 
 
 def e0(rho, ch: HopChannel):
@@ -155,22 +137,56 @@ def e0(rho, ch: HopChannel):
 
 
 def e0_derivative(rho, ch: HopChannel):
-    """dE0/drho: analytic for AWGN, central difference for a DMC.
-
-    At rho = 0 the value is the channel mutual information.
-    """
-    if ch.kind == "awgn":
-        return e0_awgn_derivative(rho, ch.snr)
+    """Analytic dE0/drho (see e0_terms); at rho = 0 the mutual information."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ChannelError("rho must be nonnegative")
-    h = _DMC_DIFF_STEP * np.maximum(1.0, rho)
-    # _e0_dmc_raw is analytic on rho > -1, so the centered stencil is fine
-    # even when rho - h dips slightly below zero.
-    lo = _e0_dmc_raw(rho - h, ch.transition, ch.input_dist)
-    hi = _e0_dmc_raw(rho + h, ch.transition, ch.input_dist)
-    out = (hi - lo) / (2.0 * h)
-    return float(out) if np.asarray(out).ndim == 0 else out
+    terms = e0_terms(ch)
+    out = np.array([terms(r)[1] for r in rho.ravel().tolist()]).reshape(rho.shape)
+    return float(out) if rho.ndim == 0 else out
+
+
+def e0_terms(ch: HopChannel):
+    """The exponent solver's step: rho -> (E0, dE0/drho, d2E0/drho2) as floats.
+
+    rho >= 0 is not validated.  AWGN, with a = 1+rho and b = a+SNR:
+    d2E0/drho2 = -SNR (2b + rho SNR) / (ab)^2, in bounded ratios.  DMC, with
+    t = 1/(1+rho), a_y = sum_x q(x) p(y|x)^t, w(x|y) = q(x) p(y|x)^t / a_y,
+    pi_y proportional to a_y^(1+rho) and g_y = ln a_y - t E_w[ln p | y]
+    (Gallager 1968, sec. 5.6): dE0/drho = -E_pi[g] and
+    d2E0/drho2 = -Var_pi(g) - t^3 E_pi[Var_w(ln p | y)].
+    """
+    if ch.kind == "awgn":
+        def awgn_terms(rho, snr=ch.snr):
+            a = 1.0 + rho
+            log_term = math.log1p(snr / a)
+            u, v = snr / (a + snr), rho / a
+            return rho * log_term, log_term - v * u, -(u / a) * (2.0 / a + v * u)
+        return awgn_terms
+    # outputs no input reaches have a_y = 0 at every rho and drop out;
+    # ln p := 0 where p = 0, as w = 0 there
+    q = ch.input_dist[:, None]
+    p = ch.transition[:, (q * ch.transition).sum(axis=0) > 0]
+    log_p = np.log(np.where(p > 0, p, 1.0))
+
+    def dmc_terms(rho):
+        t = 1.0 / (1.0 + rho)
+        weighted = q * p ** t
+        a = weighted.sum(axis=0)
+        log_a = np.log(a)
+        # pi_y = e_y / total, scaled by the largest a_y^(1+rho) against underflow
+        z = (1.0 + rho) * log_a
+        top = float(z.max())
+        e = np.exp(z - top)
+        total = float(e.sum())
+        w = weighted / a
+        mean_w = (w * log_p).sum(axis=0)
+        var_w = (w * (log_p - mean_w) ** 2).sum(axis=0)
+        g = log_a - t * mean_w
+        d1 = -float(e @ g) / total
+        d2 = -float(e @ ((g + d1) ** 2 + t ** 3 * var_w)) / total
+        return -(top + math.log(total)), d1, d2
+    return dmc_terms
 
 
 def capacity(ch: HopChannel) -> float:

@@ -53,7 +53,10 @@ def _fmt(x: float) -> str:
 
 
 def _snr_db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ChannelError(f"SNR of {db} dB overflows a double") from None
 
 
 def _write_csv(path: str, header: str, rows: list[list]) -> None:
@@ -312,6 +315,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopbound",
@@ -324,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="AWGN hop SNR in dB")
     src.add_argument("--scenario", help="scenario JSON; select a hop with --hop")
     p.add_argument("--hop", type=int, default=0, help="hop index in the scenario")
-    p.add_argument("--rate-min", type=float, required=True)
-    p.add_argument("--rate-max", type=float, required=True)
+    p.add_argument("--rate-min", type=_finite_float, required=True)
+    p.add_argument("--rate-max", type=_finite_float, required=True)
     p.add_argument("--rate-steps", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bits", action="store_true",

@@ -1,16 +1,18 @@
 """Random-coding and sphere-packing exponents as functions of rate.
 
 Both exponents maximize -rho*R + E0(rho); the random-coding exponent over
-rho in [0, 1], the sphere-packing exponent over rho > 0.  Since dE0/drho
-is strictly decreasing, the interior maximizer solves dE0/drho = R and is
-found by bisection.
+rho in [0, 1], the sphere-packing exponent over rho > 0.  Since E0 is
+concave in rho, the interior maximizer solves dE0/drho = R; it is found by
+Newton's method on that equation, on Python floats, with every step kept
+inside a bisection bracket.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .channel import ChannelError, HopChannel, capacity, e0, e0_derivative
+from .channel import ChannelError, HopChannel, capacity, e0_derivative, e0_terms
 
 __all__ = [
     "Regime",
@@ -24,7 +26,8 @@ __all__ = [
 # sphere-packing maximizer diverges as R -> 0; cap it and flag the regime
 RHO_MAX = 1e6
 
-_RHO_TOL = 1e-12
+# Newton's stopping distance in ulps (of rho for the step, of the rate for the slope)
+_ULPS = 4
 
 
 class Regime:
@@ -41,40 +44,45 @@ class ExponentResult:
     regime: str
 
 
-def _bisect_rate(rate: float, ch: HopChannel, lo: float, hi: float) -> float:
-    """Solve dE0/drho = rate on [lo, hi] (derivative is decreasing in rho).
-
-    Stops at width _RHO_TOL, or at adjacent doubles where that is below an ulp.
-    """
-    while hi - lo > _RHO_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if e0_derivative(mid, ch) > rate:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _maximize(rate: float, ch: HopChannel, rho_cap: float,
               capped_regime: str) -> ExponentResult:
     """max of E0(rho) - rho*rate over 0 <= rho <= rho_cap, for 0 <= rate.
 
-    Doubles the bracket from [0, 1] until dE0/drho falls to the rate, then
-    bisects; if the root lies beyond rho_cap the value at the cap is
-    returned with `capped_regime`.
+    Doubles the bracket from [0, 1] until dE0/drho falls to the rate; a root
+    past rho_cap gives the value at the cap with `capped_regime`.  Then runs
+    Newton on dE0/drho = rate from the bracket's secant point; a step that
+    leaves the bracket is replaced by its midpoint.  Stops when the step or
+    the slope error is within a few ulps, or the bracket ends are adjacent.
     """
-    if rate >= capacity(ch):
+    rate = float(rate)
+    lo_slope = capacity(ch)  # dE0/drho at rho = 0
+    if rate >= lo_slope:
         return ExponentResult(0.0, 0.0, Regime.ZERO_ABOVE_CAPACITY)
+    terms = e0_terms(ch)
     lo, hi = 0.0, 1.0
-    while e0_derivative(hi, ch) > rate:
+    value, slope, curve = terms(hi)
+    while slope > rate:
         if hi >= rho_cap:
-            return ExponentResult(e0(hi, ch) - hi * rate, hi, capped_regime)
-        lo, hi = hi, min(2.0 * hi, rho_cap)
-    rho = _bisect_rate(rate, ch, lo, hi)
-    return ExponentResult(max(e0(rho, ch) - rho * rate, 0.0), rho,
-                          Regime.PARAMETRIC_INTERIOR)
+            return ExponentResult(value - hi * rate, hi, capped_regime)
+        lo, lo_slope, hi = hi, slope, min(2.0 * hi, rho_cap)
+        value, slope, curve = terms(hi)
+    rho, nxt = hi, lo + (hi - lo) * (lo_slope - rate) / (lo_slope - slope)
+    while True:
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        rho = nxt
+        value, slope, curve = terms(rho)
+        if slope > rate:
+            lo = rho
+        else:
+            hi = rho
+        step = (slope - rate) / curve if curve < 0 else math.nan
+        if abs(step) <= _ULPS * math.ulp(rho) or abs(slope - rate) <= _ULPS * math.ulp(rate):
+            break
+        nxt = rho - step
+    return ExponentResult(max(value - rho * rate, 0.0), rho, Regime.PARAMETRIC_INTERIOR)
 
 
 def random_coding_exponent(rate: float, ch: HopChannel) -> ExponentResult:
@@ -83,7 +91,7 @@ def random_coding_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     Returns 0 at/above capacity; below the critical rate the maximizer
     clamps at rho = 1 and E_r = E0(1) - rate.
     """
-    if rate < 0:
+    if not rate >= 0:
         raise ChannelError(f"rate must be nonnegative, got {rate}")
     return _maximize(rate, ch, 1.0, Regime.RHO_CLAMPED_AT_ONE)
 
@@ -95,7 +103,7 @@ def sphere_packing_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     exceeds RHO_MAX the value at the cap is returned with regime
     RHO_CAPPED.
     """
-    if rate <= 0:
+    if not rate > 0:
         raise ChannelError(f"rate must be positive for sphere packing, got {rate}")
     return _maximize(rate, ch, RHO_MAX, Regime.RHO_CAPPED)
 

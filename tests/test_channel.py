@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hopbound.channel import (ChannelError, HopChannel, capacity, e0,
-                              e0_awgn, e0_awgn_derivative, e0_derivative, e0_dmc)
+                              e0_awgn, e0_awgn_derivative, e0_derivative, e0_dmc,
+                              e0_terms)
 
 
 def bsc_e0_closed_form(rho, p):
@@ -98,7 +100,57 @@ class TestDerivative:
     def test_dmc_at_zero_is_capacity(self):
         for p in (0.05, 0.1, 0.25):
             ch = HopChannel.bsc(p)
-            assert e0_derivative(0.0, ch) == pytest.approx(capacity(ch), abs=1e-5)
+            assert e0_derivative(0.0, ch) == pytest.approx(capacity(ch), abs=1e-12)
+
+    def test_dmc_array_input(self):
+        ch = HopChannel.bsc(0.1)
+        rhos = np.array([[0.0, 0.5], [1.0, 2.0]])
+        out = e0_derivative(rhos, ch)
+        assert out.shape == (2, 2)
+        assert out[1, 0] == e0_derivative(1.0, ch)
+
+
+_DMC_CHANNELS = {
+    "bsc": HopChannel.bsc(0.1),
+    "ternary_symmetric": HopChannel.dmc(0.7 * np.eye(3) + 0.1),
+    "dirichlet_8x8": HopChannel.dmc(np.random.default_rng(2024).dirichlet(np.ones(8), size=8)),
+    "zero_entry": HopChannel.dmc([[1.0, 0.0], [0.3, 0.7]], [0.4, 0.6]),
+}
+
+
+def _mp_e0_dmc(rho, ch):
+    p, q = ch.transition.tolist(), ch.input_dist.tolist()
+    t = 1 / (1 + rho)
+    inner = (mpmath.fsum(mpmath.mpf(q[x]) * mpmath.mpf(p[x][y]) ** t for x in range(len(q)))
+             for y in range(len(p[0])))
+    return -mpmath.log(mpmath.fsum(a ** (1 + rho) for a in inner))
+
+
+@pytest.mark.parametrize("name", list(_DMC_CHANNELS))
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0, 7.0])
+def test_dmc_terms_match_mpmath_derivatives(name, rho):
+    """Tilted-distribution dE0/drho and d2E0/drho2 against 40-digit differentiation."""
+    ch = _DMC_CHANNELS[name]
+    value, slope, curve = e0_terms(ch)(rho)
+    with mpmath.workdps(40):
+        ref = [mpmath.diff(lambda r: _mp_e0_dmc(r, ch), rho, n) for n in (0, 1, 2)]
+    assert value == pytest.approx(float(ref[0]), rel=1e-12, abs=1e-15)
+    assert slope == pytest.approx(float(ref[1]), rel=1e-10)
+    assert curve == pytest.approx(float(ref[2]), rel=1e-10)
+    assert e0_derivative(rho, ch) == slope
+
+
+def test_awgn_terms_match_closed_forms():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        snr = float(10.0 ** rng.uniform(-1, 4))
+        rho = float(rng.uniform(0, 50))
+        value, slope, curve = e0_terms(HopChannel.awgn(snr))(rho)
+        assert value == pytest.approx(e0_awgn(rho, snr), rel=1e-15)
+        assert slope == pytest.approx(e0_awgn_derivative(rho, snr), rel=1e-13, abs=1e-16)
+        with mpmath.workdps(40):
+            ref = mpmath.diff(lambda r: r * mpmath.log1p(snr / (1 + r)), rho, 2)
+        assert curve == pytest.approx(float(ref), rel=1e-12)
 
 
 class TestCapacity:
@@ -123,6 +175,11 @@ class TestValidation:
     def test_awgn_needs_positive_snr(self):
         with pytest.raises(ChannelError):
             HopChannel.awgn(-1.0)
+
+    @pytest.mark.parametrize("snr", [math.inf, math.nan])
+    def test_awgn_needs_finite_snr(self, snr):
+        with pytest.raises(ChannelError):
+            HopChannel.awgn(snr)
 
     def test_rows_must_be_stochastic(self):
         with pytest.raises(ChannelError):

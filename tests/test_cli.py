@@ -266,11 +266,23 @@ class TestExponentCommand:
         pytest.param(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "0.5",
                       "--rate-steps", "-1", "--out", "never.csv"], id="negative_rate_steps"),
         pytest.param(["latency", "--scenario", "never.json", "--trials", "0"],
-                     id="zero_trials")])
+                     id="zero_trials"),
+        pytest.param(["exponent", "--snr-db", "0", "--rate-min", "nan", "--rate-max", "0.5",
+                      "--rate-steps", "3", "--out", "never.csv"], id="nan_rate_min"),
+        pytest.param(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "inf",
+                      "--rate-steps", "3", "--out", "never.csv"], id="inf_rate_max")])
     def test_usage_error_exit_code(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("snr_db", ["inf", "5000"], ids=["inf_snr", "overflowing_snr"])
+    def test_nonfinite_snr_exits_3(self, tmp_path, capsys, snr_db):
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--snr-db", snr_db, "--rate-min", "0.1", "--rate-max", "0.5",
+                     "--rate-steps", "3", "--out", str(out)]) == 3
+        assert "snr" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"].lower()
+        assert not out.exists()
 
 
 class TestAllocateCommand:
@@ -335,6 +347,14 @@ class TestAllocateCommand:
                               rate_policy={"mode": "explicit", "rates_nats": rates})
         assert main(["allocate", "--scenario", path]) == 3
         assert "unplaced" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+
+    def test_info_continuous_infinite_share_exits_3(self, tmp_path, capsys):
+        # ln M = Q / (1/R) overflows to inf, and so does the one real share
+        path = write_scenario(tmp_path, allocation_method="info_continuous", total_q=2,
+                              hops=[{"type": "awgn", "snr_db": 9.0}],
+                              rate_policy={"mode": "explicit", "rates_nats": [1e308]})
+        assert main(["allocate", "--scenario", path]) == 3
+        assert "not finite" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
 
     def test_time_share_equivalence(self, tmp_path):
         path = write_scenario(tmp_path, allocation_method="info_continuous",

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -45,6 +46,11 @@ class TestRandomCoding:
     def test_negative_rate_rejected(self):
         with pytest.raises(ChannelError):
             random_coding_exponent(-0.1, SNR1)
+
+    @pytest.mark.parametrize("solver", [random_coding_exponent, sphere_packing_exponent])
+    def test_nan_rate_rejected(self, solver):
+        with pytest.raises(ChannelError):
+            solver(math.nan, SNR1)
 
     def test_low_rate_limit_is_e0_at_one(self):
         res = random_coding_exponent(1e-12, SNR1)
@@ -100,7 +106,7 @@ def _run_python(args, timeout):
 
 
 class TestLowRateBisection:
-    """Once rho* > ~8192 an absolute bracket width of 1e-12 is below one ulp."""
+    """At large rho* the solver's bracket narrows to a few ulps of rho*."""
 
     def test_sphere_packing_returns_at_large_rho(self):
         code = ("from hopbound.channel import HopChannel\n"
@@ -123,6 +129,88 @@ class TestLowRateBisection:
                             "--rate-steps", "4", "--out", str(out)], timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 5
+
+
+_TERMINATION_CODE = """
+import math, sys
+import numpy as np
+from hopbound.channel import HopChannel, capacity
+from hopbound.exponents import random_coding_exponent, sphere_packing_exponent
+ch = (HopChannel.awgn(1e4) if sys.argv[1] == "awgn"
+      else HopChannel.dmc(0.7 * np.eye(3) + 0.1, [0.5, 0.3, 0.2]))
+rate = {"tiny": 1e-300, "near_capacity": math.nextafter(capacity(ch), 0.0),
+        "low": 1e-5}[sys.argv[2]]
+for solver in (random_coding_exponent, sphere_packing_exponent):
+    r = solver(rate, ch)
+    print(r.exponent, r.rho_star, r.regime)
+"""
+
+
+@pytest.mark.parametrize("kind", ["awgn", "dmc"])
+@pytest.mark.parametrize("rate", ["tiny", "near_capacity", "low"])
+def test_solver_terminates_at_extreme_rates(kind, rate):
+    # AWGN at 40 dB; a 3-ary symmetric DMC with a non-uniform input
+    proc = _run_python(["-c", _TERMINATION_CODE, kind, rate], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    (e_rc, rho_rc, regime_rc), (e_sp, rho_sp, regime_sp) = (
+        line.split() for line in proc.stdout.splitlines())
+    assert all(math.isfinite(float(v)) and float(v) >= 0.0
+               for v in (e_rc, rho_rc, e_sp, rho_sp))
+    assert float(e_sp) >= float(e_rc)
+    if rate == "tiny":
+        assert (regime_rc, regime_sp) == (Regime.RHO_CLAMPED_AT_ONE, Regime.RHO_CAPPED)
+    if rate == "near_capacity":
+        assert regime_rc == regime_sp == Regime.PARAMETRIC_INTERIOR
+        assert float(rho_rc) < 1e-12
+
+
+def _mp_awgn_maximizer(rate: float, snr: float):
+    """(E, rho*) for an AWGN hop by a 60-digit bisection on dE0/drho = rate."""
+    with mpmath.workdps(60):
+        s, r = mpmath.mpf(snr), mpmath.mpf(rate)
+
+        def slope(rho):
+            return mpmath.log1p(s / (1 + rho)) - rho * s / ((1 + rho) * (1 + rho + s))
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while slope(hi) > r:
+            lo, hi = hi, 2 * hi
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if slope(mid) > r:
+                lo = mid
+            else:
+                hi = mid
+        rho = (lo + hi) / 2
+        return rho * mpmath.log1p(s / (1 + rho)) - rho * r, rho
+
+
+class TestAwgnMpmathReference:
+    """Interior solves against 60-digit references at the same double rate.
+
+    At 1 - 1e-9 of capacity E0(rho*) - rho* R cancels about 10 digits in
+    double arithmetic, so only 1e-6 (E) and 1e-5 (rho*) are attainable there.
+    """
+
+    @pytest.mark.parametrize("solver,fraction,tol_e,tol_rho", [
+        pytest.param(solver, fraction, tol_e, tol_rho, id=f"{name}-{fraction:.9g}")
+        for fraction, tol_e, tol_rho in [(1e-5, 1e-12, 1e-12), (1e-3, 1e-12, 1e-12),
+                                         (0.5, 1e-12, 1e-12), (1 - 1e-9, 1e-6, 1e-5)]
+        for name, solver in [("rc", random_coding_exponent), ("sp", sphere_packing_exponent)]
+        # the random-coding maximizer is clamped at rho = 1 at the two low rates
+        if name == "sp" or fraction >= 0.5])
+    def test_matches_mpmath(self, solver, fraction, tol_e, tol_rho):
+        checked = 0
+        for snr_db in range(-10, 45, 5):
+            ch = HopChannel.awgn(10.0 ** (snr_db / 10.0))
+            rate = fraction * capacity(ch)
+            res = solver(rate, ch)
+            if res.regime != Regime.PARAMETRIC_INTERIOR:
+                continue
+            e_ref, rho_ref = _mp_awgn_maximizer(rate, ch.snr)
+            assert abs(res.exponent - e_ref) <= tol_e * e_ref, (snr_db, res)
+            assert abs(res.rho_star - rho_ref) <= tol_rho * rho_ref, (snr_db, res)
+            checked += 1
+        assert checked > 0
 
 
 class TestCriticalRate:
