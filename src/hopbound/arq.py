@@ -7,14 +7,21 @@ geometric and the expected latency is sum Q_n / (1 - P_e,n).
 
 The (RC, SP) chains of an allocation take their P_e,n from its
 `SystemBounds`, clamped below 1 in `arq_chains` alone.
+
+`simulate_latency` checks the closed form by Monte Carlo.  It streams the
+trials through fixed blocks of `_BLOCK` and merges their moments in block
+order, so its memory is O(`_BLOCK`), not O(trials), and its result is the
+same for any worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -73,25 +80,33 @@ def expected_latency(chain: ArqChain) -> float:
     return closed
 
 
-_SM64_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM64_MIX2 = np.uint64(0x94D049BB133111EB)
+# Trials per block.  A kernel's five buffers of this many 8-byte words
+# (2.5 MB) stay in cache; blocks start at multiples of this from trial 0,
+# so the block order and each block's sums are fixed.
+_BLOCK = 1 << 16
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * _SM64_MIX1
-    x = (x ^ (x >> np.uint64(27))) * _SM64_MIX2
-    return x ^ (x >> np.uint64(31))
+def _splitmix64(x: int) -> int:
+    """splitmix64's output function on a 64-bit Python int."""
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
+    return x ^ (x >> 31)
 
 
-def _counter_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Uniforms in (0, 1) keyed by (seed, index); schedule-independent."""
-    # a one-element array: uint64 arrays wrap on overflow without a warning
-    key = _splitmix64(np.array([(seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF],
-                               dtype=np.uint64))[0]
-    state = key + (indices.astype(np.uint64) + np.uint64(1)) * _SM64_GOLDEN
-    bits = _splitmix64(state)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
+    """`_splitmix64` on a uint64 array in place; uint64 arrays wrap silently."""
+    np.right_shift(x, np.uint64(30), out=scratch)
+    x ^= scratch
+    x *= np.uint64(_MIX1)
+    np.right_shift(x, np.uint64(27), out=scratch)
+    x ^= scratch
+    x *= np.uint64(_MIX2)
+    np.right_shift(x, np.uint64(31), out=scratch)
+    x ^= scratch
 
 
 def default_workers() -> int:
@@ -103,51 +118,111 @@ def default_workers() -> int:
         return 1
 
 
-def _trial_latencies(chain: ArqChain, seed: int, start: int, stop: int) -> np.ndarray:
-    """Latencies of trials [start, stop); randomness depends only on (seed, trial, hop)."""
+def _latency_kernel(chain: ArqChain, seed: int, size: int):
+    """A function (start, stop) -> latencies of trials [start, stop), for
+    stop - start <= size, computed in place in preallocated buffers.
+
+    The returned array is a view of the kernel's own buffer, which the next
+    call overwrites, so each thread needs a kernel of its own.  Trial i
+    draws on hop h (of N) the uniform
+    u = ((splitmix64(key + (i N + h + 1) GOLDEN mod 2**64) >> 11) + 1/2) 2**-53,
+    with key = splitmix64(seed + GOLDEN mod 2**64), and makes
+    1 + floor(ln u / ln P_e,h) attempts of Q_h channel uses each.
+    """
     n = len(chain.costs)
-    trials = np.arange(start, stop, dtype=np.uint64)
-    total = np.zeros(stop - start, dtype=np.float64)
-    for hop, (q, p) in enumerate(zip(chain.costs, chain.self_loop_probs)):
-        if p == 0.0:
-            total += q
-            continue
-        u = _counter_uniforms(seed, trials * np.uint64(n) + np.uint64(hop))
-        attempts = 1.0 + np.floor(np.log(u) / math.log(p))
-        total += attempts * q
-    return total
+    key = _splitmix64((seed + _GOLDEN) & _MASK64)
+    ramp = np.arange(size, dtype=np.uint64)
+    ramp *= np.uint64(n * _GOLDEN & _MASK64)  # j N GOLDEN: trial start + j's counter offset
+    bits, scratch = np.empty(size, np.uint64), np.empty(size, np.uint64)
+    uniforms, totals = np.empty(size), np.empty(size)
+    hops = [(q, math.log(p) if p > 0.0 else None)
+            for q, p in zip(chain.costs, chain.self_loop_probs)]
+
+    def latencies(start: int, stop: int) -> np.ndarray:
+        m = stop - start
+        x, tmp, u, total = bits[:m], scratch[:m], uniforms[:m], totals[:m]
+        base = key + (start * n + 1) * _GOLDEN
+        total.fill(0.0)
+        # each step is the full-array formula's, in its order, so every
+        # latency is bit-identical to it
+        for hop, (q, log_p) in enumerate(hops):
+            if log_p is None:
+                total += q
+                continue
+            np.add(ramp[:m], np.uint64((base + hop * _GOLDEN) & _MASK64), out=x)
+            _splitmix64_inplace(x, tmp)
+            x >>= np.uint64(11)
+            np.copyto(u, x)
+            u += 0.5
+            u *= 2.0 ** -53
+            np.log(u, out=u)
+            u /= log_p
+            np.floor(u, out=u)
+            u += 1.0
+            u *= q
+            total += u
+        return total
+
+    return latencies
+
+
+def _moments(x: np.ndarray) -> tuple[int, float, float]:
+    """(n, sum, M2) of the samples x, overwriting x; M2 is numpy's two-pass
+    sum of squared deviations, so M2 / (n - 1) is its var(ddof=1)."""
+    s = float(x.sum())
+    x -= s / len(x)
+    x *= x
+    return len(x), s, float(x.sum())
+
+
+def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
+    """(n, sum, M2) of the union of two sample sets (Chan, Golub & LeVeque 1979)."""
+    n_a, s_a, m2_a = a
+    n_b, s_b, m2_b = b
+    delta = s_b / n_b - s_a / n_a
+    return n_a + n_b, s_a + s_b, m2_a + m2_b + delta * delta * (n_a * n_b / (n_a + n_b))
 
 
 def simulate_latency(chain: ArqChain, trials: int, seed: int,
                      workers: int | None = None) -> LatencyEstimate:
     """Monte Carlo latency estimate; bit-identical for fixed (chain, trials, seed).
 
-    Each trial's randomness is derived from (seed, trial index) with a
-    counter-based generator, so the result does not depend on the worker
-    count or schedule.
+    Trial i's randomness comes from (seed, i, hop) by a counter-based
+    generator (after Salmon et al., SC'11).  Trials run in blocks of
+    `_BLOCK` from trial 0; each block is reduced in place to (n, sum, M2)
+    and merged in block order, so memory is O(`_BLOCK`) per worker and the
+    result is the same for any worker count.  `workers` threads (default
+    `default_workers()`) take the blocks in turn.
+
+    Every trial's latency equals the full-array formula's bit for bit.  The
+    mean, the left-to-right sum of the block sums over `trials`, is exact
+    while the sums are integers below 2**53.  The stderr,
+    sqrt(M2 / (trials - 1) / trials), is numpy's std(ddof=1) / sqrt(trials)
+    bit for bit up to `_BLOCK` trials; above that the merge can move it by a
+    few ulps.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     workers = default_workers() if workers is None else max(1, workers)
-    latencies = np.empty(trials, dtype=np.float64)
-    if workers == 1 or trials < 2 * workers:
-        latencies[:] = _trial_latencies(chain, seed, 0, trials)
+    starts = range(0, trials, _BLOCK)
+    workers = min(workers, len(starts))
+    kernels = [_latency_kernel(chain, seed, min(trials, _BLOCK)) for _ in range(workers)]
+
+    def block(kernel, start):
+        return _moments(kernel(start, min(start + _BLOCK, trials)))
+
+    if workers == 1:
+        _, total, m2 = reduce(_merge_moments, (block(kernels[0], s) for s in starts))
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (a, pool.submit(_trial_latencies, chain, seed, int(a), int(b)))
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-            for a, fut in futures:
-                chunk = fut.result()
-                latencies[a:a + len(chunk)] = chunk
-    mean = float(np.mean(latencies))
-    stderr = float(np.std(latencies, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+            # one block per kernel per round; a round is merged before the next starts
+            rounds = (pool.map(block, kernels, starts[i:i + workers])
+                      for i in range(0, len(starts), workers))
+            _, total, m2 = reduce(_merge_moments, itertools.chain.from_iterable(rounds))
     return LatencyEstimate(
         analytic=expected_latency(chain),
-        mc_mean=mean,
-        mc_stderr=stderr,
+        mc_mean=total / trials,
+        mc_stderr=math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0,
         trials=trials,
         seed=seed,
     )

@@ -116,16 +116,20 @@ def e0_dmc(rho, ch: HopChannel):
     """E0(rho) for a finite DMC hop, vectorized over rho; 0 at rho = 0.
 
     Zero transition entries contribute zero (measure-zero convention).
+    Computed in the log domain as in `e0_terms`, so it stays finite where
+    every a_y^(1+rho) underflows.
     """
     if ch.kind != "dmc":
         raise ChannelError("e0_dmc requires a DMC channel")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ChannelError("rho must be nonnegative")
+    p = _reached_outputs(ch)
     r = np.atleast_1d(rho)[:, None]  # (K, 1)
-    tilted = ch.transition[None, :, :] ** (1.0 / (1.0 + r))[:, :, None]  # 0^t = 0
-    inner = np.einsum("s,ksy->ky", ch.input_dist, tilted)
-    vals = -np.log(np.sum(inner ** (1.0 + r), axis=1))
+    a = np.einsum("s,ksy->ky", ch.input_dist, p[None, :, :] ** (1.0 / (1.0 + r))[:, :, None])
+    z = (1.0 + r) * np.log(a)
+    top = z.max(axis=1)
+    vals = -(top + np.log(np.exp(z - top[:, None]).sum(axis=1)))
     return float(vals[0]) if rho.ndim == 0 else vals
 
 
@@ -163,10 +167,9 @@ def e0_terms(ch: HopChannel):
             u, v = snr / (a + snr), rho / a
             return rho * log_term, log_term - v * u, -(u / a) * (2.0 / a + v * u)
         return awgn_terms
-    # outputs no input reaches have a_y = 0 at every rho and drop out;
-    # ln p := 0 where p = 0, as w = 0 there
     q = ch.input_dist[:, None]
-    p = ch.transition[:, (q * ch.transition).sum(axis=0) > 0]
+    p = _reached_outputs(ch)
+    # ln p := 0 where p = 0, as w = 0 there
     log_p = np.log(np.where(p > 0, p, 1.0))
 
     def dmc_terms(rho):
@@ -187,6 +190,12 @@ def e0_terms(ch: HopChannel):
         d2 = -float(e @ ((g + d1) ** 2 + t ** 3 * var_w)) / total
         return -(top + math.log(total)), d1, d2
     return dmc_terms
+
+
+def _reached_outputs(ch: HopChannel) -> np.ndarray:
+    """The transition matrix without the outputs no input reaches; those
+    have a_y = 0 at every rho and drop out of E0."""
+    return ch.transition[:, (ch.input_dist[:, None] * ch.transition).sum(axis=0) > 0]
 
 
 def capacity(ch: HopChannel) -> float:

@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hopbound
 from hopbound.allocation import rate_policy_scale
-from hopbound.arq import (ArqChain, LatencyError, default_workers, expected_latency,
-                          simulate_latency)
+from hopbound.arq import (_BLOCK, PE_CLAMP, ArqChain, LatencyError, _latency_kernel,
+                          default_workers, expected_latency, simulate_latency)
 from hopbound.channel import HopChannel, capacity
 from hopbound.scenario import Evaluation, Scenario
 
@@ -114,6 +120,117 @@ class TestSimulateLatency:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             simulate_latency(ArqChain([0.1], [10]), 0, 1)
+
+
+# The former full-array Monte Carlo, kept as the oracle of the blocked kernel.
+_REF_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_REF_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_REF_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _ref_splitmix64(x):
+    x = (x ^ (x >> np.uint64(30))) * _REF_MIX1
+    x = (x ^ (x >> np.uint64(27))) * _REF_MIX2
+    return x ^ (x >> np.uint64(31))
+
+
+def _ref_counter_uniforms(seed, indices):
+    key = _ref_splitmix64(np.array([(seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF],
+                                   dtype=np.uint64))[0]
+    state = key + (indices.astype(np.uint64) + np.uint64(1)) * _REF_GOLDEN
+    bits = _ref_splitmix64(state)
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def _ref_trial_latencies(chain, seed, start, stop):
+    n = len(chain.costs)
+    trials = np.arange(start, stop, dtype=np.uint64)
+    total = np.zeros(stop - start, dtype=np.float64)
+    for hop, (q, p) in enumerate(zip(chain.costs, chain.self_loop_probs)):
+        if p == 0.0:
+            total += q
+            continue
+        u = _ref_counter_uniforms(seed, trials * np.uint64(n) + np.uint64(hop))
+        total += (1.0 + np.floor(np.log(u) / math.log(p))) * q
+    return total
+
+
+def _ref_estimate(chain, trials, seed):
+    """(mean, stderr, exact sum of the latencies) of the full-array reduction."""
+    latencies = _ref_trial_latencies(chain, seed, 0, trials)
+    mean = float(np.mean(latencies))
+    stderr = float(np.std(latencies, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return mean, stderr, math.fsum(latencies)
+
+
+def _assert_matches_reference(est, chain, trials, seed):
+    mean, stderr, exact_sum = _ref_estimate(chain, trials, seed)
+    if exact_sum < 2.0 ** 53:
+        assert est.mc_mean == mean
+    else:
+        assert math.isclose(est.mc_mean, mean, rel_tol=1e-14, abs_tol=0.0)
+    if trials <= _BLOCK:
+        assert est.mc_stderr == stderr
+    else:
+        assert math.isclose(est.mc_stderr, stderr, rel_tol=1e-14, abs_tol=0.0)
+
+
+_probabilities = st.one_of(
+    st.sampled_from([0.0, 5e-324, PE_CLAMP]),
+    st.floats(min_value=-300.0, max_value=math.log10(0.95)).map(lambda e: 10.0 ** e))
+_chains = st.lists(st.tuples(_probabilities, st.integers(1, 2000)), min_size=1,
+                   max_size=6).map(lambda hops: ArqChain([p for p, _ in hops],
+                                                         [q for _, q in hops]))
+_seeds = st.integers(-2 ** 70, 2 ** 70)
+
+
+class TestBlockedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(chain=_chains, seed=_seeds, start=st.integers(0, 2 ** 40),
+           m=st.integers(1, 3000), spare=st.integers(0, 64))
+    def test_latencies_match_full_array_reference(self, chain, seed, start, m, spare):
+        got = _latency_kernel(chain, seed, m + spare)(start, start + m)
+        assert got.tobytes() == _ref_trial_latencies(chain, seed, start, start + m).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain=_chains, seed=_seeds, trials=st.integers(1, 3 * _BLOCK + 7))
+    def test_estimate_matches_full_array_reference(self, chain, seed, trials):
+        _assert_matches_reference(simulate_latency(chain, trials, seed), chain, trials, seed)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("trials", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("probs", [[0.3, 0.6, 0.1], [0.3, PE_CLAMP, 0.1]],
+                             ids=["sums_below_2**53", "sums_past_2**53"])
+    def test_block_boundaries_for_any_worker_count(self, probs, trials, workers):
+        chain = ArqChain(probs, [50, 70, 90])
+        est = simulate_latency(chain, trials, 11, workers=workers)
+        assert est == simulate_latency(chain, trials, 11, workers=1)
+        _assert_matches_reference(est, chain, trials, 11)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_merge_order_fixed_for_any_worker_count(self, workers):
+        # ten blocks with sums past 2**53: a merge out of block order moves the digits
+        chain = ArqChain([0.3, PE_CLAMP, 0.1], [50, 70, 90])
+        for seed in range(4):
+            assert (simulate_latency(chain, 10 * _BLOCK + 3, seed, workers=workers)
+                    == simulate_latency(chain, 10 * _BLOCK + 3, seed, workers=1))
+
+    def test_ten_million_trials_in_bounded_memory(self):
+        # a fresh interpreter: this process's earlier peak would hide the growth
+        code = ("import resource\n"
+                "import hopbound\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "chain = hopbound.ArqChain([0.3, 0.6, 0.1], [50, 70, 90])\n"
+                "hopbound.simulate_latency(chain, 10_000_000, 1)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hopbound.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        kib_per_unit = 1 / 1024 if sys.platform == "darwin" else 1  # ru_maxrss units
+        assert int(proc.stdout) * kib_per_unit < 50 * 1024
 
 
 class TestLatencyBounds:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -138,6 +139,23 @@ def test_dmc_terms_match_mpmath_derivatives(name, rho):
     assert slope == pytest.approx(float(ref[1]), rel=1e-10)
     assert curve == pytest.approx(float(ref[2]), rel=1e-10)
     assert e0_derivative(rho, ch) == slope
+
+
+def test_e0_dmc_noiseless_bsc_at_large_rho():
+    # every a_y^(1+rho) underflows here; the log domain keeps E0 = rho ln 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = e0_dmc(2000.0, HopChannel.bsc(0.0))
+    assert value == pytest.approx(2000.0 * math.log(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["bsc", "ternary_symmetric", "zero_entry", "noiseless_bsc"])
+def test_e0_dmc_matches_e0_terms(name):
+    ch = HopChannel.bsc(0.0) if name == "noiseless_bsc" else _DMC_CHANNELS[name]
+    rhos = np.array([0.0, 1e-3, 0.3, 1.0, 7.0, 50.0, 300.0, 2000.0])
+    terms = e0_terms(ch)
+    for rho, value in zip(rhos, e0_dmc(rhos, ch)):
+        assert value == pytest.approx(terms(float(rho))[0], rel=1e-12, abs=1e-15)
 
 
 def test_awgn_terms_match_closed_forms():
