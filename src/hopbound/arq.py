@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -61,6 +62,10 @@ class ArqChain:
         for i, p in enumerate(self.self_loop_probs):
             if not 0.0 <= p < 1.0:
                 raise LatencyError(f"P_e on hop {i} must be in [0, 1), got {p}", hop=i)
+        for i, q in enumerate(self.costs):
+            if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 1:
+                raise LatencyError(f"cost on hop {i} must be an integer >= 1, got {q!r}",
+                                   hop=i)
 
 
 @dataclass(frozen=True)
@@ -81,9 +86,13 @@ def expected_latency(chain: ArqChain) -> float:
 
 
 # Trials per block.  A kernel's five buffers of this many 8-byte words
-# (2.5 MB) stay in cache; blocks start at multiples of this from trial 0,
-# so the block order and each block's sums are fixed.
+# (2.5 MB) and its byte mask stay in cache; blocks start at multiples of
+# this from trial 0, so the block order and each block's sums are fixed.
 _BLOCK = 1 << 16
+# Hops with 0 < P_e below this take the log only for their candidate
+# trials; at or above it, where most trials are candidates, gathering them
+# costs more than the log it saves.
+_SPARSE_PE = 0.25
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -118,6 +127,27 @@ def default_workers() -> int:
         return 1
 
 
+def _candidate_cap(p: float) -> int:
+    """The largest raw splitmix64 hash x whose 53-bit draw j = x >> 11 is at
+    most floor(p (1 + 2**-20) 2**53), computed exactly from p's ratio."""
+    num, den = float(p).as_integer_ratio()
+    j_max = num * (2 ** 20 + 1) * 2 ** 33 // den
+    return (j_max << 11) | 2047
+
+
+def _attempt_costs(x: np.ndarray, u: np.ndarray, log_p: float, q: int) -> None:
+    """u = q (1 + floor(ln u / ln p)) from the raw hashes x, which it clobbers."""
+    x >>= np.uint64(11)
+    np.copyto(u, x)
+    u += 0.5
+    u *= 2.0 ** -53
+    np.log(u, out=u)
+    u /= log_p
+    np.floor(u, out=u)
+    u += 1.0
+    u *= q
+
+
 def _latency_kernel(chain: ArqChain, seed: int, size: int):
     """A function (start, stop) -> latencies of trials [start, stop), for
     stop - start <= size, computed in place in preallocated buffers.
@@ -128,6 +158,15 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int):
     u = ((splitmix64(key + (i N + h + 1) GOLDEN mod 2**64) >> 11) + 1/2) 2**-53,
     with key = splitmix64(seed + GOLDEN mod 2**64), and makes
     1 + floor(ln u / ln P_e,h) attempts of Q_h channel uses each.
+
+    On a hop with 0 < P_e < `_SPARSE_PE` only the candidates, the trials
+    whose hash is at most `_candidate_cap(P_e)` (53-bit draw at most
+    P_e (1 + 2**-20) 2**53), take the log; every other trial makes exactly
+    one attempt.  Its ln u - ln p >= ~2**-20 and |ln p| <= 745, so
+    ln u / ln p <= 1 - 1.2e-9, far beyond the few-ulp error of the log and
+    the divide.  The candidates' addends go back onto their saved totals
+    after every total takes Q_h, so each trial's total gets the same
+    addends in the same order either way.
     """
     n = len(chain.costs)
     key = _splitmix64((seed + _GOLDEN) & _MASK64)
@@ -135,32 +174,34 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int):
     ramp *= np.uint64(n * _GOLDEN & _MASK64)  # j N GOLDEN: trial start + j's counter offset
     bits, scratch = np.empty(size, np.uint64), np.empty(size, np.uint64)
     uniforms, totals = np.empty(size), np.empty(size)
-    hops = [(q, math.log(p) if p > 0.0 else None)
+    marks = np.empty(size, bool)
+    hops = [(q, math.log(p) if p > 0.0 else None,
+             np.uint64(_candidate_cap(p)) if 0.0 < p < _SPARSE_PE else None)
             for q, p in zip(chain.costs, chain.self_loop_probs)]
 
     def latencies(start: int, stop: int) -> np.ndarray:
         m = stop - start
-        x, tmp, u, total = bits[:m], scratch[:m], uniforms[:m], totals[:m]
+        x, tmp, u, total, hit = bits[:m], scratch[:m], uniforms[:m], totals[:m], marks[:m]
         base = key + (start * n + 1) * _GOLDEN
         total.fill(0.0)
         # each step is the full-array formula's, in its order, so every
         # latency is bit-identical to it
-        for hop, (q, log_p) in enumerate(hops):
+        for hop, (q, log_p, cap) in enumerate(hops):
             if log_p is None:
                 total += q
                 continue
             np.add(ramp[:m], np.uint64((base + hop * _GOLDEN) & _MASK64), out=x)
             _splitmix64_inplace(x, tmp)
-            x >>= np.uint64(11)
-            np.copyto(u, x)
-            u += 0.5
-            u *= 2.0 ** -53
-            np.log(u, out=u)
-            u /= log_p
-            np.floor(u, out=u)
-            u += 1.0
-            u *= q
-            total += u
+            if cap is None:
+                _attempt_costs(x, u, log_p, q)
+                total += u
+            else:
+                idx = np.flatnonzero(np.less_equal(x, cap, out=hit))
+                cost = u[:len(idx)]
+                _attempt_costs(x[idx], cost, log_p, q)
+                cost += total[idx]
+                total += q
+                total[idx] = cost
         return total
 
     return latencies

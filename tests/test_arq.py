@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 import hopbound
 from hopbound.allocation import rate_policy_scale
-from hopbound.arq import (_BLOCK, PE_CLAMP, ArqChain, LatencyError, _latency_kernel,
-                          default_workers, expected_latency, simulate_latency)
+from hopbound.arq import (_BLOCK, _SPARSE_PE, PE_CLAMP, ArqChain, LatencyError,
+                          _candidate_cap, _latency_kernel, default_workers, expected_latency,
+                          simulate_latency)
 from hopbound.channel import HopChannel, capacity
 from hopbound.scenario import Evaluation, Scenario
 
@@ -49,6 +51,16 @@ class TestExpectedLatency:
     def test_rejects_pe_of_one(self):
         with pytest.raises(LatencyError):
             ArqChain([1.0], [10])
+
+    @pytest.mark.parametrize("cost", [-5, 0, 2.5, 5.0, math.nan, math.inf, True, "7", None])
+    def test_rejects_cost_that_is_not_an_integer_of_at_least_one(self, cost):
+        with pytest.raises(LatencyError) as err:
+            ArqChain([0.1, 0.2], [10, cost])
+        assert err.value.hop == 1
+
+    @pytest.mark.parametrize("cost", [1, 2 ** 40, np.int64(7), np.uint8(3)])
+    def test_accepts_integral_costs(self, cost):
+        assert expected_latency(ArqChain([0.0], [cost])) == float(cost)
 
     def test_monotone_in_pe_and_cost(self):
         base = expected_latency(ArqChain([0.2, 0.3], [100, 200]))
@@ -97,6 +109,22 @@ class TestSimulateLatency:
     def test_pinned_digits(self, seed, mean, stderr):
         # the stream is keyed by the seed modulo 2**64; these digits must not move
         est = simulate_latency(ArqChain([0.3, 0.6, 0.1], [50, 70, 90]), 1000, seed)
+        assert (est.mc_mean, est.mc_stderr) == (mean, stderr)
+
+    @pytest.mark.parametrize("probs,costs,seed,mean,stderr", [
+        # fig4-like: almost every trial makes one attempt; seed 19 draws two
+        # retransmissions on the 1e-6 hop
+        ([1e-9, 1e-6], [423, 577], 19, 1000.005869338555, 0.004150238539030777),
+        # hops on both sides of the candidate cutoff (0.25)
+        ([5e-324, 1e-6, 0.01, 0.24999999999999997, 0.25, 0.9, PE_CLAMP],
+         [50, 70, 90, 110, 130, 150, 170], 5, 170644603950012.1, 385107221190.3198),
+        # each trial's latency passes 2**53, so the order of its addends shows
+        ([PE_CLAMP, 1e-6, PE_CLAMP, 1e-3], [10 ** 6, 7, 999_999, 3], 6,
+         2.0002318505022062e+18, 3184154955202795.5)],
+        ids=["fig4_like", "straddles_cutoff", "latencies_past_2**53"])
+    def test_pinned_digits_sparse_hops(self, probs, costs, seed, mean, stderr):
+        # three blocks and a partial one; these digits must not move either
+        est = simulate_latency(ArqChain(probs, costs), 3 * _BLOCK + 7, seed)
         assert (est.mc_mean, est.mc_stderr) == (mean, stderr)
 
     def test_seed_changes_stream(self):
@@ -231,6 +259,36 @@ class TestBlockedKernel:
         assert proc.returncode == 0, proc.stderr
         kib_per_unit = 1 / 1024 if sys.platform == "darwin" else 1  # ru_maxrss units
         assert int(proc.stdout) * kib_per_unit < 50 * 1024
+
+
+# lattice points (k + 1/2) 2**-53, where a draw u equals P_e exactly, the
+# integer points k 2**-53 halfway between draws, and their neighbours
+_BOUNDARY_PE = sorted(
+    {5e-324, 2.5e-310, 1e-300, 1e-6, 1e-3, 0.01, 0.1, 0.2, 0.24, math.nextafter(_SPARSE_PE, 0.0)}
+    | {q for k in [0, 1, 2, 1000, 2 ** 19 - 1, 2 ** 19, 2 ** 20 + 1, 2 ** 30, 2 ** 45,
+                   2 ** 50, 2 ** 51 - 1]
+       for p in ((k + 0.5) * 2.0 ** -53, k * 2.0 ** -53)
+       for q in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))
+       if 0.0 < q < _SPARSE_PE})
+
+
+class TestCandidateRule:
+    @pytest.mark.parametrize("p", _BOUNDARY_PE)
+    def test_rejected_draws_make_exactly_one_attempt(self, p):
+        cap = _candidate_cap(p)
+        centre = [math.floor(Fraction(p) * 2 ** 53), cap >> 11]
+        j = np.unique(np.concatenate([np.arange(c - 4096, c + 4097) for c in centre]))
+        j = j[(j >= 0) & (j < 2 ** 53)].astype(np.uint64)
+        for low_bits in (0, 2047):  # the cap decides on j alone
+            rejected = j[((j << np.uint64(11)) | np.uint64(low_bits)) > np.uint64(cap)]
+            assert 0 < len(rejected) < len(j)
+            # the kernel's float64 steps, in its order
+            u = (rejected.astype(np.float64) + 0.5) * 2.0 ** -53
+            attempts = 1.0 + np.floor(np.log(u) / math.log(p))
+            assert np.all(attempts == 1.0), rejected[attempts != 1.0][:5]
+            # and the margin the docstring's bound rests on: u > P_e (1 + 2**-20)
+            lowest = int(rejected.min())
+            assert Fraction(2 * lowest + 1, 2 ** 54) > Fraction(p) * (1 + Fraction(1, 2 ** 20))
 
 
 class TestLatencyBounds:

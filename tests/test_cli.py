@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -398,6 +399,38 @@ class TestLatencyCommand:
                          "rates_nats": [0.4, math.log(1 + 10 ** 0.6)]})
         rc = main(["latency", "--scenario", path, "--trials", "10"])
         assert rc == 3
+
+
+class TestReproduceCommand:
+    # SHA-256 of every file `reproduce` writes, from the streaming Monte Carlo
+    # before the candidate-only tail; a speed-up must not move a byte
+    PINNED = {
+        "fig3": {
+            "fig3_single_hop.csv":
+                "aea902b85605df0e8a9d86a237c9444780843e6f8a78545766b1ad235d8ca732",
+            "fig3_two_hop_relopt.csv":
+                "001b3e01af89f93578bd0c524e40a71b0dfbaeb577a37c93a03106dcc68b81a0",
+            "fig3_two_hop_infocont.csv":
+                "c248d9c1f490775e49fffc3e3b047f192767f06c389c16af5dadc59c65462219",
+            "fig3_meta.json":
+                "d550095f1c2aeb6baee2852779cfc4e81d7eefdaf4d59c588f7acce233323030",
+        },
+        "fig4": {
+            "fig4_single_hop.csv":
+                "3a93f213d228200cc8f3cb6b1425082d276c226cadd916fb71fd3cd53b4ac558",
+            "fig4_two_hop.csv":
+                "438d486925ceaf0111c817e2e671f210a5ab9a1402b778e4904bc561406e76a1",
+            "fig4_meta.json":
+                "49b4053b8143f0b4c783be990adcd5088dc0cf04744ce146c6b8a82b9c5ae2e8",
+        },
+    }
+
+    @pytest.mark.parametrize("figure", sorted(PINNED))
+    def test_output_bytes_pinned(self, tmp_path, figure):
+        assert main(["reproduce", "--figure", figure, "--out-dir", str(tmp_path)]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert written == self.PINNED[figure]
 
 
 class TestDistributedCommand:
