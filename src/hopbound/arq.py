@@ -10,8 +10,9 @@ The (RC, SP) chains of an allocation take their P_e,n from its
 
 `simulate_latency` checks the closed form by Monte Carlo.  It streams the
 trials through fixed blocks of `_BLOCK` and merges their moments in block
-order, so its memory is O(`_BLOCK`), not O(trials), and its result is the
-same for any worker count.
+order, so its memory is O(`_BLOCK`) per worker, not O(trials), and its
+result is the same for any worker count.  Each worker's workspace is kept
+between calls, for at most `os.cpu_count()` workers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -118,13 +120,45 @@ def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
     x ^= scratch
 
 
+def _max_workers() -> int:
+    return os.cpu_count() or 1
+
+
 def default_workers() -> int:
     """Worker count from HOPBOUND_THREADS, capped at the CPU count; 1 when unset."""
     raw = os.environ.get("HOPBOUND_THREADS", "")
     try:
-        return min(max(1, int(raw)), os.cpu_count() or 1)
+        return min(max(1, int(raw)), _max_workers())
     except ValueError:
         return 1
+
+
+class _Workspace:
+    """One kernel's buffers of `_BLOCK` entries: the trial counters, their
+    hop-count ramp, four block buffers and the candidate mask."""
+
+    def __init__(self, size: int = _BLOCK):
+        self.counter = np.arange(size, dtype=np.uint64)
+        self.ramp, self.bits, self.scratch = (np.empty(size, np.uint64) for _ in range(3))
+        self.uniforms, self.totals = np.empty(size), np.empty(size)
+        self.marks = np.empty(size, bool)
+
+
+# Workspaces of finished calls, kept for the next; at most `_max_workers()`.
+_free_workspaces: list[_Workspace] = []
+_free_lock = threading.Lock()
+
+
+def _take_workspaces(count: int) -> list[_Workspace]:
+    with _free_lock:
+        taken = [_free_workspaces.pop() for _ in range(min(count, len(_free_workspaces)))]
+    return taken + [_Workspace() for _ in range(count - len(taken))]
+
+
+def _give_back_workspaces(workspaces: list[_Workspace]) -> None:
+    with _free_lock:
+        room = max(0, _max_workers() - len(_free_workspaces))
+        _free_workspaces.extend(workspaces[:room])
 
 
 def _candidate_cap(p: float) -> int:
@@ -148,12 +182,15 @@ def _attempt_costs(x: np.ndarray, u: np.ndarray, log_p: float, q: int) -> None:
     u *= q
 
 
-def _latency_kernel(chain: ArqChain, seed: int, size: int):
+def _latency_kernel(chain: ArqChain, seed: int, size: int,
+                    workspace: _Workspace | None = None):
     """A function (start, stop) -> latencies of trials [start, stop), for
-    stop - start <= size, computed in place in preallocated buffers.
+    stop - start <= size, computed in place in `workspace`'s buffers (a new
+    one of `size` entries if None).
 
-    The returned array is a view of the kernel's own buffer, which the next
-    call overwrites, so each thread needs a kernel of its own.  Trial i
+    The returned array is a view of the workspace's buffer, which the next
+    call overwrites, so each thread needs a kernel and a workspace of its
+    own.  Trial i
     draws on hop h (of N) the uniform
     u = ((splitmix64(key + (i N + h + 1) GOLDEN mod 2**64) >> 11) + 1/2) 2**-53,
     with key = splitmix64(seed + GOLDEN mod 2**64), and makes
@@ -170,11 +207,10 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int):
     """
     n = len(chain.costs)
     key = _splitmix64((seed + _GOLDEN) & _MASK64)
-    ramp = np.arange(size, dtype=np.uint64)
-    ramp *= np.uint64(n * _GOLDEN & _MASK64)  # j N GOLDEN: trial start + j's counter offset
-    bits, scratch = np.empty(size, np.uint64), np.empty(size, np.uint64)
-    uniforms, totals = np.empty(size), np.empty(size)
-    marks = np.empty(size, bool)
+    ws = _Workspace(size) if workspace is None else workspace
+    # j N GOLDEN: trial start + j's counter offset; N changes between calls
+    ramp = np.multiply(ws.counter[:size], np.uint64(n * _GOLDEN & _MASK64), out=ws.ramp[:size])
+    bits, scratch, uniforms, totals, marks = ws.bits, ws.scratch, ws.uniforms, ws.totals, ws.marks
     hops = [(q, math.log(p) if p > 0.0 else None,
              np.uint64(_candidate_cap(p)) if 0.0 < p < _SPARSE_PE else None)
             for q, p in zip(chain.costs, chain.self_loop_probs)]
@@ -231,9 +267,11 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     Trial i's randomness comes from (seed, i, hop) by a counter-based
     generator (after Salmon et al., SC'11).  Trials run in blocks of
     `_BLOCK` from trial 0; each block is reduced in place to (n, sum, M2)
-    and merged in block order, so memory is O(`_BLOCK`) per worker and the
-    result is the same for any worker count.  `workers` threads (default
-    `default_workers()`) take the blocks in turn.
+    and merged in block order, so the result is the same for any worker
+    count.  `workers` threads (default `default_workers()`, at most
+    `os.cpu_count()`) take the blocks in turn.  Each worker's workspace is
+    O(`_BLOCK`) and is kept between calls, for at most `os.cpu_count()`
+    workers; concurrent calls never share one.
 
     Every trial's latency equals the full-array formula's bit for bit.  The
     mean, the left-to-right sum of the block sums over `trials`, is exact
@@ -244,22 +282,26 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    workers = default_workers() if workers is None else max(1, workers)
+    workers = default_workers() if workers is None else min(max(1, workers), _max_workers())
     starts = range(0, trials, _BLOCK)
     workers = min(workers, len(starts))
-    kernels = [_latency_kernel(chain, seed, min(trials, _BLOCK)) for _ in range(workers)]
+    workspaces = _take_workspaces(workers)
+    try:
+        kernels = [_latency_kernel(chain, seed, min(trials, _BLOCK), ws) for ws in workspaces]
 
-    def block(kernel, start):
-        return _moments(kernel(start, min(start + _BLOCK, trials)))
+        def block(kernel, start):
+            return _moments(kernel(start, min(start + _BLOCK, trials)))
 
-    if workers == 1:
-        _, total, m2 = reduce(_merge_moments, (block(kernels[0], s) for s in starts))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # one block per kernel per round; a round is merged before the next starts
-            rounds = (pool.map(block, kernels, starts[i:i + workers])
-                      for i in range(0, len(starts), workers))
-            _, total, m2 = reduce(_merge_moments, itertools.chain.from_iterable(rounds))
+        if workers == 1:
+            _, total, m2 = reduce(_merge_moments, (block(kernels[0], s) for s in starts))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                # one block per kernel per round; a round is merged before the next starts
+                rounds = (pool.map(block, kernels, starts[i:i + workers])
+                          for i in range(0, len(starts), workers))
+                _, total, m2 = reduce(_merge_moments, itertools.chain.from_iterable(rounds))
+    finally:
+        _give_back_workspaces(workspaces)
     return LatencyEstimate(
         analytic=expected_latency(chain),
         mc_mean=total / trials,

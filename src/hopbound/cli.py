@@ -112,15 +112,23 @@ def _sweep_evaluation(hops, method: str, target: float) -> Evaluation:
                                method, manual))
 
 
-def _sweep_rows(hops, method: str, row) -> list[list]:
-    """row(evaluation) at each swept target; a point with a domain error is skipped."""
-    rows = []
+def _sweep_rows(hops, methods: list[str], row) -> list[list[list]]:
+    """row(evaluation) at each swept target, one table per method.
+
+    The methods share each target's rates and exponents; a point with a
+    domain error is skipped.
+    """
+    tables = [[] for _ in methods]
     for target in _sweep_targets(network_capacity([capacity(ch) for ch in hops])):
-        try:
-            rows.append(row(_sweep_evaluation(hops, method, float(target))))
-        except _DOMAIN_ERRORS as exc:
-            print(f"skipping rate {_fmt(float(target))}: {exc}", file=sys.stderr)
-    return rows
+        ev = None
+        for method, rows in zip(methods, tables):
+            ev = (_sweep_evaluation(hops, method, float(target)) if ev is None
+                  else ev.for_method(method))
+            try:
+                rows.append(row(ev))
+            except _DOMAIN_ERRORS as exc:
+                print(f"skipping rate {_fmt(float(target))}: {exc}", file=sys.stderr)
+    return tables
 
 
 def _fig3_row(ev: Evaluation) -> list:
@@ -152,21 +160,22 @@ def cmd_reproduce(args) -> int:
     }
     if args.figure == "fig3":
         header = "end_to_end_rate_nats,esys_rc,esys_sp"
-        _write_csv(os.path.join(args.out_dir, "fig3_single_hop.csv"), header,
-                   _sweep_rows(single, Method.MANUAL, _fig3_row))
-        _write_csv(os.path.join(args.out_dir, "fig3_two_hop_relopt.csv"), header,
-                   _sweep_rows(two, Method.RELIABILITY_OPTIMAL_RC, _fig3_row))
+        single_rows, = _sweep_rows(single, [Method.MANUAL], _fig3_row)
+        relopt_rows, infocont_rows = _sweep_rows(
+            two, [Method.RELIABILITY_OPTIMAL_RC, Method.INFO_CONTINUOUS], _fig3_row)
+        _write_csv(os.path.join(args.out_dir, "fig3_single_hop.csv"), header, single_rows)
+        _write_csv(os.path.join(args.out_dir, "fig3_two_hop_relopt.csv"), header, relopt_rows)
         _write_csv(os.path.join(args.out_dir, "fig3_two_hop_infocont.csv"), header,
-                   _sweep_rows(two, Method.INFO_CONTINUOUS, _fig3_row))
+                   infocont_rows)
         _write_json(os.path.join(args.out_dir, "fig3_meta.json"), meta)
     else:
         meta["mc"] = {"trials": REPRODUCE_MC_TRIALS, "seed": REPRODUCE_MC_SEED}
         header = ("end_to_end_rate_nats,latency_upper,latency_lower,"
                   "latency_mc_mean,latency_mc_stderr")
         _write_csv(os.path.join(args.out_dir, "fig4_single_hop.csv"), header,
-                   _sweep_rows(single, Method.MANUAL, _fig4_row))
+                   *_sweep_rows(single, [Method.MANUAL], _fig4_row))
         _write_csv(os.path.join(args.out_dir, "fig4_two_hop.csv"), header,
-                   _sweep_rows(two, Method.RELIABILITY_OPTIMAL_RC, _fig4_row))
+                   *_sweep_rows(two, [Method.RELIABILITY_OPTIMAL_RC], _fig4_row))
         _write_json(os.path.join(args.out_dir, "fig4_meta.json"), meta)
     return EXIT_OK
 

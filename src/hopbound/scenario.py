@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .allocation import (AllocationError, Method, end_to_end_rate,
@@ -86,8 +86,20 @@ class Evaluation:
     The cached lists are shared by all readers and must not be mutated.
     """
 
+    _SHARED = ("rates", "e_r", "e_sp")
+
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+
+    def for_method(self, method: str) -> Evaluation:
+        """An evaluation of the same scenario under another allocation method.
+
+        It shares the rates and exponents this one has solved so far, so a
+        second method on the same hops and rates solves nothing again.
+        """
+        ev = Evaluation(replace(self.scenario, allocation_method=method))
+        ev.__dict__.update((k, v) for k, v in vars(self).items() if k in self._SHARED)
+        return ev
 
     @cached_property
     def rates(self) -> list[float]:

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopbound
+from hopbound import arq
 from hopbound.allocation import rate_policy_scale
 from hopbound.arq import (_BLOCK, _SPARSE_PE, PE_CLAMP, ArqChain, LatencyError,
                           _candidate_cap, _latency_kernel, default_workers, expected_latency,
@@ -263,6 +266,94 @@ class TestBlockedKernel:
 
 # lattice points (k + 1/2) 2**-53, where a draw u equals P_e exactly, the
 # integer points k 2**-53 halfway between draws, and their neighbours
+def _mixed_chain(n):
+    """n hops cycling through zero, sparse, near-cutoff and dense P_e."""
+    return ArqChain([(0.0, 1e-6, 0.01, 0.3, 0.9)[h % 5] for h in range(n)],
+                    [10 + 7 * h for h in range(n)])
+
+
+@pytest.fixture
+def built_workspaces(monkeypatch):
+    """Every workspace built, counted, starting from an empty free-list."""
+    built = []
+
+    class Counted(arq._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(arq, "_Workspace", Counted)
+    monkeypatch.setattr(arq, "_free_workspaces", [])
+    return built
+
+
+class TestWorkspaceReuse:
+    # hop counts interleaved so that each call's counter ramp differs from the last's
+    CASES = [(n, trials) for trials in (1, _BLOCK - 1, _BLOCK + 1, 100_000)
+             for n in (1, 16, 2, 3)]
+
+    def test_interleaved_calls_match_fresh_workspaces_and_the_oracle(self, monkeypatch,
+                                                                     built_workspaces):
+        with monkeypatch.context() as m:
+            m.setattr(arq, "_give_back_workspaces", lambda workspaces: None)
+            fresh = {case: simulate_latency(_mixed_chain(case[0]), case[1], case[0], workers=1)
+                     for case in self.CASES}
+        assert len(built_workspaces) == len(self.CASES)
+        for n, trials in self.CASES:
+            est = simulate_latency(_mixed_chain(n), trials, n, workers=1)
+            assert est == fresh[n, trials]
+            _assert_matches_reference(est, _mixed_chain(n), trials, n)
+        assert len(built_workspaces) == len(self.CASES) + 1
+        assert arq._free_workspaces == built_workspaces[-1:]
+
+    def test_concurrent_calls_get_the_sequential_results(self):
+        # more threads than cores, each running the calls in its own order, with
+        # frequent switches: a workspace shared by two calls would mix their blocks
+        calls = [(_mixed_chain(n), 3 * _BLOCK + 7, n, workers)
+                 for n in (16, 1, 3) for workers in (1, 2)]
+        expected = [simulate_latency(*call) for call in calls]
+        orders = [tuple(range(k, len(calls))) + tuple(range(k)) for k in range(4)]
+        barrier = threading.Barrier(len(orders), timeout=60)
+        results = {}
+
+        def run(order):
+            barrier.wait()
+            results[order] = [simulate_latency(*calls[i]) for i in order]
+
+        threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for order in orders:
+            assert results[order] == [expected[i] for i in order]
+        assert len(arq._free_workspaces) <= (os.cpu_count() or 1)
+
+    def test_explicit_workers_capped_at_cpu_count(self, monkeypatch, built_workspaces):
+        pools = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(arq, "ThreadPoolExecutor", Pool)
+        chain = _mixed_chain(4)
+        sequential = simulate_latency(chain, 5 * _BLOCK, 3, workers=1)
+        for workers in (10 ** 6, 64, 3, 2):
+            assert simulate_latency(chain, 5 * _BLOCK, 3, workers=workers) == sequential
+        assert pools == [2, 2, 2, 2]
+        assert len(built_workspaces) == 2
+        assert len(arq._free_workspaces) == 2
+
+
 _BOUNDARY_PE = sorted(
     {5e-324, 2.5e-310, 1e-300, 1e-6, 1e-3, 0.01, 0.1, 0.2, 0.24, math.nextafter(_SPARSE_PE, 0.0)}
     | {q for k in [0, 1, 2, 1000, 2 ** 19 - 1, 2 ** 19, 2 ** 20 + 1, 2 ** 30, 2 ** 45,

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -433,6 +435,28 @@ class TestReproduceCommand:
         assert written == self.PINNED[figure]
 
 
+    def test_runs_without_scipy(self, tmp_path):
+        # a fresh interpreter in which any scipy import fails
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from hopbound.cli import main\n"
+                "out, scenario = sys.argv[1:]\n"
+                "print([main(['reproduce', '--figure', f, '--out-dir', out])\n"
+                "       for f in ('fig3', 'fig4')]\n"
+                "      + [main(['latency', '--scenario', scenario, '--trials', '1000'])])\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"),
+                               write_scenario(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / "out").iterdir()}
+        assert written == {**self.PINNED["fig3"], **self.PINNED["fig4"]}
+
+
 class TestDistributedCommand:
     def test_matches_centralized(self, tmp_path):
         out = tmp_path / "dist.json"
@@ -482,6 +506,12 @@ MIXED_HOPS = [{"type": "awgn", "snr_db": 9.0},
 
 
 class TestSolveCounts:
+    def test_reproduce_fig3_solves_each_hop_and_rate_once(self, tmp_path, solves):
+        assert main(["reproduce", "--figure", "fig3", "--out-dir", str(tmp_path)]) == 0
+        # the relopt and info-continuous sweeps share each target's two-hop solves
+        assert family_totals(solves) == (240, 240)
+        assert set(solves.values()) == {1}
+
     def test_reproduce_fig4_solves_each_hop_and_rate_once(self, tmp_path, solves):
         assert main(["reproduce", "--figure", "fig4", "--out-dir", str(tmp_path)]) == 0
         # 80 swept targets on one single-hop and two two-hop channels

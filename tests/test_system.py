@@ -3,11 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from hopbound.allocation import end_to_end_rate, rate_policy_scale
 from hopbound.channel import HopChannel, capacity
 from hopbound.exponents import random_coding_exponent, sphere_packing_exponent
-from hopbound.system import system_error_bounds
+from hopbound.system import _logsumexp, system_error_bounds
 
 R_CR = math.log(1.5) - 1.0 / 6.0
 
@@ -101,6 +104,59 @@ class TestSystemBounds:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             system_error_bounds([10], [0.5, 0.5], [0.5, 0.5])
+
+    def test_no_hops_rejected(self):
+        with pytest.raises(ValueError, match="at least one hop"):
+            system_error_bounds([], [], [])
+
+
+@st.composite
+def _log_terms(draw):
+    """1 to 1000 terms of magnitude up to 1e-3..1e9, some tied at the maximum,
+    some -0.0 or +0.0, mostly non-positive like -Q_n E_n."""
+    n = draw(st.integers(1, 1000))
+    scale = draw(st.floats(1e-3, 1e9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    low = -1.0 if draw(st.booleans()) else 0.0
+    a = -scale * rng.uniform(low, 1.0, n)
+    ties = draw(st.integers(0, n))
+    a[rng.choice(n, ties, replace=False)] = a.max()
+    for zero in draw(st.lists(st.sampled_from([-0.0, 0.0]), max_size=3)):
+        a[rng.integers(n)] = zero
+    return a
+
+
+class TestLogSumExp:
+    """The private log-sum-exp against scipy's, which stays a test-only oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_log_terms())
+    def test_equals_scipy_bit_for_bit(self, a):
+        assert _logsumexp(a).hex() == float(logsumexp(a)).hex()
+
+    @pytest.mark.parametrize("a", [[-np.inf], [-np.inf, -np.inf], [np.inf, 1.0],
+                                   [np.nan, 1.0], [-0.0], [-0.0, 0.0], [-745.2, -745.2]])
+    def test_edge_values_equal_scipy(self, a):
+        a = np.array(a)
+        assert _logsumexp(a).hex() == float(logsumexp(a)).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(hops=st.lists(st.tuples(st.integers(1, 10 ** 6),
+                                   st.floats(0.0, 30.0), st.floats(0.0, 30.0)),
+                         min_size=1, max_size=50))
+    def test_bounds_equal_the_scipy_and_per_scalar_forms(self, hops):
+        blocks, e_r, e_sp = (list(col) for col in zip(*hops))
+        bounds = system_error_bounds(blocks, e_r, e_sp)
+        q_n = np.asarray(blocks, dtype=float)
+        for terms, per_hop, pe, esys in (
+                (-q_n * np.asarray(e_r), bounds.per_hop_pe_upper, bounds.pe_upper,
+                 bounds.esys_lower),
+                (-q_n * np.asarray(e_sp), bounds.per_hop_pe_lower, bounds.pe_lower,
+                 bounds.esys_upper)):
+            assert [x.hex() for x in per_hop] == [float(np.exp(t)).hex() for t in terms]
+            lse = float(logsumexp(terms))
+            assert pe.hex() == float(np.exp(lse)).hex()
+            assert esys.hex() == (-lse / sum(blocks)).hex()
 
 
 class TestEndToEndRate:
