@@ -9,20 +9,16 @@ The (RC, SP) chains of an allocation take their P_e,n from its
 `SystemBounds`, clamped below 1 in `arq_chains` alone.
 
 `simulate_latency` checks the closed form by Monte Carlo.  It streams the
-trials through fixed blocks of `_BLOCK` and merges their moments in block
-order, so its memory is O(`_BLOCK`) per worker, not O(trials), and its
-result is the same for any worker count.  Each worker's workspace is kept
-between calls, for at most `os.cpu_count()` workers.
+trials through fixed blocks of `_BLOCK` on the calling thread and merges
+their moments in block order, so its memory is O(`_BLOCK`), not O(trials).
+Each calling thread keeps one workspace between its calls.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
@@ -38,7 +34,6 @@ __all__ = [
     "simulate_latency",
     "arq_chains",
     "latency_bounds",
-    "default_workers",
 ]
 
 # per-hop error probabilities are kept strictly below 1 by this margin
@@ -87,8 +82,8 @@ def expected_latency(chain: ArqChain) -> float:
     return closed
 
 
-# Trials per block.  A kernel's five buffers of this many 8-byte words
-# (2.5 MB) and its byte mask stay in cache; blocks start at multiples of
+# Trials per block.  A kernel's six buffers of this many 8-byte words
+# (3 MiB) and its byte mask stay in cache; blocks start at multiples of
 # this from trial 0, so the block order and each block's sums are fixed.
 _BLOCK = 1 << 16
 # Hops with 0 < P_e below this take the log only for their candidate
@@ -120,19 +115,6 @@ def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
     x ^= scratch
 
 
-def _max_workers() -> int:
-    return os.cpu_count() or 1
-
-
-def default_workers() -> int:
-    """Worker count from HOPBOUND_THREADS, capped at the CPU count; 1 when unset."""
-    raw = os.environ.get("HOPBOUND_THREADS", "")
-    try:
-        return min(max(1, int(raw)), _max_workers())
-    except ValueError:
-        return 1
-
-
 class _Workspace:
     """One kernel's buffers of `_BLOCK` entries: the trial counters, their
     hop-count ramp, four block buffers and the candidate mask."""
@@ -144,21 +126,8 @@ class _Workspace:
         self.marks = np.empty(size, bool)
 
 
-# Workspaces of finished calls, kept for the next; at most `_max_workers()`.
-_free_workspaces: list[_Workspace] = []
-_free_lock = threading.Lock()
-
-
-def _take_workspaces(count: int) -> list[_Workspace]:
-    with _free_lock:
-        taken = [_free_workspaces.pop() for _ in range(min(count, len(_free_workspaces)))]
-    return taken + [_Workspace() for _ in range(count - len(taken))]
-
-
-def _give_back_workspaces(workspaces: list[_Workspace]) -> None:
-    with _free_lock:
-        room = max(0, _max_workers() - len(_free_workspaces))
-        _free_workspaces.extend(workspaces[:room])
+# Each calling thread's workspace, kept between its calls as `.workspace`.
+_per_thread = threading.local()
 
 
 def _candidate_cap(p: float) -> int:
@@ -189,9 +158,10 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     one of `size` entries if None).
 
     The returned array is a view of the workspace's buffer, which the next
-    call overwrites, so each thread needs a kernel and a workspace of its
-    own.  Trial i
-    draws on hop h (of N) the uniform
+    call overwrites, so two concurrent kernels must not share a workspace;
+    `simulate_latency` runs its blocks on the calling thread with that
+    thread's own.
+    Trial i draws on hop h (of N) the uniform
     u = ((splitmix64(key + (i N + h + 1) GOLDEN mod 2**64) >> 11) + 1/2) 2**-53,
     with key = splitmix64(seed + GOLDEN mod 2**64), and makes
     1 + floor(ln u / ln P_e,h) attempts of Q_h channel uses each.
@@ -265,13 +235,12 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     """Monte Carlo latency estimate; bit-identical for fixed (chain, trials, seed).
 
     Trial i's randomness comes from (seed, i, hop) by a counter-based
-    generator (after Salmon et al., SC'11).  Trials run in blocks of
-    `_BLOCK` from trial 0; each block is reduced in place to (n, sum, M2)
-    and merged in block order, so the result is the same for any worker
-    count.  `workers` threads (default `default_workers()`, at most
-    `os.cpu_count()`) take the blocks in turn.  Each worker's workspace is
-    O(`_BLOCK`) and is kept between calls, for at most `os.cpu_count()`
-    workers; concurrent calls never share one.
+    generator (after Salmon et al., SC'11).  Trials run on the calling
+    thread in blocks of `_BLOCK` from trial 0; each block is reduced in
+    place to (n, sum, M2) and merged in block order.  The O(`_BLOCK`)
+    workspace is the calling thread's own, kept between its calls, so
+    concurrent calls never share one.  `workers` is accepted and has no
+    effect.
 
     Every trial's latency equals the full-array formula's bit for bit.  The
     mean, the left-to-right sum of the block sums over `trials`, is exact
@@ -282,26 +251,11 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    workers = default_workers() if workers is None else min(max(1, workers), _max_workers())
-    starts = range(0, trials, _BLOCK)
-    workers = min(workers, len(starts))
-    workspaces = _take_workspaces(workers)
-    try:
-        kernels = [_latency_kernel(chain, seed, min(trials, _BLOCK), ws) for ws in workspaces]
-
-        def block(kernel, start):
-            return _moments(kernel(start, min(start + _BLOCK, trials)))
-
-        if workers == 1:
-            _, total, m2 = reduce(_merge_moments, (block(kernels[0], s) for s in starts))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # one block per kernel per round; a round is merged before the next starts
-                rounds = (pool.map(block, kernels, starts[i:i + workers])
-                          for i in range(0, len(starts), workers))
-                _, total, m2 = reduce(_merge_moments, itertools.chain.from_iterable(rounds))
-    finally:
-        _give_back_workspaces(workspaces)
+    if not hasattr(_per_thread, "workspace"):
+        _per_thread.workspace = _Workspace()
+    kernel = _latency_kernel(chain, seed, min(trials, _BLOCK), _per_thread.workspace)
+    _, total, m2 = reduce(_merge_moments, (_moments(kernel(s, min(s + _BLOCK, trials)))
+                                           for s in range(0, trials, _BLOCK)))
     return LatencyEstimate(
         analytic=expected_latency(chain),
         mc_mean=total / trials,

@@ -17,7 +17,6 @@ __all__ = [
     "ChannelError",
     "HopChannel",
     "e0_awgn",
-    "e0_awgn_derivative",
     "e0_dmc",
     "e0",
     "e0_derivative",
@@ -105,11 +104,6 @@ def e0_awgn(rho, snr: float):
         raise ChannelError(f"snr must be positive, got {snr}")
     out = rho * np.log1p(snr / (1.0 + rho))
     return float(out) if out.ndim == 0 else out
-
-
-def e0_awgn_derivative(rho, snr: float):
-    """Analytic dE0/drho for the Gaussian-input AWGN hop."""
-    return e0_derivative(rho, HopChannel.awgn(snr))
 
 
 def e0_dmc(rho, ch: HopChannel):

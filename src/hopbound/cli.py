@@ -324,6 +324,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -380,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a brute-force validation suite")
     p.add_argument("--suite", choices=["grid", "alloc", "ensemble"], required=True)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_non_negative_int, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +15,7 @@ import hopbound
 from hopbound import arq
 from hopbound.allocation import rate_policy_scale
 from hopbound.arq import (_BLOCK, _SPARSE_PE, PE_CLAMP, ArqChain, LatencyError,
-                          _candidate_cap, _latency_kernel, default_workers, expected_latency,
+                          _candidate_cap, _latency_kernel, expected_latency,
                           simulate_latency)
 from hopbound.channel import HopChannel, capacity
 from hopbound.scenario import Evaluation, Scenario
@@ -136,17 +136,36 @@ class TestSimulateLatency:
         b = simulate_latency(chain, 10_000, 2)
         assert a.mc_mean != b.mc_mean
 
-    @pytest.mark.parametrize("raw,cpus,expected", [
-        (None, 8, 1), ("", 8, 1), ("junk", 8, 1), ("0", 8, 1), ("-3", 8, 1),
-        ("3", 8, 3), ("8", 8, 8), ("100000", 8, 8), ("100000", 2, 2), ("4", None, 1)])
-    def test_default_workers_capped_at_cpu_count(self, monkeypatch, raw, cpus, expected):
-        # pure function of the environment and the CPU count; starts no thread
+    @pytest.mark.parametrize("raw,cpus,workers", [
+        (None, 8, None), ("", 8, None), ("junk", 8, None), ("0", 8, 0), ("-3", 8, -3),
+        ("3", 8, 3), ("8", 8, 8), ("100000", 8, 100_000), ("100000", 2, 2), ("4", None, 4)])
+    def test_every_block_runs_on_the_calling_thread(self, monkeypatch, raw, cpus, workers):
+        # neither the former HOPBOUND_THREADS variable, the CPU count nor `workers`
+        # starts a thread or changes the result
+        chain = _mixed_chain(4)
+        trials = 3 * _BLOCK + 7
+        sequential = simulate_latency(chain, trials, 3, workers=1)
         if raw is None:
             monkeypatch.delenv("HOPBOUND_THREADS", raising=False)
         else:
             monkeypatch.setenv("HOPBOUND_THREADS", raw)
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        assert default_workers() == expected
+        block_threads = []
+        make_kernel = arq._latency_kernel
+
+        def recording_kernel(*args):
+            kernel = make_kernel(*args)
+
+            def run(start, stop):
+                block_threads.append(threading.get_ident())
+                return kernel(start, stop)
+            return run
+
+        monkeypatch.setattr(arq, "_latency_kernel", recording_kernel)
+        threads_before = threading.active_count()
+        assert simulate_latency(chain, trials, 3, workers=workers) == sequential
+        assert block_threads == [threading.get_ident()] * 4
+        assert threading.active_count() == threads_before
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -274,16 +293,16 @@ def _mixed_chain(n):
 
 @pytest.fixture
 def built_workspaces(monkeypatch):
-    """Every workspace built, counted, starting from an empty free-list."""
+    """Every workspace built, counted, with the thread that built it."""
     built = []
 
     class Counted(arq._Workspace):
         def __init__(self, *args):
             super().__init__(*args)
+            self.thread = threading.current_thread()
             built.append(self)
 
     monkeypatch.setattr(arq, "_Workspace", Counted)
-    monkeypatch.setattr(arq, "_free_workspaces", [])
     return built
 
 
@@ -294,19 +313,20 @@ class TestWorkspaceReuse:
 
     def test_interleaved_calls_match_fresh_workspaces_and_the_oracle(self, monkeypatch,
                                                                      built_workspaces):
-        with monkeypatch.context() as m:
-            m.setattr(arq, "_give_back_workspaces", lambda workspaces: None)
-            fresh = {case: simulate_latency(_mixed_chain(case[0]), case[1], case[0], workers=1)
-                     for case in self.CASES}
+        fresh = {}
+        for n, trials in self.CASES:
+            # a thread's first call builds its workspace
+            monkeypatch.setattr(arq, "_per_thread", threading.local())
+            fresh[n, trials] = simulate_latency(_mixed_chain(n), trials, n, workers=1)
         assert len(built_workspaces) == len(self.CASES)
+        monkeypatch.setattr(arq, "_per_thread", threading.local())
         for n, trials in self.CASES:
             est = simulate_latency(_mixed_chain(n), trials, n, workers=1)
             assert est == fresh[n, trials]
             _assert_matches_reference(est, _mixed_chain(n), trials, n)
         assert len(built_workspaces) == len(self.CASES) + 1
-        assert arq._free_workspaces == built_workspaces[-1:]
 
-    def test_concurrent_calls_get_the_sequential_results(self):
+    def test_concurrent_calls_get_the_sequential_results(self, built_workspaces):
         # more threads than cores, each running the calls in its own order, with
         # frequent switches: a workspace shared by two calls would mix their blocks
         calls = [(_mixed_chain(n), 3 * _BLOCK + 7, n, workers)
@@ -333,25 +353,17 @@ class TestWorkspaceReuse:
         assert not any(t.is_alive() for t in threads)
         for order in orders:
             assert results[order] == [expected[i] for i in order]
-        assert len(arq._free_workspaces) <= (os.cpu_count() or 1)
+        assert max(Counter(ws.thread for ws in built_workspaces).values(), default=0) <= 1
 
-    def test_explicit_workers_capped_at_cpu_count(self, monkeypatch, built_workspaces):
-        pools = []
-
-        class Pool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
+    def test_any_worker_count_reuses_the_calling_threads_workspace(self, monkeypatch,
+                                                                   built_workspaces):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr(arq, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(arq, "_per_thread", threading.local())
         chain = _mixed_chain(4)
         sequential = simulate_latency(chain, 5 * _BLOCK, 3, workers=1)
         for workers in (10 ** 6, 64, 3, 2):
             assert simulate_latency(chain, 5 * _BLOCK, 3, workers=workers) == sequential
-        assert pools == [2, 2, 2, 2]
-        assert len(built_workspaces) == 2
-        assert len(arq._free_workspaces) == 2
+        assert [ws.thread for ws in built_workspaces] == [threading.current_thread()]
 
 
 _BOUNDARY_PE = sorted(

@@ -273,7 +273,8 @@ class TestExponentCommand:
         pytest.param(["exponent", "--snr-db", "0", "--rate-min", "nan", "--rate-max", "0.5",
                       "--rate-steps", "3", "--out", "never.csv"], id="nan_rate_min"),
         pytest.param(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "inf",
-                      "--rate-steps", "3", "--out", "never.csv"], id="inf_rate_max")])
+                      "--rate-steps", "3", "--out", "never.csv"], id="inf_rate_max"),
+        pytest.param(["verify", "--suite", "grid", "--seed", "-1"], id="negative_verify_seed")])
     def test_usage_error_exit_code(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(argv)
