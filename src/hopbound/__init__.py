@@ -6,7 +6,7 @@ from .allocation import (AllocationError, Method, end_to_end_rate,
                          rate_policy_scale, reliability_optimal_blocks,
                          reliability_real_blocks)
 from .arq import (ArqChain, LatencyError, LatencyEstimate, expected_latency,
-                  latency_bounds, simulate_latency)
+                  latency_bounds, latency_variance, simulate_latency)
 from .channel import (ChannelError, HopChannel, capacity, e0,
                       e0_awgn, e0_derivative, e0_dmc)
 from .exponents import (ExponentResult, Regime, critical_rate,
@@ -24,7 +24,7 @@ __all__ = [
     "network_capacity", "rate_policy_scale", "reliability_optimal_blocks",
     "reliability_real_blocks",
     "ArqChain", "LatencyError", "LatencyEstimate", "expected_latency",
-    "latency_bounds", "simulate_latency",
+    "latency_bounds", "latency_variance", "simulate_latency",
     "ChannelError", "HopChannel", "capacity", "e0", "e0_awgn",
     "e0_derivative", "e0_dmc",
     "ExponentResult", "Regime", "critical_rate",

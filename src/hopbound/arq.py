@@ -11,7 +11,10 @@ The (RC, SP) chains of an allocation take their P_e,n from its
 `simulate_latency` checks the closed form by Monte Carlo.  It streams the
 trials through fixed blocks of `_BLOCK` on the calling thread and merges
 their moments in block order, so its memory is O(`_BLOCK`), not O(trials).
-Each calling thread keeps one workspace between its calls.
+Each calling thread keeps one workspace between its calls.  Hops with P_e
+below ~2.2e-16 hash no trial: the generator is invertible, so the few
+hashes that can cause a retransmission are mapped back to their trials
+(see `_latency_kernel`).  `latency_variance` is the exact variance.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "ArqChain",
     "LatencyEstimate",
     "expected_latency",
+    "latency_variance",
     "simulate_latency",
     "arq_chains",
     "latency_bounds",
@@ -82,6 +86,18 @@ def expected_latency(chain: ArqChain) -> float:
     return closed
 
 
+def latency_variance(chain: ArqChain) -> float:
+    """Closed-form latency variance sum Q_n^2 P_e,n / (1 - P_e,n)^2.
+
+    Hop n's attempt count is geometric with variance P_e,n / (1 - P_e,n)^2,
+    and the hops' counts are independent, so this is exact.
+    """
+    var = 0.0
+    for q, p in zip(chain.costs, chain.self_loop_probs):
+        var += int(q) ** 2 * p / ((1.0 - p) * (1.0 - p))
+    return var
+
+
 # Trials per block.  A kernel's six buffers of this many 8-byte words
 # (3 MiB) and its byte mask stay in cache; blocks start at multiples of
 # this from trial 0, so the block order and each block's sums are fixed.
@@ -94,6 +110,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_GOLDEN_INV, _MIX1_INV, _MIX2_INV = (pow(c, -1, 1 << 64) for c in (_GOLDEN, _MIX1, _MIX2))
 
 
 def _splitmix64(x: int) -> int:
@@ -101,6 +118,25 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
     x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return x ^ (x >> 31)
+
+
+def _unmix(x):
+    """The inverse of `_splitmix64`, on a 64-bit Python int or a uint64 array:
+    each multiplier is odd, so it has an inverse mod 2**64, and y = x ^ x >> s
+    is undone by x = y ^ y >> s ^ y >> 2s ^ ... (Steele, Lea & Flood, 2014)."""
+    x = x ^ (x >> 31) ^ (x >> 62)
+    x = (x * _MIX2_INV) & _MASK64
+    x = x ^ (x >> 27) ^ (x >> 54)
+    x = (x * _MIX1_INV) & _MASK64
+    return x ^ (x >> 30) ^ (x >> 60)
+
+
+# Hops whose candidate cap lies below this (every P_e below ~2.2e-16) list
+# their candidates by inverting the hash instead of hashing every trial.
+# Raising it to 2**20 adds 5 of fig4's 240 hops, at 256 times the table.
+_INVERTED = 1 << 12
+# unmix(x) for every raw hash x below `_INVERTED`
+_UNMIXED = _unmix(np.arange(_INVERTED, dtype=np.uint64))
 
 
 def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
@@ -151,6 +187,33 @@ def _attempt_costs(x: np.ndarray, u: np.ndarray, log_p: float, q: int) -> None:
     u *= q
 
 
+def _add_candidates(total: np.ndarray, idx: np.ndarray, x: np.ndarray, u: np.ndarray,
+                    log_p: float, q: int) -> None:
+    """total += q, except that the candidates total[idx], whose raw hashes x
+    it clobbers, add their own attempt costs, computed in u's buffer."""
+    if not len(idx):
+        total += q
+        return
+    cost = u[:len(idx)]
+    _attempt_costs(x, cost, log_p, q)
+    cost += total[idx]
+    total += q
+    total[idx] = cost
+
+
+def _listed_candidates(counters: np.ndarray, cap: int, hop: int,
+                       n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(trials, hashes): every trial i, in order, whose raw hash x on hop
+    `hop` (of n) is at most cap < `_INVERTED`, with that x.  counters[x] is
+    the counter c whose state key + c GOLDEN hashes to x; this hop's are the
+    c = i n + hop + 1."""
+    offsets = counters[:cap + 1] - np.uint64(hop + 1)
+    hashes = np.flatnonzero(offsets % np.uint64(n) == 0)
+    trials = offsets[hashes] // np.uint64(n)
+    order = np.argsort(trials)
+    return trials[order], hashes[order].astype(np.uint64)
+
+
 def _latency_kernel(chain: ArqChain, seed: int, size: int,
                     workspace: _Workspace | None = None):
     """A function (start, stop) -> latencies of trials [start, stop), for
@@ -158,7 +221,8 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     one of `size` entries if None).
 
     The returned array is a view of the workspace's buffer, which the next
-    call overwrites, so two concurrent kernels must not share a workspace;
+    call overwrites, or a read-only broadcast of one value (a constant block,
+    below), so two concurrent kernels must not share a workspace;
     `simulate_latency` runs its blocks on the calling thread with that
     thread's own.
     Trial i draws on hop h (of N) the uniform
@@ -174,28 +238,66 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     the divide.  The candidates' addends go back onto their saved totals
     after every total takes Q_h, so each trial's total gets the same
     addends in the same order either way.
+
+    A hop whose cap lies below `_INVERTED` (P_e below ~2.2e-16) hashes no
+    trial.  splitmix64 and the counter are bijections on 64-bit words, so
+    the kernel maps each hash x <= cap back to its counter c once, keeps
+    the c = i N + h + 1 of this hop and so lists the trials i that draw a
+    candidate, in O(`_INVERTED`) memory whatever the trial count.  A block
+    whose counters pass 2**64, where the listed c (taken mod 2**64) are not
+    its own, hashes those hops instead.  When no hop hashes and a block of
+    m trials lists no candidate, its latencies all equal S = sum Q_n; while
+    m S < 2**53 it returns a broadcast of S, which `_moments` reduces
+    without a pass: the same numbers the filled block gives.
     """
     n = len(chain.costs)
     key = _splitmix64((seed + _GOLDEN) & _MASK64)
     ws = _Workspace(size) if workspace is None else workspace
-    # j N GOLDEN: trial start + j's counter offset; N changes between calls
-    ramp = np.multiply(ws.counter[:size], np.uint64(n * _GOLDEN & _MASK64), out=ws.ramp[:size])
     bits, scratch, uniforms, totals, marks = ws.bits, ws.scratch, ws.uniforms, ws.totals, ws.marks
-    hops = [(q, math.log(p) if p > 0.0 else None,
-             np.uint64(_candidate_cap(p)) if 0.0 < p < _SPARSE_PE else None)
-            for q, p in zip(chain.costs, chain.self_loop_probs)]
+    counters = (_UNMIXED - np.uint64(key)) * np.uint64(_GOLDEN_INV)
+    hops = []
+    for hop, (q, p) in enumerate(zip(chain.costs, chain.self_loop_probs)):
+        cap = _candidate_cap(p) if 0.0 < p < _SPARSE_PE else None
+        listed = (_listed_candidates(counters, cap, hop, n)
+                  if cap is not None and cap < _INVERTED else None)
+        hops.append((q, math.log(p) if p > 0.0 else None,
+                     None if cap is None else np.uint64(cap), listed))
+    constant = (sum(int(q) for q in chain.costs)
+                if all(log_p is None or listed is not None for _, log_p, _, listed in hops)
+                else None)
+    ramp = None
 
     def latencies(start: int, stop: int) -> np.ndarray:
+        nonlocal ramp
         m = stop - start
         x, tmp, u, total, hit = bits[:m], scratch[:m], uniforms[:m], totals[:m], marks[:m]
+        # the block's largest counter is stop N
+        inverted = stop * n < 1 << 64
+        found = {}
+        if inverted:
+            span = np.array((start, stop), dtype=np.uint64)
+            for hop, (_, _, _, listed) in enumerate(hops):
+                if listed is not None:
+                    trials, hashes = listed
+                    lo, hi = np.searchsorted(trials, span)
+                    found[hop] = (trials[lo:hi] - span[0]).astype(np.intp), hashes[lo:hi].copy()
+        if (constant is not None and inverted and m * constant < 2 ** 53
+                and not any(len(idx) for idx, _ in found.values())):
+            return np.broadcast_to(np.float64(constant), (m,))
         base = key + (start * n + 1) * _GOLDEN
         total.fill(0.0)
         # each step is the full-array formula's, in its order, so every
         # latency is bit-identical to it
-        for hop, (q, log_p, cap) in enumerate(hops):
+        for hop, (q, log_p, cap, _) in enumerate(hops):
             if log_p is None:
                 total += q
                 continue
+            if hop in found:
+                _add_candidates(total, *found[hop], u, log_p, q)
+                continue
+            if ramp is None:  # j N GOLDEN: trial start + j's counter offset
+                ramp = np.multiply(ws.counter[:size], np.uint64(n * _GOLDEN & _MASK64),
+                                   out=ws.ramp[:size])
             np.add(ramp[:m], np.uint64((base + hop * _GOLDEN) & _MASK64), out=x)
             _splitmix64_inplace(x, tmp)
             if cap is None:
@@ -203,11 +305,7 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
                 total += u
             else:
                 idx = np.flatnonzero(np.less_equal(x, cap, out=hit))
-                cost = u[:len(idx)]
-                _attempt_costs(x[idx], cost, log_p, q)
-                cost += total[idx]
-                total += q
-                total[idx] = cost
+                _add_candidates(total, idx, x[idx], u, log_p, q)
         return total
 
     return latencies
@@ -215,7 +313,15 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
 
 def _moments(x: np.ndarray) -> tuple[int, float, float]:
     """(n, sum, M2) of the samples x, overwriting x; M2 is numpy's two-pass
-    sum of squared deviations, so M2 / (n - 1) is its var(ddof=1)."""
+    sum of squared deviations, so M2 / (n - 1) is its var(ddof=1).
+
+    A constant block of `_latency_kernel`, a read-only broadcast of one
+    integer S with n S < 2**53, gives (n, n S, 0.0) without a pass: the
+    pairwise sums of exact integers below 2**53 are exact, so the two
+    passes give the same.
+    """
+    if not x.strides[0]:
+        return len(x), float(len(x) * x[0]), 0.0
     s = float(x.sum())
     x -= s / len(x)
     x *= x
@@ -241,6 +347,11 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     workspace is the calling thread's own, kept between its calls, so
     concurrent calls never share one.  `workers` is accepted and has no
     effect.
+
+    Hops with P_e below ~2.2e-16 list the trials that can retransmit by
+    inverting the generator, and a block with none of them on a chain of
+    such hops (or error-free ones) is reduced without a pass; see
+    `_latency_kernel` for why both give the same bits as hashing.
 
     Every trial's latency equals the full-array formula's bit for bit.  The
     mean, the left-to-right sum of the block sums over `trials`, is exact

@@ -19,7 +19,7 @@ from .allocation import (AllocationError, Method, info_continuous_log_m,
                          network_capacity, reliability_lagrange,
                          reliability_optimal_blocks, reliability_real_blocks)
 from .arq import LatencyError, simulate_latency
-from .channel import ChannelError, HopChannel, capacity
+from .channel import ChannelError, HopChannel, capacity, e0_derivative
 from .distproto import run_distributed_allocation
 from .exponents import random_coding_exponent, sphere_packing_exponent
 from .oracle import GridSpec, bsc_ensemble_error, exhaustive_allocation, grid_max_exponent
@@ -229,7 +229,8 @@ def cmd_distributed(args) -> int:
     ev = Evaluation(load_scenario(args.scenario))
     q_total, rates = ev.scenario.total_q, ev.rates
     constants, per_node = run_distributed_allocation(ev.scenario.hops, rates, q_total,
-                                                     trace_path=args.trace)
+                                                     trace_path=args.trace,
+                                                     exponents=list(zip(ev.e_r, ev.e_sp)))
     ln_m_central = info_continuous_log_m(rates, q_total)
     central_rc = reliability_real_blocks(ev.e_r, q_total)
     central_sp = reliability_real_blocks(ev.e_sp, q_total)
@@ -263,7 +264,10 @@ def _verify_grid(seed: int, report) -> bool:
         rc = random_coding_exponent(rate, ch)
         g_rc, _ = grid_max_exponent(rate, ch, GridSpec(0.0, 1.0, 1e-5))
         sp = sphere_packing_exponent(rate, ch)
+        # E0 is concave in rho, so a slope at most R puts rho* at or below rho_hi
         rho_hi = 2.0 + 2.0 * math.sqrt(snr / rate)
+        while e0_derivative(rho_hi, ch) > rate:
+            rho_hi *= 2.0
         g_sp, _ = grid_max_exponent(rate, ch,
                                     GridSpec(0.0, rho_hi, max(1e-5, rho_hi / 2e6)))
         ok_rc = abs(rc.exponent - g_rc) <= 1e-8

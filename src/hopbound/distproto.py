@@ -62,12 +62,15 @@ class NodeState:
     local_channel: HopChannel
     local_rate: float
     received_broadcast: BroadcastConstants | None = None
-    local_exponents: tuple[float, float] | None = None  # (E_r, E_sp), set by the forward pass
+    # (E_r, E_sp) at the local rate; the forward pass solves them if not given
+    local_exponents: tuple[float, float] | None = None
 
     def local_metrics(self, hop_index: int) -> dict[str, float]:
-        e_r = random_coding_exponent(self.local_rate, self.local_channel).exponent
-        e_sp = sphere_packing_exponent(self.local_rate, self.local_channel).exponent
-        self.local_exponents = (e_r, e_sp)
+        if self.local_exponents is None:
+            self.local_exponents = (
+                random_coding_exponent(self.local_rate, self.local_channel).exponent,
+                sphere_packing_exponent(self.local_rate, self.local_channel).exponent)
+        e_r, e_sp = self.local_exponents
         if e_r <= 0.0 or e_sp <= 0.0:
             raise AllocationError(f"hop {hop_index} has zero exponent (rate at/above capacity)")
         return {
@@ -146,13 +149,19 @@ def compute_and_broadcast(final_msg: MetricMessage, q_total: int,
 
 
 def run_distributed_allocation(hops: list[HopChannel], rates: list[float],
-                               q_total: int, trace_path: str | None = None):
+                               q_total: int, trace_path: str | None = None,
+                               exponents: list[tuple[float, float]] | None = None):
     """Full protocol run: forward pass, broadcast, per-node derivation.
+
+    `exponents`, if given, holds each hop's (E_r, E_sp) at its rate, already
+    solved by the caller; node n receives only its own pair, so the run
+    stays local, and no node solves again.
 
     Returns (constants, per_node_blocks) where per_node_blocks is the list
     of each node's locally derived blocklength dict.
     """
-    nodes = [NodeState(ch, r) for ch, r in zip(hops, rates)]
+    nodes = [NodeState(ch, r, local_exponents=e)
+             for ch, r, e in zip(hops, rates, exponents or [None] * len(hops))]
     trace: list[dict] | None = [] if trace_path is not None else None
     msg = forward_pass(nodes, trace)
     constants = compute_and_broadcast(msg, q_total, nodes, trace)

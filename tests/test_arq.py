@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopbound
-from hopbound import arq
+from hopbound import arq, cli
 from hopbound.allocation import rate_policy_scale
-from hopbound.arq import (_BLOCK, _SPARSE_PE, PE_CLAMP, ArqChain, LatencyError,
-                          _candidate_cap, _latency_kernel, expected_latency,
-                          simulate_latency)
+from hopbound.arq import (_BLOCK, _GOLDEN, _INVERTED, _MASK64, _SPARSE_PE, _UNMIXED, PE_CLAMP,
+                          ArqChain, LatencyError, _candidate_cap, _latency_kernel, _moments,
+                          _splitmix64, _splitmix64_inplace, _unmix, expected_latency,
+                          latency_variance, simulate_latency)
 from hopbound.channel import HopChannel, capacity
 from hopbound.scenario import Evaluation, Scenario
 
@@ -422,3 +424,171 @@ class TestLatencyBounds:
         with pytest.raises(LatencyError) as err:
             self.latency([500, 500], rates, hops)
         assert err.value.hop == 1
+
+
+def _seed_drawing(x, trial, n, hop):
+    """A seed under which `trial` draws the raw hash x on `hop` (of n hops)."""
+    key = (_unmix(x) - (trial * n + hop + 1) * _GOLDEN) & _MASK64
+    return (_unmix(key) - _GOLDEN) & _MASK64
+
+
+def _block_of(trial, trials):
+    start = trial - trial % _BLOCK
+    return start, min(start + _BLOCK, trials)
+
+
+class TestUnmix:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1)))
+    def test_inverts_splitmix64(self, x):
+        assert _unmix(_splitmix64(x)) == x
+        assert _splitmix64(_unmix(x)) == x
+
+    def test_table_hashes_back_to_its_index(self):
+        hashed = _UNMIXED.copy()
+        _splitmix64_inplace(hashed, np.empty_like(hashed))
+        assert np.array_equal(hashed, np.arange(_INVERTED, dtype=np.uint64))
+        assert [int(v) for v in _UNMIXED[[0, 1, _INVERTED - 1]]] == [
+            _unmix(0), _unmix(1), _unmix(_INVERTED - 1)]
+
+    def test_seed_construction_draws_the_chosen_hash(self):
+        for x, trial, n, hop in [(0, 0, 1, 0), (2047, 12345, 3, 2), (4095, 2 ** 40, 16, 7)]:
+            key = _splitmix64((_seed_drawing(x, trial, n, hop) + _GOLDEN) & _MASK64)
+            assert _splitmix64((key + (trial * n + hop + 1) * _GOLDEN) & _MASK64) == x
+
+
+class TestInvertedCandidates:
+    TRIALS = 3 * _BLOCK + 7
+    # a forced candidate on hop 1 of [1e-300, P_e, 0] with costs [13, 700, 11]:
+    # (P_e, hash, trial, pinned mean, pinned stderr)
+    RETRANSMITS = (724.0035602573557, 0.003560257355746001)
+    CASES = [(p, x, trial, *pinned)
+             for p, hashes, pinned in [(1.1e-16, (0, 2047), RETRANSMITS),
+                                       (2e-16, (0, 2047, 4095), RETRANSMITS),
+                                       (1e-300, (0, 2047), (724.0, 0.0))]
+             for x in hashes
+             for trial in (0, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 6)]
+
+    @pytest.mark.parametrize("p,x,trial,mean,stderr", CASES)
+    def test_forced_candidate_matches_reference(self, p, x, trial, mean, stderr):
+        assert x <= _candidate_cap(p) < _INVERTED
+        chain = ArqChain([1e-300, p, 0.0], [13, 700, 11])
+        seed = _seed_drawing(x, trial, 3, 1)
+        start, stop = _block_of(trial, self.TRIALS)
+        got = _latency_kernel(chain, seed, _BLOCK)(start, stop)
+        ref = _ref_trial_latencies(chain, seed, start, stop)
+        assert got.tobytes() == ref.tobytes()
+        assert got[trial - start] == (724.0 + 700.0 if stderr else 724.0)
+        est = simulate_latency(chain, self.TRIALS, seed)
+        assert (est.mc_mean, est.mc_stderr) == (mean, stderr)
+        _assert_matches_reference(est, chain, self.TRIALS, seed)
+
+    @pytest.mark.parametrize("cost,constant", [(2 ** 37 - 2, True), (2 ** 37 - 1, False),
+                                               (2 ** 40, False)])
+    def test_constant_block_only_while_its_sum_is_exact(self, cost, constant):
+        # 2**16 trials of latency S: the block's sum m S passes 2**53 at S = 2**37
+        chain = ArqChain([1e-300, 5e-324], [cost, 1])
+        got = _latency_kernel(chain, 9, _BLOCK)(0, _BLOCK)
+        assert got.tobytes() == _ref_trial_latencies(chain, 9, 0, _BLOCK).tobytes()
+        assert (got.strides == (0,)) == constant
+        filled = _moments(np.array(got))
+        assert _moments(got) == filled
+        _assert_matches_reference(simulate_latency(chain, _BLOCK, 9), chain, _BLOCK, 9)
+        _assert_matches_reference(simulate_latency(chain, 2 * _BLOCK + 5, 9), chain,
+                                  2 * _BLOCK + 5, 9)
+
+    def test_blocks_whose_counters_wrap_hash_instead(self):
+        # with N = 3, trial 2**64 // 3 is the first whose counters pass 2**64;
+        # trial t = 2**64 // 3 + 5 on hop 1 has counter 16 mod 2**64, the same
+        # as trial 5 on hop 0, so both draw the forced hash
+        chain = ArqChain([1e-300, 1.1e-16, 0.0], [13, 700, 11])
+        edge = 2 ** 64 // 3
+
+        def block(seed, start, stop):
+            got = _latency_kernel(chain, seed, 64)(start, stop)
+            assert got.tobytes() == _ref_trial_latencies(chain, seed, start, stop).tobytes()
+            return got
+
+        seed = _seed_drawing(0, edge + 5, 3, 1)
+        assert block(seed, edge, edge + 40)[5] == 724.0 + 700.0
+        assert block(seed, edge - 20, edge + 20)[25] == 724.0 + 700.0
+        assert block(seed, 0, 40)[5] == 724.0  # the 1e-300 hop makes one attempt
+        block(seed, edge - 40, edge)
+        # the last trial before the edge, on the listed path
+        seed = _seed_drawing(0, edge - 1, 3, 1)
+        assert block(seed, edge - 40, edge)[-1] == 724.0 + 700.0
+
+    def test_either_side_of_the_cutoff(self):
+        listed = (_INVERTED >> 11) * 2.0 ** -53 / (1 + 2.0 ** -20)
+        while _candidate_cap(listed) >= _INVERTED:
+            listed = math.nextafter(listed, 0.0)
+        hashed = math.nextafter(listed, 1.0)
+        assert _candidate_cap(listed) == _INVERTED - 1 < _candidate_cap(hashed)
+        for p in (listed, hashed):
+            chain = ArqChain([p, 0.3], [700, 11])
+            for x in (0, _INVERTED - 1, _candidate_cap(p), _candidate_cap(p) + 1):
+                for trial in (3, _BLOCK + 2):
+                    seed = _seed_drawing(x, trial, 2, 0)
+                    start, stop = _block_of(trial, 2 * _BLOCK)
+                    got = _latency_kernel(chain, seed, _BLOCK)(start, stop)
+                    ref = _ref_trial_latencies(chain, seed, start, stop)
+                    assert got.tobytes() == ref.tobytes()
+                    _assert_matches_reference(simulate_latency(chain, 2 * _BLOCK, seed),
+                                              chain, 2 * _BLOCK, seed)
+
+    def test_listed_candidates_need_memory_of_the_table_alone(self):
+        # the lists take no trial count: a block near trial 2**60 costs no more
+        chain = ArqChain([1e-300, 1e-20, 0.0], [13, 700, 11])
+        workspace = arq._Workspace(64)
+        tracemalloc.start()
+        try:
+            _latency_kernel(chain, 1, 64, workspace)(2 ** 60, 2 ** 60 + 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * _INVERTED
+
+
+class TestLatencyVariance:
+    def test_closed_form_single_hop(self):
+        # K geometric with success 1/2: Var(Q K) = Q^2 P / (1 - P)^2 = 200
+        assert latency_variance(ArqChain([0.5], [10])) == 200.0
+        assert latency_variance(ArqChain([0.0, 0.0], [5, 7])) == 0.0
+        series = sum((10.0 * k) ** 2 * 0.5 ** k for k in range(1, 400)) - 20.0 ** 2
+        assert latency_variance(ArqChain([0.5], [10])) == pytest.approx(series, rel=1e-12)
+
+    def test_sums_over_hops(self):
+        chain = ArqChain([0.3, 0.0, 0.9], [50, 70, 2 ** 40])
+        assert latency_variance(chain) == pytest.approx(
+            50 ** 2 * 0.3 / 0.7 ** 2 + 2 ** 80 * 0.9 / 0.1 ** 2, rel=1e-12)
+
+    def test_monte_carlo_z_scores_on_random_chains(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            chain = random_chain(rng, max_hops=5)
+            trials = 100_000
+            est = simulate_latency(chain, trials, int(rng.integers(0, 2 ** 63)))
+            sigma = math.sqrt(latency_variance(chain) / trials)
+            assert abs(est.mc_mean - est.analytic) <= 5 * sigma
+            assert 0.8 * sigma <= est.mc_stderr <= 1.25 * sigma
+
+    def test_fig4_rows_without_a_retransmission(self):
+        # a row whose sample stderr is 0 still has a z-score on the analytic scale
+        single = [HopChannel.awgn(cli._snr_db_to_linear(db)) for db in cli.REPRODUCE_SINGLE_SNR_DB]
+        two = [HopChannel.awgn(cli._snr_db_to_linear(db)) for db in cli.REPRODUCE_TWO_SNR_DB]
+        chains = [*cli._sweep_rows(single, [cli.Method.MANUAL], lambda ev: ev.chains[0])[0],
+                  *cli._sweep_rows(two, [cli.Method.RELIABILITY_OPTIMAL_RC],
+                                   lambda ev: ev.chains[0])[0]]
+        trials, seed = cli.REPRODUCE_MC_TRIALS, cli.REPRODUCE_MC_SEED
+        silent = 0
+        for chain in chains:
+            est = simulate_latency(chain, trials, seed)
+            if est.mc_stderr:
+                continue
+            silent += 1
+            sigma = math.sqrt(latency_variance(chain) / trials)
+            assert sigma > 0.0
+            assert abs(est.mc_mean - est.analytic) <= 5 * sigma
+            # no retransmission in any trial is likely: fewer than 5 expected
+            assert trials * sum(chain.self_loop_probs) < 5
+        assert silent == 132

@@ -533,3 +533,23 @@ class TestSolveCounts:
         assert main(["latency", "--scenario", path, "--trials", "100"]) == 0
         assert family_totals(solves) == (3, 3)
         assert set(solves.values()) == {1}
+
+    def test_distributed_solves_each_hop_once_per_family(self, tmp_path, solves):
+        # the nodes take their exponents from the evaluation the comparison uses
+        path = write_scenario(tmp_path, hops=MIXED_HOPS)
+        out = tmp_path / "dist.json"
+        assert main(["distributed", "--scenario", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["matches_centralized"] is True
+        assert family_totals(solves) == (3, 3)
+        assert set(solves.values()) == {1}
+
+
+class TestVerifyGrid:
+    PASS_LINE = "PASS [grid] parametric exponents match dense-grid maximization (50 instances)\n"
+
+    @pytest.mark.parametrize("seed", [1, 2, 10 ** 30])
+    def test_grid_suite_passes(self, capsys, seed):
+        # seed 10**30 draws an instance whose sphere-packing rho* (26.58) lies
+        # past 2 + 2 sqrt(snr / rate) (24.26), where the grid now starts
+        assert main(["verify", "--suite", "grid", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == self.PASS_LINE
