@@ -2,7 +2,7 @@
 
 Two rules split the budget sum(Q_n) = Q into integer blocklengths:
 reliability-optimal (error balancing), the greedy marginal allocation in
-the log domain from the real Lagrange optimum, and information-continuous
+the log domain from the real optimum, and information-continuous
 (common codeword count M), which at rates R_n = I_n recovers the
 capacity-optimal time sharing of `network_capacity`.
 
@@ -143,26 +143,51 @@ def reliability_real_blocks(exponents: list[float], q_total: int) -> list[float]
     return [(math.log(e) - lam) / e for e in exponents]
 
 
+def _pivot_real_blocks(exponents: list[float], q_total: int) -> list[float]:
+    """`reliability_real_blocks` in the frame of the smallest exponent E_p.
+
+    With gaps g_n = ln E_n - ln E_p >= 0 and weights w_n = E_p / E_n in
+    (0, 1], the pivot's share is Q_p = (Q - sum_m g_m / E_m) / sum_m w_m and
+    Q_n = g_n / E_n + w_n Q_p; that is Q_n = (g_n + delta) / E_n with
+    delta = E_p Q_p.  No sum cancels and nothing divides by E_p, so the
+    shares keep their sum Q where ln E_n - lambda loses it, next to an
+    exponent of 1e-24 or even 5e-324.
+    """
+    if any(e <= 0 for e in exponents):
+        raise AllocationError("all exponents must be positive (rate below capacity)")
+    pivot = min(exponents)
+    log_pivot = math.log(pivot)
+    gaps = [math.log(e) - log_pivot for e in exponents]
+    weight_sum = 0.0
+    gap_sum = 0.0
+    for g, e in zip(gaps, exponents):
+        weight_sum += pivot / e
+        gap_sum += g / e
+    q_pivot = (q_total - gap_sum) / weight_sum
+    return [g / e + (pivot / e) * q_pivot for g, e in zip(gaps, exponents)]
+
+
 def reliability_optimal_blocks(exponents: list[float], q_total: int) -> list[int]:
     """Integer blocklengths minimizing sum(exp(-Q_n E_n)) under sum(Q_n) = Q, Q_n >= 1.
 
-    Starts from the floored real Lagrange optimum under Q_n >= 1 and runs
-    the greedy marginal allocation.  It stops only when no one-unit
-    exchange lowers the objective (compared in the log domain), which for
-    this separable convex objective makes the result exactly optimal among
-    integer splits; only strict improvements move, so splits of equal cost
-    keep the starting rounding.  Feasible whenever Q >= N.
+    Starts from the floored real optimum under Q_n >= 1, in the pivot frame
+    of `_pivot_real_blocks`, so the floors sum to within N of Q for any Q up
+    to 2**53, and runs the greedy marginal allocation.  It stops only when
+    no one-unit exchange lowers the objective (compared in the log domain),
+    which for this separable convex objective makes the result exactly
+    optimal among integer splits; only strict improvements move, so splits
+    of equal cost keep the starting rounding.  Feasible whenever Q >= N.
     """
     n = len(exponents)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
     # pin hops whose real share is below 1 at 1 and re-balance the rest (each
-    # pass raises lambda), so the floors do not overshoot Q by a wide margin;
-    # the cap bounds the drain where tiny exponents leave the shares inexact
-    free, shares = list(range(n)), reliability_real_blocks(exponents, q_total)
+    # pass raises the common level), so the floors do not overshoot Q; the
+    # cap leaves one unit for every other hop
+    free, shares = list(range(n)), _pivot_real_blocks(exponents, q_total)
     while any(v < 1.0 for v in shares) and any(v >= 1.0 for v in shares):
         free = [i for i, v in zip(free, shares) if v >= 1.0]
-        shares = reliability_real_blocks([exponents[i] for i in free], q_total - n + len(free))
+        shares = _pivot_real_blocks([exponents[i] for i in free], q_total - n + len(free))
     start = [1] * n
     for i, v in zip(free, shares):
         start[i] = min(max(math.floor(v), 1), q_total - n + 1)

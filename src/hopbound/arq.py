@@ -23,7 +23,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -214,6 +214,21 @@ def _listed_candidates(counters: np.ndarray, cap: int, hop: int,
     return trials[order], hashes[order].astype(np.uint64)
 
 
+@lru_cache(maxsize=32)
+def _inverted_candidates(key: int, n: int, hop: int,
+                         cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_listed_candidates` for the counters of generator key `key`, as
+    read-only arrays.  Only two caps lie below `_INVERTED` (2047 and 4095),
+    so a sweep that reruns one seed on one chain length maps the table back
+    once per hop and cap; each of the at most 32 cached pairs holds at most
+    64 KiB / n."""
+    counters = (_UNMIXED - np.uint64(key)) * np.uint64(_GOLDEN_INV)
+    listed = _listed_candidates(counters, cap, hop, n)
+    for a in listed:
+        a.setflags(write=False)
+    return listed
+
+
 def _latency_kernel(chain: ArqChain, seed: int, size: int,
                     workspace: _Workspace | None = None):
     """A function (start, stop) -> latencies of trials [start, stop), for
@@ -241,11 +256,13 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
 
     A hop whose cap lies below `_INVERTED` (P_e below ~2.2e-16) hashes no
     trial.  splitmix64 and the counter are bijections on 64-bit words, so
-    the kernel maps each hash x <= cap back to its counter c once, keeps
-    the c = i N + h + 1 of this hop and so lists the trials i that draw a
-    candidate, in O(`_INVERTED`) memory whatever the trial count.  A block
-    whose counters pass 2**64, where the listed c (taken mod 2**64) are not
-    its own, hashes those hops instead.  When no hop hashes and a block of
+    each hash x < `_INVERTED` maps back to its counter c; the c = i N + h + 1
+    of this hop list the trials i that draw one, in O(`_INVERTED`) memory
+    whatever the trial count.  That list depends on (key, N, h, cap) alone,
+    and cap takes two values there, so it is kept in a small cache
+    (`_inverted_candidates`) that kernels of one seed and chain length
+    share.  A block whose counters pass 2**64, where the listed c (taken
+    mod 2**64) are not its own, hashes those hops instead.  When no hop hashes and a block of
     m trials lists no candidate, its latencies all equal S = sum Q_n; while
     m S < 2**53 it returns a broadcast of S, which `_moments` reduces
     without a pass: the same numbers the filled block gives.
@@ -254,11 +271,10 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     key = _splitmix64((seed + _GOLDEN) & _MASK64)
     ws = _Workspace(size) if workspace is None else workspace
     bits, scratch, uniforms, totals, marks = ws.bits, ws.scratch, ws.uniforms, ws.totals, ws.marks
-    counters = (_UNMIXED - np.uint64(key)) * np.uint64(_GOLDEN_INV)
     hops = []
     for hop, (q, p) in enumerate(zip(chain.costs, chain.self_loop_probs)):
         cap = _candidate_cap(p) if 0.0 < p < _SPARSE_PE else None
-        listed = (_listed_candidates(counters, cap, hop, n)
+        listed = (_inverted_candidates(key, n, hop, cap)
                   if cap is not None and cap < _INVERTED else None)
         hops.append((q, math.log(p) if p > 0.0 else None,
                      None if cap is None else np.uint64(cap), listed))

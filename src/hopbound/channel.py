@@ -38,6 +38,14 @@ class HopChannel:
     Either an AWGN channel with Gaussian input (``snr`` set, linear scale)
     or a finite DMC (``transition`` row-stochastic |S|x|Y| matrix plus an
     ``input_dist`` probability vector over the |S| inputs).
+
+    The constants every solve reads are derived once, at construction, and
+    kept outside the dataclass fields (so ``==``, hash, repr and
+    ``dataclasses.replace`` see only the four fields): the capacity as a
+    float and, for a DMC, the transition matrix without its unreached
+    outputs and its log table, as read-only arrays.  A DMC keeps its matrix
+    and input distribution read-only too (copies of writeable arrays), so
+    they cannot drift from those constants.
     """
 
     kind: str  # "awgn" or "dmc"
@@ -68,10 +76,18 @@ class HopChannel:
                 raise ChannelError("input_dist length must match the number of inputs")
             if not (np.all(q >= 0) and abs(q.sum() - 1.0) <= _ATOL_STOCHASTIC):
                 raise ChannelError("input_dist must be a probability vector")
-            object.__setattr__(self, "transition", p)
-            object.__setattr__(self, "input_dist", q)
+            object.__setattr__(self, "transition", _read_only(p))
+            object.__setattr__(self, "input_dist", _read_only(q))
+            # the outputs no input reaches have a_y = 0 at every rho and drop out of E0
+            reached = p[:, (q[:, None] * p).sum(axis=0) > 0]
+            # ln p := 0 where p = 0, as w = 0 there
+            log_reached = np.log(np.where(reached > 0, reached, 1.0))
+            for name, table in (("_reached", reached), ("_log_reached", log_reached)):
+                table.setflags(write=False)
+                object.__setattr__(self, name, table)
         else:
             raise ChannelError(f"unknown channel kind {self.kind!r}")
+        object.__setattr__(self, "_capacity", _mutual_information(self))
 
     @classmethod
     def awgn(cls, snr: float) -> "HopChannel":
@@ -90,6 +106,14 @@ class HopChannel:
         if not 0.0 <= p <= 1.0:
             raise ChannelError(f"crossover must be in [0, 1], got {p}")
         return cls.dmc([[1.0 - p, p], [p, 1.0 - p]], input_dist)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a` if it is read-only already, else a read-only copy."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
 
 
 def e0_awgn(rho, snr: float):
@@ -118,7 +142,7 @@ def e0_dmc(rho, ch: HopChannel):
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ChannelError("rho must be nonnegative")
-    p = _reached_outputs(ch)
+    p = ch._reached
     r = np.atleast_1d(rho)[:, None]  # (K, 1)
     a = np.einsum("s,ksy->ky", ch.input_dist, p[None, :, :] ** (1.0 / (1.0 + r))[:, :, None])
     z = (1.0 + r) * np.log(a)
@@ -147,8 +171,10 @@ def e0_derivative(rho, ch: HopChannel):
 def e0_terms(ch: HopChannel):
     """The exponent solver's step: rho -> (E0, dE0/drho, d2E0/drho2) as floats.
 
-    rho >= 0 is not validated.  AWGN, with a = 1+rho and b = a+SNR:
-    d2E0/drho2 = -SNR (2b + rho SNR) / (ab)^2, in bounded ratios.  DMC, with
+    rho >= 0 is not validated; a DMC's step reads the reached-output matrix
+    and its log table that the channel derived once, at construction.  AWGN,
+    with a = 1+rho and b = a+SNR: d2E0/drho2 = -SNR (2b + rho SNR) / (ab)^2,
+    in bounded ratios.  DMC, with
     t = 1/(1+rho), a_y = sum_x q(x) p(y|x)^t, w(x|y) = q(x) p(y|x)^t / a_y,
     pi_y proportional to a_y^(1+rho) and g_y = ln a_y - t E_w[ln p | y]
     (Gallager 1968, sec. 5.6): dE0/drho = -E_pi[g] and
@@ -162,9 +188,7 @@ def e0_terms(ch: HopChannel):
             return rho * log_term, log_term - v * u, -(u / a) * (2.0 / a + v * u)
         return awgn_terms
     q = ch.input_dist[:, None]
-    p = _reached_outputs(ch)
-    # ln p := 0 where p = 0, as w = 0 there
-    log_p = np.log(np.where(p > 0, p, 1.0))
+    p, log_p = ch._reached, ch._log_reached
 
     def dmc_terms(rho):
         t = 1.0 / (1.0 + rho)
@@ -186,14 +210,15 @@ def e0_terms(ch: HopChannel):
     return dmc_terms
 
 
-def _reached_outputs(ch: HopChannel) -> np.ndarray:
-    """The transition matrix without the outputs no input reaches; those
-    have a_y = 0 at every rho and drop out of E0."""
-    return ch.transition[:, (ch.input_dist[:, None] * ch.transition).sum(axis=0) > 0]
-
-
 def capacity(ch: HopChannel) -> float:
-    """Mutual information of the hop at its fixed input distribution (nats/use)."""
+    """Mutual information of the hop at its fixed input distribution (nats/use).
+
+    Derived once, when the channel is built; this reads the stored float.
+    """
+    return ch._capacity
+
+
+def _mutual_information(ch: HopChannel) -> float:
     if ch.kind == "awgn":
         return float(np.log1p(ch.snr))
     p = ch.transition

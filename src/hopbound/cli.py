@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage error, 3 domain infeasibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -15,13 +16,11 @@ import sys
 
 import numpy as np
 
-from .allocation import (AllocationError, Method, info_continuous_log_m,
-                         network_capacity, reliability_lagrange,
-                         reliability_optimal_blocks, reliability_real_blocks)
+from .allocation import AllocationError, Method, network_capacity, reliability_optimal_blocks
 from .arq import LatencyError, simulate_latency
 from .channel import ChannelError, HopChannel, capacity, e0_derivative
 from .distproto import run_distributed_allocation
-from .exponents import random_coding_exponent, sphere_packing_exponent
+from .exponents import exponent_pair, random_coding_exponent, sphere_packing_exponent
 from .oracle import GridSpec, bsc_ensemble_error, exhaustive_allocation, grid_max_exponent
 from .scenario import Evaluation, Scenario, ScenarioError, load_scenario
 
@@ -87,8 +86,7 @@ def cmd_exponent(args) -> int:
     rates = np.linspace(args.rate_min, args.rate_max, args.rate_steps)
     rows = []
     for rate in rates:
-        rc = random_coding_exponent(float(rate), ch)
-        sp = sphere_packing_exponent(float(rate), ch)
+        rc, sp = exponent_pair(float(rate), ch)
         rows.append([float(rate), rc.exponent, rc.rho_star, rc.regime,
                      sp.exponent, sp.rho_star, sp.regime])
     _write_csv(args.out, "rate_nats,e_r,rho_r,regime_r,e_sp,rho_sp,regime_sp", rows)
@@ -188,19 +186,13 @@ def cmd_allocate(args) -> int:
         "blocklengths": ev.blocks,
         "rates_nats": ev.rates,
         "end_to_end_rate_nats": ev.end_to_end_rate,
-        "stationarity_residual": None,
+        "stationarity_residual": ev.stationarity_residual,
         "ln_m": None,
     }
-    exps = ev.balanced_exponents
-    if exps is not None:
-        balance = [q * e - math.log(e)
-                   for q, e in zip(reliability_real_blocks(exps, sc.total_q), exps)]
-        payload["stationarity_residual"] = max(balance) - min(balance)
-    elif sc.allocation_method == Method.INFO_CONTINUOUS:
-        ln_m = info_continuous_log_m(ev.rates, sc.total_q)
-        payload["ln_m"] = ln_m
-        payload["m"] = (int(math.floor(math.exp(ln_m)))
-                        if ln_m <= _LN_M_MATERIALIZE_LIMIT else None)
+    if sc.allocation_method == Method.INFO_CONTINUOUS:
+        payload["ln_m"] = ev.ln_m
+        payload["m"] = (int(math.floor(math.exp(ev.ln_m)))
+                        if ev.ln_m <= _LN_M_MATERIALIZE_LIMIT else None)
     _write_json(args.out, payload)
     if args.bits:
         bits = [r / NATS_PER_BIT for r in ev.rates]
@@ -231,16 +223,13 @@ def cmd_distributed(args) -> int:
     constants, per_node = run_distributed_allocation(ev.scenario.hops, rates, q_total,
                                                      trace_path=args.trace,
                                                      exponents=list(zip(ev.e_r, ev.e_sp)))
-    ln_m_central = info_continuous_log_m(rates, q_total)
-    central_rc = reliability_real_blocks(ev.e_r, q_total)
-    central_sp = reliability_real_blocks(ev.e_sp, q_total)
     matches = (
-        constants.ln_m == ln_m_central
-        and constants.lambda_r == reliability_lagrange(ev.e_r, q_total)
-        and constants.lambda_sp == reliability_lagrange(ev.e_sp, q_total)
-        and all(node["q_reliability_rc"] == central_rc[i]
-                and node["q_reliability_sp"] == central_sp[i]
-                and node["q_info_continuous"] == math.floor(ln_m_central / rates[i])
+        constants.ln_m == ev.ln_m
+        and constants.lambda_r == ev.lambda_r
+        and constants.lambda_sp == ev.lambda_sp
+        and all(node["q_reliability_rc"] == ev.shares_r[i]
+                and node["q_reliability_sp"] == ev.shares_sp[i]
+                and node["q_info_continuous"] == math.floor(ev.ln_m / rates[i])
                 for i, node in enumerate(per_node))
     )
     _write_json(args.out, {
@@ -397,8 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call; parsing leaves a parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:

@@ -20,6 +20,7 @@ __all__ = [
     "RHO_MAX",
     "random_coding_exponent",
     "sphere_packing_exponent",
+    "exponent_pair",
     "critical_rate",
 ]
 
@@ -106,6 +107,27 @@ def sphere_packing_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     if not rate > 0:
         raise ChannelError(f"rate must be positive for sphere packing, got {rate}")
     return _maximize(rate, ch, RHO_MAX, Regime.RHO_CAPPED)
+
+
+# RC regimes whose solve SP repeats float for float (see exponent_pair)
+_SHARED_REGIMES = (Regime.PARAMETRIC_INTERIOR, Regime.ZERO_ABOVE_CAPACITY)
+
+
+def exponent_pair(rate: float, ch: HopChannel) -> tuple[ExponentResult, ExponentResult]:
+    """(random_coding_exponent, sphere_packing_exponent) at one rate, with
+    the same results and errors as the two calls.
+
+    The SP result is the RC result itself when RC's regime is
+    parametric_interior or zero_above_capacity.  There dE0/drho(1) <= R, or
+    R >= C: the SP solve then runs the same capacity test, takes the same
+    first bracket [0, 1], and makes the same Newton steps on the same
+    floats, so it returns an equal result (above the critical rate
+    E_sp = E_r, Gallager 1968).  Only below the critical rate is SP solved.
+    """
+    rc = random_coding_exponent(rate, ch)
+    if rc.regime in _SHARED_REGIMES and rate > 0:
+        return rc, rc
+    return rc, sphere_packing_exponent(rate, ch)
 
 
 def critical_rate(ch: HopChannel) -> float:

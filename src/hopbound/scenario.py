@@ -4,8 +4,8 @@ A scenario file fixes the hop channels, the total channel-use budget Q,
 a per-hop rate policy, and the allocation method; SNR in dB is converted
 to linear exactly once, here.  An `Evaluation` computes each derived
 quantity once, on first use: rates, each hop's RC and SP exponents, the
-split and its end-to-end rate, the system error bounds, the ARQ chains and
-latency bounds.
+split and its end-to-end rate, the real-valued optima the CLI reports, the
+system error bounds, the ARQ chains and latency bounds.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .allocation import (AllocationError, Method, end_to_end_rate,
+from .allocation import (AllocationError, Method, end_to_end_rate, info_continuous_log_m,
                          information_continuous_blocks, rate_policy_scale,
-                         reliability_optimal_blocks)
+                         reliability_lagrange, reliability_optimal_blocks,
+                         reliability_real_blocks)
 from .arq import ArqChain, arq_chains, latency_bounds
 from .channel import HopChannel, capacity
 from .exponents import random_coding_exponent, sphere_packing_exponent
@@ -29,6 +30,9 @@ SCHEMA_VERSION = 1
 
 _METHODS = (Method.RELIABILITY_OPTIMAL_RC, Method.RELIABILITY_OPTIMAL_SP,
             Method.INFO_CONTINUOUS, Method.MANUAL)
+
+# the exponent family ("r" or "sp") each reliability-optimal method balances
+_BALANCED_FAMILY = {Method.RELIABILITY_OPTIMAL_RC: "r", Method.RELIABILITY_OPTIMAL_SP: "sp"}
 
 
 class ScenarioError(ValueError):
@@ -120,12 +124,49 @@ class Evaluation:
     @property
     def balanced_exponents(self) -> list[float] | None:
         """The exponents a reliability-optimal method balances; None for the others."""
-        method = self.scenario.allocation_method
-        if method == Method.RELIABILITY_OPTIMAL_RC:
-            return self.e_r
-        if method == Method.RELIABILITY_OPTIMAL_SP:
-            return self.e_sp
-        return None
+        family = _BALANCED_FAMILY.get(self.scenario.allocation_method)
+        return None if family is None else getattr(self, f"e_{family}")
+
+    @cached_property
+    def ln_m(self) -> float:
+        """ln M of the common-codeword-count split, Q / sum(1/R_n)."""
+        return info_continuous_log_m(self.rates, self.scenario.total_q)
+
+    @cached_property
+    def lambda_r(self) -> float:
+        """Lagrange multiplier of the real error-balancing optimum on e_r."""
+        return reliability_lagrange(self.e_r, self.scenario.total_q)
+
+    @cached_property
+    def lambda_sp(self) -> float:
+        """Lagrange multiplier of the real error-balancing optimum on e_sp."""
+        return reliability_lagrange(self.e_sp, self.scenario.total_q)
+
+    @cached_property
+    def shares_r(self) -> list[float]:
+        """Real error-balancing shares of Q on e_r, (ln E_n - lambda) / E_n."""
+        return reliability_real_blocks(self.e_r, self.scenario.total_q)
+
+    @cached_property
+    def shares_sp(self) -> list[float]:
+        """Real error-balancing shares of Q on e_sp, (ln E_n - lambda) / E_n."""
+        return reliability_real_blocks(self.e_sp, self.scenario.total_q)
+
+    @property
+    def balanced_shares(self) -> list[float] | None:
+        """The real shares of the family the method balances; None for the others."""
+        family = _BALANCED_FAMILY.get(self.scenario.allocation_method)
+        return None if family is None else getattr(self, f"shares_{family}")
+
+    @cached_property
+    def stationarity_residual(self) -> float | None:
+        """Spread (max - min) over hops of Q_n E_n - ln E_n at the balanced real
+        shares, which is 0 at the exact optimum; None unless a family is balanced."""
+        exps, shares = self.balanced_exponents, self.balanced_shares
+        if exps is None:
+            return None
+        balance = [q * e - math.log(e) for q, e in zip(shares, exps)]
+        return max(balance) - min(balance)
 
     @cached_property
     def blocks(self) -> list[int]:

@@ -27,25 +27,28 @@ class SystemBounds:
     degenerate_hops: list[int]  # hops with a zero exponent (rate at/above capacity)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """ln sum exp(a) of a 1-D float array, by scipy.special.logsumexp's steps.
+def _logsumexp(a: np.ndarray) -> float | np.ndarray:
+    """ln sum exp(a) along the last axis, by scipy.special.logsumexp's steps:
+    a float for a 1-D float array, an array of one value per row for a 2-D one.
 
-    The maxima leave the sum and are counted as m, so the result is
-    log1p(sum exp(a - max) / m) + log(m) + max; a non-finite result falls back
-    to log(sum exp(a)).  Each step is the same numpy ufunc on the same
-    one-element arrays, so the result is scipy's bit for bit.
+    In each row the maxima leave the sum and are counted as m, so the result
+    is log1p(sum exp(a - max) / m) + log(m) + max; a non-finite result falls
+    back to log(sum exp(a)).  Each step is the same numpy ufunc, reducing
+    each contiguous row as scipy reduces it, so every value is scipy's bit
+    for bit.
     """
+    rows = np.atleast_2d(a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, keepdims=True)
-        is_max = a == a_max
-        m = np.sum(is_max, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), keepdims=True)
-        if s[0] != 0.0:
-            s /= m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out[0]):
-            out = np.log(np.sum(np.exp(a), keepdims=True))
-    return float(out[0])
+        a_max = np.max(rows, axis=-1, keepdims=True)
+        is_max = rows == a_max
+        m = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, rows) - a_max), axis=-1, keepdims=True)
+        np.divide(s, m, out=s, where=s != 0.0)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(rows[bad]), axis=-1))
+    return float(out[0]) if np.ndim(a) == 1 else out
 
 
 def system_error_bounds(blocks: list[int], e_r: list[float],
@@ -55,25 +58,26 @@ def system_error_bounds(blocks: list[int], e_r: list[float],
     `blocks` is the integer split of Q and `e_r`, `e_sp` the per-hop
     random-coding and sphere-packing exponents at the hops' rates.  The
     sphere-packing side drops the sub-exponential correction, so pe_lower
-    is an asymptotic (exponent-only) lower bound.
+    is an asymptotic (exponent-only) lower bound.  Both families' log-terms
+    -Q_n E_n form one 2 x N array, reduced by one `_logsumexp` pass whose
+    rows equal the per-family results bit for bit.
     """
     if not len(blocks) == len(e_r) == len(e_sp):
         raise ValueError("allocation and exponent list lengths differ")
     if not blocks:
         raise ValueError("need at least one hop")
     q_total = sum(blocks)
-    q_n = np.asarray(blocks, dtype=float)
-    log_terms_r = -q_n * np.asarray(e_r)
-    log_terms_sp = -q_n * np.asarray(e_sp)
-    lse_r = _logsumexp(log_terms_r)
-    lse_sp = _logsumexp(log_terms_sp)
+    log_terms = -np.asarray(blocks, dtype=float) * np.array([e_r, e_sp], dtype=float)
+    lse = _logsumexp(log_terms)
+    (pe_upper, pe_lower), (lse_r, lse_sp) = np.exp(lse).tolist(), lse.tolist()
+    per_hop_upper, per_hop_lower = np.exp(log_terms).tolist()
     return SystemBounds(
-        pe_upper=float(np.exp(lse_r)),
-        pe_lower=float(np.exp(lse_sp)),
+        pe_upper=pe_upper,
+        pe_lower=pe_lower,
         esys_lower=-lse_r / q_total,
         esys_upper=-lse_sp / q_total,
-        per_hop_pe_upper=np.exp(log_terms_r).tolist(),
-        per_hop_pe_lower=np.exp(log_terms_sp).tolist(),
+        per_hop_pe_upper=per_hop_upper,
+        per_hop_pe_lower=per_hop_lower,
         degenerate_hops=[i for i, (er, esp) in enumerate(zip(e_r, e_sp))
                          if er <= 0.0 or esp <= 0.0],
     )

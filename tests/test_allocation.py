@@ -1,5 +1,7 @@
+import heapq
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from hopbound import allocation
 from hopbound.allocation import (AllocationError, end_to_end_rate,
                                  info_continuous_log_m,
                                  information_continuous_blocks,
@@ -210,6 +213,55 @@ class TestReliabilityOptimal:
             blocks = reliability_optimal_blocks(exps, 1000)
             assert sum(blocks) == 1000 and min(blocks) >= 1
             assert best_single_exchange(blocks, exps) <= 1e-12
+
+    @staticmethod
+    def count_pushes(monkeypatch, budget):
+        """Count the greedy's heap pushes, failing once they exceed `budget`.
+
+        From the exact real optimum the floors lose less than one unit per
+        hop, so the fill makes fewer than N moves and the optimum lies within
+        a unit per hop of the floors: at most 2N initial pushes, 2 per fill
+        move and 4 per exchange, so 8N in all whatever Q is.  A walk of ~Q
+        one-unit moves exceeds the budget at once instead of hanging.
+        """
+        pushes = []
+
+        def counted_push(heap, item):
+            pushes.append(item)
+            if len(pushes) > budget:
+                raise AssertionError(f"more than {budget} heap pushes")
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(allocation, "heapq",
+                            types.SimpleNamespace(heappush=counted_push,
+                                                  heappop=heapq.heappop))
+        return pushes
+
+    @pytest.mark.parametrize("exps", [[0.508, 8.06e-25], [0.3, 0.5, 1e-20, 2.0],
+                                      [5e-324, 1.0]])
+    @pytest.mark.parametrize("q", [10 ** 5, 10 ** 6, 2 ** 53])
+    def test_greedy_moves_do_not_grow_with_the_budget(self, monkeypatch, exps, q):
+        # E = [0.508, 8.06e-25]: AWGN hops at 9 and 6 dB, hop 2 at (1 - 1e-12) C
+        self.count_pushes(monkeypatch, 8 * len(exps))
+        blocks = reliability_optimal_blocks(exps, q)
+        assert sum(blocks) == q and min(blocks) >= 1
+        assert best_single_exchange(blocks, exps) <= 1e-12
+        if exps == [0.508, 8.06e-25]:
+            # hop 1 keeps 108 units at any Q; at Q = 1e5 (0.8 s) and 1e6 (8.6 s)
+            # the one-unit walk from shares that lost their sum gave this split
+            assert blocks == [108, q - 108]
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_exps=st.lists(st.floats(-300.0, math.log10(30.0)), min_size=1, max_size=6),
+           log_q=st.floats(0.0, 53.0))
+    def test_greedy_moves_bounded_for_any_exponents_and_budget(self, log_exps, log_q):
+        exps = [10.0 ** x for x in log_exps]
+        q = max(len(exps), min(int(2.0 ** log_q), 2 ** 53))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.count_pushes(monkeypatch, 8 * len(exps))
+            blocks = reliability_optimal_blocks(exps, q)
+        assert sum(blocks) == q and min(blocks) >= 1
+        assert best_single_exchange(blocks, exps) <= 1e-12
 
     def test_rejects_budget_below_hops(self):
         with pytest.raises(AllocationError):

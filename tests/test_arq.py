@@ -549,6 +549,40 @@ class TestInvertedCandidates:
         assert peak < 64 * _INVERTED
 
 
+class TestCandidateCache:
+    """The cached inverted candidate lists equal the lists made afresh."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.sampled_from([1, 2, 3, 7]),
+           data=st.data())
+    def test_cached_lists_equal_fresh_ones(self, seed, n, data):
+        hop = data.draw(st.integers(0, n - 1))
+        cap = data.draw(st.sampled_from([2047, _INVERTED - 1]))
+        key = _splitmix64((seed + _GOLDEN) & _MASK64)
+        counters = (_UNMIXED - np.uint64(key)) * np.uint64(arq._GOLDEN_INV)
+        fresh = arq._listed_candidates(counters, cap, hop, n)
+        cached = arq._inverted_candidates(key, n, hop, cap)
+        assert arq._inverted_candidates(key, n, hop, cap) is cached
+        for got, want in zip(cached, fresh):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        trials, hashes = cached
+        assert np.all(trials[1:] > trials[:-1]) and np.all(hashes <= np.uint64(cap))
+        for i, x in list(zip(trials.tolist(), hashes.tolist()))[:50]:
+            assert _splitmix64((key + (i * n + hop + 1) * _GOLDEN) & _MASK64) == x
+
+    def test_only_two_caps_lie_below_the_cutoff(self):
+        # cap = (j << 11) | 2047, so the cache sees at most two caps per hop
+        probs = [5e-324, 1e-300, 1e-20, 1.1e-16, 2e-16]
+        assert {_candidate_cap(p) for p in probs} == {2047, _INVERTED - 1}
+
+    def test_cache_stays_bounded(self):
+        limit = arq._inverted_candidates.cache_info().maxsize
+        for seed in range(limit + 10):
+            simulate_latency(ArqChain([1e-300, 1e-20], [5, 7]), 10, seed)
+        assert arq._inverted_candidates.cache_info().currsize == limit
+
+
 class TestLatencyVariance:
     def test_closed_form_single_hop(self):
         # K geometric with success 1/2: Var(Q K) = Q^2 P / (1 - P)^2 = 200

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import warnings
 
 import mpmath
@@ -8,6 +10,13 @@ import pytest
 from hopbound.channel import (ChannelError, HopChannel, capacity, e0,
                               e0_awgn, e0_derivative, e0_dmc,
                               e0_terms)
+
+# each hop's last output is unreached where its column is zero
+CACHE_DMCS = [
+    ([[0.9, 0.1], [0.2, 0.8]], None),
+    ([[0.7, 0.3, 0.0], [0.1, 0.9, 0.0]], [0.25, 0.75]),
+    ([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]], [0.5, 0.0, 0.5]),
+]
 
 
 def bsc_e0_closed_form(rho, p):
@@ -188,6 +197,81 @@ class TestCapacity:
         p = 0.11
         expected = math.log(2.0) + p * math.log(p) + (1 - p) * math.log(1 - p)
         assert capacity(HopChannel.bsc(p)) == pytest.approx(expected, abs=1e-12)
+
+
+class TestDerivedConstants:
+    """The capacity and DMC tables a channel derives once equal a fresh
+    computation, and the dataclass behaves as one without them."""
+
+    @staticmethod
+    def fresh(ch):
+        if ch.kind == "awgn":
+            return float(np.log1p(ch.snr)), None, None
+        p, q = ch.transition, ch.input_dist
+        joint = q[:, None] * p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logratio = np.where(joint > 0, np.log(p / (q @ p)[None, :]), 0.0)
+        reached = p[:, joint.sum(axis=0) > 0]
+        return (float(np.sum(joint * logratio)), reached,
+                np.log(np.where(reached > 0, reached, 1.0)))
+
+    @pytest.mark.parametrize("transition,input_dist", CACHE_DMCS)
+    def test_dmc_constants_equal_a_fresh_computation(self, transition, input_dist):
+        ch = HopChannel.dmc(transition, input_dist)
+        cap, reached, log_reached = self.fresh(ch)
+        assert capacity(ch).hex() == cap.hex()
+        for cached, expected in ((ch._reached, reached), (ch._log_reached, log_reached)):
+            assert cached.tobytes() == expected.tobytes() and cached.shape == expected.shape
+            assert not cached.flags.writeable
+
+    def test_caller_arrays_cannot_drift_from_the_constants(self):
+        transition, input_dist = np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([0.3, 0.7])
+        ch = HopChannel.dmc(transition, input_dist)
+        transition[0], input_dist[:] = [0.5, 0.5], [0.5, 0.5]
+        assert ch.transition[0, 0] == 0.9 and ch.input_dist[0] == 0.3
+        assert capacity(ch) == self.fresh(ch)[0]
+        assert not (ch.transition.flags.writeable or ch.input_dist.flags.writeable)
+
+    @pytest.mark.parametrize("snr", [1e-3, 1.0, 10.0 ** 0.9, 1e4])
+    def test_awgn_capacity_equals_a_fresh_computation(self, snr):
+        assert capacity(HopChannel.awgn(snr)).hex() == float(np.log1p(snr)).hex()
+
+    def test_fields_repr_eq_and_hash_see_only_the_four_fields(self):
+        ch = HopChannel.awgn(2.0)
+        assert [f.name for f in dataclasses.fields(HopChannel)] == [
+            "kind", "snr", "transition", "input_dist"]
+        assert repr(ch) == "HopChannel(kind='awgn', snr=2.0)"
+        assert ch == HopChannel.awgn(2.0) and hash(ch) == hash(HopChannel.awgn(2.0))
+        assert ch != HopChannel.awgn(3.0)
+        dmc = HopChannel.dmc(*CACHE_DMCS[1])
+        assert repr(dmc) == "HopChannel(kind='dmc', snr=None)"
+        assert dmc == dmc
+        with pytest.raises(TypeError):
+            hash(dmc)  # the matrix fields are unhashable arrays
+
+    @pytest.mark.parametrize("ch", [HopChannel.awgn(10.0 ** 0.6),
+                                    HopChannel.dmc(*CACHE_DMCS[2])])
+    def test_pickle_round_trip_keeps_the_constants(self, ch):
+        back = pickle.loads(pickle.dumps(ch))
+        assert back.kind == ch.kind and back.snr == ch.snr
+        if ch.kind == "awgn":
+            assert back == ch and hash(back) == hash(ch)
+        else:
+            assert np.array_equal(back.transition, ch.transition)
+            assert np.array_equal(back.input_dist, ch.input_dist)
+        assert capacity(back) == capacity(ch) == self.fresh(back)[0]
+        assert e0_terms(back)(0.7) == e0_terms(ch)(0.7)
+
+    def test_replace_derives_the_constants_again(self):
+        ch = HopChannel.awgn(2.0)
+        assert capacity(dataclasses.replace(ch, snr=5.0)) == float(np.log1p(5.0))
+        assert dataclasses.replace(ch) == ch
+        dmc = HopChannel.dmc(*CACHE_DMCS[1])
+        assert dataclasses.replace(dmc) == dmc
+        other = dataclasses.replace(dmc, input_dist=np.array([0.5, 0.5]))
+        assert capacity(other) == self.fresh(other)[0] != capacity(dmc)
+        with pytest.raises(ChannelError):
+            dataclasses.replace(ch, snr=-1.0)
 
 
 class TestValidation:

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopbound.allocation import reliability_real_blocks
+from hopbound.allocation import (info_continuous_log_m, reliability_lagrange,
+                                 reliability_real_blocks)
 from hopbound.cli import main
 from hopbound.exponents import random_coding_exponent, sphere_packing_exponent
 from hopbound.scenario import Evaluation, ScenarioError, load_scenario
@@ -542,6 +543,88 @@ class TestSolveCounts:
         assert json.loads(out.read_text())["matches_centralized"] is True
         assert family_totals(solves) == (3, 3)
         assert set(solves.values()) == {1}
+
+
+class TestInterleavedMain:
+    """main() keeps no state between calls that changes what a call writes."""
+
+    @staticmethod
+    def argvs(tmp_path, out):
+        rc = write_scenario(tmp_path, "rc.json", hops=MIXED_HOPS)
+        sp = write_scenario(tmp_path, "sp.json", allocation_method="reliability_optimal_sp")
+        info = write_scenario(tmp_path, "info.json", allocation_method="info_continuous")
+        sweep = ["--rate-min", "0.01", "--rate-max", "0.6", "--rate-steps", "30"]
+        return [
+            ["exponent", "--snr-db", "3", *sweep, "--out", f"{out}/awgn.csv"],
+            ["allocate", "--scenario", rc, "--out", f"{out}/rc.json"],
+            ["latency", "--scenario", rc, "--trials", "3000", "--out", f"{out}/lat.json"],
+            ["exponent", "--snr-db", "3", "--rate-steps", "2"],  # usage error: exit 2
+            ["distributed", "--scenario", rc, "--out", f"{out}/dist.json"],
+            ["reproduce", "--figure", "fig3", "--out-dir", f"{out}/fig3"],
+            ["allocate", "--scenario", sp, "--out", f"{out}/sp.json"],
+            ["exponent", "--scenario", rc, "--hop", "1", *sweep, "--out", f"{out}/dmc.csv"],
+            ["allocate", "--scenario", info, "--out", f"{out}/info.json"],
+        ]
+
+    @staticmethod
+    def written(out):
+        return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def test_one_process_matches_separate_runs(self, tmp_path, capsys):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        separate = tmp_path / "separate"
+        separate.mkdir()
+        codes = []
+        for argv in self.argvs(tmp_path, separate):
+            proc = subprocess.run([sys.executable, "-c",
+                                   "import sys\nfrom hopbound.cli import main\n"
+                                   "sys.exit(main(sys.argv[1:]))\n", *argv],
+                                  env=env, capture_output=True, timeout=120)
+            codes.append(proc.returncode)
+        assert codes == [0, 0, 0, 2, 0, 0, 0, 0, 0]
+        expected = self.written(separate)
+        for run in ("first", "second"):  # twice, so every call follows every other
+            out = tmp_path / run
+            out.mkdir()
+            got = []
+            for argv in self.argvs(tmp_path, out):
+                try:
+                    got.append(main(argv))
+                except SystemExit as exc:
+                    got.append(exc.code)
+            assert got == codes
+            assert self.written(out) == expected
+
+
+class TestEvaluationShares:
+    """The real optima the CLI reports, as cached Evaluation properties."""
+
+    def test_properties_equal_the_allocation_formulas(self, tmp_path):
+        ev = Evaluation(load_scenario(write_scenario(tmp_path, hops=MIXED_HOPS)))
+        q = ev.scenario.total_q
+        assert ev.ln_m == info_continuous_log_m(ev.rates, q)
+        assert ev.lambda_r == reliability_lagrange(ev.e_r, q)
+        assert ev.lambda_sp == reliability_lagrange(ev.e_sp, q)
+        assert ev.shares_r == reliability_real_blocks(ev.e_r, q)
+        assert ev.shares_sp == reliability_real_blocks(ev.e_sp, q)
+        assert ev.balanced_shares is ev.shares_r
+        balance = [b * e - math.log(e) for b, e in zip(ev.shares_r, ev.e_r)]
+        assert ev.stationarity_residual == max(balance) - min(balance)
+
+    @pytest.mark.parametrize("method,family", [("reliability_optimal_sp", "sp"),
+                                               ("info_continuous", None),
+                                               ("manual", None)])
+    def test_balanced_family_follows_the_method(self, tmp_path, method, family):
+        manual = {"manual_blocks": [400, 600]} if method == "manual" else {}
+        ev = Evaluation(load_scenario(write_scenario(tmp_path, allocation_method=method,
+                                                     **manual)))
+        if family is None:
+            assert ev.balanced_shares is None and ev.stationarity_residual is None
+        else:
+            assert ev.balanced_shares is ev.shares_sp
+            assert "e_r" not in vars(ev)  # the other family is never solved
 
 
 class TestVerifyGrid:

@@ -6,12 +6,15 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopbound
 
 from hopbound.channel import ChannelError, HopChannel, capacity, e0_derivative
-from hopbound.exponents import (Regime, critical_rate, random_coding_exponent,
-                                sphere_packing_exponent)
+from hopbound import exponents
+from hopbound.exponents import (Regime, critical_rate, exponent_pair,
+                                random_coding_exponent, sphere_packing_exponent)
 from hopbound.oracle import GridSpec, grid_max_exponent
 
 SNR1 = HopChannel.awgn(1.0)
@@ -91,6 +94,70 @@ class TestSpherePacking:
     def test_zero_at_capacity(self):
         res = sphere_packing_exponent(math.log(2.0), SNR1)
         assert res.exponent == 0.0
+
+
+def _outcome(solve, rate, ch):
+    try:
+        return solve(rate, ch)
+    except ChannelError as exc:
+        return str(exc)
+
+
+def _separate_solves(rate, ch):
+    return random_coding_exponent(rate, ch), sphere_packing_exponent(rate, ch)
+
+
+def _pair_rates(ch, fractions):
+    """0, R_crit and its neighbouring doubles, C, 1.01 C and fractions of C."""
+    cap, r_crit = capacity(ch), critical_rate(ch)
+    return [0.0, r_crit, math.nextafter(r_crit, -math.inf), math.nextafter(r_crit, math.inf),
+            cap, 1.01 * cap] + [f * cap for f in fractions]
+
+
+_FRACTIONS = st.lists(st.floats(1e-6, 1.0), max_size=6)
+
+
+class TestExponentPair:
+    """exponent_pair gives the two solvers' results (or errors), solving SP
+    only below the critical rate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(snr_db=st.floats(-10.0, 40.0), fractions=_FRACTIONS)
+    def test_awgn_equals_separate_solves(self, snr_db, fractions):
+        ch = HopChannel.awgn(10.0 ** (snr_db / 10.0))
+        for rate in _pair_rates(ch, fractions):
+            assert _outcome(exponent_pair, rate, ch) == _outcome(_separate_solves, rate, ch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+           fractions=_FRACTIONS)
+    def test_dmc_equals_separate_solves(self, size, seed, fractions):
+        rng = np.random.default_rng(seed)
+        transition = rng.dirichlet(np.full(size, 0.5), size=size)
+        ch = HopChannel.dmc(transition, rng.dirichlet(np.ones(size)))
+        for rate in _pair_rates(ch, fractions):
+            assert _outcome(exponent_pair, rate, ch) == _outcome(_separate_solves, rate, ch)
+
+    def test_rate_zero_raises_the_sphere_packing_error(self):
+        with pytest.raises(ChannelError, match="rate must be positive for sphere packing"):
+            exponent_pair(0.0, SNR1)
+        with pytest.raises(ChannelError, match="rate must be nonnegative"):
+            exponent_pair(-1.0, SNR1)
+
+    def test_solves_sphere_packing_only_below_the_critical_rate(self, monkeypatch):
+        sp_rates = []
+
+        def counted(rate, ch):
+            sp_rates.append(rate)
+            return sphere_packing_exponent(rate, ch)
+
+        monkeypatch.setattr(exponents, "sphere_packing_exponent", counted)
+        r_crit = critical_rate(SNR1)
+        rates = [0.05, math.nextafter(r_crit, 0.0), r_crit, 0.3, math.log(2.0), 1.0]
+        pairs = [exponent_pair(r, SNR1) for r in rates]
+        assert sp_rates == rates[:2]
+        assert [rc.regime for rc, _ in pairs] == [Regime.RHO_CLAMPED_AT_ONE] * 2 + [
+            Regime.PARAMETRIC_INTERIOR] * 2 + [Regime.ZERO_ABOVE_CAPACITY] * 2
 
 
 def _run_python(args, timeout):

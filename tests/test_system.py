@@ -159,6 +159,54 @@ class TestLogSumExp:
             assert esys.hex() == (-lse / sum(blocks)).hex()
 
 
+@st.composite
+def _stacked_families(draw):
+    """(blocks, e_r, e_sp) on 1 to 1000 hops; one family, chosen at random,
+    may hold +-inf or nan exponents or exponents tied at the largest term."""
+    n = draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = rng.integers(1, 10 ** 6, n).tolist()
+    families = [(10.0 ** rng.uniform(-6.0, 1.5, n)).tolist() for _ in range(2)]
+    odd = families[draw(st.integers(0, 1))]
+    twist = draw(st.sampled_from(["none", "inf", "-inf", "nan", "ties"]))
+    if twist == "ties":
+        # equal products Q_n E_n, the largest log-term, on up to all hops
+        for i in rng.choice(n, draw(st.integers(1, n)), replace=False):
+            blocks[i], odd[i] = 1000, 1e-6
+    elif twist != "none":
+        for i in rng.choice(n, draw(st.integers(1, min(n, 3))), replace=False):
+            odd[i] = float(twist)
+    return blocks, *families
+
+
+class TestStackedBounds:
+    """One 2 x N log-sum-exp pass gives each family's scipy result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_stacked_families())
+    def test_each_family_equals_scipy(self, case):
+        blocks, e_r, e_sp = case
+        bounds = system_error_bounds(blocks, e_r, e_sp)
+        q_n = np.asarray(blocks, dtype=float)
+        for exps, pe, esys, per_hop in (
+                (e_r, bounds.pe_upper, bounds.esys_lower, bounds.per_hop_pe_upper),
+                (e_sp, bounds.pe_lower, bounds.esys_upper, bounds.per_hop_pe_lower)):
+            terms = -q_n * np.asarray(exps)
+            lse = float(logsumexp(terms))
+            assert _logsumexp(terms).hex() == lse.hex()
+            assert esys.hex() == (-lse / sum(blocks)).hex()
+            assert pe.hex() == float(np.exp(lse)).hex()
+            assert [x.hex() for x in per_hop] == [x.hex() for x in np.exp(terms).tolist()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_stacked_families())
+    def test_rows_equal_the_one_dimensional_form(self, case):
+        blocks, e_r, e_sp = case
+        rows = -np.asarray(blocks, dtype=float) * np.array([e_r, e_sp])
+        assert [x.hex() for x in _logsumexp(rows).tolist()] == [
+            _logsumexp(rows[0]).hex(), _logsumexp(rows[1]).hex()]
+
+
 class TestEndToEndRate:
     def test_bottleneck(self):
         assert end_to_end_rate([10, 20], [2.0, 1.0]) == pytest.approx(20.0 / 30.0, abs=1e-12)
