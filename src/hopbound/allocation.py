@@ -152,6 +152,10 @@ def _pivot_real_blocks(exponents: list[float], q_total: int) -> list[float]:
     delta = E_p Q_p.  No sum cancels and nothing divides by E_p, so the
     shares keep their sum Q where ln E_n - lambda loses it, next to an
     exponent of 1e-24 or even 5e-324.
+
+    When sum g_m / E_m overflows, which takes exponents below ~1e-308, Q_p
+    is below -1e308 and the pivot's hops (those of exponent E_p) are the
+    ones to pin: their shares are -inf, every other share +inf.
     """
     if any(e <= 0 for e in exponents):
         raise AllocationError("all exponents must be positive (rate below capacity)")
@@ -163,6 +167,8 @@ def _pivot_real_blocks(exponents: list[float], q_total: int) -> list[float]:
     for g, e in zip(gaps, exponents):
         weight_sum += pivot / e
         gap_sum += g / e
+    if gap_sum == math.inf:
+        return [-math.inf if e == pivot else math.inf for e in exponents]
     q_pivot = (q_total - gap_sum) / weight_sum
     return [g / e + (pivot / e) * q_pivot for g, e in zip(gaps, exponents)]
 

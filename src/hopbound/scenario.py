@@ -20,8 +20,9 @@ from .allocation import (AllocationError, Method, end_to_end_rate, info_continuo
                          reliability_lagrange, reliability_optimal_blocks,
                          reliability_real_blocks)
 from .arq import ArqChain, arq_chains, latency_bounds
-from .channel import HopChannel, capacity
-from .exponents import random_coding_exponent, sphere_packing_exponent
+from .channel import ChannelError, HopChannel, capacity
+from .exponents import (ARRAY_MIN_HOPS, awgn_exponents, random_coding_exponent,
+                        sphere_packing_exponent)
 from .system import SystemBounds, system_error_bounds
 
 __all__ = ["ScenarioError", "Scenario", "Evaluation", "load_scenario", "build_allocation"]
@@ -112,14 +113,34 @@ class Evaluation:
     @cached_property
     def e_r(self) -> list[float]:
         """Random-coding exponent of each hop at its rate."""
-        return [random_coding_exponent(r, ch).exponent
-                for r, ch in zip(self.rates, self.scenario.hops)]
+        return self._exponents("r")
 
     @cached_property
     def e_sp(self) -> list[float]:
         """Sphere-packing exponent of each hop at its rate."""
-        return [sphere_packing_exponent(r, ch).exponent
-                for r, ch in zip(self.rates, self.scenario.hops)]
+        return self._exponents("sp")
+
+    def _exponents(self, family: str) -> list[float]:
+        """Exponent of `family` ("r" or "sp") of each hop at its rate.
+
+        With at least ARRAY_MIN_HOPS AWGN hops, those are solved together by
+        `awgn_exponents`; the other hops, and every hop of a smaller
+        evaluation, by the per-hop solver.  Both give the same floats.  On an
+        invalid rate every hop takes the per-hop solver, in hop order, so the
+        error raised is the first failing hop's.
+        """
+        solve = random_coding_exponent if family == "r" else sphere_packing_exponent
+        hops, rates = self.scenario.hops, self.rates
+        awgn = [i for i, ch in enumerate(hops) if ch.kind == "awgn"]
+        solved = {}
+        if len(awgn) >= ARRAY_MIN_HOPS:
+            try:
+                exps = awgn_exponents([rates[i] for i in awgn], [hops[i] for i in awgn], family)[0]
+                solved = dict(zip(awgn, exps.tolist()))
+            except ChannelError:
+                pass  # the per-hop solves below raise the first failing hop's error
+        return [solved[i] if i in solved else solve(r, ch).exponent
+                for i, (r, ch) in enumerate(zip(rates, hops))]
 
     @property
     def balanced_exponents(self) -> list[float] | None:

@@ -263,6 +263,27 @@ class TestReliabilityOptimal:
         assert sum(blocks) == q and min(blocks) >= 1
         assert best_single_exchange(blocks, exps) <= 1e-12
 
+    @pytest.mark.parametrize("exps,split", [([1e-310, 2e-310], [1, 9]),
+                                            ([5e-324, 1e-323, 1.0], [1, 1, 8])])
+    def test_overflowing_gap_sum_pins_the_pivot(self, monkeypatch, exps, split):
+        # g_m / E_m overflows to inf here; the pivot hop is pinned and the rest re-solved
+        self.count_pushes(monkeypatch, 8 * len(exps))
+        blocks = reliability_optimal_blocks(exps, 10)
+        assert blocks == split
+        assert best_single_exchange(blocks, exps) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_exps=st.lists(st.floats(math.log10(5e-324), -300.0), min_size=2, max_size=6),
+           log_q=st.floats(0.0, 53.0))
+    def test_greedy_moves_bounded_for_subnormal_exponents(self, log_exps, log_q):
+        exps = [max(10.0 ** x, 5e-324) for x in log_exps]
+        q = max(len(exps), min(int(2.0 ** log_q), 2 ** 53))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.count_pushes(monkeypatch, 8 * len(exps))
+            blocks = reliability_optimal_blocks(exps, q)
+        assert sum(blocks) == q and min(blocks) >= 1
+        assert best_single_exchange(blocks, exps) <= 1e-12
+
     def test_rejects_budget_below_hops(self):
         with pytest.raises(AllocationError):
             reliability_optimal_blocks([0.2, 0.1, 0.3], 2)

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 from hopbound.allocation import (info_continuous_log_m, reliability_lagrange,
                                  reliability_real_blocks)
+from hopbound import scenario
+from hopbound.channel import ChannelError
 from hopbound.cli import main
-from hopbound.exponents import random_coding_exponent, sphere_packing_exponent
+from hopbound.exponents import (ARRAY_MIN_HOPS, awgn_exponents, random_coding_exponent,
+                                sphere_packing_exponent)
 from hopbound.scenario import Evaluation, ScenarioError, load_scenario
 
 
@@ -457,6 +460,105 @@ class TestReproduceCommand:
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in (tmp_path / "out").iterdir()}
         assert written == {**self.PINNED["fig3"], **self.PINNED["fig4"]}
+
+
+GOLDEN = 0.6180339887498949
+
+
+def chain_doc(kinds, method="reliability_optimal_rc"):
+    """A chain with one hop per entry of `kinds` ("awgn" or "dmc"), at SNRs in
+    [0, 15) dB or BSC crossovers in [0.01, 0.11) from the golden-ratio
+    sequence k * 0.618... mod 1, so it needs no random stream."""
+    hops = []
+    for k, kind in enumerate(kinds):
+        frac = k * GOLDEN % 1.0
+        if kind == "awgn":
+            hops.append({"type": "awgn", "snr_db": 15.0 * frac})
+        else:
+            p = 0.01 + 0.1 * frac
+            hops.append({"type": "dmc", "transition": [[1.0 - p, p], [p, 1.0 - p]]})
+    return dict(BASE_DOC, total_q=1000 * len(kinds), hops=hops, allocation_method=method)
+
+
+LONG_CHAINS = {"awgn300": ["awgn"] * 300,
+               # 96 AWGN hops, at least ARRAY_MIN_HOPS, and a BSC every fifth hop
+               "mixed120": ["dmc" if k % 5 == 4 else "awgn" for k in range(120)]}
+
+
+class TestLongChainPins:
+    # SHA-256 of what each command writes on chains whose AWGN hops take the
+    # array solve, recorded when every hop took the per-hop solve
+    PINNED = {
+        ("awgn300", "allocate_rc"):
+            "956876c83a6e795e15f9bf5b8489f33edad7ea22a193abd1cc83cd443b2a196d",
+        ("awgn300", "allocate_sp"):
+            "cb8a98c92cbfedbdad6f3bd931bff00182329ab1270efa6eb86e7cfd07e4ac53",
+        ("awgn300", "distributed"):
+            "b71030a51a35d4ff1e95956b034ef4aa37af5682a2a493f36b563f8c0f318603",
+        ("awgn300", "latency"):
+            "dec8745770b5e4835dab11c1f986ee2efd2e907225b745a48947fd59aee6d9e6",
+        ("mixed120", "allocate_rc"):
+            "fad8b1b36fa2c26301f923af0ddb3ef3ee1cce8ab3371daece37ff1737527539",
+        ("mixed120", "allocate_sp"):
+            "ca617c0e3bbd5bdfc7e5e466869a3a15ade58cc4ebf2a11d7311685fb7c40353",
+        ("mixed120", "distributed"):
+            "52b01d252d62addaafa096f3736f481d30987c58be5d57d17844b7d0714198cb",
+        ("mixed120", "latency"):
+            "5e69f86db1c95b34ec0dc83543a27eccdae65b5a85c203e0c3e9f1502c236b63",
+    }
+
+    @pytest.mark.parametrize("chain,command", sorted(PINNED))
+    def test_output_bytes_pinned(self, tmp_path, chain, command):
+        method = "reliability_optimal_sp" if command == "allocate_sp" else "reliability_optimal_rc"
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(LONG_CHAINS[chain], method)))
+        argv = {"allocate_rc": ["allocate"], "allocate_sp": ["allocate"],
+                "distributed": ["distributed"],
+                "latency": ["latency", "--trials", "10000"]}[command]
+        out = tmp_path / "out.json"
+        assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[chain, command]
+
+
+class TestEvaluationExponentPaths:
+    """Evaluation.e_r / e_sp equal the per-hop solves on both sides of ARRAY_MIN_HOPS."""
+
+    @staticmethod
+    def evaluate(tmp_path, kinds, monkeypatch):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(kinds)))
+        ev = Evaluation(load_scenario(str(path)))
+        array_calls = []
+
+        def counted(rates, channels, family):
+            array_calls.append((len(channels), family))
+            return awgn_exponents(rates, channels, family)
+        monkeypatch.setattr(scenario, "awgn_exponents", counted)
+        return ev, array_calls
+
+    @pytest.mark.parametrize("kinds,array_hops", [
+        (["awgn"] * (ARRAY_MIN_HOPS - 1), None),
+        (["awgn"] * ARRAY_MIN_HOPS, ARRAY_MIN_HOPS),
+        (LONG_CHAINS["mixed120"], 96)])
+    def test_equal_to_per_hop_solves(self, tmp_path, monkeypatch, kinds, array_hops):
+        ev, array_calls = self.evaluate(tmp_path, kinds, monkeypatch)
+        hops, rates = ev.scenario.hops, ev.rates
+        assert ev.e_r == [random_coding_exponent(r, ch).exponent for r, ch in zip(rates, hops)]
+        assert ev.e_sp == [sphere_packing_exponent(r, ch).exponent
+                           for r, ch in zip(rates, hops)]
+        expected = [] if array_hops is None else [(array_hops, "r"), (array_hops, "sp")]
+        assert array_calls == expected
+
+    def test_invalid_rate_raises_the_first_hops_error(self, tmp_path, monkeypatch):
+        # SP rejects the zero rate on the BSC at hop 4 first; RC accepts it and
+        # rejects the negative rate on AWGN hop 50, which the array solve sees first
+        ev, _ = self.evaluate(tmp_path, LONG_CHAINS["mixed120"], monkeypatch)
+        ev.rates = list(ev.rates)
+        ev.rates[4], ev.rates[50] = 0.0, -1.0
+        with pytest.raises(ChannelError, match="got 0.0$"):
+            ev.e_sp
+        with pytest.raises(ChannelError, match="got -1.0$"):
+            ev.e_r
 
 
 class TestDistributedCommand:

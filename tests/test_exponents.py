@@ -13,8 +13,9 @@ import hopbound
 
 from hopbound.channel import ChannelError, HopChannel, capacity, e0_derivative
 from hopbound import exponents
-from hopbound.exponents import (Regime, critical_rate, exponent_pair,
-                                random_coding_exponent, sphere_packing_exponent)
+from hopbound.exponents import (ARRAY_MIN_HOPS, Regime, awgn_exponents, critical_rate,
+                                exponent_pair, random_coding_exponent,
+                                sphere_packing_exponent)
 from hopbound.oracle import GridSpec, grid_max_exponent
 
 SNR1 = HopChannel.awgn(1.0)
@@ -158,6 +159,78 @@ class TestExponentPair:
         assert sp_rates == rates[:2]
         assert [rc.regime for rc, _ in pairs] == [Regime.RHO_CLAMPED_AT_ONE] * 2 + [
             Regime.PARAMETRIC_INTERIOR] * 2 + [Regime.ZERO_ABOVE_CAPACITY] * 2
+
+
+def _batch_rates(rng, chs):
+    """Per hop, one of 5e-324, 1e-300, 1e-9 C, R_crit and its neighbouring
+    doubles, (1 - 1e-12) C, C, 1.01 C, or a uniform fraction of C."""
+    rates = []
+    for kind, ch in zip(rng.integers(0, 10, len(chs)).tolist(), chs):
+        cap = capacity(ch)
+        if 3 <= kind <= 5:
+            r_crit = critical_rate(ch)
+            rates.append([math.nextafter(r_crit, 0.0), r_crit,
+                          math.nextafter(r_crit, math.inf)][kind - 3])
+        else:
+            rates.append({0: 5e-324, 1: 1e-300, 2: 1e-9 * cap, 6: (1.0 - 1e-12) * cap,
+                          7: cap, 8: 1.01 * cap}.get(kind, float(rng.uniform()) * cap))
+    return rates
+
+
+_INVALID_RATES = (math.nan, -math.inf, -1.0, -5e-324, -0.0, 0.0)
+
+
+class TestAwgnExponents:
+    """awgn_exponents equals the per-hop solves bit for bit, errors included."""
+
+    @staticmethod
+    def assert_equals_per_hop_solves(rates, chs, family):
+        solve = random_coding_exponent if family == "r" else sphere_packing_exponent
+        try:
+            expected = [solve(r, ch) for r, ch in zip(rates, chs)]
+        except ChannelError as exc:
+            with pytest.raises(ChannelError) as raised:
+                awgn_exponents(rates, chs, family)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            return None
+        exponent, rho_star, regime = awgn_exponents(rates, chs, family)
+        # bitwise, so NaN payloads and signed zeros count too
+        assert exponent.tobytes() == np.array([r.exponent for r in expected]).tobytes()
+        assert rho_star.tobytes() == np.array([r.rho_star for r in expected]).tobytes()
+        assert regime.tolist() == [r.regime for r in expected]
+        return set(regime.tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([1, ARRAY_MIN_HOPS - 1, ARRAY_MIN_HOPS, 1000]),
+           seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(["r", "sp"]),
+           invalid=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                      st.sampled_from(_INVALID_RATES)), max_size=2))
+    def test_equals_per_hop_solves(self, size, seed, family, invalid):
+        rng = np.random.default_rng(seed)
+        chs = [HopChannel.awgn(10.0 ** (x / 10.0)) for x in rng.uniform(-10.0, 40.0, size)]
+        rates = _batch_rates(rng, chs)
+        for where, bad in invalid:
+            rates[int(where * size)] = bad
+        self.assert_equals_per_hop_solves(rates, chs, family)
+
+    def test_reaches_every_regime(self):
+        rng = np.random.default_rng(0)
+        chs = [HopChannel.awgn(10.0 ** (x / 10.0)) for x in np.linspace(-10.0, 40.0, 400)]
+        rates = _batch_rates(rng, chs)
+        assert self.assert_equals_per_hop_solves(rates, chs, "r") == {
+            Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CLAMPED_AT_ONE, Regime.PARAMETRIC_INTERIOR}
+        assert self.assert_equals_per_hop_solves(rates, chs, "sp") == {
+            Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CAPPED, Regime.PARAMETRIC_INTERIOR}
+
+    def test_empty_batch(self):
+        exponent, rho_star, regime = awgn_exponents([], [], "sp")
+        assert exponent.size == rho_star.size == regime.size == 0
+
+    def test_rejects_dmc_hops_and_unknown_families(self):
+        with pytest.raises(ChannelError, match="AWGN"):
+            awgn_exponents([0.1, 0.1], [SNR1, HopChannel.bsc(0.1)], "r")
+        with pytest.raises(ValueError, match="family"):
+            awgn_exponents([0.1], [SNR1], "rc")
 
 
 def _run_python(args, timeout):
