@@ -6,12 +6,14 @@ the log domain from the real optimum, and information-continuous
 (common codeword count M), which at rates R_n = I_n recovers the
 capacity-optimal time sharing of `network_capacity`.
 
-Sums over hops are accumulated left-to-right with plain floats so the
-distributed protocol can reproduce them bit-exactly.
+The real error-balancing optimum is one left-to-right fold of
+`balance_step` over the hops; the distributed protocol runs the same fold
+node by node, so it reproduces the central results bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
@@ -20,6 +22,9 @@ __all__ = [
     "Method",
     "end_to_end_rate",
     "network_capacity",
+    "balance_lagrange",
+    "balance_share",
+    "balance_step",
     "reliability_lagrange",
     "reliability_real_blocks",
     "reliability_optimal_blocks",
@@ -121,68 +126,81 @@ def _greedy_integer_blocks(blocks: list[int], exponents: list[float],
         move(loss[1], -1)
 
 
+def balance_step(frame: tuple | None, e: float) -> tuple:
+    """The error-balancing frame of the hops so far (`None` if none) plus a hop
+    of exponent `e`.
+
+    A frame is (E_p, ln E_p, W, D): the smallest exponent so far, its log,
+    W = sum_m w_m and D = sum_m w_m g_m, with weights w_m = E_p / E_m <= 1
+    and gaps g_m = ln E_m - ln E_p >= 0.  A smaller `e` becomes the pivot:
+    each gap grows by ln E_p - ln e and each weight shrinks by e / E_p.  No
+    sum cancels or overflows: W <= N, and D <= N exp(-1) as w g = w ln(1 / w).
+    """
+    log_e = math.log(e)
+    if frame is None:
+        return (e, log_e, 1.0, 0.0)
+    pivot, log_pivot, weight, gap = frame
+    if e < pivot:
+        shrink = e / pivot
+        return (e, log_e, weight * shrink + 1.0, (gap + (log_pivot - log_e) * weight) * shrink)
+    w = pivot / e
+    return (pivot, log_pivot, weight + w, gap + w * (log_e - log_pivot))
+
+
+def balance_share(e: float, frame: tuple, q_total: int) -> float:
+    """Real error-balancing share of Q of the hop of exponent `e` in `frame`.
+
+    Q_n = g_n / E_n + w_n Q_p with the pivot's share Q_p = (Q - D / E_p) / W:
+    Q_n = (ln E_n - lambda) / E_n without its cancellation, so the shares
+    keep their sum Q at any normal exponent; a subnormal pivot makes the
+    weights and D subnormal, and the sum only approximate.  Where D / E_p
+    overflows, Q_p is below -1e308 and the pivot's hops, the ones to pin,
+    get -inf and every other hop +inf.
+    """
+    pivot, log_pivot, weight, gap = frame
+    excess = gap / pivot
+    if excess == math.inf:
+        return -math.inf if e == pivot else math.inf
+    return (math.log(e) - log_pivot) / e + (pivot / e) * ((q_total - excess) / weight)
+
+
+def balance_lagrange(frame: tuple, q_total: int) -> float:
+    """lambda = ln E_p - (E_p Q - D) / W, with Q_n E_n - ln E_n = -lambda on every
+    hop at the shares of `balance_share`; finite where those overflow."""
+    pivot, log_pivot, weight, gap = frame
+    return log_pivot - (pivot * q_total - gap) / weight
+
+
+def _balance_frame(exponents: list[float]) -> tuple:
+    if not exponents or any(e <= 0 for e in exponents):
+        raise AllocationError("need one or more exponents, all positive (rate below capacity)")
+    return functools.reduce(balance_step, exponents, None)
+
+
 def reliability_lagrange(exponents: list[float], q_total: int) -> float:
     """Lagrange multiplier of the error-balancing allocation."""
-    if any(e <= 0 for e in exponents):
-        raise AllocationError("all exponents must be positive (rate below capacity)")
-    inv_sum = 0.0
-    logexp_sum = 0.0
-    for e in exponents:
-        inv_sum += 1.0 / e
-    for e in exponents:
-        logexp_sum += math.log(e) / e
-    return (logexp_sum - q_total) / inv_sum
+    return balance_lagrange(_balance_frame(exponents), q_total)
 
 
 def reliability_real_blocks(exponents: list[float], q_total: int) -> list[float]:
-    """Real-valued error-balancing optimum: Q_n = (ln E_n - lambda) / E_n.
-
-    At this point Q_n*E_n - ln(E_n) is the same on every hop.
-    """
-    lam = reliability_lagrange(exponents, q_total)
-    return [(math.log(e) - lam) / e for e in exponents]
-
-
-def _pivot_real_blocks(exponents: list[float], q_total: int) -> list[float]:
-    """`reliability_real_blocks` in the frame of the smallest exponent E_p.
-
-    With gaps g_n = ln E_n - ln E_p >= 0 and weights w_n = E_p / E_n in
-    (0, 1], the pivot's share is Q_p = (Q - sum_m g_m / E_m) / sum_m w_m and
-    Q_n = g_n / E_n + w_n Q_p; that is Q_n = (g_n + delta) / E_n with
-    delta = E_p Q_p.  No sum cancels and nothing divides by E_p, so the
-    shares keep their sum Q where ln E_n - lambda loses it, next to an
-    exponent of 1e-24 or even 5e-324.
-
-    When sum g_m / E_m overflows, which takes exponents below ~1e-308, Q_p
-    is below -1e308 and the pivot's hops (those of exponent E_p) are the
-    ones to pin: their shares are -inf, every other share +inf.
-    """
-    if any(e <= 0 for e in exponents):
-        raise AllocationError("all exponents must be positive (rate below capacity)")
-    pivot = min(exponents)
-    log_pivot = math.log(pivot)
-    gaps = [math.log(e) - log_pivot for e in exponents]
-    weight_sum = 0.0
-    gap_sum = 0.0
-    for g, e in zip(gaps, exponents):
-        weight_sum += pivot / e
-        gap_sum += g / e
-    if gap_sum == math.inf:
-        return [-math.inf if e == pivot else math.inf for e in exponents]
-    q_pivot = (q_total - gap_sum) / weight_sum
-    return [g / e + (pivot / e) * q_pivot for g, e in zip(gaps, exponents)]
+    """Real-valued error-balancing optimum: Q_n*E_n - ln(E_n) is the same on every hop."""
+    frame = _balance_frame(exponents)
+    return [balance_share(e, frame, q_total) for e in exponents]
 
 
 def reliability_optimal_blocks(exponents: list[float], q_total: int) -> list[int]:
     """Integer blocklengths minimizing sum(exp(-Q_n E_n)) under sum(Q_n) = Q, Q_n >= 1.
 
-    Starts from the floored real optimum under Q_n >= 1, in the pivot frame
-    of `_pivot_real_blocks`, so the floors sum to within N of Q for any Q up
-    to 2**53, and runs the greedy marginal allocation.  It stops only when
-    no one-unit exchange lowers the objective (compared in the log domain),
-    which for this separable convex objective makes the result exactly
-    optimal among integer splits; only strict improvements move, so splits
-    of equal cost keep the starting rounding.  Feasible whenever Q >= N.
+    Starts from the floored real optimum under Q_n >= 1, whose shares keep
+    their sum Q, so the floors sum to within N of Q for any Q up to 2**53,
+    and runs the greedy marginal allocation.  It stops only when no one-unit
+    exchange lowers the objective (compared in the log domain), which for
+    this separable convex objective makes the split optimal among integer
+    splits up to float rounding: no one-unit exchange lowers the
+    log-objective by more than 1e-12 of its log terms.  Above Q ~ 1e15 the
+    split may be the worse of two neighbours less than 4e-31 apart in
+    log-objective.  Only strict improvements move, so splits of equal cost
+    keep the starting rounding.  Feasible whenever Q >= N.
     """
     n = len(exponents)
     if q_total < n:
@@ -190,10 +208,10 @@ def reliability_optimal_blocks(exponents: list[float], q_total: int) -> list[int
     # pin hops whose real share is below 1 at 1 and re-balance the rest (each
     # pass raises the common level), so the floors do not overshoot Q; the
     # cap leaves one unit for every other hop
-    free, shares = list(range(n)), _pivot_real_blocks(exponents, q_total)
+    free, shares = list(range(n)), reliability_real_blocks(exponents, q_total)
     while any(v < 1.0 for v in shares) and any(v >= 1.0 for v in shares):
         free = [i for i, v in zip(free, shares) if v >= 1.0]
-        shares = _pivot_real_blocks([exponents[i] for i in free], q_total - n + len(free))
+        shares = reliability_real_blocks([exponents[i] for i in free], q_total - n + len(free))
     start = [1] * n
     for i, v in zip(free, shares):
         start[i] = min(max(math.floor(v), 1), q_total - n + 1)

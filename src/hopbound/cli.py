@@ -225,8 +225,6 @@ def cmd_distributed(args) -> int:
                                                      exponents=list(zip(ev.e_r, ev.e_sp)))
     matches = (
         constants.ln_m == ev.ln_m
-        and constants.lambda_r == ev.lambda_r
-        and constants.lambda_sp == ev.lambda_sp
         and all(node["q_reliability_rc"] == ev.shares_r[i]
                 and node["q_reliability_sp"] == ev.shares_sp[i]
                 and node["q_info_continuous"] == math.floor(ev.ln_m / rates[i])

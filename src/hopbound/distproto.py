@@ -1,9 +1,12 @@
 """Distributed computation of allocation constants over the linear chain.
 
-A single metric message walks the chain, each node adding its local link
-costs (1/R_n plus the exponent-based metrics); one end node computes ln M
-and the Lagrange constants and broadcasts them back, after which every
-node derives its own blocklength from local state only.
+A single metric message walks the chain: each node adds 1/R_n for its rate
+and folds its RC and SP exponents into the message's error-balancing frames
+with `allocation.balance_step`.  The end node computes ln M and broadcasts
+it with Q and the two frames, after which every node derives its own
+blocklengths from the broadcast and local state only, with
+`allocation.balance_share`.  The central results are the same fold and the
+same share, so both agree bit for bit.
 
 This is an in-process simulation with a deterministic schedule; its point
 is verifying information locality and message complexity, not networking.
@@ -13,9 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .allocation import AllocationError
+from .allocation import AllocationError, balance_lagrange, balance_share, balance_step
 from .channel import HopChannel
 from .exponents import random_coding_exponent, sphere_packing_exponent
 
@@ -23,29 +26,20 @@ __all__ = [
     "MetricMessage",
     "BroadcastConstants",
     "NodeState",
-    "METRIC_NAMES",
     "forward_pass",
     "compute_and_broadcast",
     "run_distributed_allocation",
 ]
 
-METRIC_NAMES = (
-    "inv_rate",
-    "inv_exp_rc",
-    "inv_exp_sp",
-    "logexp_over_exp_rc",
-    "logexp_over_exp_sp",
-)
-
 
 @dataclass
 class MetricMessage:
-    hop_index: int  # highest hop whose costs are accumulated (1-based)
-    accumulators: dict[str, float]
+    """What the forward pass carries: sum(1/R_n) and the RC and SP frames
+    of `balance_step`, over the hops so far."""
 
-    @classmethod
-    def empty(cls) -> "MetricMessage":
-        return cls(hop_index=0, accumulators={name: 0.0 for name in METRIC_NAMES})
+    inv_rate: float = 0.0
+    frame_rc: tuple | None = None
+    frame_sp: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -53,6 +47,9 @@ class BroadcastConstants:
     ln_m: float
     lambda_r: float
     lambda_sp: float
+    q_total: int
+    frame_rc: tuple
+    frame_sp: tuple
 
 
 @dataclass
@@ -65,7 +62,8 @@ class NodeState:
     # (E_r, E_sp) at the local rate; the forward pass solves them if not given
     local_exponents: tuple[float, float] | None = None
 
-    def local_metrics(self, hop_index: int) -> dict[str, float]:
+    def fold_into(self, msg: MetricMessage, hop_index: int) -> None:
+        """Add this hop's costs to the message, in place."""
         if self.local_exponents is None:
             self.local_exponents = (
                 random_coding_exponent(self.local_rate, self.local_channel).exponent,
@@ -73,13 +71,9 @@ class NodeState:
         e_r, e_sp = self.local_exponents
         if e_r <= 0.0 or e_sp <= 0.0:
             raise AllocationError(f"hop {hop_index} has zero exponent (rate at/above capacity)")
-        return {
-            "inv_rate": 1.0 / self.local_rate,
-            "inv_exp_rc": 1.0 / e_r,
-            "inv_exp_sp": 1.0 / e_sp,
-            "logexp_over_exp_rc": math.log(e_r) / e_r,
-            "logexp_over_exp_sp": math.log(e_sp) / e_sp,
-        }
+        msg.inv_rate += 1.0 / self.local_rate
+        msg.frame_rc = balance_step(msg.frame_rc, e_r)
+        msg.frame_sp = balance_step(msg.frame_sp, e_sp)
 
     def derive_blocks(self) -> dict[str, float]:
         """Per-node blocklengths from the broadcast constants and local state only.
@@ -92,8 +86,8 @@ class NodeState:
         bc = self.received_broadcast
         e_r, e_sp = self.local_exponents
         return {
-            "q_reliability_rc": (math.log(e_r) - bc.lambda_r) / e_r,
-            "q_reliability_sp": (math.log(e_sp) - bc.lambda_sp) / e_sp,
+            "q_reliability_rc": balance_share(e_r, bc.frame_rc, bc.q_total),
+            "q_reliability_sp": balance_share(e_sp, bc.frame_sp, bc.q_total),
             "q_info_continuous": math.floor(bc.ln_m / self.local_rate),
         }
 
@@ -101,23 +95,20 @@ class NodeState:
 def forward_pass(nodes: list[NodeState], trace: list[dict] | None = None) -> MetricMessage:
     """Walk the chain hop 1 -> N, each node adding its local costs.
 
-    Summation is strictly left-to-right so totals are bit-identical to a
+    The fold is strictly left-to-right so the message is bit-identical to a
     centralized loop over the same hops.
     """
     if not nodes:
         raise AllocationError("need at least one node")
-    msg = MetricMessage.empty()
+    msg = MetricMessage()
     for i, node in enumerate(nodes):
-        local = node.local_metrics(i + 1)
-        for name in METRIC_NAMES:
-            msg.accumulators[name] += local[name]
-        msg.hop_index = i + 1
+        node.fold_into(msg, i + 1)
         if trace is not None and i + 1 < len(nodes):
             trace.append({
                 "step": len(trace) + 1,
                 "from": i + 1,
                 "to": i + 2,
-                "accumulators": dict(msg.accumulators),
+                "message": asdict(msg),
             })
     return msg
 
@@ -125,13 +116,17 @@ def forward_pass(nodes: list[NodeState], trace: list[dict] | None = None) -> Met
 def compute_and_broadcast(final_msg: MetricMessage, q_total: int,
                           nodes: list[NodeState],
                           trace: list[dict] | None = None) -> BroadcastConstants:
-    """End node computes ln M, lambda_r, lambda_sp and delivers them to all nodes."""
-    acc = final_msg.accumulators
+    """End node computes ln M, lambda_r, lambda_sp and delivers them, with Q and
+    the two frames, to all nodes."""
     constants = BroadcastConstants(
-        ln_m=q_total / acc["inv_rate"],
-        lambda_r=(acc["logexp_over_exp_rc"] - q_total) / acc["inv_exp_rc"],
-        lambda_sp=(acc["logexp_over_exp_sp"] - q_total) / acc["inv_exp_sp"],
+        ln_m=q_total / final_msg.inv_rate,
+        lambda_r=balance_lagrange(final_msg.frame_rc, q_total),
+        lambda_sp=balance_lagrange(final_msg.frame_sp, q_total),
+        q_total=q_total,
+        frame_rc=final_msg.frame_rc,
+        frame_sp=final_msg.frame_sp,
     )
+    record = asdict(constants)
     for i, node in enumerate(nodes):
         node.received_broadcast = constants
         if trace is not None:
@@ -139,11 +134,7 @@ def compute_and_broadcast(final_msg: MetricMessage, q_total: int,
                 "step": len(trace) + 1,
                 "from": len(nodes),
                 "to": i + 1,
-                "broadcast": {
-                    "ln_m": constants.ln_m,
-                    "lambda_r": constants.lambda_r,
-                    "lambda_sp": constants.lambda_sp,
-                },
+                "broadcast": record,
             })
     return constants
 

@@ -17,8 +17,7 @@ from functools import cached_property
 
 from .allocation import (AllocationError, Method, end_to_end_rate, info_continuous_log_m,
                          information_continuous_blocks, rate_policy_scale,
-                         reliability_lagrange, reliability_optimal_blocks,
-                         reliability_real_blocks)
+                         reliability_optimal_blocks, reliability_real_blocks)
 from .arq import ArqChain, arq_chains, latency_bounds
 from .channel import ChannelError, HopChannel, capacity
 from .exponents import (ARRAY_MIN_HOPS, awgn_exponents, random_coding_exponent,
@@ -154,23 +153,13 @@ class Evaluation:
         return info_continuous_log_m(self.rates, self.scenario.total_q)
 
     @cached_property
-    def lambda_r(self) -> float:
-        """Lagrange multiplier of the real error-balancing optimum on e_r."""
-        return reliability_lagrange(self.e_r, self.scenario.total_q)
-
-    @cached_property
-    def lambda_sp(self) -> float:
-        """Lagrange multiplier of the real error-balancing optimum on e_sp."""
-        return reliability_lagrange(self.e_sp, self.scenario.total_q)
-
-    @cached_property
     def shares_r(self) -> list[float]:
-        """Real error-balancing shares of Q on e_r, (ln E_n - lambda) / E_n."""
+        """Real error-balancing shares of Q on e_r."""
         return reliability_real_blocks(self.e_r, self.scenario.total_q)
 
     @cached_property
     def shares_sp(self) -> list[float]:
-        """Real error-balancing shares of Q on e_sp, (ln E_n - lambda) / E_n."""
+        """Real error-balancing shares of Q on e_sp."""
         return reliability_real_blocks(self.e_sp, self.scenario.total_q)
 
     @property

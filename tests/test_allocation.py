@@ -2,7 +2,9 @@ import heapq
 import itertools
 import math
 import types
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hopbound.allocation import (AllocationError, end_to_end_rate,
                                  info_continuous_log_m,
                                  information_continuous_blocks,
                                  network_capacity, rate_policy_scale,
-                                 reliability_optimal_blocks,
+                                 reliability_lagrange, reliability_optimal_blocks,
                                  reliability_real_blocks)
 from hopbound.oracle import exhaustive_allocation
 
@@ -287,6 +289,52 @@ class TestReliabilityOptimal:
     def test_rejects_budget_below_hops(self):
         with pytest.raises(AllocationError):
             reliability_optimal_blocks([0.2, 0.1, 0.3], 2)
+
+
+def mp_balance_level(exps, q):
+    """c = -lambda = (Q - sum ln E_m / E_m) / sum 1 / E_m at 50 digits: the common
+    value of Q_n E_n - ln E_n at the real optimum."""
+    with mpmath.workdps(50):
+        e = [mpmath.mpf(x) for x in exps]
+        return (q - mpmath.fsum(mpmath.log(x) / x for x in e)) / mpmath.fsum(1 / x for x in e)
+
+
+class TestRealSharePrecision:
+    """The real shares of `reliability_real_blocks` against a 50-digit oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_exps=st.lists(st.floats(-300.0, math.log10(30.0)), min_size=1, max_size=6),
+           log_q=st.floats(0.0, 53.0))
+    def test_shares_keep_their_sum_and_balance(self, log_exps, log_q):
+        exps = [10.0 ** x for x in log_exps]
+        q = min(int(2.0 ** log_q), 2 ** 53)
+        shares = reliability_real_blocks(exps, q)
+        assert abs(math.fsum(shares) - q) <= 1e-12 * max(q, max(abs(v) for v in shares))
+        level = mp_balance_level(exps, q)
+        for v, e in zip(shares, exps):
+            scale = max(abs(float(level)), abs(math.log(e)), 1.0)
+            assert abs(v * e - math.log(e) - level) <= 1e-12 * scale
+        lam = reliability_lagrange(exps, q)
+        assert abs(lam + level) <= 1e-12 * max(abs(float(level)), 1.0)
+
+    def test_shares_next_to_a_tiny_exponent_sum_to_q(self):
+        # AWGN hops at 9 and 6 dB, hop 2 at (1 - 1e-9) C: ln E_n - lambda cancelled
+        # here and gave [80.68, 0.0]
+        shares = reliability_real_blocks([0.508, 8.06e-19], 1000)
+        assert math.fsum(shares) == pytest.approx(1000.0, rel=1e-12)
+        assert shares[1] == pytest.approx(919.32, abs=0.01)
+
+    @pytest.mark.parametrize("exps", [[1e-310, 2e-310], [5e-324, 1e-323, 1.0]])
+    def test_subnormal_exponents_give_no_nan(self, exps):
+        # D / E_p overflows: the pivot's hop gets -inf, the rest +inf (they were
+        # NaN); lambda is -713.57 for the first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shares = reliability_real_blocks(exps, 10)
+            lam = reliability_lagrange(exps, 10)
+        assert shares == [-math.inf] + [math.inf] * (len(exps) - 1)
+        assert math.isfinite(lam)
+        assert lam == pytest.approx(-float(mp_balance_level(exps, 10)), rel=1e-12)
 
 
 class TestInformationContinuous:

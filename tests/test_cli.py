@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopbound.allocation import (info_continuous_log_m, reliability_lagrange,
-                                 reliability_real_blocks)
+from hopbound.allocation import info_continuous_log_m, reliability_real_blocks
 from hopbound import scenario
-from hopbound.channel import ChannelError
+from hopbound.channel import ChannelError, HopChannel, capacity
 from hopbound.cli import main
 from hopbound.exponents import (ARRAY_MIN_HOPS, awgn_exponents, random_coding_exponent,
                                 sphere_packing_exponent)
@@ -487,22 +486,25 @@ LONG_CHAINS = {"awgn300": ["awgn"] * 300,
 
 class TestLongChainPins:
     # SHA-256 of what each command writes on chains whose AWGN hops take the
-    # array solve, recorded when every hop took the per-hop solve
+    # array solve, recorded when every hop took the per-hop solve; the
+    # allocate and distributed files were re-pinned when the real shares
+    # moved to the pivot frame (stationarity_residual, lambda_* and
+    # q_reliability_* changed in their last digits)
     PINNED = {
         ("awgn300", "allocate_rc"):
-            "956876c83a6e795e15f9bf5b8489f33edad7ea22a193abd1cc83cd443b2a196d",
+            "a635158283b4047f7ddcfe0f4d7ab0c5ade86d2f2e4335b1ae1488ec9042c874",
         ("awgn300", "allocate_sp"):
-            "cb8a98c92cbfedbdad6f3bd931bff00182329ab1270efa6eb86e7cfd07e4ac53",
+            "8373c689c576cac3f8fa5b69d5c4ba4eaee6f0d230d0b2429de0df160aca3f95",
         ("awgn300", "distributed"):
-            "b71030a51a35d4ff1e95956b034ef4aa37af5682a2a493f36b563f8c0f318603",
+            "fdb692bd2c49b2577268711425963673c5be47fb83f43c7c20553d214474eb42",
         ("awgn300", "latency"):
             "dec8745770b5e4835dab11c1f986ee2efd2e907225b745a48947fd59aee6d9e6",
         ("mixed120", "allocate_rc"):
-            "fad8b1b36fa2c26301f923af0ddb3ef3ee1cce8ab3371daece37ff1737527539",
+            "7d6c3a4a62de0b9a5776963fdd4bfa8285dcae6759a108ba9b27a170444d9ea8",
         ("mixed120", "allocate_sp"):
-            "ca617c0e3bbd5bdfc7e5e466869a3a15ade58cc4ebf2a11d7311685fb7c40353",
+            "f68a7098670b605d41fe4bb623e5cd78cf58d2ee7434e6b313ad1e108ac7bc28",
         ("mixed120", "distributed"):
-            "52b01d252d62addaafa096f3736f481d30987c58be5d57d17844b7d0714198cb",
+            "6b4333c8a17e4615de0937ec5607b6896ebe7bed970035710306e2f92630d896",
         ("mixed120", "latency"):
             "5e69f86db1c95b34ec0dc83543a27eccdae65b5a85c203e0c3e9f1502c236b63",
     }
@@ -518,6 +520,25 @@ class TestLongChainPins:
         out = tmp_path / "out.json"
         assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[chain, command]
+
+    # SHA-256 of json.dumps of each split, recorded with the Lagrange-frame
+    # shares, apart from the digits of the other fields
+    BLOCKLENGTHS = {
+        ("awgn300", "rc"): "f6bcf82baf2cbdb3cd688f88d9354ee321e3233416327f719f6bedbd5a4e057c",
+        ("awgn300", "sp"): "0db4b4dce78d5dea2a71821380b9762eac5f5c7e14a343bfada88a0e92c744c2",
+        ("mixed120", "rc"): "f825f52fa2957bedd05ffc095d557221a6d0b9b9e990df28e486c9b47a520675",
+        ("mixed120", "sp"): "c062e6c1eb2166725b86121b23c392b4efce89426d1be502fe6733ec40441dab",
+    }
+
+    @pytest.mark.parametrize("chain,family", sorted(BLOCKLENGTHS))
+    def test_blocklengths_pinned(self, tmp_path, chain, family):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(LONG_CHAINS[chain], f"reliability_optimal_{family}")))
+        out = tmp_path / "out.json"
+        assert main(["allocate", "--scenario", str(path), "--out", str(out)]) == 0
+        blocks = json.loads(out.read_text())["blocklengths"]
+        assert hashlib.sha256(json.dumps(blocks).encode()).hexdigest() == \
+            self.BLOCKLENGTHS[chain, family]
 
 
 class TestEvaluationExponentPaths:
@@ -572,6 +593,40 @@ class TestDistributedCommand:
         assert doc["matches_centralized"] is True
         assert len(doc["per_node_blocks"]) == 2
         assert trace.exists()
+
+
+def near_capacity_scenario(tmp_path):
+    """AWGN hops at 9 and 6 dB, hop 2 at (1 - 1e-9) C: E = [0.508, 8.06e-19]."""
+    caps = [capacity(HopChannel.awgn(10.0 ** (db / 10.0))) for db in (9.0, 6.0)]
+    return write_scenario(tmp_path, rate_policy={
+        "mode": "explicit", "rates_nats": [0.5 * caps[0], (1.0 - 1e-9) * caps[1]]})
+
+
+class TestSharesNextToATinyExponent:
+    """ln E_n - lambda cancelled here: the shares were [80.68, 0.0]."""
+
+    def test_allocate_residual_comes_from_shares_summing_to_q(self, tmp_path):
+        path = near_capacity_scenario(tmp_path)
+        out = tmp_path / "alloc.json"
+        assert main(["allocate", "--scenario", path, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        ev = Evaluation(load_scenario(path))
+        assert abs(math.fsum(ev.shares_r) - 1000) <= 1e-9 * 1000
+        assert ev.shares_r[1] == pytest.approx(919.37, abs=0.01)
+        assert doc["stationarity_residual"] == ev.stationarity_residual
+        assert doc["stationarity_residual"] <= 1e-12
+        assert sum(doc["blocklengths"]) == 1000
+
+    def test_distributed_shares_sum_to_q(self, tmp_path):
+        out = tmp_path / "dist.json"
+        assert main(["distributed", "--scenario", near_capacity_scenario(tmp_path),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["matches_centralized"] is True
+        nodes = doc["per_node_blocks"]
+        for key in ("q_reliability_rc", "q_reliability_sp"):
+            assert abs(math.fsum(node[key] for node in nodes) - 1000) <= 1e-9 * 1000
+        assert nodes[1]["q_reliability_rc"] == pytest.approx(919.37, abs=0.01)
 
 
 class TestVerifyCommand:
@@ -707,8 +762,6 @@ class TestEvaluationShares:
         ev = Evaluation(load_scenario(write_scenario(tmp_path, hops=MIXED_HOPS)))
         q = ev.scenario.total_q
         assert ev.ln_m == info_continuous_log_m(ev.rates, q)
-        assert ev.lambda_r == reliability_lagrange(ev.e_r, q)
-        assert ev.lambda_sp == reliability_lagrange(ev.e_sp, q)
         assert ev.shares_r == reliability_real_blocks(ev.e_r, q)
         assert ev.shares_sp == reliability_real_blocks(ev.e_sp, q)
         assert ev.balanced_shares is ev.shares_r

@@ -1,12 +1,14 @@
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hopbound import distproto
-from hopbound.allocation import (AllocationError, info_continuous_log_m,
-                                 rate_policy_scale, reliability_lagrange,
-                                 reliability_real_blocks)
+from hopbound.allocation import (AllocationError, balance_share, balance_step,
+                                 info_continuous_log_m, rate_policy_scale,
+                                 reliability_lagrange, reliability_real_blocks)
 from hopbound.channel import HopChannel, capacity
 from hopbound.distproto import (MetricMessage, NodeState, compute_and_broadcast,
                                 forward_pass, run_distributed_allocation)
@@ -40,14 +42,16 @@ class TestForwardPass:
     def test_single_hop_inv_rate(self):
         nodes = [NodeState(HopChannel.awgn(10.0), 2.0)]
         msg = forward_pass(nodes)
-        assert msg.accumulators["inv_rate"] == 0.5
-        assert msg.hop_index == 1
+        assert msg.inv_rate == 0.5
+        e_r, e_sp = nodes[0].local_exponents
+        assert msg.frame_rc == balance_step(None, e_r)
+        assert msg.frame_sp == balance_step(None, e_sp)
 
     def test_two_hop_inv_rate_matches_centralized(self):
         hops = [HopChannel.awgn(10.0), HopChannel.awgn(5.0)]
         nodes = [NodeState(hops[0], 2.0), NodeState(hops[1], 1.0)]
         msg = forward_pass(nodes)
-        assert msg.accumulators["inv_rate"] == 1.0 / 2.0 + 1.0 / 1.0
+        assert msg.inv_rate == 1.0 / 2.0 + 1.0 / 1.0
 
     def test_accumulators_match_centralized_bit_exactly(self):
         rng = np.random.default_rng(41)
@@ -58,11 +62,9 @@ class TestForwardPass:
             inv_rate = 0.0
             for r in rates:
                 inv_rate += 1.0 / r
-            assert msg.accumulators["inv_rate"] == inv_rate
-            inv_rc = 0.0
-            for r, ch in zip(rates, hops):
-                inv_rc += 1.0 / random_coding_exponent(r, ch).exponent
-            assert msg.accumulators["inv_exp_rc"] == inv_rc
+            assert msg.inv_rate == inv_rate
+            exps_rc = [random_coding_exponent(r, ch).exponent for r, ch in zip(rates, hops)]
+            assert msg.frame_rc == functools.reduce(balance_step, exps_rc, None)
 
     def test_rate_at_capacity_propagates_error(self):
         ch = HopChannel.awgn(1.0)
@@ -74,19 +76,21 @@ class TestForwardPass:
         rng = np.random.default_rng(42)
         hops, rates, _ = random_scenario(rng)
         nodes = [NodeState(ch, r) for ch, r in zip(hops, rates)]
-        running = MetricMessage.empty()
-        prev = 0.0
+        prev = MetricMessage()
         for i, node in enumerate(nodes):
             running = forward_pass(nodes[: i + 1])
-            assert running.accumulators["inv_rate"] >= prev
-            prev = running.accumulators["inv_rate"]
+            assert running.inv_rate >= prev.inv_rate
+            if prev.frame_rc is not None:
+                # the weight sum W grows; the pivot only falls
+                assert running.frame_rc[2] >= prev.frame_rc[2]
+                assert running.frame_rc[0] <= prev.frame_rc[0]
+            prev = running
 
 
 class TestBroadcast:
     def test_ln_m_matches_info_continuous_example(self):
-        msg = MetricMessage(hop_index=2, accumulators={
-            "inv_rate": 1.5, "inv_exp_rc": 1.0, "inv_exp_sp": 1.0,
-            "logexp_over_exp_rc": 0.0, "logexp_over_exp_sp": 0.0})
+        frame = balance_step(None, 1.0)
+        msg = MetricMessage(inv_rate=1.5, frame_rc=frame, frame_sp=frame)
         nodes = [NodeState(HopChannel.awgn(10.0), 2.0),
                  NodeState(HopChannel.awgn(5.0), 1.0)]
         constants = compute_and_broadcast(msg, 30, nodes)
@@ -94,15 +98,8 @@ class TestBroadcast:
         assert all(n.received_broadcast is constants for n in nodes)
 
     def test_lambda_matches_allocation_example(self):
-        exps = [0.2, 0.1]
-        acc = {
-            "inv_rate": 2.0,
-            "inv_exp_rc": sum(1 / e for e in exps),
-            "inv_exp_sp": sum(1 / e for e in exps),
-            "logexp_over_exp_rc": sum(math.log(e) / e for e in exps),
-            "logexp_over_exp_sp": sum(math.log(e) / e for e in exps),
-        }
-        msg = MetricMessage(hop_index=2, accumulators=acc)
+        frame = functools.reduce(balance_step, [0.2, 0.1], None)
+        msg = MetricMessage(inv_rate=2.0, frame_rc=frame, frame_sp=frame)
         nodes = [NodeState(HopChannel.awgn(10.0), 1.0),
                  NodeState(HopChannel.awgn(10.0), 1.0)]
         constants = compute_and_broadcast(msg, 1000, nodes)
@@ -172,9 +169,8 @@ class TestDistributedEqualsCentralized:
 
     def test_derive_needs_forward_pass(self):
         node = NodeState(HopChannel.awgn(10.0), 1.0)
-        msg = MetricMessage(hop_index=1, accumulators={
-            "inv_rate": 1.0, "inv_exp_rc": 1.0, "inv_exp_sp": 1.0,
-            "logexp_over_exp_rc": 0.0, "logexp_over_exp_sp": 0.0})
+        frame = balance_step(None, 1.0)
+        msg = MetricMessage(inv_rate=1.0, frame_rc=frame, frame_sp=frame)
         compute_and_broadcast(msg, 100, [node])
         with pytest.raises(AllocationError):
             node.derive_blocks()
@@ -195,16 +191,17 @@ class TestDistributedEqualsCentralized:
 
 
 def test_trace_file_is_jsonl(tmp_path):
-    import json
-
     hops = [HopChannel.awgn(10.0), HopChannel.awgn(5.0)]
     rates = [0.5 * capacity(h) for h in hops]
     path = tmp_path / "trace.jsonl"
-    run_distributed_allocation(hops, rates, 300, trace_path=str(path))
+    _, per_node = run_distributed_allocation(hops, rates, 300, trace_path=str(path))
     lines = path.read_text().splitlines()
     assert len(lines) == 3  # 1 forward pass + 2 broadcast deliveries
     first = json.loads(lines[0])
     assert first["from"] == 1 and first["to"] == 2
-    assert set(first["accumulators"]) == {
-        "inv_rate", "inv_exp_rc", "inv_exp_sp",
-        "logexp_over_exp_rc", "logexp_over_exp_sp"}
+    assert set(first["message"]) == {"inv_rate", "frame_rc", "frame_sp"}
+    broadcast = json.loads(lines[-1])["broadcast"]
+    assert set(broadcast) == {"ln_m", "lambda_r", "lambda_sp", "q_total", "frame_rc", "frame_sp"}
+    # the traced frames hold every float exactly: they give each node's share again
+    e_r = random_coding_exponent(rates[1], hops[1]).exponent
+    assert balance_share(e_r, tuple(broadcast["frame_rc"]), 300) == per_node[1]["q_reliability_rc"]
