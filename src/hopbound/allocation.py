@@ -6,9 +6,10 @@ the log domain from the real optimum, and information-continuous
 (common codeword count M), which at rates R_n = I_n recovers the
 capacity-optimal time sharing of `network_capacity`.
 
-The real error-balancing optimum is one left-to-right fold of
-`balance_step` over the hops; the distributed protocol runs the same fold
-node by node, so it reproduces the central results bit for bit.
+Both rules are one left-to-right fold of `balance_step`: over the
+exponents for the real error-balancing optimum, over the rates for ln M.
+The distributed protocol runs the same folds node by node, so it
+reproduces the central results bit for bit.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ __all__ = [
     "end_to_end_rate",
     "network_capacity",
     "balance_lagrange",
+    "balance_log_m",
     "balance_share",
     "balance_step",
-    "reliability_lagrange",
     "reliability_real_blocks",
+    "balanced_blocks",
     "reliability_optimal_blocks",
     "info_continuous_log_m",
     "information_continuous_blocks",
@@ -51,7 +53,10 @@ def end_to_end_rate(blocks: list[int], rates: list[float]) -> float:
 
 
 def network_capacity(capacities: list[float]) -> float:
-    """Rate of minimax-optimal time sharing (fractions proportional to 1/I_n): 1/sum(1/I_n)."""
+    """Rate of minimax-optimal time sharing (fractions proportional to 1/I_n): 1/sum(1/I_n).
+
+    Not `balance_log_m`'s frame form, which differs in the last bit on ~42% of
+    capacity lists: this feeds the `reproduce` grid and `rate_policy_scale`."""
     if not capacities:
         raise AllocationError("need at least one hop")
     if any(c <= 0 for c in capacities):
@@ -83,108 +88,69 @@ def _largest_remainder_repair(real_values: list[float], total: int) -> list[int]
     return blocks
 
 
-def _greedy_integer_blocks(blocks: list[int], exponents: list[float],
-                           total: int) -> list[int]:
-    """Integer minimizer of sum(exp(-Q_n E_n)) with sum(Q_n) = total, Q_n >= 1.
-
-    step(b, E) = -b E + log(1 - exp(-E)) is the log of the objective drop
-    from Q_n = b to b + 1.  From `blocks` (updated in place), fill (or
-    drain) one unit at a time at the largest gain (smallest loss), then move
-    a unit from the smallest loss to the largest gain while that strictly
-    improves.
-    """
-    log_gap = [math.log(-math.expm1(-e)) for e in exponents]
-    # lazy heaps keyed by -step(Q_i) and step(Q_i - 1), ties to the lowest
-    # index; an entry is live while its hop still holds the count it carries
-    gains, losses = [], []
-
-    def move(i, delta):
-        blocks[i] += delta
-        b, e = blocks[i], exponents[i]
-        heapq.heappush(gains, (b * e - log_gap[i], i, b))
-        if b > 1:
-            heapq.heappush(losses, (log_gap[i] - (b - 1) * e, i, b))
-
-    def top(heap):
-        while heap and blocks[heap[0][1]] != heap[0][2]:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
-    for i in range(len(blocks)):
-        move(i, 0)
-    placed = sum(blocks)
-    for _ in range(placed, total):
-        move(top(gains)[1], 1)
-    for _ in range(total, placed):
-        move(top(losses)[1], -1)  # placed > total >= N, so some hop holds > 1
-    while True:
-        gain, loss = top(gains), top(losses)
-        # one hop on both tops: no exchange between two hops can improve
-        if loss is None or gain[1] == loss[1] or -gain[0] <= loss[0]:
-            return blocks
-        move(gain[1], 1)
-        move(loss[1], -1)
+_NO_HOPS = (math.inf, 0.0, 0.0, 0.0, 1.0)  # sums of 0, and any hop becomes the pivot
 
 
 def balance_step(frame: tuple | None, e: float) -> tuple:
     """The error-balancing frame of the hops so far (`None` if none) plus a hop
-    of exponent `e`.
+    of exponent (or rate) `e`.
 
-    A frame is (E_p, ln E_p, W, D): the smallest exponent so far, its log,
-    W = sum_m w_m and D = sum_m w_m g_m, with weights w_m = E_p / E_m <= 1
-    and gaps g_m = ln E_m - ln E_p >= 0.  A smaller `e` becomes the pivot:
-    each gap grows by ln E_p - ln e and each weight shrinks by e / E_p.  No
-    sum cancels or overflows: W <= N, and D <= N exp(-1) as w g = w ln(1 / w).
+    A frame is (E_p, ln E_p, W, D, s): the smallest value so far, its log,
+    W = sum_m w_m and D = sum_m w_m g_m, with weights w_m = s / E_m and gaps
+    g_m = ln E_m - ln E_p >= 0, and s = E_p 2^k, which the least k >= 0 makes
+    a normal double, so W and D are exactly 2^k times their unscaled sums.
+    A smaller `e` becomes the pivot: each gap grows by ln E_p - ln e.  No sum
+    cancels or overflows: W <= N 2^k, D <= N 2^k exp(-1) and k <= 52.
     """
+    pivot, log_pivot, weight, gap, scaled = frame or _NO_HOPS
     log_e = math.log(e)
-    if frame is None:
-        return (e, log_e, 1.0, 0.0)
-    pivot, log_pivot, weight, gap = frame
     if e < pivot:
-        shrink = e / pivot
-        return (e, log_e, weight * shrink + 1.0, (gap + (log_pivot - log_e) * weight) * shrink)
-    w = pivot / e
-    return (pivot, log_pivot, weight + w, gap + w * (log_e - log_pivot))
+        new = math.ldexp(e, max(0, -1021 - math.frexp(e)[1]))
+        shrink = new / scaled
+        return (e, log_e, weight * shrink + new / e,
+                (gap + (log_pivot - log_e) * weight) * shrink, new)
+    w = scaled / e
+    return (pivot, log_pivot, weight + w, gap + w * (log_e - log_pivot), scaled)
 
 
 def balance_share(e: float, frame: tuple, q_total: int) -> float:
     """Real error-balancing share of Q of the hop of exponent `e` in `frame`.
 
     Q_n = g_n / E_n + w_n Q_p with the pivot's share Q_p = (Q - D / E_p) / W:
-    Q_n = (ln E_n - lambda) / E_n without its cancellation, so the shares
-    keep their sum Q at any normal exponent; a subnormal pivot makes the
-    weights and D subnormal, and the sum only approximate.  Where D / E_p
-    overflows, Q_p is below -1e308 and the pivot's hops, the ones to pin,
-    get -inf and every other hop +inf.
+    Q_n = (ln E_n - lambda) / E_n without its cancellation, so the shares keep
+    their sum Q at any exponent.  Where D / E_p overflows, Q_p is below -1e308
+    and the pivot's hops, the ones to pin, get -inf and every other hop +inf.
     """
-    pivot, log_pivot, weight, gap = frame
-    excess = gap / pivot
+    pivot, log_pivot, weight, gap, scaled = frame
+    excess = gap / scaled
     if excess == math.inf:
         return -math.inf if e == pivot else math.inf
-    return (math.log(e) - log_pivot) / e + (pivot / e) * ((q_total - excess) / weight)
+    return (math.log(e) - log_pivot) / e + (scaled / e) * ((q_total - excess) / weight)
 
 
 def balance_lagrange(frame: tuple, q_total: int) -> float:
     """lambda = ln E_p - (E_p Q - D) / W, with Q_n E_n - ln E_n = -lambda on every
     hop at the shares of `balance_share`; finite where those overflow."""
-    pivot, log_pivot, weight, gap = frame
-    return log_pivot - (pivot * q_total - gap) / weight
+    _, log_pivot, weight, gap, scaled = frame
+    return log_pivot - (scaled * q_total - gap) / weight
 
 
-def _balance_frame(exponents: list[float]) -> tuple:
-    if not exponents or any(e <= 0 for e in exponents):
-        raise AllocationError("need one or more exponents, all positive (rate below capacity)")
-    return functools.reduce(balance_step, exponents, None)
+def balance_log_m(frame: tuple, q_total: int) -> float:
+    """ln M = Q R_p / W of the common-codeword-count split, from the frame of
+    the rates; each hop's share is ln M / R_n."""
+    _, _, weight, _, scaled = frame
+    return q_total / weight * scaled
 
 
-def reliability_lagrange(exponents: list[float], q_total: int) -> float:
-    """Lagrange multiplier of the error-balancing allocation."""
-    return balance_lagrange(_balance_frame(exponents), q_total)
+def _balance_frame(values: list[float], what: str) -> tuple:
+    if not values or any(v <= 0 for v in values):
+        raise AllocationError(f"need one or more {what}, all positive")
+    return functools.reduce(balance_step, values, None)
 
 
 def reliability_real_blocks(exponents: list[float], q_total: int) -> list[float]:
     """Real-valued error-balancing optimum: Q_n*E_n - ln(E_n) is the same on every hop."""
-    frame = _balance_frame(exponents)
+    frame = _balance_frame(exponents, "exponents (rates below capacity)")
     return [balance_share(e, frame, q_total) for e in exponents]
 
 
@@ -202,30 +168,65 @@ def reliability_optimal_blocks(exponents: list[float], q_total: int) -> list[int
     log-objective.  Only strict improvements move, so splits of equal cost
     keep the starting rounding.  Feasible whenever Q >= N.
     """
+    return balanced_blocks(exponents, q_total, reliability_real_blocks(exponents, q_total))
+
+
+def balanced_blocks(exponents: list[float], q_total: int, shares: list[float]) -> list[int]:
+    """The split of `reliability_optimal_blocks`, from the real optimum `shares`
+    = reliability_real_blocks(exponents, q_total) that the caller holds."""
     n = len(exponents)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
     # pin hops whose real share is below 1 at 1 and re-balance the rest (each
     # pass raises the common level), so the floors do not overshoot Q; the
     # cap leaves one unit for every other hop
-    free, shares = list(range(n)), reliability_real_blocks(exponents, q_total)
+    free = list(range(n))
     while any(v < 1.0 for v in shares) and any(v >= 1.0 for v in shares):
         free = [i for i, v in zip(free, shares) if v >= 1.0]
         shares = reliability_real_blocks([exponents[i] for i in free], q_total - n + len(free))
-    start = [1] * n
+    blocks = [1] * n
     for i, v in zip(free, shares):
-        start[i] = min(max(math.floor(v), 1), q_total - n + 1)
-    return _greedy_integer_blocks(start, exponents, q_total)
+        blocks[i] = min(max(math.floor(v), 1), q_total - n + 1)
+    # step(b, E) = -b E + log(1 - exp(-E)) is the log of the objective drop
+    # from Q_n = b to b + 1: fill (or drain) one unit at a time at the largest
+    # gain (smallest loss), then move a unit from the smallest loss to the
+    # largest gain while that strictly improves
+    log_gap = [math.log(-math.expm1(-e)) for e in exponents]
+    # lazy heaps keyed by -step(Q_i) and step(Q_i - 1), ties to the lowest
+    # index; an entry is live while its hop still holds the count it carries
+    gains, losses = [], []
+
+    def move(i, delta):
+        blocks[i] += delta
+        b, e = blocks[i], exponents[i]
+        heapq.heappush(gains, (b * e - log_gap[i], i, b))
+        if b > 1:
+            heapq.heappush(losses, (log_gap[i] - (b - 1) * e, i, b))
+
+    def top(heap):
+        while heap and blocks[heap[0][1]] != heap[0][2]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    for i in range(n):
+        move(i, 0)
+    placed = sum(blocks)
+    for _ in range(placed, q_total):
+        move(top(gains)[1], 1)
+    for _ in range(q_total, placed):
+        move(top(losses)[1], -1)  # placed > Q >= N, so some hop holds > 1
+    while True:
+        gain, loss = top(gains), top(losses)
+        # one hop on both tops: no exchange between two hops can improve
+        if loss is None or gain[1] == loss[1] or -gain[0] <= loss[0]:
+            return blocks
+        move(gain[1], 1)
+        move(loss[1], -1)
 
 
 def info_continuous_log_m(rates: list[float], q_total: int) -> float:
     """ln M for the common-codeword-count allocation: Q / sum(1/R_n)."""
-    if any(r <= 0 for r in rates):
-        raise AllocationError("all rates must be positive")
-    inv_sum = 0.0
-    for r in rates:
-        inv_sum += 1.0 / r
-    return q_total / inv_sum
+    return balance_log_m(_balance_frame(rates, "rates"), q_total)
 
 
 def information_continuous_blocks(rates: list[float], q_total: int) -> list[int]:
@@ -235,9 +236,8 @@ def information_continuous_blocks(rates: list[float], q_total: int) -> list[int]
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
     ln_m = info_continuous_log_m(rates, q_total)
     blocks = _largest_remainder_repair([ln_m / r for r in rates], q_total)
-    for i in range(n):
-        if blocks[i] < 1:
-            raise AllocationError("cannot keep every hop at blocklength >= 1")
+    if min(blocks) < 1:
+        raise AllocationError("cannot keep every hop at blocklength >= 1")
     return blocks
 
 

@@ -1,12 +1,11 @@
 """Distributed computation of allocation constants over the linear chain.
 
-A single metric message walks the chain: each node adds 1/R_n for its rate
-and folds its RC and SP exponents into the message's error-balancing frames
-with `allocation.balance_step`.  The end node computes ln M and broadcasts
-it with Q and the two frames, after which every node derives its own
-blocklengths from the broadcast and local state only, with
-`allocation.balance_share`.  The central results are the same fold and the
-same share, so both agree bit for bit.
+A single metric message walks the chain: each node folds its rate and its
+RC and SP exponents into the message's frames with `allocation.balance_step`.
+The end node takes ln M from the rate frame and broadcasts it with Q and the
+exponent frames, after which every node derives its own blocklengths from
+the broadcast and local state only, with `allocation.balance_share`.  The
+central results are the same folds and functions, so both agree bit for bit.
 
 This is an in-process simulation with a deterministic schedule; its point
 is verifying information locality and message complexity, not networking.
@@ -18,7 +17,8 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .allocation import AllocationError, balance_lagrange, balance_share, balance_step
+from .allocation import (AllocationError, balance_lagrange, balance_log_m, balance_share,
+                         balance_step)
 from .channel import HopChannel
 from .exponents import random_coding_exponent, sphere_packing_exponent
 
@@ -34,10 +34,10 @@ __all__ = [
 
 @dataclass
 class MetricMessage:
-    """What the forward pass carries: sum(1/R_n) and the RC and SP frames
-    of `balance_step`, over the hops so far."""
+    """What the forward pass carries: the rate, RC and SP frames of
+    `balance_step`, over the hops so far."""
 
-    inv_rate: float = 0.0
+    frame_rate: tuple | None = None
     frame_rc: tuple | None = None
     frame_sp: tuple | None = None
 
@@ -71,7 +71,7 @@ class NodeState:
         e_r, e_sp = self.local_exponents
         if e_r <= 0.0 or e_sp <= 0.0:
             raise AllocationError(f"hop {hop_index} has zero exponent (rate at/above capacity)")
-        msg.inv_rate += 1.0 / self.local_rate
+        msg.frame_rate = balance_step(msg.frame_rate, self.local_rate)
         msg.frame_rc = balance_step(msg.frame_rc, e_r)
         msg.frame_sp = balance_step(msg.frame_sp, e_sp)
 
@@ -117,9 +117,9 @@ def compute_and_broadcast(final_msg: MetricMessage, q_total: int,
                           nodes: list[NodeState],
                           trace: list[dict] | None = None) -> BroadcastConstants:
     """End node computes ln M, lambda_r, lambda_sp and delivers them, with Q and
-    the two frames, to all nodes."""
+    the two exponent frames, to all nodes."""
     constants = BroadcastConstants(
-        ln_m=q_total / final_msg.inv_rate,
+        ln_m=balance_log_m(final_msg.frame_rate, q_total),
         lambda_r=balance_lagrange(final_msg.frame_rc, q_total),
         lambda_sp=balance_lagrange(final_msg.frame_sp, q_total),
         q_total=q_total,

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .allocation import (AllocationError, Method, end_to_end_rate, info_continuous_log_m,
-                         information_continuous_blocks, rate_policy_scale,
-                         reliability_optimal_blocks, reliability_real_blocks)
+from .allocation import (AllocationError, Method, balanced_blocks, end_to_end_rate,
+                         info_continuous_log_m, information_continuous_blocks,
+                         rate_policy_scale, reliability_real_blocks)
 from .arq import ArqChain, arq_chains, latency_bounds
 from .channel import ChannelError, HopChannel, capacity
 from .exponents import (ARRAY_MIN_HOPS, awgn_exponents, random_coding_exponent,
@@ -260,7 +260,7 @@ def load_scenario(path: str) -> Scenario:
 def build_allocation(ev: Evaluation) -> list[int]:
     """Integer split of Q for an evaluated scenario.
 
-    A reliability-optimal split reads only the exponent family it balances.
+    A reliability-optimal split reads only the family it balances: its exponents and shares.
     """
     sc = ev.scenario
     if sc.allocation_method == Method.MANUAL:
@@ -271,4 +271,4 @@ def build_allocation(ev: Evaluation) -> list[int]:
     if any(e <= 0 for e in exps):
         bad = next(i for i, e in enumerate(exps) if e <= 0)
         raise AllocationError(f"hop {bad}: rate at/above capacity, zero exponent")
-    return reliability_optimal_blocks(exps, sc.total_q)
+    return balanced_blocks(exps, sc.total_q, ev.balanced_shares)

@@ -5,14 +5,15 @@ human-readable report when run with `pytest -s tests/test_acceptance.py`.
 Tolerances and runtime budgets are part of the contract and are asserted.
 """
 
+import functools
 import math
 import time
 
 import numpy as np
 
-from hopbound.allocation import (Method, info_continuous_log_m,
+from hopbound.allocation import (Method, balance_lagrange, balance_step,
+                                 info_continuous_log_m,
                                  information_continuous_blocks,
-                                 reliability_lagrange,
                                  reliability_optimal_blocks,
                                  reliability_real_blocks)
 from hopbound.arq import ArqChain, expected_latency, simulate_latency
@@ -81,7 +82,7 @@ def test_criterion_04_error_balancing_stationarity():
         exps = [float(rng.uniform(0.02, 2.0)) for _ in range(n)]
         q = int(rng.integers(50, 5000))
         blocks = reliability_real_blocks(exps, q)
-        lam = reliability_lagrange(exps, q)
+        lam = balance_lagrange(functools.reduce(balance_step, exps, None), q)
         vals = [b * e - math.log(e) for b, e in zip(blocks, exps)]
         spread = max(vals) - min(vals)
         ok = ok and spread <= 1e-8 and abs(vals[0] - (-lam)) <= 1e-8
@@ -206,8 +207,10 @@ def test_criterion_10_distributed_protocol_equals_centralized():
         exps_sp = [sphere_packing_exponent(r, ch).exponent
                    for r, ch in zip(rates, hops)]
         ok = ok and constants.ln_m == info_continuous_log_m(rates, q)
-        ok = ok and constants.lambda_r == reliability_lagrange(exps_rc, q)
-        ok = ok and constants.lambda_sp == reliability_lagrange(exps_sp, q)
+        ok = ok and constants.lambda_r == balance_lagrange(
+            functools.reduce(balance_step, exps_rc, None), q)
+        ok = ok and constants.lambda_sp == balance_lagrange(
+            functools.reduce(balance_step, exps_sp, None), q)
         central_rc = reliability_real_blocks(exps_rc, q)
         central_sp = reliability_real_blocks(exps_sp, q)
         for i, node in enumerate(per_node):

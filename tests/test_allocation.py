@@ -1,23 +1,24 @@
+import functools
 import heapq
 import itertools
 import math
 import types
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from hopbound import allocation
-from hopbound.allocation import (AllocationError, end_to_end_rate,
-                                 info_continuous_log_m,
+from hopbound.allocation import (AllocationError, balance_lagrange, balance_step,
+                                 end_to_end_rate, info_continuous_log_m,
                                  information_continuous_blocks,
                                  network_capacity, rate_policy_scale,
-                                 reliability_lagrange, reliability_optimal_blocks,
-                                 reliability_real_blocks)
+                                 reliability_optimal_blocks, reliability_real_blocks)
 from hopbound.oracle import exhaustive_allocation
 
 TWO_HOP_CAPS = [math.log(1 + 10 ** 0.9), math.log(1 + 10 ** 0.6)]  # 9 dB, 6 dB
@@ -303,18 +304,22 @@ class TestRealSharePrecision:
     """The real shares of `reliability_real_blocks` against a 50-digit oracle."""
 
     @settings(max_examples=300, deadline=None)
-    @given(log_exps=st.lists(st.floats(-300.0, math.log10(30.0)), min_size=1, max_size=6),
+    @given(log_exps=st.lists(st.floats(math.log10(5e-324), math.log10(30.0)),
+                             min_size=1, max_size=6),
            log_q=st.floats(0.0, 53.0))
     def test_shares_keep_their_sum_and_balance(self, log_exps, log_q):
-        exps = [10.0 ** x for x in log_exps]
+        # down to subnormal exponents, where the frame scales the pivot to a
+        # normal double; where D / E_p overflows the shares are -inf and +inf
+        exps = [max(10.0 ** x, 5e-324) for x in log_exps]
         q = min(int(2.0 ** log_q), 2 ** 53)
         shares = reliability_real_blocks(exps, q)
+        assume(all(math.isfinite(v) for v in shares))
         assert abs(math.fsum(shares) - q) <= 1e-12 * max(q, max(abs(v) for v in shares))
         level = mp_balance_level(exps, q)
         for v, e in zip(shares, exps):
             scale = max(abs(float(level)), abs(math.log(e)), 1.0)
             assert abs(v * e - math.log(e) - level) <= 1e-12 * scale
-        lam = reliability_lagrange(exps, q)
+        lam = balance_lagrange(functools.reduce(balance_step, exps, None), q)
         assert abs(lam + level) <= 1e-12 * max(abs(float(level)), 1.0)
 
     def test_shares_next_to_a_tiny_exponent_sum_to_q(self):
@@ -324,6 +329,11 @@ class TestRealSharePrecision:
         assert math.fsum(shares) == pytest.approx(1000.0, rel=1e-12)
         assert shares[1] == pytest.approx(919.32, abs=0.01)
 
+    @pytest.mark.parametrize("exps", [[5e-324, 1.0], [1e-315, 1.0], [1e-320, 0.5, 2.0]])
+    def test_subnormal_pivot_keeps_the_sum(self, exps):
+        # W and D were scaled by the subnormal pivot: [5e-324, 1.0] summed to 1000.44
+        assert abs(math.fsum(reliability_real_blocks(exps, 1000)) - 1000) <= 1e-12 * 1000
+
     @pytest.mark.parametrize("exps", [[1e-310, 2e-310], [5e-324, 1e-323, 1.0]])
     def test_subnormal_exponents_give_no_nan(self, exps):
         # D / E_p overflows: the pivot's hop gets -inf, the rest +inf (they were
@@ -331,7 +341,7 @@ class TestRealSharePrecision:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             shares = reliability_real_blocks(exps, 10)
-            lam = reliability_lagrange(exps, 10)
+            lam = balance_lagrange(functools.reduce(balance_step, exps, None), 10)
         assert shares == [-math.inf] + [math.inf] * (len(exps) - 1)
         assert math.isfinite(lam)
         assert lam == pytest.approx(-float(mp_balance_level(exps, 10)), rel=1e-12)
@@ -380,16 +390,24 @@ class TestInformationContinuous:
     @given(st.lists(st.floats(min_value=-310.0, max_value=math.log10(30.0)),
                     min_size=1, max_size=6),
            st.integers(min_value=1, max_value=2 ** 53))
+    @example([-310.0, -310.0], 1000)
+    @example([-310.0, math.log10(2e-310), -308.0], 2 ** 53)
     def test_property_split_sums_to_budget_or_raises(self, log_rates, q):
-        # rates down to 1e-310, where 1/R_n overflows and ln M collapses to 0
+        # rates down to 1e-310, where 1/R_n overflows a double (ln M used to
+        # collapse to 0 there); exact shares Q (1/R_n) / sum(1/R_m) in rationals
         rates = [10.0 ** x for x in log_rates]
+        inverse = [1 / Fraction(r) for r in rates]
+        exact = [q * v / sum(inverse) for v in inverse]
         try:
             blocks = information_continuous_blocks(rates, q)
         except AllocationError:
+            # only a split that cannot give some hop a whole block may fail
+            assert min(exact) < 1 + 1e-9
             return
         assert len(blocks) == len(rates)
         assert min(blocks) >= 1
         assert sum(blocks) == q
+        assert all(abs(b - v) <= 1 for b, v in zip(blocks, exact))
 
 
 class TestRatePolicy:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopbound.allocation import info_continuous_log_m, reliability_real_blocks
-from hopbound import scenario
+from hopbound import allocation, scenario
 from hopbound.channel import ChannelError, HopChannel, capacity
 from hopbound.cli import main
 from hopbound.exponents import (ARRAY_MIN_HOPS, awgn_exponents, random_coding_exponent,
@@ -346,14 +346,25 @@ class TestAllocateCommand:
         assert doc["m"] is None
         assert doc["blocklengths"] == [1000, 1000]
 
-    @pytest.mark.parametrize("rates", [[1e-310, 1e-310], [1e-308, 1e-308], [1e-310, 1.0]],
-                             ids=["both_subnormal", "both_1e-308", "one_subnormal"])
-    def test_info_continuous_overflowing_inverse_rate_exits_3(self, tmp_path, capsys, rates):
-        # sum(1/R_n) overflows, ln M becomes 0 and the floors leave all of Q unplaced
+    @pytest.mark.parametrize("rates", [[1e-310, 1e-310], [1e-308, 1e-308]],
+                             ids=["both_subnormal", "both_1e-308"])
+    def test_info_continuous_overflowing_inverse_rate(self, tmp_path, rates):
+        # sum(1/R_n) overflows a double: ln M used to become 0, and the floors
+        # left all of Q unplaced (exit 3)
         path = write_scenario(tmp_path, allocation_method="info_continuous",
                               rate_policy={"mode": "explicit", "rates_nats": rates})
+        out = tmp_path / "alloc.json"
+        assert main(["allocate", "--scenario", path, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["blocklengths"] == [500, 500]
+        assert doc["ln_m"] == pytest.approx(500 * rates[0], rel=1e-15)
+
+    def test_info_continuous_subnormal_next_to_unit_rate_exits_3(self, tmp_path, capsys):
+        # the hop at rate 1 has an exact share of ~1e-307 units: no split gives it a block
+        path = write_scenario(tmp_path, allocation_method="info_continuous",
+                              rate_policy={"mode": "explicit", "rates_nats": [1e-310, 1.0]})
         assert main(["allocate", "--scenario", path]) == 3
-        assert "unplaced" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert "blocklength >= 1" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
 
     def test_info_continuous_infinite_share_exits_3(self, tmp_path, capsys):
         # ln M = Q / (1/R) overflows to inf, and so does the one real share
@@ -489,14 +500,15 @@ class TestLongChainPins:
     # array solve, recorded when every hop took the per-hop solve; the
     # allocate and distributed files were re-pinned when the real shares
     # moved to the pivot frame (stationarity_residual, lambda_* and
-    # q_reliability_* changed in their last digits)
+    # q_reliability_* changed in their last digits), and the distributed files
+    # again when ln M moved to the rates' frame (ln_m changed in its last digits)
     PINNED = {
         ("awgn300", "allocate_rc"):
             "a635158283b4047f7ddcfe0f4d7ab0c5ade86d2f2e4335b1ae1488ec9042c874",
         ("awgn300", "allocate_sp"):
             "8373c689c576cac3f8fa5b69d5c4ba4eaee6f0d230d0b2429de0df160aca3f95",
         ("awgn300", "distributed"):
-            "fdb692bd2c49b2577268711425963673c5be47fb83f43c7c20553d214474eb42",
+            "c9866609e26eae1d24b2a44572cdcec2ff9a0ed378de46f7e99d313f90b75868",
         ("awgn300", "latency"):
             "dec8745770b5e4835dab11c1f986ee2efd2e907225b745a48947fd59aee6d9e6",
         ("mixed120", "allocate_rc"):
@@ -504,7 +516,7 @@ class TestLongChainPins:
         ("mixed120", "allocate_sp"):
             "f68a7098670b605d41fe4bb623e5cd78cf58d2ee7434e6b313ad1e108ac7bc28",
         ("mixed120", "distributed"):
-            "6b4333c8a17e4615de0937ec5607b6896ebe7bed970035710306e2f92630d896",
+            "c2a0919970003263392f047d101a9301bcef84eda336ee0613220647b0d08dce",
         ("mixed120", "latency"):
             "5e69f86db1c95b34ec0dc83543a27eccdae65b5a85c203e0c3e9f1502c236b63",
     }
@@ -627,6 +639,33 @@ class TestSharesNextToATinyExponent:
         for key in ("q_reliability_rc", "q_reliability_sp"):
             assert abs(math.fsum(node[key] for node in nodes) - 1000) <= 1e-9 * 1000
         assert nodes[1]["q_reliability_rc"] == pytest.approx(919.37, abs=0.01)
+
+
+def subnormal_rate_scenario(tmp_path):
+    """Three AWGN hops at rate 1e-310, where 1/R_n overflows a double; Q = 3000."""
+    return write_scenario(tmp_path, allocation_method="info_continuous", total_q=3000,
+                          hops=[{"type": "awgn", "snr_db": db} for db in (9.0, 6.0, 3.0)],
+                          rate_policy={"mode": "explicit", "rates_nats": [1e-310] * 3})
+
+
+class TestInfoContinuousAtSubnormalRates:
+    """ln M = Q / sum(1/R_n) was 0 here: allocate exited 3, and distributed
+    reported ln_m 0 and 0 blocks on every node as matching the central result."""
+
+    def test_allocate_splits_evenly(self, tmp_path):
+        out = tmp_path / "alloc.json"
+        assert main(["allocate", "--scenario", subnormal_rate_scenario(tmp_path),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["blocklengths"] == [1000, 1000, 1000]
+
+    def test_distributed_gives_each_node_its_share(self, tmp_path):
+        out = tmp_path / "dist.json"
+        assert main(["distributed", "--scenario", subnormal_rate_scenario(tmp_path),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["ln_m"] > 0
+        assert [node["q_info_continuous"] for node in doc["per_node_blocks"]] == [1000] * 3
+        assert doc["matches_centralized"] is True
 
 
 class TestVerifyCommand:
@@ -780,6 +819,27 @@ class TestEvaluationShares:
         else:
             assert ev.balanced_shares is ev.shares_sp
             assert "e_r" not in vars(ev)  # the other family is never solved
+
+
+class TestSharesComputedOnce:
+    """`allocate` computes the balanced family's real shares once: the
+    evaluation's shares seed the greedy and give the stationarity residual."""
+
+    @pytest.mark.parametrize("family", ["rc", "sp"])
+    def test_allocate_makes_one_share_pass(self, tmp_path, monkeypatch, family):
+        calls = []
+
+        def counted(exponents, q_total):
+            calls.append(len(exponents))
+            return reliability_real_blocks(exponents, q_total)
+
+        monkeypatch.setattr(allocation, "reliability_real_blocks", counted)
+        monkeypatch.setattr(scenario, "reliability_real_blocks", counted)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(LONG_CHAINS["awgn300"],
+                                             f"reliability_optimal_{family}")))
+        assert main(["allocate", "--scenario", str(path)]) == 0
+        assert calls == [300]
 
 
 class TestVerifyGrid:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hopbound import distproto
-from hopbound.allocation import (AllocationError, balance_share, balance_step,
-                                 info_continuous_log_m, rate_policy_scale,
-                                 reliability_lagrange, reliability_real_blocks)
+from hopbound.allocation import (AllocationError, balance_lagrange, balance_log_m,
+                                 balance_share, balance_step, info_continuous_log_m,
+                                 rate_policy_scale, reliability_real_blocks)
 from hopbound.channel import HopChannel, capacity
 from hopbound.distproto import (MetricMessage, NodeState, compute_and_broadcast,
                                 forward_pass, run_distributed_allocation)
@@ -39,19 +39,22 @@ def random_scenario(rng):
 
 
 class TestForwardPass:
-    def test_single_hop_inv_rate(self):
+    def test_single_hop_frames(self):
         nodes = [NodeState(HopChannel.awgn(10.0), 2.0)]
         msg = forward_pass(nodes)
-        assert msg.inv_rate == 0.5
+        assert msg.frame_rate == balance_step(None, 2.0)
+        assert balance_log_m(msg.frame_rate, 1) == 2.0
         e_r, e_sp = nodes[0].local_exponents
         assert msg.frame_rc == balance_step(None, e_r)
         assert msg.frame_sp == balance_step(None, e_sp)
 
-    def test_two_hop_inv_rate_matches_centralized(self):
+    def test_two_hop_rate_frame_matches_centralized(self):
         hops = [HopChannel.awgn(10.0), HopChannel.awgn(5.0)]
         nodes = [NodeState(hops[0], 2.0), NodeState(hops[1], 1.0)]
         msg = forward_pass(nodes)
-        assert msg.inv_rate == 1.0 / 2.0 + 1.0 / 1.0
+        # pivot R_p = 1, W = 1 + 1/2: ln M = Q R_p / W = Q / (1/2 + 1/1)
+        assert msg.frame_rate == (1.0, 0.0, 1.5, 0.5 * math.log(2.0), 1.0)
+        assert balance_log_m(msg.frame_rate, 3) == 2.0
 
     def test_accumulators_match_centralized_bit_exactly(self):
         rng = np.random.default_rng(41)
@@ -59,10 +62,7 @@ class TestForwardPass:
             hops, rates, _ = random_scenario(rng)
             nodes = [NodeState(ch, r) for ch, r in zip(hops, rates)]
             msg = forward_pass(nodes)
-            inv_rate = 0.0
-            for r in rates:
-                inv_rate += 1.0 / r
-            assert msg.inv_rate == inv_rate
+            assert msg.frame_rate == functools.reduce(balance_step, rates, None)
             exps_rc = [random_coding_exponent(r, ch).exponent for r, ch in zip(rates, hops)]
             assert msg.frame_rc == functools.reduce(balance_step, exps_rc, None)
 
@@ -79,10 +79,13 @@ class TestForwardPass:
         prev = MetricMessage()
         for i, node in enumerate(nodes):
             running = forward_pass(nodes[: i + 1])
-            assert running.inv_rate >= prev.inv_rate
             if prev.frame_rc is not None:
-                # the weight sum W grows; the pivot only falls
-                assert running.frame_rc[2] >= prev.frame_rc[2]
+                # 1 / sum(1/R_n) = ln M at Q = 1 falls as hops join
+                assert balance_log_m(running.frame_rate, 1) < balance_log_m(prev.frame_rate, 1)
+                # sum(1/E_n) = W / s grows (W itself falls when a new pivot
+                # shrinks the weights); the pivot only falls
+                assert (running.frame_rc[2] / running.frame_rc[4]
+                        >= prev.frame_rc[2] / prev.frame_rc[4])
                 assert running.frame_rc[0] <= prev.frame_rc[0]
             prev = running
 
@@ -90,7 +93,8 @@ class TestForwardPass:
 class TestBroadcast:
     def test_ln_m_matches_info_continuous_example(self):
         frame = balance_step(None, 1.0)
-        msg = MetricMessage(inv_rate=1.5, frame_rc=frame, frame_sp=frame)
+        msg = MetricMessage(frame_rate=functools.reduce(balance_step, [2.0, 1.0], None),
+                            frame_rc=frame, frame_sp=frame)
         nodes = [NodeState(HopChannel.awgn(10.0), 2.0),
                  NodeState(HopChannel.awgn(5.0), 1.0)]
         constants = compute_and_broadcast(msg, 30, nodes)
@@ -99,7 +103,8 @@ class TestBroadcast:
 
     def test_lambda_matches_allocation_example(self):
         frame = functools.reduce(balance_step, [0.2, 0.1], None)
-        msg = MetricMessage(inv_rate=2.0, frame_rc=frame, frame_sp=frame)
+        msg = MetricMessage(frame_rate=functools.reduce(balance_step, [1.0, 1.0], None),
+                            frame_rc=frame, frame_sp=frame)
         nodes = [NodeState(HopChannel.awgn(10.0), 1.0),
                  NodeState(HopChannel.awgn(10.0), 1.0)]
         constants = compute_and_broadcast(msg, 1000, nodes)
@@ -125,8 +130,10 @@ class TestDistributedEqualsCentralized:
                        for r, ch in zip(rates, hops)]
             ln_m = info_continuous_log_m(rates, q)
             assert constants.ln_m == ln_m
-            assert constants.lambda_r == reliability_lagrange(exps_rc, q)
-            assert constants.lambda_sp == reliability_lagrange(exps_sp, q)
+            frame_rc, frame_sp = (functools.reduce(balance_step, exps, None)
+                                  for exps in (exps_rc, exps_sp))
+            assert constants.lambda_r == balance_lagrange(frame_rc, q)
+            assert constants.lambda_sp == balance_lagrange(frame_sp, q)
             central_rc = reliability_real_blocks(exps_rc, q)
             central_sp = reliability_real_blocks(exps_sp, q)
             for i, node in enumerate(per_node):
@@ -170,7 +177,7 @@ class TestDistributedEqualsCentralized:
     def test_derive_needs_forward_pass(self):
         node = NodeState(HopChannel.awgn(10.0), 1.0)
         frame = balance_step(None, 1.0)
-        msg = MetricMessage(inv_rate=1.0, frame_rc=frame, frame_sp=frame)
+        msg = MetricMessage(frame_rate=frame, frame_rc=frame, frame_sp=frame)
         compute_and_broadcast(msg, 100, [node])
         with pytest.raises(AllocationError):
             node.derive_blocks()
@@ -199,7 +206,7 @@ def test_trace_file_is_jsonl(tmp_path):
     assert len(lines) == 3  # 1 forward pass + 2 broadcast deliveries
     first = json.loads(lines[0])
     assert first["from"] == 1 and first["to"] == 2
-    assert set(first["message"]) == {"inv_rate", "frame_rc", "frame_sp"}
+    assert set(first["message"]) == {"frame_rate", "frame_rc", "frame_sp"}
     broadcast = json.loads(lines[-1])["broadcast"]
     assert set(broadcast) == {"ln_m", "lambda_r", "lambda_sp", "q_total", "frame_rc", "frame_sp"}
     # the traced frames hold every float exactly: they give each node's share again
