@@ -143,8 +143,8 @@ def balance_log_m(frame: tuple, q_total: int) -> float:
 
 
 def _balance_frame(values: list[float], what: str) -> tuple:
-    if not values or any(v <= 0 for v in values):
-        raise AllocationError(f"need one or more {what}, all positive")
+    if not values or not all(0 < v < math.inf for v in values):
+        raise AllocationError(f"need one or more {what}, all positive and finite")
     return functools.reduce(balance_step, values, None)
 
 
@@ -229,12 +229,14 @@ def info_continuous_log_m(rates: list[float], q_total: int) -> float:
     return balance_log_m(_balance_frame(rates, "rates"), q_total)
 
 
-def information_continuous_blocks(rates: list[float], q_total: int) -> list[int]:
-    """Common-M allocation: Q_n = floor(ln M / R_n), leftovers by remainder."""
+def information_continuous_blocks(rates: list[float], q_total: int,
+                                  ln_m: float | None = None) -> list[int]:
+    """Common-M allocation: Q_n = floor(ln M / R_n), leftovers by remainder;
+    `ln_m` is info_continuous_log_m(rates, q_total) where the caller holds it."""
     n = len(rates)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
-    ln_m = info_continuous_log_m(rates, q_total)
+    ln_m = info_continuous_log_m(rates, q_total) if ln_m is None else ln_m
     blocks = _largest_remainder_repair([ln_m / r for r in rates], q_total)
     if min(blocks) < 1:
         raise AllocationError("cannot keep every hop at blocklength >= 1")

@@ -12,7 +12,10 @@ import functools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from .allocation import AllocationError, Method, network_capacity, reliability_o
 from .arq import LatencyError, simulate_latency
 from .channel import ChannelError, HopChannel, capacity, e0_derivative
 from .distproto import run_distributed_allocation
-from .exponents import exponent_pair, random_coding_exponent, sphere_packing_exponent
+from .exponents import hop_exponents, random_coding_exponent, sphere_packing_exponent
 from .oracle import GridSpec, bsc_ensemble_error, exhaustive_allocation, grid_max_exponent
 from .scenario import Evaluation, Scenario, ScenarioError, load_scenario
 
@@ -41,6 +44,9 @@ REPRODUCE_SWEEP_CAP_FRACTION = 0.98
 REPRODUCE_MC_TRIALS = 100_000
 REPRODUCE_MC_SEED = 20240101
 
+# rows of the `exponent` grid solved and written at a time: its memory is bounded
+_GRID_CHUNK = 4096
+
 # exp() overflows doubles near 709; above this `allocate` reports M as null
 _LN_M_MATERIALIZE_LIMIT = 700.0
 
@@ -58,12 +64,16 @@ def _snr_db_to_linear(db: float) -> float:
         raise ChannelError(f"SNR of {db} dB overflows a double") from None
 
 
-def _write_csv(path: str, header: str, rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+def _write_csv(path: str, header: str, rows: Iterable) -> None:
+    """Stream the rows to an anonymous temporary file, then copy it to `path`."""
+    with tempfile.TemporaryFile("w+", newline="") as tmp:
+        tmp.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            tmp.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                               for v in row) + "\n")
+        tmp.seek(0)
+        with open(path, "w", newline="") as fh:
+            shutil.copyfileobj(tmp, fh)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -75,6 +85,19 @@ def _write_json(path: str | None, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _grid_chunks(start: float, stop: float, num: int):
+    """np.linspace(start, stop, num) in lists of at most _GRID_CHUNK floats, element for
+    element: i * step + start (i / div * delta + start if step is 0), stop last."""
+    div, delta = max(num - 1, 1), stop - start
+    step = delta / div
+    for lo in range(0, num, _GRID_CHUNK):
+        chunk = [(i / div * delta if step == 0 else i * step) + start
+                 for i in range(lo, min(lo + _GRID_CHUNK, num))]
+        if num > 1 and lo + len(chunk) == num:
+            chunk[-1] = stop
+        yield chunk
+
+
 def cmd_exponent(args) -> int:
     if args.snr_db is not None:
         ch = HopChannel.awgn(_snr_db_to_linear(args.snr_db))
@@ -83,13 +106,16 @@ def cmd_exponent(args) -> int:
         if not 0 <= args.hop < len(sc.hops):
             raise ScenarioError(f"hop index {args.hop} out of range")
         ch = sc.hops[args.hop]
-    rates = np.linspace(args.rate_min, args.rate_max, args.rate_steps)
-    rows = []
-    for rate in rates:
-        rc, sp = exponent_pair(float(rate), ch)
-        rows.append([float(rate), rc.exponent, rc.rho_star, rc.regime,
-                     sp.exponent, sp.rho_star, sp.regime])
-    _write_csv(args.out, "rate_nats,e_r,rho_r,regime_r,e_sp,rho_sp,regime_sp", rows)
+
+    def rows():
+        for rates in _grid_chunks(args.rate_min, args.rate_max, args.rate_steps):
+            # end the chunk where a rate fails SP, so the first failing row's error wins
+            rates = rates[:next((k for k, r in enumerate(rates) if not r > 0), len(rates)) + 1]
+            hops = [ch] * len(rates)
+            rc = hop_exponents(rates, hops, "r")
+            yield from zip(rates, *rc, *hop_exponents(rates, hops, "sp", rc))
+
+    _write_csv(args.out, "rate_nats,e_r,rho_r,regime_r,e_sp,rho_sp,regime_sp", rows())
     if args.bits:
         lo, hi = args.rate_min / NATS_PER_BIT, args.rate_max / NATS_PER_BIT
         print(f"swept rates {_fmt(lo)} to {_fmt(hi)} bits/use "

@@ -6,20 +6,12 @@ concave in rho, the interior maximizer solves dE0/drho = R; it is found by
 Newton's method on that equation, on Python floats, with every step kept
 inside a bisection bracket.
 
-`awgn_exponents` runs the same solve for many AWGN hops at once on float64
-arrays, for long chains.  Each element takes the scalar solve's IEEE-754
-operations in the same order, so its exponent, rho* and regime are
-bit-identical.  numpy's + - * / round as Python floats do, but np.log1p
-may differ from the C library's log1p in the last bit (on about 2% of
-inputs uniform in [0, 1000] with numpy 2.4.6), so the logarithm is
-math.log1p, called per element.  Each Newton round costs ~30 numpy calls
-whatever the batch size, so the array solve costs ~0.25 ms at any size up
-to ~100 hops, against 3-4 (RC) or 6-8 us (SP) per hop solved alone.  It
-breaks even at about 70-80 hops for RC and 50 for SP (2 vCPUs, Python
-3.11, numpy 2.4), so an `Evaluation` takes it from ARRAY_MIN_HOPS = 80
-AWGN hops on.  Those solves do not pass through `random_coding_exponent`
-or `sphere_packing_exponent`, so wrappers of those two functions do not
-see them.
+`hop_exponents` solves a list of hops.  From ARRAY_MIN_HOPS AWGN hops on,
+it runs the same solve on float64 arrays, each element taking the scalar
+solve's IEEE-754 operations in the same order (math.log1p per element, as
+np.log1p may differ in the last bit), so the results are bit-identical.
+Those solves bypass `random_coding_exponent` and `sphere_packing_exponent`,
+so wrappers of those two functions do not see them.
 """
 
 from __future__ import annotations
@@ -37,17 +29,16 @@ __all__ = [
     "RHO_MAX",
     "random_coding_exponent",
     "sphere_packing_exponent",
-    "exponent_pair",
+    "hop_exponents",
     "critical_rate",
-    "awgn_exponents",
     "ARRAY_MIN_HOPS",
 ]
 
 # sphere-packing maximizer diverges as R -> 0; cap it and flag the regime
 RHO_MAX = 1e6
 
-# AWGN hops from which one `awgn_exponents` call beats per-hop solves (RC's
-# break-even; SP's is about 50)
+# AWGN hops from which one `_awgn_exponents` call beats per-hop solves: its
+# ~0.25 ms against 3-4 (RC) or 6-8 us (SP) per hop; RC's break-even, SP's is ~50
 ARRAY_MIN_HOPS = 80
 
 # Newton's stopping distance in ulps (of rho for the step, of the rate for the slope)
@@ -132,27 +123,6 @@ def sphere_packing_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     return _maximize(rate, ch, RHO_MAX, Regime.RHO_CAPPED)
 
 
-# RC regimes whose solve SP repeats float for float (see exponent_pair)
-_SHARED_REGIMES = (Regime.PARAMETRIC_INTERIOR, Regime.ZERO_ABOVE_CAPACITY)
-
-
-def exponent_pair(rate: float, ch: HopChannel) -> tuple[ExponentResult, ExponentResult]:
-    """(random_coding_exponent, sphere_packing_exponent) at one rate, with
-    the same results and errors as the two calls.
-
-    The SP result is the RC result itself when RC's regime is
-    parametric_interior or zero_above_capacity.  There dE0/drho(1) <= R, or
-    R >= C: the SP solve then runs the same capacity test, takes the same
-    first bracket [0, 1], and makes the same Newton steps on the same
-    floats, so it returns an equal result (above the critical rate
-    E_sp = E_r, Gallager 1968).  Only below the critical rate is SP solved.
-    """
-    rc = random_coding_exponent(rate, ch)
-    if rc.regime in _SHARED_REGIMES and rate > 0:
-        return rc, rc
-    return rc, sphere_packing_exponent(rate, ch)
-
-
 def _awgn_terms(rho: np.ndarray, snr: np.ndarray):
     """`e0_terms`'s AWGN step over arrays, with ln(1 + SNR/(1+rho)) in place
     of E0 = rho ln(1 + SNR/(1+rho)): the same operations, element for element."""
@@ -163,35 +133,17 @@ def _awgn_terms(rho: np.ndarray, snr: np.ndarray):
     return log_term, log_term - vu, -(u / a) * (2.0 / a + vu)
 
 
-# regime codes of `awgn_exponents`
+# regime codes of `_awgn_exponents`
 _ABOVE, _CAPPED, _INTERIOR = 0, 1, 2
 
 
-def awgn_exponents(rates, channels, family: str):
-    """(exponent, rho_star, regime) arrays over many AWGN hops, equal bit for
-    bit to `random_coding_exponent` (family "r") or `sphere_packing_exponent`
-    (family "sp") on each (rate, channel) pair, errors included.
-
-    Runs `_maximize`'s bracket doubling and safeguarded Newton steps on
-    float64 arrays, dropping each element from the active set when it stops.
-    numpy's + - * /, comparisons and minimum round as Python floats do,
-    np.spacing equals math.ulp on these non-negative values, and the
-    logarithm is math.log1p per element (see the module docstring).
-    """
-    if family == "r":
-        solve, rho_cap, capped_regime = random_coding_exponent, 1.0, Regime.RHO_CLAMPED_AT_ONE
-    elif family == "sp":
-        solve, rho_cap, capped_regime = sphere_packing_exponent, RHO_MAX, Regime.RHO_CAPPED
-    else:
-        raise ValueError(f"family must be 'r' or 'sp', got {family!r}")
-    snr = np.array([ch.snr for ch in channels if ch.kind == "awgn"])
-    if snr.size != len(channels):
-        raise ChannelError("awgn_exponents requires AWGN channels")
+def _awgn_exponents(rates, channels, rho_cap: float, capped_regime: str):
+    """(exponent, rho_star, regime) arrays of `_maximize` over AWGN hops at
+    valid rates, bit for bit: its bracket doubling and safeguarded Newton steps
+    on float64 arrays, dropping each element from the active set when it stops
+    (np.spacing equals math.ulp on these non-negative values)."""
+    snr = np.array([ch.snr for ch in channels])
     rate = np.array(rates, dtype=float)
-    bad = ~(rate >= 0.0) if family == "r" else ~(rate > 0.0)
-    if bad.any():
-        i = int(bad.argmax())
-        solve(rates[i], channels[i])  # raises the scalar solve's ChannelError
     n = rate.size
     rho_star, log_term = np.zeros(n), np.zeros(n)
     code = np.zeros(n, dtype=np.int8)
@@ -252,6 +204,42 @@ def awgn_exponents(rates, channels, family: str):
     regimes = np.array([Regime.ZERO_ABOVE_CAPACITY, capped_regime, Regime.PARAMETRIC_INTERIOR],
                        dtype=object)
     return exponent, rho_star, regimes[code]
+
+
+# RC regimes whose solve SP repeats float for float (see hop_exponents)
+_SHARED_REGIMES = (Regime.PARAMETRIC_INTERIOR, Regime.ZERO_ABOVE_CAPACITY)
+
+
+def hop_exponents(rates, hops, family: str, rc=None) -> list[list]:
+    """[exponents, rho_stars, regimes] of `family` ("r" or "sp") of each hop at
+    its rate, bit for bit those of `random_coding_exponent` or
+    `sphere_packing_exponent` on each hop in hop order, errors included.  A hop
+    whose regime in `rc`, the "r" result on the same hops and rates, is
+    parametric_interior or zero_above_capacity takes that result: there the SP
+    solve makes RC's Newton steps on the same floats (E_sp = E_r, Gallager 1968)."""
+    if family == "r":
+        solve, rho_cap, capped = random_coding_exponent, 1.0, Regime.RHO_CLAMPED_AT_ONE
+    elif family == "sp":
+        solve, rho_cap, capped = sphere_packing_exponent, RHO_MAX, Regime.RHO_CAPPED
+    else:
+        raise ValueError(f"family must be 'r' or 'sp', got {family!r}")
+    for rate, ch in zip(rates, hops):
+        if not (rate > 0 or rate == 0 and family == "r"):
+            solve(rate, ch)  # raises the per-hop solver's ChannelError
+    out = [list(column) for column in rc] if rc else [[None] * len(rates) for _ in range(3)]
+    todo = [i for i, regime in enumerate(out[2]) if regime not in _SHARED_REGIMES]
+    awgn = [i for i in todo if hops[i].kind == "awgn"]
+    if len(awgn) >= ARRAY_MIN_HOPS:
+        solved = _awgn_exponents([rates[i] for i in awgn], [hops[i] for i in awgn],
+                                 rho_cap, capped)
+        for column, values in zip(out, solved):
+            for i, value in zip(awgn, values.tolist()):
+                column[i] = value
+        todo = [i for i in todo if hops[i].kind != "awgn"]
+    for i in todo:
+        res = solve(rates[i], hops[i])
+        out[0][i], out[1][i], out[2][i] = res.exponent, res.rho_star, res.regime
+    return out
 
 
 def critical_rate(ch: HopChannel) -> float:

@@ -5,7 +5,8 @@ a per-hop rate policy, and the allocation method; SNR in dB is converted
 to linear exactly once, here.  An `Evaluation` computes each derived
 quantity once, on first use: rates, each hop's RC and SP exponents, the
 split and its end-to-end rate, the real-valued optima the CLI reports, the
-system error bounds, the ARQ chains and latency bounds.
+system error bounds, the ARQ chains and latency bounds.  `e_sp` takes the
+RC results above the critical rate from `exponents.hop_exponents`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from .allocation import (AllocationError, Method, balanced_blocks, end_to_end_ra
                          info_continuous_log_m, information_continuous_blocks,
                          rate_policy_scale, reliability_real_blocks)
 from .arq import ArqChain, arq_chains, latency_bounds
-from .channel import ChannelError, HopChannel, capacity
-from .exponents import (ARRAY_MIN_HOPS, awgn_exponents, random_coding_exponent,
-                        sphere_packing_exponent)
+from .channel import HopChannel, capacity
+from .exponents import hop_exponents
 from .system import SystemBounds, system_error_bounds
 
 __all__ = ["ScenarioError", "Scenario", "Evaluation", "load_scenario", "build_allocation"]
@@ -90,7 +90,7 @@ class Evaluation:
     The cached lists are shared by all readers and must not be mutated.
     """
 
-    _SHARED = ("rates", "e_r", "e_sp")
+    _SHARED = ("rates", "rc", "e_r", "e_sp")
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -110,36 +110,19 @@ class Evaluation:
         return self.scenario.resolve_rates()
 
     @cached_property
+    def rc(self) -> list[list]:
+        """[exponents, rho_stars, regimes] of the random-coding family at each hop's rate."""
+        return hop_exponents(self.rates, self.scenario.hops, "r")
+
+    @cached_property
     def e_r(self) -> list[float]:
         """Random-coding exponent of each hop at its rate."""
-        return self._exponents("r")
+        return self.rc[0]
 
     @cached_property
     def e_sp(self) -> list[float]:
-        """Sphere-packing exponent of each hop at its rate."""
-        return self._exponents("sp")
-
-    def _exponents(self, family: str) -> list[float]:
-        """Exponent of `family` ("r" or "sp") of each hop at its rate.
-
-        With at least ARRAY_MIN_HOPS AWGN hops, those are solved together by
-        `awgn_exponents`; the other hops, and every hop of a smaller
-        evaluation, by the per-hop solver.  Both give the same floats.  On an
-        invalid rate every hop takes the per-hop solver, in hop order, so the
-        error raised is the first failing hop's.
-        """
-        solve = random_coding_exponent if family == "r" else sphere_packing_exponent
-        hops, rates = self.scenario.hops, self.rates
-        awgn = [i for i, ch in enumerate(hops) if ch.kind == "awgn"]
-        solved = {}
-        if len(awgn) >= ARRAY_MIN_HOPS:
-            try:
-                exps = awgn_exponents([rates[i] for i in awgn], [hops[i] for i in awgn], family)[0]
-                solved = dict(zip(awgn, exps.tolist()))
-            except ChannelError:
-                pass  # the per-hop solves below raise the first failing hop's error
-        return [solved[i] if i in solved else solve(r, ch).exponent
-                for i, (r, ch) in enumerate(zip(rates, hops))]
+        """Sphere-packing exponent of each hop at its rate; reuses `rc` if solved."""
+        return hop_exponents(self.rates, self.scenario.hops, "sp", vars(self).get("rc"))[0]
 
     @property
     def balanced_exponents(self) -> list[float] | None:
@@ -266,7 +249,7 @@ def build_allocation(ev: Evaluation) -> list[int]:
     if sc.allocation_method == Method.MANUAL:
         return list(sc.manual_blocks)
     if sc.allocation_method == Method.INFO_CONTINUOUS:
-        return information_continuous_blocks(ev.rates, sc.total_q)
+        return information_continuous_blocks(ev.rates, sc.total_q, ev.ln_m)
     exps = ev.balanced_exponents
     if any(e <= 0 for e in exps):
         bad = next(i for i, e in enumerate(exps) if e <= 0)

@@ -410,6 +410,16 @@ class TestInformationContinuous:
         assert all(abs(b - v) <= 1 for b, v in zip(blocks, exact))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solve", [reliability_real_blocks, reliability_optimal_blocks,
+                                   info_continuous_log_m, information_continuous_blocks])
+def test_non_finite_values_rejected(solve, bad):
+    # each folds its values through one frame, which takes only 0 < v < inf
+    for values in ([bad, 1.0], [1.0, bad]):
+        with pytest.raises(AllocationError, match="positive and finite"):
+            solve(values, 10)
+
+
 class TestRatePolicy:
     def test_half_capacity_scaling(self):
         rates = rate_policy_scale([2.1909, 1.6056], 0.4633)

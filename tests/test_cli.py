@@ -10,15 +10,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopbound.allocation import info_continuous_log_m, reliability_real_blocks
-from hopbound import allocation, scenario
+from hopbound import allocation, cli, exponents, scenario
 from hopbound.channel import ChannelError, HopChannel, capacity
 from hopbound.cli import main
-from hopbound.exponents import (ARRAY_MIN_HOPS, awgn_exponents, random_coding_exponent,
+from hopbound.exponents import (ARRAY_MIN_HOPS, RHO_MAX, random_coding_exponent,
                                 sphere_packing_exponent)
 from hopbound.scenario import Evaluation, ScenarioError, load_scenario
 
@@ -292,6 +293,82 @@ class TestExponentCommand:
         assert not out.exists()
 
 
+def linspace_csv(ch, lo, hi, steps):
+    """The `exponent` CSV from np.linspace's grid and one scalar solve per rate
+    and family."""
+    lines = ["rate_nats,e_r,rho_r,regime_r,e_sp,rho_sp,regime_sp"]
+    for rate in np.linspace(lo, hi, steps).tolist():
+        rc, sp = random_coding_exponent(rate, ch), sphere_packing_exponent(rate, ch)
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else v for v in (
+            rate, rc.exponent, rc.rho_star, rc.regime, sp.exponent, sp.rho_star, sp.regime)))
+    return "\n".join(lines) + "\n"
+
+
+class TestExponentGrid:
+    """`exponent` solves and writes its grid in chunks of cli._GRID_CHUNK rows."""
+
+    CHUNK = cli._GRID_CHUNK
+
+    @pytest.mark.parametrize("lo,hi,steps", [
+        (0.01, 1.0, 1), (0.01, 1.0, 2), (0.01, 1.0, CHUNK - 1), (0.01, 1.0, CHUNK),
+        (0.01, 1.0, CHUNK + 1), (0.01, 1.0, 2 * CHUNK + 3), (1.0, 0.01, CHUNK + 1)])
+    def test_csv_equals_the_linspace_csv(self, tmp_path, lo, hi, steps):
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--snr-db", "0", f"--rate-min={lo}", f"--rate-max={hi}",
+                     "--rate-steps", str(steps), "--out", str(out)]) == 0
+        assert out.read_text() == linspace_csv(HopChannel.awgn(1.0), lo, hi, steps)
+
+    @pytest.mark.parametrize("lo,hi,steps", [
+        (0.0, 5e-324, 5), (0.0, 1e-310, 2 * CHUNK + 3), (-1e308, 1e308, 3), (0.3, 0.3, 1),
+        (0.5, -0.0, 2), (-0.0, 0.0, 3), (0.7, 0.1, CHUNK + 1), (1e-300, 2.0, 3 * CHUNK)])
+    def test_grid_equals_linspace(self, lo, hi, steps):
+        with np.errstate(all="ignore"):  # linspace warns where the step overflows
+            expected = np.linspace(lo, hi, steps)
+        got = [x for chunk in cli._grid_chunks(lo, hi, steps) for x in chunk]
+        assert np.array(got).tobytes() == expected.tobytes()
+
+    def test_invalid_row_leaves_out_untouched(self, tmp_path, capsys):
+        # a descending grid past 0: the row at 0 fails the SP solve before the
+        # negative rows fail RC, and --out keeps what it held
+        out = tmp_path / "sweep.csv"
+        out.write_text("kept\n")
+        assert main(["exponent", "--snr-db", "0", "--rate-min", "0.5", "--rate-max=-0.5",
+                     "--rate-steps", str(2 * self.CHUNK + 1), "--out", str(out)]) == 3
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert error == "rate must be positive for sphere packing, got 0.0"
+        assert out.read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+
+    def test_out_through_a_symlink(self, tmp_path):
+        # the rows reach the link's target, and the link stays a link
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("")
+        link.symlink_to(target)
+        assert main(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "0.5",
+                     "--rate-steps", "3", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text() == linspace_csv(HopChannel.awgn(1.0), 0.1, 0.5, 3)
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        code = ("import resource, sys\n"
+                "from hopbound.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        peak = {}
+        for steps in (10, 200_000):
+            proc = subprocess.run([sys.executable, "-c", code, "exponent", "--snr-db", "0",
+                                   "--rate-min", "0.01", "--rate-max", "0.69",
+                                   "--rate-steps", str(steps), "--out", str(tmp_path / "g.csv")],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            peak[steps] = int(proc.stdout)
+        kib_per_unit = 1 / 1024 if sys.platform == "darwin" else 1  # ru_maxrss units
+        assert (peak[200_000] - peak[10]) * kib_per_unit < 10 * 1024
+
+
 class TestAllocateCommand:
     def test_json_fields(self, tmp_path):
         out = tmp_path / "alloc.json"
@@ -562,24 +639,30 @@ class TestEvaluationExponentPaths:
         path.write_text(json.dumps(chain_doc(kinds)))
         ev = Evaluation(load_scenario(str(path)))
         array_calls = []
+        solve = exponents._awgn_exponents
 
-        def counted(rates, channels, family):
-            array_calls.append((len(channels), family))
-            return awgn_exponents(rates, channels, family)
-        monkeypatch.setattr(scenario, "awgn_exponents", counted)
+        def counted(rates, channels, rho_cap, capped_regime):
+            array_calls.append((len(channels), {1.0: "r", RHO_MAX: "sp"}[rho_cap]))
+            return solve(rates, channels, rho_cap, capped_regime)
+        monkeypatch.setattr(exponents, "_awgn_exponents", counted)
         return ev, array_calls
 
+    @pytest.mark.parametrize("first", ["e_r", "e_sp"])
     @pytest.mark.parametrize("kinds,array_hops", [
         (["awgn"] * (ARRAY_MIN_HOPS - 1), None),
         (["awgn"] * ARRAY_MIN_HOPS, ARRAY_MIN_HOPS),
         (LONG_CHAINS["mixed120"], 96)])
-    def test_equal_to_per_hop_solves(self, tmp_path, monkeypatch, kinds, array_hops):
+    def test_equal_to_per_hop_solves(self, tmp_path, monkeypatch, kinds, array_hops, first):
         ev, array_calls = self.evaluate(tmp_path, kinds, monkeypatch)
         hops, rates = ev.scenario.hops, ev.rates
+        getattr(ev, first)
         assert ev.e_r == [random_coding_exponent(r, ch).exponent for r, ch in zip(rates, hops)]
         assert ev.e_sp == [sphere_packing_exponent(r, ch).exponent
                            for r, ch in zip(rates, hops)]
-        expected = [] if array_hops is None else [(array_hops, "r"), (array_hops, "sp")]
+        # solved after RC, SP takes RC's results above the critical rate, which
+        # leaves fewer than ARRAY_MIN_HOPS AWGN hops to solve on these chains
+        expected = ([] if array_hops is None else [(array_hops, "r")] if first == "e_r"
+                    else [(array_hops, "sp"), (array_hops, "r")])
         assert array_calls == expected
 
     def test_invalid_rate_raises_the_first_hops_error(self, tmp_path, monkeypatch):
@@ -706,14 +789,15 @@ MIXED_HOPS = [{"type": "awgn", "snr_db": 9.0},
 class TestSolveCounts:
     def test_reproduce_fig3_solves_each_hop_and_rate_once(self, tmp_path, solves):
         assert main(["reproduce", "--figure", "fig3", "--out-dir", str(tmp_path)]) == 0
-        # the relopt and info-continuous sweeps share each target's two-hop solves
-        assert family_totals(solves) == (240, 240)
+        # the relopt and info-continuous sweeps share each target's two-hop
+        # solves; SP takes the RC result above the critical rate
+        assert family_totals(solves) == (240, 109)
         assert set(solves.values()) == {1}
 
     def test_reproduce_fig4_solves_each_hop_and_rate_once(self, tmp_path, solves):
         assert main(["reproduce", "--figure", "fig4", "--out-dir", str(tmp_path)]) == 0
         # 80 swept targets on one single-hop and two two-hop channels
-        assert family_totals(solves) == (240, 240)
+        assert family_totals(solves) == (240, 109)
         assert set(solves.values()) == {1}
 
     @pytest.mark.parametrize("method,expected", [
@@ -728,7 +812,8 @@ class TestSolveCounts:
     def test_latency_solves_each_hop_once_per_family(self, tmp_path, solves):
         path = write_scenario(tmp_path, hops=MIXED_HOPS)
         assert main(["latency", "--scenario", path, "--trials", "100"]) == 0
-        assert family_totals(solves) == (3, 3)
+        # only the 9 dB hop's rate lies below its critical rate
+        assert family_totals(solves) == (3, 1)
         assert set(solves.values()) == {1}
 
     def test_distributed_solves_each_hop_once_per_family(self, tmp_path, solves):
@@ -737,7 +822,7 @@ class TestSolveCounts:
         out = tmp_path / "dist.json"
         assert main(["distributed", "--scenario", path, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["matches_centralized"] is True
-        assert family_totals(solves) == (3, 3)
+        assert family_totals(solves) == (3, 1)
         assert set(solves.values()) == {1}
 
 
@@ -840,6 +925,21 @@ class TestSharesComputedOnce:
                                              f"reliability_optimal_{family}")))
         assert main(["allocate", "--scenario", str(path)]) == 0
         assert calls == [300]
+
+
+def test_info_continuous_allocate_folds_its_rates_once(tmp_path, monkeypatch):
+    # the split takes the evaluation's ln M, which the output reports
+    folds = []
+    balance_frame = allocation._balance_frame
+
+    def counted(values, what):
+        folds.append((len(values), what))
+        return balance_frame(values, what)
+
+    monkeypatch.setattr(allocation, "_balance_frame", counted)
+    path = write_scenario(tmp_path, allocation_method="info_continuous")
+    assert main(["allocate", "--scenario", path]) == 0
+    assert folds == [(2, "rates")]
 
 
 class TestVerifyGrid:

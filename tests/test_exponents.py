@@ -13,8 +13,8 @@ import hopbound
 
 from hopbound.channel import ChannelError, HopChannel, capacity, e0_derivative
 from hopbound import exponents
-from hopbound.exponents import (ARRAY_MIN_HOPS, Regime, awgn_exponents, critical_rate,
-                                exponent_pair, random_coding_exponent,
+from hopbound.exponents import (ARRAY_MIN_HOPS, ExponentResult, Regime, critical_rate,
+                                hop_exponents, random_coding_exponent,
                                 sphere_packing_exponent)
 from hopbound.oracle import GridSpec, grid_max_exponent
 
@@ -108,6 +108,18 @@ def _separate_solves(rate, ch):
     return random_coding_exponent(rate, ch), sphere_packing_exponent(rate, ch)
 
 
+def _hop_pairs(rates, chs):
+    """(RC, SP) results per hop from one `hop_exponents` call per family, SP
+    taking the RC results."""
+    rc = hop_exponents(rates, chs, "r")
+    sp = hop_exponents(rates, chs, "sp", rc)
+    return [(ExponentResult(*r), ExponentResult(*p)) for r, p in zip(zip(*rc), zip(*sp))]
+
+
+def _hop_pair(rate, ch):
+    return _hop_pairs([rate], [ch])[0]
+
+
 def _pair_rates(ch, fractions):
     """0, R_crit and its neighbouring doubles, C, 1.01 C and fractions of C."""
     cap, r_crit = capacity(ch), critical_rate(ch)
@@ -118,16 +130,20 @@ def _pair_rates(ch, fractions):
 _FRACTIONS = st.lists(st.floats(1e-6, 1.0), max_size=6)
 
 
-class TestExponentPair:
-    """exponent_pair gives the two solvers' results (or errors), solving SP
-    only below the critical rate."""
+class TestSpherePackingReuse:
+    """hop_exponents' SP solve given the RC results gives the two solvers'
+    results (or errors), solving SP only below the critical rate."""
 
     @settings(max_examples=60, deadline=None)
     @given(snr_db=st.floats(-10.0, 40.0), fractions=_FRACTIONS)
     def test_awgn_equals_separate_solves(self, snr_db, fractions):
         ch = HopChannel.awgn(10.0 ** (snr_db / 10.0))
-        for rate in _pair_rates(ch, fractions):
-            assert _outcome(exponent_pair, rate, ch) == _outcome(_separate_solves, rate, ch)
+        rates = _pair_rates(ch, fractions)
+        for rate in rates:
+            assert _outcome(_hop_pair, rate, ch) == _outcome(_separate_solves, rate, ch)
+        # the valid rates in one call per family
+        assert _hop_pairs(rates[1:], [ch] * (len(rates) - 1)) == [
+            _separate_solves(r, ch) for r in rates[1:]]
 
     @settings(max_examples=40, deadline=None)
     @given(size=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
@@ -136,14 +152,17 @@ class TestExponentPair:
         rng = np.random.default_rng(seed)
         transition = rng.dirichlet(np.full(size, 0.5), size=size)
         ch = HopChannel.dmc(transition, rng.dirichlet(np.ones(size)))
-        for rate in _pair_rates(ch, fractions):
-            assert _outcome(exponent_pair, rate, ch) == _outcome(_separate_solves, rate, ch)
+        rates = _pair_rates(ch, fractions)
+        for rate in rates:
+            assert _outcome(_hop_pair, rate, ch) == _outcome(_separate_solves, rate, ch)
+        assert _hop_pairs(rates[1:], [ch] * (len(rates) - 1)) == [
+            _separate_solves(r, ch) for r in rates[1:]]
 
     def test_rate_zero_raises_the_sphere_packing_error(self):
         with pytest.raises(ChannelError, match="rate must be positive for sphere packing"):
-            exponent_pair(0.0, SNR1)
+            _hop_pair(0.0, SNR1)
         with pytest.raises(ChannelError, match="rate must be nonnegative"):
-            exponent_pair(-1.0, SNR1)
+            _hop_pair(-1.0, SNR1)
 
     def test_solves_sphere_packing_only_below_the_critical_rate(self, monkeypatch):
         sp_rates = []
@@ -155,7 +174,7 @@ class TestExponentPair:
         monkeypatch.setattr(exponents, "sphere_packing_exponent", counted)
         r_crit = critical_rate(SNR1)
         rates = [0.05, math.nextafter(r_crit, 0.0), r_crit, 0.3, math.log(2.0), 1.0]
-        pairs = [exponent_pair(r, SNR1) for r in rates]
+        pairs = _hop_pairs(rates, [SNR1] * len(rates))
         assert sp_rates == rates[:2]
         assert [rc.regime for rc, _ in pairs] == [Regime.RHO_CLAMPED_AT_ONE] * 2 + [
             Regime.PARAMETRIC_INTERIOR] * 2 + [Regime.ZERO_ABOVE_CAPACITY] * 2
@@ -180,25 +199,40 @@ def _batch_rates(rng, chs):
 _INVALID_RATES = (math.nan, -math.inf, -1.0, -5e-324, -0.0, 0.0)
 
 
-class TestAwgnExponents:
-    """awgn_exponents equals the per-hop solves bit for bit, errors included."""
+def _mixed_chain(size):
+    """AWGN hops from -10 to 40 dB with a BSC every fifth hop."""
+    return [HopChannel.bsc(0.01 + 0.1 * (k * 0.618 % 1.0)) if k % 5 == 4
+            else HopChannel.awgn(10.0 ** ((k * 0.618 % 1.0) * 5.0 - 1.0)) for k in range(size)]
+
+
+class TestHopExponents:
+    """hop_exponents equals the per-hop solves bit for bit, errors included,
+    with and without the RC results for SP."""
 
     @staticmethod
     def assert_equals_per_hop_solves(rates, chs, family):
         solve = random_coding_exponent if family == "r" else sphere_packing_exponent
         try:
+            rc = [hop_exponents(rates, chs, "r")] if family == "sp" else []
+        except ChannelError:
+            rc = []
+        try:
             expected = [solve(r, ch) for r, ch in zip(rates, chs)]
         except ChannelError as exc:
-            with pytest.raises(ChannelError) as raised:
-                awgn_exponents(rates, chs, family)
-            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            for given_rc in [None] + rc:
+                with pytest.raises(ChannelError) as raised:
+                    hop_exponents(rates, chs, family, given_rc)
+                assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
             return None
-        exponent, rho_star, regime = awgn_exponents(rates, chs, family)
-        # bitwise, so NaN payloads and signed zeros count too
-        assert exponent.tobytes() == np.array([r.exponent for r in expected]).tobytes()
-        assert rho_star.tobytes() == np.array([r.rho_star for r in expected]).tobytes()
-        assert regime.tolist() == [r.regime for r in expected]
-        return set(regime.tolist())
+        for given_rc in [None] + rc:
+            exponent, rho_star, regime = hop_exponents(rates, chs, family, given_rc)
+            # bitwise, so NaN payloads and signed zeros count too
+            assert np.array(exponent).tobytes() == np.array(
+                [r.exponent for r in expected]).tobytes()
+            assert np.array(rho_star).tobytes() == np.array(
+                [r.rho_star for r in expected]).tobytes()
+            assert regime == [r.regime for r in expected]
+        return set(regime)
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.sampled_from([1, ARRAY_MIN_HOPS - 1, ARRAY_MIN_HOPS, 1000]),
@@ -213,6 +247,29 @@ class TestAwgnExponents:
             rates[int(where * size)] = bad
         self.assert_equals_per_hop_solves(rates, chs, family)
 
+    @pytest.mark.parametrize("bad", [{4: 0.0, 50: -1.0}, {50: 0.0, 4: -1.0}, {49: math.nan},
+                                     {}])
+    def test_mixed_chain_keeps_the_hop_order(self, monkeypatch, bad):
+        # 96 AWGN hops take the array pass, so an array error must not come
+        # before a BSC hop's: SP fails first at the lower of the two hops, RC
+        # at the negative rate
+        array_hops = []
+        awgn = exponents._awgn_exponents
+
+        def counted(rates, channels, rho_cap, capped_regime):
+            array_hops.append(len(channels))
+            return awgn(rates, channels, rho_cap, capped_regime)
+
+        monkeypatch.setattr(exponents, "_awgn_exponents", counted)
+        chs = _mixed_chain(120)
+        rates = [f * capacity(ch) for f, ch in zip(np.linspace(0.05, 1.01, 120), chs)]
+        for hop, rate in bad.items():
+            rates[hop] = rate
+        for family in ("r", "sp"):
+            self.assert_equals_per_hop_solves(rates, chs, family)
+        if not bad:
+            assert 96 in array_hops
+
     def test_reaches_every_regime(self):
         rng = np.random.default_rng(0)
         chs = [HopChannel.awgn(10.0 ** (x / 10.0)) for x in np.linspace(-10.0, 40.0, 400)]
@@ -223,14 +280,11 @@ class TestAwgnExponents:
             Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CAPPED, Regime.PARAMETRIC_INTERIOR}
 
     def test_empty_batch(self):
-        exponent, rho_star, regime = awgn_exponents([], [], "sp")
-        assert exponent.size == rho_star.size == regime.size == 0
+        assert hop_exponents([], [], "sp") == [[], [], []]
 
-    def test_rejects_dmc_hops_and_unknown_families(self):
-        with pytest.raises(ChannelError, match="AWGN"):
-            awgn_exponents([0.1, 0.1], [SNR1, HopChannel.bsc(0.1)], "r")
+    def test_rejects_unknown_families(self):
         with pytest.raises(ValueError, match="family"):
-            awgn_exponents([0.1], [SNR1], "rc")
+            hop_exponents([0.1], [SNR1], "rc")
 
 
 def _run_python(args, timeout):
