@@ -21,6 +21,7 @@ __all__ = [
     "e0",
     "e0_derivative",
     "e0_terms",
+    "e0_dmc_terms",
     "capacity",
 ]
 
@@ -187,26 +188,47 @@ def e0_terms(ch: HopChannel):
             u, v = snr / (a + snr), rho / a
             return rho * log_term, log_term - v * u, -(u / a) * (2.0 / a + v * u)
         return awgn_terms
+    dmc_terms = e0_dmc_terms(ch)
+
+    def one_rho(rho):
+        value, slope, curve = dmc_terms(np.array([rho]))
+        return float(value[0]), float(slope[0]), float(curve[0])
+    return one_rho
+
+
+def e0_dmc_terms(ch: HopChannel):
+    """The DMC step of `e0_terms` over an array of K rhos, on (K, S, Y) arrays.
+
+    Each element's floats are those of the step on one rho in Python floats,
+    whatever K: where numpy's array forms may round otherwise, it takes np.sqrt
+    at t = 0.5 (numpy's path for p ** 0.5), math.log and t ** 3 per element.
+    """
     q = ch.input_dist[:, None]
     p, log_p = ch._reached, ch._log_reached
 
     def dmc_terms(rho):
-        t = 1.0 / (1.0 + rho)
-        weighted = q * p ** t
-        a = weighted.sum(axis=0)
+        a1 = 1.0 + rho
+        t = 1.0 / a1
+        ts = t.tolist()
+        powered = p ** t[:, None, None]
+        if 0.5 in ts:
+            powered[t == 0.5] = np.sqrt(p)
+        weighted = q * powered
+        a = weighted.sum(axis=1)
         log_a = np.log(a)
         # pi_y = e_y / total, scaled by the largest a_y^(1+rho) against underflow
-        z = (1.0 + rho) * log_a
-        top = float(z.max())
-        e = np.exp(z - top)
-        total = float(e.sum())
-        w = weighted / a
-        mean_w = (w * log_p).sum(axis=0)
-        var_w = (w * (log_p - mean_w) ** 2).sum(axis=0)
-        g = log_a - t * mean_w
-        d1 = -float(e @ g) / total
-        d2 = -float(e @ ((g + d1) ** 2 + t ** 3 * var_w)) / total
-        return -(top + math.log(total)), d1, d2
+        z = a1[:, None] * log_a
+        top = z.max(axis=1)
+        e = np.exp(z - top[:, None])[:, None, :]  # (K, 1, Y): matmul makes e @ g's ddot per row
+        total = e.sum(axis=2)[:, 0]
+        w = weighted / a[:, None, :]
+        mean_w = (w * log_p).sum(axis=1)
+        var_w = (w * (log_p - mean_w[:, None, :]) ** 2).sum(axis=1)
+        g = log_a - t[:, None] * mean_w
+        d1 = -np.matmul(e, g[:, :, None])[:, 0, 0] / total
+        cube = np.array([x ** 3 for x in ts])[:, None]
+        d2 = -np.matmul(e, ((g + d1[:, None]) ** 2 + cube * var_w)[:, :, None])[:, 0, 0] / total
+        return -(top + np.fromiter(map(math.log, total.tolist()), float, rho.size)), d1, d2
     return dmc_terms
 
 

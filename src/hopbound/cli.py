@@ -2,7 +2,8 @@
 distributed protocol, brute-force verification, and reproduction of the
 single-hop vs. two-hop rate-reliability-delay comparison data.
 
-Exit codes: 0 success, 2 usage error, 3 domain infeasibility.
+Exit codes: 0 success, 2 usage error, 3 domain infeasibility or an output
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ REPRODUCE_MC_SEED = 20240101
 # rows of the `exponent` grid solved and written at a time: its memory is bounded
 _GRID_CHUNK = 4096
 
+# the most rates `exponent` sweeps: its time and temporary file grow with them
+MAX_RATE_STEPS = 10 ** 7
+
 # exp() overflows doubles near 709; above this `allocate` reports M as null
 _LN_M_MATERIALIZE_LIMIT = 700.0
 
@@ -62,6 +66,17 @@ def _snr_db_to_linear(db: float) -> float:
         return 10.0 ** (db / 10.0)
     except OverflowError:
         raise ChannelError(f"SNR of {db} dB overflows a double") from None
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening `path` to write would raise, leaving it as it
+    was: a file or directory is opened to append, a new path created and removed;
+    a pipe, a device or a dangling link is left to the write."""
+    if os.path.isfile(path) or os.path.isdir(path):
+        open(path, "a").close()
+    elif not os.path.lexists(path):
+        open(path, "x").close()
+        os.remove(path)
 
 
 def _write_csv(path: str, header: str, rows: Iterable) -> None:
@@ -106,6 +121,7 @@ def cmd_exponent(args) -> int:
         if not 0 <= args.hop < len(sc.hops):
             raise ScenarioError(f"hop index {args.hop} out of range")
         ch = sc.hops[args.hop]
+    _check_writable(args.out)
 
     def rows():
         for rates in _grid_chunks(args.rate_min, args.rate_max, args.rate_steps):
@@ -167,6 +183,12 @@ def _fig4_row(ev: Evaluation) -> list:
 
 def cmd_reproduce(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
+    names = ["single_hop.csv", "two_hop_relopt.csv", "two_hop_infocont.csv", "meta.json"]
+    if args.figure == "fig4":
+        names = ["single_hop.csv", "two_hop.csv", "meta.json"]
+    paths = [os.path.join(args.out_dir, f"{args.figure}_{name}") for name in names]
+    for path in paths:
+        _check_writable(path)
     single = [HopChannel.awgn(_snr_db_to_linear(db)) for db in REPRODUCE_SINGLE_SNR_DB]
     two = [HopChannel.awgn(_snr_db_to_linear(db)) for db in REPRODUCE_TWO_SNR_DB]
     meta = {
@@ -187,20 +209,15 @@ def cmd_reproduce(args) -> int:
         single_rows, = _sweep_rows(single, [Method.MANUAL], _fig3_row)
         relopt_rows, infocont_rows = _sweep_rows(
             two, [Method.RELIABILITY_OPTIMAL_RC, Method.INFO_CONTINUOUS], _fig3_row)
-        _write_csv(os.path.join(args.out_dir, "fig3_single_hop.csv"), header, single_rows)
-        _write_csv(os.path.join(args.out_dir, "fig3_two_hop_relopt.csv"), header, relopt_rows)
-        _write_csv(os.path.join(args.out_dir, "fig3_two_hop_infocont.csv"), header,
-                   infocont_rows)
-        _write_json(os.path.join(args.out_dir, "fig3_meta.json"), meta)
+        for path, rows in zip(paths, (single_rows, relopt_rows, infocont_rows)):
+            _write_csv(path, header, rows)
     else:
         meta["mc"] = {"trials": REPRODUCE_MC_TRIALS, "seed": REPRODUCE_MC_SEED}
         header = ("end_to_end_rate_nats,latency_upper,latency_lower,"
                   "latency_mc_mean,latency_mc_stderr")
-        _write_csv(os.path.join(args.out_dir, "fig4_single_hop.csv"), header,
-                   *_sweep_rows(single, [Method.MANUAL], _fig4_row))
-        _write_csv(os.path.join(args.out_dir, "fig4_two_hop.csv"), header,
-                   *_sweep_rows(two, [Method.RELIABILITY_OPTIMAL_RC], _fig4_row))
-        _write_json(os.path.join(args.out_dir, "fig4_meta.json"), meta)
+        _write_csv(paths[0], header, *_sweep_rows(single, [Method.MANUAL], _fig4_row))
+        _write_csv(paths[1], header, *_sweep_rows(two, [Method.RELIABILITY_OPTIMAL_RC], _fig4_row))
+    _write_json(paths[-1], meta)
     return EXIT_OK
 
 
@@ -334,18 +351,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if runner(args.seed, report) else EXIT_INFEASIBLE
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _int_in(low: int, high: float = math.inf):
+    """An argparse type: an integer from `low` to `high`."""
+    bounds = f">= {low}" if high == math.inf else f"from {low} to {high}"
 
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
+    def integer(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {text}")
+        return value
+    return integer
 
 
 def _finite_float(text: str) -> float:
@@ -369,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hop", type=int, default=0, help="hop index in the scenario")
     p.add_argument("--rate-min", type=_finite_float, required=True)
     p.add_argument("--rate-max", type=_finite_float, required=True)
-    p.add_argument("--rate-steps", type=_positive_int, required=True)
+    p.add_argument("--rate-steps", type=_int_in(1, MAX_RATE_STEPS), required=True,
+                   help=f"number of rates, 1 to {MAX_RATE_STEPS:,}")
     p.add_argument("--out", required=True)
     p.add_argument("--bits", action="store_true",
                    help="echo rates in bits/use on stdout (files stay in nats)")
@@ -390,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("latency", help="ARQ latency bounds and Monte Carlo estimate")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--trials", type=_positive_int, default=100_000)
+    p.add_argument("--trials", type=_int_in(1), default=100_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_latency)
@@ -404,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a brute-force validation suite")
     p.add_argument("--suite", choices=["grid", "alloc", "ensemble"], required=True)
-    p.add_argument("--seed", type=_non_negative_int, default=1)
+    p.add_argument("--seed", type=_int_in(0), default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -418,7 +434,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except (*_DOMAIN_ERRORS, OSError) as exc:  # OSError: a file that cannot be written
         hop = getattr(exc, "hop", None)
         payload = {"error": str(exc)}
         if hop is not None:

@@ -6,12 +6,11 @@ concave in rho, the interior maximizer solves dE0/drho = R; it is found by
 Newton's method on that equation, on Python floats, with every step kept
 inside a bisection bracket.
 
-`hop_exponents` solves a list of hops.  From ARRAY_MIN_HOPS AWGN hops on,
-it runs the same solve on float64 arrays, each element taking the scalar
-solve's IEEE-754 operations in the same order (math.log1p per element, as
-np.log1p may differ in the last bit), so the results are bit-identical.
-Those solves bypass `random_coding_exponent` and `sphere_packing_exponent`,
-so wrappers of those two functions do not see them.
+`hop_exponents` solves a list of hops.  ARRAY_MIN_HOPS or more AWGN hops, and
+the hops on each DMC channel object, take one array pass: each element takes
+the scalar solve's IEEE-754 operations in the same order, so the results are
+bit-identical.  Those solves bypass `random_coding_exponent`
+and `sphere_packing_exponent`, so wrappers of those two do not see them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelError, HopChannel, capacity, e0_derivative, e0_terms
+from .channel import (ChannelError, HopChannel, capacity, e0_derivative, e0_dmc_terms,
+                      e0_terms)
 
 __all__ = [
     "Regime",
@@ -37,7 +37,7 @@ __all__ = [
 # sphere-packing maximizer diverges as R -> 0; cap it and flag the regime
 RHO_MAX = 1e6
 
-# AWGN hops from which one `_awgn_exponents` call beats per-hop solves: its
+# AWGN hops from which one `_array_exponents` call beats per-hop solves: its
 # ~0.25 ms against 3-4 (RC) or 6-8 us (SP) per hop; RC's break-even, SP's is ~50
 ARRAY_MIN_HOPS = 80
 
@@ -124,59 +124,61 @@ def sphere_packing_exponent(rate: float, ch: HopChannel) -> ExponentResult:
 
 
 def _awgn_terms(rho: np.ndarray, snr: np.ndarray):
-    """`e0_terms`'s AWGN step over arrays, with ln(1 + SNR/(1+rho)) in place
-    of E0 = rho ln(1 + SNR/(1+rho)): the same operations, element for element."""
+    """`e0_terms`'s AWGN step over arrays: the same operations, element for element
+    (math.log1p per element, as np.log1p may differ in the last bit)."""
     a = 1.0 + rho
     log_term = np.fromiter(map(math.log1p, (snr / a).tolist()), float, rho.size)
     u, v = snr / (a + snr), rho / a
     vu = v * u
-    return log_term, log_term - vu, -(u / a) * (2.0 / a + vu)
+    return rho * log_term, log_term - vu, -(u / a) * (2.0 / a + vu)
 
 
-# regime codes of `_awgn_exponents`
+# regime codes of `_array_exponents`
 _ABOVE, _CAPPED, _INTERIOR = 0, 1, 2
 
 
-def _awgn_exponents(rates, channels, rho_cap: float, capped_regime: str):
-    """(exponent, rho_star, regime) arrays of `_maximize` over AWGN hops at
-    valid rates, bit for bit: its bracket doubling and safeguarded Newton steps
-    on float64 arrays, dropping each element from the active set when it stops
+def _array_exponents(rates, caps, params, terms, rho_cap: float, capped_regime: str):
+    """(exponent, rho_star, regime) arrays of `_maximize` at valid rates on hops
+    of capacities `caps`, bit for bit, given terms(rho, par): the step's
+    (E0, dE0/drho, d2E0/drho2) arrays, element for element its floats, where
+    `par` holds the active hops' entries of `params` (an AWGN hop's SNR).  Runs
+    the bracket doubling and safeguarded Newton steps on float64 arrays, dropping
+    each element, and its entry of `params`, from the active set when it stops
     (np.spacing equals math.ulp on these non-negative values)."""
-    snr = np.array([ch.snr for ch in channels])
     rate = np.array(rates, dtype=float)
     n = rate.size
-    rho_star, log_term = np.zeros(n), np.zeros(n)
+    rho_star, e0_star = np.zeros(n), np.zeros(n)
     code = np.zeros(n, dtype=np.int8)
 
-    cap = np.array(list(map(capacity, channels)))
+    cap = np.array(caps, dtype=float)
     idx = np.flatnonzero(rate < cap)  # the rest are zero above capacity
-    r, snr, lo_slope = rate[idx], snr[idx], cap[idx]
+    r, par, lo_slope = rate[idx], np.asarray(params)[idx], cap[idx]
     lo, hi = np.zeros(idx.size), np.ones(idx.size)
-    lt, slope, _ = _awgn_terms(hi, snr)
+    e0, slope, _ = terms(hi, par)
     # double the bracket until dE0/drho falls to the rate, stopping at the cap
     up = np.flatnonzero(slope > r)
     while up.size:
         at_cap = hi[up] >= rho_cap
         done = up[at_cap]
-        rho_star[idx[done]], log_term[idx[done]], code[idx[done]] = hi[done], lt[done], _CAPPED
+        rho_star[idx[done]], e0_star[idx[done]], code[idx[done]] = hi[done], e0[done], _CAPPED
         up = up[~at_cap]
         lo[up], lo_slope[up] = hi[up], slope[up]
         hi[up] = np.minimum(2.0 * hi[up], rho_cap)
-        lt[up], slope[up], _ = _awgn_terms(hi[up], snr[up])
+        e0[up], slope[up], _ = terms(hi[up], par[up])
         up = up[slope[up] > r[up]]
     live = code[idx] != _CAPPED
-    idx, r, snr, lo, lo_slope, hi, lt, slope = (
-        a[live] for a in (idx, r, snr, lo, lo_slope, hi, lt, slope))
+    idx, r, par, lo, lo_slope, hi, e0, slope = (
+        a[live] for a in (idx, r, par, lo, lo_slope, hi, e0, slope))
 
     # Newton on dE0/drho = rate from the secant point, kept inside [lo, hi]
     rho, nxt = hi, lo + (hi - lo) * (lo_slope - r) / (lo_slope - slope)
     tol = _ULPS * np.spacing(r)
 
     def finish(stop):
-        """Record the stopped elements' rho and log term; return the others' state."""
-        rho_star[idx[stop]], log_term[idx[stop]], code[idx[stop]] = rho[stop], lt[stop], _INTERIOR
+        """Record the stopped elements' rho and E0; return the others' state."""
+        rho_star[idx[stop]], e0_star[idx[stop]], code[idx[stop]] = rho[stop], e0[stop], _INTERIOR
         keep = ~stop
-        return [a[keep] for a in (idx, r, snr, tol, lo, hi, rho, lt, nxt)]
+        return [a[keep] for a in (idx, r, par, tol, lo, hi, rho, e0, nxt)]
 
     while idx.size:
         inside = (lo < nxt) & (nxt < hi)
@@ -184,9 +186,9 @@ def _awgn_exponents(rates, channels, rho_cap: float, capped_regime: str):
             nxt = np.where(inside, nxt, 0.5 * (lo + hi))
             inside = (lo < nxt) & (nxt < hi)
             if not inside.all():  # adjacent bracket ends: stop at the last rho
-                idx, r, snr, tol, lo, hi, rho, lt, nxt = finish(~inside)
+                idx, r, par, tol, lo, hi, rho, e0, nxt = finish(~inside)
         rho = nxt
-        lt, slope, curve = _awgn_terms(rho, snr)
+        e0, slope, curve = terms(rho, par)
         above = slope > r
         lo, hi = np.where(above, rho, lo), np.where(above, hi, rho)
         diff = slope - r
@@ -194,11 +196,10 @@ def _awgn_exponents(rates, channels, rho_cap: float, capped_regime: str):
         nxt = rho - step
         stop = (np.abs(step) <= _ULPS * np.spacing(rho)) | (np.abs(diff) <= tol)
         if stop.any():
-            idx, r, snr, tol, lo, hi, rho, lt, nxt = finish(stop)
+            idx, r, par, tol, lo, hi, rho, e0, nxt = finish(stop)
 
     solved = np.flatnonzero(code)
-    rho_s = rho_star[solved]
-    value = rho_s * log_term[solved] - rho_s * rate[solved]
+    value = e0_star[solved] - rho_star[solved] * rate[solved]
     exponent = np.zeros(n)
     exponent[solved] = np.where((code[solved] == _INTERIOR) & (0.0 > value), 0.0, value)
     regimes = np.array([Regime.ZERO_ABOVE_CAPACITY, capped_regime, Regime.PARAMETRIC_INTERIOR],
@@ -228,17 +229,25 @@ def hop_exponents(rates, hops, family: str, rc=None) -> list[list]:
             solve(rate, ch)  # raises the per-hop solver's ChannelError
     out = [list(column) for column in rc] if rc else [[None] * len(rates) for _ in range(3)]
     todo = [i for i, regime in enumerate(out[2]) if regime not in _SHARED_REGIMES]
-    awgn = [i for i in todo if hops[i].kind == "awgn"]
-    if len(awgn) >= ARRAY_MIN_HOPS:
-        solved = _awgn_exponents([rates[i] for i in awgn], [hops[i] for i in awgn],
-                                 rho_cap, capped)
+    groups = {}
+    for i in todo:  # the AWGN hops, and the hops on each DMC channel object
+        groups.setdefault("awgn" if hops[i].kind == "awgn" else id(hops[i]), []).append(i)
+    for key, group in groups.items():
+        if key != "awgn":
+            dmc_terms = e0_dmc_terms(hops[group[0]])
+            params, terms = np.zeros(len(group)), lambda rho, _: dmc_terms(rho)
+        elif len(group) >= ARRAY_MIN_HOPS:
+            params, terms = [hops[i].snr for i in group], _awgn_terms
+        else:
+            for i in group:
+                res = solve(rates[i], hops[i])
+                out[0][i], out[1][i], out[2][i] = res.exponent, res.rho_star, res.regime
+            continue
+        solved = _array_exponents([rates[i] for i in group], [capacity(hops[i]) for i in group],
+                                  params, terms, rho_cap, capped)
         for column, values in zip(out, solved):
-            for i, value in zip(awgn, values.tolist()):
+            for i, value in zip(group, values.tolist()):
                 column[i] = value
-        todo = [i for i in todo if hops[i].kind != "awgn"]
-    for i in todo:
-        res = solve(rates[i], hops[i])
-        out[0][i], out[1][i], out[2][i] = res.exponent, res.rho_star, res.regime
     return out
 
 

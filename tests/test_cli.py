@@ -284,6 +284,26 @@ class TestExponentCommand:
             main(argv)
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["latency", "--scenario", "never.json", "--trials", "0"],
+         "--trials: must be an integer >= 1, got 0"),
+        (["verify", "--suite", "grid", "--seed", "-1"],
+         "--seed: must be an integer >= 0, got -1")], ids=["zero_trials", "negative_seed"])
+    def test_unbounded_integer_messages(self, capsys, argv, message):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert message in capsys.readouterr().err
+
+    def test_rate_steps_limit(self, capsys):
+        argv = ["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "0.5",
+                "--out", "never.csv", "--rate-steps"]
+        limit = cli.MAX_RATE_STEPS
+        assert cli.build_parser().parse_args(argv + [str(limit)]).rate_steps == limit
+        with pytest.raises(SystemExit) as err:
+            main(argv + [str(limit + 1)])
+        assert err.value.code == 2
+        assert f"must be an integer from 1 to {limit}, got {limit + 1}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("snr_db", ["inf", "5000"], ids=["inf_snr", "overflowing_snr"])
     def test_nonfinite_snr_exits_3(self, tmp_path, capsys, snr_db):
         out = tmp_path / "sweep.csv"
@@ -291,6 +311,46 @@ class TestExponentCommand:
                      "--rate-steps", "3", "--out", str(out)]) == 3
         assert "snr" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"].lower()
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """`exponent` and `reproduce` open their outputs before solving: one that
+    cannot be written exits 3 with the JSON error and changes no file."""
+
+    @pytest.fixture(autouse=True)
+    def no_solves(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("solved before the output was checked")
+        monkeypatch.setattr(cli, "hop_exponents", solve)
+        monkeypatch.setattr(cli, "_sweep_rows", solve)
+
+    @staticmethod
+    def assert_fails_unchanged(tmp_path, capsys, argv):
+        before = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+    @pytest.mark.parametrize("out", ["missing_dir/x.csv", "a_dir", "a_file/x.csv"])
+    def test_exponent(self, tmp_path, capsys, out):
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "a_dir" / "kept.csv").write_text("kept\n")
+        (tmp_path / "a_file").write_text("kept\n")
+        self.assert_fails_unchanged(tmp_path, capsys, [
+            "exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "0.5",
+            "--rate-steps", "3", "--out", str(tmp_path / out)])
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    @pytest.mark.parametrize("blocked", ["out_dir", "meta"])
+    def test_reproduce(self, tmp_path, capsys, figure, blocked):
+        (tmp_path / "a_file").write_text("kept\n")
+        out = tmp_path / "out"
+        if blocked == "out_dir":  # under a file: cannot be created
+            out = tmp_path / "a_file" / "out"
+        else:  # a directory where the last file goes
+            (out / f"{figure}_meta.json").mkdir(parents=True)
+        self.assert_fails_unchanged(tmp_path, capsys,
+                                    ["reproduce", "--figure", figure, "--out-dir", str(out)])
 
 
 def linspace_csv(ch, lo, hi, steps):
@@ -339,6 +399,26 @@ class TestExponentGrid:
         assert out.read_text() == "kept\n"
         assert os.listdir(tmp_path) == ["sweep.csv"]
 
+    @pytest.mark.parametrize("steps", [1, 2, CHUNK + 1])
+    def test_dmc_scenario_csv_equals_the_linspace_csv(self, tmp_path, monkeypatch, steps):
+        # one channel object on every row: each chunk takes one array call per family
+        calls = []
+        solve = exponents._array_exponents
+        monkeypatch.setattr(exponents, "_array_exponents",
+                            lambda rates, *args: calls.append(len(rates)) or solve(rates, *args))
+        transition = [[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.0, 0.3, 0.7]]
+        input_dist = [0.5, 0.3, 0.2]
+        ch = HopChannel.dmc(transition, input_dist)
+        path = write_scenario(tmp_path, hops=[
+            {"type": "awgn", "snr_db": 3.0},
+            {"type": "dmc", "transition": transition, "input_dist": input_dist}])
+        lo, hi = 1e-3 * capacity(ch), 1.05 * capacity(ch)
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--scenario", path, "--hop", "1", f"--rate-min={lo!r}",
+                     f"--rate-max={hi!r}", "--rate-steps", str(steps), "--out", str(out)]) == 0
+        assert out.read_text() == linspace_csv(ch, lo, hi, steps)
+        assert max(calls) == min(steps, self.CHUNK)
+
     def test_out_through_a_symlink(self, tmp_path):
         # the rows reach the link's target, and the link stays a link
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
@@ -347,6 +427,14 @@ class TestExponentGrid:
         assert main(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "0.5",
                      "--rate-steps", "3", "--out", str(link)]) == 0
         assert link.is_symlink()
+        assert target.read_text() == linspace_csv(HopChannel.awgn(1.0), 0.1, 0.5, 3)
+
+    def test_out_through_a_dangling_symlink(self, tmp_path):
+        # the output check leaves the link to the write, which creates its target
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "0.5",
+                     "--rate-steps", "3", "--out", str(link)]) == 0
         assert target.read_text() == linspace_csv(HopChannel.awgn(1.0), 0.1, 0.5, 3)
 
     def test_memory_does_not_grow_with_the_grid(self, tmp_path):
@@ -639,12 +727,13 @@ class TestEvaluationExponentPaths:
         path.write_text(json.dumps(chain_doc(kinds)))
         ev = Evaluation(load_scenario(str(path)))
         array_calls = []
-        solve = exponents._awgn_exponents
+        solve = exponents._array_exponents
 
-        def counted(rates, channels, rho_cap, capped_regime):
-            array_calls.append((len(channels), {1.0: "r", RHO_MAX: "sp"}[rho_cap]))
-            return solve(rates, channels, rho_cap, capped_regime)
-        monkeypatch.setattr(exponents, "_awgn_exponents", counted)
+        def counted(rates, caps, params, terms, rho_cap, capped_regime):
+            kind = "awgn" if terms is exponents._awgn_terms else "dmc"
+            array_calls.append((len(rates), {1.0: "r", RHO_MAX: "sp"}[rho_cap], kind))
+            return solve(rates, caps, params, terms, rho_cap, capped_regime)
+        monkeypatch.setattr(exponents, "_array_exponents", counted)
         return ev, array_calls
 
     @pytest.mark.parametrize("first", ["e_r", "e_sp"])
@@ -663,7 +752,13 @@ class TestEvaluationExponentPaths:
         # leaves fewer than ARRAY_MIN_HOPS AWGN hops to solve on these chains
         expected = ([] if array_hops is None else [(array_hops, "r")] if first == "e_r"
                     else [(array_hops, "sp"), (array_hops, "r")])
-        assert array_calls == expected
+        assert [call[:2] for call in array_calls if call[2] == "awgn"] == expected
+        # each DMC hop is its own channel object, so its own array call; SP after
+        # RC solves only the hops RC left clamped at rho = 1
+        dmc = [i for i, ch in enumerate(hops) if ch.kind == "dmc"]
+        sp = [i for i in dmc if first == "e_sp" or ev.rc[2][i] == "rho_clamped_at_one"]
+        assert collections.Counter(call[:2] for call in array_calls if call[2] == "dmc") == (
+            collections.Counter({(1, "r"): len(dmc), (1, "sp"): len(sp)}))
 
     def test_invalid_rate_raises_the_first_hops_error(self, tmp_path, monkeypatch):
         # SP rejects the zero rate on the BSC at hop 4 first; RC accepts it and
@@ -762,7 +857,8 @@ class TestVerifyCommand:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Exponent solves counted by (family, hop channel, rate), wherever they are called."""
+    """Exponent solves counted by (family, hop channel, rate), wherever they are
+    called; in an array solve the hop is known by its capacity."""
     counts = collections.Counter()
     for family, solver in (("rc", random_coding_exponent), ("sp", sphere_packing_exponent)):
         def counted(rate, ch, family=family, solver=solver):
@@ -773,6 +869,13 @@ def solves(monkeypatch):
                 for attr, value in list(vars(mod).items()):
                     if value is solver:
                         monkeypatch.setattr(mod, attr, counted)
+    array_solve = exponents._array_exponents
+
+    def counted_array(rates, caps, *args):
+        family = {1.0: "rc", RHO_MAX: "sp"}[args[-2]]
+        counts.update((family, cap, rate) for rate, cap in zip(rates, caps))
+        return array_solve(rates, caps, *args)
+    monkeypatch.setattr(exponents, "_array_exponents", counted_array)
     return counts
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -6,12 +7,13 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hopbound
 
-from hopbound.channel import ChannelError, HopChannel, capacity, e0_derivative
+from hopbound.channel import (ChannelError, HopChannel, capacity, e0_derivative,
+                              e0_dmc_terms, e0_terms)
 from hopbound import exponents
 from hopbound.exponents import (ARRAY_MIN_HOPS, ExponentResult, Regime, critical_rate,
                                 hop_exponents, random_coding_exponent,
@@ -205,6 +207,21 @@ def _mixed_chain(size):
             else HopChannel.awgn(10.0 ** ((k * 0.618 % 1.0) * 5.0 - 1.0)) for k in range(size)]
 
 
+@contextlib.contextmanager
+def _counted_array_calls():
+    """Patch `exponents._array_exponents` to record each call's number of rates."""
+    calls = []
+    solve = exponents._array_exponents
+
+    def counted(rates, *args):
+        calls.append(len(rates))
+        return solve(rates, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exponents, "_array_exponents", counted)
+        yield calls
+
+
 class TestHopExponents:
     """hop_exponents equals the per-hop solves bit for bit, errors included,
     with and without the RC results for SP."""
@@ -249,24 +266,17 @@ class TestHopExponents:
 
     @pytest.mark.parametrize("bad", [{4: 0.0, 50: -1.0}, {50: 0.0, 4: -1.0}, {49: math.nan},
                                      {}])
-    def test_mixed_chain_keeps_the_hop_order(self, monkeypatch, bad):
+    def test_mixed_chain_keeps_the_hop_order(self, bad):
         # 96 AWGN hops take the array pass, so an array error must not come
         # before a BSC hop's: SP fails first at the lower of the two hops, RC
         # at the negative rate
-        array_hops = []
-        awgn = exponents._awgn_exponents
-
-        def counted(rates, channels, rho_cap, capped_regime):
-            array_hops.append(len(channels))
-            return awgn(rates, channels, rho_cap, capped_regime)
-
-        monkeypatch.setattr(exponents, "_awgn_exponents", counted)
         chs = _mixed_chain(120)
         rates = [f * capacity(ch) for f, ch in zip(np.linspace(0.05, 1.01, 120), chs)]
         for hop, rate in bad.items():
             rates[hop] = rate
-        for family in ("r", "sp"):
-            self.assert_equals_per_hop_solves(rates, chs, family)
+        with _counted_array_calls() as array_hops:
+            for family in ("r", "sp"):
+                self.assert_equals_per_hop_solves(rates, chs, family)
         if not bad:
             assert 96 in array_hops
 
@@ -286,6 +296,110 @@ class TestHopExponents:
         with pytest.raises(ValueError, match="family"):
             hop_exponents([0.1], [SNR1], "rc")
 
+
+@st.composite
+def _dmcs(draw):
+    """DMCs of 2x2 to 8x8 with zero entries, outputs no input reaches and
+    non-uniform inputs, some of which are never sent."""
+    inputs, outputs = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.dirichlet(np.full(outputs, 0.5), size=inputs)
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[:, rng.random(outputs) < 0.2] = 0.0
+    p[np.arange(inputs), rng.integers(0, outputs, inputs)] += 0.1  # no empty row
+    q = rng.dirichlet(np.ones(inputs))
+    q[rng.random(inputs) < 0.2] = 0.0
+    q[rng.integers(0, inputs)] += 0.1
+    return HopChannel.dmc(p / p.sum(axis=1, keepdims=True), q / q.sum())
+
+
+def _dmc_rates(ch, fractions):
+    """0, tiny rates, R_crit and its neighbouring doubles, C and its lower
+    neighbour, 1.01 C and fractions of C."""
+    cap = capacity(ch)
+    return _pair_rates(ch, fractions) + [5e-324, 1e-300, 1e-9 * cap, math.nextafter(cap, 0.0)]
+
+
+def _dmc_step(ch, rho: float):
+    """The DMC step (`e0_terms`'s formulas) at one rho, on (S, Y) arrays and Python
+    floats: numpy's p ** 0.5 path, the float cube and libm's log of the total."""
+    q, p, log_p = ch.input_dist[:, None], ch._reached, ch._log_reached
+    t = 1.0 / (1.0 + rho)
+    weighted = q * p ** t
+    a = weighted.sum(axis=0)
+    log_a = np.log(a)
+    z = (1.0 + rho) * log_a
+    top = float(z.max())
+    e = np.exp(z - top)
+    total = float(e.sum())
+    w = weighted / a
+    mean_w = (w * log_p).sum(axis=0)
+    var_w = (w * (log_p - mean_w) ** 2).sum(axis=0)
+    g = log_a - t * mean_w
+    d1 = -float(e @ g) / total
+    d2 = -float(e @ ((g + d1) ** 2 + t ** 3 * var_w)) / total
+    return -(top + math.log(total)), d1, d2
+
+
+class TestDmcArrayPath:
+    """The hops of one DMC channel object are solved in one `_array_exponents`
+    call on `e0_dmc_terms`, bit for bit the per-hop solves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ch=_dmcs(), rhos=st.lists(st.floats(0.0, 50.0), max_size=8))
+    @example(ch=HopChannel.dmc(np.random.default_rng(2024).dirichlet(np.ones(8), size=8)),
+             rhos=[])
+    def test_array_terms_equal_the_step_on_python_floats(self, ch, rhos):
+        # e0_terms takes the array step at one rho: both equal the reference per rho
+        rhos = [0.0, 1.0, 1e6] + rhos + np.geomspace(1e-4, 1e4, 100).tolist()
+        expected = np.array([_dmc_step(ch, rho) for rho in rhos]).T
+        terms = e0_terms(ch)
+        for got in (e0_dmc_terms(ch)(np.array(rhos)), np.array([terms(r) for r in rhos]).T):
+            for column, want in zip(got, expected):
+                assert column.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(ch=_dmcs(), fractions=st.lists(st.floats(1e-6, 1.0)))
+    def test_equals_per_hop_solves(self, ch, fractions):
+        rates = _dmc_rates(ch, fractions)
+        chs = [ch] * len(rates)
+        with _counted_array_calls() as calls:
+            TestHopExponents.assert_equals_per_hop_solves(rates, chs, "r")
+            # SP without and with the RC results (rate 0 fails SP)
+            TestHopExponents.assert_equals_per_hop_solves(rates[1:], chs[1:], "sp")
+        if min(rates[1:]) > 0:  # not a channel of capacity 0, where R_crit = 0
+            assert len(rates) in calls and len(rates) - 1 in calls
+
+    @pytest.mark.parametrize("size", [1, 2, 50])
+    def test_one_call_per_channel_object(self, size):
+        ch = HopChannel.dmc([[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.0, 0.3, 0.7]],
+                            [0.5, 0.3, 0.2])
+        rates = np.linspace(0.01, 1.1, size).tolist()
+        rates = [f * capacity(ch) for f in rates]
+        with _counted_array_calls() as calls:
+            for family in ("r", "sp"):
+                TestHopExponents.assert_equals_per_hop_solves(rates, [ch] * size, family)
+        assert size in calls and max(calls) == size
+        # equal channels that are distinct objects take one call each
+        with _counted_array_calls() as calls:
+            TestHopExponents.assert_equals_per_hop_solves(
+                rates, [HopChannel.dmc(ch.transition, ch.input_dist) for _ in rates], "r")
+        assert calls == [1] * size
+
+    @pytest.mark.parametrize("bad", [{3: 0.0, 20: -1.0}, {20: 0.0, 3: -1.0}, {16: math.nan},
+                                     {}])
+    def test_shared_objects_in_a_mixed_chain_keep_the_hop_order(self, bad):
+        # two BSC objects on 10 hops each, between AWGN hops: each takes one array
+        # call, and the first failing hop's error wins over both
+        shared = [HopChannel.bsc(0.05), HopChannel.bsc(0.11, [0.3, 0.7])]
+        chs = [shared[k % 3] if k % 3 < 2 else HopChannel.awgn(1.0 + k) for k in range(30)]
+        rates = [f * capacity(ch) for f, ch in zip(np.linspace(0.005, 1.05, 30), chs)]
+        for hop, rate in bad.items():
+            rates[hop] = rate
+        with _counted_array_calls() as calls:
+            TestHopExponents.assert_equals_per_hop_solves(rates, chs, "r")
+        assert calls == ([] if bad else [10, 10])
+        TestHopExponents.assert_equals_per_hop_solves(rates, chs, "sp")
 
 def _run_python(args, timeout):
     """Run the interpreter on `args` against this package; a hang fails the test."""
