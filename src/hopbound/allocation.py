@@ -67,25 +67,19 @@ def network_capacity(capacities: list[float]) -> float:
     return 1.0 / inv_sum
 
 
-def _largest_remainder_repair(real_values: list[float], total: int) -> list[int]:
-    """Round real allocations summing to `total` to integers summing to `total`.
+def _exact_common_m_split(rates: list[float], q_total: int) -> list[tuple[int, int]]:
+    """(floor, remainder) of each exact share Q (1/R_n) / sum_m 1/R_m, in integers.
 
-    Floors first, then hands the leftover (at most one unit per hop) out in
-    descending order of fractional remainder (ties to the lowest index).
-    A larger leftover means the real values lost their sum to rounding.
+    With R_n = num_n / den_n and P the product of the distinct nums, 1/R_n =
+    w_n / P for the integer w_n = den_n P / num_n, so each share is Q w_n / T
+    with T = sum_m w_m, and the remainders, over one denominator, compare as
+    integers.
     """
-    if not all(math.isfinite(v) for v in real_values):
-        raise AllocationError("real-valued allocation is not finite")
-    blocks = [math.floor(v) for v in real_values]
-    leftover = total - sum(blocks)
-    if leftover < 0:
-        raise AllocationError("real-valued allocation exceeds the budget")
-    if leftover > len(blocks):
-        raise AllocationError(f"real-valued allocation leaves {leftover} of {total} unplaced")
-    by_remainder = sorted(range(len(blocks)), key=lambda i: (blocks[i] - real_values[i], i))
-    for i in by_remainder[:leftover]:
-        blocks[i] += 1
-    return blocks
+    ratios = [r.as_integer_ratio() for r in rates]
+    common = math.prod({num for num, _ in ratios})
+    weights = [den * (common // num) for num, den in ratios]
+    total = sum(weights)
+    return [divmod(q_total * w, total) for w in weights]
 
 
 _NO_HOPS = (math.inf, 0.0, 0.0, 0.0, 1.0)  # sums of 0, and any hop becomes the pivot
@@ -232,12 +226,35 @@ def info_continuous_log_m(rates: list[float], q_total: int) -> float:
 def information_continuous_blocks(rates: list[float], q_total: int,
                                   ln_m: float | None = None) -> list[int]:
     """Common-M allocation: Q_n = floor(ln M / R_n), leftovers by remainder;
-    `ln_m` is info_continuous_log_m(rates, q_total) where the caller holds it."""
+    `ln_m` is info_continuous_log_m(rates, q_total) where the caller holds it.
+
+    The floors and remainders are those of the exact shares Q (1/R_n) /
+    sum_m 1/R_m: the float shares ln M / R_n give them where their error
+    bound certifies every floor and the cut between the remainders that get
+    the leftover and the rest; otherwise integer arithmetic does."""
     n = len(rates)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
     ln_m = info_continuous_log_m(rates, q_total) if ln_m is None else ln_m
-    blocks = _largest_remainder_repair([ln_m / r for r in rates], q_total)
+    shares = [ln_m / r for r in rates]
+    if not all(math.isfinite(v) for v in shares):
+        raise AllocationError("real-valued allocation is not finite")
+    blocks = [math.floor(v) for v in shares]
+    remainders = [v - b for v, b in zip(shares, blocks)]
+    by_remainder = sorted(range(n), key=lambda i: (-remainders[i], i))
+    leftover = q_total - sum(blocks)
+    # ln M's fold and the divides round at most ~3N + 3 times, so while ln M is
+    # a normal double each float share is within `slack` of its exact share
+    slack = (8 * n + 16) * 2.0 ** -53 * q_total
+    if not (ln_m >= 2.0 ** -1022 and all(2 * slack < f < 1 - 2 * slack for f in remainders)
+            and (leftover == 0 or 0 < leftover < n and remainders[by_remainder[leftover - 1]]
+                 - remainders[by_remainder[leftover]] > 2 * slack)):
+        # a floor or the cut between the remainders is not certain
+        blocks, remainders = map(list, zip(*_exact_common_m_split(rates, q_total)))
+        by_remainder = sorted(range(n), key=lambda i: (-remainders[i], i))
+        leftover = q_total - sum(blocks)
+    for i in by_remainder[:leftover]:
+        blocks[i] += 1
     if min(blocks) < 1:
         raise AllocationError("cannot keep every hop at blocklength >= 1")
     return blocks

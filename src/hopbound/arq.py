@@ -14,7 +14,11 @@ their moments in block order, so its memory is O(`_BLOCK`), not O(trials).
 Each calling thread keeps one workspace between its calls.  Hops with P_e
 below ~2.2e-16 hash no trial: the generator is invertible, so the few
 hashes that can cause a retransmission are mapped back to their trials
-(see `_latency_kernel`).  `latency_variance` is the exact variance.
+(see `_latency_kernel`).  `simulate_latencies` runs a table of chains of
+one hop count in one pass: a trial's hashes do not depend on P_e or Q, so
+each block's hashes on a hop are computed once for every chain, and
+`simulate_latency` is its one-chain case.  `latency_variance` is the exact
+variance.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "expected_latency",
     "latency_variance",
     "simulate_latency",
+    "simulate_latencies",
     "arq_chains",
     "latency_bounds",
 ]
@@ -174,10 +179,12 @@ def _candidate_cap(p: float) -> int:
     return (j_max << 11) | 2047
 
 
-def _attempt_costs(x: np.ndarray, u: np.ndarray, log_p: float, q: int) -> None:
-    """u = q (1 + floor(ln u / ln p)) from the raw hashes x, which it clobbers."""
-    x >>= np.uint64(11)
-    np.copyto(u, x)
+def _attempt_costs(x: np.ndarray, u: np.ndarray, log_p: float, q: int,
+                   shifted: np.ndarray) -> None:
+    """u = q (1 + floor(ln u / ln p)) from the raw hashes x, read once and
+    shifted into `shifted` (x itself where x may be clobbered)."""
+    np.right_shift(x, np.uint64(11), out=shifted)
+    np.copyto(u, shifted)
     u += 0.5
     u *= 2.0 ** -53
     np.log(u, out=u)
@@ -195,7 +202,7 @@ def _add_candidates(total: np.ndarray, idx: np.ndarray, x: np.ndarray, u: np.nda
         total += q
         return
     cost = u[:len(idx)]
-    _attempt_costs(x, cost, log_p, q)
+    _attempt_costs(x, cost, log_p, q, x)
     cost += total[idx]
     total += q
     total[idx] = cost
@@ -229,11 +236,45 @@ def _inverted_candidates(key: int, n: int, hop: int,
     return listed
 
 
+class _HashStreams:
+    """Raw hashes of a block of trials on one hop, for the kernels of one call:
+    its chains have n hops and one seed, so trial i's hash on hop h depends on
+    (key, i, n, h) alone.  One chain's streams go to the workspace's `bits`,
+    each hashed as its hop reads it.  More chains share each block's streams,
+    in one buffer per hop position (`bits` for the first), made on first use."""
+
+    def __init__(self, key: int, n: int, size: int, ws: _Workspace, shared: bool):
+        self.key, self.n, self.size, self.ws, self.shared = key, n, size, ws, shared
+        self.buffers, self.blocks, self.ramp = {}, {}, None  # hop -> buffer, its block's start
+
+    def __call__(self, start: int, stop: int, hop: int) -> np.ndarray:
+        """Trials [start, stop)'s raw hashes on hop `hop`; readers must not write them."""
+        m, ws = stop - start, self.ws
+        x = self.buffers.get(hop)
+        if x is None:
+            x = np.empty(self.size, np.uint64) if self.buffers else ws.bits
+            if self.shared:
+                self.buffers[hop] = x
+        x = x[:m]
+        if self.blocks.get(hop) != start:
+            if self.ramp is None:  # j N GOLDEN: trial start + j's counter offset
+                self.ramp = np.multiply(ws.counter[:self.size],
+                                        np.uint64(self.n * _GOLDEN & _MASK64),
+                                        out=ws.ramp[:self.size])
+            base = self.key + (start * self.n + hop + 1) * _GOLDEN
+            np.add(self.ramp[:m], np.uint64(base & _MASK64), out=x)
+            _splitmix64_inplace(x, ws.scratch[:m])
+            if self.shared:
+                self.blocks[hop] = start
+        return x
+
+
 def _latency_kernel(chain: ArqChain, seed: int, size: int,
-                    workspace: _Workspace | None = None):
+                    workspace: _Workspace | None = None, streams: _HashStreams | None = None):
     """A function (start, stop) -> latencies of trials [start, stop), for
     stop - start <= size, computed in place in `workspace`'s buffers (a new
-    one of `size` entries if None).
+    one of `size` entries if None) from the hashes of `streams` (the chain's
+    own if None), which it reads and does not write.
 
     The returned array is a view of the workspace's buffer, which the next
     call overwrites, or a read-only broadcast of one value (a constant block,
@@ -270,7 +311,8 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     n = len(chain.costs)
     key = _splitmix64((seed + _GOLDEN) & _MASK64)
     ws = _Workspace(size) if workspace is None else workspace
-    bits, scratch, uniforms, totals, marks = ws.bits, ws.scratch, ws.uniforms, ws.totals, ws.marks
+    streams = _HashStreams(key, n, size, ws, False) if streams is None else streams
+    scratch, uniforms, totals, marks = ws.scratch, ws.uniforms, ws.totals, ws.marks
     hops = []
     for hop, (q, p) in enumerate(zip(chain.costs, chain.self_loop_probs)):
         cap = _candidate_cap(p) if 0.0 < p < _SPARSE_PE else None
@@ -281,12 +323,10 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     constant = (sum(int(q) for q in chain.costs)
                 if all(log_p is None or listed is not None for _, log_p, _, listed in hops)
                 else None)
-    ramp = None
 
     def latencies(start: int, stop: int) -> np.ndarray:
-        nonlocal ramp
         m = stop - start
-        x, tmp, u, total, hit = bits[:m], scratch[:m], uniforms[:m], totals[:m], marks[:m]
+        tmp, u, total, hit = scratch[:m], uniforms[:m], totals[:m], marks[:m]
         # the block's largest counter is stop N
         inverted = stop * n < 1 << 64
         found = {}
@@ -300,7 +340,6 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
         if (constant is not None and inverted and m * constant < 2 ** 53
                 and not any(len(idx) for idx, _ in found.values())):
             return np.broadcast_to(np.float64(constant), (m,))
-        base = key + (start * n + 1) * _GOLDEN
         total.fill(0.0)
         # each step is the full-array formula's, in its order, so every
         # latency is bit-identical to it
@@ -311,13 +350,9 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
             if hop in found:
                 _add_candidates(total, *found[hop], u, log_p, q)
                 continue
-            if ramp is None:  # j N GOLDEN: trial start + j's counter offset
-                ramp = np.multiply(ws.counter[:size], np.uint64(n * _GOLDEN & _MASK64),
-                                   out=ws.ramp[:size])
-            np.add(ramp[:m], np.uint64((base + hop * _GOLDEN) & _MASK64), out=x)
-            _splitmix64_inplace(x, tmp)
+            x = streams(start, stop, hop)
             if cap is None:
-                _attempt_costs(x, u, log_p, q)
+                _attempt_costs(x, u, log_p, q, tmp)
                 total += u
             else:
                 idx = np.flatnonzero(np.less_equal(x, cap, out=hit))
@@ -352,6 +387,37 @@ def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
     return n_a + n_b, s_a + s_b, m2_a + m2_b + delta * delta * (n_a * n_b / (n_a + n_b))
 
 
+def simulate_latencies(chains: list[ArqChain], trials: int,
+                       seed: int) -> list[LatencyEstimate]:
+    """`simulate_latency` of each chain of a table, bit for bit, in one pass
+    over the trials; the chains must have one hop count.  Each block's hashes
+    on a hop are computed once and read by every chain (`_HashStreams`), and
+    each chain's block moments merge in block order, as its own call's do.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if len({len(chain.costs) for chain in chains}) > 1:
+        raise ValueError("the chains of one table must have one hop count")
+    if not chains:
+        return []
+    if not hasattr(_per_thread, "workspace"):
+        _per_thread.workspace = _Workspace()
+    ws, size = _per_thread.workspace, min(trials, _BLOCK)
+    streams = _HashStreams(_splitmix64((seed + _GOLDEN) & _MASK64), len(chains[0].costs),
+                           size, ws, len(chains) > 1)
+    kernels = [_latency_kernel(chain, seed, size, ws, streams) for chain in chains]
+    blocks = ([_moments(kernel(s, min(s + _BLOCK, trials))) for kernel in kernels]
+              for s in range(0, trials, _BLOCK))
+    merged = reduce(lambda acc, block: list(map(_merge_moments, acc, block)), blocks)
+    return [LatencyEstimate(
+        analytic=expected_latency(chain),
+        mc_mean=total / trials,
+        mc_stderr=math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0,
+        trials=trials,
+        seed=seed,
+    ) for chain, (_, total, m2) in zip(chains, merged)]
+
+
 def simulate_latency(chain: ArqChain, trials: int, seed: int,
                      workers: int | None = None) -> LatencyEstimate:
     """Monte Carlo latency estimate; bit-identical for fixed (chain, trials, seed).
@@ -362,7 +428,8 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     place to (n, sum, M2) and merged in block order.  The O(`_BLOCK`)
     workspace is the calling thread's own, kept between its calls, so
     concurrent calls never share one.  `workers` is accepted and has no
-    effect.
+    effect.  This is the one-chain case of `simulate_latencies`, which
+    hashes each block into the workspace as the chain's hops read it.
 
     Hops with P_e below ~2.2e-16 list the trials that can retransmit by
     inverting the generator, and a block with none of them on a chain of
@@ -376,20 +443,7 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     bit for bit up to `_BLOCK` trials; above that the merge can move it by a
     few ulps.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not hasattr(_per_thread, "workspace"):
-        _per_thread.workspace = _Workspace()
-    kernel = _latency_kernel(chain, seed, min(trials, _BLOCK), _per_thread.workspace)
-    _, total, m2 = reduce(_merge_moments, (_moments(kernel(s, min(s + _BLOCK, trials)))
-                                           for s in range(0, trials, _BLOCK)))
-    return LatencyEstimate(
-        analytic=expected_latency(chain),
-        mc_mean=total / trials,
-        mc_stderr=math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0,
-        trials=trials,
-        seed=seed,
-    )
+    return simulate_latencies([chain], trials, seed)[0]
 
 
 def arq_chains(bounds: SystemBounds, blocks: list[int]) -> tuple[ArqChain, ArqChain]:

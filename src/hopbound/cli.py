@@ -21,12 +21,12 @@ from collections.abc import Iterable
 import numpy as np
 
 from .allocation import AllocationError, Method, network_capacity, reliability_optimal_blocks
-from .arq import LatencyError, simulate_latency
+from .arq import LatencyError, simulate_latencies, simulate_latency
 from .channel import ChannelError, HopChannel, capacity, e0_derivative
 from .distproto import run_distributed_allocation
 from .exponents import hop_exponents, random_coding_exponent, sphere_packing_exponent
 from .oracle import GridSpec, bsc_ensemble_error, exhaustive_allocation, grid_max_exponent
-from .scenario import Evaluation, Scenario, ScenarioError, load_scenario
+from .scenario import Evaluation, Scenario, ScenarioError, load_scenario, solve_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -155,19 +155,22 @@ def _sweep_evaluation(hops, method: str, target: float) -> Evaluation:
 def _sweep_rows(hops, methods: list[str], row) -> list[list[list]]:
     """row(evaluation) at each swept target, one table per method.
 
-    The methods share each target's rates and exponents; a point with a
-    domain error is skipped.
+    Every target's evaluations are solved first, in table passes
+    (`scenario.solve_table`): one solve per exponent family over every
+    target's hops and rates, which the methods share, and one stacked bounds
+    pass.  A point with a domain error is skipped.
     """
+    targets = _sweep_targets(network_capacity([capacity(ch) for ch in hops])).tolist()
+    evaluations = [[_sweep_evaluation(hops, method, target) for method in methods]
+                   for target in targets]
+    solve_table([ev for row_evs in evaluations for ev in row_evs])
     tables = [[] for _ in methods]
-    for target in _sweep_targets(network_capacity([capacity(ch) for ch in hops])):
-        ev = None
-        for method, rows in zip(methods, tables):
-            ev = (_sweep_evaluation(hops, method, float(target)) if ev is None
-                  else ev.for_method(method))
+    for target, row_evs in zip(targets, evaluations):
+        for ev, rows in zip(row_evs, tables):
             try:
                 rows.append(row(ev))
             except _DOMAIN_ERRORS as exc:
-                print(f"skipping rate {_fmt(float(target))}: {exc}", file=sys.stderr)
+                print(f"skipping rate {_fmt(target)}: {exc}", file=sys.stderr)
     return tables
 
 
@@ -176,9 +179,17 @@ def _fig3_row(ev: Evaluation) -> list:
 
 
 def _fig4_row(ev: Evaluation) -> list:
+    """The row's analytic columns and its RC chain, which `_fig4_rows` simulates."""
     upper, lower = ev.latency
-    est = simulate_latency(ev.chains[0], REPRODUCE_MC_TRIALS, REPRODUCE_MC_SEED)
-    return [ev.end_to_end_rate, upper, lower, est.mc_mean, est.mc_stderr]
+    return [ev.end_to_end_rate, upper, lower, ev.chains[0]]
+
+
+def _fig4_rows(hops, method: str) -> list[list]:
+    """fig4's rows on `hops`: one Monte Carlo call simulates every row's chain."""
+    rows, = _sweep_rows(hops, [method], _fig4_row)
+    estimates = simulate_latencies([row.pop() for row in rows], REPRODUCE_MC_TRIALS,
+                                   REPRODUCE_MC_SEED)
+    return [[*row, est.mc_mean, est.mc_stderr] for row, est in zip(rows, estimates)]
 
 
 def cmd_reproduce(args) -> int:
@@ -215,8 +226,8 @@ def cmd_reproduce(args) -> int:
         meta["mc"] = {"trials": REPRODUCE_MC_TRIALS, "seed": REPRODUCE_MC_SEED}
         header = ("end_to_end_rate_nats,latency_upper,latency_lower,"
                   "latency_mc_mean,latency_mc_stderr")
-        _write_csv(paths[0], header, *_sweep_rows(single, [Method.MANUAL], _fig4_row))
-        _write_csv(paths[1], header, *_sweep_rows(two, [Method.RELIABILITY_OPTIMAL_RC], _fig4_row))
+        _write_csv(paths[0], header, _fig4_rows(single, Method.MANUAL))
+        _write_csv(paths[1], header, _fig4_rows(two, Method.RELIABILITY_OPTIMAL_RC))
     _write_json(paths[-1], meta)
     return EXIT_OK
 

@@ -7,13 +7,15 @@ quantity once, on first use: rates, each hop's RC and SP exponents, the
 split and its end-to-end rate, the real-valued optima the CLI reports, the
 system error bounds, the ARQ chains and latency bounds.  `e_sp` takes the
 RC results above the critical rate from `exponents.hop_exponents`.
+`solve_table` fills the exponents and bounds of a table of evaluations,
+such as a rate sweep's, in array passes over the whole table.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .allocation import (AllocationError, Method, balanced_blocks, end_to_end_rate,
@@ -22,9 +24,10 @@ from .allocation import (AllocationError, Method, balanced_blocks, end_to_end_ra
 from .arq import ArqChain, arq_chains, latency_bounds
 from .channel import HopChannel, capacity
 from .exponents import hop_exponents
-from .system import SystemBounds, system_error_bounds
+from .system import SystemBounds, stacked_error_bounds, system_error_bounds
 
-__all__ = ["ScenarioError", "Scenario", "Evaluation", "load_scenario", "build_allocation"]
+__all__ = ["ScenarioError", "Scenario", "Evaluation", "solve_table", "load_scenario",
+           "build_allocation"]
 
 SCHEMA_VERSION = 1
 
@@ -90,20 +93,8 @@ class Evaluation:
     The cached lists are shared by all readers and must not be mutated.
     """
 
-    _SHARED = ("rates", "rc", "e_r", "e_sp")
-
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-
-    def for_method(self, method: str) -> Evaluation:
-        """An evaluation of the same scenario under another allocation method.
-
-        It shares the rates and exponents this one has solved so far, so a
-        second method on the same hops and rates solves nothing again.
-        """
-        ev = Evaluation(replace(self.scenario, allocation_method=method))
-        ev.__dict__.update((k, v) for k, v in vars(self).items() if k in self._SHARED)
-        return ev
 
     @cached_property
     def rates(self) -> list[float]:
@@ -184,6 +175,42 @@ class Evaluation:
     def latency(self) -> tuple[float, float]:
         """(upper, lower) expected latency in channel uses."""
         return latency_bounds(self.chains)
+
+
+def solve_table(evaluations: list[Evaluation]) -> None:
+    """Solve a table of evaluations in array passes, each value the one the
+    evaluation would compute itself.  Those whose rates are all positive take
+    `rc`, `e_r` and `e_sp` from one `hop_exponents` call per family over the
+    table's distinct (hop, rate) pairs; those whose split then succeeds take
+    `bounds` from one `stacked_error_bounds` pass per hop count.  One that
+    raises on the way is left unsolved, so reading it raises the same error.
+    """
+    solvable, pairs, by_hops = [], {}, {}  # pairs: (hop id, rate) -> (column, hop)
+    for ev in evaluations:
+        try:
+            if not all(r > 0 for r in ev.rates):
+                continue
+        except ValueError:  # a domain error, raised again where the rates are read
+            continue
+        solvable.append(ev)
+        for ch, rate in zip(ev.scenario.hops, ev.rates):
+            pairs.setdefault((id(ch), rate), (len(pairs), ch))
+    rates = [rate for _, rate in pairs]
+    rc = hop_exponents(rates, [ch for _, ch in pairs.values()], "r")
+    sp = hop_exponents(rates, [ch for _, ch in pairs.values()], "sp", rc)[0]
+    for ev in solvable:
+        cols = [pairs[id(ch), rate][0] for ch, rate in zip(ev.scenario.hops, ev.rates)]
+        ev.rc = [[column[k] for k in cols] for column in rc]
+        ev.e_r, ev.e_sp = ev.rc[0], [sp[k] for k in cols]
+        try:
+            by_hops.setdefault(len(ev.blocks), []).append(ev)
+        except ValueError:
+            pass
+    for group in by_hops.values():
+        stacked = stacked_error_bounds(*([getattr(ev, name) for ev in group]
+                                         for name in ("blocks", "e_r", "e_sp")))
+        for ev, bounds in zip(group, stacked):
+            ev.bounds = bounds
 
 
 def _parse_hop(spec, index: int) -> HopChannel:

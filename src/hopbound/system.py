@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SystemBounds", "system_error_bounds"]
+__all__ = ["SystemBounds", "stacked_error_bounds", "system_error_bounds"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,33 @@ def _logsumexp(a: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if np.ndim(a) == 1 else out
 
 
+def stacked_error_bounds(blocks: list[list[int]], e_r: list[list[float]],
+                         e_sp: list[list[float]]) -> list[SystemBounds]:
+    """`system_error_bounds` of each row of a table whose rows share one hop
+    count.  The log-terms -Q_n E_n of every row and family form one 2R x N
+    array, reduced by one `_logsumexp` pass whose rows equal the per-row,
+    per-family results bit for bit.
+    """
+    if not len(blocks) == len(e_r) == len(e_sp) or any(
+            not len(b) == len(r) == len(sp) for b, r, sp in zip(blocks, e_r, e_sp)):
+        raise ValueError("allocation and exponent list lengths differ")
+    if not all(blocks):
+        raise ValueError("need at least one hop")
+    if not blocks:
+        return []
+    log_terms = (-np.asarray(blocks, dtype=float)[:, None, :]
+                 * np.array([e_r, e_sp], dtype=float).transpose(1, 0, 2))  # row, family, hop
+    lse = _logsumexp(log_terms.reshape(2 * len(blocks), -1)).reshape(-1, 2)
+    return [SystemBounds(pe_upper=pe_upper, pe_lower=pe_lower,
+                         esys_lower=-lse_r / sum(row), esys_upper=-lse_sp / sum(row),
+                         per_hop_pe_upper=per_hop_upper, per_hop_pe_lower=per_hop_lower,
+                         degenerate_hops=[i for i, (er, esp) in enumerate(zip(row_r, row_sp))
+                                          if er <= 0.0 or esp <= 0.0])
+            for row, row_r, row_sp, (pe_upper, pe_lower), (lse_r, lse_sp),
+            (per_hop_upper, per_hop_lower) in zip(blocks, e_r, e_sp, np.exp(lse).tolist(),
+                                                  lse.tolist(), np.exp(log_terms).tolist())]
+
+
 def system_error_bounds(blocks: list[int], e_r: list[float],
                         e_sp: list[float]) -> SystemBounds:
     """Sandwich bounds on system error probability and reliability exponent.
@@ -58,26 +85,7 @@ def system_error_bounds(blocks: list[int], e_r: list[float],
     `blocks` is the integer split of Q and `e_r`, `e_sp` the per-hop
     random-coding and sphere-packing exponents at the hops' rates.  The
     sphere-packing side drops the sub-exponential correction, so pe_lower
-    is an asymptotic (exponent-only) lower bound.  Both families' log-terms
-    -Q_n E_n form one 2 x N array, reduced by one `_logsumexp` pass whose
-    rows equal the per-family results bit for bit.
+    is an asymptotic (exponent-only) lower bound.  This is the one-row case
+    of `stacked_error_bounds`.
     """
-    if not len(blocks) == len(e_r) == len(e_sp):
-        raise ValueError("allocation and exponent list lengths differ")
-    if not blocks:
-        raise ValueError("need at least one hop")
-    q_total = sum(blocks)
-    log_terms = -np.asarray(blocks, dtype=float) * np.array([e_r, e_sp], dtype=float)
-    lse = _logsumexp(log_terms)
-    (pe_upper, pe_lower), (lse_r, lse_sp) = np.exp(lse).tolist(), lse.tolist()
-    per_hop_upper, per_hop_lower = np.exp(log_terms).tolist()
-    return SystemBounds(
-        pe_upper=pe_upper,
-        pe_lower=pe_lower,
-        esys_lower=-lse_r / q_total,
-        esys_upper=-lse_sp / q_total,
-        per_hop_pe_upper=per_hop_upper,
-        per_hop_pe_lower=per_hop_lower,
-        degenerate_hops=[i for i, (er, esp) in enumerate(zip(e_r, e_sp))
-                         if er <= 0.0 or esp <= 0.0],
-    )
+    return stacked_error_bounds([blocks], [e_r], [e_sp])[0]

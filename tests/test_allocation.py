@@ -392,6 +392,9 @@ class TestInformationContinuous:
            st.integers(min_value=1, max_value=2 ** 53))
     @example([-310.0, -310.0], 1000)
     @example([-310.0, math.log10(2e-310), -308.0], 2 ** 53)
+    # float floors above Q = 2**50: one exceeded the budget, one missed its share by 1.015
+    @example([math.log10(0.699), math.log10(0.887)], 7442179337159336)
+    @example([0.0, -226.51117680909542, -230.62903792098558], 4503599627370070)
     def test_property_split_sums_to_budget_or_raises(self, log_rates, q):
         # rates down to 1e-310, where 1/R_n overflows a double (ln M used to
         # collapse to 0 there); exact shares Q (1/R_n) / sum(1/R_m) in rationals
@@ -408,6 +411,58 @@ class TestInformationContinuous:
         assert min(blocks) >= 1
         assert sum(blocks) == q
         assert all(abs(b - v) <= 1 for b, v in zip(blocks, exact))
+
+
+def exact_common_m_split(rates, q):
+    """The largest-remainder split of the exact shares Q (1/R_n) / sum 1/R_m,
+    in rationals, ties to the lowest index; None where a hop gets no block."""
+    inverse = [1 / Fraction(r) for r in rates]
+    exact = [q * v / sum(inverse) for v in inverse]
+    blocks = [math.floor(v) for v in exact]
+    order = sorted(range(len(rates)), key=lambda i: (blocks[i] - exact[i], i))
+    for i in order[:q - sum(blocks)]:
+        blocks[i] += 1
+    return blocks if min(blocks) >= 1 else None
+
+
+class TestInformationContinuousAboveTwoToThe50:
+    """Above Q = 2**50 the float shares ln M / R_n are off by up to a few
+    blocks; the split takes its floors and remainders from the exact shares."""
+
+    @pytest.mark.parametrize("rates,q,expected", [
+        ([0.699, 0.887], 7442179337159336, [4162177220718998, 3280002116440338]),
+        ([1.0, 10.0 ** -226.51117680909542, 10.0 ** -230.62903792098558], 4503599627370070,
+         None)])
+    def test_logged_cases(self, rates, q, expected):
+        assert exact_common_m_split(rates, q) == expected
+        if expected is None:  # the first hop's exact share is 1.1e-215 blocks
+            with pytest.raises(AllocationError, match="blocklength >= 1"):
+                information_continuous_blocks(rates, q)
+        else:
+            assert information_continuous_blocks(rates, q) == expected
+
+    def test_random_lists_equal_the_exact_split(self):
+        rng = np.random.default_rng(1950)
+        for _ in range(400):
+            n = int(rng.integers(2, 7))
+            rates = (10.0 ** rng.uniform(-310.0, math.log10(30.0), n)).tolist()
+            q = int(rng.integers(2 ** 50, 2 ** 53, endpoint=True))
+            expected = exact_common_m_split(rates, q)
+            if expected is None:
+                with pytest.raises(AllocationError, match="blocklength >= 1"):
+                    information_continuous_blocks(rates, q)
+            else:
+                assert information_continuous_blocks(rates, q) == expected
+
+    def test_normal_budgets_equal_the_exact_split(self):
+        # where the float floors are certain, and where equal rates tie them
+        rng = np.random.default_rng(1951)
+        for _ in range(400):
+            n = int(rng.integers(1, 7))
+            rates = (10.0 ** rng.uniform(-3.0, math.log10(30.0), n)).tolist()
+            rates[-1] = rates[0]
+            q = int(rng.integers(n, 10 ** 7))
+            assert information_continuous_blocks(rates, q) == exact_common_m_split(rates, q)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -18,7 +18,7 @@ from hopbound.allocation import rate_policy_scale
 from hopbound.arq import (_BLOCK, _GOLDEN, _INVERTED, _MASK64, _SPARSE_PE, _UNMIXED, PE_CLAMP,
                           ArqChain, LatencyError, _candidate_cap, _latency_kernel, _moments,
                           _splitmix64, _splitmix64_inplace, _unmix, expected_latency,
-                          latency_variance, simulate_latency)
+                          latency_variance, simulate_latencies, simulate_latency)
 from hopbound.channel import HopChannel, capacity
 from hopbound.scenario import Evaluation, Scenario
 
@@ -547,6 +547,76 @@ class TestInvertedCandidates:
         finally:
             tracemalloc.stop()
         assert peak < 64 * _INVERTED
+
+
+# P_e of zero, subnormal, listed by inversion, sparse, full-block and clamped
+_TABLE_PE = [0.0, 5e-324, 1e-20, 0.01, 0.6, PE_CLAMP]
+
+
+def _table_chains(k, n):
+    """k chains of n hops whose P_e cycle through `_TABLE_PE`, offset per chain."""
+    return [ArqChain([_TABLE_PE[(c + 2 * h) % 6] for h in range(n)],
+                     [10 + 7 * h + c for h in range(n)]) for c in range(k)]
+
+
+class TestLatencyTable:
+    """One Monte Carlo call over a table of chains gives each chain's own
+    `simulate_latency` bit for bit, hashing each block's hop once."""
+
+    @pytest.mark.parametrize("trials", [1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 7])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_equals_per_chain_calls(self, k, trials):
+        for n in (1, 3):
+            chains = _table_chains(k, n)
+            assert (simulate_latencies(chains, trials, 17)
+                    == [simulate_latency(chain, trials, 17) for chain in chains])
+
+    def test_listed_candidates_in_a_table(self):
+        # trial 5 draws the raw hash 0 on hop 1, so each chain, with P_e 1e-16
+        # there, lists it as a retransmission
+        chains = [ArqChain([p, 1e-16], [13, 700]) for p in (0.3, 1e-20, 0.0, 0.01)]
+        seed = _seed_drawing(0, 5, 2, 1)
+        table = simulate_latencies(chains, 1000, seed)
+        assert table == [simulate_latency(chain, 1000, seed) for chain in chains]
+        assert all(est.mc_stderr > 0 for est in table)
+
+    def test_each_block_and_hop_hashed_once(self, monkeypatch):
+        calls = []
+        hashes = arq._splitmix64_inplace
+        monkeypatch.setattr(arq, "_splitmix64_inplace",
+                            lambda x, scratch: calls.append(len(x)) or hashes(x, scratch))
+        chains = [ArqChain([0.6, 0.01, 0.3], [5, 7, 9]), ArqChain([0.01, 0.3, 0.6], [5, 7, 9]),
+                  ArqChain([0.3, 0.0, 0.01], [5, 7, 9])]
+        simulate_latencies(chains, 2 * _BLOCK + 7, 3)
+        assert calls == [_BLOCK] * 3 + [_BLOCK] * 3 + [7] * 3
+
+    def test_chains_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="one hop count"):
+            simulate_latencies([ArqChain([0.1], [5]), ArqChain([0.1, 0.2], [5, 7])], 10, 1)
+
+    def test_empty_table(self):
+        assert simulate_latencies([], 10, 1) == []
+
+    def test_stream_buffers_only_with_more_than_one_chain(self):
+        # a stream buffer holds _BLOCK 8-byte words; the thread's workspace is
+        # built before tracing starts
+        simulate_latency(ArqChain([0.6], [5]), 10, 1)
+        buffer = 8 * _BLOCK
+        peaks = {}
+        for k in (1, 2, 5):  # chains whose two hops both hash
+            chains = [ArqChain([(0.6, 0.01, 0.3)[(c + h) % 3] for h in range(2)], [5, 7])
+                      for c in range(k)]
+            tracemalloc.start()
+            try:
+                simulate_latencies(chains, _BLOCK, 3)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < buffer
+        # one buffer per hop position, whatever the chain count; the first
+        # position's stream takes the workspace's own
+        assert buffer <= peaks[2] < 2 * buffer
+        assert buffer <= peaks[5] < 2 * buffer
 
 
 class TestCandidateCache:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hopbound.allocation import info_continuous_log_m, reliability_real_blocks
 from hopbound import allocation, cli, exponents, scenario
 from hopbound.channel import ChannelError, HopChannel, capacity
+from hopbound.arq import simulate_latency
 from hopbound.cli import main
 from hopbound.exponents import (ARRAY_MIN_HOPS, RHO_MAX, random_coding_exponent,
                                 sphere_packing_exponent)
@@ -637,6 +638,60 @@ class TestReproduceCommand:
         assert written == {**self.PINNED["fig3"], **self.PINNED["fig4"]}
 
 
+class TestSweepSkippedRows:
+    """A swept target with a domain error prints its `skipping rate` line in
+    target, then method order, as evaluating each target and method alone
+    does, and every other row is that evaluation's row."""
+
+    @staticmethod
+    def per_row(hops, methods, row):
+        """The tables and stderr lines of one evaluation per target and method."""
+        tables, lines = [[] for _ in methods], []
+        cap = allocation.network_capacity([capacity(ch) for ch in hops])
+        for target in cli._sweep_targets(cap).tolist():
+            for method, rows in zip(methods, tables):
+                try:
+                    rows.append(row(cli._sweep_evaluation(hops, method, target)))
+                except cli._DOMAIN_ERRORS as exc:
+                    lines.append(f"skipping rate {cli._fmt(target)}: {exc}")
+        return tables, lines
+
+    @staticmethod
+    def fig4_row(ev):
+        upper, lower = ev.latency
+        est = simulate_latency(ev.chains[0], cli.REPRODUCE_MC_TRIALS, cli.REPRODUCE_MC_SEED)
+        return [ev.end_to_end_rate, upper, lower, est.mc_mean, est.mc_stderr]
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_lines_and_rows_equal_per_row_evaluation(self, tmp_path, capsys, monkeypatch,
+                                                     figure):
+        # at the network capacity every hop's exponent is zero, which the
+        # two-hop split and the single-hop latency reject; above it no rates exist
+        targets = cli._sweep_targets
+        monkeypatch.setattr(cli, "_sweep_targets",
+                            lambda cap: np.insert(targets(cap), [5, 40], [cap, 1.5 * cap]))
+        assert main(["reproduce", "--figure", figure, "--out-dir", str(tmp_path)]) == 0
+        single = [HopChannel.awgn(cli._snr_db_to_linear(db))
+                  for db in cli.REPRODUCE_SINGLE_SNR_DB]
+        two = [HopChannel.awgn(cli._snr_db_to_linear(db)) for db in cli.REPRODUCE_TWO_SNR_DB]
+        m = cli.Method
+        sweeps = {"fig3": [(single, [m.MANUAL], ["single_hop"]),
+                           (two, [m.RELIABILITY_OPTIMAL_RC, m.INFO_CONTINUOUS],
+                            ["two_hop_relopt", "two_hop_infocont"])],
+                  "fig4": [(single, [m.MANUAL], ["single_hop"]),
+                           (two, [m.RELIABILITY_OPTIMAL_RC], ["two_hop"])]}[figure]
+        row = cli._fig3_row if figure == "fig3" else self.fig4_row
+        expected = []
+        for hops, methods, names in sweeps:
+            tables, lines = self.per_row(hops, methods, row)
+            expected += lines
+            for name, rows in zip(names, tables):
+                written = (tmp_path / f"{figure}_{name}.csv").read_text().splitlines()[1:]
+                assert written == [",".join(cli._fmt(v) for v in r) for r in rows]
+        assert len(expected) == 4
+        assert capsys.readouterr().err.splitlines() == expected
+
+
 GOLDEN = 0.6180339887498949
 
 
@@ -927,6 +982,34 @@ class TestSolveCounts:
         assert json.loads(out.read_text())["matches_centralized"] is True
         assert family_totals(solves) == (3, 1)
         assert set(solves.values()) == {1}
+
+
+class TestSolveTable:
+    """`scenario.solve_table` gives each evaluation the values it computes
+    alone, and leaves one that raises to raise the same error."""
+
+    def test_equals_each_evaluations_own_values(self, tmp_path):
+        paths = [write_scenario(tmp_path, f"{k}.json", **doc) for k, doc in enumerate([
+            dict(hops=MIXED_HOPS), dict(hops=MIXED_HOPS, allocation_method="info_continuous"),
+            dict(allocation_method="reliability_optimal_sp"),
+            dict(rate_policy={"mode": "explicit", "rates_nats": [5.0, 0.1]}),  # above capacity
+            dict(rate_policy={"mode": "capacity_fraction", "beta": 2.0})])]  # no rates
+        table = [Evaluation(load_scenario(path)) for path in paths]
+        zero_rate = Evaluation(load_scenario(paths[2]))
+        zero_rate.rates = [0.0, 0.1]
+        scenario.solve_table(table + [zero_rate])
+        for ev, path in zip(table[:3], paths):
+            alone = Evaluation(load_scenario(path))
+            assert (ev.rates, ev.rc, ev.e_sp, ev.bounds) == (
+                alone.rates, alone.rc, alone.e_sp, alone.bounds)
+        assert "bounds" not in vars(table[3])
+        with pytest.raises(allocation.AllocationError, match="zero exponent"):
+            table[3].bounds
+        with pytest.raises(ScenarioError, match="beta"):
+            table[4].e_r
+        assert "e_sp" not in vars(zero_rate)
+        with pytest.raises(ChannelError, match="positive"):
+            zero_rate.e_sp
 
 
 class TestInterleavedMain:

@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 from hopbound.allocation import end_to_end_rate, rate_policy_scale
 from hopbound.channel import HopChannel, capacity
 from hopbound.exponents import random_coding_exponent, sphere_packing_exponent
-from hopbound.system import _logsumexp, system_error_bounds
+from hopbound.system import _logsumexp, stacked_error_bounds, system_error_bounds
 
 R_CR = math.log(1.5) - 1.0 / 6.0
 
@@ -160,15 +160,16 @@ class TestLogSumExp:
 
 
 @st.composite
-def _stacked_families(draw):
-    """(blocks, e_r, e_sp) on 1 to 1000 hops; one family, chosen at random,
-    may hold +-inf or nan exponents or exponents tied at the largest term."""
-    n = draw(st.integers(1, 1000))
+def _stacked_families(draw, n=None):
+    """(blocks, e_r, e_sp) on n hops (1 to 1000 if None); one family, chosen
+    at random, may hold +-inf, nan or zero exponents or exponents tied at the
+    largest term."""
+    n = draw(st.integers(1, 1000)) if n is None else n
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     blocks = rng.integers(1, 10 ** 6, n).tolist()
     families = [(10.0 ** rng.uniform(-6.0, 1.5, n)).tolist() for _ in range(2)]
     odd = families[draw(st.integers(0, 1))]
-    twist = draw(st.sampled_from(["none", "inf", "-inf", "nan", "ties"]))
+    twist = draw(st.sampled_from(["none", "inf", "-inf", "nan", "0.0", "ties"]))
     if twist == "ties":
         # equal products Q_n E_n, the largest log-term, on up to all hops
         for i in rng.choice(n, draw(st.integers(1, n)), replace=False):
@@ -216,3 +217,43 @@ class TestEndToEndRate:
 
     def test_min_selects_weakest(self):
         assert end_to_end_rate([500, 500], [1.0, 2.0]) == pytest.approx(0.5)
+
+
+def _hexed(bounds):
+    """Every field of a SystemBounds, floats by their hex form."""
+    return [[x.hex() for x in v] if isinstance(v, list) and v and isinstance(v[0], float)
+            else v.hex() if isinstance(v, float) else v for v in vars(bounds).values()]
+
+
+class TestTableBounds:
+    """A table's rows in one stacked pass give each row's own bounds bit for bit,
+    including rows whose log-sum-exp takes the non-finite fallback and rows
+    with degenerate hops."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 60).flatmap(
+        lambda n: st.lists(_stacked_families(n), min_size=1, max_size=12)))
+    def test_rows_equal_per_row_bounds(self, rows):
+        blocks, e_r, e_sp = (list(col) for col in zip(*rows))
+        stacked = stacked_error_bounds(blocks, e_r, e_sp)
+        assert len(stacked) == len(rows)
+        for got, row in zip(stacked, rows):
+            assert _hexed(got) == _hexed(system_error_bounds(*row))
+
+    def test_fallback_and_degenerate_rows_next_to_finite_ones(self):
+        rows = [([10, 20], [0.5, 0.25], [0.6, 0.3]),
+                ([10, 20], [math.inf, math.inf], [0.6, 0.3]),  # every term -inf
+                ([10, 20], [-math.inf, 0.25], [0.6, 0.3]),  # a +inf term
+                ([10, 20], [0.0, 0.25], [0.6, 0.0])]  # degenerate hops
+        stacked = stacked_error_bounds(*(list(col) for col in zip(*rows)))
+        assert [b.degenerate_hops for b in stacked] == [[], [], [0], [0, 1]]
+        assert stacked[1].pe_upper == 0.0 and stacked[2].pe_upper == math.inf
+        for got, row in zip(stacked, rows):
+            assert _hexed(got) == _hexed(system_error_bounds(*row))
+
+    def test_rows_of_unequal_hop_counts_rejected(self):
+        with pytest.raises(ValueError):
+            stacked_error_bounds([[10], [10, 20]], [[0.5], [0.5, 0.5]], [[0.5], [0.5, 0.5]])
+
+    def test_empty_table(self):
+        assert stacked_error_bounds([], [], []) == []
