@@ -67,19 +67,42 @@ def network_capacity(capacities: list[float]) -> float:
     return 1.0 / inv_sum
 
 
-def _exact_common_m_split(rates: list[float], q_total: int) -> list[tuple[int, int]]:
-    """(floor, remainder) of each exact share Q (1/R_n) / sum_m 1/R_m, in integers.
+def _exact_common_m_split(rates: list[float], q_total: int) -> tuple[list[int], list[int]]:
+    """(floors, order) of the exact shares x_n = Q (1/R_n) / sum_m 1/R_m: their
+    floors, and the hops by descending remainder, ties by index, in O(N) memory.
 
-    With R_n = num_n / den_n and P the product of the distinct nums, 1/R_n =
-    w_n / P for the integer w_n = den_n P / num_n, so each share is Q w_n / T
-    with T = sum_m w_m, and the remainders, over one denominator, compare as
-    integers.
-    """
+    With R_n = num_n / den_n, sum_m den_m / num_m is one fraction top / bottom
+    (a product tree) and x_n = den_n T / num_n, T = Q bottom / top.  With
+    t = floor(T 2**k), x_n lies in [t, t + 1) w_n for the step
+    w_n = den_n / (num_n 2**k) <= 2**-64, whose multiples include the integers
+    (den_n | 2**k), so t fixes the floor.  Remainders that these spans cannot
+    tell apart, each over num_n top, compare exactly by cross-multiplication."""
     ratios = [r.as_integer_ratio() for r in rates]
-    common = math.prod({num for num, _ in ratios})
-    weights = [den * (common // num) for num, den in ratios]
-    total = sum(weights)
-    return [divmod(q_total * w, total) for w in weights]
+    terms = [(den, num) for num, den in ratios]
+    while len(terms) > 1:
+        terms = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])
+                 ] + terms[len(terms) & ~1:]
+    top, bottom = terms[0]
+    k = max(64, 65 + max(den.bit_length() - num.bit_length() for num, den in ratios))
+    t = (q_total * bottom << k) // top  # T 2**k, rounded down
+    floors, spans = [], []  # spans: each remainder lies in [lo, hi) 2**-64
+    for num, den in ratios:
+        floor, low = divmod(den * t, num << k)
+        floors.append(floor)
+        spans.append(((low << 64) // (num << k), ((low + den) << 64) // (num << k) + 1))
+
+    def remainder(i: int) -> int:  # over num_i top
+        num, den = ratios[i]
+        return q_total * den * bottom % (num * top)
+
+    def first(i: int, j: int) -> int:
+        (lo_i, hi_i), (lo_j, hi_j) = spans[i], spans[j]
+        if hi_i > lo_j and hi_j > lo_i:  # the spans overlap: compare exactly
+            lo_i, lo_j = ((remainder(i) * ratios[j][0], remainder(j) * ratios[i][0])
+                          if ratios[i] != ratios[j] else (0, 0))
+        return -1 if (lo_i, -i) > (lo_j, -j) else 1
+
+    return floors, sorted(range(len(rates)), key=functools.cmp_to_key(first))
 
 
 _NO_HOPS = (math.inf, 0.0, 0.0, 0.0, 1.0)  # sums of 0, and any hop becomes the pivot
@@ -250,8 +273,7 @@ def information_continuous_blocks(rates: list[float], q_total: int,
             and (leftover == 0 or 0 < leftover < n and remainders[by_remainder[leftover - 1]]
                  - remainders[by_remainder[leftover]] > 2 * slack)):
         # a floor or the cut between the remainders is not certain
-        blocks, remainders = map(list, zip(*_exact_common_m_split(rates, q_total)))
-        by_remainder = sorted(range(n), key=lambda i: (-remainders[i], i))
+        blocks, by_remainder = _exact_common_m_split(rates, q_total)
         leftover = q_total - sum(blocks)
     for i in by_remainder[:leftover]:
         blocks[i] += 1

@@ -14,11 +14,14 @@ their moments in block order, so its memory is O(`_BLOCK`), not O(trials).
 Each calling thread keeps one workspace between its calls.  Hops with P_e
 below ~2.2e-16 hash no trial: the generator is invertible, so the few
 hashes that can cause a retransmission are mapped back to their trials
-(see `_latency_kernel`).  `simulate_latencies` runs a table of chains of
-one hop count in one pass: a trial's hashes do not depend on P_e or Q, so
-each block's hashes on a hop are computed once for every chain, and
-`simulate_latency` is its one-chain case.  `latency_variance` is the exact
-variance.
+(see `_latency_kernel`).  Attempt costs are integers, so while a block's
+sums stay below 2**53 they are exact in any order: its totals start at
+S = sum Q_n and only trials that can retransmit add more.  `simulate_latencies`
+runs a table of chains of one hop count in one pass: a trial's hashes do
+not depend on P_e or Q, so each block's hashes on a hop, the candidates of
+the table's largest cap there and the log-uniforms are computed once for
+every chain; `simulate_latency` is its one-chain case.  `latency_variance`
+is the exact variance.
 """
 
 from __future__ import annotations
@@ -179,33 +182,26 @@ def _candidate_cap(p: float) -> int:
     return (j_max << 11) | 2047
 
 
-def _attempt_costs(x: np.ndarray, u: np.ndarray, log_p: float, q: int,
-                   shifted: np.ndarray) -> None:
-    """u = q (1 + floor(ln u / ln p)) from the raw hashes x, read once and
-    shifted into `shifted` (x itself where x may be clobbered)."""
+def _log_uniforms(x: np.ndarray, out: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """out = ln u, u = ((x >> 11) + 1/2) 2**-53, from the raw hashes x, read
+    once and shifted into `shifted` (x itself where x may be clobbered)."""
     np.right_shift(x, np.uint64(11), out=shifted)
-    np.copyto(u, shifted)
-    u += 0.5
-    u *= 2.0 ** -53
-    np.log(u, out=u)
-    u /= log_p
-    np.floor(u, out=u)
-    u += 1.0
-    u *= q
+    np.copyto(out, shifted)
+    out += 0.5
+    out *= 2.0 ** -53
+    return np.log(out, out=out)
 
 
-def _add_candidates(total: np.ndarray, idx: np.ndarray, x: np.ndarray, u: np.ndarray,
-                    log_p: float, q: int) -> None:
-    """total += q, except that the candidates total[idx], whose raw hashes x
-    it clobbers, add their own attempt costs, computed in u's buffer."""
-    if not len(idx):
-        total += q
-        return
-    cost = u[:len(idx)]
-    _attempt_costs(x, cost, log_p, q, x)
-    cost += total[idx]
-    total += q
-    total[idx] = cost
+def _attempt_costs(log_u: np.ndarray, out: np.ndarray, q: int, log_p: float,
+                   first: float) -> np.ndarray:
+    """out = q (first + floor(ln u / ln p)): the attempt costs with first = 1,
+    the channel uses past the first attempt with first = 0."""
+    np.divide(log_u, log_p, out=out)
+    np.floor(out, out=out)
+    if first:
+        out += first
+    out *= q
+    return out
 
 
 def _listed_candidates(counters: np.ndarray, cap: int, hop: int,
@@ -237,18 +233,34 @@ def _inverted_candidates(key: int, n: int, hop: int,
 
 
 class _HashStreams:
-    """Raw hashes of a block of trials on one hop, for the kernels of one call:
-    its chains have n hops and one seed, so trial i's hash on hop h depends on
-    (key, i, n, h) alone.  One chain's streams go to the workspace's `bits`,
-    each hashed as its hop reads it.  More chains share each block's streams,
-    in one buffer per hop position (`bits` for the first), made on first use."""
+    """A block of trials' hashes on one hop for the kernels of one call over
+    `chains` (n hops, one seed), which read a hop's candidates or every
+    trial's ln u.  One chain's streams go to the workspace's `bits`, hashed
+    as its hops read them.  More chains share each (block, hop)'s hashes, in
+    one buffer per hop position (`bits` the first), the candidates of the
+    table's largest cap there with their ln u, and every trial's ln u,
+    written over the hashes once the candidates are taken."""
 
-    def __init__(self, key: int, n: int, size: int, ws: _Workspace, shared: bool):
-        self.key, self.n, self.size, self.ws, self.shared = key, n, size, ws, shared
-        self.buffers, self.blocks, self.ramp = {}, {}, None  # hop -> buffer, its block's start
+    def __init__(self, key: int, n: int, size: int, ws: _Workspace, chains: list[ArqChain]):
+        self.key, self.n, self.size, self.ws = key, n, size, ws
+        self.shared = len(chains) > 1
+        # each hop's distinct candidate caps, ascending
+        self.caps = [sorted({_candidate_cap(p) for p in probs if 0.0 < p < _SPARSE_PE})
+                     for probs in zip(*(chain.self_loop_probs for chain in chains))]
+        self.buffers, self.ramp, self.start, self.made = {}, None, None, {}
 
-    def __call__(self, start: int, stop: int, hop: int) -> np.ndarray:
-        """Trials [start, stop)'s raw hashes on hop `hop`; readers must not write them."""
+    def _once(self, start: int, what, make):
+        """make(), made once per block and `what` if the streams are shared."""
+        if self.start != start or not self.shared:
+            self.start, self.made = start, {}
+        if what not in self.made:
+            self.made[what] = make()
+        return self.made[what]
+
+    def _hashes(self, start: int, stop: int, hop: int) -> np.ndarray:
+        return self._once(start, (hop, "hashes"), lambda: self._hash(start, stop, hop))
+
+    def _hash(self, start: int, stop: int, hop: int) -> np.ndarray:
         m, ws = stop - start, self.ws
         x = self.buffers.get(hop)
         if x is None:
@@ -256,31 +268,71 @@ class _HashStreams:
             if self.shared:
                 self.buffers[hop] = x
         x = x[:m]
-        if self.blocks.get(hop) != start:
-            if self.ramp is None:  # j N GOLDEN: trial start + j's counter offset
-                self.ramp = np.multiply(ws.counter[:self.size],
-                                        np.uint64(self.n * _GOLDEN & _MASK64),
-                                        out=ws.ramp[:self.size])
-            base = self.key + (start * self.n + hop + 1) * _GOLDEN
-            np.add(self.ramp[:m], np.uint64(base & _MASK64), out=x)
-            _splitmix64_inplace(x, ws.scratch[:m])
-            if self.shared:
-                self.blocks[hop] = start
+        if self.ramp is None:  # j N GOLDEN: trial start + j's counter offset
+            self.ramp = np.multiply(ws.counter[:self.size], np.uint64(self.n * _GOLDEN & _MASK64),
+                                    out=ws.ramp[:self.size])
+        base = self.key + (start * self.n + hop + 1) * _GOLDEN
+        np.add(self.ramp[:m], np.uint64(base & _MASK64), out=x)
+        _splitmix64_inplace(x, ws.scratch[:m])
         return x
+
+    def _superset(self, x: np.ndarray, hop: int) -> tuple[dict, np.ndarray, np.ndarray]:
+        """({cap: count}, trials, ln u) for the hop's largest cap, by least cap passed."""
+        caps, scratch = self.caps[hop], self.ws.scratch
+        idx = np.flatnonzero(np.less_equal(x, np.uint64(caps[-1]), out=self.ws.marks[:len(x)]))
+        counts = [len(idx)]
+        if len(caps) > 1:  # sort (least cap's rank, trial) keys; trials < _BLOCK = 2**16
+            keys = np.searchsorted(np.array(caps, np.uint64),
+                                   np.take(x, idx, out=scratch[:len(idx)], mode="clip"))
+            keys <<= 16
+            keys |= idx
+            keys.sort()
+            counts = np.searchsorted(keys, np.arange(1, len(caps) + 1) << 16).tolist()
+            keys &= 0xFFFF
+            idx = keys
+        hashes = np.take(x, idx, out=scratch[:len(idx)], mode="clip")
+        return dict(zip(caps, counts)), idx, _log_uniforms(hashes, np.empty(len(idx)), hashes)
+
+    def _listed(self, start: int, stop: int, hop: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        trials, hashes = _inverted_candidates(self.key, self.n, hop, cap)
+        lo, hi = np.searchsorted(trials, np.array((start, stop), dtype=np.uint64))
+        return ((trials[lo:hi] - np.uint64(start)).astype(np.intp),
+                _log_uniforms(hashes[lo:hi], np.empty(hi - lo), np.empty(hi - lo, np.uint64)))
+
+    def candidates(self, start: int, stop: int, hop: int,
+                   cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """(trials less start, ln u) of the trials in [start, stop) whose hash
+        on `hop` is at most cap, one of the hop's caps; readers must not write
+        them.  Below `_INVERTED` they come from the inverted list while the
+        block's largest counter, stop N, stays below 2**64."""
+        if cap < _INVERTED and stop * self.n < 1 << 64:
+            return self._once(start, (hop, cap), lambda: self._listed(start, stop, hop, cap))
+        counts, idx, log_u = self._once(
+            start, hop, lambda: self._superset(self._hashes(start, stop, hop), hop))
+        return idx[:counts[cap]], log_u[:counts[cap]]
+
+    def log_uniforms(self, start: int, stop: int, hop: int) -> np.ndarray:
+        """ln u of trials [start, stop) on `hop`; readers must not write it."""
+        def make():
+            x = self._hashes(start, stop, hop)
+            if self.caps[hop]:  # the candidates, before ln u overwrites their hashes
+                self._once(start, hop, lambda: self._superset(x, hop))
+            return _log_uniforms(x, x.view(np.float64), self.ws.scratch[:len(x)])
+        return self._once(start, (hop, None), make)
 
 
 def _latency_kernel(chain: ArqChain, seed: int, size: int,
-                    workspace: _Workspace | None = None, streams: _HashStreams | None = None):
+                    workspace: _Workspace | None = None, streams: _HashStreams | None = None,
+                    moments: bool = False):
     """A function (start, stop) -> latencies of trials [start, stop), for
-    stop - start <= size, computed in place in `workspace`'s buffers (a new
-    one of `size` entries if None) from the hashes of `streams` (the chain's
-    own if None), which it reads and does not write.
+    stop - start <= size, or with `moments` their (n, sum, M2) as `_moments`
+    gives them, computed in place in `workspace`'s buffers (a new one of
+    `size` entries if None) from the streams `streams` (the chain's own if None).
 
-    The returned array is a view of the workspace's buffer, which the next
-    call overwrites, or a read-only broadcast of one value (a constant block,
-    below), so two concurrent kernels must not share a workspace;
-    `simulate_latency` runs its blocks on the calling thread with that
-    thread's own.
+    The returned latencies are a view of the workspace's buffer, which the
+    next call overwrites, so two concurrent kernels must not share a
+    workspace; `simulate_latency` runs its blocks on the calling thread with
+    that thread's own.
     Trial i draws on hop h (of N) the uniform
     u = ((splitmix64(key + (i N + h + 1) GOLDEN mod 2**64) >> 11) + 1/2) 2**-53,
     with key = splitmix64(seed + GOLDEN mod 2**64), and makes
@@ -291,88 +343,100 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     P_e (1 + 2**-20) 2**53), take the log; every other trial makes exactly
     one attempt.  Its ln u - ln p >= ~2**-20 and |ln p| <= 745, so
     ln u / ln p <= 1 - 1.2e-9, far beyond the few-ulp error of the log and
-    the divide.  The candidates' addends go back onto their saved totals
-    after every total takes Q_h, so each trial's total gets the same
-    addends in the same order either way.
+    the divide.
 
     A hop whose cap lies below `_INVERTED` (P_e below ~2.2e-16) hashes no
     trial.  splitmix64 and the counter are bijections on 64-bit words, so
     each hash x < `_INVERTED` maps back to its counter c; the c = i N + h + 1
     of this hop list the trials i that draw one, in O(`_INVERTED`) memory
-    whatever the trial count.  That list depends on (key, N, h, cap) alone,
-    and cap takes two values there, so it is kept in a small cache
-    (`_inverted_candidates`) that kernels of one seed and chain length
-    share.  A block whose counters pass 2**64, where the listed c (taken
-    mod 2**64) are not its own, hashes those hops instead.  When no hop hashes and a block of
-    m trials lists no candidate, its latencies all equal S = sum Q_n; while
-    m S < 2**53 it returns a broadcast of S, which `_moments` reduces
-    without a pass: the same numbers the filled block gives.
+    whatever the trial count, cached per (key, N, h, cap) in
+    `_inverted_candidates`.  A block whose counters pass 2**64, where the
+    listed c (taken mod 2**64) are not its own, hashes those hops instead.
+
+    Attempt costs are integers, so a block of m trials with m (S + X) + E
+    < 2**53, for S = sum Q_n, X a bound on a trial's extra uses on the dense
+    hops (ln u > -37.5) and E the candidates' extra uses, sums exactly in
+    any order: its totals start at S and add the dense hops' and candidates'
+    extra uses.  Without a dense hop its sum is m S + E and its M2 one sum
+    over `_moments`' squares, (S - mean)**2 but (t_i - mean)**2 on the
+    candidates' trials; 0 with none.  Other blocks add each hop's costs in
+    hop order.  Every latency and moment is the full-array formula's.
     """
     n = len(chain.costs)
     key = _splitmix64((seed + _GOLDEN) & _MASK64)
     ws = _Workspace(size) if workspace is None else workspace
-    streams = _HashStreams(key, n, size, ws, False) if streams is None else streams
-    scratch, uniforms, totals, marks = ws.scratch, ws.uniforms, ws.totals, ws.marks
-    hops = []
-    for hop, (q, p) in enumerate(zip(chain.costs, chain.self_loop_probs)):
-        cap = _candidate_cap(p) if 0.0 < p < _SPARSE_PE else None
-        listed = (_inverted_candidates(key, n, hop, cap)
-                  if cap is not None and cap < _INVERTED else None)
-        hops.append((q, math.log(p) if p > 0.0 else None,
-                     None if cap is None else np.uint64(cap), listed))
-    constant = (sum(int(q) for q in chain.costs)
-                if all(log_p is None or listed is not None for _, log_p, _, listed in hops)
-                else None)
+    streams = _HashStreams(key, n, size, ws, [chain]) if streams is None else streams
+    uniforms, totals = ws.uniforms, ws.totals
+    hops = [(int(q), math.log(p) if p > 0.0 else None,
+             _candidate_cap(p) if 0.0 < p < _SPARSE_PE else None)
+            for q, p in zip(chain.costs, chain.self_loop_probs)]
+    sparse = [(hop, cap) for hop, (_, _, cap) in enumerate(hops) if cap is not None]
+    dense = [hop for hop, (_, log_p, cap) in enumerate(hops)
+             if log_p is not None and cap is None]
+    budget = sum(q for q, _, _ in hops)
+    bound = budget + sum(hops[h][0] * math.ceil(37.5 / -hops[h][1]) for h in dense)
 
-    def latencies(start: int, stop: int) -> np.ndarray:
+    def latencies(start: int, stop: int):
         m = stop - start
-        tmp, u, total, hit = scratch[:m], uniforms[:m], totals[:m], marks[:m]
-        # the block's largest counter is stop N
-        inverted = stop * n < 1 << 64
-        found = {}
-        if inverted:
-            span = np.array((start, stop), dtype=np.uint64)
-            for hop, (_, _, _, listed) in enumerate(hops):
-                if listed is not None:
-                    trials, hashes = listed
-                    lo, hi = np.searchsorted(trials, span)
-                    found[hop] = (trials[lo:hi] - span[0]).astype(np.intp), hashes[lo:hi].copy()
-        if (constant is not None and inverted and m * constant < 2 ** 53
-                and not any(len(idx) for idx, _ in found.values())):
-            return np.broadcast_to(np.float64(constant), (m,))
-        total.fill(0.0)
-        # each step is the full-array formula's, in its order, so every
-        # latency is bit-identical to it
-        for hop, (q, log_p, cap, _) in enumerate(hops):
-            if log_p is None:
-                total += q
-                continue
-            if hop in found:
-                _add_candidates(total, *found[hop], u, log_p, q)
-                continue
-            x = streams(start, stop, hop)
-            if cap is None:
-                _attempt_costs(x, u, log_p, q, tmp)
-                total += u
-            else:
-                idx = np.flatnonzero(np.less_equal(x, cap, out=hit))
-                _add_candidates(total, idx, x[idx], u, log_p, q)
-        return total
+        u, total = uniforms[:m], totals[:m]
+        found = [(hop, *streams.candidates(start, stop, hop, cap)) for hop, cap in sparse]
+        found = {hop: (idx, log_u) for hop, idx, log_u in found if len(idx)}
+        exact = m * bound < 2 ** 53
+        if exact:  # the extra uses go to the idle buffer u while they fit
+            extras, used = {}, 0
+            for hop, (idx, log_u) in found.items():
+                fits = used + len(idx) <= m
+                out = u[used:used + len(idx)] if fits else np.empty(len(idx))
+                used += len(idx) * fits
+                extras[hop] = _attempt_costs(log_u, out, *hops[hop][:2], 0.0)
+            block_sum = m * budget + sum(int(e.sum()) for e in extras.values())
+            exact = block_sum + m * (bound - budget) < 2 ** 53
+        if exact and moments and not dense:
+            if not found:
+                return m, float(block_sum), 0.0
+            for idx, _ in found.values():
+                total[idx] = budget
+            for hop, extra in extras.items():
+                np.add.at(total, found[hop][0], extra)
+            for hop, extra in extras.items():  # each candidate's total, then its square
+                np.take(total, found[hop][0], out=extra, mode="clip")
+            mean = block_sum / m
+            total.fill((budget - mean) * (budget - mean))
+            for hop, extra in extras.items():
+                extra -= mean
+                extra *= extra
+                total[found[hop][0]] = extra
+            return m, float(block_sum), float(total.sum())
+        if exact:
+            total.fill(budget)
+            for hop, extra in extras.items():
+                np.add.at(total, found[hop][0], extra)
+            for hop in dense:
+                total += _attempt_costs(streams.log_uniforms(start, stop, hop), u,
+                                        *hops[hop][:2], 0.0)
+        else:
+            # each step is the full-array formula's, in its order
+            total.fill(0.0)
+            for hop, (q, log_p, cap) in enumerate(hops):
+                if hop in found:  # saved before every total takes q
+                    idx, log_u = found[hop]
+                    cost = _attempt_costs(log_u, np.empty(len(idx)), q, log_p, 1.0)
+                    cost += total[idx]
+                    total += q
+                    total[idx] = cost
+                elif log_p is None or cap is not None:
+                    total += q
+                else:
+                    total += _attempt_costs(streams.log_uniforms(start, stop, hop), u,
+                                            q, log_p, 1.0)
+        return _moments(total) if moments else total
 
     return latencies
 
 
 def _moments(x: np.ndarray) -> tuple[int, float, float]:
     """(n, sum, M2) of the samples x, overwriting x; M2 is numpy's two-pass
-    sum of squared deviations, so M2 / (n - 1) is its var(ddof=1).
-
-    A constant block of `_latency_kernel`, a read-only broadcast of one
-    integer S with n S < 2**53, gives (n, n S, 0.0) without a pass: the
-    pairwise sums of exact integers below 2**53 are exact, so the two
-    passes give the same.
-    """
-    if not x.strides[0]:
-        return len(x), float(len(x) * x[0]), 0.0
+    sum of squared deviations, so M2 / (n - 1) is its var(ddof=1)."""
     s = float(x.sum())
     x -= s / len(x)
     x *= x
@@ -391,8 +455,11 @@ def simulate_latencies(chains: list[ArqChain], trials: int,
                        seed: int) -> list[LatencyEstimate]:
     """`simulate_latency` of each chain of a table, bit for bit, in one pass
     over the trials; the chains must have one hop count.  Each block's hashes
-    on a hop are computed once and read by every chain (`_HashStreams`), and
-    each chain's block moments merge in block order, as its own call's do.
+    on a hop, the candidates of the table's largest cap there with their
+    ln u, and every trial's ln u are made once for every chain
+    (`_HashStreams`).  A chain's block sums its costs as exact integers
+    while they stay below 2**53 (`_latency_kernel`), and its block moments
+    merge in block order, as its own call's do.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -404,9 +471,9 @@ def simulate_latencies(chains: list[ArqChain], trials: int,
         _per_thread.workspace = _Workspace()
     ws, size = _per_thread.workspace, min(trials, _BLOCK)
     streams = _HashStreams(_splitmix64((seed + _GOLDEN) & _MASK64), len(chains[0].costs),
-                           size, ws, len(chains) > 1)
-    kernels = [_latency_kernel(chain, seed, size, ws, streams) for chain in chains]
-    blocks = ([_moments(kernel(s, min(s + _BLOCK, trials))) for kernel in kernels]
+                           size, ws, chains)
+    kernels = [_latency_kernel(chain, seed, size, ws, streams, True) for chain in chains]
+    blocks = ([kernel(s, min(s + _BLOCK, trials)) for kernel in kernels]
               for s in range(0, trials, _BLOCK))
     merged = reduce(lambda acc, block: list(map(_merge_moments, acc, block)), blocks)
     return [LatencyEstimate(
@@ -432,9 +499,9 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     hashes each block into the workspace as the chain's hops read it.
 
     Hops with P_e below ~2.2e-16 list the trials that can retransmit by
-    inverting the generator, and a block with none of them on a chain of
-    such hops (or error-free ones) is reduced without a pass; see
-    `_latency_kernel` for why both give the same bits as hashing.
+    inverting the generator, and a block whose sums stay below 2**53 adds
+    only their extra channel uses; see `_latency_kernel` for why both give
+    the same bits as the full-array formula.
 
     Every trial's latency equals the full-array formula's bit for bit.  The
     mean, the left-to-right sum of the block sums over `trials`, is exact

@@ -2,6 +2,7 @@ import functools
 import heapq
 import itertools
 import math
+import tracemalloc
 import types
 import warnings
 from fractions import Fraction
@@ -453,6 +454,46 @@ class TestInformationContinuousAboveTwoToThe50:
                     information_continuous_blocks(rates, q)
             else:
                 assert information_continuous_blocks(rates, q) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(rates=st.lists(st.one_of(
+        st.sampled_from([5e-324, 1e-300, 0.5, 1.0, 1.5, 3.0, 2.0 ** 60, 1.7e308]),
+        st.floats(min_value=1e-6, max_value=30.0)), min_size=1, max_size=8),
+        q=st.one_of(st.integers(1, 100), st.integers(2 ** 50, 2 ** 53), st.just(2 ** 70)))
+    @example(rates=[2.0 ** -70, 1.0], q=2 ** 70 + 2)
+    def test_floors_and_remainder_order_equal_fractions(self, rates, q):
+        # exact shares in rationals, their floors, and the hops by descending
+        # remainder with ties to the lowest index; integer shares and ties included.
+        # The example's first share is 2**70 + 1 - 2**-70 / (1 + 2**-70), within
+        # T's step of an integer
+        inverse = [1 / Fraction(r) for r in rates]
+        exact = [q * v / sum(inverse) for v in inverse]
+        floors = [math.floor(v) for v in exact]
+        order = sorted(range(len(rates)), key=lambda i: (floors[i] - exact[i], i))
+        assert allocation._exact_common_m_split(rates, q) == (floors, order)
+
+    def test_ten_thousand_distinct_rates_in_linear_memory(self, monkeypatch):
+        # the former weights held one product of all other numerators per hop:
+        # 53 MB at 2,000 rates, growing with the square of the count
+        rates = np.unique(np.random.default_rng(1952).uniform(0.1, 3.0, 10_000)).tolist()
+        assert len(rates) == 10_000
+        calls = []
+        split = allocation._exact_common_m_split
+        monkeypatch.setattr(allocation, "_exact_common_m_split",
+                            lambda *args: calls.append(args) or split(*args))
+        tracemalloc.start()
+        try:
+            blocks = information_continuous_blocks(rates, 2 ** 53)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 1 and sum(blocks) == 2 ** 53 and min(blocks) >= 1
+        assert peak < 16 * 2 ** 20
+        # equal rates tie every remainder, and each tie is settled without a divmod
+        q, n = 2 ** 53, 10_000
+        assert information_continuous_blocks([0.3] * n, q) == [q // n + 1] * (q % n) + [
+            q // n] * (n - q % n)
+        assert len(calls) == 2
 
     def test_normal_budgets_equal_the_exact_split(self):
         # where the float floors are certain, and where equal rates tie them

@@ -485,14 +485,17 @@ class TestInvertedCandidates:
 
     @pytest.mark.parametrize("cost,constant", [(2 ** 37 - 2, True), (2 ** 37 - 1, False),
                                                (2 ** 40, False)])
-    def test_constant_block_only_while_its_sum_is_exact(self, cost, constant):
-        # 2**16 trials of latency S: the block's sum m S passes 2**53 at S = 2**37
+    def test_constant_block_only_while_its_sum_is_exact(self, monkeypatch, cost, constant):
+        # 2**16 trials of latency S: the block's sum m S passes 2**53 at S = 2**37;
+        # below it the block's moments are written down without `_moments`' passes
         chain = ArqChain([1e-300, 5e-324], [cost, 1])
         got = _latency_kernel(chain, 9, _BLOCK)(0, _BLOCK)
         assert got.tobytes() == _ref_trial_latencies(chain, 9, 0, _BLOCK).tobytes()
-        assert (got.strides == (0,)) == constant
         filled = _moments(np.array(got))
-        assert _moments(got) == filled
+        reduced = []
+        monkeypatch.setattr(arq, "_moments", lambda x: reduced.append(len(x)) or _moments(x))
+        assert _latency_kernel(chain, 9, _BLOCK, moments=True)(0, _BLOCK) == filled
+        assert (not reduced) == constant
         _assert_matches_reference(simulate_latency(chain, _BLOCK, 9), chain, _BLOCK, 9)
         _assert_matches_reference(simulate_latency(chain, 2 * _BLOCK + 5, 9), chain,
                                   2 * _BLOCK + 5, 9)
@@ -617,6 +620,121 @@ class TestLatencyTable:
         # position's stream takes the workspace's own
         assert buffer <= peaks[2] < 2 * buffer
         assert buffer <= peaks[5] < 2 * buffer
+
+
+def _assert_reference_moments(got, chain, seed, start, stop):
+    """A block's (n, sum, M2) equals `_moments` of its full-array latencies by .hex()."""
+    n, total, m2 = _moments(_ref_trial_latencies(chain, seed, start, stop))
+    assert (got[0], got[1].hex(), got[2].hex()) == (n, total.hex(), m2.hex())
+
+
+def _table_kernels(chains, seed, size):
+    """The moment kernels of one `simulate_latencies` call over the table."""
+    ws = arq._Workspace(size)
+    streams = arq._HashStreams(_splitmix64((seed + _GOLDEN) & _MASK64), len(chains[0].costs),
+                               size, ws, chains)
+    return [_latency_kernel(chain, seed, size, ws, streams, True) for chain in chains]
+
+
+# every kind of hop: error-free, listed by inversion, sparse, either side of
+# the candidate cutoff, dense and clamped
+_EXACT_PE = [0.0, 5e-324, 1e-20, 1e-6, 0.01, math.nextafter(_SPARSE_PE, 0.0), _SPARSE_PE,
+             math.nextafter(_SPARSE_PE, 1.0), 0.6, PE_CLAMP]
+
+
+class TestExactIntegerBlocks:
+    """A block whose sums stay below 2**53 is built from S = sum Q_n, and
+    without a dense hop reduced in two passes; its (n, sum, M2) equal the
+    full-array reference's bit for bit on both sides of the guard."""
+
+    @pytest.mark.parametrize("p", _EXACT_PE)
+    @pytest.mark.parametrize("start,stop", [(0, _BLOCK), (5 * _BLOCK, 5 * _BLOCK + 777)])
+    def test_each_kind_of_hop(self, p, start, stop):
+        for chain in (ArqChain([p], [1000]), ArqChain([p, 1e-6, 0.0, 0.01], [13, 700, 11, 2])):
+            got = _latency_kernel(chain, 21, _BLOCK, moments=True)(start, stop)
+            _assert_reference_moments(got, chain, 21, start, stop)
+
+    def test_a_trial_that_retransmits_on_two_hops(self):
+        # Q = (1, 1000): a latency below 1000 k is k - 1 retransmissions on hop 1 and
+        # the rest on hop 0, as a hop of P_e < 0.25 makes fewer than 1000 attempts
+        chain = ArqChain([0.2, 0.01], [1, 1000])
+        latencies = _ref_trial_latencies(chain, 4, 0, _BLOCK)
+        both = latencies[(latencies > 2000) & (latencies % 1000 > 1)]
+        assert len(both)
+        for kernel in (_latency_kernel(chain, 4, _BLOCK, moments=True),
+                       _table_kernels([chain, ArqChain([0.01, 0.2], [1, 1000])], 4, _BLOCK)[0]):
+            _assert_reference_moments(kernel(0, _BLOCK), chain, 4, 0, _BLOCK)
+
+    def test_extra_uses_that_outgrow_the_idle_buffer(self):
+        # six hops at P_e 0.24 have more candidates than the block has trials, so
+        # the later hops' extra uses do not fit in the workspace's idle buffer
+        chain = ArqChain([0.24] * 6, [1, 2, 3, 4, 5, 6])
+        streams = arq._HashStreams(_splitmix64((2 + _GOLDEN) & _MASK64), 6, _BLOCK,
+                                   arq._Workspace(), [chain])
+        assert sum(len(streams.candidates(0, _BLOCK, hop, _candidate_cap(0.24))[0])
+                   for hop in range(6)) > _BLOCK
+        got = _latency_kernel(chain, 2, _BLOCK, moments=True)(0, _BLOCK)
+        _assert_reference_moments(got, chain, 2, 0, _BLOCK)
+        latencies = _latency_kernel(chain, 2, _BLOCK)(0, _BLOCK)
+        assert latencies.tobytes() == _ref_trial_latencies(chain, 2, 0, _BLOCK).tobytes()
+
+    def test_each_cap_takes_exactly_its_candidates(self):
+        # a table's chains share one hop's candidates, each chain a prefix: the
+        # trials whose hash is at most its cap, with their ln u
+        probs = [1e-3, 0.01, 0.05, 0.2, 0.24, 0.6]
+        chains = [ArqChain([p, 0.3], [5, 7]) for p in probs]
+        key = _splitmix64((23 + _GOLDEN) & _MASK64)
+        streams = arq._HashStreams(key, 2, _BLOCK, arq._Workspace(), chains)
+        hashes = np.array([_splitmix64((key + (i * 2 + 1) * _GOLDEN) & _MASK64)
+                           for i in range(_BLOCK)], dtype=np.uint64)
+        log_u = np.log(((hashes >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+        for p in probs[:-1]:
+            idx, got = streams.candidates(0, _BLOCK, 0, _candidate_cap(p))
+            want = np.flatnonzero(hashes <= np.uint64(_candidate_cap(p)))
+            assert np.array_equal(np.sort(idx), want)
+            assert got.tobytes() == log_u[idx].tobytes()
+        assert streams.log_uniforms(0, _BLOCK, 0).tobytes() == log_u.tobytes()
+
+    @pytest.mark.parametrize("p", [0.2, 0.6])
+    def test_either_side_of_the_guard(self, monkeypatch, p):
+        # the guard is m (S + X) + E < 2**53, with X = Q ceil(37.5 / -ln p) on the
+        # dense hop and E the sparse hop's extra channel uses; the exact block adds
+        # the extra uses alone (first = 0), the hop-order fallback whole costs
+        log_p = math.log(p)
+        retransmissions = (_ref_trial_latencies(ArqChain([p], [1]), 8, 0, _BLOCK) - 1).sum()
+        limit = (2 ** 53 - 1) // (_BLOCK + int(retransmissions) if p < _SPARSE_PE
+                                  else _BLOCK * (1 + math.ceil(37.5 / -log_p)))
+        firsts = []
+        costs = arq._attempt_costs
+        monkeypatch.setattr(arq, "_attempt_costs",
+                            lambda *args: firsts.append(args[-1]) or costs(*args))
+        for q, exact in ((limit, True), (limit + 1, False)):
+            firsts.clear()
+            chain = ArqChain([p], [q])
+            got = _latency_kernel(chain, 8, _BLOCK, moments=True)(0, _BLOCK)
+            _assert_reference_moments(got, chain, 8, 0, _BLOCK)
+            assert firsts and (1.0 not in firsts) == exact
+            latencies = _latency_kernel(chain, 8, _BLOCK)(0, _BLOCK)
+            assert latencies.tobytes() == _ref_trial_latencies(chain, 8, 0, _BLOCK).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_tables_that_mix_every_kind_of_chain(self, n):
+        # dense (first, so its ln u is asked for before any candidates), listed-only,
+        # sparse-only (several caps on one hop), clamped and past-the-guard chains,
+        # each block's moments in the table's call order
+        kinds = [[0.6, 1e-6, 0.0], [1e-20, 0.0, 5e-324], [0.01, 0.2, 1e-6], [0.2, 0.01, 0.24],
+                 [0.0, 0.9, 0.01], [PE_CLAMP, 0.01, 1e-20], [1e-6, 1e-3, 0.1]]
+        chains = [ArqChain(probs[:n], [10 + 7 * h + c for h in range(n)])
+                  for c, probs in enumerate(kinds)]
+        chains.append(ArqChain(kinds[2][:n], [2 ** 40] * n))
+        trials = 2 * _BLOCK + 7
+        kernels = _table_kernels(chains, 17, _BLOCK)
+        for start in range(0, trials, _BLOCK):
+            stop = min(start + _BLOCK, trials)
+            for chain, kernel in zip(chains, kernels):
+                _assert_reference_moments(kernel(start, stop), chain, 17, start, stop)
+        assert (simulate_latencies(chains, trials, 17)
+                == [simulate_latency(chain, trials, 17) for chain in chains])
 
 
 class TestCandidateCache:

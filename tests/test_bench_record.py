@@ -32,3 +32,18 @@ def test_medians_and_table_read_only_untraced_runs():
 def test_rejects_a_tree_without_the_benchmark(tmp_path):
     with pytest.raises(SystemExit):
         bench_record.main(["--out", str(tmp_path / "b.json"), f"x={tmp_path}"])
+
+
+def test_pair_wins_count_the_last_labels_wins_and_its_first_runs():
+    # pairs alternate which label runs first; the change wins pairs 0, 1 and 3,
+    # running first in pair 1 and pair 3
+    order = [("parent", "change"), ("change", "parent")] * 2
+    ops = [{"parent": 20.0, "change": 21.0}, {"parent": 20.0, "change": 22.0},
+           {"parent": 23.0, "change": 22.0}, {"parent": 20.0, "change": 25.0}]
+    rows = [_row(label, "curve_sweep", 0, values[label])
+            for labels, values in zip(order, ops) for label in labels]
+    rows += [_row("change", "curve_sweep", 1, 99.0), _row("parent", "curve_sweep", 1, 1.0)]
+    doc = {"trees": [{"label": "parent"}, {"label": "change"}], "runs": rows}
+    assert bench_record.pair_wins(doc) == [
+        "curve_sweep: change won 3 of 4 pairs on ops_per_s, 2 of those wins running first"]
+    assert bench_record.pair_wins({**doc, "runs": []}) == []

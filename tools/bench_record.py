@@ -11,7 +11,8 @@ alternating which root goes first in each pair, then once traced
 (``--trace 1``).  Every run's last stdout line, the result line, is kept
 whole; the file adds the machine, the settings and the per-label medians.
 ``--table`` prints those medians as a Markdown table, with the last label
-over the first as a ratio.
+over the first as a ratio, and per workload how many pairs the last label
+won on ops_per_s and how many of those wins it ran first.
 """
 
 from __future__ import annotations
@@ -105,6 +106,28 @@ def table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def pair_wins(doc: dict) -> list[str]:
+    """Per workload, how many pairs of untraced runs the last label won on
+    ops_per_s and how many of those wins it ran first.  A pair runs each
+    label once, in the order its runs are recorded, so a lead that follows
+    whichever tree runs first shows as wins that are mostly first runs."""
+    labels = [t["label"] for t in doc["trees"]]
+    lines = []
+    for workload in dict.fromkeys(r["workload"] for r in doc.get("runs", [])):
+        runs = [r for r in doc["runs"] if r["workload"] == workload and r["trace"] == 0]
+        pairs = [runs[k:k + len(labels)] for k in range(0, len(runs), len(labels))]
+        wins = first = 0
+        for pair in pairs:
+            order = [r["label"] for r in pair]
+            ops = {r["label"]: r["result"]["metrics"]["ops_per_s"]["value"] for r in pair}
+            if ops[labels[-1]] > ops[labels[0]]:
+                wins += 1
+                first += order.index(labels[-1]) < order.index(labels[0])
+        lines.append(f"{workload}: {labels[-1]} won {wins} of {len(pairs)} pairs on ops_per_s, "
+                     f"{first} of those wins running first")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="+", metavar="LABEL=ROOT")
@@ -142,6 +165,8 @@ def main(argv=None) -> int:
         fh.write("\n")
     if args.table:
         print(table(doc))
+        if len(trees) > 1:
+            print("\n".join(["", *pair_wins(doc)]))
     return 0
 
 
