@@ -72,37 +72,30 @@ def _exact_common_m_split(rates: list[float], q_total: int) -> tuple[list[int], 
     floors, and the hops by descending remainder, ties by index, in O(N) memory.
 
     With R_n = num_n / den_n, sum_m den_m / num_m is one fraction top / bottom
-    (a product tree) and x_n = den_n T / num_n, T = Q bottom / top.  With
-    t = floor(T 2**k), x_n lies in [t, t + 1) w_n for the step
-    w_n = den_n / (num_n 2**k) <= 2**-64, whose multiples include the integers
-    (den_n | 2**k), so t fixes the floor.  Remainders that these spans cannot
-    tell apart, each over num_n top, compare exactly by cross-multiplication."""
+    (a product tree), so x_n = Q den_n bottom / (num_n top).  One divide by
+    top per distinct den_n, then one by num_n, gives x_n 2**64 rounded down
+    (floor(floor(a / b) / c) = floor(a / (b c))): its floor and its
+    remainder's first 64 bits.
+    Distinct rates whose first bits tie compare their exact remainders, each
+    over num_n top, by cross-multiplication."""
     ratios = [r.as_integer_ratio() for r in rates]
     terms = [(den, num) for num, den in ratios]
     while len(terms) > 1:
         terms = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])
                  ] + terms[len(terms) & ~1:]
     top, bottom = terms[0]
-    k = max(64, 65 + max(den.bit_length() - num.bit_length() for num, den in ratios))
-    t = (q_total * bottom << k) // top  # T 2**k, rounded down
-    floors, spans = [], []  # spans: each remainder lies in [lo, hi) 2**-64
-    for num, den in ratios:
-        floor, low = divmod(den * t, num << k)
-        floors.append(floor)
-        spans.append(((low << 64) // (num << k), ((low + den) << 64) // (num << k) + 1))
-
-    def remainder(i: int) -> int:  # over num_i top
-        num, den = ratios[i]
-        return q_total * den * bottom % (num * top)
+    scaled = {den: (q_total * den * bottom << 64) // top for den in {d for _, d in ratios}}
+    floors, leading = zip(*(divmod(scaled[den] // num, 1 << 64) for num, den in ratios))
 
     def first(i: int, j: int) -> int:
-        (lo_i, hi_i), (lo_j, hi_j) = spans[i], spans[j]
-        if hi_i > lo_j and hi_j > lo_i:  # the spans overlap: compare exactly
-            lo_i, lo_j = ((remainder(i) * ratios[j][0], remainder(j) * ratios[i][0])
-                          if ratios[i] != ratios[j] else (0, 0))
-        return -1 if (lo_i, -i) > (lo_j, -j) else 1
+        a, b = leading[i], leading[j]
+        if a == b and ratios[i] != ratios[j]:  # remainders over num top, cross-multiplied
+            (num_i, den_i), (num_j, den_j) = ratios[i], ratios[j]
+            a = q_total * den_i * bottom % (num_i * top) * num_j
+            b = q_total * den_j * bottom % (num_j * top) * num_i
+        return -1 if (a, -i) > (b, -j) else 1
 
-    return floors, sorted(range(len(rates)), key=functools.cmp_to_key(first))
+    return list(floors), sorted(range(len(rates)), key=functools.cmp_to_key(first))
 
 
 _NO_HOPS = (math.inf, 0.0, 0.0, 0.0, 1.0)  # sums of 0, and any hop becomes the pivot

@@ -15,13 +15,12 @@ Each calling thread keeps one workspace between its calls.  Hops with P_e
 below ~2.2e-16 hash no trial: the generator is invertible, so the few
 hashes that can cause a retransmission are mapped back to their trials
 (see `_latency_kernel`).  Attempt costs are integers, so while a block's
-sums stay below 2**53 they are exact in any order: its totals start at
-S = sum Q_n and only trials that can retransmit add more.  `simulate_latencies`
-runs a table of chains of one hop count in one pass: a trial's hashes do
-not depend on P_e or Q, so each block's hashes on a hop, the candidates of
-the table's largest cap there and the log-uniforms are computed once for
-every chain; `simulate_latency` is its one-chain case.  `latency_variance`
-is the exact variance.
+sums stay below 2**53 they are exact in any order: only trials that can
+retransmit add to S = sum Q_n.  `simulate_latencies` runs a table of chains
+of one hop count in one pass: a trial's hashes do not depend on P_e or Q, so
+each block's hashes, candidates and ln u on a hop are made once for every
+chain; `simulate_latency` is its one-chain case.  `latency_variance` is the
+exact variance.
 """
 
 from __future__ import annotations
@@ -198,8 +197,7 @@ def _attempt_costs(log_u: np.ndarray, out: np.ndarray, q: int, log_p: float,
     the channel uses past the first attempt with first = 0."""
     np.divide(log_u, log_p, out=out)
     np.floor(out, out=out)
-    if first:
-        out += first
+    out += first
     out *= q
     return out
 
@@ -242,8 +240,7 @@ class _HashStreams:
     written over the hashes once the candidates are taken."""
 
     def __init__(self, key: int, n: int, size: int, ws: _Workspace, chains: list[ArqChain]):
-        self.key, self.n, self.size, self.ws = key, n, size, ws
-        self.shared = len(chains) > 1
+        self.key, self.n, self.size, self.ws, self.shared = key, n, size, ws, len(chains) > 1
         # each hop's distinct candidate caps, ascending
         self.caps = [sorted({_candidate_cap(p) for p in probs if 0.0 < p < _SPARSE_PE})
                      for probs in zip(*(chain.self_loop_probs for chain in chains))]
@@ -276,9 +273,9 @@ class _HashStreams:
         _splitmix64_inplace(x, ws.scratch[:m])
         return x
 
-    def _superset(self, x: np.ndarray, hop: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    def _superset(self, start: int, stop: int, hop: int) -> tuple[dict, np.ndarray, np.ndarray]:
         """({cap: count}, trials, ln u) for the hop's largest cap, by least cap passed."""
-        caps, scratch = self.caps[hop], self.ws.scratch
+        caps, scratch, x = self.caps[hop], self.ws.scratch, self._hashes(start, stop, hop)
         idx = np.flatnonzero(np.less_equal(x, np.uint64(caps[-1]), out=self.ws.marks[:len(x)]))
         counts = [len(idx)]
         if len(caps) > 1:  # sort (least cap's rank, trial) keys; trials < _BLOCK = 2**16
@@ -307,16 +304,16 @@ class _HashStreams:
         block's largest counter, stop N, stays below 2**64."""
         if cap < _INVERTED and stop * self.n < 1 << 64:
             return self._once(start, (hop, cap), lambda: self._listed(start, stop, hop, cap))
-        counts, idx, log_u = self._once(
-            start, hop, lambda: self._superset(self._hashes(start, stop, hop), hop))
+        counts, idx, log_u = self._once(start, hop, lambda: self._superset(start, stop, hop))
         return idx[:counts[cap]], log_u[:counts[cap]]
 
     def log_uniforms(self, start: int, stop: int, hop: int) -> np.ndarray:
         """ln u of trials [start, stop) on `hop`; readers must not write it."""
         def make():
             x = self._hashes(start, stop, hop)
-            if self.caps[hop]:  # the candidates, before ln u overwrites their hashes
-                self._once(start, hop, lambda: self._superset(x, hop))
+            if self.caps[hop] and (self.caps[hop][-1] >= _INVERTED or stop * self.n >= 1 << 64):
+                # the candidates, before ln u overwrites their hashes
+                self._once(start, hop, lambda: self._superset(start, stop, hop))
             return _log_uniforms(x, x.view(np.float64), self.ws.scratch[:len(x)])
         return self._once(start, (hop, None), make)
 
@@ -353,12 +350,11 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     `_inverted_candidates`.  A block whose counters pass 2**64, where the
     listed c (taken mod 2**64) are not its own, hashes those hops instead.
 
-    Attempt costs are integers, so a block of m trials with m (S + X) + E
-    < 2**53, for S = sum Q_n, X a bound on a trial's extra uses on the dense
-    hops (ln u > -37.5) and E the candidates' extra uses, sums exactly in
-    any order: its totals start at S and add the dense hops' and candidates'
-    extra uses.  Without a dense hop its sum is m S + E and its M2 one sum
-    over `_moments`' squares, (S - mean)**2 but (t_i - mean)**2 on the
+    With `moments`, a chain without a dense hop (P_e >= `_SPARSE_PE`) reduces
+    a block of m trials with m S + E < 2**53, for S = sum Q_n and E the
+    candidates' extra uses, without adding its hops: attempt costs are
+    integers, so its sum is exactly m S + E in any order, and its M2 is one
+    sum over `_moments`' squares, (S - mean)**2 but (t_i - mean)**2 on the
     candidates' trials; 0 with none.  Other blocks add each hop's costs in
     hop order.  Every latency and moment is the full-array formula's.
     """
@@ -371,64 +367,45 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
              _candidate_cap(p) if 0.0 < p < _SPARSE_PE else None)
             for q, p in zip(chain.costs, chain.self_loop_probs)]
     sparse = [(hop, cap) for hop, (_, _, cap) in enumerate(hops) if cap is not None]
-    dense = [hop for hop, (_, log_p, cap) in enumerate(hops)
-             if log_p is not None and cap is None]
+    exact = moments and all(log_p is None or cap is not None for _, log_p, cap in hops)
     budget = sum(q for q, _, _ in hops)
-    bound = budget + sum(hops[h][0] * math.ceil(37.5 / -hops[h][1]) for h in dense)
 
     def latencies(start: int, stop: int):
         m = stop - start
         u, total = uniforms[:m], totals[:m]
         found = [(hop, *streams.candidates(start, stop, hop, cap)) for hop, cap in sparse]
         found = {hop: (idx, log_u) for hop, idx, log_u in found if len(idx)}
-        exact = m * bound < 2 ** 53
-        if exact:  # the extra uses go to the idle buffer u while they fit
-            extras, used = {}, 0
-            for hop, (idx, log_u) in found.items():
-                fits = used + len(idx) <= m
-                out = u[used:used + len(idx)] if fits else np.empty(len(idx))
-                used += len(idx) * fits
-                extras[hop] = _attempt_costs(log_u, out, *hops[hop][:2], 0.0)
-            block_sum = m * budget + sum(int(e.sum()) for e in extras.values())
-            exact = block_sum + m * (bound - budget) < 2 ** 53
-        if exact and moments and not dense:
-            if not found:
+        if exact:  # each candidate's extra uses, and the block's exact sum
+            extras = [(idx, _attempt_costs(log_u, np.empty(len(idx)), *hops[hop][:2], 0.0))
+                      for hop, (idx, log_u) in found.items()]
+            block_sum = m * budget + sum(int(extra.sum()) for _, extra in extras)
+        if exact and block_sum < 2 ** 53:
+            if not extras:
                 return m, float(block_sum), 0.0
-            for idx, _ in found.values():
+            for idx, _ in extras:
                 total[idx] = budget
-            for hop, extra in extras.items():
-                np.add.at(total, found[hop][0], extra)
-            for hop, extra in extras.items():  # each candidate's total, then its square
-                np.take(total, found[hop][0], out=extra, mode="clip")
+            for idx, extra in extras:
+                total[idx] += extra
             mean = block_sum / m
+            squares = [(idx, np.square(total[idx] - mean)) for idx, _ in extras]
             total.fill((budget - mean) * (budget - mean))
-            for hop, extra in extras.items():
-                extra -= mean
-                extra *= extra
-                total[found[hop][0]] = extra
+            for idx, square in squares:
+                total[idx] = square
             return m, float(block_sum), float(total.sum())
-        if exact:
-            total.fill(budget)
-            for hop, extra in extras.items():
-                np.add.at(total, found[hop][0], extra)
-            for hop in dense:
+        # each step is the full-array formula's, in its order
+        total.fill(0.0)
+        for hop, (q, log_p, cap) in enumerate(hops):
+            if hop in found:  # saved before every total takes q
+                idx, log_u = found[hop]
+                cost = _attempt_costs(log_u, np.empty(len(idx)), q, log_p, 1.0)
+                cost += total[idx]
+                total += q
+                total[idx] = cost
+            elif log_p is None or cap is not None:
+                total += q
+            else:
                 total += _attempt_costs(streams.log_uniforms(start, stop, hop), u,
-                                        *hops[hop][:2], 0.0)
-        else:
-            # each step is the full-array formula's, in its order
-            total.fill(0.0)
-            for hop, (q, log_p, cap) in enumerate(hops):
-                if hop in found:  # saved before every total takes q
-                    idx, log_u = found[hop]
-                    cost = _attempt_costs(log_u, np.empty(len(idx)), q, log_p, 1.0)
-                    cost += total[idx]
-                    total += q
-                    total[idx] = cost
-                elif log_p is None or cap is not None:
-                    total += q
-                else:
-                    total += _attempt_costs(streams.log_uniforms(start, stop, hop), u,
-                                            q, log_p, 1.0)
+                                        q, log_p, 1.0)
         return _moments(total) if moments else total
 
     return latencies
@@ -455,11 +432,11 @@ def simulate_latencies(chains: list[ArqChain], trials: int,
                        seed: int) -> list[LatencyEstimate]:
     """`simulate_latency` of each chain of a table, bit for bit, in one pass
     over the trials; the chains must have one hop count.  Each block's hashes
-    on a hop, the candidates of the table's largest cap there with their
-    ln u, and every trial's ln u are made once for every chain
-    (`_HashStreams`).  A chain's block sums its costs as exact integers
-    while they stay below 2**53 (`_latency_kernel`), and its block moments
-    merge in block order, as its own call's do.
+    on a hop, the candidates of the table's largest cap there (each chain's a
+    prefix) with their ln u, and every trial's ln u are made once for every
+    chain (`_HashStreams`).  A chain without a dense hop sums a block as
+    m S + E, exact while below 2**53 (`_latency_kernel`), and each chain's
+    block moments merge in block order, as its own call's do.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -499,9 +476,9 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     hashes each block into the workspace as the chain's hops read it.
 
     Hops with P_e below ~2.2e-16 list the trials that can retransmit by
-    inverting the generator, and a block whose sums stay below 2**53 adds
-    only their extra channel uses; see `_latency_kernel` for why both give
-    the same bits as the full-array formula.
+    inverting the generator, and a chain without a dense hop reduces a block
+    whose sums stay below 2**53 from its candidates' extra channel uses; see
+    `_latency_kernel` for why both give the same bits as the full-array formula.
 
     Every trial's latency equals the full-array formula's bit for bit.  The
     mean, the left-to-right sum of the block sums over `trials`, is exact

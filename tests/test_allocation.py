@@ -461,11 +461,13 @@ class TestInformationContinuousAboveTwoToThe50:
         st.floats(min_value=1e-6, max_value=30.0)), min_size=1, max_size=8),
         q=st.one_of(st.integers(1, 100), st.integers(2 ** 50, 2 ** 53), st.just(2 ** 70)))
     @example(rates=[2.0 ** -70, 1.0], q=2 ** 70 + 2)
+    @example(rates=[1.0, 0.5, 2.0 ** -80], q=2 ** 80 + 4)
     def test_floors_and_remainder_order_equal_fractions(self, rates, q):
         # exact shares in rationals, their floors, and the hops by descending
         # remainder with ties to the lowest index; integer shares and ties included.
-        # The example's first share is 2**70 + 1 - 2**-70 / (1 + 2**-70), within
-        # T's step of an integer
+        # The first example's first share is 2**70 + 1 - 2**-70 / (1 + 2**-70), its
+        # remainder's first 64 bits all ones; the second's first two remainders,
+        # 2**-80 and 2**-79 to within 2**-158, tie in their first 64 bits
         inverse = [1 / Fraction(r) for r in rates]
         exact = [q * v / sum(inverse) for v in inverse]
         floors = [math.floor(v) for v in exact]
@@ -489,7 +491,8 @@ class TestInformationContinuousAboveTwoToThe50:
             tracemalloc.stop()
         assert len(calls) == 1 and sum(blocks) == 2 ** 53 and min(blocks) >= 1
         assert peak < 16 * 2 ** 20
-        # equal rates tie every remainder, and each tie is settled without a divmod
+        # equal rates tie every remainder, and each tie is settled without
+        # computing a remainder again
         q, n = 2 ** 53, 10_000
         assert information_continuous_blocks([0.3] * n, q) == [q // n + 1] * (q % n) + [
             q // n] * (n - q % n)

@@ -643,8 +643,8 @@ _EXACT_PE = [0.0, 5e-324, 1e-20, 1e-6, 0.01, math.nextafter(_SPARSE_PE, 0.0), _S
 
 
 class TestExactIntegerBlocks:
-    """A block whose sums stay below 2**53 is built from S = sum Q_n, and
-    without a dense hop reduced in two passes; its (n, sum, M2) equal the
+    """A chain without a dense hop reduces a block whose sums stay below
+    2**53 from S = sum Q_n in at most two passes; its (n, sum, M2) equal the
     full-array reference's bit for bit on both sides of the guard."""
 
     @pytest.mark.parametrize("p", _EXACT_PE)
@@ -665,9 +665,9 @@ class TestExactIntegerBlocks:
                        _table_kernels([chain, ArqChain([0.01, 0.2], [1, 1000])], 4, _BLOCK)[0]):
             _assert_reference_moments(kernel(0, _BLOCK), chain, 4, 0, _BLOCK)
 
-    def test_extra_uses_that_outgrow_the_idle_buffer(self):
-        # six hops at P_e 0.24 have more candidates than the block has trials, so
-        # the later hops' extra uses do not fit in the workspace's idle buffer
+    def test_more_candidates_than_trials(self):
+        # six hops at P_e 0.24 have more candidates than the block has trials, and
+        # many trials are candidates on several hops
         chain = ArqChain([0.24] * 6, [1, 2, 3, 4, 5, 6])
         streams = arq._HashStreams(_splitmix64((2 + _GOLDEN) & _MASK64), 6, _BLOCK,
                                    arq._Workspace(), [chain])
@@ -697,18 +697,16 @@ class TestExactIntegerBlocks:
 
     @pytest.mark.parametrize("p", [0.2, 0.6])
     def test_either_side_of_the_guard(self, monkeypatch, p):
-        # the guard is m (S + X) + E < 2**53, with X = Q ceil(37.5 / -ln p) on the
-        # dense hop and E the sparse hop's extra channel uses; the exact block adds
-        # the extra uses alone (first = 0), the hop-order fallback whole costs
-        log_p = math.log(p)
+        # the guard is m S + E < 2**53, with E the hop's extra channel uses; the
+        # exact block adds the extra uses alone (first = 0), the hop-order path
+        # whole costs, as a chain with a dense hop does on either side
         retransmissions = (_ref_trial_latencies(ArqChain([p], [1]), 8, 0, _BLOCK) - 1).sum()
-        limit = (2 ** 53 - 1) // (_BLOCK + int(retransmissions) if p < _SPARSE_PE
-                                  else _BLOCK * (1 + math.ceil(37.5 / -log_p)))
+        limit = (2 ** 53 - 1) // (_BLOCK + int(retransmissions))
         firsts = []
         costs = arq._attempt_costs
         monkeypatch.setattr(arq, "_attempt_costs",
                             lambda *args: firsts.append(args[-1]) or costs(*args))
-        for q, exact in ((limit, True), (limit + 1, False)):
+        for q, exact in ((limit, p < _SPARSE_PE), (limit + 1, False)):
             firsts.clear()
             chain = ArqChain([p], [q])
             got = _latency_kernel(chain, 8, _BLOCK, moments=True)(0, _BLOCK)
