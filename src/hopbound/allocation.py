@@ -72,12 +72,11 @@ def _exact_common_m_split(rates: list[float], q_total: int) -> tuple[list[int], 
     floors, and the hops by descending remainder, ties by index, in O(N) memory.
 
     With R_n = num_n / den_n, sum_m den_m / num_m is one fraction top / bottom
-    (a product tree), so x_n = Q den_n bottom / (num_n top).  One divide by
-    top per distinct den_n, then one by num_n, gives x_n 2**64 rounded down
-    (floor(floor(a / b) / c) = floor(a / (b c))): its floor and its
-    remainder's first 64 bits.
-    Distinct rates whose first bits tie compare their exact remainders, each
-    over num_n top, by cross-multiplication."""
+    (a product tree) and x_n = Q den_n bottom / (num_n top).  Dividing by top
+    once per distinct den_n, then by num_n, gives floor(x_n 2**64), since
+    floor(floor(a / b) / c) = floor(a / (b c)): the floor and the remainder's
+    first 64 bits.  Distinct rates whose first bits tie compare their
+    remainders, over num_n top, by cross-multiplication."""
     ratios = [r.as_integer_ratio() for r in rates]
     terms = [(den, num) for num, den in ratios]
     while len(terms) > 1:

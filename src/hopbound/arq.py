@@ -285,8 +285,7 @@ class _HashStreams:
             keys |= idx
             keys.sort()
             counts = np.searchsorted(keys, np.arange(1, len(caps) + 1) << 16).tolist()
-            keys &= 0xFFFF
-            idx = keys
+            idx = np.bitwise_and(keys, 0xFFFF, out=keys)
         hashes = np.take(x, idx, out=scratch[:len(idx)], mode="clip")
         return dict(zip(caps, counts)), idx, _log_uniforms(hashes, np.empty(len(idx)), hashes)
 
@@ -376,8 +375,11 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
         found = [(hop, *streams.candidates(start, stop, hop, cap)) for hop, cap in sparse]
         found = {hop: (idx, log_u) for hop, idx, log_u in found if len(idx)}
         if exact:  # each candidate's extra uses, and the block's exact sum
-            extras = [(idx, _attempt_costs(log_u, np.empty(len(idx)), *hops[hop][:2], 0.0))
-                      for hop, (idx, log_u) in found.items()]
+            extras, used = [], 0  # in the idle buffer u while they fit
+            for hop, (idx, log_u) in found.items():
+                used += len(idx)
+                out = u[used - len(idx):used] if used <= m else np.empty(len(idx))
+                extras.append((idx, _attempt_costs(log_u, out, *hops[hop][:2], 0.0)))
             block_sum = m * budget + sum(int(extra.sum()) for _, extra in extras)
         if exact and block_sum < 2 ** 53:
             if not extras:
@@ -385,19 +387,20 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
             for idx, _ in extras:
                 total[idx] = budget
             for idx, extra in extras:
-                total[idx] += extra
+                np.add.at(total, idx, extra)
+            for idx, extra in extras:  # each candidate's total, then its square
+                np.take(total, idx, out=extra, mode="clip")
             mean = block_sum / m
-            squares = [(idx, np.square(total[idx] - mean)) for idx, _ in extras]
             total.fill((budget - mean) * (budget - mean))
-            for idx, square in squares:
-                total[idx] = square
+            for idx, extra in extras:
+                total[idx] = np.square(np.subtract(extra, mean, out=extra), out=extra)
             return m, float(block_sum), float(total.sum())
         # each step is the full-array formula's, in its order
         total.fill(0.0)
         for hop, (q, log_p, cap) in enumerate(hops):
             if hop in found:  # saved before every total takes q
                 idx, log_u = found[hop]
-                cost = _attempt_costs(log_u, np.empty(len(idx)), q, log_p, 1.0)
+                cost = _attempt_costs(log_u, u[:len(idx)], q, log_p, 1.0)
                 cost += total[idx]
                 total += q
                 total[idx] = cost
@@ -431,12 +434,11 @@ def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
 def simulate_latencies(chains: list[ArqChain], trials: int,
                        seed: int) -> list[LatencyEstimate]:
     """`simulate_latency` of each chain of a table, bit for bit, in one pass
-    over the trials; the chains must have one hop count.  Each block's hashes
-    on a hop, the candidates of the table's largest cap there (each chain's a
-    prefix) with their ln u, and every trial's ln u are made once for every
-    chain (`_HashStreams`).  A chain without a dense hop sums a block as
-    m S + E, exact while below 2**53 (`_latency_kernel`), and each chain's
-    block moments merge in block order, as its own call's do.
+    over the trials; the chains must have one hop count.  Each block's hashes,
+    candidates and ln u on a hop are made once for every chain
+    (`_HashStreams`), a chain without a dense hop sums a block as m S + E
+    while that stays below 2**53 (`_latency_kernel`), and each chain's block
+    moments merge in block order, as its own call's do.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
