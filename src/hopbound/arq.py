@@ -357,10 +357,10 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     candidates' trials; 0 with none.  Other blocks add each hop's costs in
     hop order.  Every latency and moment is the full-array formula's.
     """
-    n = len(chain.costs)
-    key = _splitmix64((seed + _GOLDEN) & _MASK64)
     ws = _Workspace(size) if workspace is None else workspace
-    streams = _HashStreams(key, n, size, ws, [chain]) if streams is None else streams
+    if streams is None:  # a shared stream holds the seed's key as .key
+        key = _splitmix64((seed + _GOLDEN) & _MASK64)
+        streams = _HashStreams(key, len(chain.costs), size, ws, [chain])
     uniforms, totals = ws.uniforms, ws.totals
     hops = [(int(q), math.log(p) if p > 0.0 else None,
              _candidate_cap(p) if 0.0 < p < _SPARSE_PE else None)

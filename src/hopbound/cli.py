@@ -26,7 +26,7 @@ from .channel import ChannelError, HopChannel, capacity, e0_derivative
 from .distproto import run_distributed_allocation
 from .exponents import hop_exponents, random_coding_exponent, sphere_packing_exponent
 from .oracle import GridSpec, bsc_ensemble_error, exhaustive_allocation, grid_max_exponent
-from .scenario import Evaluation, Scenario, ScenarioError, load_scenario, solve_table
+from .scenario import Evaluation, Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -145,48 +145,28 @@ def _sweep_targets(network_cap: float) -> np.ndarray:
                        REPRODUCE_SWEEP_POINTS)
 
 
-def _sweep_evaluation(hops, method: str, target: float) -> Evaluation:
-    """One swept point: capacity-proportional rates at an end-to-end target."""
-    manual = [REPRODUCE_Q] if method == Method.MANUAL else None
-    return Evaluation(Scenario(REPRODUCE_Q, hops, {"mode": "target_rate", "rate_nats": target},
-                               method, manual))
-
-
-def _sweep_rows(hops, methods: list[str], row) -> list[list[list]]:
-    """row(evaluation) at each swept target, one table per method.
-
-    Every target's evaluations are solved first, in table passes
-    (`scenario.solve_table`): one solve per exponent family over every
-    target's hops and rates, which the methods share, and one stacked bounds
-    pass.  A point with a domain error is skipped.
-    """
+def _sweep_rows(hops, methods: list[str], row) -> list[list]:
+    """row(r) of each swept target's row r of each method, one table per method:
+    each target's capacity-proportional rates, in one `Evaluation` that solves
+    every row's exponents and bounds in table passes.  A point with a domain
+    error is skipped."""
     targets = _sweep_targets(network_capacity([capacity(ch) for ch in hops])).tolist()
-    evaluations = [[_sweep_evaluation(hops, method, target) for method in methods]
-                   for target in targets]
-    solve_table([ev for row_evs in evaluations for ev in row_evs])
+    rows = iter(Evaluation([Scenario(REPRODUCE_Q, hops, {"mode": "target_rate", "rate_nats": t},
+                                     method, [REPRODUCE_Q] if method == Method.MANUAL else None)
+                            for t in targets for method in methods]))
     tables = [[] for _ in methods]
-    for target, row_evs in zip(targets, evaluations):
-        for ev, rows in zip(row_evs, tables):
+    for target in targets:
+        for table in tables:
             try:
-                rows.append(row(ev))
+                table.append(row(next(rows)))
             except _DOMAIN_ERRORS as exc:
                 print(f"skipping rate {_fmt(target)}: {exc}", file=sys.stderr)
     return tables
 
 
-def _fig3_row(ev: Evaluation) -> list:
-    return [ev.end_to_end_rate, ev.bounds.esys_lower, ev.bounds.esys_upper]
-
-
-def _fig4_row(ev: Evaluation) -> list:
-    """The row's analytic columns and its RC chain, which `_fig4_rows` simulates."""
-    upper, lower = ev.latency
-    return [ev.end_to_end_rate, upper, lower, ev.chains[0]]
-
-
 def _fig4_rows(hops, method: str) -> list[list]:
-    """fig4's rows on `hops`: one Monte Carlo call simulates every row's chain."""
-    rows, = _sweep_rows(hops, [method], _fig4_row)
+    """fig4's rows on `hops`: one Monte Carlo call simulates every row's RC chain."""
+    rows, = _sweep_rows(hops, [method], lambda r: [r.end_to_end_rate, *r.latency, r.chains[0]])
     estimates = simulate_latencies([row.pop() for row in rows], REPRODUCE_MC_TRIALS,
                                    REPRODUCE_MC_SEED)
     return [[*row, est.mc_mean, est.mc_stderr] for row, est in zip(rows, estimates)]
@@ -217,10 +197,10 @@ def cmd_reproduce(args) -> int:
     }
     if args.figure == "fig3":
         header = "end_to_end_rate_nats,esys_rc,esys_sp"
-        single_rows, = _sweep_rows(single, [Method.MANUAL], _fig3_row)
-        relopt_rows, infocont_rows = _sweep_rows(
-            two, [Method.RELIABILITY_OPTIMAL_RC, Method.INFO_CONTINUOUS], _fig3_row)
-        for path, rows in zip(paths, (single_rows, relopt_rows, infocont_rows)):
+        def row(r):
+            return [r.end_to_end_rate, r.bounds.esys_lower, r.bounds.esys_upper]
+        for path, rows in zip(paths, [*_sweep_rows(single, [Method.MANUAL], row), *_sweep_rows(
+                two, [Method.RELIABILITY_OPTIMAL_RC, Method.INFO_CONTINUOUS], row)]):
             _write_csv(path, header, rows)
     else:
         meta["mc"] = {"trials": REPRODUCE_MC_TRIALS, "seed": REPRODUCE_MC_SEED}
@@ -233,7 +213,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    ev = Evaluation(load_scenario(args.scenario))
+    ev = Evaluation([load_scenario(args.scenario)])[0]
     sc = ev.scenario
     payload = {
         "method": sc.allocation_method,
@@ -255,7 +235,7 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_latency(args) -> int:
-    ev = Evaluation(load_scenario(args.scenario))
+    ev = Evaluation([load_scenario(args.scenario)])[0]
     upper, lower = ev.latency
     est = simulate_latency(ev.chains[0], args.trials, args.seed)
     _write_json(args.out, {
@@ -272,18 +252,15 @@ def cmd_latency(args) -> int:
 
 
 def cmd_distributed(args) -> int:
-    ev = Evaluation(load_scenario(args.scenario))
+    ev = Evaluation([load_scenario(args.scenario)])[0]
     q_total, rates = ev.scenario.total_q, ev.rates
-    constants, per_node = run_distributed_allocation(ev.scenario.hops, rates, q_total,
-                                                     trace_path=args.trace,
-                                                     exponents=list(zip(ev.e_r, ev.e_sp)))
-    matches = (
-        constants.ln_m == ev.ln_m
-        and all(node["q_reliability_rc"] == ev.shares_r[i]
-                and node["q_reliability_sp"] == ev.shares_sp[i]
-                and node["q_info_continuous"] == math.floor(ev.ln_m / rates[i])
-                for i, node in enumerate(per_node))
-    )
+    constants, per_node = run_distributed_allocation(
+        ev.scenario.hops, rates, q_total, trace_path=args.trace,
+        exponents=list(zip(ev.exponents_r[0], ev.exponents_sp[0])))
+    matches = constants.ln_m == ev.ln_m and all(
+        node["q_reliability_rc"] == share_r and node["q_reliability_sp"] == share_sp
+        and node["q_info_continuous"] == math.floor(constants.ln_m / rate)
+        for node, rate, share_r, share_sp in zip(per_node, rates, ev.shares_r, ev.shares_sp))
     _write_json(args.out, {
         "ln_m": constants.ln_m,
         "lambda_r": constants.lambda_r,

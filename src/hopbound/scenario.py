@@ -1,41 +1,38 @@
-"""Scenario JSON ingestion and the one evaluation pipeline over a scenario.
+"""Scenario JSON ingestion and the one evaluation pipeline, over a table of scenarios.
 
 A scenario file fixes the hop channels, the total channel-use budget Q,
 a per-hop rate policy, and the allocation method; SNR in dB is converted
-to linear exactly once, here.  An `Evaluation` computes each derived
-quantity once, on first use: rates, each hop's RC and SP exponents, the
-split and its end-to-end rate, the real-valued optima the CLI reports, the
-system error bounds, the ARQ chains and latency bounds.  `e_sp` takes the
-RC results above the critical rate from `exponents.hop_exponents`.
-`solve_table` fills the exponents and bounds of a table of evaluations,
-such as a rate sweep's, in array passes over the whole table.
+to linear exactly once, here.  An `Evaluation` of a table of scenarios (a
+rate sweep's, or a CLI command's one) computes each derived quantity once,
+as a column filled in one pass over the rows that read it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate, chain, compress
 
 from .allocation import (AllocationError, Method, balanced_blocks, end_to_end_rate,
                          info_continuous_log_m, information_continuous_blocks,
                          rate_policy_scale, reliability_real_blocks)
-from .arq import ArqChain, arq_chains, latency_bounds
-from .channel import HopChannel, capacity
-from .exponents import hop_exponents
-from .system import SystemBounds, stacked_error_bounds, system_error_bounds
+from .arq import arq_chains, latency_bounds
+from .channel import ChannelError, HopChannel, capacity
+from .exponents import RHO_MAX, Regime, hop_exponents
+from .system import stacked_error_bounds
 
-__all__ = ["ScenarioError", "Scenario", "Evaluation", "solve_table", "load_scenario",
+__all__ = ["ScenarioError", "Scenario", "Evaluation", "Row", "load_scenario",
            "build_allocation"]
 
 SCHEMA_VERSION = 1
 
-_METHODS = (Method.RELIABILITY_OPTIMAL_RC, Method.RELIABILITY_OPTIMAL_SP,
-            Method.INFO_CONTINUOUS, Method.MANUAL)
-
-# the exponent family ("r" or "sp") each reliability-optimal method balances
-_BALANCED_FAMILY = {Method.RELIABILITY_OPTIMAL_RC: "r", Method.RELIABILITY_OPTIMAL_SP: "sp"}
+# the columns a split reads, by method: a reliability-optimal one, the family it balances
+_BALANCED = {Method.RELIABILITY_OPTIMAL_RC: ("exponents_r", "shares_r"),
+             Method.RELIABILITY_OPTIMAL_SP: ("exponents_sp", "shares_sp")}
+_SPLIT_INPUTS = {**_BALANCED, Method.INFO_CONTINUOUS: ("rates", "ln_m"), Method.MANUAL: ()}
+_METHODS = tuple(_SPLIT_INPUTS)
 
 
 class ScenarioError(ValueError):
@@ -88,129 +85,158 @@ class Scenario:
 
 
 class Evaluation:
-    """Every derived quantity of one scenario, each computed once on first use.
+    """A table of scenarios and every quantity derived from them, one column per
+    quantity (`_COLUMNS`); a single scenario is the one-row case.
 
-    The cached lists are shared by all readers and must not be mutated.
-    """
+    Reading a value of row `evaluation[i]` fills its column on every row in one
+    pass.  A column reads its inputs in order, each only on the rows that use it
+    and that the inputs before left without a domain error.  A row keeps the
+    error of its value or first failing input, which reading the value raises,
+    as the row alone does.  Values are shared; do not mutate them."""
 
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
+    def __init__(self, scenarios: list[Scenario]):
+        self.scenarios = list(scenarios)
+        self.cells = {}  # column -> {row: value, or the domain error computing it raised}
+        self.solved = {"r": {}, "sp": {}}  # family -> {row key (_solve): exponents or error}
 
-    @cached_property
-    def rates(self) -> list[float]:
-        return self.scenario.resolve_rates()
+    def __getitem__(self, row: int) -> Row:
+        return Row(self, range(len(self.scenarios))[row])
 
-    @cached_property
-    def rc(self) -> list[list]:
-        """[exponents, rho_stars, regimes] of the random-coding family at each hop's rate."""
-        return hop_exponents(self.rates, self.scenario.hops, "r")
-
-    @cached_property
-    def e_r(self) -> list[float]:
-        """Random-coding exponent of each hop at its rate."""
-        return self.rc[0]
-
-    @cached_property
-    def e_sp(self) -> list[float]:
-        """Sphere-packing exponent of each hop at its rate; reuses `rc` if solved."""
-        return hop_exponents(self.rates, self.scenario.hops, "sp", vars(self).get("rc"))[0]
-
-    @property
-    def balanced_exponents(self) -> list[float] | None:
-        """The exponents a reliability-optimal method balances; None for the others."""
-        family = _BALANCED_FAMILY.get(self.scenario.allocation_method)
-        return None if family is None else getattr(self, f"e_{family}")
-
-    @cached_property
-    def ln_m(self) -> float:
-        """ln M of the common-codeword-count split, Q / sum(1/R_n)."""
-        return info_continuous_log_m(self.rates, self.scenario.total_q)
-
-    @cached_property
-    def shares_r(self) -> list[float]:
-        """Real error-balancing shares of Q on e_r."""
-        return reliability_real_blocks(self.e_r, self.scenario.total_q)
-
-    @cached_property
-    def shares_sp(self) -> list[float]:
-        """Real error-balancing shares of Q on e_sp."""
-        return reliability_real_blocks(self.e_sp, self.scenario.total_q)
-
-    @property
-    def balanced_shares(self) -> list[float] | None:
-        """The real shares of the family the method balances; None for the others."""
-        family = _BALANCED_FAMILY.get(self.scenario.allocation_method)
-        return None if family is None else getattr(self, f"shares_{family}")
-
-    @cached_property
-    def stationarity_residual(self) -> float | None:
-        """Spread (max - min) over hops of Q_n E_n - ln E_n at the balanced real
-        shares, which is 0 at the exact optimum; None unless a family is balanced."""
-        exps, shares = self.balanced_exponents, self.balanced_shares
-        if exps is None:
-            return None
-        balance = [q * e - math.log(e) for q, e in zip(shares, exps)]
-        return max(balance) - min(balance)
-
-    @cached_property
-    def blocks(self) -> list[int]:
-        """The integer split of Q by the scenario's allocation method."""
-        return build_allocation(self)
-
-    @cached_property
-    def end_to_end_rate(self) -> float:
-        """min(Q_n R_n) / Q, nats per channel use."""
-        return end_to_end_rate(self.blocks, self.rates)
-
-    @cached_property
-    def bounds(self) -> SystemBounds:
-        return system_error_bounds(self.blocks, self.e_r, self.e_sp)
-
-    @cached_property
-    def chains(self) -> tuple[ArqChain, ArqChain]:
-        """(RC, SP) ARQ chains of the split; the RC chain drives the Monte Carlo."""
-        return arq_chains(self.bounds, self.blocks)
-
-    @cached_property
-    def latency(self) -> tuple[float, float]:
-        """(upper, lower) expected latency in channel uses."""
-        return latency_bounds(self.chains)
+    def column(self, name: str, rows=None) -> list:
+        """Column `name` at `rows` (all if None), values or errors, filled in one pass."""
+        rows = range(len(self.scenarios)) if rows is None else rows
+        cells, (inputs, fill) = self.cells.setdefault(name, {}), _COLUMNS[name]
+        todo = [i for i in rows if i not in cells]
+        groups = {inputs: todo} if isinstance(inputs, tuple) and todo else {}
+        for i in todo if isinstance(inputs, dict) else ():  # inputs by allocation method
+            groups.setdefault(inputs.get(self.scenarios[i].allocation_method, ()), []).append(i)
+        for names, live in groups.items():
+            values = []  # each input's cells on the live rows
+            for input_name in names:
+                column = self.column(input_name, live)
+                ok = [not isinstance(cell, ValueError) for cell in column]
+                if not all(ok):  # a row with an error keeps it and reads no further
+                    cells.update((i, c) for i, c in zip(live, column) if isinstance(c, ValueError))
+                    live, column, *values = ([*compress(c, ok)] for c in (live, column, *values))
+                values.append(column)
+            cells.update(zip(live, fill(self, live, *values)))
+        return [cells[i] for i in rows]
 
 
-def solve_table(evaluations: list[Evaluation]) -> None:
-    """Solve a table of evaluations in array passes, each value the one the
-    evaluation would compute itself.  Those whose rates are all positive take
-    `rc`, `e_r` and `e_sp` from one `hop_exponents` call per family over the
-    table's distinct (hop, rate) pairs; those whose split then succeeds take
-    `bounds` from one `stacked_error_bounds` pass per hop count.  One that
-    raises on the way is left unsolved, so reading it raises the same error.
-    """
-    solvable, pairs, by_hops = [], {}, {}  # pairs: (hop id, rate) -> (column, hop)
-    for ev in evaluations:
+class Row:
+    """Row `index` of an `Evaluation`: its scenario, and each column's value as
+    a property, which raises the row's domain error where it holds one."""
+
+    def __init__(self, table: Evaluation, index: int):
+        self.table, self.index, self.scenario = table, index, table.scenarios[index]
+
+    def value(self, name: str):
+        """Column `name`'s value at this row; raises the row's domain error."""
         try:
-            if not all(r > 0 for r in ev.rates):
+            cell = self.table.cells[name][self.index]
+        except KeyError:
+            cell = self.table.column(name)[self.index]
+        if isinstance(cell, ValueError):
+            raise cell
+        return cell
+
+
+def _per_row(fn):
+    """A fill computing fn(scenario, *inputs) row by row, keeping each row's domain error."""
+    def cell(sc, args):
+        try:
+            return fn(sc, *args)
+        except ValueError as exc:
+            return exc
+    return lambda ev, rows, *inputs: [cell(ev.scenarios[i], args)
+                                      for i, *args in zip(rows, *inputs)]
+
+
+def _solve(family: str):
+    """A fill of the family's exponents: one hop_exponents call over the rows whose
+    hop list and rates are unsolved, a row with a rate that is not positive alone
+    (only it can fail); SP takes RC's results where the call's rows all have them."""
+    def flat(lists):  # the lists joined, or the one list itself
+        return lists[0] if len(lists) == 1 else list(chain.from_iterable(lists))
+
+    def fill(ev, rows, rates_column):
+        solved, rc = ev.solved[family], ev.solved["r"]
+        keys = [(id(ev.scenarios[i].hops), array("d", rates).tobytes())
+                for i, rates in zip(rows, rates_column)]
+        todo = {key: (rates, ev.scenarios[i].hops)  # (hop list id, rate bits) -> (rates, hops)
+                for key, i, rates in zip(keys, rows, rates_column) if key not in solved}
+        alone = [key for key, (r, _) in todo.items()
+                 if len(todo) > 1 and not all(map((0.0).__lt__, r))]
+        for group in filter(None, [[k for k in todo if k not in alone]] + [[k] for k in alone]):
+            parts = [todo[key] for key in group]
+            rates, hops = map(flat, zip(*parts))
+            shared = family == "sp" and all(isinstance(rc.get(key), list) for key in group)
+            prior = [flat(column) for column in zip(*map(rc.get, group))] if shared else None
+            try:
+                columns = hop_exponents(rates, hops, family, prior)
+            except ValueError as exc:
+                solved.update(dict.fromkeys(group, exc))
                 continue
-        except ValueError:  # a domain error, raised again where the rates are read
-            continue
-        solvable.append(ev)
-        for ch, rate in zip(ev.scenario.hops, ev.rates):
-            pairs.setdefault((id(ch), rate), (len(pairs), ch))
-    rates = [rate for _, rate in pairs]
-    rc = hop_exponents(rates, [ch for _, ch in pairs.values()], "r")
-    sp = hop_exponents(rates, [ch for _, ch in pairs.values()], "sp", rc)[0]
-    for ev in solvable:
-        cols = [pairs[id(ch), rate][0] for ch, rate in zip(ev.scenario.hops, ev.rates)]
-        ev.rc = [[column[k] for k in cols] for column in rc]
-        ev.e_r, ev.e_sp = ev.rc[0], [sp[k] for k in cols]
-        try:
-            by_hops.setdefault(len(ev.blocks), []).append(ev)
-        except ValueError:
-            pass
+            ends = accumulate(len(part_rates) for part_rates, _ in parts)
+            for key, end, (part_rates, _) in zip(group, ends, parts):
+                solved[key] = [column[end - len(part_rates):end] for column in columns]
+        return [solved[key] for key in keys]
+    return fill
+
+
+def _shares(sc: Scenario, exps: list[list]) -> list[float]:
+    """Real error-balancing shares of Q on a family's exponents, none where one is zero."""
+    if min(exps[0], default=1.0) <= 0:
+        bad = next(k for k, e in enumerate(exps[0]) if e <= 0)
+        raise AllocationError(f"hop {bad}: rate at/above capacity, zero exponent")
+    return reliability_real_blocks(exps[0], sc.total_q)
+
+
+def _spread(sc: Scenario, exps=None, shares=None) -> float | None:
+    """Spread over hops of Q_n E_n - ln E_n at the balanced shares (0 at the optimum),
+    None for a method that balances no family (no inputs)."""
+    balance = [q * e - math.log(e) for q, e in zip(shares or (), exps[0] if exps else ())]
+    return max(balance) - min(balance) if balance else None
+
+
+def _capped(sp: list[list]) -> ChannelError | None:
+    """A ChannelError naming the first hop whose SP solve stopped at RHO_MAX, below E_sp."""
+    if Regime.RHO_CAPPED in sp[2]:
+        return ChannelError(f"hop {sp[2].index(Regime.RHO_CAPPED)}: sphere-packing exponent "
+                            f"capped at rho = {RHO_MAX:g}, below its true value")
+
+
+def _bounds(ev, rows, *inputs):
+    """System bounds, one stacked_error_bounds pass per hop count; none with a capped SP hop."""
+    cells, by_hops = {}, {}
+    for i, blocks, rc, sp in zip(rows, *inputs):
+        cells[i] = _capped(sp)
+        if cells[i] is None:
+            by_hops.setdefault(len(blocks), []).append((i, blocks, rc[0], sp[0]))
     for group in by_hops.values():
-        stacked = stacked_error_bounds(*([getattr(ev, name) for ev in group]
-                                         for name in ("blocks", "e_r", "e_sp")))
-        for ev, bounds in zip(group, stacked):
-            ev.bounds = bounds
+        index, *table = zip(*group)
+        cells.update(zip(index, stacked_error_bounds(*map(list, table))))
+    return [cells[i] for i in rows]
+
+
+# column -> (its inputs, in order, or a dict of them by allocation method; fill(evaluation,
+# rows, *inputs) -> the rows' cells); exponents_* are [exponents, rho_stars, regimes] lists
+_COLUMNS = {
+    "rates": ((), _per_row(lambda sc: sc.resolve_rates())),
+    "exponents_r": (("rates",), _solve("r")),
+    "exponents_sp": (("rates",), _solve("sp")),
+    "ln_m": (("rates",), _per_row(lambda sc, rates: info_continuous_log_m(rates, sc.total_q))),
+    "shares_r": (("exponents_r",), _per_row(_shares)),
+    "shares_sp": (("exponents_sp",), _per_row(_shares)),
+    "stationarity_residual": (_BALANCED, _per_row(_spread)),
+    "blocks": (_SPLIT_INPUTS, _per_row(lambda sc, *inputs: build_allocation(sc, *inputs))),
+    "end_to_end_rate": (("blocks", "rates"), _per_row(lambda sc, *q_r: end_to_end_rate(*q_r))),
+    "bounds": (("blocks", "exponents_r", "exponents_sp"), _bounds),
+    "chains": (("bounds", "blocks"), _per_row(lambda sc, *bounds_q: arq_chains(*bounds_q))),
+    "latency": (("chains",), _per_row(lambda sc, chains: latency_bounds(chains))),
+}
+for _name in _COLUMNS:
+    setattr(Row, _name, property(lambda row, name=_name: row.value(name)))
 
 
 def _parse_hop(spec, index: int) -> HopChannel:
@@ -267,18 +293,15 @@ def load_scenario(path: str) -> Scenario:
                     allocation_method=method, manual_blocks=manual)
 
 
-def build_allocation(ev: Evaluation) -> list[int]:
-    """Integer split of Q for an evaluated scenario.
-
-    A reliability-optimal split reads only the family it balances: its exponents and shares.
-    """
-    sc = ev.scenario
+def build_allocation(sc: Scenario, *inputs) -> list[int]:
+    """Integer split of Q by the scenario's allocation method, from the columns
+    its method reads (`_SPLIT_INPUTS`): a reliability-optimal split's exponents
+    and shares, an info-continuous split's rates and ln M, a manual split's none."""
     if sc.allocation_method == Method.MANUAL:
         return list(sc.manual_blocks)
     if sc.allocation_method == Method.INFO_CONTINUOUS:
-        return information_continuous_blocks(ev.rates, sc.total_q, ev.ln_m)
-    exps = ev.balanced_exponents
-    if any(e <= 0 for e in exps):
-        bad = next(i for i, e in enumerate(exps) if e <= 0)
-        raise AllocationError(f"hop {bad}: rate at/above capacity, zero exponent")
-    return balanced_blocks(exps, sc.total_q, ev.balanced_shares)
+        return information_continuous_blocks(inputs[0], sc.total_q, inputs[1])
+    exps, shares = inputs
+    if sc.allocation_method == Method.RELIABILITY_OPTIMAL_SP and (capped := _capped(exps)):
+        raise capped
+    return balanced_blocks(exps[0], sc.total_q, shares)

@@ -4,7 +4,7 @@ The end-to-end error measure is the sum of per-hop error probabilities;
 random-coding exponents give the upper bound on it (hence the lower
 reliability exponent) and sphere-packing exponents the lower bound
 (hence the upper reliability exponent).  The per-hop exponents come in
-already solved (see `scenario.Evaluation`).
+already solved, once per row of a `scenario.Evaluation` table.
 """
 
 from __future__ import annotations

@@ -18,12 +18,13 @@ from hopbound.allocation import (Method, balance_lagrange, balance_step,
                                  reliability_real_blocks)
 from hopbound.arq import ArqChain, expected_latency, simulate_latency
 from hopbound.channel import HopChannel, capacity
-from hopbound.cli import _sweep_evaluation, _sweep_targets, main
+from hopbound.cli import REPRODUCE_Q, _sweep_targets, main
 from hopbound.distproto import NodeState, compute_and_broadcast, forward_pass, \
     run_distributed_allocation
 from hopbound.exponents import (critical_rate, random_coding_exponent,
                                 sphere_packing_exponent)
 from hopbound.oracle import exhaustive_allocation
+from hopbound.scenario import Evaluation, Scenario
 
 
 def report(num: int, label: str, ok: bool) -> None:
@@ -33,6 +34,14 @@ def report(num: int, label: str, ok: bool) -> None:
 
 def elapsed_ok(start: float, budget: float) -> bool:
     return time.monotonic() - start < budget
+
+
+def sweep_point(hops, method: str, target: float):
+    """One swept point of `reproduce` as a one-row table: capacity-proportional
+    rates at an end-to-end target."""
+    manual = [REPRODUCE_Q] if method == Method.MANUAL else None
+    return Evaluation([Scenario(REPRODUCE_Q, hops, {"mode": "target_rate", "rate_nats": target},
+                                method, manual)])[0]
 
 
 def test_criterion_01_critical_rate_closed_form_and_exponent_equality():
@@ -135,13 +144,13 @@ def test_criterion_07_two_hop_reliability_dominates_single_hop():
     ok = True
     for target in _sweep_targets(ncap):
         target = float(target)
-        relopt = _sweep_evaluation(two, Method.RELIABILITY_OPTIMAL_RC, target).bounds
+        relopt = sweep_point(two, Method.RELIABILITY_OPTIMAL_RC, target).bounds
         if target < single_cap:
-            base = _sweep_evaluation([single], Method.MANUAL, target).bounds
+            base = sweep_point([single], Method.MANUAL, target).bounds
             ok = ok and relopt.esys_lower > base.esys_lower
             ok = ok and relopt.esys_upper > base.esys_upper
         if target >= 0.7 * ncap:
-            infocont = _sweep_evaluation(two, Method.INFO_CONTINUOUS, target).bounds
+            infocont = sweep_point(two, Method.INFO_CONTINUOUS, target).bounds
             for a, b in ((infocont.esys_lower, relopt.esys_lower),
                          (infocont.esys_upper, relopt.esys_upper)):
                 # the curve ends where the exponent hits zero (the summed
@@ -165,7 +174,7 @@ def test_criterion_08_latency_bound_agreement_and_hop_ordering():
     checked_ordering = 0
     for target in _sweep_targets(ncap):
         target = float(target)
-        ev = _sweep_evaluation(two, Method.RELIABILITY_OPTIMAL_RC, target)
+        ev = sweep_point(two, Method.RELIABILITY_OPTIMAL_RC, target)
         upper, lower = ev.latency
         bounds = ev.bounds
         if all(p < 0.01 for p in bounds.per_hop_pe_upper) and \
@@ -173,8 +182,8 @@ def test_criterion_08_latency_bound_agreement_and_hop_ordering():
             ok = ok and abs(upper - lower) <= 0.02 * lower
             checked_agreement += 1
         if target < single_cap:
-            s_ev = _sweep_evaluation([single], Method.MANUAL, target)
-            if s_ev.e_r[0] > 0:
+            s_ev = sweep_point([single], Method.MANUAL, target)
+            if s_ev.exponents_r[0][0] > 0:
                 s_upper, _ = s_ev.latency
                 ok = ok and upper <= s_upper + 1e-9
                 checked_ordering += 1

@@ -400,8 +400,8 @@ class TestLatencyBounds:
     @staticmethod
     def latency(blocks, rates, hops):
         """latency_bounds of a manual split, through the scenario evaluation."""
-        return Evaluation(Scenario(sum(blocks), hops, {"mode": "explicit", "rates_nats": rates},
-                                   "manual", blocks)).latency
+        return Evaluation([Scenario(sum(blocks), hops, {"mode": "explicit", "rates_nats": rates},
+                                    "manual", blocks)])[0].latency
 
     def test_low_rate_bounds_collapse_to_budget(self):
         hops = [HopChannel.awgn(10 ** 0.9), HopChannel.awgn(10 ** 0.6)]
@@ -796,9 +796,9 @@ class TestLatencyVariance:
         # a row whose sample stderr is 0 still has a z-score on the analytic scale
         single = [HopChannel.awgn(cli._snr_db_to_linear(db)) for db in cli.REPRODUCE_SINGLE_SNR_DB]
         two = [HopChannel.awgn(cli._snr_db_to_linear(db)) for db in cli.REPRODUCE_TWO_SNR_DB]
-        chains = [*cli._sweep_rows(single, [cli.Method.MANUAL], lambda ev: ev.chains[0])[0],
+        chains = [*cli._sweep_rows(single, [cli.Method.MANUAL], lambda row: row.chains[0])[0],
                   *cli._sweep_rows(two, [cli.Method.RELIABILITY_OPTIMAL_RC],
-                                   lambda ev: ev.chains[0])[0]]
+                                   lambda row: row.chains[0])[0]]
         trials, seed = cli.REPRODUCE_MC_TRIALS, cli.REPRODUCE_MC_SEED
         silent = 0
         for chain in chains:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopbound.allocation import info_continuous_log_m, reliability_real_blocks
@@ -22,7 +22,7 @@ from hopbound.arq import simulate_latency
 from hopbound.cli import main
 from hopbound.exponents import (ARRAY_MIN_HOPS, RHO_MAX, random_coding_exponent,
                                 sphere_packing_exponent)
-from hopbound.scenario import Evaluation, ScenarioError, load_scenario
+from hopbound.scenario import Evaluation, Scenario, ScenarioError, load_scenario
 
 
 BASE_DOC = {
@@ -64,14 +64,14 @@ class TestScenario:
     def test_manual_blocks(self, tmp_path):
         path = write_scenario(tmp_path, allocation_method="manual",
                               manual_blocks=[400, 600])
-        assert Evaluation(load_scenario(path)).blocks == [400, 600]
+        assert Evaluation([load_scenario(path)])[0].blocks == [400, 600]
 
     def test_manual_single_hop_passthrough(self, tmp_path):
         path = write_scenario(
             tmp_path, hops=[{"type": "awgn", "snr_db": 0.0}],
             allocation_method="manual", manual_blocks=[1000],
             rate_policy={"mode": "explicit", "rates_nats": [0.5]})
-        ev = Evaluation(load_scenario(path))
+        ev = Evaluation([load_scenario(path)])[0]
         assert ev.blocks == [1000]
         assert ev.end_to_end_rate == pytest.approx(0.5)
 
@@ -645,22 +645,29 @@ class TestSweepSkippedRows:
 
     @staticmethod
     def per_row(hops, methods, row):
-        """The tables and stderr lines of one evaluation per target and method."""
+        """The tables and stderr lines of a one-row table per target and method."""
         tables, lines = [[] for _ in methods], []
         cap = allocation.network_capacity([capacity(ch) for ch in hops])
         for target in cli._sweep_targets(cap).tolist():
             for method, rows in zip(methods, tables):
+                manual = [cli.REPRODUCE_Q] if method == cli.Method.MANUAL else None
+                sc = Scenario(cli.REPRODUCE_Q, hops, {"mode": "target_rate", "rate_nats": target},
+                              method, manual)
                 try:
-                    rows.append(row(cli._sweep_evaluation(hops, method, target)))
+                    rows.append(row(Evaluation([sc])[0]))
                 except cli._DOMAIN_ERRORS as exc:
                     lines.append(f"skipping rate {cli._fmt(target)}: {exc}")
         return tables, lines
 
     @staticmethod
-    def fig4_row(ev):
-        upper, lower = ev.latency
-        est = simulate_latency(ev.chains[0], cli.REPRODUCE_MC_TRIALS, cli.REPRODUCE_MC_SEED)
-        return [ev.end_to_end_rate, upper, lower, est.mc_mean, est.mc_stderr]
+    def fig3_row(row):
+        return [row.end_to_end_rate, row.bounds.esys_lower, row.bounds.esys_upper]
+
+    @staticmethod
+    def fig4_row(row):
+        upper, lower = row.latency
+        est = simulate_latency(row.chains[0], cli.REPRODUCE_MC_TRIALS, cli.REPRODUCE_MC_SEED)
+        return [row.end_to_end_rate, upper, lower, est.mc_mean, est.mc_stderr]
 
     @pytest.mark.parametrize("figure", ["fig3", "fig4"])
     def test_lines_and_rows_equal_per_row_evaluation(self, tmp_path, capsys, monkeypatch,
@@ -680,7 +687,7 @@ class TestSweepSkippedRows:
                             ["two_hop_relopt", "two_hop_infocont"])],
                   "fig4": [(single, [m.MANUAL], ["single_hop"]),
                            (two, [m.RELIABILITY_OPTIMAL_RC], ["two_hop"])]}[figure]
-        row = cli._fig3_row if figure == "fig3" else self.fig4_row
+        row = self.fig3_row if figure == "fig3" else self.fig4_row
         expected = []
         for hops, methods, names in sweeps:
             tables, lines = self.per_row(hops, methods, row)
@@ -773,14 +780,21 @@ class TestLongChainPins:
             self.BLOCKLENGTHS[chain, family]
 
 
+class FixedRates(Scenario):
+    """A scenario whose rates are given as they are, unchecked."""
+
+    def resolve_rates(self):
+        return list(self.rate_policy["rates"])
+
+
 class TestEvaluationExponentPaths:
-    """Evaluation.e_r / e_sp equal the per-hop solves on both sides of ARRAY_MIN_HOPS."""
+    """An evaluation's exponents equal the per-hop solves on both sides of ARRAY_MIN_HOPS."""
 
     @staticmethod
     def evaluate(tmp_path, kinds, monkeypatch):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(chain_doc(kinds)))
-        ev = Evaluation(load_scenario(str(path)))
+        ev = Evaluation([load_scenario(str(path))])[0]
         array_calls = []
         solve = exponents._array_exponents
 
@@ -791,7 +805,7 @@ class TestEvaluationExponentPaths:
         monkeypatch.setattr(exponents, "_array_exponents", counted)
         return ev, array_calls
 
-    @pytest.mark.parametrize("first", ["e_r", "e_sp"])
+    @pytest.mark.parametrize("first", ["exponents_r", "exponents_sp"])
     @pytest.mark.parametrize("kinds,array_hops", [
         (["awgn"] * (ARRAY_MIN_HOPS - 1), None),
         (["awgn"] * ARRAY_MIN_HOPS, ARRAY_MIN_HOPS),
@@ -800,18 +814,21 @@ class TestEvaluationExponentPaths:
         ev, array_calls = self.evaluate(tmp_path, kinds, monkeypatch)
         hops, rates = ev.scenario.hops, ev.rates
         getattr(ev, first)
-        assert ev.e_r == [random_coding_exponent(r, ch).exponent for r, ch in zip(rates, hops)]
-        assert ev.e_sp == [sphere_packing_exponent(r, ch).exponent
-                           for r, ch in zip(rates, hops)]
+        for family, solver in (("r", random_coding_exponent), ("sp", sphere_packing_exponent)):
+            solved = [solver(r, ch) for r, ch in zip(rates, hops)]
+            assert getattr(ev, f"exponents_{family}") == [
+                [res.exponent for res in solved], [res.rho_star for res in solved],
+                [res.regime for res in solved]]
         # solved after RC, SP takes RC's results above the critical rate, which
         # leaves fewer than ARRAY_MIN_HOPS AWGN hops to solve on these chains
-        expected = ([] if array_hops is None else [(array_hops, "r")] if first == "e_r"
+        expected = ([] if array_hops is None else [(array_hops, "r")] if first == "exponents_r"
                     else [(array_hops, "sp"), (array_hops, "r")])
         assert [call[:2] for call in array_calls if call[2] == "awgn"] == expected
         # each DMC hop is its own channel object, so its own array call; SP after
         # RC solves only the hops RC left clamped at rho = 1
         dmc = [i for i, ch in enumerate(hops) if ch.kind == "dmc"]
-        sp = [i for i in dmc if first == "e_sp" or ev.rc[2][i] == "rho_clamped_at_one"]
+        sp = [i for i in dmc
+              if first == "exponents_sp" or ev.exponents_r[2][i] == "rho_clamped_at_one"]
         assert collections.Counter(call[:2] for call in array_calls if call[2] == "dmc") == (
             collections.Counter({(1, "r"): len(dmc), (1, "sp"): len(sp)}))
 
@@ -819,12 +836,15 @@ class TestEvaluationExponentPaths:
         # SP rejects the zero rate on the BSC at hop 4 first; RC accepts it and
         # rejects the negative rate on AWGN hop 50, which the array solve sees first
         ev, _ = self.evaluate(tmp_path, LONG_CHAINS["mixed120"], monkeypatch)
-        ev.rates = list(ev.rates)
-        ev.rates[4], ev.rates[50] = 0.0, -1.0
+        rates = list(ev.rates)
+        rates[4], rates[50] = 0.0, -1.0
+        sc = ev.scenario
+        row = Evaluation([FixedRates(sc.total_q, sc.hops, {"rates": rates},
+                                     sc.allocation_method)])[0]
         with pytest.raises(ChannelError, match="got 0.0$"):
-            ev.e_sp
+            row.exponents_sp
         with pytest.raises(ChannelError, match="got -1.0$"):
-            ev.e_r
+            row.exponents_r
 
 
 class TestDistributedCommand:
@@ -855,7 +875,7 @@ class TestSharesNextToATinyExponent:
         out = tmp_path / "alloc.json"
         assert main(["allocate", "--scenario", path, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        ev = Evaluation(load_scenario(path))
+        ev = Evaluation([load_scenario(path)])[0]
         assert abs(math.fsum(ev.shares_r) - 1000) <= 1e-9 * 1000
         assert ev.shares_r[1] == pytest.approx(919.37, abs=0.01)
         assert doc["stationarity_residual"] == ev.stationarity_residual
@@ -984,32 +1004,112 @@ class TestSolveCounts:
         assert set(solves.values()) == {1}
 
 
-class TestSolveTable:
-    """`scenario.solve_table` gives each evaluation the values it computes
-    alone, and leaves one that raises to raise the same error."""
+# hops shared by the rows of a drawn table: a 0 dB hop (capacity below 1 nat,
+# so beta = 5e-324 gives it a zero rate), a 40 dB hop (at rate 1e-7 its SP
+# solve stops at RHO_MAX) and two DMC hops
+TABLE_HOPS = [HopChannel.awgn(10 ** 0.9), HopChannel.awgn(1.0), HopChannel.awgn(1e4),
+              HopChannel.bsc(0.1), HopChannel.dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
+                                                   [0.1, 0.1, 0.8]])]
+COLUMNS = ["rates", "exponents_r", "exponents_sp", "ln_m", "shares_r", "shares_sp",
+           "stationarity_residual", "blocks", "end_to_end_rate", "bounds", "chains", "latency"]
 
-    def test_equals_each_evaluations_own_values(self, tmp_path):
-        paths = [write_scenario(tmp_path, f"{k}.json", **doc) for k, doc in enumerate([
-            dict(hops=MIXED_HOPS), dict(hops=MIXED_HOPS, allocation_method="info_continuous"),
-            dict(allocation_method="reliability_optimal_sp"),
-            dict(rate_policy={"mode": "explicit", "rates_nats": [5.0, 0.1]}),  # above capacity
-            dict(rate_policy={"mode": "capacity_fraction", "beta": 2.0})])]  # no rates
-        table = [Evaluation(load_scenario(path)) for path in paths]
-        zero_rate = Evaluation(load_scenario(paths[2]))
-        zero_rate.rates = [0.0, 0.1]
-        scenario.solve_table(table + [zero_rate])
-        for ev, path in zip(table[:3], paths):
-            alone = Evaluation(load_scenario(path))
-            assert (ev.rates, ev.rc, ev.e_sp, ev.bounds) == (
-                alone.rates, alone.rc, alone.e_sp, alone.bounds)
-        assert "bounds" not in vars(table[3])
-        with pytest.raises(allocation.AllocationError, match="zero exponent"):
-            table[3].bounds
-        with pytest.raises(ScenarioError, match="beta"):
-            table[4].e_r
-        assert "e_sp" not in vars(zero_rate)
-        with pytest.raises(ChannelError, match="positive"):
-            zero_rate.e_sp
+
+@st.composite
+def table_scenarios(draw):
+    """A scenario on 1-3 of TABLE_HOPS, some of them invalid: a rate above
+    capacity, beta = 2, a zero rate, a target at or above the network capacity,
+    a capped SP exponent."""
+    hops = [TABLE_HOPS[k] for k in draw(st.lists(st.integers(0, len(TABLE_HOPS) - 1),
+                                                 min_size=1, max_size=3))]
+    caps = [capacity(ch) for ch in hops]
+    policy = draw(st.one_of(
+        st.sampled_from([0.3, 0.5, 0.9, 2.0, 5e-324]).map(
+            lambda beta: {"mode": "capacity_fraction", "beta": beta}),
+        st.sampled_from([0.2, 0.6, 1.0, 1.5]).map(lambda f: {
+            "mode": "target_rate", "rate_nats": f * allocation.network_capacity(caps)}),
+        st.lists(st.sampled_from([0.3, 0.8, 1.2, None]), min_size=len(hops),
+                 max_size=len(hops)).map(lambda fs: {
+                     "mode": "explicit",
+                     "rates_nats": [1e-7 if f is None else f * c for f, c in zip(fs, caps)]})))
+    method = draw(st.sampled_from(scenario._METHODS))
+    q = draw(st.sampled_from([len(hops), 40, 1000]))
+    manual = [q - len(hops) + 1] + [1] * (len(hops) - 1) if method == "manual" else None
+    return Scenario(q, hops, policy, method, manual)
+
+
+def outcome(row, name):
+    """repr of the row's value, or its error's type and message."""
+    try:
+        return repr(getattr(row, name))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestEvaluationTable:
+    """Each row of a table equals its own one-row table: every value bit for
+    bit, and every error by type and message, whichever column is read first."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scenarios=st.lists(table_scenarios(), min_size=1, max_size=12),
+           order=st.permutations(COLUMNS))
+    @example(scenarios=[  # the second row's capped hop once left an empty bounds group
+        Scenario(1, TABLE_HOPS[:1], {"mode": "capacity_fraction", "beta": 0.3},
+                 "reliability_optimal_rc"),
+        Scenario(2, [TABLE_HOPS[0], TABLE_HOPS[2]],
+                 {"mode": "explicit", "rates_nats": [0.6572708024210144, 1e-7]},
+                 "reliability_optimal_rc")], order=COLUMNS)
+    def test_each_row_equals_its_one_row_table(self, scenarios, order):
+        table = Evaluation(scenarios)
+        got = [{name: outcome(row, name) for name in order} for row in table]
+        assert got == [{name: outcome(Evaluation([sc])[0], name) for name in COLUMNS}
+                       for sc in scenarios]
+
+
+    def test_method_columns_fill_only_the_rows_that_read_them(self, solves):
+        # fig3's two-hop table: the RC and info-continuous rows of each target
+        # share their exponent solves; ln M and the shares are their own method's
+        hops = [HopChannel.awgn(10 ** 0.9), HopChannel.awgn(10 ** 0.6)]
+        table = Evaluation([Scenario(1000, hops, {"mode": "target_rate", "rate_nats": target},
+                                     method)
+                            for target in (0.1, 0.3, 0.5)
+                            for method in ("reliability_optimal_rc", "info_continuous")])
+        assert [row.bounds.esys_lower > 0 for row in table] == [True] * 6
+        assert sorted(table.cells["shares_r"]) == [0, 2, 4]
+        assert sorted(table.cells["ln_m"]) == [1, 3, 5]
+        assert "shares_sp" not in table.cells and "latency" not in table.cells
+        assert family_totals(solves)[0] == 6 and set(solves.values()) == {1}
+
+
+class TestCappedSpherePacking:
+    """A 40 dB hop at 1e-7 nats, where the SP solve stops at RHO_MAX with
+    E_sp = 9950.22 (9995.53 at rho* = 2.2e7): no bound or SP split takes it."""
+
+    @staticmethod
+    def scenario(tmp_path, method):
+        return write_scenario(tmp_path, f"{method}.json", allocation_method=method,
+                              hops=[{"type": "awgn", "snr_db": 40.0}],
+                              rate_policy={"mode": "explicit", "rates_nats": [1e-7]})
+
+    @pytest.mark.parametrize("argv,code", [
+        (["allocate"], 0), (["allocate"], 3), (["latency", "--trials", "100"], 3),
+        (["distributed"], 0)], ids=["allocate_rc", "allocate_sp", "latency", "distributed"])
+    def test_exit_codes(self, tmp_path, capsys, argv, code):
+        method = "reliability_optimal_sp" if code == 3 and argv == ["allocate"] else (
+            "reliability_optimal_rc")
+        out = tmp_path / "out.json"
+        assert main([*argv, "--scenario", self.scenario(tmp_path, method),
+                     "--out", str(out)]) == code
+        if code == 3:
+            error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+            assert error == ("hop 0: sphere-packing exponent capped at rho = 1e+06, "
+                             "below its true value")
+            assert not out.exists()
+
+    def test_exponent_writes_the_capped_row(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--snr-db", "40", "--rate-min", "1e-7", "--rate-max", "1e-7",
+                     "--rate-steps", "1", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].endswith(",1000000,rho_capped")
 
 
 class TestInterleavedMain:
@@ -1066,30 +1166,32 @@ class TestInterleavedMain:
 
 
 class TestEvaluationShares:
-    """The real optima the CLI reports, as cached Evaluation properties."""
+    """The real optima the CLI reports, as columns of an evaluation."""
 
-    def test_properties_equal_the_allocation_formulas(self, tmp_path):
-        ev = Evaluation(load_scenario(write_scenario(tmp_path, hops=MIXED_HOPS)))
+    def test_columns_equal_the_allocation_formulas(self, tmp_path):
+        ev = Evaluation([load_scenario(write_scenario(tmp_path, hops=MIXED_HOPS))])[0]
         q = ev.scenario.total_q
         assert ev.ln_m == info_continuous_log_m(ev.rates, q)
-        assert ev.shares_r == reliability_real_blocks(ev.e_r, q)
-        assert ev.shares_sp == reliability_real_blocks(ev.e_sp, q)
-        assert ev.balanced_shares is ev.shares_r
-        balance = [b * e - math.log(e) for b, e in zip(ev.shares_r, ev.e_r)]
+        assert ev.shares_r == reliability_real_blocks(ev.exponents_r[0], q)
+        assert ev.shares_sp == reliability_real_blocks(ev.exponents_sp[0], q)
+        balance = [b * e - math.log(e) for b, e in zip(ev.shares_r, ev.exponents_r[0])]
         assert ev.stationarity_residual == max(balance) - min(balance)
 
     @pytest.mark.parametrize("method,family", [("reliability_optimal_sp", "sp"),
                                                ("info_continuous", None),
                                                ("manual", None)])
-    def test_balanced_family_follows_the_method(self, tmp_path, method, family):
+    def test_balanced_family_follows_the_method(self, tmp_path, solves, method, family):
         manual = {"manual_blocks": [400, 600]} if method == "manual" else {}
-        ev = Evaluation(load_scenario(write_scenario(tmp_path, allocation_method=method,
-                                                     **manual)))
+        ev = Evaluation([load_scenario(write_scenario(tmp_path, allocation_method=method,
+                                                      **manual))])[0]
+        residual = ev.stationarity_residual
         if family is None:
-            assert ev.balanced_shares is None and ev.stationarity_residual is None
+            assert residual is None
+            assert family_totals(solves) == (0, 0)
         else:
-            assert ev.balanced_shares is ev.shares_sp
-            assert "e_r" not in vars(ev)  # the other family is never solved
+            balance = [b * e - math.log(e) for b, e in zip(ev.shares_sp, ev.exponents_sp[0])]
+            assert residual == max(balance) - min(balance)
+            assert family_totals(solves) == (0, 2)  # the other family is never solved
 
 
 class TestSharesComputedOnce:
