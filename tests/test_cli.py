@@ -643,6 +643,22 @@ class TestSweepSkippedRows:
     target, then method order, as evaluating each target and method alone
     does, and every other row is that evaluation's row."""
 
+    # the lines as per-row evaluation printed them before tables existed
+    LINES = {
+        "fig3": ["skipping rate 1.03972077084: target rate 1.0397207708399179 exceeds "
+                 "network capacity 0.6931471805599453",
+                 "skipping rate 0.926581809267: hop 0: rate at/above capacity, zero exponent",
+                 *["skipping rate 1.3898727139: target rate 1.3898727139003013 exceeds "
+                   "network capacity 0.9265818092668675"] * 2],
+        "fig4": ["skipping rate 0.69314718056: hop 0 has zero exponent (rate at/above "
+                 "capacity); expected latency is unbounded",
+                 "skipping rate 1.03972077084: target rate 1.0397207708399179 exceeds "
+                 "network capacity 0.6931471805599453",
+                 "skipping rate 0.926581809267: hop 0: rate at/above capacity, zero exponent",
+                 "skipping rate 1.3898727139: target rate 1.3898727139003013 exceeds "
+                 "network capacity 0.9265818092668675"],
+    }
+
     @staticmethod
     def per_row(hops, methods, row):
         """The tables and stderr lines of a one-row table per target and method."""
@@ -695,7 +711,7 @@ class TestSweepSkippedRows:
             for name, rows in zip(names, tables):
                 written = (tmp_path / f"{figure}_{name}.csv").read_text().splitlines()[1:]
                 assert written == [",".join(cli._fmt(v) for v in r) for r in rows]
-        assert len(expected) == 4
+        assert expected == self.LINES[figure]
         assert capsys.readouterr().err.splitlines() == expected
 
 
