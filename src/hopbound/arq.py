@@ -11,16 +11,14 @@ The (RC, SP) chains of an allocation take their P_e,n from its
 `simulate_latency` checks the closed form by Monte Carlo.  It streams the
 trials through fixed blocks of `_BLOCK` on the calling thread and merges
 their moments in block order, so its memory is O(`_BLOCK`), not O(trials).
-Each calling thread keeps one workspace between its calls.  Hops with P_e
-below ~2.2e-16 hash no trial: the generator is invertible, so the few
-hashes that can cause a retransmission are mapped back to their trials
-(see `_latency_kernel`).  Attempt costs are integers, so while a block's
-sums stay below 2**53 they are exact in any order: only trials that can
-retransmit add to S = sum Q_n.  `simulate_latencies` runs a table of chains
-of one hop count in one pass: a trial's hashes do not depend on P_e or Q, so
-each block's hashes, candidates and ln u on a hop are made once for every
-chain; `simulate_latency` is its one-chain case.  `latency_variance` is the
-exact variance.
+Each calling thread keeps one workspace between its calls.  Attempt costs
+are integers, so while a block's sums stay below 2**53 they are exact in
+any order: only trials that can retransmit add to S = sum Q_n.
+`simulate_latencies` runs a table of chains of one hop count in one pass:
+a trial's hashes do not depend on P_e or Q, so each block's hashes,
+candidates and ln u on a hop are made once for every chain;
+`simulate_latency` is its one-chain case.  `latency_variance` is the exact
+variance.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -117,7 +115,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_GOLDEN_INV, _MIX1_INV, _MIX2_INV = (pow(c, -1, 1 << 64) for c in (_GOLDEN, _MIX1, _MIX2))
 
 
 def _splitmix64(x: int) -> int:
@@ -125,25 +122,6 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
     x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return x ^ (x >> 31)
-
-
-def _unmix(x):
-    """The inverse of `_splitmix64`, on a 64-bit Python int or a uint64 array:
-    each multiplier is odd, so it has an inverse mod 2**64, and y = x ^ x >> s
-    is undone by x = y ^ y >> s ^ y >> 2s ^ ... (Steele, Lea & Flood, 2014)."""
-    x = x ^ (x >> 31) ^ (x >> 62)
-    x = (x * _MIX2_INV) & _MASK64
-    x = x ^ (x >> 27) ^ (x >> 54)
-    x = (x * _MIX1_INV) & _MASK64
-    return x ^ (x >> 30) ^ (x >> 60)
-
-
-# Hops whose candidate cap lies below this (every P_e below ~2.2e-16) list
-# their candidates by inverting the hash instead of hashing every trial.
-# Raising it to 2**20 adds 5 of fig4's 240 hops, at 256 times the table.
-_INVERTED = 1 << 12
-# unmix(x) for every raw hash x below `_INVERTED`
-_UNMIXED = _unmix(np.arange(_INVERTED, dtype=np.uint64))
 
 
 def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
@@ -202,34 +180,6 @@ def _attempt_costs(log_u: np.ndarray, out: np.ndarray, q: int, log_p: float,
     return out
 
 
-def _listed_candidates(counters: np.ndarray, cap: int, hop: int,
-                       n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(trials, hashes): every trial i, in order, whose raw hash x on hop
-    `hop` (of n) is at most cap < `_INVERTED`, with that x.  counters[x] is
-    the counter c whose state key + c GOLDEN hashes to x; this hop's are the
-    c = i n + hop + 1."""
-    offsets = counters[:cap + 1] - np.uint64(hop + 1)
-    hashes = np.flatnonzero(offsets % np.uint64(n) == 0)
-    trials = offsets[hashes] // np.uint64(n)
-    order = np.argsort(trials)
-    return trials[order], hashes[order].astype(np.uint64)
-
-
-@lru_cache(maxsize=32)
-def _inverted_candidates(key: int, n: int, hop: int,
-                         cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_listed_candidates` for the counters of generator key `key`, as
-    read-only arrays.  Only two caps lie below `_INVERTED` (2047 and 4095),
-    so a sweep that reruns one seed on one chain length maps the table back
-    once per hop and cap; each of the at most 32 cached pairs holds at most
-    64 KiB / n."""
-    counters = (_UNMIXED - np.uint64(key)) * np.uint64(_GOLDEN_INV)
-    listed = _listed_candidates(counters, cap, hop, n)
-    for a in listed:
-        a.setflags(write=False)
-    return listed
-
-
 class _HashStreams:
     """A block of trials' hashes on one hop for the kernels of one call over
     `chains` (n hops, one seed), which read a hop's candidates or every
@@ -237,13 +187,16 @@ class _HashStreams:
     as its hops read them.  More chains share each (block, hop)'s hashes, in
     one buffer per hop position (`bits` the first), the candidates of the
     table's largest cap there with their ln u, and every trial's ln u,
-    written over the hashes once the candidates are taken."""
+    written over the hashes once the candidates are taken.  `cap_of` maps
+    each sparse P_e (0 < P_e < `_SPARSE_PE`) of the chains to its cap."""
 
     def __init__(self, key: int, n: int, size: int, ws: _Workspace, chains: list[ArqChain]):
         self.key, self.n, self.size, self.ws, self.shared = key, n, size, ws, len(chains) > 1
+        probs = [chain.self_loop_probs for chain in chains]
+        self.cap_of = {p: _candidate_cap(p) for p in set().union(*probs) if 0.0 < p < _SPARSE_PE}
         # each hop's distinct candidate caps, ascending
-        self.caps = [sorted({_candidate_cap(p) for p in probs if 0.0 < p < _SPARSE_PE})
-                     for probs in zip(*(chain.self_loop_probs for chain in chains))]
+        self.caps = [sorted({self.cap_of[p] for p in hop if p in self.cap_of})
+                     for hop in zip(*probs)]
         self.buffers, self.ramp, self.start, self.made = {}, None, None, {}
 
     def _once(self, start: int, what, make):
@@ -289,20 +242,11 @@ class _HashStreams:
         hashes = np.take(x, idx, out=scratch[:len(idx)], mode="clip")
         return dict(zip(caps, counts)), idx, _log_uniforms(hashes, np.empty(len(idx)), hashes)
 
-    def _listed(self, start: int, stop: int, hop: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-        trials, hashes = _inverted_candidates(self.key, self.n, hop, cap)
-        lo, hi = np.searchsorted(trials, np.array((start, stop), dtype=np.uint64))
-        return ((trials[lo:hi] - np.uint64(start)).astype(np.intp),
-                _log_uniforms(hashes[lo:hi], np.empty(hi - lo), np.empty(hi - lo, np.uint64)))
-
     def candidates(self, start: int, stop: int, hop: int,
                    cap: int) -> tuple[np.ndarray, np.ndarray]:
         """(trials less start, ln u) of the trials in [start, stop) whose hash
         on `hop` is at most cap, one of the hop's caps; readers must not write
-        them.  Below `_INVERTED` they come from the inverted list while the
-        block's largest counter, stop N, stays below 2**64."""
-        if cap < _INVERTED and stop * self.n < 1 << 64:
-            return self._once(start, (hop, cap), lambda: self._listed(start, stop, hop, cap))
+        them."""
         counts, idx, log_u = self._once(start, hop, lambda: self._superset(start, stop, hop))
         return idx[:counts[cap]], log_u[:counts[cap]]
 
@@ -310,20 +254,19 @@ class _HashStreams:
         """ln u of trials [start, stop) on `hop`; readers must not write it."""
         def make():
             x = self._hashes(start, stop, hop)
-            if self.caps[hop] and (self.caps[hop][-1] >= _INVERTED or stop * self.n >= 1 << 64):
+            if self.caps[hop]:
                 # the candidates, before ln u overwrites their hashes
                 self._once(start, hop, lambda: self._superset(start, stop, hop))
             return _log_uniforms(x, x.view(np.float64), self.ws.scratch[:len(x)])
         return self._once(start, (hop, None), make)
 
 
-def _latency_kernel(chain: ArqChain, seed: int, size: int,
-                    workspace: _Workspace | None = None, streams: _HashStreams | None = None,
-                    moments: bool = False):
+def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = False):
     """A function (start, stop) -> latencies of trials [start, stop), for
-    stop - start <= size, or with `moments` their (n, sum, M2) as `_moments`
-    gives them, computed in place in `workspace`'s buffers (a new one of
-    `size` entries if None) from the streams `streams` (the chain's own if None).
+    stop - start <= `streams.size`, or with `moments` their (n, sum, M2) as
+    `_moments` gives them, computed in place in the buffers of the streams'
+    workspace from `streams`, which must be built over a list of chains
+    that holds this one.
 
     The returned latencies are a view of the workspace's buffer, which the
     next call overwrites, so two concurrent kernels must not share a
@@ -341,14 +284,6 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     ln u / ln p <= 1 - 1.2e-9, far beyond the few-ulp error of the log and
     the divide.
 
-    A hop whose cap lies below `_INVERTED` (P_e below ~2.2e-16) hashes no
-    trial.  splitmix64 and the counter are bijections on 64-bit words, so
-    each hash x < `_INVERTED` maps back to its counter c; the c = i N + h + 1
-    of this hop list the trials i that draw one, in O(`_INVERTED`) memory
-    whatever the trial count, cached per (key, N, h, cap) in
-    `_inverted_candidates`.  A block whose counters pass 2**64, where the
-    listed c (taken mod 2**64) are not its own, hashes those hops instead.
-
     With `moments`, a chain without a dense hop (P_e >= `_SPARSE_PE`) reduces
     a block of m trials with m S + E < 2**53, for S = sum Q_n and E the
     candidates' extra uses, without adding its hops: attempt costs are
@@ -357,13 +292,8 @@ def _latency_kernel(chain: ArqChain, seed: int, size: int,
     candidates' trials; 0 with none.  Other blocks add each hop's costs in
     hop order.  Every latency and moment is the full-array formula's.
     """
-    ws = _Workspace(size) if workspace is None else workspace
-    if streams is None:  # a shared stream holds the seed's key as .key
-        key = _splitmix64((seed + _GOLDEN) & _MASK64)
-        streams = _HashStreams(key, len(chain.costs), size, ws, [chain])
-    uniforms, totals = ws.uniforms, ws.totals
-    hops = [(int(q), math.log(p) if p > 0.0 else None,
-             _candidate_cap(p) if 0.0 < p < _SPARSE_PE else None)
+    uniforms, totals = streams.ws.uniforms, streams.ws.totals
+    hops = [(int(q), math.log(p) if p > 0.0 else None, streams.cap_of.get(p))
             for q, p in zip(chain.costs, chain.self_loop_probs)]
     sparse = [(hop, cap) for hop, (_, _, cap) in enumerate(hops) if cap is not None]
     exact = moments and all(log_p is None or cap is not None for _, log_p, cap in hops)
@@ -451,7 +381,7 @@ def simulate_latencies(chains: list[ArqChain], trials: int,
     ws, size = _per_thread.workspace, min(trials, _BLOCK)
     streams = _HashStreams(_splitmix64((seed + _GOLDEN) & _MASK64), len(chains[0].costs),
                            size, ws, chains)
-    kernels = [_latency_kernel(chain, seed, size, ws, streams, True) for chain in chains]
+    kernels = [_latency_kernel(chain, streams, True) for chain in chains]
     blocks = ([kernel(s, min(s + _BLOCK, trials)) for kernel in kernels]
               for s in range(0, trials, _BLOCK))
     merged = reduce(lambda acc, block: list(map(_merge_moments, acc, block)), blocks)
@@ -477,10 +407,9 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     effect.  This is the one-chain case of `simulate_latencies`, which
     hashes each block into the workspace as the chain's hops read it.
 
-    Hops with P_e below ~2.2e-16 list the trials that can retransmit by
-    inverting the generator, and a chain without a dense hop reduces a block
-    whose sums stay below 2**53 from its candidates' extra channel uses; see
-    `_latency_kernel` for why both give the same bits as the full-array formula.
+    A chain without a dense hop reduces a block whose sums stay below 2**53
+    from its candidates' extra channel uses; see `_latency_kernel` for why
+    that gives the same bits as the full-array formula.
 
     Every trial's latency equals the full-array formula's bit for bit.  The
     mean, the left-to-right sum of the block sums over `trials`, is exact

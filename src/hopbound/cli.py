@@ -50,6 +50,8 @@ _GRID_CHUNK = 4096
 
 # the most rates `exponent` sweeps: its time and temporary file grow with them
 MAX_RATE_STEPS = 10 ** 7
+# the most Monte Carlo trials `latency` runs: its time grows with them
+MAX_TRIALS = 10 ** 9
 
 # exp() overflows doubles near 709; above this `allocate` reports M as null
 _LN_M_MATERIALIZE_LIMIT = 700.0
@@ -394,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("latency", help="ARQ latency bounds and Monte Carlo estimate")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--trials", type=_int_in(1), default=100_000)
+    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=100_000,
+                   help=f"Monte Carlo trials, 1 to {MAX_TRIALS:,}")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_latency)

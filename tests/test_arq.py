@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 import hopbound
 from hopbound import arq, cli
 from hopbound.allocation import rate_policy_scale
-from hopbound.arq import (_BLOCK, _GOLDEN, _INVERTED, _MASK64, _SPARSE_PE, _UNMIXED, PE_CLAMP,
-                          ArqChain, LatencyError, _candidate_cap, _latency_kernel, _moments,
-                          _splitmix64, _splitmix64_inplace, _unmix, expected_latency,
-                          latency_variance, simulate_latencies, simulate_latency)
+from hopbound.arq import (_BLOCK, _GOLDEN, _MASK64, _MIX1, _MIX2, _SPARSE_PE, PE_CLAMP, ArqChain,
+                          LatencyError, _candidate_cap, _latency_kernel, _moments, _splitmix64,
+                          expected_latency, latency_variance, simulate_latencies,
+                          simulate_latency)
 from hopbound.channel import HopChannel, capacity
 from hopbound.scenario import Evaluation, Scenario
 
@@ -227,6 +227,14 @@ def _assert_matches_reference(est, chain, trials, seed):
         assert math.isclose(est.mc_stderr, stderr, rel_tol=1e-14, abs_tol=0.0)
 
 
+def _table_kernels(chains, seed, size, moments=False):
+    """The kernels of one `simulate_latencies` call over the table, on a new
+    workspace of `size` entries; with `moments`, its moment kernels."""
+    streams = arq._HashStreams(_splitmix64((seed + _GOLDEN) & _MASK64), len(chains[0].costs),
+                               size, arq._Workspace(size), chains)
+    return [_latency_kernel(chain, streams, moments) for chain in chains]
+
+
 _probabilities = st.one_of(
     st.sampled_from([0.0, 5e-324, PE_CLAMP]),
     st.floats(min_value=-300.0, max_value=math.log10(0.95)).map(lambda e: 10.0 ** e))
@@ -241,7 +249,7 @@ class TestBlockedKernel:
     @given(chain=_chains, seed=_seeds, start=st.integers(0, 2 ** 40),
            m=st.integers(1, 3000), spare=st.integers(0, 64))
     def test_latencies_match_full_array_reference(self, chain, seed, start, m, spare):
-        got = _latency_kernel(chain, seed, m + spare)(start, start + m)
+        got = _table_kernels([chain], seed, m + spare)[0](start, start + m)
         assert got.tobytes() == _ref_trial_latencies(chain, seed, start, start + m).tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -426,6 +434,17 @@ class TestLatencyBounds:
         assert err.value.hop == 1
 
 
+def _unmix(x):
+    """The inverse of `_splitmix64` on a 64-bit int: each multiplier is odd,
+    so it has an inverse mod 2**64, and y = x ^ x >> s is undone by
+    x = y ^ y >> s ^ y >> 2s ^ ... (Steele, Lea & Flood, 2014)."""
+    x = x ^ (x >> 31) ^ (x >> 62)
+    x = (x * pow(_MIX2, -1, 1 << 64)) & _MASK64
+    x = x ^ (x >> 27) ^ (x >> 54)
+    x = (x * pow(_MIX1, -1, 1 << 64)) & _MASK64
+    return x ^ (x >> 30) ^ (x >> 60)
+
+
 def _seed_drawing(x, trial, n, hop):
     """A seed under which `trial` draws the raw hash x on `hop` (of n hops)."""
     key = (_unmix(x) - (trial * n + hop + 1) * _GOLDEN) & _MASK64
@@ -444,13 +463,6 @@ class TestUnmix:
         assert _unmix(_splitmix64(x)) == x
         assert _splitmix64(_unmix(x)) == x
 
-    def test_table_hashes_back_to_its_index(self):
-        hashed = _UNMIXED.copy()
-        _splitmix64_inplace(hashed, np.empty_like(hashed))
-        assert np.array_equal(hashed, np.arange(_INVERTED, dtype=np.uint64))
-        assert [int(v) for v in _UNMIXED[[0, 1, _INVERTED - 1]]] == [
-            _unmix(0), _unmix(1), _unmix(_INVERTED - 1)]
-
     def test_seed_construction_draws_the_chosen_hash(self):
         for x, trial, n, hop in [(0, 0, 1, 0), (2047, 12345, 3, 2), (4095, 2 ** 40, 16, 7)]:
             key = _splitmix64((_seed_drawing(x, trial, n, hop) + _GOLDEN) & _MASK64)
@@ -458,6 +470,8 @@ class TestUnmix:
 
 
 class TestInvertedCandidates:
+    """Retransmissions forced on chosen trials by seeds built with `_unmix`."""
+
     TRIALS = 3 * _BLOCK + 7
     # a forced candidate on hop 1 of [1e-300, P_e, 0] with costs [13, 700, 11]:
     # (P_e, hash, trial, pinned mean, pinned stderr)
@@ -471,11 +485,11 @@ class TestInvertedCandidates:
 
     @pytest.mark.parametrize("p,x,trial,mean,stderr", CASES)
     def test_forced_candidate_matches_reference(self, p, x, trial, mean, stderr):
-        assert x <= _candidate_cap(p) < _INVERTED
+        assert x <= _candidate_cap(p) < 4096
         chain = ArqChain([1e-300, p, 0.0], [13, 700, 11])
         seed = _seed_drawing(x, trial, 3, 1)
         start, stop = _block_of(trial, self.TRIALS)
-        got = _latency_kernel(chain, seed, _BLOCK)(start, stop)
+        got = _table_kernels([chain], seed, _BLOCK)[0](start, stop)
         ref = _ref_trial_latencies(chain, seed, start, stop)
         assert got.tobytes() == ref.tobytes()
         assert got[trial - start] == (724.0 + 700.0 if stderr else 724.0)
@@ -489,18 +503,18 @@ class TestInvertedCandidates:
         # 2**16 trials of latency S: the block's sum m S passes 2**53 at S = 2**37;
         # below it the block's moments are written down without `_moments`' passes
         chain = ArqChain([1e-300, 5e-324], [cost, 1])
-        got = _latency_kernel(chain, 9, _BLOCK)(0, _BLOCK)
+        got = _table_kernels([chain], 9, _BLOCK)[0](0, _BLOCK)
         assert got.tobytes() == _ref_trial_latencies(chain, 9, 0, _BLOCK).tobytes()
         filled = _moments(np.array(got))
         reduced = []
         monkeypatch.setattr(arq, "_moments", lambda x: reduced.append(len(x)) or _moments(x))
-        assert _latency_kernel(chain, 9, _BLOCK, moments=True)(0, _BLOCK) == filled
+        assert _table_kernels([chain], 9, _BLOCK, moments=True)[0](0, _BLOCK) == filled
         assert (not reduced) == constant
         _assert_matches_reference(simulate_latency(chain, _BLOCK, 9), chain, _BLOCK, 9)
         _assert_matches_reference(simulate_latency(chain, 2 * _BLOCK + 5, 9), chain,
                                   2 * _BLOCK + 5, 9)
 
-    def test_blocks_whose_counters_wrap_hash_instead(self):
+    def test_blocks_whose_counters_wrap(self):
         # with N = 3, trial 2**64 // 3 is the first whose counters pass 2**64;
         # trial t = 2**64 // 3 + 5 on hop 1 has counter 16 mod 2**64, the same
         # as trial 5 on hop 0, so both draw the forced hash
@@ -508,7 +522,7 @@ class TestInvertedCandidates:
         edge = 2 ** 64 // 3
 
         def block(seed, start, stop):
-            got = _latency_kernel(chain, seed, 64)(start, stop)
+            got = _table_kernels([chain], seed, 64)[0](start, stop)
             assert got.tobytes() == _ref_trial_latencies(chain, seed, start, stop).tobytes()
             return got
 
@@ -517,42 +531,40 @@ class TestInvertedCandidates:
         assert block(seed, edge - 20, edge + 20)[25] == 724.0 + 700.0
         assert block(seed, 0, 40)[5] == 724.0  # the 1e-300 hop makes one attempt
         block(seed, edge - 40, edge)
-        # the last trial before the edge, on the listed path
+        # the last trial before the edge
         seed = _seed_drawing(0, edge - 1, 3, 1)
         assert block(seed, edge - 40, edge)[-1] == 724.0 + 700.0
 
     def test_either_side_of_the_cutoff(self):
-        listed = (_INVERTED >> 11) * 2.0 ** -53 / (1 + 2.0 ** -20)
-        while _candidate_cap(listed) >= _INVERTED:
-            listed = math.nextafter(listed, 0.0)
-        hashed = math.nextafter(listed, 1.0)
-        assert _candidate_cap(listed) == _INVERTED - 1 < _candidate_cap(hashed)
-        for p in (listed, hashed):
+        # the three least caps; the last two P_e are adjacent floats, either side
+        # of the step from 4095 to 6143
+        probs = [1e-300, 2.2204439316699642e-16, 2.2204439316699644e-16]
+        assert [_candidate_cap(p) for p in probs] == [2047, 4095, 6143]
+        for p in probs:
             chain = ArqChain([p, 0.3], [700, 11])
-            for x in (0, _INVERTED - 1, _candidate_cap(p), _candidate_cap(p) + 1):
+            for x in (0, 4095, _candidate_cap(p), _candidate_cap(p) + 1):
                 for trial in (3, _BLOCK + 2):
                     seed = _seed_drawing(x, trial, 2, 0)
                     start, stop = _block_of(trial, 2 * _BLOCK)
-                    got = _latency_kernel(chain, seed, _BLOCK)(start, stop)
+                    got = _table_kernels([chain], seed, _BLOCK)[0](start, stop)
                     ref = _ref_trial_latencies(chain, seed, start, stop)
                     assert got.tobytes() == ref.tobytes()
                     _assert_matches_reference(simulate_latency(chain, 2 * _BLOCK, seed),
                                               chain, 2 * _BLOCK, seed)
 
-    def test_listed_candidates_need_memory_of_the_table_alone(self):
-        # the lists take no trial count: a block near trial 2**60 costs no more
-        chain = ArqChain([1e-300, 1e-20, 0.0], [13, 700, 11])
-        workspace = arq._Workspace(64)
+    def test_a_block_near_trial_2_to_60_needs_memory_of_the_block_alone(self):
+        # no memory grows with the trial index: a block near trial 2**60 costs no more
+        kernel, = _table_kernels([ArqChain([1e-300, 1e-20, 0.0], [13, 700, 11])], 1, 64)
         tracemalloc.start()
         try:
-            _latency_kernel(chain, 1, 64, workspace)(2 ** 60, 2 ** 60 + 64)
+            kernel(2 ** 60, 2 ** 60 + 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * _INVERTED
+        assert peak < 2 ** 18
 
 
-# P_e of zero, subnormal, listed by inversion, sparse, full-block and clamped
+# P_e of zero, subnormal, tiny, sparse, full-block and clamped
 _TABLE_PE = [0.0, 5e-324, 1e-20, 0.01, 0.6, PE_CLAMP]
 
 
@@ -574,9 +586,9 @@ class TestLatencyTable:
             assert (simulate_latencies(chains, trials, 17)
                     == [simulate_latency(chain, trials, 17) for chain in chains])
 
-    def test_listed_candidates_in_a_table(self):
+    def test_tiny_pe_candidates_in_a_table(self):
         # trial 5 draws the raw hash 0 on hop 1, so each chain, with P_e 1e-16
-        # there, lists it as a retransmission
+        # there, takes it as a retransmission
         chains = [ArqChain([p, 1e-16], [13, 700]) for p in (0.3, 1e-20, 0.0, 0.01)]
         seed = _seed_drawing(0, 5, 2, 1)
         table = simulate_latencies(chains, 1000, seed)
@@ -628,15 +640,7 @@ def _assert_reference_moments(got, chain, seed, start, stop):
     assert (got[0], got[1].hex(), got[2].hex()) == (n, total.hex(), m2.hex())
 
 
-def _table_kernels(chains, seed, size):
-    """The moment kernels of one `simulate_latencies` call over the table."""
-    ws = arq._Workspace(size)
-    streams = arq._HashStreams(_splitmix64((seed + _GOLDEN) & _MASK64), len(chains[0].costs),
-                               size, ws, chains)
-    return [_latency_kernel(chain, seed, size, ws, streams, True) for chain in chains]
-
-
-# every kind of hop: error-free, listed by inversion, sparse, either side of
+# every kind of hop: error-free, tiny, sparse, either side of
 # the candidate cutoff, dense and clamped
 _EXACT_PE = [0.0, 5e-324, 1e-20, 1e-6, 0.01, math.nextafter(_SPARSE_PE, 0.0), _SPARSE_PE,
              math.nextafter(_SPARSE_PE, 1.0), 0.6, PE_CLAMP]
@@ -651,7 +655,7 @@ class TestExactIntegerBlocks:
     @pytest.mark.parametrize("start,stop", [(0, _BLOCK), (5 * _BLOCK, 5 * _BLOCK + 777)])
     def test_each_kind_of_hop(self, p, start, stop):
         for chain in (ArqChain([p], [1000]), ArqChain([p, 1e-6, 0.0, 0.01], [13, 700, 11, 2])):
-            got = _latency_kernel(chain, 21, _BLOCK, moments=True)(start, stop)
+            got = _table_kernels([chain], 21, _BLOCK, moments=True)[0](start, stop)
             _assert_reference_moments(got, chain, 21, start, stop)
 
     def test_a_trial_that_retransmits_on_two_hops(self):
@@ -661,8 +665,8 @@ class TestExactIntegerBlocks:
         latencies = _ref_trial_latencies(chain, 4, 0, _BLOCK)
         both = latencies[(latencies > 2000) & (latencies % 1000 > 1)]
         assert len(both)
-        for kernel in (_latency_kernel(chain, 4, _BLOCK, moments=True),
-                       _table_kernels([chain, ArqChain([0.01, 0.2], [1, 1000])], 4, _BLOCK)[0]):
+        for chains in ([chain], [chain, ArqChain([0.01, 0.2], [1, 1000])]):
+            kernel = _table_kernels(chains, 4, _BLOCK, moments=True)[0]
             _assert_reference_moments(kernel(0, _BLOCK), chain, 4, 0, _BLOCK)
 
     def test_more_candidates_than_trials(self):
@@ -673,9 +677,9 @@ class TestExactIntegerBlocks:
                                    arq._Workspace(), [chain])
         assert sum(len(streams.candidates(0, _BLOCK, hop, _candidate_cap(0.24))[0])
                    for hop in range(6)) > _BLOCK
-        got = _latency_kernel(chain, 2, _BLOCK, moments=True)(0, _BLOCK)
+        got = _table_kernels([chain], 2, _BLOCK, moments=True)[0](0, _BLOCK)
         _assert_reference_moments(got, chain, 2, 0, _BLOCK)
-        latencies = _latency_kernel(chain, 2, _BLOCK)(0, _BLOCK)
+        latencies = _table_kernels([chain], 2, _BLOCK)[0](0, _BLOCK)
         assert latencies.tobytes() == _ref_trial_latencies(chain, 2, 0, _BLOCK).tobytes()
 
     def test_each_cap_takes_exactly_its_candidates(self):
@@ -709,15 +713,15 @@ class TestExactIntegerBlocks:
         for q, exact in ((limit, p < _SPARSE_PE), (limit + 1, False)):
             firsts.clear()
             chain = ArqChain([p], [q])
-            got = _latency_kernel(chain, 8, _BLOCK, moments=True)(0, _BLOCK)
+            got = _table_kernels([chain], 8, _BLOCK, moments=True)[0](0, _BLOCK)
             _assert_reference_moments(got, chain, 8, 0, _BLOCK)
             assert firsts and (1.0 not in firsts) == exact
-            latencies = _latency_kernel(chain, 8, _BLOCK)(0, _BLOCK)
+            latencies = _table_kernels([chain], 8, _BLOCK)[0](0, _BLOCK)
             assert latencies.tobytes() == _ref_trial_latencies(chain, 8, 0, _BLOCK).tobytes()
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_tables_that_mix_every_kind_of_chain(self, n):
-        # dense (first, so its ln u is asked for before any candidates), listed-only,
+        # dense (first, so its ln u is asked for before any candidates), tiny-P_e-only,
         # sparse-only (several caps on one hop), clamped and past-the-guard chains,
         # each block's moments in the table's call order
         kinds = [[0.6, 1e-6, 0.0], [1e-20, 0.0, 5e-324], [0.01, 0.2, 1e-6], [0.2, 0.01, 0.24],
@@ -726,47 +730,13 @@ class TestExactIntegerBlocks:
                   for c, probs in enumerate(kinds)]
         chains.append(ArqChain(kinds[2][:n], [2 ** 40] * n))
         trials = 2 * _BLOCK + 7
-        kernels = _table_kernels(chains, 17, _BLOCK)
+        kernels = _table_kernels(chains, 17, _BLOCK, moments=True)
         for start in range(0, trials, _BLOCK):
             stop = min(start + _BLOCK, trials)
             for chain, kernel in zip(chains, kernels):
                 _assert_reference_moments(kernel(start, stop), chain, 17, start, stop)
         assert (simulate_latencies(chains, trials, 17)
                 == [simulate_latency(chain, trials, 17) for chain in chains])
-
-
-class TestCandidateCache:
-    """The cached inverted candidate lists equal the lists made afresh."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.sampled_from([1, 2, 3, 7]),
-           data=st.data())
-    def test_cached_lists_equal_fresh_ones(self, seed, n, data):
-        hop = data.draw(st.integers(0, n - 1))
-        cap = data.draw(st.sampled_from([2047, _INVERTED - 1]))
-        key = _splitmix64((seed + _GOLDEN) & _MASK64)
-        counters = (_UNMIXED - np.uint64(key)) * np.uint64(arq._GOLDEN_INV)
-        fresh = arq._listed_candidates(counters, cap, hop, n)
-        cached = arq._inverted_candidates(key, n, hop, cap)
-        assert arq._inverted_candidates(key, n, hop, cap) is cached
-        for got, want in zip(cached, fresh):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert not got.flags.writeable
-        trials, hashes = cached
-        assert np.all(trials[1:] > trials[:-1]) and np.all(hashes <= np.uint64(cap))
-        for i, x in list(zip(trials.tolist(), hashes.tolist()))[:50]:
-            assert _splitmix64((key + (i * n + hop + 1) * _GOLDEN) & _MASK64) == x
-
-    def test_only_two_caps_lie_below_the_cutoff(self):
-        # cap = (j << 11) | 2047, so the cache sees at most two caps per hop
-        probs = [5e-324, 1e-300, 1e-20, 1.1e-16, 2e-16]
-        assert {_candidate_cap(p) for p in probs} == {2047, _INVERTED - 1}
-
-    def test_cache_stays_bounded(self):
-        limit = arq._inverted_candidates.cache_info().maxsize
-        for seed in range(limit + 10):
-            simulate_latency(ArqChain([1e-300, 1e-20], [5, 7]), 10, seed)
-        assert arq._inverted_candidates.cache_info().currsize == limit
 
 
 class TestLatencyVariance:

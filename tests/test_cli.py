@@ -275,6 +275,8 @@ class TestExponentCommand:
                       "--rate-steps", "-1", "--out", "never.csv"], id="negative_rate_steps"),
         pytest.param(["latency", "--scenario", "never.json", "--trials", "0"],
                      id="zero_trials"),
+        pytest.param(["latency", "--scenario", "never.json", "--trials", str(10 ** 9 + 1)],
+                     id="too_many_trials"),
         pytest.param(["exponent", "--snr-db", "0", "--rate-min", "nan", "--rate-max", "0.5",
                       "--rate-steps", "3", "--out", "never.csv"], id="nan_rate_min"),
         pytest.param(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "inf",
@@ -287,10 +289,13 @@ class TestExponentCommand:
 
     @pytest.mark.parametrize("argv,message", [
         (["latency", "--scenario", "never.json", "--trials", "0"],
-         "--trials: must be an integer >= 1, got 0"),
+         "--trials: must be an integer from 1 to 1000000000, got 0"),
+        (["latency", "--scenario", "never.json", "--trials", "1000000001"],
+         "--trials: must be an integer from 1 to 1000000000, got 1000000001"),
         (["verify", "--suite", "grid", "--seed", "-1"],
-         "--seed: must be an integer >= 0, got -1")], ids=["zero_trials", "negative_seed"])
-    def test_unbounded_integer_messages(self, capsys, argv, message):
+         "--seed: must be an integer >= 0, got -1")],
+        ids=["zero_trials", "too_many_trials", "negative_seed"])
+    def test_integer_bound_messages(self, capsys, argv, message):
         with pytest.raises(SystemExit):
             main(argv)
         assert message in capsys.readouterr().err
