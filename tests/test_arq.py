@@ -563,6 +563,31 @@ class TestInvertedCandidates:
             tracemalloc.stop()
         assert peak < 2 ** 18
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 7]), start=st.integers(0, 2 ** 63),
+           data=st.data())
+    def test_streams_take_each_forced_candidate(self, n, start, data):
+        # the two least caps share one hop; a block may start past the
+        # trial whose counters wrap 2**64
+        hop = data.draw(st.integers(0, n - 1))
+        trial = start + data.draw(st.integers(0, 63))
+        x = data.draw(st.sampled_from([0, 2047, 2048, 4095]))
+        seed = _seed_drawing(x, trial, n, hop)
+        key = _splitmix64((seed + _GOLDEN) & _MASK64)
+        # P_e with caps 2047 and 4095 on the hop
+        chains = [ArqChain([p if h == hop else 0.0 for h in range(n)], [5] * n)
+                  for p in (1e-300, 2.2204439316699642e-16)]
+        streams = arq._HashStreams(key, n, 64, arq._Workspace(64), chains)
+        hashes = np.array([_splitmix64((key + ((start + i) * n + hop + 1) * _GOLDEN) & _MASK64)
+                           for i in range(64)], dtype=np.uint64)
+        assert hashes[trial - start] == x
+        log_u = np.log(((hashes >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+        for cap in (2047, 4095):
+            idx, got = streams.candidates(start, start + 64, hop, cap)
+            assert np.array_equal(np.sort(idx), np.flatnonzero(hashes <= np.uint64(cap)))
+            assert (trial - start in idx) == (x <= cap)
+            assert got.tobytes() == log_u[idx].tobytes()
+
 
 # P_e of zero, subnormal, tiny, sparse, full-block and clamped
 _TABLE_PE = [0.0, 5e-324, 1e-20, 0.01, 0.6, PE_CLAMP]
@@ -604,6 +629,19 @@ class TestLatencyTable:
                   ArqChain([0.3, 0.0, 0.01], [5, 7, 9])]
         simulate_latencies(chains, 2 * _BLOCK + 7, 3)
         assert calls == [_BLOCK] * 3 + [_BLOCK] * 3 + [7] * 3
+
+    def test_each_sparse_pe_capped_once_per_call(self, monkeypatch):
+        # the kernels read the streams' caps; zero and dense P_e take none
+        calls = []
+        cap = arq._candidate_cap
+        monkeypatch.setattr(arq, "_candidate_cap", lambda p: calls.append(p) or cap(p))
+        chains = [ArqChain([0.01, 1e-20, 0.6], [5, 7, 9]), ArqChain([1e-20, 0.01, 0.0], [5, 7, 9]),
+                  ArqChain([0.01, 0.2, 1e-20], [5, 7, 9])]
+        table = simulate_latencies(chains, 2 * _BLOCK + 7, 3)
+        assert sorted(calls) == [1e-20, 0.01, 0.2]
+        calls.clear()
+        assert simulate_latency(chains[0], 2 * _BLOCK + 7, 3) == table[0]
+        assert sorted(calls) == [1e-20, 0.01]
 
     def test_chains_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match="one hop count"):
