@@ -42,11 +42,11 @@ class HopChannel:
 
     The constants every solve reads are derived once, at construction, and
     kept outside the dataclass fields (so ``==``, hash, repr and
-    ``dataclasses.replace`` see only the four fields): the capacity as a
-    float and, for a DMC, the transition matrix without its unreached
-    outputs and its log table, as read-only arrays.  A DMC keeps its matrix
-    and input distribution read-only too (copies of writeable arrays), so
-    they cannot drift from those constants.
+    ``dataclasses.replace`` see only the four fields, ``==`` and hash a DMC's
+    arrays by shape and bytes): the capacity as a float and, for a DMC, the
+    transition matrix without its unreached outputs and its log table, as
+    read-only arrays.  A DMC keeps its matrix and input distribution
+    read-only too (copies of writeable arrays), so none of them can drift.
     """
 
     kind: str  # "awgn" or "dmc"
@@ -89,6 +89,16 @@ class HopChannel:
         else:
             raise ChannelError(f"unknown channel kind {self.kind!r}")
         object.__setattr__(self, "_capacity", _mutual_information(self))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, HopChannel) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.kind, self.snr, *(a if a is None else (a.shape, a.tobytes())
+                                      for a in (self.transition, self.input_dist))
 
     @classmethod
     def awgn(cls, snr: float) -> "HopChannel":

@@ -26,7 +26,7 @@ from .channel import ChannelError, HopChannel, capacity, e0_derivative
 from .distproto import run_distributed_allocation
 from .exponents import hop_exponents, random_coding_exponent, sphere_packing_exponent
 from .oracle import GridSpec, bsc_ensemble_error, exhaustive_allocation, grid_max_exponent
-from .scenario import Evaluation, Scenario, ScenarioError, load_scenario
+from .scenario import Evaluation, Row, Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,15 +70,16 @@ def _snr_db_to_linear(db: float) -> float:
         raise ChannelError(f"SNR of {db} dB overflows a double") from None
 
 
-def _check_writable(path: str) -> None:
-    """Raise the OSError that opening `path` to write would raise, leaving it as it
+def _check_writable(*paths: str | None) -> None:
+    """Raise the OSError that opening a path to write would raise, leaving it as it
     was: a file or directory is opened to append, a new path created and removed;
-    a pipe, a device or a dangling link is left to the write."""
-    if os.path.isfile(path) or os.path.isdir(path):
-        open(path, "a").close()
-    elif not os.path.lexists(path):
-        open(path, "x").close()
-        os.remove(path)
+    a pipe, a device or a dangling link is left to the write, and None (stdout) skipped."""
+    for path in filter(None, paths):
+        if os.path.isfile(path) or os.path.isdir(path):
+            open(path, "a").close()
+        elif not os.path.lexists(path):
+            open(path, "x").close()
+            os.remove(path)
 
 
 def _write_csv(path: str, header: str, rows: Iterable) -> None:
@@ -180,8 +181,7 @@ def cmd_reproduce(args) -> int:
     if args.figure == "fig4":
         names = ["single_hop.csv", "two_hop.csv", "meta.json"]
     paths = [os.path.join(args.out_dir, f"{args.figure}_{name}") for name in names]
-    for path in paths:
-        _check_writable(path)
+    _check_writable(*paths)
     single = [HopChannel.awgn(_snr_db_to_linear(db)) for db in REPRODUCE_SINGLE_SNR_DB]
     two = [HopChannel.awgn(_snr_db_to_linear(db)) for db in REPRODUCE_TWO_SNR_DB]
     meta = {
@@ -214,8 +214,15 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
+def _evaluate(args, *outputs: str | None) -> Row:
+    """The one-row evaluation of --scenario, once its output paths are checked."""
+    sc = load_scenario(args.scenario)
+    _check_writable(*outputs)
+    return Evaluation([sc])[0]
+
+
 def cmd_allocate(args) -> int:
-    ev = Evaluation([load_scenario(args.scenario)])[0]
+    ev = _evaluate(args, args.out)
     sc = ev.scenario
     payload = {
         "method": sc.allocation_method,
@@ -237,7 +244,7 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_latency(args) -> int:
-    ev = Evaluation([load_scenario(args.scenario)])[0]
+    ev = _evaluate(args, args.out)
     upper, lower = ev.latency
     est = simulate_latency(ev.chains[0], args.trials, args.seed)
     _write_json(args.out, {
@@ -254,15 +261,16 @@ def cmd_latency(args) -> int:
 
 
 def cmd_distributed(args) -> int:
-    ev = Evaluation([load_scenario(args.scenario)])[0]
-    q_total, rates = ev.scenario.total_q, ev.rates
+    ev = _evaluate(args, args.out, args.trace)
+    # the central results first: a domain error is the table's, as in allocate and latency
+    rates, shares_r, shares_sp, ln_m = ev.rates, ev.shares_r, ev.shares_sp, ev.ln_m
     constants, per_node = run_distributed_allocation(
-        ev.scenario.hops, rates, q_total, trace_path=args.trace,
+        ev.scenario.hops, rates, ev.scenario.total_q, trace_path=args.trace,
         exponents=list(zip(ev.exponents_r[0], ev.exponents_sp[0])))
-    matches = constants.ln_m == ev.ln_m and all(
+    matches = constants.ln_m == ln_m and all(
         node["q_reliability_rc"] == share_r and node["q_reliability_sp"] == share_sp
         and node["q_info_continuous"] == math.floor(constants.ln_m / rate)
-        for node, rate, share_r, share_sp in zip(per_node, rates, ev.shares_r, ev.shares_sp))
+        for node, rate, share_r, share_sp in zip(per_node, rates, shares_r, shares_sp))
     _write_json(args.out, {
         "ln_m": constants.ln_m,
         "lambda_r": constants.lambda_r,

@@ -1,10 +1,10 @@
 """Scenario JSON ingestion and the one evaluation pipeline, over a table of scenarios.
 
-A scenario file fixes the hop channels, the total channel-use budget Q,
-a per-hop rate policy, and the allocation method; SNR in dB is converted
-to linear exactly once, here.  An `Evaluation` of a table of scenarios (a
-rate sweep's, or a CLI command's one) computes each derived quantity once,
-as a column filled in one pass over the rows that read it.
+A scenario file fixes the hop channels, the total channel-use budget Q, a
+per-hop rate policy, and the allocation method; its SNR in dB becomes linear
+here (the CLI's own SNRs in `cli._snr_db_to_linear`).  An `Evaluation` of a
+table of scenarios (a rate sweep's, or a CLI command's one) computes each
+derived quantity once, as a column filled in one pass over the rows that read it.
 """
 
 from __future__ import annotations
@@ -63,25 +63,26 @@ class Scenario:
         return [capacity(ch) for ch in self.hops]
 
     def resolve_rates(self) -> list[float]:
-        """Per-hop rates in nats/use from the rate policy."""
+        """Per-hop rates in nats/use from the rate policy; ScenarioError unless all > 0."""
         mode = self.rate_policy["mode"]
         if mode == "explicit":
-            given = self.rate_policy.get("rates_nats")
+            field, given = "rates_nats", self.rate_policy.get("rates_nats")
             if not isinstance(given, list) or len(given) != len(self.hops):
                 raise ScenarioError("rates_nats must be a list with one rate per hop")
-            rates = [_finite(r, "rates_nats") for r in given]
-            if not all(r > 0.0 for r in rates):
-                raise ScenarioError(f"rates_nats must be finite and positive, got {rates}")
-            return rates
-        if mode == "capacity_fraction":
-            beta = _finite(self.rate_policy.get("beta"), "beta")
+            rates = [_finite(r, field) for r in given]
+        elif mode == "capacity_fraction":
+            field, beta = "beta", _finite(self.rate_policy.get("beta"), "beta")
             if not 0.0 < beta < 1.0:
                 raise ScenarioError(f"beta must be in (0, 1), got {beta}")
-            return [beta * c for c in self.capacities]
-        if mode == "target_rate":
-            return rate_policy_scale(self.capacities,
-                                     _finite(self.rate_policy.get("rate_nats"), "rate_nats"))
-        raise ScenarioError(f"unknown rate policy mode {mode!r}")
+            rates = [beta * c for c in self.capacities]
+        elif mode == "target_rate":
+            field = "rate_nats"
+            rates = rate_policy_scale(self.capacities, _finite(self.rate_policy.get(field), field))
+        else:
+            raise ScenarioError(f"unknown rate policy mode {mode!r}")
+        if bad := [k for k, r in enumerate(rates) if not r > 0.0]:
+            raise ScenarioError(f"{field} gives hop {bad[0]} rate {rates[bad[0]]!r}, not > 0")
+        return rates
 
 
 class Evaluation:
@@ -153,9 +154,9 @@ def _per_row(fn):
 
 
 def _solve(family: str):
-    """A fill of the family's exponents: one hop_exponents call over the rows whose
-    hop list and rates are unsolved, a row with a rate that is not positive alone
-    (only it can fail); SP takes RC's results where the call's rows all have them."""
+    """A fill of the family's exponents: one hop_exponents call over the rows whose hop
+    list and rates are unsolved, all of which keep its error if it raises (resolve_rates
+    passes no rate it rejects); SP takes RC's results where the call's rows all have them."""
     def flat(lists):  # the lists joined, or the one list itself
         return lists[0] if len(lists) == 1 else list(chain.from_iterable(lists))
 
@@ -165,21 +166,18 @@ def _solve(family: str):
                 for i, rates in zip(rows, rates_column)]
         todo = {key: (rates, ev.scenarios[i].hops)  # (hop list id, rate bits) -> (rates, hops)
                 for key, i, rates in zip(keys, rows, rates_column) if key not in solved}
-        alone = [key for key, (r, _) in todo.items()
-                 if len(todo) > 1 and not all(map((0.0).__lt__, r))]
-        for group in filter(None, [[k for k in todo if k not in alone]] + [[k] for k in alone]):
-            parts = [todo[key] for key in group]
-            rates, hops = map(flat, zip(*parts))
-            shared = family == "sp" and all(isinstance(rc.get(key), list) for key in group)
-            prior = [flat(column) for column in zip(*map(rc.get, group))] if shared else None
+        if todo:
+            rates, hops = map(flat, zip(*todo.values()))
+            shared = family == "sp" and all(isinstance(rc.get(key), list) for key in todo)
+            prior = [flat(column) for column in zip(*map(rc.get, todo))] if shared else None
             try:
                 columns = hop_exponents(rates, hops, family, prior)
             except ValueError as exc:
-                solved.update(dict.fromkeys(group, exc))
-                continue
-            ends = accumulate(len(part_rates) for part_rates, _ in parts)
-            for key, end, (part_rates, _) in zip(group, ends, parts):
-                solved[key] = [column[end - len(part_rates):end] for column in columns]
+                solved.update(dict.fromkeys(todo, exc))
+            else:
+                ends = accumulate(len(part_rates) for part_rates, _ in todo.values())
+                for key, end, (part_rates, _) in zip(todo, ends, todo.values()):
+                    solved[key] = [column[end - len(part_rates):end] for column in columns]
         return [solved[key] for key in keys]
     return fill
 

@@ -242,7 +242,7 @@ class TestReliabilityOptimal:
         return pushes
 
     @pytest.mark.parametrize("exps", [[0.508, 8.06e-25], [0.3, 0.5, 1e-20, 2.0],
-                                      [5e-324, 1.0]])
+                                      [5e-324, 1.0], [0.5, 0.25]])
     @pytest.mark.parametrize("q", [10 ** 5, 10 ** 6, 2 ** 53])
     def test_greedy_moves_do_not_grow_with_the_budget(self, monkeypatch, exps, q):
         # E = [0.508, 8.06e-25]: AWGN hops at 9 and 6 dB, hop 2 at (1 - 1e-12) C
@@ -254,6 +254,12 @@ class TestReliabilityOptimal:
             # hop 1 keeps 108 units at any Q; at Q = 1e5 (0.8 s) and 1e6 (8.6 s)
             # the one-unit walk from shares that lost their sum gave this split
             assert blocks == [108, q - 108]
+        if exps == [0.5, 0.25] and q == 2 ** 53:
+            # the floors of the real shares overshoot Q by 1, so the greedy
+            # drains a unit before it looks for exchanges
+            floors = [math.floor(v) for v in reliability_real_blocks(exps, q)]
+            assert sum(floors) == q + 1
+            assert blocks == [3002399751580331, 6004799503160661]
 
     @settings(max_examples=200, deadline=None)
     @given(log_exps=st.lists(st.floats(-300.0, math.log10(30.0)), min_size=1, max_size=6),

@@ -245,18 +245,16 @@ class TestDerivedConstants:
         assert ch != HopChannel.awgn(3.0)
         dmc = HopChannel.dmc(*CACHE_DMCS[1])
         assert repr(dmc) == "HopChannel(kind='dmc', snr=None)"
-        assert dmc == dmc
-        with pytest.raises(TypeError):
-            hash(dmc)  # the matrix fields are unhashable arrays
+        assert dmc == HopChannel.dmc(*CACHE_DMCS[1])
+        assert hash(dmc) == hash(HopChannel.dmc(*CACHE_DMCS[1]))
 
     @pytest.mark.parametrize("ch", [HopChannel.awgn(10.0 ** 0.6),
                                     HopChannel.dmc(*CACHE_DMCS[2])])
     def test_pickle_round_trip_keeps_the_constants(self, ch):
         back = pickle.loads(pickle.dumps(ch))
         assert back.kind == ch.kind and back.snr == ch.snr
-        if ch.kind == "awgn":
-            assert back == ch and hash(back) == hash(ch)
-        else:
+        assert back == ch and hash(back) == hash(ch)
+        if ch.kind == "dmc":
             assert np.array_equal(back.transition, ch.transition)
             assert np.array_equal(back.input_dist, ch.input_dist)
         assert capacity(back) == capacity(ch) == self.fresh(back)[0]
@@ -272,6 +270,29 @@ class TestDerivedConstants:
         assert capacity(other) == self.fresh(other)[0] != capacity(dmc)
         with pytest.raises(ChannelError):
             dataclasses.replace(ch, snr=-1.0)
+
+
+class TestEquality:
+    """`==` and hash see the four fields, a DMC's arrays by shape and bytes; neither raises."""
+
+    @pytest.mark.parametrize("make,other", [
+        (lambda: HopChannel.awgn(2.0), HopChannel.awgn(3.0)),
+        (lambda: HopChannel.bsc(0.1), HopChannel.bsc(0.2)),
+        (lambda: HopChannel.dmc(*CACHE_DMCS[1]), HopChannel.dmc(CACHE_DMCS[1][0])),
+        (lambda: HopChannel.dmc(*CACHE_DMCS[2]), HopChannel.dmc([[1.0, 0.0], [0.0, 1.0]]))],
+        ids=["awgn", "bsc", "dmc_input_dist", "dmc_shape"])
+    def test_equal_channels_are_one_key(self, make, other):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != other and not a == other
+        assert a != HopChannel.awgn(1.0) and a != "awgn" and a.__eq__(1) is NotImplemented
+        assert b in [other, a] and a not in [other]
+        assert {a: "a", other: "other"}[b] == "a" and len({a, b, other}) == 2
+
+    def test_awgn_and_dmc_hops_differ(self):
+        assert HopChannel.awgn(1.0) != HopChannel.bsc(0.1)
+        assert len({HopChannel.awgn(1.0), HopChannel.bsc(0.1), HopChannel.bsc(0.1)}) == 2
 
 
 class TestValidation:

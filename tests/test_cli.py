@@ -158,6 +158,64 @@ class TestScenario:
             assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
 
 
+# rate policies that give hop 0 a zero rate: explicitly; beta = 5e-324 on a
+# -3 dB hop (rates [0.0, 1e-323]); a 5e-324 target on two 20 dB hops ([0.0, 0.0])
+ZERO_RATE_POLICIES = {
+    "explicit": ({"mode": "explicit", "rates_nats": [0.0, 1.0]}, (-3.0, 9.0), "rates_nats"),
+    "capacity_fraction": ({"mode": "capacity_fraction", "beta": 5e-324}, (-3.0, 9.0), "beta"),
+    "target_rate": ({"mode": "target_rate", "rate_nats": 5e-324}, (20.0, 20.0), "rate_nats"),
+}
+
+
+def zero_rate_scenario(tmp_path, policy, method="reliability_optimal_rc"):
+    rate_policy, snrs_db, _ = ZERO_RATE_POLICIES[policy]
+    manual = {"manual_blocks": [500, 500]} if method == "manual" else {}
+    return write_scenario(tmp_path, hops=[{"type": "awgn", "snr_db": db} for db in snrs_db],
+                          rate_policy=rate_policy, allocation_method=method, **manual)
+
+
+class TestRatesMustBePositive:
+    """Every rate policy gives positive rates or a ScenarioError naming its field,
+    which every command reports before it solves anything."""
+
+    @pytest.mark.parametrize("policy", sorted(ZERO_RATE_POLICIES))
+    @pytest.mark.parametrize("argv,method", [
+        *((["allocate"], method) for method in scenario._METHODS),
+        (["latency", "--trials", "10"], "reliability_optimal_rc"),
+        (["distributed"], "reliability_optimal_rc")],
+        ids=[*scenario._METHODS, "latency", "distributed"])
+    def test_every_command_exits_3(self, tmp_path, capsys, solves, policy, argv, method):
+        path = zero_rate_scenario(tmp_path, policy, method)
+        message = f"{ZERO_RATE_POLICIES[policy][2]} gives hop 0 rate 0.0, not > 0"
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            load_scenario(path).resolve_rates()
+        assert main([*argv, "--scenario", path]) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {"error": message}
+        assert family_totals(solves) == (0, 0)
+
+    def test_a_zero_rate_row_fails_at_rates_and_each_family_is_one_call(self, tmp_path,
+                                                                        monkeypatch):
+        calls = []
+
+        def counted(rates, hops, family, rc=None):
+            calls.append((family, len(rates)))
+            return exponents.hop_exponents(rates, hops, family, rc)
+
+        monkeypatch.setattr(scenario, "hop_exponents", counted)
+        scenarios = [load_scenario(write_scenario(tmp_path)),
+                     load_scenario(zero_rate_scenario(tmp_path, "capacity_fraction")),
+                     load_scenario(write_scenario(tmp_path, hops=MIXED_HOPS))]
+        table = Evaluation(scenarios)
+        got = [{name: outcome(row, name) for name in ("exponents_sp", "exponents_r", "rates")}
+               for row in table]
+        assert calls == [("sp", 5), ("r", 5)]
+        error = (ScenarioError, "beta gives hop 0 rate 0.0, not > 0")
+        assert got[1] == dict.fromkeys(got[1], error)
+        monkeypatch.undo()
+        assert got == [{name: outcome(Evaluation([sc])[0], name) for name in got[0]}
+                       for sc in scenarios]
+
+
 # Generated scenario documents: a well-formed document sized so that no
 # example does heavy work (N <= 6, Q <= 1e4, DMCs of at most 3x3), then, in
 # half of the examples, one value anywhere in it (or the whole document)
@@ -269,6 +327,23 @@ class TestExponentCommand:
         main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bits_line(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "0.5",
+                     "--rate-steps", "3", "--out", str(out), "--bits"]) == 0
+        assert capsys.readouterr().out == (f"swept rates {0.1 / math.log(2):.12g} to "
+                                           f"{0.5 / math.log(2):.12g} bits/use (3 points) "
+                                           f"-> {out}\n")
+
+    def test_hop_out_of_range_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--scenario", write_scenario(tmp_path), "--hop", "5",
+                     "--rate-min", "0.1", "--rate-max", "0.5", "--rate-steps", "3",
+                     "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "hop index 5 out of range"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["exponent", "--rate-min", "0.1"], id="missing_arguments"),
         pytest.param(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "0.5",
@@ -320,15 +395,18 @@ class TestExponentCommand:
 
 
 class TestUnwritableOutput:
-    """`exponent` and `reproduce` open their outputs before solving: one that
-    cannot be written exits 3 with the JSON error and changes no file."""
+    """Every command that writes files opens its outputs before it solves or
+    simulates: one that cannot be written exits 3 with the JSON error and
+    changes no file."""
 
     @pytest.fixture(autouse=True)
     def no_solves(self, monkeypatch):
-        def solve(*args):
+        def solve(*args, **kwargs):
             raise AssertionError("solved before the output was checked")
-        monkeypatch.setattr(cli, "hop_exponents", solve)
-        monkeypatch.setattr(cli, "_sweep_rows", solve)
+        for module, name in ((cli, "hop_exponents"), (cli, "_sweep_rows"),
+                             (cli, "simulate_latency"), (cli, "run_distributed_allocation"),
+                             (scenario, "hop_exponents")):
+            monkeypatch.setattr(module, name, solve)
 
     @staticmethod
     def assert_fails_unchanged(tmp_path, capsys, argv):
@@ -357,6 +435,23 @@ class TestUnwritableOutput:
             (out / f"{figure}_meta.json").mkdir(parents=True)
         self.assert_fails_unchanged(tmp_path, capsys,
                                     ["reproduce", "--figure", figure, "--out-dir", str(out)])
+
+    @pytest.mark.parametrize("out", ["missing_dir/x.json", "a_dir", "a_file/x.json"])
+    @pytest.mark.parametrize("argv", [["allocate"], ["latency", "--trials", "100000000"],
+                                      ["distributed"]], ids=["allocate", "latency", "distributed"])
+    def test_scenario_commands(self, tmp_path, capsys, argv, out):
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "a_file").write_text("kept\n")
+        self.assert_fails_unchanged(tmp_path, capsys, [
+            *argv, "--scenario", write_scenario(tmp_path), "--out", str(tmp_path / out)])
+
+    @pytest.mark.parametrize("out", [None, "dist.json"])
+    def test_distributed_trace(self, tmp_path, capsys, out):
+        (tmp_path / "a_file").write_text("kept\n")
+        self.assert_fails_unchanged(tmp_path, capsys, [
+            "distributed", "--scenario", write_scenario(tmp_path),
+            "--trace", str(tmp_path / "a_file" / "trace.jsonl"),
+            *(["--out", str(tmp_path / out)] if out else [])])
 
 
 def linspace_csv(ch, lo, hi, steps):
@@ -556,6 +651,15 @@ class TestAllocateCommand:
         inv = sum(1 / c for c in caps)
         for q_n, c in zip(doc["blocklengths"], caps):
             assert abs(q_n / 1000 - (1 / c) / inv) <= 1 / 1000
+
+    def test_bits_line(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, rate_policy={
+            "mode": "explicit", "rates_nats": [0.9, 0.7]})
+        assert main(["allocate", "--scenario", path, "--bits"]) == 0
+        *payload, bits = capsys.readouterr().out.splitlines()
+        assert json.loads("\n".join(payload))["rates_nats"] == [0.9, 0.7]
+        assert bits == (f"rates in bits/use: {0.9 / math.log(2):.12g}, "
+                        f"{0.7 / math.log(2):.12g}")
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         path = write_scenario(tmp_path, rate_policy={
@@ -879,6 +983,20 @@ class TestDistributedCommand:
         assert doc["matches_centralized"] is True
         assert len(doc["per_node_blocks"]) == 2
         assert trace.exists()
+
+
+@pytest.mark.parametrize("at_capacity", [0, 1])
+def test_commands_name_the_zero_exponent_hop_alike(tmp_path, capsys, at_capacity):
+    # explicit rates [C(9 dB), 0.5 C(6 dB)] or [0.5 C(9 dB), C(6 dB)]
+    caps = [capacity(HopChannel.awgn(10.0 ** (db / 10.0))) for db in (9.0, 6.0)]
+    rates = [c if k == at_capacity else 0.5 * c for k, c in enumerate(caps)]
+    path = write_scenario(tmp_path, rate_policy={"mode": "explicit", "rates_nats": rates})
+    errors = []
+    for argv in (["allocate"], ["latency", "--trials", "10"], ["distributed"]):
+        assert main([*argv, "--scenario", path]) == 3
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    assert errors == [json.dumps(
+        {"error": f"hop {at_capacity}: rate at/above capacity, zero exponent"})] * 3
 
 
 def near_capacity_scenario(tmp_path):
