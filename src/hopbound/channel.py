@@ -23,6 +23,7 @@ __all__ = [
     "e0_terms",
     "e0_dmc_terms",
     "capacity",
+    "snr_db_to_linear",
 ]
 
 _ATOL_STOCHASTIC = 1e-12
@@ -248,6 +249,16 @@ def capacity(ch: HopChannel) -> float:
     Derived once, when the channel is built; this reads the stored float.
     """
     return ch._capacity
+
+
+def snr_db_to_linear(db: float) -> float:
+    """The linear SNR of `db` decibels; ChannelError if it overflows a double or is 0."""
+    try:
+        if snr := 10.0 ** (db / 10.0):
+            return snr
+        raise ChannelError(f"SNR of {db} dB underflows to 0")
+    except OverflowError:
+        raise ChannelError(f"SNR of {db} dB overflows a double") from None
 
 
 def _mutual_information(ch: HopChannel) -> float:

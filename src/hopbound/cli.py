@@ -22,7 +22,7 @@ import numpy as np
 
 from .allocation import AllocationError, Method, network_capacity, reliability_optimal_blocks
 from .arq import LatencyError, simulate_latencies, simulate_latency
-from .channel import ChannelError, HopChannel, capacity, e0_derivative
+from .channel import ChannelError, HopChannel, capacity, e0_derivative, snr_db_to_linear
 from .distproto import run_distributed_allocation
 from .exponents import hop_exponents, random_coding_exponent, sphere_packing_exponent
 from .oracle import GridSpec, bsc_ensemble_error, exhaustive_allocation, grid_max_exponent
@@ -61,13 +61,6 @@ _DOMAIN_ERRORS = (AllocationError, ChannelError, LatencyError, ScenarioError)
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _snr_db_to_linear(db: float) -> float:
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        raise ChannelError(f"SNR of {db} dB overflows a double") from None
 
 
 def _check_writable(*paths: str | None) -> None:
@@ -118,7 +111,7 @@ def _grid_chunks(start: float, stop: float, num: int):
 
 def cmd_exponent(args) -> int:
     if args.snr_db is not None:
-        ch = HopChannel.awgn(_snr_db_to_linear(args.snr_db))
+        ch = HopChannel.awgn(snr_db_to_linear(args.snr_db))
     else:
         sc = load_scenario(args.scenario)
         if not 0 <= args.hop < len(sc.hops):
@@ -182,8 +175,8 @@ def cmd_reproduce(args) -> int:
         names = ["single_hop.csv", "two_hop.csv", "meta.json"]
     paths = [os.path.join(args.out_dir, f"{args.figure}_{name}") for name in names]
     _check_writable(*paths)
-    single = [HopChannel.awgn(_snr_db_to_linear(db)) for db in REPRODUCE_SINGLE_SNR_DB]
-    two = [HopChannel.awgn(_snr_db_to_linear(db)) for db in REPRODUCE_TWO_SNR_DB]
+    single = [HopChannel.awgn(snr_db_to_linear(db)) for db in REPRODUCE_SINGLE_SNR_DB]
+    two = [HopChannel.awgn(snr_db_to_linear(db)) for db in REPRODUCE_TWO_SNR_DB]
     meta = {
         "total_q": REPRODUCE_Q,
         "single_hop_snr_db": REPRODUCE_SINGLE_SNR_DB,

@@ -7,7 +7,7 @@ Newton's method on that equation, on Python floats, with every step kept
 inside a bisection bracket.
 
 `hop_exponents` solves a list of hops.  ARRAY_MIN_HOPS or more AWGN hops, and
-the hops on each DMC channel object, take one array pass: each element takes
+the hops on equal DMC channels, take one array pass: each element takes
 the scalar solve's IEEE-754 operations in the same order, so the results are
 bit-identical.  Those solves bypass `random_coding_exponent`
 and `sphere_packing_exponent`, so wrappers of those two do not see them.
@@ -229,9 +229,11 @@ def hop_exponents(rates, hops, family: str, rc=None) -> list[list]:
             solve(rate, ch)  # raises the per-hop solver's ChannelError
     out = [list(column) for column in rc] if rc else [[None] * len(rates) for _ in range(3)]
     todo = [i for i, regime in enumerate(out[2]) if regime not in _SHARED_REGIMES]
-    groups = {}
+    by_object, groups = {}, {}
     for i in todo:  # the AWGN hops, and the hops on each DMC channel object
-        groups.setdefault("awgn" if hops[i].kind == "awgn" else id(hops[i]), []).append(i)
+        by_object.setdefault("awgn" if hops[i].kind == "awgn" else id(hops[i]), []).append(i)
+    for key, group in by_object.items():  # equal DMCs merge, each object hashed once
+        groups.setdefault(key if key == "awgn" else hops[group[0]], []).extend(group)
     for key, group in groups.items():
         if key != "awgn":
             dmc_terms = e0_dmc_terms(hops[group[0]])

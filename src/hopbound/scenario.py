@@ -1,9 +1,8 @@
 """Scenario JSON ingestion and the one evaluation pipeline, over a table of scenarios.
 
-A scenario file fixes the hop channels, the total channel-use budget Q, a
-per-hop rate policy, and the allocation method; its SNR in dB becomes linear
-here (the CLI's own SNRs in `cli._snr_db_to_linear`).  An `Evaluation` of a
-table of scenarios (a rate sweep's, or a CLI command's one) computes each
+A scenario file fixes the hop channels (SNRs in dB, made linear by
+`channel.snr_db_to_linear`, as the CLI's), the budget Q, a per-hop rate policy
+and the allocation method.  An `Evaluation` of a table of scenarios computes each
 derived quantity once, as a column filled in one pass over the rows that read it.
 """
 
@@ -19,7 +18,7 @@ from .allocation import (AllocationError, Method, balanced_blocks, end_to_end_ra
                          info_continuous_log_m, information_continuous_blocks,
                          rate_policy_scale, reliability_real_blocks)
 from .arq import arq_chains, latency_bounds
-from .channel import ChannelError, HopChannel, capacity
+from .channel import ChannelError, HopChannel, capacity, snr_db_to_linear
 from .exponents import RHO_MAX, Regime, hop_exponents
 from .system import stacked_error_bounds
 
@@ -40,9 +39,9 @@ class ScenarioError(ValueError):
 
 
 def _finite(value, name: str) -> float:
-    """A scenario field as a finite float; ScenarioError otherwise."""
+    """A scenario field as a finite float, not a JSON boolean; ScenarioError otherwise."""
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
@@ -243,7 +242,7 @@ def _parse_hop(spec, index: int) -> HopChannel:
     try:
         kind = spec["type"]
         if kind == "awgn":
-            return HopChannel.awgn(10.0 ** (_finite(spec["snr_db"], "snr_db") / 10.0))
+            return HopChannel.awgn(snr_db_to_linear(_finite(spec["snr_db"], "snr_db")))
         if kind == "dmc":
             return HopChannel.dmc(spec["transition"], spec.get("input_dist"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -19,7 +19,7 @@ from hopbound.arq import (_BLOCK, _GOLDEN, _MASK64, _MIX1, _MIX2, _SPARSE_PE, PE
                           LatencyError, _candidate_cap, _latency_kernel, _moments, _splitmix64,
                           expected_latency, latency_variance, simulate_latencies,
                           simulate_latency)
-from hopbound.channel import HopChannel, capacity
+from hopbound.channel import HopChannel, capacity, snr_db_to_linear
 from hopbound.scenario import Evaluation, Scenario
 
 
@@ -802,8 +802,8 @@ class TestLatencyVariance:
 
     def test_fig4_rows_without_a_retransmission(self):
         # a row whose sample stderr is 0 still has a z-score on the analytic scale
-        single = [HopChannel.awgn(cli._snr_db_to_linear(db)) for db in cli.REPRODUCE_SINGLE_SNR_DB]
-        two = [HopChannel.awgn(cli._snr_db_to_linear(db)) for db in cli.REPRODUCE_TWO_SNR_DB]
+        single = [HopChannel.awgn(snr_db_to_linear(db)) for db in cli.REPRODUCE_SINGLE_SNR_DB]
+        two = [HopChannel.awgn(snr_db_to_linear(db)) for db in cli.REPRODUCE_TWO_SNR_DB]
         chains = [*cli._sweep_rows(single, [cli.Method.MANUAL], lambda row: row.chains[0])[0],
                   *cli._sweep_rows(two, [cli.Method.RELIABILITY_OPTIMAL_RC],
                                    lambda row: row.chains[0])[0]]

@@ -1,32 +1,90 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
-_spec = importlib.util.spec_from_file_location("bench_record", _PATH)
-bench_record = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_record)
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _row(label, workload, trace, ops):
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_record = _load("bench_record")
+bench_layers = _load("bench_layers")
+
+LAYER_ROWS = [
+    "channel.e0_terms.awgn.us_per_call",
+    "channel.e0_terms.dmc_3x3.us_per_call",
+    *(f"exponents.hop_exponents.{family}_{case}.us_per_call" for family in ("rc", "sp")
+      for case in ("awgn_1", "awgn_300", "dmc_3x3_1", "dmc_3x3_80")),
+    *(f"allocation.reliability_optimal_blocks.n_{n}.ms_per_call" for n in (2, 100, 1000)),
+    "system.stacked_error_bounds.rows_80.ms_per_call",
+    *(f"arq.simulate_latency.{chain}.ms_per_1e5_trials" for chain in ("sparse", "dense",
+                                                                       "tiny_pe")),
+    "arq.simulate_latencies.fig4_single_hop.ms_per_call",
+    "arq.simulate_latencies.fig4_two_hop.ms_per_call",
+    *(f"cli.main.{command}.ms_per_call" for command in (
+        "reproduce_fig3", "reproduce_fig4", "allocate_awgn_2", "allocate_awgn_400",
+        "allocate_awgn_1000", "latency_awgn_2", "exponent_dmc_8x8_80",
+        "distributed_awgn_1000")),
+    "cli.main.distributed_awgn_1000.share_sum_rel_error",
+    "cli.import.cold_ms",
+    "cli.import.loads_scipy",
+    *(f"cli.main.{command}.{metric}" for command in (
+        "reproduce_fig4", "exponent_awgn_10", "exponent_awgn_200000")
+      for metric in ("fresh_main_s", "peak_rss_mb")),
+    "process.peak_rss_mb",
+]
+
+
+def _row(label, workload, trace, ops, metric="ops_per_s"):
     return {"label": label, "workload": workload, "trace": trace, "wall_s": 1.0,
             "result": {"correct": True, "attempted": 1, "failed": 0,
-                       "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"}}}}
+                       "metrics": {metric: {"value": ops, "unit": "1/s"}}}}
 
 
-def test_medians_and_table_read_only_untraced_runs():
+def test_medians_and_table_read_every_metric_of_every_run():
+    # an untraced run carries the end-to-end metrics, a traced one only per-layer ones
     rows = ([_row("parent", "curve_sweep", 0, v) for v in (20.0, 22.0, 24.0, 26.0)]
             + [_row("change", "curve_sweep", 0, v) for v in (30.0, 32.0, 34.0, 36.0)]
-            + [_row("change", "curve_sweep", 1, 1.0)])
+            + [_row("change", "curve_sweep", 1, 0.0, "cli.main.self_ms")])
     medians = bench_record._medians(rows)
-    assert [(m["label"], m["median"], m["runs"]) for m in medians] == [
-        ("parent", 23.0, 4), ("change", 33.0, 4)]
+    assert [(m["metric"], m["label"], m["median"], m["runs"]) for m in medians] == [
+        ("ops_per_s", "parent", 23.0, 4), ("ops_per_s", "change", 33.0, 4),
+        ("cli.main.self_ms", "change", 0.0, 1)]
     doc = {"trees": [{"label": "parent"}, {"label": "change"}], "medians": medians}
     lines = bench_record.table(doc).splitlines()
     assert lines[0] == "| workload | metric | parent | change | change / parent |"
     assert lines[2].startswith("| curve_sweep | ops_per_s | 23 [") and lines[2].endswith(
         "| 1.435 |")
+    assert lines[3] == "| curve_sweep | cli.main.self_ms |  | 0 [0, 0] n=1 |  |"
+
+
+def test_medians_and_table_of_layer_lines_skip_null_values():
+    def layers(label, values):
+        return {"label": label, "workload": "layers", "trace": 0, "wall_s": 5.0, "result": {
+            "correct": None not in values, "metrics": {
+                name: {"value": v, "unit": "ms", **({"error": "AttributeError: x"} if v is None
+                                                     else {})}
+                for name, v in zip(("system.stacked_error_bounds.rows_80.ms_per_call",
+                                    "cli.main.latency_awgn_2.ms_per_call"), values)}}}
+    rows = [layers("parent", (None, 2.0)), layers("change", (0.4, 1.0)),
+            layers("change", (0.6, 3.0)), layers("parent", (None, 4.0))]
+    medians = bench_record._medians(rows)
+    assert [(m["metric"].split(".")[0], m["label"], m["median"], m["runs"])
+            for m in medians] == [("cli", "parent", 3.0, 2), ("system", "change", 0.5, 2),
+                                  ("cli", "change", 2.0, 2)]
+    doc = {"trees": [{"label": "parent"}, {"label": "change"}], "medians": medians}
+    assert bench_record.table(doc).splitlines()[2:] == [
+        "| layers | cli.main.latency_awgn_2.ms_per_call | 3 [1.5, 4.5] n=2 | 2 [0.5, 3.5] n=2 "
+        "| 0.667 |",
+        "| layers | system.stacked_error_bounds.rows_80.ms_per_call |  | 0.5 [0.35, 0.65] n=2 "
+        "|  |"]
 
 
 def test_rejects_a_tree_without_the_benchmark(tmp_path):
@@ -47,3 +105,41 @@ def test_pair_wins_count_the_last_labels_wins_and_its_first_runs():
     assert bench_record.pair_wins(doc) == [
         "curve_sweep: change won 3 of 4 pairs on ops_per_s, 2 of those wins running first"]
     assert bench_record.pair_wins({**doc, "runs": []}) == []
+    # the layer runs carry no ops_per_s: they are skipped, and give no line
+    layers = [_row(label, "layers", 0, 1.0, "process.peak_rss_mb") for label in order[0]]
+    assert bench_record.pair_wins({**doc, "runs": layers + rows}) == bench_record.pair_wins(doc)
+
+
+def test_layer_rows_are_pinned(tmp_path):
+    names = []
+    bench_layers.run(lambda units, fn: names.extend(units), str(tmp_path))
+    assert names == LAYER_ROWS
+
+
+def _layer_rows(out, *prefixes):
+    """The metrics of the layer rows whose first name starts with one of `prefixes`."""
+    metrics = {}
+    bench_layers.run(lambda units, fn: next(iter(units)).startswith(prefixes)
+                     and bench_layers.record(metrics, units, fn), str(out))
+    return metrics
+
+
+def test_a_layer_row_gives_a_value_and_unit(tmp_path):
+    metrics = _layer_rows(tmp_path, "allocation.reliability_optimal_blocks.n_2.")
+    [(name, entry)] = metrics.items()
+    assert name == "allocation.reliability_optimal_blocks.n_2.ms_per_call"
+    assert set(entry) == {"value", "unit"} and entry["unit"] == "ms" and entry["value"] > 0
+    line = json.loads(json.dumps({"correct": True, "metrics": metrics}))
+    assert bench_record._medians([{"label": "this", "workload": "layers", "trace": 0,
+                                   "result": line}])[0]["median"] == entry["value"]
+
+
+def test_a_layer_row_whose_function_is_missing_records_null_and_the_error(tmp_path,
+                                                                           monkeypatch):
+    monkeypatch.delattr(bench_layers.system, "stacked_error_bounds")
+    metrics = _layer_rows(tmp_path, "system.", "allocation.reliability_optimal_blocks.n_2.")
+    assert metrics["system.stacked_error_bounds.rows_80.ms_per_call"] == {
+        "value": None, "unit": "ms",
+        "error": "AttributeError: module 'hopbound.system' has no attribute "
+                 "'stacked_error_bounds'"}
+    assert metrics["allocation.reliability_optimal_blocks.n_2.ms_per_call"]["value"] > 0

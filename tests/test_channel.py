@@ -9,7 +9,7 @@ import pytest
 
 from hopbound.channel import (ChannelError, HopChannel, capacity, e0,
                               e0_awgn, e0_derivative, e0_dmc,
-                              e0_terms)
+                              e0_terms, snr_db_to_linear)
 
 # each hop's last output is unreached where its column is zero
 CACHE_DMCS = [
@@ -304,6 +304,17 @@ class TestValidation:
     def test_awgn_needs_finite_snr(self, snr):
         with pytest.raises(ChannelError):
             HopChannel.awgn(snr)
+
+    @pytest.mark.parametrize("db, message", [
+        (4000.0, "SNR of 4000.0 dB overflows a double"),
+        (-4000.0, "SNR of -4000.0 dB underflows to 0")])
+    def test_snr_db_beyond_doubles(self, db, message):
+        with pytest.raises(ChannelError, match=f"^{message}$"):
+            snr_db_to_linear(db)
+
+    @pytest.mark.parametrize("db", [-3000.0, -30.0, 0.0, 6.0, 9.0, 3000.0])
+    def test_snr_db_to_linear_is_the_power_of_ten(self, db):
+        assert snr_db_to_linear(db) == 10.0 ** (db / 10.0)
 
     def test_rows_must_be_stochastic(self):
         with pytest.raises(ChannelError):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hopbound.allocation import info_continuous_log_m, reliability_real_blocks
 from hopbound import allocation, cli, exponents, scenario
-from hopbound.channel import ChannelError, HopChannel, capacity
+from hopbound.channel import ChannelError, HopChannel, capacity, snr_db_to_linear
 from hopbound.arq import simulate_latency
 from hopbound.cli import main
 from hopbound.exponents import (ARRAY_MIN_HOPS, RHO_MAX, random_coding_exponent,
@@ -111,6 +111,25 @@ class TestScenario:
             load_scenario(path)
         assert main(["allocate", "--scenario", path]) == 3
         assert "total_q" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+
+    @pytest.mark.parametrize("field, fields", [
+        ("rates_nats", {"rate_policy": {"mode": "explicit", "rates_nats": [True, 0.5]}}),
+        ("beta", {"rate_policy": {"mode": "capacity_fraction", "beta": True}}),
+        ("rate_nats", {"rate_policy": {"mode": "target_rate", "rate_nats": True}}),
+        ("snr_db", {"hops": [{"type": "awgn", "snr_db": True}]})])
+    def test_rejects_boolean_numbers(self, tmp_path, capsys, field, fields):
+        # float(true) is 1.0: a rate of 1 nat or a 1 dB hop, where the document means no number
+        assert main(["allocate", "--scenario", write_scenario(tmp_path, **fields)]) == 3
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert f"{field} must be a finite number, got True" in error
+
+    @pytest.mark.parametrize("snr_db, end", [(4000.0, "overflows a double"),
+                                             (-4000.0, "underflows to 0")])
+    def test_snr_db_beyond_doubles_names_its_end(self, tmp_path, capsys, snr_db, end):
+        path = write_scenario(tmp_path, hops=[{"type": "awgn", "snr_db": snr_db}])
+        assert main(["allocate", "--scenario", path]) == 3
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert error == f"hop 0: SNR of {snr_db} dB {end}"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.5])
     @pytest.mark.parametrize("method", ["reliability_optimal_rc", "info_continuous"])
@@ -803,9 +822,9 @@ class TestSweepSkippedRows:
         monkeypatch.setattr(cli, "_sweep_targets",
                             lambda cap: np.insert(targets(cap), [5, 40], [cap, 1.5 * cap]))
         assert main(["reproduce", "--figure", figure, "--out-dir", str(tmp_path)]) == 0
-        single = [HopChannel.awgn(cli._snr_db_to_linear(db))
+        single = [HopChannel.awgn(snr_db_to_linear(db))
                   for db in cli.REPRODUCE_SINGLE_SNR_DB]
-        two = [HopChannel.awgn(cli._snr_db_to_linear(db)) for db in cli.REPRODUCE_TWO_SNR_DB]
+        two = [HopChannel.awgn(snr_db_to_linear(db)) for db in cli.REPRODUCE_TWO_SNR_DB]
         m = cli.Method
         sweeps = {"fig3": [(single, [m.MANUAL], ["single_hop"]),
                            (two, [m.RELIABILITY_OPTIMAL_RC, m.INFO_CONTINUOUS],

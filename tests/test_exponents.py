@@ -342,7 +342,7 @@ def _dmc_step(ch, rho: float):
 
 
 class TestDmcArrayPath:
-    """The hops of one DMC channel object are solved in one `_array_exponents`
+    """The hops of equal DMC channels are solved in one `_array_exponents`
     call on `e0_dmc_terms`, bit for bit the per-hop solves."""
 
     @settings(max_examples=60, deadline=None)
@@ -380,11 +380,23 @@ class TestDmcArrayPath:
             for family in ("r", "sp"):
                 TestHopExponents.assert_equals_per_hop_solves(rates, [ch] * size, family)
         assert size in calls and max(calls) == size
-        # equal channels that are distinct objects take one call each
+        # equal channels that are distinct objects share one call too
         with _counted_array_calls() as calls:
             TestHopExponents.assert_equals_per_hop_solves(
                 rates, [HopChannel.dmc(ch.transition, ch.input_dist) for _ in rates], "r")
-        assert calls == [1] * size
+        assert calls == [size]
+
+    def test_interleaved_equal_objects_share_a_call_in_hop_order(self):
+        # hops alternate between two equal objects, with a third, unequal channel and
+        # AWGN hops between them: the equal objects' hops, out of order, take one call
+        kinds = [HopChannel.bsc(0.1), HopChannel.bsc(0.1), HopChannel.bsc(0.2),
+                 HopChannel.awgn(2.0)]
+        chs = [kinds[k % 4] for k in range(24)]
+        rates = [f * capacity(ch) for f, ch in zip(np.linspace(0.01, 0.95, 24), chs)]
+        with _counted_array_calls() as calls:
+            TestHopExponents.assert_equals_per_hop_solves(rates, chs, "r")
+        assert calls == [12, 6]
+        TestHopExponents.assert_equals_per_hop_solves(rates, chs, "sp")
 
     @pytest.mark.parametrize("bad", [{3: 0.0, 20: -1.0}, {20: 0.0, 3: -1.0}, {16: math.nan},
                                      {}])

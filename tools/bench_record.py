@@ -8,11 +8,13 @@ whose own ``hopbench/run.py`` is run from that root, so each tree is
 measured with its sources and nothing is built here.  For every workload
 the script runs each root ``--repeats`` times untraced (``--trace 0``),
 alternating which root goes first in each pair, then once traced
-(``--trace 1``).  Every run's last stdout line, the result line, is kept
-whole; the file adds the machine, the settings and the per-label medians.
-``--table`` prints those medians as a Markdown table, with the last label
-over the first as a ratio, and per workload how many pairs the last label
-won on ops_per_s and how many of those wins it ran first.
+(``--trace 1``); ``layers`` runs this directory's ``bench_layers.py`` on each
+root's ``src`` the same way, untraced.  Every run's last stdout line, the
+result line, is kept whole; the file adds the machine, the settings and the
+per-label medians of every metric.  ``--table`` prints those medians as a
+Markdown table, with the last label over the first as a ratio, and per
+workload how many pairs the last label won on ops_per_s and how many of
+those wins it ran first.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import sys
 import time
 
 WORKLOADS = ("curve_sweep", "long_chain", "mc_latency")
-END_TO_END = ("ops_per_s", "peak_rss_mb", "setup_s")
+LAYERS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_layers.py")
 
 
 def _git(root: str, *args: str) -> str | None:
@@ -52,11 +54,15 @@ def _tree(label: str, root: str) -> dict:
 
 def _run(label: str, root: str, workload: str, seed: int, seconds: float,
          trace: int) -> dict:
-    """One run of ``root``'s benchmark; its result line, kept whole."""
+    """One run of ``root``'s benchmark, or of LAYERS on its ``src``; its result
+    line, kept whole."""
     cmd = [sys.executable, os.path.join("hopbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    env = None
+    if workload == "layers":
+        cmd, env = [sys.executable, LAYERS], dict(os.environ, PYTHONPATH="src")
     start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
     if proc.returncode != 0:
         raise SystemExit(f"{label} {workload}: exit {proc.returncode}\n"
@@ -67,21 +73,19 @@ def _run(label: str, root: str, workload: str, seed: int, seconds: float,
 
 
 def _medians(rows: list[dict]) -> list[dict]:
-    """Median, quartiles and count of each untraced end-to-end metric per label."""
+    """Median, quartiles and count of every metric per workload and label, over its
+    values that are not null.  A traced hopbench run carries only per-layer
+    metrics and an untraced one only end-to-end metrics, so none mixes the two."""
+    values = {}
+    for r in rows:
+        for metric, m in r["result"]["metrics"].items():
+            if m["value"] is not None:
+                values.setdefault((r["workload"], metric, r["label"]), []).append(m["value"])
     out = []
-    for workload in dict.fromkeys(r["workload"] for r in rows):
-        for metric in END_TO_END:
-            for label in dict.fromkeys(r["label"] for r in rows):
-                values = [r["result"]["metrics"][metric]["value"] for r in rows
-                          if r["workload"] == workload and r["label"] == label
-                          and r["trace"] == 0 and metric in r["result"]["metrics"]]
-                if not values:
-                    continue
-                quartiles = (statistics.quantiles(values, n=4) if len(values) > 1
-                             else [values[0]] * 3)
-                out.append({"workload": workload, "metric": metric, "label": label,
-                            "runs": len(values), "median": statistics.median(values),
-                            "q1": quartiles[0], "q3": quartiles[2]})
+    for (workload, metric, label), v in values.items():
+        quartiles = statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+        out.append({"workload": workload, "metric": metric, "label": label, "runs": len(v),
+                    "median": statistics.median(v), "q1": quartiles[0], "q3": quartiles[2]})
     return out
 
 
@@ -101,20 +105,25 @@ def table(doc: dict) -> str:
                        if m else "")
         if ratio:
             first, last = (cells.get((workload, metric, lb)) for lb in (labels[0], labels[-1]))
-            row.append(f"{last['median'] / first['median']:.3f}" if first and last else "")
+            row.append(f"{last['median'] / first['median']:.3f}"
+                       if first and last and first["median"] else "")
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
 
 
 def pair_wins(doc: dict) -> list[str]:
     """Per workload, how many pairs of untraced runs the last label won on
-    ops_per_s and how many of those wins it ran first.  A pair runs each
-    label once, in the order its runs are recorded, so a lead that follows
-    whichever tree runs first shows as wins that are mostly first runs."""
+    ops_per_s and how many of those wins it ran first, skipping the runs without
+    ops_per_s.  A pair runs each label once, in the order its runs are recorded,
+    so a lead that follows whichever tree runs first shows as wins that are
+    mostly first runs."""
     labels = [t["label"] for t in doc["trees"]]
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in doc.get("runs", [])):
-        runs = [r for r in doc["runs"] if r["workload"] == workload and r["trace"] == 0]
+        runs = [r for r in doc["runs"] if r["workload"] == workload and r["trace"] == 0
+                and "ops_per_s" in r["result"]["metrics"]]
+        if not runs:
+            continue
         pairs = [runs[k:k + len(labels)] for k in range(0, len(runs), len(labels))]
         wins = first = 0
         for pair in pairs:
@@ -146,11 +155,12 @@ def main(argv=None) -> int:
         roots[label] = root
     trees = [_tree(label, root) for label, root in roots.items()]
     rows = []
-    for workload in WORKLOADS:
+    for workload in (*WORKLOADS, "layers"):
         for k in range(args.repeats):
             order = list(roots.items()) if k % 2 == 0 else list(roots.items())[::-1]
             rows += [_run(lb, r, workload, args.seed, args.seconds, 0) for lb, r in order]
-        rows += [_run(lb, r, workload, args.seed, args.seconds, 1) for lb, r in roots.items()]
+        rows += [_run(lb, r, workload, args.seed, args.seconds, 1)
+                 for lb, r in roots.items() if workload != "layers"]
     doc = {
         "machine": {"platform": platform.platform(), "processor": platform.machine(),
                     "cpus": os.cpu_count(), "python": platform.python_version(),
