@@ -119,8 +119,11 @@ def test_layer_rows_are_pinned(tmp_path):
 def _layer_rows(out, *prefixes):
     """The metrics of the layer rows whose first name starts with one of `prefixes`."""
     metrics = {}
-    bench_layers.run(lambda units, fn: next(iter(units)).startswith(prefixes)
-                     and bench_layers.record(metrics, units, fn), str(out))
+
+    def row(units, fn):
+        if next(iter(units)).startswith(prefixes):
+            bench_layers.record(metrics, units, fn)
+    bench_layers.run(row, str(out))
     return metrics
 
 

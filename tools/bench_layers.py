@@ -136,8 +136,8 @@ def run(row, out: str) -> None:
         timed(f"arq.simulate_latencies.fig4_{name}.ms_per_call", 10, lambda: partial(
             arq.simulate_latencies, [chains[0] for chains in _fig4(two_hop, "chains")[0]],
             cli.REPRODUCE_MC_TRIALS, cli.REPRODUCE_MC_SEED))
-    paths = {"out": out, "result": os.path.join(out, "result"),
-             "lo": 0.01 * channel.capacity(dmc8), "hi": 0.99 * channel.capacity(dmc8)}
+    fields = {"out": out, "result": os.path.join(out, "result"),
+              "lo": 0.01 * channel.capacity(dmc8), "hi": 0.99 * channel.capacity(dmc8)}
     for name, calls, command in (  # paths without spaces
             ("reproduce_fig3", 10, "reproduce --figure fig3 --out-dir {out}"),
             ("reproduce_fig4", 10, "reproduce --figure fig4 --out-dir {out}"),
@@ -149,10 +149,10 @@ def run(row, out: str) -> None:
                                         "--rate-max {hi!r} --rate-steps 80 --out {result}"),
             ("distributed_awgn_1000", 5, "distributed --scenario {out}/awgn_1000 --out {result}")):
         timed(f"cli.main.{name}.ms_per_call", calls,
-              lambda: partial(_main, command.format(**paths).split()))
+              lambda: partial(_main, command.format(**fields).split()))
 
     def share_sum_error() -> tuple[float]:  # in distributed's last output, against Q
-        with open(paths["result"]) as fh:
+        with open(fields["result"]) as fh:
             nodes = json.load(fh)["per_node_blocks"]
         return max(abs(math.fsum(node[key] for node in nodes) - 1e6) / 1e6
                    for key in ("q_reliability_rc", "q_reliability_sp")),
@@ -163,7 +163,7 @@ def run(row, out: str) -> None:
             *((f"exponent_awgn_{steps}", "exponent --snr-db 0 --rate-min 0.01 --rate-max 0.69 "
                f"--rate-steps {steps} --out {{result}}") for steps in (10, 200_000))):
         row({f"cli.main.{name}.fresh_main_s": "s", f"cli.main.{name}.peak_rss_mb": "MB"},
-            lambda: _fresh(*command.format(**paths).split())[2:])
+            lambda: _fresh(*command.format(**fields).split())[2:])
     row({"process.peak_rss_mb": "MB"},  # ru_maxrss: its parent, bench_record, peaks lower
         lambda: (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,))
 
