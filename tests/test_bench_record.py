@@ -146,3 +146,14 @@ def test_a_layer_row_whose_function_is_missing_records_null_and_the_error(tmp_pa
         "error": "AttributeError: module 'hopbound.system' has no attribute "
                  "'stacked_error_bounds'"}
     assert metrics["allocation.reliability_optimal_blocks.n_2.ms_per_call"]["value"] > 0
+
+
+def test_a_command_this_tree_rejects_records_null_and_its_exit(tmp_path, monkeypatch):
+    # an option a tree lacks makes argparse exit: that row records it, the next still runs
+    def usage_error(argv):
+        raise SystemExit(2)
+    monkeypatch.setattr(bench_layers.cli, "main", usage_error)
+    metrics = _layer_rows(tmp_path, "cli.main.allocate_awgn_2.", "process.")
+    assert metrics["cli.main.allocate_awgn_2.ms_per_call"] == {
+        "value": None, "unit": "ms", "error": "SystemExit: 2"}
+    assert metrics["process.peak_rss_mb"]["value"] > 0

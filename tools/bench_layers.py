@@ -46,7 +46,7 @@ def record(metrics: dict, units: dict, fn) -> None:
     returns; if it raises, each is null, with the error."""
     try:
         values, error = fn(), {}
-    except Exception as exc:  # a name this tree lacks, or a failing call: record it
+    except (Exception, SystemExit) as exc:  # a missing name, a failing call, a usage exit
         values, error = (None,) * len(units), {"error": f"{type(exc).__name__}: {exc}"}
     metrics.update((name, {"value": value, "unit": unit, **error})
                    for (name, unit), value in zip(units.items(), values))
