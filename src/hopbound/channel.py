@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _ATOL_STOCHASTIC = 1e-12
+_SLICE_ELEMENTS = 2 ** 16  # per slice of a DMC pass's (K, S, Y) arrays (`_sliced`)
 
 
 class ChannelError(ValueError):
@@ -147,7 +148,7 @@ def e0_dmc(rho, ch: HopChannel):
 
     Zero transition entries contribute zero (measure-zero convention).
     Computed in the log domain as in `e0_terms`, so it stays finite where
-    every a_y^(1+rho) underflows.
+    every a_y^(1+rho) underflows.  Evaluated in slices of rhos (`_sliced`).
     """
     if ch.kind != "dmc":
         raise ChannelError("e0_dmc requires a DMC channel")
@@ -155,12 +156,25 @@ def e0_dmc(rho, ch: HopChannel):
     if np.any(rho < 0):
         raise ChannelError("rho must be nonnegative")
     p = ch._reached
-    r = np.atleast_1d(rho)[:, None]  # (K, 1)
-    a = np.einsum("s,ksy->ky", ch.input_dist, p[None, :, :] ** (1.0 / (1.0 + r))[:, :, None])
-    z = (1.0 + r) * np.log(a)
-    top = z.max(axis=1)
-    vals = -(top + np.log(np.exp(z - top[:, None]).sum(axis=1)))
+
+    def e0_slice(rho):
+        r = rho[:, None]  # (K, 1)
+        a = np.einsum("s,ksy->ky", ch.input_dist, p[None, :, :] ** (1.0 / (1.0 + r))[:, :, None])
+        z = (1.0 + r) * np.log(a)
+        top = z.max(axis=1)
+        return -(top + np.log(np.exp(z - top[:, None]).sum(axis=1))),
+    vals = _sliced(e0_slice, p.size)(np.atleast_1d(rho))[0]
     return float(vals[0]) if rho.ndim == 0 else vals
+
+
+def _sliced(fn, elements: int):
+    """fn on a 1-D array of K rhos in slices of `_SLICE_ELEMENTS` // `elements` rhos,
+    at least one, so that the (K, S, Y) arrays of a DMC pass stay a few MB at any K;
+    the slices' outputs are joined, bit for bit fn(rho) as each element of fn's
+    output arrays depends on its own rho alone."""
+    step = max(1, _SLICE_ELEMENTS // elements)
+    return lambda rho: fn(rho) if rho.size <= step else tuple(map(np.concatenate, zip(
+        *(fn(rho[k:k + step]) for k in range(0, rho.size, step)))))
 
 
 def e0(rho, ch: HopChannel):
@@ -208,7 +222,7 @@ def e0_terms(ch: HopChannel):
 
 
 def e0_dmc_terms(ch: HopChannel):
-    """The DMC step of `e0_terms` over an array of K rhos, on (K, S, Y) arrays.
+    """The DMC step of `e0_terms` over an array of K rhos, on (K, S, Y) arrays (`_sliced`).
 
     Each element's floats are those of the step on one rho in Python floats,
     whatever K: where numpy's array forms may round otherwise, it takes np.sqrt
@@ -240,7 +254,7 @@ def e0_dmc_terms(ch: HopChannel):
         cube = np.array([x ** 3 for x in ts])[:, None]
         d2 = -np.matmul(e, ((g + d1[:, None]) ** 2 + cube * var_w)[:, :, None])[:, 0, 0] / total
         return -(top + np.fromiter(map(math.log, total.tolist()), float, rho.size)), d1, d2
-    return dmc_terms
+    return _sliced(dmc_terms, p.size)
 
 
 def capacity(ch: HopChannel) -> float:

@@ -14,6 +14,8 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
+import numpy as np
+
 from .allocation import (AllocationError, Method, balanced_blocks, end_to_end_rate,
                          info_continuous_log_m, information_continuous_blocks,
                          rate_policy_scale, reliability_real_blocks)
@@ -244,7 +246,12 @@ def _parse_hop(spec, index: int) -> HopChannel:
         if kind == "awgn":
             return HopChannel.awgn(snr_db_to_linear(_finite(spec["snr_db"], "snr_db")))
         if kind == "dmc":
-            return HopChannel.dmc(spec["transition"], spec.get("input_dist"))
+            fields = {"transition": spec["transition"], "input_dist": spec.get("input_dist")}
+            for name, value in fields.items():  # numpy reads JSON booleans and strings as numbers
+                cells = () if value is None else np.asarray(value, dtype=object).flat
+                if bad := [x for x in cells if type(x) not in (int, float)]:
+                    raise ScenarioError(f"{name} must hold JSON numbers only, got {bad[0]!r}")
+            return HopChannel.dmc(*fields.values())
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"hop {index}: {exc}") from exc
     raise ScenarioError(f"hop {index}: unknown type {kind!r}")
@@ -260,8 +267,8 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    if type(version := doc.get("schema_version")) is not int or version != SCHEMA_VERSION:
+        raise ScenarioError(f"unsupported schema_version {version!r}")
     hops_spec = doc.get("hops")
     if not isinstance(hops_spec, list) or not hops_spec:
         raise ScenarioError("scenario needs a list of at least one hop")

@@ -24,8 +24,8 @@ LAYER_ROWS = [
       for case in ("awgn_1", "awgn_300", "dmc_3x3_1", "dmc_3x3_80")),
     *(f"allocation.reliability_optimal_blocks.n_{n}.ms_per_call" for n in (2, 100, 1000)),
     "system.stacked_error_bounds.rows_80.ms_per_call",
-    *(f"arq.simulate_latency.{chain}.ms_per_1e5_trials" for chain in ("sparse", "dense",
-                                                                       "tiny_pe")),
+    *(f"arq.simulate_latency.{chain}.{metric}" for chain in ("sparse", "dense", "tiny_pe")
+      for metric in ("ms_per_1e5_trials", "peak_alloc_mb")),
     "arq.simulate_latencies.fig4_single_hop.ms_per_call",
     "arq.simulate_latencies.fig4_two_hop.ms_per_call",
     *(f"cli.main.{command}.ms_per_call" for command in (
@@ -42,32 +42,32 @@ LAYER_ROWS = [
 ]
 
 
-def _row(label, workload, trace, ops, metric="ops_per_s"):
-    return {"label": label, "workload": workload, "trace": trace, "wall_s": 1.0,
+def _row(label, workload, ops, metric="ops_per_s"):
+    return {"label": label, "workload": workload, "wall_s": 1.0,
             "result": {"correct": True, "attempted": 1, "failed": 0,
                        "metrics": {metric: {"value": ops, "unit": "1/s"}}}}
 
 
 def test_medians_and_table_read_every_metric_of_every_run():
-    # an untraced run carries the end-to-end metrics, a traced one only per-layer ones
-    rows = ([_row("parent", "curve_sweep", 0, v) for v in (20.0, 22.0, 24.0, 26.0)]
-            + [_row("change", "curve_sweep", 0, v) for v in (30.0, 32.0, 34.0, 36.0)]
-            + [_row("change", "curve_sweep", 1, 0.0, "cli.main.self_ms")])
+    # a metric only one label's runs carry gets an empty cell for the other
+    rows = ([_row("parent", "curve_sweep", v) for v in (20.0, 22.0, 24.0, 26.0)]
+            + [_row("change", "curve_sweep", v) for v in (30.0, 32.0, 34.0, 36.0)]
+            + [_row("change", "curve_sweep", 0.0, "setup_s")])
     medians = bench_record._medians(rows)
     assert [(m["metric"], m["label"], m["median"], m["runs"]) for m in medians] == [
         ("ops_per_s", "parent", 23.0, 4), ("ops_per_s", "change", 33.0, 4),
-        ("cli.main.self_ms", "change", 0.0, 1)]
+        ("setup_s", "change", 0.0, 1)]
     doc = {"trees": [{"label": "parent"}, {"label": "change"}], "medians": medians}
     lines = bench_record.table(doc).splitlines()
     assert lines[0] == "| workload | metric | parent | change | change / parent |"
     assert lines[2].startswith("| curve_sweep | ops_per_s | 23 [") and lines[2].endswith(
         "| 1.435 |")
-    assert lines[3] == "| curve_sweep | cli.main.self_ms |  | 0 [0, 0] n=1 |  |"
+    assert lines[3] == "| curve_sweep | setup_s |  | 0 [0, 0] n=1 |  |"
 
 
 def test_medians_and_table_of_layer_lines_skip_null_values():
     def layers(label, values):
-        return {"label": label, "workload": "layers", "trace": 0, "wall_s": 5.0, "result": {
+        return {"label": label, "workload": "layers", "wall_s": 5.0, "result": {
             "correct": None not in values, "metrics": {
                 name: {"value": v, "unit": "ms", **({"error": "AttributeError: x"} if v is None
                                                      else {})}
@@ -92,21 +92,41 @@ def test_rejects_a_tree_without_the_benchmark(tmp_path):
         bench_record.main(["--out", str(tmp_path / "b.json"), f"x={tmp_path}"])
 
 
+def test_record_runs_each_tree_untraced_in_alternating_pairs(tmp_path, monkeypatch):
+    # every run is one untraced hopbench or layer run: _run takes no trace setting
+    calls = []
+
+    def run(label, root, workload, seed, seconds):
+        calls.append((workload, label))
+        return _row(label, workload, 1.0)
+    monkeypatch.setattr(bench_record, "_run", run)
+    for label in ("parent", "change"):
+        (tmp_path / label / "hopbench").mkdir(parents=True)
+        (tmp_path / label / "hopbench" / "run.py").touch()
+    out = tmp_path / "b.json"
+    assert bench_record.main(["--out", str(out), "--repeats", "2",
+                              *(f"{lb}={tmp_path / lb}" for lb in ("parent", "change"))]) == 0
+    assert calls == [(workload, label) for workload in (*bench_record.WORKLOADS, "layers")
+                     for label in ("parent", "change", "change", "parent")]
+    doc = json.loads(out.read_text())
+    assert [(r["workload"], r["label"]) for r in doc["runs"]] == calls
+    assert all(set(r) == {"label", "workload", "wall_s", "result"} for r in doc["runs"])
+
+
 def test_pair_wins_count_the_last_labels_wins_and_its_first_runs():
     # pairs alternate which label runs first; the change wins pairs 0, 1 and 3,
     # running first in pair 1 and pair 3
     order = [("parent", "change"), ("change", "parent")] * 2
     ops = [{"parent": 20.0, "change": 21.0}, {"parent": 20.0, "change": 22.0},
            {"parent": 23.0, "change": 22.0}, {"parent": 20.0, "change": 25.0}]
-    rows = [_row(label, "curve_sweep", 0, values[label])
+    rows = [_row(label, "curve_sweep", values[label])
             for labels, values in zip(order, ops) for label in labels]
-    rows += [_row("change", "curve_sweep", 1, 99.0), _row("parent", "curve_sweep", 1, 1.0)]
     doc = {"trees": [{"label": "parent"}, {"label": "change"}], "runs": rows}
     assert bench_record.pair_wins(doc) == [
         "curve_sweep: change won 3 of 4 pairs on ops_per_s, 2 of those wins running first"]
     assert bench_record.pair_wins({**doc, "runs": []}) == []
     # the layer runs carry no ops_per_s: they are skipped, and give no line
-    layers = [_row(label, "layers", 0, 1.0, "process.peak_rss_mb") for label in order[0]]
+    layers = [_row(label, "layers", 1.0, "process.peak_rss_mb") for label in order[0]]
     assert bench_record.pair_wins({**doc, "runs": layers + rows}) == bench_record.pair_wins(doc)
 
 
@@ -133,7 +153,7 @@ def test_a_layer_row_gives_a_value_and_unit(tmp_path):
     assert name == "allocation.reliability_optimal_blocks.n_2.ms_per_call"
     assert set(entry) == {"value", "unit"} and entry["unit"] == "ms" and entry["value"] > 0
     line = json.loads(json.dumps({"correct": True, "metrics": metrics}))
-    assert bench_record._medians([{"label": "this", "workload": "layers", "trace": 0,
+    assert bench_record._medians([{"label": "this", "workload": "layers",
                                    "result": line}])[0]["median"] == entry["value"]
 
 
@@ -157,3 +177,8 @@ def test_a_command_this_tree_rejects_records_null_and_its_exit(tmp_path, monkeyp
     assert metrics["cli.main.allocate_awgn_2.ms_per_call"] == {
         "value": None, "unit": "ms", "error": "SystemExit: 2"}
     assert metrics["process.peak_rss_mb"]["value"] > 0
+
+
+def test_peak_rss_reads_this_process_vmhwm():
+    peak = bench_layers.peak_rss_mb()
+    assert isinstance(peak, float) and peak > 0

@@ -84,10 +84,37 @@ class TestScenario:
         sc = load_scenario(path)
         assert sc.hops[0].kind == "dmc"
 
-    def test_rejects_bad_schema_version(self, tmp_path):
-        path = write_scenario(tmp_path, schema_version=2)
+    @pytest.mark.parametrize("version", [2, True, 1.0, "1", None])
+    def test_rejects_bad_schema_version(self, tmp_path, capsys, version):
+        # only the JSON integer 1: true and 1.0 compare equal to it in Python
+        path = write_scenario(tmp_path, schema_version=version)
         with pytest.raises(ScenarioError):
             load_scenario(path)
+        assert main(["allocate", "--scenario", path]) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == (
+            f"unsupported schema_version {version!r}")
+
+    @pytest.mark.parametrize("field, transition, input_dist, got", [
+        # numpy reads these as the identity channel and a BSC
+        ("transition", [[True, False], [False, True]], None, "True"),
+        ("transition", [["0.9", "0.1"], ["0.1", "0.9"]], None, "'0.9'"),
+        ("transition", [[0.9, 0.1], [0.1, {"p": 0.9}]], None, "{'p': 0.9}"),
+        ("input_dist", [[0.9, 0.1], [0.1, 0.9]], [True, False], "True"),
+        ("input_dist", [[0.9, 0.1], [0.1, 0.9]], ["0.5", 0.5], "'0.5'")])
+    def test_dmc_fields_take_json_numbers_only(self, tmp_path, capsys, field, transition,
+                                               input_dist, got):
+        dmc = {"type": "dmc", "transition": transition}
+        if input_dist is not None:
+            dmc["input_dist"] = input_dist
+        path = write_scenario(tmp_path, hops=[BASE_DOC["hops"][0], dmc])
+        assert main(["allocate", "--scenario", path]) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == (
+            f"hop 1: {field} must hold JSON numbers only, got {got}")
+
+    def test_dmc_fields_take_json_integers(self, tmp_path):
+        path = write_scenario(tmp_path, hops=[{"type": "dmc", "transition": [[1, 0], [0, 1]],
+                                               "input_dist": [0.5, 0.5]}])
+        assert load_scenario(path).hops[0] == HopChannel.dmc([[1.0, 0.0], [0.0, 1.0]])
 
     def test_rejects_manual_blocks_mismatch(self, tmp_path):
         path = write_scenario(tmp_path, allocation_method="manual",

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 import hopbound
 
-from hopbound.channel import (ChannelError, HopChannel, capacity, e0_derivative,
+from hopbound.channel import (ChannelError, HopChannel, capacity, e0_derivative, e0_dmc,
                               e0_dmc_terms, e0_terms)
-from hopbound import exponents
+from hopbound import channel, exponents
 from hopbound.exponents import (ARRAY_MIN_HOPS, ExponentResult, Regime, critical_rate,
                                 hop_exponents, random_coding_exponent,
                                 sphere_packing_exponent)
@@ -359,6 +360,19 @@ class TestDmcArrayPath:
                 assert column.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
+    @given(ch=_dmcs(), step=st.integers(1, 5), slices=st.integers(1, 4),
+           rhos=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8))
+    def test_slices_change_no_bit(self, ch, step, slices, rhos):
+        # `step` rhos a slice, `slices` full slices and a last slice of one rho
+        rho = np.resize(np.array(rhos), step * slices + 1)
+        outputs = []
+        for elements in (step * ch._reached.size, 2 ** 62):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(channel, "_SLICE_ELEMENTS", elements)
+                outputs.append([a.tobytes() for a in (*e0_dmc_terms(ch)(rho), e0_dmc(rho, ch))])
+        assert outputs[0] == outputs[1]
+
+    @settings(max_examples=40, deadline=None)
     @given(ch=_dmcs(), fractions=st.lists(st.floats(1e-6, 1.0)))
     def test_equals_per_hop_solves(self, ch, fractions):
         rates = _dmc_rates(ch, fractions)
@@ -412,6 +426,44 @@ class TestDmcArrayPath:
             TestHopExponents.assert_equals_per_hop_solves(rates, chs, "r")
         assert calls == ([] if bad else [10, 10])
         TestHopExponents.assert_equals_per_hop_solves(rates, chs, "sp")
+
+def _traced_peak_mib(fn) -> float:
+    """The tracemalloc peak of fn() in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def _dmc_of_size(size: int) -> HopChannel:
+    rng = np.random.default_rng(size)
+    return HopChannel.dmc(rng.dirichlet(np.full(size, 0.5), size=size),
+                          rng.dirichlet(np.ones(size)))
+
+
+class TestDmcMemory:
+    """The DMC array passes take their rhos in slices, so their (K, S, Y) arrays do
+    not grow with the number K of rates or grid points."""
+
+    def test_solve_peak_does_not_grow_with_the_rates(self):
+        ch = _dmc_of_size(32)
+
+        def solve(n):
+            rates = (np.linspace(0.01, 0.99, n) * capacity(ch)).tolist()
+            rc = hop_exponents(rates, [ch] * n, "r")
+            hop_exponents(rates, [ch] * n, "sp", rc)
+        few, many = (_traced_peak_mib(lambda: solve(n)) for n in (1024, 4096))
+        assert many < 16 and many - few < 1, (few, many)
+
+    def test_grid_peak_does_not_grow_with_the_alphabet(self):
+        def grid(size):
+            ch = _dmc_of_size(size)
+            grid_max_exponent(0.3 * capacity(ch), ch, GridSpec(0.0, 1.0, 1.0 / 199_999))
+        small, large = (_traced_peak_mib(lambda: grid(size)) for size in (3, 8))
+        assert large < 1.1 * small, (small, large)
+
 
 def _run_python(args, timeout):
     """Run the interpreter on `args` against this package; a hang fails the test."""

@@ -10,14 +10,16 @@ of timeit calls (garbage collector off), after one untimed call.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
-import resource
 import subprocess
 import sys
 import tempfile
 import timeit
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -26,18 +28,24 @@ from hopbound import allocation, arq, channel, cli, exponents, scenario, system
 
 # AWGN hops at 15 (k phi mod 1) dB; an N-hop case takes the first N
 CHAIN_DB = [15.0 * (k * 0.6180339887498949 % 1.0) for k in range(1000)]
+
+
+def peak_rss_mb() -> float:
+    """This process's peak RSS in MB: VmHWM, as a vfork child inherits its parent's ru_maxrss."""
+    with open("/proc/self/status") as fh:
+        return int(fh.read().split("VmHWM:")[1].split()[0]) / 1024
+
+
 # a fresh process: the ms its `import hopbound.cli` takes, 1 if that loads scipy,
-# and for a command, its seconds in main and peak RSS in MB (VmHWM, as a child
-# started by vfork inherits its parent's ru_maxrss)
-_FRESH = """import sys, time
+# and for a command, its seconds in main and peak_rss_mb()
+_FRESH = inspect.getsource(peak_rss_mb) + """import sys, time
 start = time.perf_counter()
 from hopbound.cli import main
 print((time.perf_counter() - start) * 1e3, int("scipy" in sys.modules))
 if sys.argv[1:]:
     start = time.perf_counter()
     assert main(sys.argv[1:]) == 0
-    peak_kib = int(open("/proc/self/status").read().split("VmHWM:")[1].split()[0])
-    print(time.perf_counter() - start, peak_kib / 1024)
+    print(time.perf_counter() - start, peak_rss_mb())
 """
 
 
@@ -58,6 +66,18 @@ def _fresh(*argv: str) -> tuple[float, ...]:
     if proc.returncode != 0:
         raise RuntimeError(proc.stderr.strip()[-500:])
     return tuple(map(float, proc.stdout.split()))
+
+
+def _peak_alloc_mb(fn) -> float:
+    """The tracemalloc peak of fn() in MB, called on a fresh thread, so that it
+    counts the per-thread buffers a thread's first call builds."""
+    tracemalloc.start()
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            pool.submit(fn).result()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def _main(argv: list[str]) -> None:
@@ -130,8 +150,11 @@ def run(row, out: str) -> None:
     timed("system.stacked_error_bounds.rows_80.ms_per_call", 50, stacked_error_bounds)
     for name, probs in (("sparse", [1e-3, 1e-4]), ("dense", [0.3, 0.4]),
                         ("tiny_pe", [1e-20, 1e-18])):
-        timed(f"arq.simulate_latency.{name}.ms_per_1e5_trials", 20,
-              lambda: partial(arq.simulate_latency, arq.ArqChain(probs, [500, 500]), 100_000, 1))
+        def simulate():
+            return partial(arq.simulate_latency, arq.ArqChain(probs, [500, 500]), 100_000, 1)
+        timed(f"arq.simulate_latency.{name}.ms_per_1e5_trials", 20, simulate)
+        row({f"arq.simulate_latency.{name}.peak_alloc_mb": "MB"},
+            lambda: (_peak_alloc_mb(simulate()),))
     for name, two_hop in (("single_hop", False), ("two_hop", True)):
         timed(f"arq.simulate_latencies.fig4_{name}.ms_per_call", 10, lambda: partial(
             arq.simulate_latencies, [chains[0] for chains in _fig4(two_hop, "chains")[0]],
@@ -164,8 +187,7 @@ def run(row, out: str) -> None:
                f"--rate-steps {steps} --out {{result}}") for steps in (10, 200_000))):
         row({f"cli.main.{name}.fresh_main_s": "s", f"cli.main.{name}.peak_rss_mb": "MB"},
             lambda: _fresh(*command.format(**fields).split())[2:])
-    row({"process.peak_rss_mb": "MB"},  # ru_maxrss: its parent, bench_record, peaks lower
-        lambda: (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,))
+    row({"process.peak_rss_mb": "MB"}, lambda: (peak_rss_mb(),))
 
 
 def main() -> int:

@@ -7,10 +7,10 @@ Each ``LABEL=ROOT`` names a checkout (a ``git worktree`` of the parent, say)
 whose own ``hopbench/run.py`` is run from that root, so each tree is
 measured with its sources and nothing is built here.  For every workload
 the script runs each root ``--repeats`` times untraced (``--trace 0``),
-alternating which root goes first in each pair, then once traced
-(``--trace 1``); ``layers`` runs this directory's ``bench_layers.py`` on each
-root's ``src`` the same way, untraced.  Every run's last stdout line, the
-result line, is kept whole; the file adds the machine, the settings and the
+alternating which root goes first in each pair; ``layers`` runs this
+directory's ``bench_layers.py``, the record's one source of per-layer numbers,
+on each root's ``src`` the same way.  Every run's last stdout line, the result
+line, is kept whole; the file adds the machine, the settings and the
 per-label medians of every metric.  ``--table`` prints those medians as a
 Markdown table, with the last label over the first as a ratio, and per
 workload how many pairs the last label won on ops_per_s and how many of
@@ -52,12 +52,11 @@ def _tree(label: str, root: str) -> dict:
             "uncommitted_changes": bool(status) if status is not None else None}
 
 
-def _run(label: str, root: str, workload: str, seed: int, seconds: float,
-         trace: int) -> dict:
-    """One run of ``root``'s benchmark, or of LAYERS on its ``src``; its result
-    line, kept whole."""
+def _run(label: str, root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run of ``root``'s benchmark, or of LAYERS on its ``src``; its
+    result line, kept whole."""
     cmd = [sys.executable, os.path.join("hopbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = None
     if workload == "layers":
         cmd, env = [sys.executable, LAYERS], dict(os.environ, PYTHONPATH="src")
@@ -68,14 +67,12 @@ def _run(label: str, root: str, workload: str, seed: int, seconds: float,
         raise SystemExit(f"{label} {workload}: exit {proc.returncode}\n"
                          f"{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"label": label, "workload": workload, "trace": trace, "wall_s": wall,
-            "result": result}
+    return {"label": label, "workload": workload, "wall_s": wall, "result": result}
 
 
 def _medians(rows: list[dict]) -> list[dict]:
     """Median, quartiles and count of every metric per workload and label, over its
-    values that are not null.  A traced hopbench run carries only per-layer
-    metrics and an untraced one only end-to-end metrics, so none mixes the two."""
+    values that are not null."""
     values = {}
     for r in rows:
         for metric, m in r["result"]["metrics"].items():
@@ -112,15 +109,14 @@ def table(doc: dict) -> str:
 
 
 def pair_wins(doc: dict) -> list[str]:
-    """Per workload, how many pairs of untraced runs the last label won on
-    ops_per_s and how many of those wins it ran first, skipping the runs without
-    ops_per_s.  A pair runs each label once, in the order its runs are recorded,
-    so a lead that follows whichever tree runs first shows as wins that are
-    mostly first runs."""
+    """Per workload, how many pairs of runs the last label won on ops_per_s and
+    how many of those wins it ran first, skipping the runs without ops_per_s.  A
+    pair runs each label once, in the order its runs are recorded, so a lead that
+    follows whichever tree runs first shows as wins that are mostly first runs."""
     labels = [t["label"] for t in doc["trees"]]
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in doc.get("runs", [])):
-        runs = [r for r in doc["runs"] if r["workload"] == workload and r["trace"] == 0
+        runs = [r for r in doc["runs"] if r["workload"] == workload
                 and "ops_per_s" in r["result"]["metrics"]]
         if not runs:
             continue
@@ -158,9 +154,7 @@ def main(argv=None) -> int:
     for workload in (*WORKLOADS, "layers"):
         for k in range(args.repeats):
             order = list(roots.items()) if k % 2 == 0 else list(roots.items())[::-1]
-            rows += [_run(lb, r, workload, args.seed, args.seconds, 0) for lb, r in order]
-        rows += [_run(lb, r, workload, args.seed, args.seconds, 1)
-                 for lb, r in roots.items() if workload != "layers"]
+            rows += [_run(lb, r, workload, args.seed, args.seconds) for lb, r in order]
     doc = {
         "machine": {"platform": platform.platform(), "processor": platform.machine(),
                     "cpus": os.cpu_count(), "python": platform.python_version(),
