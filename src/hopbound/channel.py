@@ -162,7 +162,7 @@ def e0_dmc(rho, ch: HopChannel):
         a = np.einsum("s,ksy->ky", ch.input_dist, p[None, :, :] ** (1.0 / (1.0 + r))[:, :, None])
         z = (1.0 + r) * np.log(a)
         top = z.max(axis=1)
-        return -(top + np.log(np.exp(z - top[:, None]).sum(axis=1))),
+        return (-(top + np.log(np.exp(z - top[:, None]).sum(axis=1))),)
     vals = _sliced(e0_slice, p.size)(np.atleast_1d(rho))[0]
     return float(vals[0]) if rho.ndim == 0 else vals
 

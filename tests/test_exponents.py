@@ -427,6 +427,7 @@ class TestDmcArrayPath:
         assert calls == ([] if bad else [10, 10])
         TestHopExponents.assert_equals_per_hop_solves(rates, chs, "sp")
 
+
 def _traced_peak_mib(fn) -> float:
     """The tracemalloc peak of fn() in MiB."""
     tracemalloc.start()
