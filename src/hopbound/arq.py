@@ -370,8 +370,8 @@ def simulate_latencies(chains: list[ArqChain], trials: int,
     while that stays below 2**53 (`_latency_kernel`), and each chain's block
     moments merge in block order, as its own call's do.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if len({len(chain.costs) for chain in chains}) > 1:
         raise ValueError("the chains of one table must have one hop count")
     if not chains:

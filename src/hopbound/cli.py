@@ -258,8 +258,7 @@ def cmd_distributed(args) -> int:
     # the central results first: a domain error is the table's, as in allocate and latency
     rates, shares_r, shares_sp, ln_m = ev.rates, ev.shares_r, ev.shares_sp, ev.ln_m
     constants, per_node = run_distributed_allocation(
-        ev.scenario.hops, rates, ev.scenario.total_q, trace_path=args.trace,
-        exponents=list(zip(ev.exponents_r[0], ev.exponents_sp[0])))
+        rates, list(zip(ev.exponents_r[0], ev.exponents_sp[0])), ev.scenario.total_q, args.trace)
     matches = constants.ln_m == ln_m and all(
         node["q_reliability_rc"] == share_r and node["q_reliability_sp"] == share_sp
         and node["q_info_continuous"] == math.floor(constants.ln_m / rate)

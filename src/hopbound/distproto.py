@@ -1,7 +1,7 @@
 """Distributed computation of allocation constants over the linear chain.
 
 A single metric message walks the chain: each node folds its rate and its
-RC and SP exponents into the message's frames with `allocation.balance_step`.
+(E_r, E_sp), which the table solved once, into the frames by `allocation.balance_step`.
 The end node takes ln M from the rate frame and broadcasts it with Q and the
 exponent frames, after which every node derives its own blocklengths from
 the broadcast and local state only, with `allocation.balance_share`.  The
@@ -19,8 +19,6 @@ from dataclasses import asdict, dataclass
 
 from .allocation import (AllocationError, balance_lagrange, balance_log_m, balance_share,
                          balance_step)
-from .channel import HopChannel
-from .exponents import random_coding_exponent, sphere_packing_exponent
 
 __all__ = [
     "MetricMessage",
@@ -54,20 +52,14 @@ class BroadcastConstants:
 
 @dataclass
 class NodeState:
-    """One transmit terminal: sees only its own hop's channel and rate."""
+    """One transmit terminal: holds only its hop's rate and (E_r, E_sp), then the broadcast."""
 
-    local_channel: HopChannel
     local_rate: float
+    local_exponents: tuple[float, float]
     received_broadcast: BroadcastConstants | None = None
-    # (E_r, E_sp) at the local rate; the forward pass solves them if not given
-    local_exponents: tuple[float, float] | None = None
 
     def fold_into(self, msg: MetricMessage, hop_index: int) -> None:
         """Add this hop's costs to the message, in place."""
-        if self.local_exponents is None:
-            self.local_exponents = (
-                random_coding_exponent(self.local_rate, self.local_channel).exponent,
-                sphere_packing_exponent(self.local_rate, self.local_channel).exponent)
         e_r, e_sp = self.local_exponents
         if e_r <= 0.0 or e_sp <= 0.0:
             raise AllocationError(f"hop {hop_index} has zero exponent (rate at/above capacity)")
@@ -81,8 +73,8 @@ class NodeState:
         Returns the real-valued reliability-optimal values (RC and SP) and
         the floored information-continuous value.
         """
-        if self.received_broadcast is None or self.local_exponents is None:
-            raise AllocationError("node has not taken part in the forward pass and broadcast")
+        if self.received_broadcast is None:
+            raise AllocationError("node has not received the broadcast")
         bc = self.received_broadcast
         e_r, e_sp = self.local_exponents
         return {
@@ -139,20 +131,19 @@ def compute_and_broadcast(final_msg: MetricMessage, q_total: int,
     return constants
 
 
-def run_distributed_allocation(hops: list[HopChannel], rates: list[float],
-                               q_total: int, trace_path: str | None = None,
-                               exponents: list[tuple[float, float]] | None = None):
+def run_distributed_allocation(rates: list[float], exponents: list[tuple[float, float]],
+                               q_total: int, trace_path: str | None = None):
     """Full protocol run: forward pass, broadcast, per-node derivation.
 
-    `exponents`, if given, holds each hop's (E_r, E_sp) at its rate, already
-    solved by the caller; node n receives only its own pair, so the run
-    stays local, and no node solves again.
+    Node n holds only rates[n] and exponents[n], its hop's (E_r, E_sp) at that
+    rate as the caller's table solved it once, so the run stays local.
 
     Returns (constants, per_node_blocks) where per_node_blocks is the list
     of each node's locally derived blocklength dict.
     """
-    nodes = [NodeState(ch, r, local_exponents=e)
-             for ch, r, e in zip(hops, rates, exponents or [None] * len(hops))]
+    if len(rates) != len(exponents):
+        raise AllocationError(f"{len(rates)} rates but {len(exponents)} exponent pairs")
+    nodes = [NodeState(r, e) for r, e in zip(rates, exponents)]
     trace: list[dict] | None = [] if trace_path is not None else None
     msg = forward_pass(nodes, trace)
     constants = compute_and_broadcast(msg, q_total, nodes, trace)

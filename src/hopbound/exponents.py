@@ -224,6 +224,10 @@ def hop_exponents(rates, hops, family: str, rc=None) -> list[list]:
         solve, rho_cap, capped = sphere_packing_exponent, RHO_MAX, Regime.RHO_CAPPED
     else:
         raise ValueError(f"family must be 'r' or 'sp', got {family!r}")
+    if len(rates) != len(hops):
+        raise ValueError(f"rates and hops differ in length ({len(rates)} and {len(hops)})")
+    if rc and any(len(column) != len(hops) for column in rc):
+        raise ValueError(f"each column of rc must hold one entry per hop ({len(hops)})")
     for rate, ch in zip(rates, hops):
         if not (rate > 0 or rate == 0 and family == "r"):
             solve(rate, ch)  # raises the per-hop solver's ChannelError

@@ -21,7 +21,7 @@ from hopbound.channel import HopChannel, capacity
 from hopbound.cli import REPRODUCE_Q, _sweep_targets, main
 from hopbound.distproto import NodeState, compute_and_broadcast, forward_pass, \
     run_distributed_allocation
-from hopbound.exponents import (critical_rate, random_coding_exponent,
+from hopbound.exponents import (critical_rate, hop_exponents, random_coding_exponent,
                                 sphere_packing_exponent)
 from hopbound.oracle import exhaustive_allocation
 from hopbound.scenario import Evaluation, Scenario
@@ -201,6 +201,10 @@ def test_criterion_09_ensemble_error_respects_random_coding_bound():
 
 
 def test_criterion_10_distributed_protocol_equals_centralized():
+    def exponent_pairs(rates, hops):  # each hop's (E_r, E_sp), as the table solves them
+        rc = hop_exponents(rates, hops, "r")
+        return list(zip(rc[0], hop_exponents(rates, hops, "sp", rc)[0]))
+
     rng = np.random.default_rng(10)
     ok = True
     for _ in range(100):
@@ -210,7 +214,7 @@ def test_criterion_10_distributed_protocol_equals_centralized():
         beta = float(rng.uniform(0.1, 0.9))
         rates = [beta * capacity(h) for h in hops]
         q = int(rng.integers(10 * n, 5000))
-        constants, per_node = run_distributed_allocation(hops, rates, q)
+        constants, per_node = run_distributed_allocation(rates, exponent_pairs(rates, hops), q)
         exps_rc = [random_coding_exponent(r, ch).exponent
                    for r, ch in zip(rates, hops)]
         exps_sp = [sphere_packing_exponent(r, ch).exponent
@@ -228,28 +232,18 @@ def test_criterion_10_distributed_protocol_equals_centralized():
             ok = ok and node["q_info_continuous"] == \
                 math.floor(constants.ln_m / rates[i])
 
-    # locality: derive_blocks must touch only the node's own channel state
-    class TracedChannel:
-        def __init__(self, inner, log, label):
-            object.__setattr__(self, "_inner", inner)
-            object.__setattr__(self, "_log", log)
-            object.__setattr__(self, "_label", label)
-
-        def __getattr__(self, name):
-            self._log.append(self._label)
-            return getattr(self._inner, name)
-
+    # locality: after the broadcast, derive_blocks reads only the node's own
+    # rate and (E_r, E_sp), so spoiling every other node's leaves it unchanged
     hops = [HopChannel.awgn(3.0), HopChannel.awgn(7.0), HopChannel.awgn(2.0)]
     rates = [0.5 * capacity(h) for h in hops]
-    log: list[int] = []
-    nodes = [NodeState(TracedChannel(ch, log, i), r)
-             for i, (ch, r) in enumerate(zip(hops, rates))]
-    msg = forward_pass(nodes)
-    compute_and_broadcast(msg, 900, nodes)
-    for i, node in enumerate(nodes):
-        log.clear()
-        node.derive_blocks()
-        ok = ok and set(log) <= {i}
+    pairs = exponent_pairs(rates, hops)
+    for i in range(len(hops)):
+        nodes = [NodeState(r, e) for r, e in zip(rates, pairs)]
+        compute_and_broadcast(forward_pass(nodes), 900, nodes)
+        derived = nodes[i].derive_blocks()
+        for other in nodes[:i] + nodes[i + 1:]:
+            other.local_rate, other.local_exponents = math.nan, (math.nan, math.nan)
+        ok = ok and nodes[i].derive_blocks() == derived
     report(10, "distributed allocation matches centralized bit-exactly", ok)
 
 

@@ -173,6 +173,15 @@ class TestSimulateLatency:
         with pytest.raises(ValueError):
             simulate_latency(ArqChain([0.1], [10]), 0, 1)
 
+    @pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, "3", None])
+    def test_rejects_trials_that_is_not_an_integer(self, trials):
+        chain = ArqChain([0.1], [10])
+        for run in (lambda: simulate_latency(chain, trials, 1),
+                    lambda: simulate_latencies([chain], trials, 1)):
+            with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+                run()
+        assert simulate_latency(chain, np.int64(3), 1).trials == 3
+
 
 # The former full-array Monte Carlo, kept as the oracle of the blocked kernel.
 _REF_GOLDEN = np.uint64(0x9E3779B97F4A7C15)

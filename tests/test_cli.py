@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -931,6 +933,18 @@ class TestLongChainPins:
         assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[chain, command]
 
+    # SHA-256 of the JSONL distributed --trace writes on mixed120, recorded when
+    # each node could still solve its own exponents
+    TRACE_PINNED = "73261b0230ca08adf44d9182a907b4a3e9ff58c802a601f9b3284c3859abee47"
+
+    def test_trace_bytes_pinned(self, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(LONG_CHAINS["mixed120"])))
+        trace = tmp_path / "trace.jsonl"
+        assert main(["distributed", "--scenario", str(path), "--out", str(tmp_path / "out.json"),
+                     "--trace", str(trace)]) == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == self.TRACE_PINNED
+
     # SHA-256 of json.dumps of each split, recorded with the Lagrange-frame
     # shares, apart from the digits of the other fields
     BLOCKLENGTHS = {
@@ -949,6 +963,53 @@ class TestLongChainPins:
         blocks = json.loads(out.read_text())["blocklengths"]
         assert hashlib.sha256(json.dumps(blocks).encode()).hexdigest() == \
             self.BLOCKLENGTHS[chain, family]
+
+
+class TestPeakMemory:
+    """A command's tracemalloc peak at two sizes of an option that must not
+    multiply it: the peak is bounded by a constant, or linearly in the hops."""
+
+    @staticmethod
+    def traced_peak(argv) -> int:
+        """The tracemalloc peak of main(argv) on a fresh thread, so that a
+        Monte Carlo run counts its thread's new workspace."""
+        codes = []
+        tracemalloc.start()
+        try:
+            thread = threading.Thread(target=lambda: codes.append(main(argv)))
+            thread.start()
+            thread.join()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes == [0]
+        return peak
+
+    # measured: exponent 1.4 and 1.8 MiB (the grid is solved _GRID_CHUNK rates
+    # at a time), latency 3.1 MiB at both (one workspace of _BLOCK trials),
+    # distributed 0.2 and 1.9 MiB (its trace holds a message per hop)
+    @pytest.mark.parametrize("command,small,large,growth", [
+        ("exponent", 4096, 40960, 2.0),
+        ("latency", 10 ** 3, 10 ** 6, 1.5),
+        ("distributed", 100, 1000, 1.25 * 1000 / 100)])
+    def test_option_does_not_multiply_the_peak(self, tmp_path, command, small, large, growth):
+        out = str(tmp_path / "out")
+
+        def argv(size):
+            if command == "exponent":
+                return ["exponent", "--snr-db", "3", "--rate-min", "0.01", "--rate-max", "0.6",
+                        "--rate-steps", str(size), "--out", out]
+            path = tmp_path / f"{size}.json"
+            if command == "latency":
+                path.write_text(json.dumps(BASE_DOC))
+                return ["latency", "--scenario", str(path), "--trials", str(size), "--out", out]
+            path.write_text(json.dumps(chain_doc(["awgn"] * size)))
+            return ["distributed", "--scenario", str(path), "--out", out,
+                    "--trace", out + ".jsonl"]
+
+        assert main(argv(small)) == 0  # the first call's one-time imports and caches
+        peak_small, peak_large = self.traced_peak(argv(small)), self.traced_peak(argv(large))
+        assert peak_large <= growth * peak_small, (peak_small, peak_large)
 
 
 class FixedRates(Scenario):

@@ -5,27 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from hopbound import distproto
 from hopbound.allocation import (AllocationError, balance_lagrange, balance_log_m,
                                  balance_share, balance_step, info_continuous_log_m,
                                  rate_policy_scale, reliability_real_blocks)
 from hopbound.channel import HopChannel, capacity
 from hopbound.distproto import (MetricMessage, NodeState, compute_and_broadcast,
                                 forward_pass, run_distributed_allocation)
-from hopbound.exponents import random_coding_exponent, sphere_packing_exponent
+from hopbound.exponents import hop_exponents, random_coding_exponent, sphere_packing_exponent
 
 
-class TracedChannel:
-    """Records every attribute read so tests can assert channel locality."""
+def exponent_pairs(rates, hops):
+    """Each hop's (E_r, E_sp) at its rate, as the scenario table solves them."""
+    rc = hop_exponents(rates, hops, "r")
+    return list(zip(rc[0], hop_exponents(rates, hops, "sp", rc)[0]))
 
-    def __init__(self, inner: HopChannel, log: list, label: int):
-        object.__setattr__(self, "_inner", inner)
-        object.__setattr__(self, "_log", log)
-        object.__setattr__(self, "_label", label)
 
-    def __getattr__(self, name):
-        self._log.append(self._label)
-        return getattr(self._inner, name)
+def make_nodes(rates, hops):
+    return [NodeState(r, e) for r, e in zip(rates, exponent_pairs(rates, hops))]
 
 
 def random_scenario(rng):
@@ -40,7 +36,7 @@ def random_scenario(rng):
 
 class TestForwardPass:
     def test_single_hop_frames(self):
-        nodes = [NodeState(HopChannel.awgn(10.0), 2.0)]
+        nodes = make_nodes([2.0], [HopChannel.awgn(10.0)])
         msg = forward_pass(nodes)
         assert msg.frame_rate == balance_step(None, 2.0)
         assert balance_log_m(msg.frame_rate, 1) == 2.0
@@ -50,8 +46,7 @@ class TestForwardPass:
 
     def test_two_hop_rate_frame_matches_centralized(self):
         hops = [HopChannel.awgn(10.0), HopChannel.awgn(5.0)]
-        nodes = [NodeState(hops[0], 2.0), NodeState(hops[1], 1.0)]
-        msg = forward_pass(nodes)
+        msg = forward_pass(make_nodes([2.0, 1.0], hops))
         # pivot R_p = 1, W = 1 + 1/2: ln M = Q R_p / W = Q / (1/2 + 1/1)
         assert msg.frame_rate == (1.0, 0.0, 1.5, 0.5 * math.log(2.0), 1.0)
         assert balance_log_m(msg.frame_rate, 3) == 2.0
@@ -60,22 +55,22 @@ class TestForwardPass:
         rng = np.random.default_rng(41)
         for _ in range(20):
             hops, rates, _ = random_scenario(rng)
-            nodes = [NodeState(ch, r) for ch, r in zip(hops, rates)]
-            msg = forward_pass(nodes)
+            msg = forward_pass(make_nodes(rates, hops))
             assert msg.frame_rate == functools.reduce(balance_step, rates, None)
             exps_rc = [random_coding_exponent(r, ch).exponent for r, ch in zip(rates, hops)]
             assert msg.frame_rc == functools.reduce(balance_step, exps_rc, None)
 
     def test_rate_at_capacity_propagates_error(self):
         ch = HopChannel.awgn(1.0)
-        nodes = [NodeState(ch, capacity(ch))]
+        nodes = make_nodes([capacity(ch)], [ch])
+        assert nodes[0].local_exponents == (0.0, 0.0)
         with pytest.raises(AllocationError):
             forward_pass(nodes)
 
     def test_accumulators_grow_monotonically(self):
         rng = np.random.default_rng(42)
         hops, rates, _ = random_scenario(rng)
-        nodes = [NodeState(ch, r) for ch, r in zip(hops, rates)]
+        nodes = make_nodes(rates, hops)
         prev = MetricMessage()
         for i, node in enumerate(nodes):
             running = forward_pass(nodes[: i + 1])
@@ -95,8 +90,7 @@ class TestBroadcast:
         frame = balance_step(None, 1.0)
         msg = MetricMessage(frame_rate=functools.reduce(balance_step, [2.0, 1.0], None),
                             frame_rc=frame, frame_sp=frame)
-        nodes = [NodeState(HopChannel.awgn(10.0), 2.0),
-                 NodeState(HopChannel.awgn(5.0), 1.0)]
+        nodes = [NodeState(2.0, (1.0, 1.0)), NodeState(1.0, (1.0, 1.0))]
         constants = compute_and_broadcast(msg, 30, nodes)
         assert constants.ln_m == pytest.approx(20.0, abs=1e-12)
         assert all(n.received_broadcast is constants for n in nodes)
@@ -105,15 +99,15 @@ class TestBroadcast:
         frame = functools.reduce(balance_step, [0.2, 0.1], None)
         msg = MetricMessage(frame_rate=functools.reduce(balance_step, [1.0, 1.0], None),
                             frame_rc=frame, frame_sp=frame)
-        nodes = [NodeState(HopChannel.awgn(10.0), 1.0),
-                 NodeState(HopChannel.awgn(10.0), 1.0)]
+        nodes = [NodeState(1.0, (0.2, 0.2)), NodeState(1.0, (0.1, 0.1))]
         constants = compute_and_broadcast(msg, 1000, nodes)
         assert constants.lambda_r == pytest.approx(-68.738, abs=1e-3)
 
     def test_single_hop_derives_whole_budget(self):
         ch = HopChannel.awgn(4.0)
         rate = 0.5 * capacity(ch)
-        constants, per_node = run_distributed_allocation([ch], [rate], 250)
+        constants, per_node = run_distributed_allocation([rate], exponent_pairs([rate], [ch]),
+                                                         250)
         assert per_node[0]["q_reliability_rc"] == pytest.approx(250.0, rel=1e-12)
         assert per_node[0]["q_info_continuous"] == 250
 
@@ -123,7 +117,7 @@ class TestDistributedEqualsCentralized:
         rng = np.random.default_rng(43)
         for _ in range(100):
             hops, rates, q = random_scenario(rng)
-            constants, per_node = run_distributed_allocation(hops, rates, q)
+            constants, per_node = run_distributed_allocation(rates, exponent_pairs(rates, hops), q)
             exps_rc = [random_coding_exponent(r, ch).exponent
                        for r, ch in zip(rates, hops)]
             exps_sp = [sphere_packing_exponent(r, ch).exponent
@@ -142,45 +136,34 @@ class TestDistributedEqualsCentralized:
                 assert node["q_info_continuous"] == math.floor(ln_m / rates[i])
 
     def test_locality_no_foreign_channel_reads(self):
+        # what a node knows of its channel is its rate and (E_r, E_sp) pair:
+        # spoiling every other node's after the broadcast leaves its blocks as they were
         rng = np.random.default_rng(44)
         hops, rates, q = random_scenario(rng)
-        log: list[int] = []
-        traced = [TracedChannel(ch, log, i) for i, ch in enumerate(hops)]
-        nodes = [NodeState(ch, r) for ch, r in zip(traced, rates)]
-        msg = forward_pass(nodes)
-        compute_and_broadcast(msg, q, nodes)
-        derived = []
-        for i, node in enumerate(nodes):
-            log.clear()
-            derived.append(node.derive_blocks())
-            assert set(log) <= {i}, f"node {i} read non-local channel state"
-        assert len(derived) == len(hops)
+        pairs = exponent_pairs(rates, hops)
+        for i in range(len(hops)):
+            nodes = [NodeState(r, e) for r, e in zip(rates, pairs)]
+            compute_and_broadcast(forward_pass(nodes), q, nodes)
+            derived = nodes[i].derive_blocks()
+            for other in nodes[:i] + nodes[i + 1:]:
+                other.local_rate, other.local_exponents = math.nan, (math.nan, math.nan)
+            assert nodes[i].derive_blocks() == derived, f"node {i} read non-local state"
 
-    def test_each_node_solves_its_exponents_once(self, monkeypatch):
-        calls = []
-
-        def counting(solver):
-            def wrapped(rate, ch):
-                calls.append(solver.__name__)
-                return solver(rate, ch)
-            return wrapped
-
-        monkeypatch.setattr(distproto, "random_coding_exponent",
-                            counting(random_coding_exponent))
-        monkeypatch.setattr(distproto, "sphere_packing_exponent",
-                            counting(sphere_packing_exponent))
-        hops, rates, q = random_scenario(np.random.default_rng(46))
-        run_distributed_allocation(hops, rates, q)
-        assert sorted(calls) == sorted(["random_coding_exponent",
-                                        "sphere_packing_exponent"] * len(hops))
+    def test_lengths_must_agree(self):
+        ch = HopChannel.awgn(10.0)
+        pairs = exponent_pairs([1.0] * 3, [ch] * 3)
+        with pytest.raises(AllocationError, match="2 rates but 3 exponent pairs"):
+            run_distributed_allocation([1.0] * 2, pairs, 300)
+        with pytest.raises(AllocationError, match="3 rates but 2 exponent pairs"):
+            run_distributed_allocation([1.0] * 3, pairs[:2], 300)
 
     def test_derive_needs_forward_pass(self):
-        node = NodeState(HopChannel.awgn(10.0), 1.0)
-        frame = balance_step(None, 1.0)
-        msg = MetricMessage(frame_rate=frame, frame_rc=frame, frame_sp=frame)
-        compute_and_broadcast(msg, 100, [node])
+        # a node derives its blocks from the broadcast that ends the forward pass
+        nodes = make_nodes([1.0], [HopChannel.awgn(10.0)])
         with pytest.raises(AllocationError):
-            node.derive_blocks()
+            nodes[0].derive_blocks()
+        compute_and_broadcast(forward_pass(nodes), 100, nodes)
+        assert nodes[0].derive_blocks()["q_info_continuous"] == 100
 
     def test_message_count(self):
         rng = np.random.default_rng(45)
@@ -189,7 +172,7 @@ class TestDistributedEqualsCentralized:
                     for _ in range(n)]
             rates = [0.5 * capacity(h) for h in hops]
             trace: list[dict] = []
-            nodes = [NodeState(ch, r) for ch, r in zip(hops, rates)]
+            nodes = make_nodes(rates, hops)
             msg = forward_pass(nodes, trace)
             forward_msgs = len(trace)
             compute_and_broadcast(msg, 100 * n, nodes, trace)
@@ -201,7 +184,8 @@ def test_trace_file_is_jsonl(tmp_path):
     hops = [HopChannel.awgn(10.0), HopChannel.awgn(5.0)]
     rates = [0.5 * capacity(h) for h in hops]
     path = tmp_path / "trace.jsonl"
-    _, per_node = run_distributed_allocation(hops, rates, 300, trace_path=str(path))
+    pairs = exponent_pairs(rates, hops)
+    _, per_node = run_distributed_allocation(rates, pairs, 300, trace_path=str(path))
     lines = path.read_text().splitlines()
     assert len(lines) == 3  # 1 forward pass + 2 broadcast deliveries
     first = json.loads(lines[0])
@@ -210,5 +194,5 @@ def test_trace_file_is_jsonl(tmp_path):
     broadcast = json.loads(lines[-1])["broadcast"]
     assert set(broadcast) == {"ln_m", "lambda_r", "lambda_sp", "q_total", "frame_rc", "frame_sp"}
     # the traced frames hold every float exactly: they give each node's share again
-    e_r = random_coding_exponent(rates[1], hops[1]).exponent
-    assert balance_share(e_r, tuple(broadcast["frame_rc"]), 300) == per_node[1]["q_reliability_rc"]
+    assert balance_share(pairs[1][0], tuple(broadcast["frame_rc"]), 300) == \
+        per_node[1]["q_reliability_rc"]

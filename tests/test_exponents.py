@@ -265,6 +265,19 @@ class TestHopExponents:
             rates[int(where * size)] = bad
         self.assert_equals_per_hop_solves(rates, chs, family)
 
+    @pytest.mark.parametrize("ch", [HopChannel.awgn(10.0), HopChannel.bsc(0.05)],
+                             ids=["awgn", "dmc"])
+    @pytest.mark.parametrize("rates,n_hops,rc_len,match", [
+        ([0.3], 2, None, r"rates and hops differ in length \(1 and 2\)"),
+        ([0.3, 0.2], 1, None, r"rates and hops differ in length \(2 and 1\)"),
+        ([0.3, 0.2], 2, 1, r"each column of rc must hold one entry per hop \(2\)")],
+        ids=["fewer_rates", "fewer_hops", "short_rc"])
+    def test_list_lengths_must_agree(self, ch, rates, n_hops, rc_len, match):
+        rc = (None if rc_len is None else
+              [column[:rc_len] for column in hop_exponents([0.3, 0.2], [ch] * 2, "r")])
+        with pytest.raises(ValueError, match=match):
+            hop_exponents(rates, [ch] * n_hops, "r" if rc is None else "sp", rc)
+
     @pytest.mark.parametrize("bad", [{4: 0.0, 50: -1.0}, {50: 0.0, 4: -1.0}, {49: math.nan},
                                      {}])
     def test_mixed_chain_keeps_the_hop_order(self, bad):
