@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 from collections.abc import Iterable
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -48,7 +48,7 @@ REPRODUCE_MC_SEED = 20240101
 # rows of the `exponent` grid solved and written at a time: its memory is bounded
 _GRID_CHUNK = 4096
 
-# the most rates `exponent` sweeps: its time and temporary file grow with them
+# the most rates `exponent` sweeps: its time and output file grow with them
 MAX_RATE_STEPS = 10 ** 7
 # the most Monte Carlo trials `latency` runs: its time grows with them
 MAX_TRIALS = 10 ** 9
@@ -59,8 +59,8 @@ _LN_M_MATERIALIZE_LIMIT = 700.0
 _DOMAIN_ERRORS = (AllocationError, ChannelError, LatencyError, ScenarioError)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _fmt(x) -> str:
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _check_writable(*paths: str | None) -> None:
@@ -75,25 +75,18 @@ def _check_writable(*paths: str | None) -> None:
             os.remove(path)
 
 
+def _write(path: str | None, lines: Iterable[str]) -> None:
+    """Write each line, then a newline, straight to `path` as it comes, or to stdout for None."""
+    with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _write_csv(path: str, header: str, rows: Iterable) -> None:
-    """Stream the rows to an anonymous temporary file, then copy it to `path`."""
-    with tempfile.TemporaryFile("w+", newline="") as tmp:
-        tmp.write(header + "\n")
-        for row in rows:
-            tmp.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                               for v in row) + "\n")
-        tmp.seek(0)
-        with open(path, "w", newline="") as fh:
-            shutil.copyfileobj(tmp, fh)
+    _write(path, itertools.chain([header], (",".join(map(_fmt, row)) for row in rows)))
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(path or None, [json.dumps(payload, indent=2)])
 
 
 def _grid_chunks(start: float, stop: float, num: int):
@@ -118,11 +111,13 @@ def cmd_exponent(args) -> int:
             raise ScenarioError(f"hop index {args.hop} out of range")
         ch = sc.hops[args.hop]
     _check_writable(args.out)
+    grid = functools.partial(_grid_chunks, args.rate_min, args.rate_max, args.rate_steps)
+    if min(args.rate_min, args.rate_max) <= 0:  # the grid is monotone, its ends exact
+        rate = next(r for rates in grid() for r in rates if not r > 0)  # its first rate <= 0
+        (sphere_packing_exponent if rate >= 0 else random_coding_exponent)(rate, ch)  # its error
 
     def rows():
-        for rates in _grid_chunks(args.rate_min, args.rate_max, args.rate_steps):
-            # end the chunk where a rate fails SP, so the first failing row's error wins
-            rates = rates[:next((k for k, r in enumerate(rates) if not r > 0), len(rates)) + 1]
+        for rates in grid():
             hops = [ch] * len(rates)
             rc = hop_exponents(rates, hops, "r")
             yield from zip(rates, *rc, *hop_exponents(rates, hops, "sp", rc))
@@ -257,8 +252,11 @@ def cmd_distributed(args) -> int:
     ev = _evaluate(args, args.out, args.trace)
     # the central results first: a domain error is the table's, as in allocate and latency
     rates, shares_r, shares_sp, ln_m = ev.rates, ev.shares_r, ev.shares_sp, ev.ln_m
+    trace = None if args.trace is None else []
     constants, per_node = run_distributed_allocation(
-        rates, list(zip(ev.exponents_r[0], ev.exponents_sp[0])), ev.scenario.total_q, args.trace)
+        rates, list(zip(ev.exponents_r[0], ev.exponents_sp[0])), ev.scenario.total_q, trace)
+    if trace is not None:
+        _write(args.trace, map(json.dumps, trace))
     matches = constants.ln_m == ln_m and all(
         node["q_reliability_rc"] == share_r and node["q_reliability_sp"] == share_sp
         and node["q_info_continuous"] == math.floor(constants.ln_m / rate)

@@ -7,13 +7,13 @@ exponent frames, after which every node derives its own blocklengths from
 the broadcast and local state only, with `allocation.balance_share`.  The
 central results are the same folds and functions, so both agree bit for bit.
 
-This is an in-process simulation with a deterministic schedule; its point
-is verifying information locality and message complexity, not networking.
+This is an in-process simulation with a deterministic schedule; its point is
+verifying information locality and message complexity, not networking.  Its
+messages can be traced into a list, which the caller writes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -61,8 +61,10 @@ class NodeState:
     def fold_into(self, msg: MetricMessage, hop_index: int) -> None:
         """Add this hop's costs to the message, in place."""
         e_r, e_sp = self.local_exponents
-        if e_r <= 0.0 or e_sp <= 0.0:
-            raise AllocationError(f"hop {hop_index} has zero exponent (rate at/above capacity)")
+        if not all(0.0 < v < math.inf for v in (self.local_rate, e_r, e_sp)):
+            what = "zero exponent (rate at/above capacity)" if 0.0 in (e_r, e_sp) else (
+                f"rate {self.local_rate}, exponents ({e_r}, {e_sp}): not all positive and finite")
+            raise AllocationError(f"hop {hop_index} has {what}")
         msg.frame_rate = balance_step(msg.frame_rate, self.local_rate)
         msg.frame_rc = balance_step(msg.frame_rc, e_r)
         msg.frame_sp = balance_step(msg.frame_sp, e_sp)
@@ -132,11 +134,12 @@ def compute_and_broadcast(final_msg: MetricMessage, q_total: int,
 
 
 def run_distributed_allocation(rates: list[float], exponents: list[tuple[float, float]],
-                               q_total: int, trace_path: str | None = None):
+                               q_total: int, trace: list[dict] | None = None):
     """Full protocol run: forward pass, broadcast, per-node derivation.
 
     Node n holds only rates[n] and exponents[n], its hop's (E_r, E_sp) at that
-    rate as the caller's table solved it once, so the run stays local.
+    rate as the caller's table solved it once, so the run stays local.  Each
+    message is appended to `trace`, if given, as a dict; the caller writes it.
 
     Returns (constants, per_node_blocks) where per_node_blocks is the list
     of each node's locally derived blocklength dict.
@@ -144,12 +147,5 @@ def run_distributed_allocation(rates: list[float], exponents: list[tuple[float, 
     if len(rates) != len(exponents):
         raise AllocationError(f"{len(rates)} rates but {len(exponents)} exponent pairs")
     nodes = [NodeState(r, e) for r, e in zip(rates, exponents)]
-    trace: list[dict] | None = [] if trace_path is not None else None
-    msg = forward_pass(nodes, trace)
-    constants = compute_and_broadcast(msg, q_total, nodes, trace)
-    per_node = [node.derive_blocks() for node in nodes]
-    if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            for rec in trace:
-                fh.write(json.dumps(rec) + "\n")
-    return constants, per_node
+    constants = compute_and_broadcast(forward_pass(nodes, trace), q_total, nodes, trace)
+    return constants, [node.derive_blocks() for node in nodes]

@@ -30,8 +30,8 @@ LAYER_ROWS = [
     "arq.simulate_latencies.fig4_two_hop.ms_per_call",
     *(f"cli.main.{command}.ms_per_call" for command in (
         "reproduce_fig3", "reproduce_fig4", "allocate_awgn_2", "allocate_awgn_400",
-        "allocate_awgn_1000", "latency_awgn_2", "exponent_dmc_8x8_80",
-        "distributed_awgn_1000")),
+        "allocate_awgn_1000", "latency_awgn_2", "exponent_dmc_8x8_80", "exponent_awgn_200",
+        "distributed_awgn_1000_trace", "distributed_awgn_1000")),
     "cli.main.distributed_awgn_1000.share_sum_rel_error",
     "cli.import.cold_ms",
     "cli.import.loads_scipy",

@@ -548,6 +548,36 @@ class TestExponentGrid:
         assert out.read_text() == "kept\n"
         assert os.listdir(tmp_path) == ["sweep.csv"]
 
+    @pytest.mark.parametrize("lo,hi,steps,error", [
+        (-0.5, 0.5, 2 * CHUNK + 1, "rate must be nonnegative, got -0.5"),
+        (0.0, 0.5, 2 * CHUNK + 1, "rate must be positive for sphere packing, got 0.0"),
+        (0.5, -0.5, 3, "rate must be positive for sphere packing, got 0.0")])
+    def test_invalid_grid_leaves_out_untouched(self, tmp_path, capsys, lo, hi, steps, error):
+        # the first row not > 0 gives its solver's error before --out is opened:
+        # RC's below 0, else SP's
+        out = tmp_path / "sweep.csv"
+        out.write_text("kept\n")
+        assert main(["exponent", "--snr-db", "0", f"--rate-min={lo}", f"--rate-max={hi}",
+                     "--rate-steps", str(steps), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == error
+        assert out.read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+
+    def test_outputs_need_no_temporary_file(self, tmp_path, monkeypatch):
+        # every row goes straight to its output file
+        def refuse(*args, **kwargs):
+            raise OSError("no temporary file")
+        for name in ("TemporaryFile", "NamedTemporaryFile", "mkstemp"):
+            monkeypatch.setattr(tempfile, name, refuse)
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--snr-db", "0", "--rate-min", "0.01", "--rate-max", "1",
+                     "--rate-steps", str(self.CHUNK + 1), "--out", str(out)]) == 0
+        assert out.read_text() == linspace_csv(HopChannel.awgn(1.0), 0.01, 1.0, self.CHUNK + 1)
+        out.unlink()
+        assert main(["reproduce", "--figure", "fig3", "--out-dir", str(tmp_path)]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+                } == TestReproduceCommand.PINNED["fig3"]
+
     @pytest.mark.parametrize("steps", [1, 2, CHUNK + 1])
     def test_dmc_scenario_csv_equals_the_linspace_csv(self, tmp_path, monkeypatch, steps):
         # one channel object on every row: each chunk takes one array call per family
@@ -986,12 +1016,16 @@ class TestPeakMemory:
         return peak
 
     # measured: exponent 1.4 and 1.8 MiB (the grid is solved _GRID_CHUNK rates
-    # at a time), latency 3.1 MiB at both (one workspace of _BLOCK trials),
-    # distributed 0.2 and 1.9 MiB (its trace holds a message per hop)
+    # at a time), on a 32x32 DMC 2.4 and 3.3 MiB (its E0 arrays take the rhos in
+    # slices), latency 3.1 MiB at both (one workspace of _BLOCK trials),
+    # distributed 0.2 and 1.9 MiB (its trace holds a message per hop), allocate
+    # on equal BSC hops 0.18 and 1.6 MiB (one array call over every hop)
     @pytest.mark.parametrize("command,small,large,growth", [
         ("exponent", 4096, 40960, 2.0),
         ("latency", 10 ** 3, 10 ** 6, 1.5),
-        ("distributed", 100, 1000, 1.25 * 1000 / 100)])
+        ("distributed", 100, 1000, 1.25 * 1000 / 100),
+        ("exponent_dmc_32x32", 512, 4096, 2.0),
+        ("allocate_equal_bsc", 100, 1000, 1.25 * 1000 / 100)])
     def test_option_does_not_multiply_the_peak(self, tmp_path, command, small, large, growth):
         out = str(tmp_path / "out")
 
@@ -1000,6 +1034,20 @@ class TestPeakMemory:
                 return ["exponent", "--snr-db", "3", "--rate-min", "0.01", "--rate-max", "0.6",
                         "--rate-steps", str(size), "--out", out]
             path = tmp_path / f"{size}.json"
+            if command == "exponent_dmc_32x32":
+                rng = np.random.default_rng(32)
+                ch = HopChannel.dmc(rng.dirichlet(np.full(32, 0.5), size=32),
+                                    rng.dirichlet(np.ones(32)))
+                path.write_text(json.dumps(dict(BASE_DOC, hops=[{
+                    "type": "dmc", "transition": ch.transition.tolist(),
+                    "input_dist": ch.input_dist.tolist()}])))
+                return ["exponent", "--scenario", str(path), f"--rate-min={0.01 * capacity(ch)!r}",
+                        f"--rate-max={0.99 * capacity(ch)!r}", "--rate-steps", str(size),
+                        "--out", out]
+            if command == "allocate_equal_bsc":
+                bsc = {"type": "dmc", "transition": [[0.9, 0.1], [0.1, 0.9]]}
+                path.write_text(json.dumps(dict(BASE_DOC, total_q=1000 * size, hops=[bsc] * size)))
+                return ["allocate", "--scenario", str(path), "--out", out]
             if command == "latency":
                 path.write_text(json.dumps(BASE_DOC))
                 return ["latency", "--scenario", str(path), "--trials", str(size), "--out", out]
@@ -1010,6 +1058,13 @@ class TestPeakMemory:
         assert main(argv(small)) == 0  # the first call's one-time imports and caches
         peak_small, peak_large = self.traced_peak(argv(small)), self.traced_peak(argv(large))
         assert peak_large <= growth * peak_small, (peak_small, peak_large)
+
+    # measured: fig3 0.37 MiB, fig4 4.1 MiB (the Monte Carlo's workspace of _BLOCK trials)
+    @pytest.mark.parametrize("figure,bound_mib", [("fig3", 1.0), ("fig4", 8.0)])
+    def test_reproduce_peak_is_bounded(self, tmp_path, figure, bound_mib):
+        argv = ["reproduce", "--figure", figure, "--out-dir", str(tmp_path)]
+        assert main(argv) == 0  # the first call's one-time imports and caches
+        assert self.traced_peak(argv) <= bound_mib * 2 ** 20
 
 
 class FixedRates(Scenario):

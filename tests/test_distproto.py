@@ -149,6 +149,20 @@ class TestDistributedEqualsCentralized:
                 other.local_rate, other.local_exponents = math.nan, (math.nan, math.nan)
             assert nodes[i].derive_blocks() == derived, f"node {i} read non-local state"
 
+    @pytest.mark.parametrize("place", ["rate", "e_r", "e_sp"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rate_and_exponents_must_be_positive_and_finite(self, place, bad):
+        # the rule allocation._balance_frame applies, with the hop named
+        rates, pairs = [1.0, 0.5], [(0.4, 0.5), (0.2, 0.3)]
+        if place == "rate":
+            rates[1] = bad
+        else:
+            pairs[1] = (bad, 0.3) if place == "e_r" else (0.2, bad)
+        message = ("hop 2 has zero exponent" if bad == 0.0 and place != "rate"
+                   else "hop 2 has rate .*: not all positive and finite")
+        with pytest.raises(AllocationError, match=message):
+            run_distributed_allocation(rates, pairs, 100)
+
     def test_lengths_must_agree(self):
         ch = HopChannel.awgn(10.0)
         pairs = exponent_pairs([1.0] * 3, [ch] * 3)
@@ -180,13 +194,15 @@ class TestDistributedEqualsCentralized:
             assert len(trace) - forward_msgs == n
 
 
-def test_trace_file_is_jsonl(tmp_path):
+def test_trace_file_is_jsonl():
+    # the run appends each message to the caller's list; each is one JSON line
     hops = [HopChannel.awgn(10.0), HopChannel.awgn(5.0)]
     rates = [0.5 * capacity(h) for h in hops]
-    path = tmp_path / "trace.jsonl"
+    trace: list[dict] = []
     pairs = exponent_pairs(rates, hops)
-    _, per_node = run_distributed_allocation(rates, pairs, 300, trace_path=str(path))
-    lines = path.read_text().splitlines()
+    _, per_node = run_distributed_allocation(rates, pairs, 300, trace)
+    lines = [json.dumps(record) for record in trace]
+    assert not any("\n" in line for line in lines)
     assert len(lines) == 3  # 1 forward pass + 2 broadcast deliveries
     first = json.loads(lines[0])
     assert first["from"] == 1 and first["to"] == 2

@@ -170,6 +170,10 @@ def run(row, out: str) -> None:
             ("latency_awgn_2", 20, "latency --scenario {out}/awgn_2 --out {result}"),
             ("exponent_dmc_8x8_80", 20, "exponent --scenario {out}/dmc_8x8 --rate-min {lo!r} "
                                         "--rate-max {hi!r} --rate-steps 80 --out {result}"),
+            ("exponent_awgn_200", 20, "exponent --snr-db 0 --rate-min 0.01 --rate-max 0.69 "
+                                      "--rate-steps 200 --out {result}"),
+            ("distributed_awgn_1000_trace", 5, "distributed --scenario {out}/awgn_1000 "
+                                               "--trace {out}/trace --out {result}"),
             ("distributed_awgn_1000", 5, "distributed --scenario {out}/awgn_1000 --out {result}")):
         timed(f"cli.main.{name}.ms_per_call", calls,
               lambda: partial(_main, command.format(**fields).split()))
