@@ -112,7 +112,7 @@ def cmd_exponent(args) -> int:
         ch = sc.hops[args.hop]
     _check_writable(args.out)
     grid = functools.partial(_grid_chunks, args.rate_min, args.rate_max, args.rate_steps)
-    if min(args.rate_min, args.rate_max) <= 0:  # the grid is monotone, its ends exact
+    if min((args.rate_min, args.rate_max)[:args.rate_steps]) <= 0:  # exact ends, monotone grid
         rate = next(r for rates in grid() for r in rates if not r > 0)  # its first rate <= 0
         (sphere_packing_exponent if rate >= 0 else random_coding_exponent)(rate, ch)  # its error
 

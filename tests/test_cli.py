@@ -520,7 +520,9 @@ class TestExponentGrid:
 
     @pytest.mark.parametrize("lo,hi,steps", [
         (0.01, 1.0, 1), (0.01, 1.0, 2), (0.01, 1.0, CHUNK - 1), (0.01, 1.0, CHUNK),
-        (0.01, 1.0, CHUNK + 1), (0.01, 1.0, 2 * CHUNK + 3), (1.0, 0.01, CHUNK + 1)])
+        (0.01, 1.0, CHUNK + 1), (0.01, 1.0, 2 * CHUNK + 3), (1.0, 0.01, CHUNK + 1),
+        # one row is --rate-min alone, whatever --rate-max is
+        (0.5, 0.0, 1), (0.5, -0.5, 1)])
     def test_csv_equals_the_linspace_csv(self, tmp_path, lo, hi, steps):
         out = tmp_path / "sweep.csv"
         assert main(["exponent", "--snr-db", "0", f"--rate-min={lo}", f"--rate-max={hi}",
@@ -993,6 +995,27 @@ class TestLongChainPins:
         blocks = json.loads(out.read_text())["blocklengths"]
         assert hashlib.sha256(json.dumps(blocks).encode()).hexdigest() == \
             self.BLOCKLENGTHS[chain, family]
+
+
+def test_trace_file_is_jsonl(tmp_path):
+    # distributed --trace writes one JSON line per protocol message
+    path = write_scenario(tmp_path)
+    out, trace = tmp_path / "out.json", tmp_path / "trace.jsonl"
+    assert main(["distributed", "--scenario", path, "--out", str(out),
+                 "--trace", str(trace)]) == 0
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 3  # 1 forward pass + 2 broadcast deliveries
+    first = json.loads(lines[0])
+    assert first["from"] == 1 and first["to"] == 2
+    assert set(first["message"]) == {"frame_rate", "frame_rc", "frame_sp"}
+    broadcast = json.loads(lines[-1])["broadcast"]
+    assert set(broadcast) == {"ln_m", "lambda_r", "lambda_sp", "q_total", "frame_rc", "frame_sp"}
+    # the traced frames hold every float exactly: they give each node's share again
+    sc = load_scenario(path)
+    e_r = exponents.hop_exponents(sc.resolve_rates(), sc.hops, "r")[0][1]
+    per_node = json.loads(out.read_text())["per_node_blocks"]
+    assert allocation.balance_share(e_r, tuple(broadcast["frame_rc"]), sc.total_q) == \
+        per_node[1]["q_reliability_rc"]
 
 
 class TestPeakMemory:

@@ -1,12 +1,11 @@
 import functools
-import json
 import math
 
 import numpy as np
 import pytest
 
 from hopbound.allocation import (AllocationError, balance_lagrange, balance_log_m,
-                                 balance_share, balance_step, info_continuous_log_m,
+                                 balance_step, info_continuous_log_m,
                                  rate_policy_scale, reliability_real_blocks)
 from hopbound.channel import HopChannel, capacity
 from hopbound.distproto import (MetricMessage, NodeState, compute_and_broadcast,
@@ -193,22 +192,3 @@ class TestDistributedEqualsCentralized:
             assert forward_msgs == n - 1
             assert len(trace) - forward_msgs == n
 
-
-def test_trace_file_is_jsonl():
-    # the run appends each message to the caller's list; each is one JSON line
-    hops = [HopChannel.awgn(10.0), HopChannel.awgn(5.0)]
-    rates = [0.5 * capacity(h) for h in hops]
-    trace: list[dict] = []
-    pairs = exponent_pairs(rates, hops)
-    _, per_node = run_distributed_allocation(rates, pairs, 300, trace)
-    lines = [json.dumps(record) for record in trace]
-    assert not any("\n" in line for line in lines)
-    assert len(lines) == 3  # 1 forward pass + 2 broadcast deliveries
-    first = json.loads(lines[0])
-    assert first["from"] == 1 and first["to"] == 2
-    assert set(first["message"]) == {"frame_rate", "frame_rc", "frame_sp"}
-    broadcast = json.loads(lines[-1])["broadcast"]
-    assert set(broadcast) == {"ln_m", "lambda_r", "lambda_sp", "q_total", "frame_rc", "frame_sp"}
-    # the traced frames hold every float exactly: they give each node's share again
-    assert balance_share(pairs[1][0], tuple(broadcast["frame_rc"]), 300) == \
-        per_node[1]["q_reliability_rc"]
