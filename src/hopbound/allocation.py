@@ -59,8 +59,8 @@ def network_capacity(capacities: list[float]) -> float:
     capacity lists: this feeds the `reproduce` grid and `rate_policy_scale`."""
     if not capacities:
         raise AllocationError("need at least one hop")
-    if any(c <= 0 for c in capacities):
-        raise AllocationError("all capacities must be positive")
+    if not all(0 < c < math.inf for c in capacities):
+        raise AllocationError("all capacities must be positive and finite")
     inv_sum = 0.0
     for c in capacities:
         inv_sum += 1.0 / c
@@ -280,8 +280,8 @@ def rate_policy_scale(capacities: list[float], target_rate: float) -> list[float
     R_n = beta * I_n with beta = target / network capacity; requires the
     target not to exceed the network capacity 1/sum(1/I_n).
     """
-    if target_rate <= 0:
-        raise AllocationError("target rate must be positive")
+    if not target_rate > 0:
+        raise AllocationError(f"target rate must be positive, got {target_rate}")
     network = network_capacity(capacities)
     if target_rate > network:
         raise AllocationError(f"target rate {target_rate} exceeds network capacity {network}")

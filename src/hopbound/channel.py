@@ -135,8 +135,8 @@ def e0_awgn(rho, snr: float):
     Accepts a scalar or ndarray rho; returns the same shape.
     """
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ChannelError("rho must be nonnegative")
+    if not np.all((rho >= 0) & (rho < np.inf)):  # NaN fails it too
+        raise ChannelError("rho must be nonnegative and finite")
     if not snr > 0:
         raise ChannelError(f"snr must be positive, got {snr}")
     out = rho * np.log1p(snr / (1.0 + rho))
@@ -153,8 +153,8 @@ def e0_dmc(rho, ch: HopChannel):
     if ch.kind != "dmc":
         raise ChannelError("e0_dmc requires a DMC channel")
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ChannelError("rho must be nonnegative")
+    if not np.all((rho >= 0) & (rho < np.inf)):  # NaN fails it too
+        raise ChannelError("rho must be nonnegative and finite")
     p = ch._reached
 
     def e0_slice(rho):
@@ -187,8 +187,8 @@ def e0(rho, ch: HopChannel):
 def e0_derivative(rho, ch: HopChannel):
     """Analytic dE0/drho (see e0_terms); at rho = 0 the mutual information."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ChannelError("rho must be nonnegative")
+    if not np.all((rho >= 0) & (rho < np.inf)):  # NaN fails it too
+        raise ChannelError("rho must be nonnegative and finite")
     terms = e0_terms(ch)
     out = np.array([terms(r)[1] for r in rho.ravel().tolist()]).reshape(rho.shape)
     return float(out) if rho.ndim == 0 else out

@@ -251,16 +251,15 @@ def cmd_latency(args) -> int:
 def cmd_distributed(args) -> int:
     ev = _evaluate(args, args.out, args.trace)
     # the central results first: a domain error is the table's, as in allocate and latency
-    rates, shares_r, shares_sp, ln_m = ev.rates, ev.shares_r, ev.shares_sp, ev.ln_m
+    shares_r, shares_sp, ln_m = ev.shares_r, ev.shares_sp, ev.ln_m
     trace = None if args.trace is None else []
     constants, per_node = run_distributed_allocation(
-        rates, list(zip(ev.exponents_r[0], ev.exponents_sp[0])), ev.scenario.total_q, trace)
+        ev.rates, list(zip(ev.exponents_r[0], ev.exponents_sp[0])), ev.scenario.total_q, trace)
     if trace is not None:
         _write(args.trace, map(json.dumps, trace))
     matches = constants.ln_m == ln_m and all(
         node["q_reliability_rc"] == share_r and node["q_reliability_sp"] == share_sp
-        and node["q_info_continuous"] == math.floor(constants.ln_m / rate)
-        for node, rate, share_r, share_sp in zip(per_node, rates, shares_r, shares_sp))
+        for node, share_r, share_sp in zip(per_node, shares_r, shares_sp))
     _write_json(args.out, {
         "ln_m": constants.ln_m,
         "lambda_r": constants.lambda_r,

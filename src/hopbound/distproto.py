@@ -1,7 +1,8 @@
 """Distributed computation of allocation constants over the linear chain.
 
-A single metric message walks the chain: each node folds its rate and its
-(E_r, E_sp), which the table solved once, into the frames by `allocation.balance_step`.
+A single metric message, the dict of `allocation.balance_step` frames `frame_rate`,
+`frame_rc` and `frame_sp` (each `None` at first), walks the chain: each node folds its
+rate and its (E_r, E_sp), which the table solved once, into it in place.
 The end node takes ln M from the rate frame and broadcasts it with Q and the
 exponent frames, after which every node derives its own blocklengths from
 the broadcast and local state only, with `allocation.balance_share`.  The
@@ -9,7 +10,8 @@ central results are the same folds and functions, so both agree bit for bit.
 
 This is an in-process simulation with a deterministic schedule; its point is
 verifying information locality and message complexity, not networking.  Its
-messages can be traced into a list, which the caller writes.
+messages can be traced into a list, which the caller writes; a forward message is
+recorded by a shallow copy, exact since a fold makes new frames.
 """
 
 from __future__ import annotations
@@ -21,23 +23,12 @@ from .allocation import (AllocationError, balance_lagrange, balance_log_m, balan
                          balance_step)
 
 __all__ = [
-    "MetricMessage",
     "BroadcastConstants",
     "NodeState",
     "forward_pass",
     "compute_and_broadcast",
     "run_distributed_allocation",
 ]
-
-
-@dataclass
-class MetricMessage:
-    """What the forward pass carries: the rate, RC and SP frames of
-    `balance_step`, over the hops so far."""
-
-    frame_rate: tuple | None = None
-    frame_rc: tuple | None = None
-    frame_sp: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -58,16 +49,16 @@ class NodeState:
     local_exponents: tuple[float, float]
     received_broadcast: BroadcastConstants | None = None
 
-    def fold_into(self, msg: MetricMessage, hop_index: int) -> None:
+    def fold_into(self, msg: dict, hop_index: int) -> None:
         """Add this hop's costs to the message, in place."""
         e_r, e_sp = self.local_exponents
         if not all(0.0 < v < math.inf for v in (self.local_rate, e_r, e_sp)):
             what = "zero exponent (rate at/above capacity)" if 0.0 in (e_r, e_sp) else (
                 f"rate {self.local_rate}, exponents ({e_r}, {e_sp}): not all positive and finite")
             raise AllocationError(f"hop {hop_index} has {what}")
-        msg.frame_rate = balance_step(msg.frame_rate, self.local_rate)
-        msg.frame_rc = balance_step(msg.frame_rc, e_r)
-        msg.frame_sp = balance_step(msg.frame_sp, e_sp)
+        msg["frame_rate"] = balance_step(msg["frame_rate"], self.local_rate)
+        msg["frame_rc"] = balance_step(msg["frame_rc"], e_r)
+        msg["frame_sp"] = balance_step(msg["frame_sp"], e_sp)
 
     def derive_blocks(self) -> dict[str, float]:
         """Per-node blocklengths from the broadcast constants and local state only.
@@ -86,7 +77,7 @@ class NodeState:
         }
 
 
-def forward_pass(nodes: list[NodeState], trace: list[dict] | None = None) -> MetricMessage:
+def forward_pass(nodes: list[NodeState], trace: list[dict] | None = None) -> dict:
     """Walk the chain hop 1 -> N, each node adding its local costs.
 
     The fold is strictly left-to-right so the message is bit-identical to a
@@ -94,7 +85,7 @@ def forward_pass(nodes: list[NodeState], trace: list[dict] | None = None) -> Met
     """
     if not nodes:
         raise AllocationError("need at least one node")
-    msg = MetricMessage()
+    msg = {"frame_rate": None, "frame_rc": None, "frame_sp": None}
     for i, node in enumerate(nodes):
         node.fold_into(msg, i + 1)
         if trace is not None and i + 1 < len(nodes):
@@ -102,23 +93,23 @@ def forward_pass(nodes: list[NodeState], trace: list[dict] | None = None) -> Met
                 "step": len(trace) + 1,
                 "from": i + 1,
                 "to": i + 2,
-                "message": asdict(msg),
+                "message": dict(msg),
             })
     return msg
 
 
-def compute_and_broadcast(final_msg: MetricMessage, q_total: int,
+def compute_and_broadcast(final_msg: dict, q_total: int,
                           nodes: list[NodeState],
                           trace: list[dict] | None = None) -> BroadcastConstants:
     """End node computes ln M, lambda_r, lambda_sp and delivers them, with Q and
     the two exponent frames, to all nodes."""
     constants = BroadcastConstants(
-        ln_m=balance_log_m(final_msg.frame_rate, q_total),
-        lambda_r=balance_lagrange(final_msg.frame_rc, q_total),
-        lambda_sp=balance_lagrange(final_msg.frame_sp, q_total),
+        ln_m=balance_log_m(final_msg["frame_rate"], q_total),
+        lambda_r=balance_lagrange(final_msg["frame_rc"], q_total),
+        lambda_sp=balance_lagrange(final_msg["frame_sp"], q_total),
         q_total=q_total,
-        frame_rc=final_msg.frame_rc,
-        frame_sp=final_msg.frame_sp,
+        frame_rc=final_msg["frame_rc"],
+        frame_sp=final_msg["frame_sp"],
     )
     record = asdict(constants)
     for i, node in enumerate(nodes):

@@ -61,8 +61,8 @@ def stacked_error_bounds(blocks: list[list[int]], e_r: list[list[float]],
     if not len(blocks) == len(e_r) == len(e_sp) or any(
             not len(b) == len(r) == len(sp) for b, r, sp in zip(blocks, e_r, e_sp)):
         raise ValueError("allocation and exponent list lengths differ")
-    if not all(blocks):
-        raise ValueError("need at least one hop")
+    if not all(b and min(b) >= 1 for b in blocks):
+        raise ValueError("need at least one hop, and every block at least 1")
     if not blocks:
         return []
     log_terms = (-np.asarray(blocks, dtype=float)[:, None, :]

@@ -97,6 +97,10 @@ class TestTimeShare:
         with pytest.raises(AllocationError):
             network_capacity([1.0, 0.0])
 
+    def test_rejects_no_hops(self):
+        with pytest.raises(AllocationError, match="need at least one hop"):
+            network_capacity([])
+
 
 class TestReliabilityOptimal:
     def test_two_hop_example(self):
@@ -544,6 +548,22 @@ class TestRatePolicy:
     def test_infeasible_target(self):
         with pytest.raises(AllocationError):
             rate_policy_scale([2.0, 1.0], 0.7)  # network capacity is 2/3
+
+    @pytest.mark.parametrize("target", [0.0, -0.5])
+    def test_rejects_nonpositive_target(self, target):
+        with pytest.raises(AllocationError, match=f"target rate must be positive, got {target}"):
+            rate_policy_scale([2.0, 1.0], target)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: network_capacity([math.inf]), "all capacities must be positive and finite"),
+        (lambda: network_capacity([math.nan, 1.0]), "all capacities must be positive and finite"),
+        (lambda: rate_policy_scale([math.nan], 0.5), "all capacities must be positive and finite"),
+        (lambda: rate_policy_scale([1.0], math.nan), "target rate must be positive, got nan"),
+    ], ids=["inf_capacity", "nan_capacity", "nan_capacity_scaled", "nan_target"])
+    def test_rejects_nan_and_inf(self, call, message):
+        # an infinite capacity has 1 / c = 0, and NaN passes any c <= 0 test
+        with pytest.raises(AllocationError, match=message):
+            call()
 
     def test_scaled_rates_hit_target(self):
         rng = np.random.default_rng(16)

@@ -57,6 +57,10 @@ class TestExpectedLatency:
         with pytest.raises(LatencyError):
             ArqChain([1.0], [10])
 
+    def test_rejects_lengths_that_differ(self):
+        with pytest.raises(ValueError, match="self_loop_probs and costs lengths differ"):
+            ArqChain([0.1], [1, 2])
+
     @pytest.mark.parametrize("cost", [-5, 0, 2.5, 5.0, math.nan, math.inf, True, "7", None])
     def test_rejects_cost_that_is_not_an_integer_of_at_least_one(self, cost):
         with pytest.raises(LatencyError) as err:

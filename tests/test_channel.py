@@ -332,6 +332,33 @@ class TestValidation:
         ch = HopChannel.dmc([[0.8, 0.2], [0.3, 0.7]])
         np.testing.assert_allclose(ch.input_dist, [0.5, 0.5])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: HopChannel(kind="dmc"), "DMC channel requires a transition matrix"),
+        (lambda: HopChannel.dmc([0.5, 0.5]), "transition matrix must be 2-D"),
+        (lambda: HopChannel.dmc(np.full((2, 2, 2), 0.5)), "transition matrix must be 2-D"),
+        (lambda: HopChannel(kind="bec"), "unknown channel kind 'bec'"),
+        (lambda: HopChannel.bsc(1.5), r"crossover must be in \[0, 1\], got 1.5"),
+        (lambda: e0_dmc(-0.1, HopChannel.bsc(0.1)), "rho must be nonnegative"),
+        (lambda: e0_derivative(-0.1, HopChannel.bsc(0.1)), "rho must be nonnegative"),
+    ], ids=["dmc_without_matrix", "matrix_1d", "matrix_3d", "unknown_kind", "bsc_crossover",
+            "e0_dmc_negative_rho", "e0_derivative_negative_rho"])
+    def test_malformed_input_raises_channel_error(self, make, message):
+        with pytest.raises(ChannelError, match=message):
+            make()
+
+    @pytest.mark.parametrize("e0_of", [
+        lambda rho: e0_awgn(rho, 1.0),
+        lambda rho: e0_dmc(rho, HopChannel.bsc(0.1)),
+        lambda rho: e0_derivative(rho, HopChannel.awgn(1.0)),
+        lambda rho: e0_derivative(rho, HopChannel.bsc(0.1)),
+    ], ids=["e0_awgn", "e0_dmc", "e0_derivative_awgn", "e0_derivative_dmc"])
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, [0.5, math.nan]],
+                             ids=["nan", "inf", "array_with_nan"])
+    def test_rho_must_be_finite(self, e0_of, rho):
+        # NaN fails every comparison: a check for rho < 0 alone would pass it to a NaN E0
+        with pytest.raises(ChannelError, match="rho must be nonnegative and finite"):
+            e0_of(rho)
+
 
 def test_e0_dispatch_matches_kind():
     assert e0(1.0, HopChannel.awgn(1.0)) == e0_awgn(1.0, 1.0)

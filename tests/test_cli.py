@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -185,7 +186,9 @@ class TestScenario:
             ("total_q_beyond_doubles", {"total_q": 10 ** 400}),
             ("manual_blocks_fraction", {"total_q": 100, "hops": [{"type": "awgn", "snr_db": 0.0}],
                                         "allocation_method": "manual",
-                                        "manual_blocks": [100.7]}))
+                                        "manual_blocks": [100.7]}),
+            ("manual_blocks_length", {"allocation_method": "manual", "manual_blocks": [1000]}),
+            ("manual_blocks_other_method", {"manual_blocks": [500, 500]}))
     ] + [pytest.param("[1, 2]", id="top_level_array"),
          pytest.param("{not json", id="invalid_json"),
          # a callable content makes the path: nothing there, or a directory
@@ -1252,6 +1255,26 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("suite, oracle, fake, instances, detail, summary", [
+        ("grid", "grid_max_exponent", lambda rate, ch, grid: (-1.0, 0.0), 50,
+         r"grid instance 0: snr=\S+ rate=\S+ rc_err=\S+ sp_err=\S+",
+         r"parametric exponents match dense-grid maximization \(50 instances\)"),
+        ("alloc", "exhaustive_allocation", lambda exps, q: [0] * len(exps), 20,
+         r"alloc instance 0: Q=\d+ E=\[.*\] got \[.*\] expected \[0, 0.*\]",
+         r"greedy integer allocation matches exhaustive enumeration \(20 instances\)"),
+        ("ensemble", "bsc_ensemble_error", lambda q, m, p, trials, seed: (1.0, 0.0), 10,
+         r"ensemble seed 1: mean=1.000000 exceeds bound=\S+ \+ 3\*stderr=0.000000",
+         r"random-coding bound exp\(-Q\*E_r\)=\S+ holds over 10 seeds")])
+    def test_a_disagreeing_oracle_fails_the_suite(self, monkeypatch, capsys, suite, oracle,
+                                                  fake, instances, detail, summary):
+        monkeypatch.setattr(cli, oracle, fake)
+        assert main(["verify", "--suite", suite, "--seed", "1"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == instances + 1
+        assert all(line.startswith(f"FAIL [{suite}] ") for line in lines)
+        assert re.fullmatch(rf"FAIL \[{suite}\] {detail}", lines[0])
+        assert re.fullmatch(rf"FAIL \[{suite}\] {summary}", lines[-1])
 
 
 @pytest.fixture

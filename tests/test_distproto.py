@@ -8,8 +8,8 @@ from hopbound.allocation import (AllocationError, balance_lagrange, balance_log_
                                  balance_step, info_continuous_log_m,
                                  rate_policy_scale, reliability_real_blocks)
 from hopbound.channel import HopChannel, capacity
-from hopbound.distproto import (MetricMessage, NodeState, compute_and_broadcast,
-                                forward_pass, run_distributed_allocation)
+from hopbound.distproto import (NodeState, compute_and_broadcast, forward_pass,
+                                run_distributed_allocation)
 from hopbound.exponents import hop_exponents, random_coding_exponent, sphere_packing_exponent
 
 
@@ -37,27 +37,31 @@ class TestForwardPass:
     def test_single_hop_frames(self):
         nodes = make_nodes([2.0], [HopChannel.awgn(10.0)])
         msg = forward_pass(nodes)
-        assert msg.frame_rate == balance_step(None, 2.0)
-        assert balance_log_m(msg.frame_rate, 1) == 2.0
+        assert msg["frame_rate"] == balance_step(None, 2.0)
+        assert balance_log_m(msg["frame_rate"], 1) == 2.0
         e_r, e_sp = nodes[0].local_exponents
-        assert msg.frame_rc == balance_step(None, e_r)
-        assert msg.frame_sp == balance_step(None, e_sp)
+        assert msg["frame_rc"] == balance_step(None, e_r)
+        assert msg["frame_sp"] == balance_step(None, e_sp)
 
     def test_two_hop_rate_frame_matches_centralized(self):
         hops = [HopChannel.awgn(10.0), HopChannel.awgn(5.0)]
         msg = forward_pass(make_nodes([2.0, 1.0], hops))
         # pivot R_p = 1, W = 1 + 1/2: ln M = Q R_p / W = Q / (1/2 + 1/1)
-        assert msg.frame_rate == (1.0, 0.0, 1.5, 0.5 * math.log(2.0), 1.0)
-        assert balance_log_m(msg.frame_rate, 3) == 2.0
+        assert msg["frame_rate"] == (1.0, 0.0, 1.5, 0.5 * math.log(2.0), 1.0)
+        assert balance_log_m(msg["frame_rate"], 3) == 2.0
 
     def test_accumulators_match_centralized_bit_exactly(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             hops, rates, _ = random_scenario(rng)
             msg = forward_pass(make_nodes(rates, hops))
-            assert msg.frame_rate == functools.reduce(balance_step, rates, None)
+            assert msg["frame_rate"] == functools.reduce(balance_step, rates, None)
             exps_rc = [random_coding_exponent(r, ch).exponent for r, ch in zip(rates, hops)]
-            assert msg.frame_rc == functools.reduce(balance_step, exps_rc, None)
+            assert msg["frame_rc"] == functools.reduce(balance_step, exps_rc, None)
+
+    def test_needs_a_node(self):
+        with pytest.raises(AllocationError, match="need at least one node"):
+            forward_pass([])
 
     def test_rate_at_capacity_propagates_error(self):
         ch = HopChannel.awgn(1.0)
@@ -70,25 +74,26 @@ class TestForwardPass:
         rng = np.random.default_rng(42)
         hops, rates, _ = random_scenario(rng)
         nodes = make_nodes(rates, hops)
-        prev = MetricMessage()
+        prev = {"frame_rate": None, "frame_rc": None, "frame_sp": None}
         for i, node in enumerate(nodes):
             running = forward_pass(nodes[: i + 1])
-            if prev.frame_rc is not None:
+            if prev["frame_rc"] is not None:
                 # 1 / sum(1/R_n) = ln M at Q = 1 falls as hops join
-                assert balance_log_m(running.frame_rate, 1) < balance_log_m(prev.frame_rate, 1)
+                assert (balance_log_m(running["frame_rate"], 1)
+                        < balance_log_m(prev["frame_rate"], 1))
                 # sum(1/E_n) = W / s grows (W itself falls when a new pivot
                 # shrinks the weights); the pivot only falls
-                assert (running.frame_rc[2] / running.frame_rc[4]
-                        >= prev.frame_rc[2] / prev.frame_rc[4])
-                assert running.frame_rc[0] <= prev.frame_rc[0]
+                assert (running["frame_rc"][2] / running["frame_rc"][4]
+                        >= prev["frame_rc"][2] / prev["frame_rc"][4])
+                assert running["frame_rc"][0] <= prev["frame_rc"][0]
             prev = running
 
 
 class TestBroadcast:
     def test_ln_m_matches_info_continuous_example(self):
         frame = balance_step(None, 1.0)
-        msg = MetricMessage(frame_rate=functools.reduce(balance_step, [2.0, 1.0], None),
-                            frame_rc=frame, frame_sp=frame)
+        msg = {"frame_rate": functools.reduce(balance_step, [2.0, 1.0], None),
+               "frame_rc": frame, "frame_sp": frame}
         nodes = [NodeState(2.0, (1.0, 1.0)), NodeState(1.0, (1.0, 1.0))]
         constants = compute_and_broadcast(msg, 30, nodes)
         assert constants.ln_m == pytest.approx(20.0, abs=1e-12)
@@ -96,8 +101,8 @@ class TestBroadcast:
 
     def test_lambda_matches_allocation_example(self):
         frame = functools.reduce(balance_step, [0.2, 0.1], None)
-        msg = MetricMessage(frame_rate=functools.reduce(balance_step, [1.0, 1.0], None),
-                            frame_rc=frame, frame_sp=frame)
+        msg = {"frame_rate": functools.reduce(balance_step, [1.0, 1.0], None),
+               "frame_rc": frame, "frame_sp": frame}
         nodes = [NodeState(1.0, (0.2, 0.2)), NodeState(1.0, (0.1, 0.1))]
         constants = compute_and_broadcast(msg, 1000, nodes)
         assert constants.lambda_r == pytest.approx(-68.738, abs=1e-3)

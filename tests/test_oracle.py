@@ -55,6 +55,8 @@ class TestExhaustiveAllocation:
             exhaustive_allocation([0.1, 0.2], 61)
         with pytest.raises(ValueError):
             exhaustive_allocation([0.1] * 4, 20)
+        with pytest.raises(ValueError, match="budget smaller than hop count"):
+            exhaustive_allocation([0.1, 0.2, 0.3], 2)
 
 
 class TestBscEnsemble:

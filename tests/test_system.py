@@ -109,6 +109,13 @@ class TestSystemBounds:
         with pytest.raises(ValueError, match="at least one hop"):
             system_error_bounds([], [], [])
 
+    @pytest.mark.parametrize("blocks", [[[0]], [[0, 0]], [[2, -1]], [[5], [0]]])
+    def test_block_below_one_rejected(self, blocks):
+        # Q = 0 would divide by zero, and a negative block is no split of Q
+        exps = [[1.0] * len(row) for row in blocks]
+        with pytest.raises(ValueError, match="every block at least 1"):
+            stacked_error_bounds(blocks, exps, exps)
+
 
 @st.composite
 def _log_terms(draw):
