@@ -49,6 +49,9 @@ class Method:
 
 def end_to_end_rate(blocks: list[int], rates: list[float]) -> float:
     """R = (1/Q) min_n Q_n R_n, the bottleneck end-to-end rate."""
+    if not (blocks and len(blocks) == len(rates) and min(blocks) >= 1
+            and all(0 < r < math.inf for r in rates)):  # NaN fails it too
+        raise AllocationError("need one block >= 1 and one positive finite rate per hop")
     return min(b * r for b, r in zip(blocks, rates)) / sum(blocks)
 
 

@@ -372,6 +372,8 @@ def simulate_latencies(chains: list[ArqChain], trials: int,
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if len({len(chain.costs) for chain in chains}) > 1:
         raise ValueError("the chains of one table must have one hop count")
     if not chains:
@@ -379,7 +381,7 @@ def simulate_latencies(chains: list[ArqChain], trials: int,
     if not hasattr(_per_thread, "workspace"):
         _per_thread.workspace = _Workspace()
     ws, size = _per_thread.workspace, min(trials, _BLOCK)
-    streams = _HashStreams(_splitmix64((seed + _GOLDEN) & _MASK64), len(chains[0].costs),
+    streams = _HashStreams(_splitmix64((int(seed) + _GOLDEN) & _MASK64), len(chains[0].costs),
                            size, ws, chains)
     kernels = [_latency_kernel(chain, streams, True) for chain in chains]
     blocks = ([kernel(s, min(s + _BLOCK, trials)) for kernel in kernels]

@@ -28,6 +28,7 @@ __all__ = [
 
 _ATOL_STOCHASTIC = 1e-12
 _SLICE_ELEMENTS = 2 ** 16  # per slice of a DMC pass's (K, S, Y) arrays (`_sliced`)
+_SERIES_U = 1e-4  # u = SNR/(1+rho+SNR) below which an AWGN step's slope is `_series_slope`
 
 
 class ChannelError(ValueError):
@@ -47,7 +48,8 @@ class HopChannel:
     ``dataclasses.replace`` see only the four fields, ``==`` and hash a DMC's
     arrays by shape and bytes): the capacity as a float and, for a DMC, the
     transition matrix without its unreached outputs and its log table, as
-    read-only arrays.  A DMC keeps its matrix and input distribution
+    read-only arrays, and R_inf = -ln max_y sum_x q(x) [p(y|x) > 0], below which
+    E_sp = +inf (0 for AWGN).  A DMC keeps its matrix and input distribution
     read-only too (copies of writeable arrays), so none of them can drift.
     """
 
@@ -58,6 +60,7 @@ class HopChannel:
 
     def __post_init__(self):
         if self.kind == "awgn":
+            object.__setattr__(self, "_r_inf", 0.0)
             if self.snr is None or not 0 < self.snr < math.inf:
                 raise ChannelError(f"AWGN channel requires a finite snr > 0, got {self.snr}")
         elif self.kind == "dmc":
@@ -88,6 +91,7 @@ class HopChannel:
             for name, table in (("_reached", reached), ("_log_reached", log_reached)):
                 table.setflags(write=False)
                 object.__setattr__(self, name, table)
+            object.__setattr__(self, "_r_inf", -math.log1p(-float((q @ (reached == 0)).min())))
         else:
             raise ChannelError(f"unknown channel kind {self.kind!r}")
         object.__setattr__(self, "_capacity", _mutual_information(self))
@@ -137,8 +141,8 @@ def e0_awgn(rho, snr: float):
     rho = np.asarray(rho, dtype=float)
     if not np.all((rho >= 0) & (rho < np.inf)):  # NaN fails it too
         raise ChannelError("rho must be nonnegative and finite")
-    if not snr > 0:
-        raise ChannelError(f"snr must be positive, got {snr}")
+    if not 0 < snr < math.inf:  # NaN fails it too
+        raise ChannelError(f"snr must be positive and finite, got {snr}")
     out = rho * np.log1p(snr / (1.0 + rho))
     return float(out) if out.ndim == 0 else out
 
@@ -159,7 +163,10 @@ def e0_dmc(rho, ch: HopChannel):
 
     def e0_slice(rho):
         r = rho[:, None]  # (K, 1)
-        a = np.einsum("s,ksy->ky", ch.input_dist, p[None, :, :] ** (1.0 / (1.0 + r))[:, :, None])
+        t = 1.0 / (1.0 + r)
+        powered = p ** t[:, :, None]
+        powered[t[:, 0] == 0.5] = np.sqrt(p)  # numpy's path for p ** 0.5, at any K
+        a = np.einsum("s,ksy->ky", ch.input_dist, powered)
         z = (1.0 + r) * np.log(a)
         top = z.max(axis=1)
         return (-(top + np.log(np.exp(z - top[:, None]).sum(axis=1))),)
@@ -199,19 +206,20 @@ def e0_terms(ch: HopChannel):
 
     rho >= 0 is not validated; a DMC's step reads the reached-output matrix
     and its log table that the channel derived once, at construction.  AWGN,
-    with a = 1+rho and b = a+SNR: d2E0/drho2 = -SNR (2b + rho SNR) / (ab)^2,
-    in bounded ratios.  DMC, with
-    t = 1/(1+rho), a_y = sum_x q(x) p(y|x)^t, w(x|y) = q(x) p(y|x)^t / a_y,
-    pi_y proportional to a_y^(1+rho) and g_y = ln a_y - t E_w[ln p | y]
-    (Gallager 1968, sec. 5.6): dE0/drho = -E_pi[g] and
-    d2E0/drho2 = -Var_pi(g) - t^3 E_pi[Var_w(ln p | y)].
+    with a = 1+rho, b = a+SNR and u = SNR/b: d2E0/drho2 = -SNR (2b + rho SNR) / (ab)^2,
+    in bounded ratios, and dE0/drho = ln(1 + SNR/a) - rho u/a, or `_series_slope`
+    where that cancels.  DMC, with t = 1/(1+rho), a_y = sum_x q(x) p(y|x)^t,
+    w(x|y) = q(x) p(y|x)^t / a_y, pi_y proportional to a_y^(1+rho) and
+    g_y = ln a_y - t E_w[ln p | y] (Gallager 1968, sec. 5.6): dE0/drho = -E_pi[g]
+    and d2E0/drho2 = -Var_pi(g) - t^3 E_pi[Var_w(ln p | y)].
     """
     if ch.kind == "awgn":
         def awgn_terms(rho, snr=ch.snr):
             a = 1.0 + rho
             log_term = math.log1p(snr / a)
             u, v = snr / (a + snr), rho / a
-            return rho * log_term, log_term - v * u, -(u / a) * (2.0 / a + v * u)
+            slope = log_term - v * u if u >= _SERIES_U else _series_slope(u, a)
+            return rho * log_term, slope, -(u / a) * (2.0 / a + v * u)
         return awgn_terms
     dmc_terms = e0_dmc_terms(ch)
 
@@ -219,6 +227,11 @@ def e0_terms(ch: HopChannel):
         value, slope, curve = dmc_terms(np.array([rho]))
         return float(value[0]), float(slope[0]), float(curve[0])
     return one_rho
+
+
+def _series_slope(u, a):
+    """An AWGN step's dE0/drho = h(u) + u/a, h(u) = -ln(1-u) - u = sum_{k>=2} u^k/k to u^5."""
+    return u * u * (0.5 + u * (1.0 / 3.0 + u * (0.25 + u * 0.2))) + u / a
 
 
 def e0_dmc_terms(ch: HopChannel):

@@ -1,10 +1,10 @@
 """Random-coding and sphere-packing exponents as functions of rate.
 
 Both exponents maximize -rho*R + E0(rho); the random-coding exponent over
-rho in [0, 1], the sphere-packing exponent over rho > 0.  Since E0 is
-concave in rho, the interior maximizer solves dE0/drho = R; it is found by
-Newton's method on that equation, on Python floats, with every step kept
-inside a bisection bracket.
+rho in [0, 1], the sphere-packing exponent over rho > 0 (+inf below a DMC's
+R_inf).  Since E0 is concave in rho, the interior maximizer solves dE0/drho =
+R; it is found by Newton's method on that equation, on Python floats, with
+every step kept inside a bisection bracket.
 
 `hop_exponents` solves a list of hops.  ARRAY_MIN_HOPS or more AWGN hops, and
 the hops on equal DMC channels, take one array pass: each element takes
@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelError, HopChannel, capacity, e0_derivative, e0_dmc_terms,
-                      e0_terms)
+from .channel import (_SERIES_U, ChannelError, HopChannel, _series_slope, capacity,
+                      e0_derivative, e0_dmc_terms, e0_terms)
 
 __all__ = [
     "Regime",
     "ExponentResult",
-    "RHO_MAX",
     "random_coding_exponent",
     "sphere_packing_exponent",
     "hop_exponents",
@@ -34,22 +33,21 @@ __all__ = [
     "ARRAY_MIN_HOPS",
 ]
 
-# sphere-packing maximizer diverges as R -> 0; cap it and flag the regime
-RHO_MAX = 1e6
-
 # AWGN hops from which one `_array_exponents` call beats per-hop solves: its
 # ~0.25 ms against 3-4 (RC) or 6-8 us (SP) per hop; RC's break-even, SP's is ~50
 ARRAY_MIN_HOPS = 80
 
 # Newton's stopping distance in ulps (of rho for the step, of the rate for the slope)
 _ULPS = 4
+_LAST_END = 2.0 ** 1014  # the last bracket end: past it a DMC step's (1 + rho) ln a_y may overflow
+_OVERFLOW = f"the sphere-packing maximizer rho* exceeds {_LAST_END:.4g}"
 
 
 class Regime:
     PARAMETRIC_INTERIOR = "parametric_interior"
     RHO_CLAMPED_AT_ONE = "rho_clamped_at_one"
     ZERO_ABOVE_CAPACITY = "zero_above_capacity"
-    RHO_CAPPED = "rho_capped"
+    INFINITE_BELOW_R_INF = "infinite_below_r_inf"
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,13 @@ class ExponentResult:
     regime: str
 
 
-def _maximize(rate: float, ch: HopChannel, rho_cap: float,
-              capped_regime: str) -> ExponentResult:
-    """max of E0(rho) - rho*rate over 0 <= rho <= rho_cap, for 0 <= rate.
+def _maximize(rate: float, ch: HopChannel, rho_cap: float) -> ExponentResult:
+    """max of E0(rho) - rho*rate over 0 <= rho <= rho_cap (1 or inf), for 0 <= rate.
 
-    Doubles the bracket from [0, 1] until dE0/drho falls to the rate; a root
-    past rho_cap gives the value at the cap with `capped_regime`.  Then runs
-    Newton on dE0/drho = rate from the bracket's secant point; a step that
-    leaves the bracket is replaced by its midpoint.  Stops when the step or
+    Doubles the bracket from [0, 1] until dE0/drho falls to the rate; a root past
+    rho_cap = 1 clamps there, and a root past _LAST_END raises ChannelError.
+    Then runs Newton on dE0/drho = rate from the bracket's secant point; a step
+    that leaves the bracket is replaced by its midpoint.  Stops when the step or
     the slope error is within a few ulps, or the bracket ends are adjacent.
     """
     rate = float(rate)
@@ -78,8 +75,10 @@ def _maximize(rate: float, ch: HopChannel, rho_cap: float,
     value, slope, curve = terms(hi)
     while slope > rate:
         if hi >= rho_cap:
-            return ExponentResult(value - hi * rate, hi, capped_regime)
-        lo, lo_slope, hi = hi, slope, min(2.0 * hi, rho_cap)
+            return ExponentResult(value - hi * rate, hi, Regime.RHO_CLAMPED_AT_ONE)
+        lo, lo_slope, hi = hi, slope, 2.0 * hi
+        if hi > _LAST_END:
+            raise ChannelError(_OVERFLOW)
         value, slope, curve = terms(hi)
     rho, nxt = hi, lo + (hi - lo) * (lo_slope - rate) / (lo_slope - slope)
     while True:
@@ -108,19 +107,23 @@ def random_coding_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     """
     if not rate >= 0:
         raise ChannelError(f"rate must be nonnegative, got {rate}")
-    return _maximize(rate, ch, 1.0, Regime.RHO_CLAMPED_AT_ONE)
+    return _maximize(rate, ch, 1.0)
 
 
 def sphere_packing_exponent(rate: float, ch: HopChannel) -> ExponentResult:
-    """Sphere-packing exponent E_sp(rate); rho unbounded above.
+    """Sphere-packing exponent E_sp(rate) = sup over rho > 0 of E0(rho) - rho*rate.
 
-    Requires rate > 0 (the maximizer diverges as rate -> 0); if the root
-    exceeds RHO_MAX the value at the cap is returned with regime
-    RHO_CAPPED.
+    Requires rate > 0; +inf below R_inf (`HopChannel`): (inf, inf, infinite_below_r_inf).  At
+    R_inf > 0 the sup, R_inf - ln sum_{y: phi_y max} exp(sum_x q(x) ln p(y|x) / phi_y), phi_y =
+    sum_x q(x) [p(y|x) > 0], is not attained: the solve stops where the float slope does.  Past
+    2**1014 it raises ChannelError.  A DMC's step loses ~eps*rho of its slope: past ~1e7, few
+    digits of its rho* hold, while E_sp keeps ~1e-8.
     """
     if not rate > 0:
         raise ChannelError(f"rate must be positive for sphere packing, got {rate}")
-    return _maximize(rate, ch, RHO_MAX, Regime.RHO_CAPPED)
+    if rate < ch._r_inf:
+        return ExponentResult(math.inf, math.inf, Regime.INFINITE_BELOW_R_INF)
+    return _maximize(rate, ch, math.inf)
 
 
 def _awgn_terms(rho: np.ndarray, snr: np.ndarray):
@@ -130,14 +133,16 @@ def _awgn_terms(rho: np.ndarray, snr: np.ndarray):
     log_term = np.fromiter(map(math.log1p, (snr / a).tolist()), float, rho.size)
     u, v = snr / (a + snr), rho / a
     vu = v * u
-    return rho * log_term, log_term - vu, -(u / a) * (2.0 / a + vu)
+    slope = log_term - vu if u.min(initial=1.0) >= _SERIES_U else np.where(
+        u < _SERIES_U, _series_slope(u, a), log_term - vu)
+    return rho * log_term, slope, -(u / a) * (2.0 / a + vu)
 
 
 # regime codes of `_array_exponents`
-_ABOVE, _CAPPED, _INTERIOR = 0, 1, 2
+_ABOVE, _CLAMPED, _INTERIOR = 0, 1, 2
 
 
-def _array_exponents(rates, caps, params, terms, rho_cap: float, capped_regime: str):
+def _array_exponents(rates, caps, params, terms, rho_cap: float):
     """(exponent, rho_star, regime) arrays of `_maximize` at valid rates on hops
     of capacities `caps`, bit for bit, given terms(rho, par): the step's
     (E0, dE0/drho, d2E0/drho2) arrays, element for element its floats, where
@@ -155,18 +160,19 @@ def _array_exponents(rates, caps, params, terms, rho_cap: float, capped_regime: 
     r, par, lo_slope = rate[idx], np.asarray(params)[idx], cap[idx]
     lo, hi = np.zeros(idx.size), np.ones(idx.size)
     e0, slope, _ = terms(hi, par)
-    # double the bracket until dE0/drho falls to the rate, stopping at the cap
-    up = np.flatnonzero(slope > r)
+    # double the bracket until dE0/drho falls to the rate; `up` shares its end `end`
+    up, end = np.flatnonzero(slope > r), 1.0
     while up.size:
-        at_cap = hi[up] >= rho_cap
-        done = up[at_cap]
-        rho_star[idx[done]], e0_star[idx[done]], code[idx[done]] = hi[done], e0[done], _CAPPED
-        up = up[~at_cap]
-        lo[up], lo_slope[up] = hi[up], slope[up]
-        hi[up] = np.minimum(2.0 * hi[up], rho_cap)
+        if end >= rho_cap:
+            rho_star[idx[up]], e0_star[idx[up]], code[idx[up]] = end, e0[up], _CLAMPED
+            break
+        end *= 2.0
+        if end > _LAST_END:
+            raise ChannelError(_OVERFLOW)
+        lo[up], lo_slope[up], hi[up] = hi[up], slope[up], end
         e0[up], slope[up], _ = terms(hi[up], par[up])
         up = up[slope[up] > r[up]]
-    live = code[idx] != _CAPPED
+    live = code[idx] != _CLAMPED
     idx, r, par, lo, lo_slope, hi, e0, slope = (
         a[live] for a in (idx, r, par, lo, lo_slope, hi, e0, slope))
 
@@ -202,8 +208,8 @@ def _array_exponents(rates, caps, params, terms, rho_cap: float, capped_regime: 
     value = e0_star[solved] - rho_star[solved] * rate[solved]
     exponent = np.zeros(n)
     exponent[solved] = np.where((code[solved] == _INTERIOR) & (0.0 > value), 0.0, value)
-    regimes = np.array([Regime.ZERO_ABOVE_CAPACITY, capped_regime, Regime.PARAMETRIC_INTERIOR],
-                       dtype=object)
+    regimes = np.array([Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CLAMPED_AT_ONE,
+                        Regime.PARAMETRIC_INTERIOR], dtype=object)
     return exponent, rho_star, regimes[code]
 
 
@@ -215,15 +221,13 @@ def hop_exponents(rates, hops, family: str, rc=None) -> list[list]:
     """[exponents, rho_stars, regimes] of `family` ("r" or "sp") of each hop at
     its rate, bit for bit those of `random_coding_exponent` or
     `sphere_packing_exponent` on each hop in hop order, errors included.  A hop
-    whose regime in `rc`, the "r" result on the same hops and rates, is
-    parametric_interior or zero_above_capacity takes that result: there the SP
-    solve makes RC's Newton steps on the same floats (E_sp = E_r, Gallager 1968)."""
-    if family == "r":
-        solve, rho_cap, capped = random_coding_exponent, 1.0, Regime.RHO_CLAMPED_AT_ONE
-    elif family == "sp":
-        solve, rho_cap, capped = sphere_packing_exponent, RHO_MAX, Regime.RHO_CAPPED
-    else:
+    at or above its R_inf whose regime in `rc`, the "r" result on the same hops
+    and rates, is parametric_interior or zero_above_capacity takes that result:
+    there SP makes RC's Newton steps on the same floats (E_sp = E_r, Gallager 1968)."""
+    if family not in ("r", "sp"):
         raise ValueError(f"family must be 'r' or 'sp', got {family!r}")
+    solve, rho_cap = ((random_coding_exponent, 1.0) if family == "r"
+                      else (sphere_packing_exponent, math.inf))
     if len(rates) != len(hops):
         raise ValueError(f"rates and hops differ in length ({len(rates)} and {len(hops)})")
     if rc and any(len(column) != len(hops) for column in rc):
@@ -232,7 +236,11 @@ def hop_exponents(rates, hops, family: str, rc=None) -> list[list]:
         if not (rate > 0 or rate == 0 and family == "r"):
             solve(rate, ch)  # raises the per-hop solver's ChannelError
     out = [list(column) for column in rc] if rc else [[None] * len(rates) for _ in range(3)]
-    todo = [i for i, regime in enumerate(out[2]) if regime not in _SHARED_REGIMES]
+    below = {i for i, ch in enumerate(hops) if rates[i] < ch._r_inf} if family == "sp" else ()
+    for i in below:  # E_sp = +inf below a DMC's R_inf, with no solve
+        out[0][i], out[1][i], out[2][i] = math.inf, math.inf, Regime.INFINITE_BELOW_R_INF
+    todo = [i for i, regime in enumerate(out[2]) if regime not in _SHARED_REGIMES
+            and i not in below]
     by_object, groups = {}, {}
     for i in todo:  # the AWGN hops, and the hops on each DMC channel object
         by_object.setdefault("awgn" if hops[i].kind == "awgn" else id(hops[i]), []).append(i)
@@ -250,7 +258,7 @@ def hop_exponents(rates, hops, family: str, rc=None) -> list[list]:
                 out[0][i], out[1][i], out[2][i] = res.exponent, res.rho_star, res.regime
             continue
         solved = _array_exponents([rates[i] for i in group], [capacity(hops[i]) for i in group],
-                                  params, terms, rho_cap, capped)
+                                  params, terms, rho_cap)
         for column, values in zip(out, solved):
             for i, value in zip(group, values.tolist()):
                 column[i] = value

@@ -39,8 +39,8 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        if not (self.rho_min >= 0 and self.rho_min < self.rho_max and self.step > 0):
-            raise ValueError("need 0 <= rho_min < rho_max and step > 0")
+        if not (0 <= self.rho_min < self.rho_max < math.inf and 0 < self.step < math.inf):
+            raise ValueError("need 0 <= rho_min < rho_max < inf and 0 < step < inf")
 
 
 def grid_max_exponent(rate: float, ch: HopChannel, grid: GridSpec) -> tuple[float, float]:
@@ -48,6 +48,8 @@ def grid_max_exponent(rate: float, ch: HopChannel, grid: GridSpec) -> tuple[floa
 
     Ground truth for the parametric solvers; returns (exponent, argmax rho).
     """
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate}")
     # tiny slack so an endpoint like rho = 1.0 is not lost to fp division
     npts = int(math.floor((grid.rho_max - grid.rho_min) / grid.step + 1e-9)) + 1
     best_val = -math.inf

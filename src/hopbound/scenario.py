@@ -20,8 +20,8 @@ from .allocation import (AllocationError, Method, balanced_blocks, end_to_end_ra
                          info_continuous_log_m, information_continuous_blocks,
                          rate_policy_scale, reliability_real_blocks)
 from .arq import arq_chains, latency_bounds
-from .channel import ChannelError, HopChannel, capacity, snr_db_to_linear
-from .exponents import RHO_MAX, Regime, hop_exponents
+from .channel import HopChannel, capacity, snr_db_to_linear
+from .exponents import hop_exponents
 from .system import stacked_error_bounds
 
 __all__ = ["ScenarioError", "Scenario", "Evaluation", "Row", "load_scenario",
@@ -198,20 +198,11 @@ def _spread(sc: Scenario, exps=None, shares=None) -> float | None:
     return max(balance) - min(balance) if balance else None
 
 
-def _capped(sp: list[list]) -> ChannelError | None:
-    """A ChannelError naming the first hop whose SP solve stopped at RHO_MAX, below E_sp."""
-    if Regime.RHO_CAPPED in sp[2]:
-        return ChannelError(f"hop {sp[2].index(Regime.RHO_CAPPED)}: sphere-packing exponent "
-                            f"capped at rho = {RHO_MAX:g}, below its true value")
-
-
 def _bounds(ev, rows, *inputs):
-    """System bounds, one stacked_error_bounds pass per hop count; none with a capped SP hop."""
+    """System bounds, one stacked_error_bounds pass per hop count."""
     cells, by_hops = {}, {}
     for i, blocks, rc, sp in zip(rows, *inputs):
-        cells[i] = _capped(sp)
-        if cells[i] is None:
-            by_hops.setdefault(len(blocks), []).append((i, blocks, rc[0], sp[0]))
+        by_hops.setdefault(len(blocks), []).append((i, blocks, rc[0], sp[0]))
     for group in by_hops.values():
         index, *table = zip(*group)
         cells.update(zip(index, stacked_error_bounds(*map(list, table))))
@@ -306,6 +297,4 @@ def build_allocation(sc: Scenario, *inputs) -> list[int]:
     if sc.allocation_method == Method.INFO_CONTINUOUS:
         return information_continuous_blocks(inputs[0], sc.total_q, inputs[1])
     exps, shares = inputs
-    if sc.allocation_method == Method.RELIABILITY_OPTIMAL_SP and (capped := _capped(exps)):
-        raise capped
     return balanced_blocks(exps[0], sc.total_q, shares)

@@ -186,6 +186,16 @@ class TestSimulateLatency:
                 run()
         assert simulate_latency(chain, np.int64(3), 1).trials == 3
 
+    @pytest.mark.parametrize("seed", [True, 0.5, 1.0, "1", None])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # a float seed once raised TypeError from the hash's `&`
+        chain = ArqChain([0.1], [10])
+        for run in (lambda: simulate_latency(chain, 10, seed),
+                    lambda: simulate_latencies([chain], 10, seed)):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                run()
+        assert simulate_latency(chain, 10, np.int64(3)).seed == 3
+
 
 # The former full-array Monte Carlo, kept as the oracle of the blocked kernel.
 _REF_GOLDEN = np.uint64(0x9E3779B97F4A7C15)

@@ -22,6 +22,8 @@ LAYER_ROWS = [
     "channel.e0_terms.dmc_3x3.us_per_call",
     *(f"exponents.hop_exponents.{family}_{case}.us_per_call" for family in ("rc", "sp")
       for case in ("awgn_1", "awgn_300", "dmc_3x3_1", "dmc_3x3_80")),
+    "exponents.sphere_packing_exponent.min_rate_awgn_40db.ms_per_call",
+    "exponents.sphere_packing_exponent.min_rate_bsc.ms_per_call",
     *(f"allocation.reliability_optimal_blocks.n_{n}.ms_per_call" for n in (2, 100, 1000)),
     "system.stacked_error_bounds.rows_80.ms_per_call",
     *(f"arq.simulate_latency.{chain}.{metric}" for chain in ("sparse", "dense", "tiny_pe")

@@ -359,6 +359,13 @@ class TestValidation:
         with pytest.raises(ChannelError, match="rho must be nonnegative and finite"):
             e0_of(rho)
 
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    @pytest.mark.parametrize("snr", [math.inf, math.nan, 0.0, -1.0])
+    def test_e0_awgn_needs_a_positive_finite_snr(self, rho, snr):
+        # an infinite SNR once gave E0(1) = inf and, at rho = 0, NaN with a warning
+        with pytest.raises(ChannelError, match="snr must be positive and finite"):
+            e0_awgn(rho, snr)
+
 
 def test_e0_dispatch_matches_kind():
     assert e0(1.0, HopChannel.awgn(1.0)) == e0_awgn(1.0, 1.0)

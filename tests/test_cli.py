@@ -23,7 +23,7 @@ from hopbound import allocation, cli, exponents, scenario
 from hopbound.channel import ChannelError, HopChannel, capacity, snr_db_to_linear
 from hopbound.arq import simulate_latency
 from hopbound.cli import main
-from hopbound.exponents import (ARRAY_MIN_HOPS, RHO_MAX, random_coding_exponent,
+from hopbound.exponents import (ARRAY_MIN_HOPS, random_coding_exponent,
                                 sphere_packing_exponent)
 from hopbound.scenario import Evaluation, Scenario, ScenarioError, load_scenario
 
@@ -1111,10 +1111,10 @@ class TestEvaluationExponentPaths:
         array_calls = []
         solve = exponents._array_exponents
 
-        def counted(rates, caps, params, terms, rho_cap, capped_regime):
+        def counted(rates, caps, params, terms, rho_cap):
             kind = "awgn" if terms is exponents._awgn_terms else "dmc"
-            array_calls.append((len(rates), {1.0: "r", RHO_MAX: "sp"}[rho_cap], kind))
-            return solve(rates, caps, params, terms, rho_cap, capped_regime)
+            array_calls.append((len(rates), {1.0: "r", math.inf: "sp"}[rho_cap], kind))
+            return solve(rates, caps, params, terms, rho_cap)
         monkeypatch.setattr(exponents, "_array_exponents", counted)
         return ev, array_calls
 
@@ -1294,7 +1294,7 @@ def solves(monkeypatch):
     array_solve = exponents._array_exponents
 
     def counted_array(rates, caps, *args):
-        family = {1.0: "rc", RHO_MAX: "sp"}[args[-2]]
+        family = {1.0: "rc", math.inf: "sp"}[args[-1]]
         counts.update((family, cap, rate) for rate, cap in zip(rates, caps))
         return array_solve(rates, caps, *args)
     monkeypatch.setattr(exponents, "_array_exponents", counted_array)
@@ -1353,10 +1353,12 @@ class TestSolveCounts:
 
 # hops shared by the rows of a drawn table: a 0 dB hop (capacity below 1 nat,
 # so beta = 5e-324 gives it a zero rate), a 40 dB hop (at rate 1e-7 its SP
-# solve stops at RHO_MAX) and two DMC hops
+# solve ends at rho* = 2.2e7) and three DMC hops, the last with E_sp = +inf
+# below its R_inf = ln 1.5 (0.68 of its capacity)
 TABLE_HOPS = [HopChannel.awgn(10 ** 0.9), HopChannel.awgn(1.0), HopChannel.awgn(1e4),
               HopChannel.bsc(0.1), HopChannel.dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
-                                                   [0.1, 0.1, 0.8]])]
+                                                   [0.1, 0.1, 0.8]]),
+              HopChannel.dmc([[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])]
 COLUMNS = ["rates", "exponents_r", "exponents_sp", "ln_m", "shares_r", "shares_sp",
            "stationarity_residual", "blocks", "end_to_end_rate", "bounds", "chains", "latency"]
 
@@ -1365,7 +1367,7 @@ COLUMNS = ["rates", "exponents_r", "exponents_sp", "ln_m", "shares_r", "shares_s
 def table_scenarios(draw):
     """A scenario on 1-3 of TABLE_HOPS, some of them invalid: a rate above
     capacity, beta = 2, a zero rate, a target at or above the network capacity,
-    a capped SP exponent."""
+    an infinite SP exponent."""
     hops = [TABLE_HOPS[k] for k in draw(st.lists(st.integers(0, len(TABLE_HOPS) - 1),
                                                  min_size=1, max_size=3))]
     caps = [capacity(ch) for ch in hops]
@@ -1399,7 +1401,7 @@ class TestEvaluationTable:
     @settings(max_examples=40, deadline=None)
     @given(scenarios=st.lists(table_scenarios(), min_size=1, max_size=12),
            order=st.permutations(COLUMNS))
-    @example(scenarios=[  # the second row's capped hop once left an empty bounds group
+    @example(scenarios=[  # a capped hop in the second row once left an empty bounds group
         Scenario(1, TABLE_HOPS[:1], {"mode": "capacity_fraction", "beta": 0.3},
                  "reliability_optimal_rc"),
         Scenario(2, [TABLE_HOPS[0], TABLE_HOPS[2]],
@@ -1427,36 +1429,57 @@ class TestEvaluationTable:
         assert family_totals(solves)[0] == 6 and set(solves.values()) == {1}
 
 
-class TestCappedSpherePacking:
-    """A 40 dB hop at 1e-7 nats, where the SP solve stops at RHO_MAX with
-    E_sp = 9950.22 (9995.53 at rho* = 2.2e7): no bound or SP split takes it."""
+class TestTinyRateSpherePacking:
+    """A 40 dB hop at 1e-7 nats solves to E_sp = 9995.53 at rho* = 2.2e7, which the
+    bounds and the SP split take; a DMC hop below its R_inf has E_sp = +inf, which
+    the bounds take and an SP split or the protocol refuses."""
 
     @staticmethod
-    def scenario(tmp_path, method):
+    def scenario(tmp_path, method, hops=({"type": "awgn", "snr_db": 40.0},), rates=(1e-7,)):
         return write_scenario(tmp_path, f"{method}.json", allocation_method=method,
-                              hops=[{"type": "awgn", "snr_db": 40.0}],
-                              rate_policy={"mode": "explicit", "rates_nats": [1e-7]})
+                              hops=list(hops),
+                              rate_policy={"mode": "explicit", "rates_nats": list(rates)})
 
-    @pytest.mark.parametrize("argv,code", [
-        (["allocate"], 0), (["allocate"], 3), (["latency", "--trials", "100"], 3),
-        (["distributed"], 0)], ids=["allocate_rc", "allocate_sp", "latency", "distributed"])
-    def test_exit_codes(self, tmp_path, capsys, argv, code):
-        method = "reliability_optimal_sp" if code == 3 and argv == ["allocate"] else (
-            "reliability_optimal_rc")
+    @pytest.mark.parametrize("argv,method", [
+        (["allocate"], "reliability_optimal_rc"), (["allocate"], "reliability_optimal_sp"),
+        (["latency", "--trials", "100"], "reliability_optimal_sp"),
+        (["distributed"], "reliability_optimal_rc")],
+        ids=["allocate_rc", "allocate_sp", "latency", "distributed"])
+    def test_exit_codes(self, tmp_path, argv, method):
         out = tmp_path / "out.json"
         assert main([*argv, "--scenario", self.scenario(tmp_path, method),
-                     "--out", str(out)]) == code
-        if code == 3:
-            error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
-            assert error == ("hop 0: sphere-packing exponent capped at rho = 1e+06, "
-                             "below its true value")
-            assert not out.exists()
+                     "--out", str(out)]) == 0
+        assert out.exists()
 
-    def test_exponent_writes_the_capped_row(self, tmp_path):
+    def test_exponent_writes_the_uncapped_row(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["exponent", "--snr-db", "40", "--rate-min", "1e-7", "--rate-max", "1e-7",
                      "--rate-steps", "1", "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[1].endswith(",1000000,rho_capped")
+        assert out.read_text().splitlines()[1].endswith(
+            ",9995.52808356,22356248.7705,parametric_interior")
+
+    @pytest.mark.parametrize("argv,method,code", [
+        (["allocate"], "reliability_optimal_rc", 0), (["allocate"], "reliability_optimal_sp", 3),
+        (["latency", "--trials", "100"], "reliability_optimal_rc", 0),
+        (["distributed"], "reliability_optimal_rc", 3)],
+        ids=["allocate_rc", "allocate_sp", "latency", "distributed"])
+    def test_infinite_exponent_below_r_inf(self, tmp_path, capsys, argv, method, code):
+        hops = [{"type": "dmc", "transition": [[0.8, 0.2, 0], [0, 0.8, 0.2], [0.2, 0, 0.8]]},
+                {"type": "awgn", "snr_db": 3.0}]
+        out = tmp_path / "out.json"
+        assert main([*argv, "--scenario", self.scenario(tmp_path, method, hops, (0.1, 0.2)),
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code == 3:
+            error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+            assert "positive and finite" in error
+
+    def test_exponent_overflow_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--snr-db", "3000", "--rate-min", "1e-300",
+                     "--rate-max", "1e-300", "--rate-steps", "1", "--out", str(out)]) == 3
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert error == "the sphere-packing maximizer rho* exceeds 1.756e+305"
 
 
 class TestInterleavedMain:

@@ -89,11 +89,26 @@ class TestSpherePacking:
         with pytest.raises(ChannelError):
             sphere_packing_exponent(-1.0, SNR1)
 
-    def test_rho_cap_for_tiny_rates(self):
+    def test_tiny_rates_are_not_capped(self):
         res = sphere_packing_exponent(1e-15, SNR1)
-        assert res.regime == Regime.RHO_CAPPED
-        assert res.rho_star == 1e6
-        assert math.isfinite(res.exponent)
+        assert res.regime == Regime.PARAMETRIC_INTERIOR
+        assert res.rho_star > 1e6
+        assert e0_derivative(res.rho_star, SNR1) == pytest.approx(1e-15, rel=1e-9)
+        assert 0.0 < res.exponent < SNR1.snr  # E0(rho) -> snr as rho -> inf
+
+    def test_forty_db_at_1e_7(self):
+        res = sphere_packing_exponent(1e-7, HopChannel.awgn(1e4))
+        assert res.exponent == pytest.approx(9995.52808356, rel=1e-11)
+        assert res.rho_star == pytest.approx(2.2356248770e7, rel=1e-9)
+        assert res.regime == Regime.PARAMETRIC_INTERIOR
+
+    def test_a_root_past_the_last_bracket_end_raises(self):
+        # rho* ~ 1e450 at SNR 1e300 and 1e-300 nats, on the scalar and the array path
+        ch = HopChannel.awgn(1e300)
+        with pytest.raises(ChannelError, match=r"rho\* exceeds 1.756e\+305"):
+            sphere_packing_exponent(1e-300, ch)
+        with pytest.raises(ChannelError, match=r"rho\* exceeds 1.756e\+305"):
+            hop_exponents([1e-300] * ARRAY_MIN_HOPS, [ch] * ARRAY_MIN_HOPS, "sp")
 
     def test_zero_at_capacity(self):
         res = sphere_packing_exponent(math.log(2.0), SNR1)
@@ -301,7 +316,14 @@ class TestHopExponents:
         assert self.assert_equals_per_hop_solves(rates, chs, "r") == {
             Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CLAMPED_AT_ONE, Regime.PARAMETRIC_INTERIOR}
         assert self.assert_equals_per_hop_solves(rates, chs, "sp") == {
-            Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CAPPED, Regime.PARAMETRIC_INTERIOR}
+            Regime.ZERO_ABOVE_CAPACITY, Regime.PARAMETRIC_INTERIOR}
+        # E_sp = +inf below a DMC's R_inf = ln 1.5 (capacity 0.598)
+        chs = [HopChannel.dmc([[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])] * 4
+        rates = [0.1, 0.5, 0.59, 0.6]
+        assert self.assert_equals_per_hop_solves(rates, chs, "r") == {
+            Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CLAMPED_AT_ONE, Regime.PARAMETRIC_INTERIOR}
+        assert self.assert_equals_per_hop_solves(rates, chs, "sp") == {
+            Regime.ZERO_ABOVE_CAPACITY, Regime.INFINITE_BELOW_R_INF, Regime.PARAMETRIC_INTERIOR}
 
     def test_empty_batch(self):
         assert hop_exponents([], [], "sp") == [[], [], []]
@@ -311,12 +333,10 @@ class TestHopExponents:
             hop_exponents([0.1], [SNR1], "rc")
 
 
-@st.composite
-def _dmcs(draw):
-    """DMCs of 2x2 to 8x8 with zero entries, outputs no input reaches and
-    non-uniform inputs, some of which are never sent."""
-    inputs, outputs = draw(st.integers(2, 8)), draw(st.integers(2, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def _random_dmc(inputs: int, outputs: int, seed: int) -> HopChannel:
+    """A DMC with zero entries, outputs no input reaches and non-uniform
+    inputs, some of which are never sent."""
+    rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.full(outputs, 0.5), size=inputs)
     p[rng.random(p.shape) < 0.3] = 0.0
     p[:, rng.random(outputs) < 0.2] = 0.0
@@ -327,11 +347,21 @@ def _dmcs(draw):
     return HopChannel.dmc(p / p.sum(axis=1, keepdims=True), q / q.sum())
 
 
+@st.composite
+def _dmcs(draw):
+    """`_random_dmc`s of 2x2 to 8x8."""
+    return _random_dmc(draw(st.integers(2, 8)), draw(st.integers(2, 8)),
+                       draw(st.integers(0, 2 ** 32 - 1)))
+
+
 def _dmc_rates(ch, fractions):
     """0, tiny rates, R_crit and its neighbouring doubles, C and its lower
-    neighbour, 1.01 C and fractions of C."""
-    cap = capacity(ch)
-    return _pair_rates(ch, fractions) + [5e-324, 1e-300, 1e-9 * cap, math.nextafter(cap, 0.0)]
+    neighbour, 1.01 C, fractions of C and, if it is positive, R_inf, its
+    neighbouring doubles and R_inf (1 + 1e-12)."""
+    cap, r_inf = capacity(ch), ch._r_inf
+    return _pair_rates(ch, fractions) + [5e-324, 1e-300, 1e-9 * cap, math.nextafter(cap, 0.0)] + (
+        [math.nextafter(r_inf, 0.0), r_inf, math.nextafter(r_inf, 1.0), r_inf * (1 + 1e-12)]
+        if r_inf else [])
 
 
 def _dmc_step(ch, rho: float):
@@ -375,6 +405,8 @@ class TestDmcArrayPath:
     @settings(max_examples=40, deadline=None)
     @given(ch=_dmcs(), step=st.integers(1, 5), slices=st.integers(1, 4),
            rhos=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8))
+    # e0_dmc once took numpy's sqrt path for p ** 0.5 on a one-rho slice only
+    @example(ch=_random_dmc(4, 6, 71), step=1, slices=2, rhos=[1.0])
     def test_slices_change_no_bit(self, ch, step, slices, rhos):
         # `step` rhos a slice, `slices` full slices and a last slice of one rho
         rho = np.resize(np.array(rhos), step * slices + 1)
@@ -544,19 +576,21 @@ def test_solver_terminates_at_extreme_rates(kind, rate):
                for v in (e_rc, rho_rc, e_sp, rho_sp))
     assert float(e_sp) >= float(e_rc)
     if rate == "tiny":
-        assert (regime_rc, regime_sp) == (Regime.RHO_CLAMPED_AT_ONE, Regime.RHO_CAPPED)
+        assert (regime_rc, regime_sp) == (Regime.RHO_CLAMPED_AT_ONE, Regime.PARAMETRIC_INTERIOR)
     if rate == "near_capacity":
         assert regime_rc == regime_sp == Regime.PARAMETRIC_INTERIOR
         assert float(rho_rc) < 1e-12
 
 
 def _mp_awgn_maximizer(rate: float, snr: float):
-    """(E, rho*) for an AWGN hop by a 60-digit bisection on dE0/drho = rate."""
+    """(E, rho*) for an AWGN hop by bisection on dE0/drho = rate, on 60 digits and
+    the slope on 40 more than log10(1 + rho): its difference cancels about that many."""
     with mpmath.workdps(60):
         s, r = mpmath.mpf(snr), mpmath.mpf(rate)
 
         def slope(rho):
-            return mpmath.log1p(s / (1 + rho)) - rho * s / ((1 + rho) * (1 + rho + s))
+            with mpmath.workdps(40 + int(mpmath.log10(1 + rho))):
+                return mpmath.log1p(s / (1 + rho)) - rho * s / ((1 + rho) * (1 + rho + s))
         lo, hi = mpmath.mpf(0), mpmath.mpf(1)
         while slope(hi) > r:
             lo, hi = hi, 2 * hi
@@ -571,24 +605,29 @@ def _mp_awgn_maximizer(rate: float, snr: float):
 
 
 class TestAwgnMpmathReference:
-    """Interior solves against 60-digit references at the same double rate.
+    """Interior solves against references at the same double rate, from 1e-300
+    nats, where rho* reaches 7e153, to 1 - 1e-9 of capacity.
 
     At 1 - 1e-9 of capacity E0(rho*) - rho* R cancels about 10 digits in
     double arithmetic, so only 1e-6 (E) and 1e-5 (rho*) are attainable there.
     """
 
-    @pytest.mark.parametrize("solver,fraction,tol_e,tol_rho", [
-        pytest.param(solver, fraction, tol_e, tol_rho, id=f"{name}-{fraction:.9g}")
+    @pytest.mark.parametrize("solver,rate_of,tol_e,tol_rho", [
+        pytest.param(solver, lambda cap, f=fraction: f * cap, tol_e, tol_rho,
+                     id=f"{name}-{fraction:.9g}")
         for fraction, tol_e, tol_rho in [(1e-5, 1e-12, 1e-12), (1e-3, 1e-12, 1e-12),
                                          (0.5, 1e-12, 1e-12), (1 - 1e-9, 1e-6, 1e-5)]
         for name, solver in [("rc", random_coding_exponent), ("sp", sphere_packing_exponent)]
         # the random-coding maximizer is clamped at rho = 1 at the two low rates
-        if name == "sp" or fraction >= 0.5])
-    def test_matches_mpmath(self, solver, fraction, tol_e, tol_rho):
+        if name == "sp" or fraction >= 0.5] + [
+        # rates in nats, where RC is clamped at every SNR
+        pytest.param(sphere_packing_exponent, lambda cap, r=rate: r, 1e-12, 1e-9,
+                     id=f"sp-{rate:g}-nats") for rate in (1e-300, 1e-100, 1e-40, 1e-16, 1e-7)])
+    def test_matches_mpmath(self, solver, rate_of, tol_e, tol_rho):
         checked = 0
         for snr_db in range(-10, 45, 5):
             ch = HopChannel.awgn(10.0 ** (snr_db / 10.0))
-            rate = fraction * capacity(ch)
+            rate = rate_of(capacity(ch))
             res = solver(rate, ch)
             if res.regime != Regime.PARAMETRIC_INTERIOR:
                 continue
@@ -597,6 +636,106 @@ class TestAwgnMpmathReference:
             assert abs(res.rho_star - rho_ref) <= tol_rho * rho_ref, (snr_db, res)
             checked += 1
         assert checked > 0
+
+
+# R_inf = ln 1.5, 0.68 of the capacity; and R_inf = C = ln 2
+SPARSE3 = HopChannel.dmc([[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])
+TWO_OF_FOUR = HopChannel.dmc([[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0],
+                              [0.0, 0.0, 0.5, 0.5], [0.5, 0.0, 0.0, 0.5]])
+
+
+def _mp_dmc(ch):
+    """(q(x), p(.|x)) of the sent inputs and the reached outputs, as 80-digit numbers."""
+    with mpmath.workdps(80):
+        rows = [(mpmath.mpf(qx), [mpmath.mpf(v) for v in row])
+                for qx, row in zip(ch.input_dist.tolist(), ch.transition.tolist()) if qx > 0]
+    outputs = [y for y in range(ch.transition.shape[1]) if any(row[y] > 0 for _, row in rows)]
+    return rows, outputs
+
+
+def _mp_dmc_maximizer(rate: float, ch: HopChannel):
+    """(E, rho*) for a DMC hop by an 80-digit bisection on dE0/drho = rate, with
+    dE0/drho = -E_pi[ln a_y - t E_w[ln p | y]] (`e0_terms`)."""
+    rows, outputs = _mp_dmc(ch)
+    with mpmath.workdps(80):
+        r = mpmath.mpf(rate)
+
+        def e0_slope(rho):
+            t, a, g = 1 / (1 + rho), [], []
+            for y in outputs:
+                terms = [(qx * row[y] ** t, mpmath.log(row[y])) for qx, row in rows if row[y] > 0]
+                a.append(mpmath.fsum(w for w, _ in terms))
+                g.append(mpmath.log(a[-1]) - t * mpmath.fsum(w * lp for w, lp in terms) / a[-1])
+            z = [(1 + rho) * mpmath.log(a_y) for a_y in a]
+            e = [mpmath.exp(z_y - max(z)) for z_y in z]
+            return (-(max(z) + mpmath.log(mpmath.fsum(e))),
+                    -mpmath.fsum(e_y * g_y for e_y, g_y in zip(e, g)) / mpmath.fsum(e))
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while e0_slope(hi)[1] > r:
+            lo, hi = hi, 2 * hi
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if e0_slope(mid)[1] > r else (lo, mid)
+        rho = (lo + hi) / 2
+        return e0_slope(rho)[0] - rho * r, rho
+
+
+def _mp_sup_at_r_inf(ch: HopChannel):
+    """sup of E0(rho) - rho R_inf: R_inf - ln sum over the outputs y of largest
+    phi_y = sum_x q(x) [p(y|x) > 0] of exp(sum_x q(x) ln p(y|x) / phi_y)."""
+    rows, outputs = _mp_dmc(ch)
+    with mpmath.workdps(80):
+        phi = {y: mpmath.fsum(qx for qx, row in rows if row[y] > 0) for y in outputs}
+        top = max(phi.values())
+        return -mpmath.log(top) - mpmath.log(mpmath.fsum(
+            mpmath.exp(mpmath.fsum(qx * mpmath.log(row[y]) for qx, row in rows if row[y] > 0)
+                       / top) for y in outputs if phi[y] == top))
+
+
+class TestDmcMpmathReference:
+    """The sphere-packing exponent of DMCs whose every output some input misses:
+    +inf below R_inf, and finite, against 80-digit references, above it."""
+
+    def test_r_inf(self):
+        assert SPARSE3._r_inf == pytest.approx(math.log(1.5), rel=1e-15)
+        assert TWO_OF_FOUR._r_inf == pytest.approx(math.log(2.0), rel=1e-15)
+        assert HopChannel.bsc(0.1)._r_inf == HopChannel.awgn(1.0)._r_inf == 0.0
+
+    @pytest.mark.parametrize("ch,rates", [
+        (SPARSE3, [1e-300, 0.1, math.nextafter(math.log(1.5), 0.0)]),
+        (TWO_OF_FOUR, [1e-300, 0.3, math.nextafter(capacity(TWO_OF_FOUR), 0.0)])],
+        ids=["sparse3", "two_of_four"])
+    def test_infinite_below_r_inf(self, ch, rates):
+        for rate in rates:
+            assert sphere_packing_exponent(rate, ch) == ExponentResult(
+                math.inf, math.inf, Regime.INFINITE_BELOW_R_INF)
+        TestHopExponents.assert_equals_per_hop_solves(rates, [ch] * len(rates), "sp")
+        assert sphere_packing_exponent(capacity(ch), ch).regime == Regime.ZERO_ABOVE_CAPACITY
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_mpmath_above_r_inf(self, k):
+        rate = SPARSE3._r_inf * (1 + 10.0 ** -k)
+        res = sphere_packing_exponent(rate, SPARSE3)
+        e_ref, rho_ref = _mp_dmc_maximizer(rate, SPARSE3)
+        assert res.regime == Regime.PARAMETRIC_INTERIOR
+        assert abs(res.exponent - e_ref) <= 1e-9 * e_ref, (res, e_ref)
+        assert abs(res.rho_star - rho_ref) <= 1e-3 * rho_ref, (res, rho_ref)
+
+    def test_value_at_r_inf(self):
+        # the supremum, ln 1.25 = 0.22314355..., is approached as rho -> inf; the
+        # solve stops where the float slope reaches R_inf, at rho* = 8.1e8, with
+        # E0 - rho R = 0.2231435776, as E0 ~ 3e8 leaves ~eps * 3e8 of its difference
+        res = sphere_packing_exponent(SPARSE3._r_inf, SPARSE3)
+        assert float(_mp_sup_at_r_inf(SPARSE3)) == pytest.approx(math.log(1.25), rel=1e-15)
+        assert res.regime == Regime.PARAMETRIC_INTERIOR
+        assert res.exponent == pytest.approx(math.log(1.25), abs=1e-7)
+
+    @pytest.mark.parametrize("rate", [1e-20, 1e-100, 5e-324])
+    def test_bsc_at_vanishing_rates(self, rate):
+        # E_sp(0+) = -ln 2 - ln(p(1 - p)) / 2 on BSC(p) with a uniform input
+        res = sphere_packing_exponent(rate, HopChannel.bsc(0.1))
+        assert res.regime == Regime.PARAMETRIC_INTERIOR
+        assert abs(res.exponent - (-math.log(2.0) - 0.5 * math.log(0.1 * 0.9))) <= 1e-7
 
 
 class TestCriticalRate:

@@ -34,6 +34,18 @@ class TestGridMax:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("spec", [(0.0, 1.0, math.inf), (0.0, 1.0, math.nan),
+                                      (0.0, math.inf, 1e-3), (math.nan, 1.0, 1e-3),
+                                      (0.0, math.nan, 1e-3)])
+    def test_non_finite_grid_rejected(self, spec):
+        with pytest.raises(ValueError, match="rho_min < rho_max < inf"):
+            GridSpec(*spec)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate must be finite"):
+            grid_max_exponent(rate, SNR1, GridSpec(0.0, 1.0, 1e-3))
+
 
 class TestExhaustiveAllocation:
     def test_known_optimum(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from hopbound.allocation import end_to_end_rate, rate_policy_scale
+from hopbound.allocation import AllocationError, end_to_end_rate, rate_policy_scale
 from hopbound.channel import HopChannel, capacity
 from hopbound.exponents import random_coding_exponent, sphere_packing_exponent
 from hopbound.system import _logsumexp, stacked_error_bounds, system_error_bounds
@@ -116,6 +116,17 @@ class TestSystemBounds:
         with pytest.raises(ValueError, match="every block at least 1"):
             stacked_error_bounds(blocks, exps, exps)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -1.0, -5e-324])
+    @pytest.mark.parametrize("family", ["e_r", "e_sp"])
+    def test_nan_or_negative_exponent_rejected(self, bad, family):
+        # a NaN once gave pe_upper NaN, and -inf pe_upper inf; +inf stays legal
+        exps = {"e_r": [1.0, 1.0], "e_sp": [1.0, 1.0]}
+        exps[family] = [bad, 1.0]
+        with pytest.raises(ValueError, match="exponents >= 0"):
+            system_error_bounds([1, 1], **exps)
+        exps[family] = [math.inf, 1.0]
+        assert system_error_bounds([1, 1], **exps).degenerate_hops == []
+
 
 @st.composite
 def _log_terms(draw):
@@ -167,16 +178,16 @@ class TestLogSumExp:
 
 
 @st.composite
-def _stacked_families(draw, n=None):
+def _stacked_families(draw, n=None, twists=("none", "inf", "-inf", "nan", "0.0", "ties")):
     """(blocks, e_r, e_sp) on n hops (1 to 1000 if None); one family, chosen
     at random, may hold +-inf, nan or zero exponents or exponents tied at the
-    largest term."""
+    largest term, as `twists` allows."""
     n = draw(st.integers(1, 1000)) if n is None else n
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     blocks = rng.integers(1, 10 ** 6, n).tolist()
     families = [(10.0 ** rng.uniform(-6.0, 1.5, n)).tolist() for _ in range(2)]
     odd = families[draw(st.integers(0, 1))]
-    twist = draw(st.sampled_from(["none", "inf", "-inf", "nan", "0.0", "ties"]))
+    twist = draw(st.sampled_from(twists))
     if twist == "ties":
         # equal products Q_n E_n, the largest log-term, on up to all hops
         for i in rng.choice(n, draw(st.integers(1, n)), replace=False):
@@ -187,11 +198,15 @@ def _stacked_families(draw, n=None):
     return blocks, *families
 
 
+# the exponents the bounds take: +inf (E_sp below a DMC's R_inf) and 0, not -inf or nan
+_BOUND_TWISTS = ("none", "inf", "0.0", "ties")
+
+
 class TestStackedBounds:
     """One 2 x N log-sum-exp pass gives each family's scipy result."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=_stacked_families())
+    @given(case=_stacked_families(twists=_BOUND_TWISTS))
     def test_each_family_equals_scipy(self, case):
         blocks, e_r, e_sp = case
         bounds = system_error_bounds(blocks, e_r, e_sp)
@@ -225,6 +240,16 @@ class TestEndToEndRate:
     def test_min_selects_weakest(self):
         assert end_to_end_rate([500, 500], [1.0, 2.0]) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("blocks,rates", [
+        ([], []), ([10], []), ([10, 20], [1.0]), ([-1, 1], [1.0, 1.0]), ([0], [1.0]),
+        ([10], [math.nan]), ([10], [math.inf]), ([10], [0.0]), ([10, 20], [1.0, -1.0])],
+        ids=["empty", "no_rates", "fewer_rates", "negative_block", "zero_block", "nan_rate",
+             "inf_rate", "zero_rate", "negative_rate"])
+    def test_malformed_input_raises_allocation_error(self, blocks, rates):
+        # these raised ZeroDivisionError or a bare min() error, or returned NaN
+        with pytest.raises(AllocationError, match="one positive finite rate per hop"):
+            end_to_end_rate(blocks, rates)
+
 
 def _hexed(bounds):
     """Every field of a SystemBounds, floats by their hex form."""
@@ -239,7 +264,7 @@ class TestTableBounds:
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(1, 60).flatmap(
-        lambda n: st.lists(_stacked_families(n), min_size=1, max_size=12)))
+        lambda n: st.lists(_stacked_families(n, _BOUND_TWISTS), min_size=1, max_size=12)))
     def test_rows_equal_per_row_bounds(self, rows):
         blocks, e_r, e_sp = (list(col) for col in zip(*rows))
         stacked = stacked_error_bounds(blocks, e_r, e_sp)
@@ -250,11 +275,12 @@ class TestTableBounds:
     def test_fallback_and_degenerate_rows_next_to_finite_ones(self):
         rows = [([10, 20], [0.5, 0.25], [0.6, 0.3]),
                 ([10, 20], [math.inf, math.inf], [0.6, 0.3]),  # every term -inf
-                ([10, 20], [-math.inf, 0.25], [0.6, 0.3]),  # a +inf term
+                ([10, 20], [0.5, 0.25], [math.inf, math.inf]),  # E_sp = +inf below R_inf
                 ([10, 20], [0.0, 0.25], [0.6, 0.0])]  # degenerate hops
         stacked = stacked_error_bounds(*(list(col) for col in zip(*rows)))
-        assert [b.degenerate_hops for b in stacked] == [[], [], [0], [0, 1]]
-        assert stacked[1].pe_upper == 0.0 and stacked[2].pe_upper == math.inf
+        assert [b.degenerate_hops for b in stacked] == [[], [], [], [0, 1]]
+        assert stacked[1].pe_upper == 0.0
+        assert (stacked[2].pe_lower, stacked[2].esys_upper) == (0.0, math.inf)
         for got, row in zip(stacked, rows):
             assert _hexed(got) == _hexed(system_error_bounds(*row))
 

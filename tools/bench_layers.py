@@ -139,6 +139,11 @@ def run(row, out: str) -> None:
                                   ("dmc_3x3_1", [dmc], 100), ("dmc_3x3_80", [dmc] * 80, 30)):
             timed(f"exponents.hop_exponents.{label}_{name}.us_per_call", calls,
                   lambda: _solve(hops, family))
+    # at the least positive rate: ~550 AWGN steps to rho* = 3e165, ~80 BSC steps to 2.7e8
+    for name, ch, calls in (("awgn_40db", channel.HopChannel.awgn(1e4), 50),
+                            ("bsc", channel.HopChannel.bsc(0.1), 10)):
+        timed(f"exponents.sphere_packing_exponent.min_rate_{name}.ms_per_call", calls,
+              lambda: partial(exponents.sphere_packing_exponent, 5e-324, ch))
     for n, calls in ((2, 200), (100, 50), (1000, 20)):
         timed(f"allocation.reliability_optimal_blocks.n_{n}.ms_per_call", calls, lambda: partial(
             allocation.reliability_optimal_blocks, _solve(awgn[:n], "r")()[0], 1000 * n))
