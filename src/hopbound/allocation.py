@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import numbers
 
 __all__ = [
     "AllocationError",
@@ -154,6 +155,13 @@ def balance_log_m(frame: tuple, q_total: int) -> float:
     return q_total / weight * scaled
 
 
+def _check_budget(q_total) -> None:
+    """AllocationError unless Q is an integer in [1, 2**53] and not a bool, as total_q."""
+    if isinstance(q_total, bool) or not (isinstance(q_total, numbers.Integral)
+                                         and 1 <= q_total <= 2 ** 53):
+        raise AllocationError(f"budget must be an integer in [1, 2**53], got {q_total!r}")
+
+
 def _balance_frame(values: list[float], what: str) -> tuple:
     if not values or not all(0 < v < math.inf for v in values):
         raise AllocationError(f"need one or more {what}, all positive and finite")
@@ -162,6 +170,7 @@ def _balance_frame(values: list[float], what: str) -> tuple:
 
 def reliability_real_blocks(exponents: list[float], q_total: int) -> list[float]:
     """Real-valued error-balancing optimum: Q_n*E_n - ln(E_n) is the same on every hop."""
+    _check_budget(q_total)
     frame = _balance_frame(exponents, "exponents (rates below capacity)")
     return [balance_share(e, frame, q_total) for e in exponents]
 
@@ -186,6 +195,7 @@ def reliability_optimal_blocks(exponents: list[float], q_total: int) -> list[int
 def balanced_blocks(exponents: list[float], q_total: int, shares: list[float]) -> list[int]:
     """The split of `reliability_optimal_blocks`, from the real optimum `shares`
     = reliability_real_blocks(exponents, q_total) that the caller holds."""
+    _check_budget(q_total)
     n = len(exponents)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
@@ -238,6 +248,7 @@ def balanced_blocks(exponents: list[float], q_total: int, shares: list[float]) -
 
 def info_continuous_log_m(rates: list[float], q_total: int) -> float:
     """ln M for the common-codeword-count allocation: Q / sum(1/R_n)."""
+    _check_budget(q_total)
     return balance_log_m(_balance_frame(rates, "rates"), q_total)
 
 
@@ -250,6 +261,7 @@ def information_continuous_blocks(rates: list[float], q_total: int,
     sum_m 1/R_m: the float shares ln M / R_n give them where their error
     bound certifies every floor and the cut between the remainders that get
     the leftover and the rest; otherwise integer arithmetic does."""
+    _check_budget(q_total)
     n = len(rates)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")

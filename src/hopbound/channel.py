@@ -29,6 +29,7 @@ __all__ = [
 _ATOL_STOCHASTIC = 1e-12
 _SLICE_ELEMENTS = 2 ** 16  # per slice of a DMC pass's (K, S, Y) arrays (`_sliced`)
 _SERIES_U = 1e-4  # u = SNR/(1+rho+SNR) below which an AWGN step's slope is `_series_slope`
+_RHO_LIMIT = 2.0 ** 1014  # the largest rho read: past it a DMC's (1 + rho) ln a_y may overflow
 
 
 class ChannelError(ValueError):
@@ -136,42 +137,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def e0_awgn(rho, snr: float):
     """E0(rho) = rho * ln(1 + SNR/(1+rho)) for a Gaussian-input AWGN hop.
 
-    Accepts a scalar or ndarray rho; returns the same shape.
+    Accepts a scalar or ndarray rho; returns the same shape.  np.log1p may differ from
+    the step's math.log1p in the last bit, but keeps the grid oracle's 2e6 rhos fast.
     """
-    rho = np.asarray(rho, dtype=float)
-    if not np.all((rho >= 0) & (rho < np.inf)):  # NaN fails it too
-        raise ChannelError("rho must be nonnegative and finite")
     if not 0 < snr < math.inf:  # NaN fails it too
         raise ChannelError(f"snr must be positive and finite, got {snr}")
-    out = rho * np.log1p(snr / (1.0 + rho))
-    return float(out) if out.ndim == 0 else out
+    return _column(lambda rho: (rho * np.log1p(snr / (1.0 + rho)),), rho, 0)
 
 
 def e0_dmc(rho, ch: HopChannel):
-    """E0(rho) for a finite DMC hop, vectorized over rho; 0 at rho = 0.
-
-    Zero transition entries contribute zero (measure-zero convention).
-    Computed in the log domain as in `e0_terms`, so it stays finite where
-    every a_y^(1+rho) underflows.  Evaluated in slices of rhos (`_sliced`).
-    """
+    """E0(rho) for a finite DMC hop, vectorized over rho: the value column of
+    `e0_dmc_terms`, so within rounding of 0 at rho = 0, and finite where every
+    a_y^(1+rho) underflows.  Zero transition entries contribute zero."""
     if ch.kind != "dmc":
         raise ChannelError("e0_dmc requires a DMC channel")
-    rho = np.asarray(rho, dtype=float)
-    if not np.all((rho >= 0) & (rho < np.inf)):  # NaN fails it too
-        raise ChannelError("rho must be nonnegative and finite")
-    p = ch._reached
-
-    def e0_slice(rho):
-        r = rho[:, None]  # (K, 1)
-        t = 1.0 / (1.0 + r)
-        powered = p ** t[:, :, None]
-        powered[t[:, 0] == 0.5] = np.sqrt(p)  # numpy's path for p ** 0.5, at any K
-        a = np.einsum("s,ksy->ky", ch.input_dist, powered)
-        z = (1.0 + r) * np.log(a)
-        top = z.max(axis=1)
-        return (-(top + np.log(np.exp(z - top[:, None]).sum(axis=1))),)
-    vals = _sliced(e0_slice, p.size)(np.atleast_1d(rho))[0]
-    return float(vals[0]) if rho.ndim == 0 else vals
+    return _column(e0_dmc_terms(ch), rho, 0)
 
 
 def _sliced(fn, elements: int):
@@ -186,19 +166,24 @@ def _sliced(fn, elements: int):
 
 def e0(rho, ch: HopChannel):
     """Dispatch E0 on the channel kind."""
-    if ch.kind == "awgn":
-        return e0_awgn(rho, ch.snr)
-    return e0_dmc(rho, ch)
+    return e0_awgn(rho, ch.snr) if ch.kind == "awgn" else e0_dmc(rho, ch)
 
 
 def e0_derivative(rho, ch: HopChannel):
-    """Analytic dE0/drho (see e0_terms); at rho = 0 the mutual information."""
+    """Analytic dE0/drho, the slope column of the kind's array step, element for
+    element that of `e0_terms`; at rho = 0 the mutual information."""
+    terms = e0_dmc_terms(ch) if ch.kind == "dmc" else lambda rho: _awgn_terms(rho, ch.snr)
+    return _column(terms, rho, 1)
+
+
+def _column(terms, rho, k: int):
+    """Column k of the array step `terms` on rho's elements, in rho's shape (a float
+    for a scalar); ChannelError unless each is in [0, `_RHO_LIMIT`]."""
     rho = np.asarray(rho, dtype=float)
-    if not np.all((rho >= 0) & (rho < np.inf)):  # NaN fails it too
-        raise ChannelError("rho must be nonnegative and finite")
-    terms = e0_terms(ch)
-    out = np.array([terms(r)[1] for r in rho.ravel().tolist()]).reshape(rho.shape)
-    return float(out) if rho.ndim == 0 else out
+    if not np.all((rho >= 0) & (rho <= _RHO_LIMIT)):  # NaN fails it too
+        raise ChannelError(f"rho must be nonnegative and finite, at most {_RHO_LIMIT:.4g}")
+    out = terms(rho.ravel())[k].reshape(rho.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def e0_terms(ch: HopChannel):
@@ -227,6 +212,19 @@ def e0_terms(ch: HopChannel):
         value, slope, curve = dmc_terms(np.array([rho]))
         return float(value[0]), float(slope[0]), float(curve[0])
     return one_rho
+
+
+def _awgn_terms(rho: np.ndarray, snr):
+    """`e0_terms`'s AWGN step over arrays: the same operations, element for element
+    (math.log1p per element, as np.log1p may differ in the last bit); `snr` is
+    each rho's SNR, or one SNR for all."""
+    a = 1.0 + rho
+    log_term = np.fromiter(map(math.log1p, (snr / a).tolist()), float, rho.size)
+    u, v = snr / (a + snr), rho / a
+    vu = v * u
+    slope = log_term - vu if u.min(initial=1.0) >= _SERIES_U else np.where(
+        u < _SERIES_U, _series_slope(u, a), log_term - vu)
+    return rho * log_term, slope, -(u / a) * (2.0 / a + vu)
 
 
 def _series_slope(u, a):

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .allocation import (AllocationError, balance_lagrange, balance_log_m, balance_share,
-                         balance_step)
+from .allocation import (AllocationError, _check_budget, balance_lagrange, balance_log_m,
+                         balance_share, balance_step)
 
 __all__ = [
     "BroadcastConstants",
@@ -137,6 +137,7 @@ def run_distributed_allocation(rates: list[float], exponents: list[tuple[float, 
     """
     if len(rates) != len(exponents):
         raise AllocationError(f"{len(rates)} rates but {len(exponents)} exponent pairs")
+    _check_budget(q_total)
     nodes = [NodeState(r, e) for r, e in zip(rates, exponents)]
     constants = compute_and_broadcast(forward_pass(nodes, trace), q_total, nodes, trace)
     return constants, [node.derive_blocks() for node in nodes]

@@ -9,8 +9,10 @@ every step kept inside a bisection bracket.
 `hop_exponents` solves a list of hops.  ARRAY_MIN_HOPS or more AWGN hops, and
 the hops on equal DMC channels, take one array pass: each element takes
 the scalar solve's IEEE-754 operations in the same order, so the results are
-bit-identical.  Those solves bypass `random_coding_exponent`
-and `sphere_packing_exponent`, so wrappers of those two do not see them.
+bit-identical.  Both steps, the scalar `channel.e0_terms` and the array
+`channel._awgn_terms` or `channel.e0_dmc_terms`, are `channel`'s.  Those solves
+bypass `random_coding_exponent` and `sphere_packing_exponent`, so wrappers of
+those two do not see them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_SERIES_U, ChannelError, HopChannel, _series_slope, capacity,
+from .channel import (_RHO_LIMIT, ChannelError, HopChannel, _awgn_terms, capacity,
                       e0_derivative, e0_dmc_terms, e0_terms)
 
 __all__ = [
@@ -39,8 +41,7 @@ ARRAY_MIN_HOPS = 80
 
 # Newton's stopping distance in ulps (of rho for the step, of the rate for the slope)
 _ULPS = 4
-_LAST_END = 2.0 ** 1014  # the last bracket end: past it a DMC step's (1 + rho) ln a_y may overflow
-_OVERFLOW = f"the sphere-packing maximizer rho* exceeds {_LAST_END:.4g}"
+_OVERFLOW = f"the sphere-packing maximizer rho* exceeds {_RHO_LIMIT:.4g}"
 
 
 class Regime:
@@ -61,7 +62,7 @@ def _maximize(rate: float, ch: HopChannel, rho_cap: float) -> ExponentResult:
     """max of E0(rho) - rho*rate over 0 <= rho <= rho_cap (1 or inf), for 0 <= rate.
 
     Doubles the bracket from [0, 1] until dE0/drho falls to the rate; a root past
-    rho_cap = 1 clamps there, and a root past _LAST_END raises ChannelError.
+    rho_cap = 1 clamps there, and a root past _RHO_LIMIT raises ChannelError.
     Then runs Newton on dE0/drho = rate from the bracket's secant point; a step
     that leaves the bracket is replaced by its midpoint.  Stops when the step or
     the slope error is within a few ulps, or the bracket ends are adjacent.
@@ -77,7 +78,7 @@ def _maximize(rate: float, ch: HopChannel, rho_cap: float) -> ExponentResult:
         if hi >= rho_cap:
             return ExponentResult(value - hi * rate, hi, Regime.RHO_CLAMPED_AT_ONE)
         lo, lo_slope, hi = hi, slope, 2.0 * hi
-        if hi > _LAST_END:
+        if hi > _RHO_LIMIT:
             raise ChannelError(_OVERFLOW)
         value, slope, curve = terms(hi)
     rho, nxt = hi, lo + (hi - lo) * (lo_slope - rate) / (lo_slope - slope)
@@ -126,18 +127,6 @@ def sphere_packing_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     return _maximize(rate, ch, math.inf)
 
 
-def _awgn_terms(rho: np.ndarray, snr: np.ndarray):
-    """`e0_terms`'s AWGN step over arrays: the same operations, element for element
-    (math.log1p per element, as np.log1p may differ in the last bit)."""
-    a = 1.0 + rho
-    log_term = np.fromiter(map(math.log1p, (snr / a).tolist()), float, rho.size)
-    u, v = snr / (a + snr), rho / a
-    vu = v * u
-    slope = log_term - vu if u.min(initial=1.0) >= _SERIES_U else np.where(
-        u < _SERIES_U, _series_slope(u, a), log_term - vu)
-    return rho * log_term, slope, -(u / a) * (2.0 / a + vu)
-
-
 # regime codes of `_array_exponents`
 _ABOVE, _CLAMPED, _INTERIOR = 0, 1, 2
 
@@ -167,7 +156,7 @@ def _array_exponents(rates, caps, params, terms, rho_cap: float):
             rho_star[idx[up]], e0_star[idx[up]], code[idx[up]] = end, e0[up], _CLAMPED
             break
         end *= 2.0
-        if end > _LAST_END:
+        if end > _RHO_LIMIT:
             raise ChannelError(_OVERFLOW)
         lo[up], lo_slope[up], hi[up] = hi[up], slope[up], end
         e0[up], slope[up], _ = terms(hi[up], par[up])

@@ -72,6 +72,8 @@ def exhaustive_allocation(exponents: list[float], q_total: int) -> list[int]:
     lexicographically smallest composition.
     """
     n = len(exponents)
+    if not (type(q_total) is int and all(0 <= e < math.inf for e in exponents)):  # NaN fails
+        raise ValueError("need an integer budget and finite exponents >= 0")
     if q_total > _MAX_EXHAUSTIVE_Q or n > _MAX_EXHAUSTIVE_N:
         raise ValueError(
             f"instance too large for enumeration (Q <= {_MAX_EXHAUSTIVE_Q}, "
@@ -105,6 +107,9 @@ def bsc_ensemble_error(blocklength: int, num_codewords: int, crossover: float,
     ML ties count as errors (pessimistic), so the estimate upper-bounds the
     true ensemble error.  Returns (mean, stderr).
     """
+    if not (all(type(k) is int and k >= 1 for k in (blocklength, num_codewords, trials))
+            and 0 <= crossover <= 1):  # NaN fails it too
+        raise ValueError("need integers blocklength, num_codewords, trials >= 1, p in [0, 1]")
     if blocklength > _MAX_ENSEMBLE_Q or num_codewords > _MAX_ENSEMBLE_M:
         raise ValueError(
             f"instance too large for exact enumeration (Q <= {_MAX_ENSEMBLE_Q}, "

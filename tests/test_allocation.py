@@ -529,6 +529,26 @@ def test_non_finite_values_rejected(solve, bad):
             solve(values, 10)
 
 
+_BAD_BUDGETS = [math.inf, math.nan, 2.5, 10.0, 0, -3, True, 2 ** 53 + 1, "10", None]
+
+
+@pytest.mark.parametrize("bad", _BAD_BUDGETS, ids=repr)
+@pytest.mark.parametrize("solve", [
+    reliability_real_blocks, reliability_optimal_blocks, info_continuous_log_m,
+    information_continuous_blocks,
+    lambda values, q: allocation.balanced_blocks(values, q, [5.0, 5.0])])
+def test_budget_must_be_an_integer_in_range(solve, bad):
+    # once: inf raised OverflowError, 2.5 TypeError, and NaN gave [nan, nan] shares
+    with pytest.raises(AllocationError, match=r"budget must be an integer in \[1, 2\*\*53\]"):
+        solve([1.0, 2.0], bad)
+
+
+@pytest.mark.parametrize("q", [np.int64(10), 2 ** 53])
+def test_budget_takes_any_integral_up_to_two_to_the_53(q):
+    assert sum(reliability_optimal_blocks([1.0, 2.0], q)) == q
+    assert sum(information_continuous_blocks([1.0, 2.0], q)) == q
+
+
 class TestRatePolicy:
     def test_half_capacity_scaling(self):
         rates = rate_policy_scale([2.1909, 1.6056], 0.4633)

@@ -19,6 +19,11 @@ CACHE_DMCS = [
 ]
 
 
+# every output is missed by one input; the first input is sent almost always
+_SPARSE_3X3 = HopChannel.dmc([[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]],
+                             [0.98, 0.01, 0.01])
+
+
 def bsc_e0_closed_form(rho, p):
     # binary symmetric channel with uniform input
     s = 1.0 / (1.0 + rho)
@@ -172,10 +177,15 @@ def test_awgn_terms_match_closed_forms():
     for _ in range(50):
         snr = float(10.0 ** rng.uniform(-1, 4))
         rho = float(rng.uniform(0, 50))
-        value, slope, curve = e0_terms(HopChannel.awgn(snr))(rho)
+        ch = HopChannel.awgn(snr)
+        terms = e0_terms(ch)
+        value, slope, curve = terms(rho)
         assert value == pytest.approx(e0_awgn(rho, snr), rel=1e-15)
-        assert slope == pytest.approx(e0_derivative(rho, HopChannel.awgn(snr)), rel=1e-13,
-                                       abs=1e-16)
+        assert slope == e0_derivative(rho, ch)
+        # one array call, bit for bit the scalar step per rho, also where u < 1e-4 (series)
+        rhos = np.concatenate([rng.uniform(0, 50, 10), snr * np.geomspace(1e3, 1e12, 10)])
+        assert e0_derivative(rhos, ch).tobytes() == np.array(
+            [terms(r)[1] for r in rhos.tolist()]).tobytes()
         with mpmath.workdps(40):
             ref = mpmath.diff(lambda r: r * mpmath.log1p(snr / (1 + r)), rho, 2)
         assert curve == pytest.approx(float(ref), rel=1e-12)
@@ -358,6 +368,21 @@ class TestValidation:
         # NaN fails every comparison: a check for rho < 0 alone would pass it to a NaN E0
         with pytest.raises(ChannelError, match="rho must be nonnegative and finite"):
             e0_of(rho)
+
+    @pytest.mark.parametrize("e0_of", [
+        lambda rho: e0_awgn(rho, 1.0),
+        lambda rho: e0_dmc(rho, _SPARSE_3X3),
+        lambda rho: e0_derivative(rho, HopChannel.awgn(1.0)),
+        lambda rho: e0_derivative(rho, _SPARSE_3X3),
+    ], ids=["e0_awgn", "e0_dmc", "e0_derivative_awgn", "e0_derivative_dmc"])
+    def test_rho_past_the_limit_raises(self, e0_of):
+        # (1 + rho) ln a_y of a DMC once overflowed with a RuntimeWarning at rho = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(e0_of(2.0 ** 1014))
+            for rho in (1e308, [1.0, math.nextafter(2.0 ** 1014, math.inf)]):
+                with pytest.raises(ChannelError, match="rho must be nonnegative and finite"):
+                    e0_of(rho)
 
     @pytest.mark.parametrize("rho", [0.0, 1.0])
     @pytest.mark.parametrize("snr", [math.inf, math.nan, 0.0, -1.0])

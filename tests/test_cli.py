@@ -135,6 +135,16 @@ class TestScenario:
         with pytest.raises(ScenarioError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"rate_policy": {"mode": "halves"}}, "unknown rate policy mode 'halves'"),
+        ({"rate_policy": {"beta": 0.5}}, "rate_policy with a mode is required"),
+        ({"hops": [{"type": "dmc", "transition": [[0.9, 0.1], [0.2, 0.8]], "input_dist": [1.0]}]},
+         "input_dist length must match the number of inputs")],
+        ids=["unknown_mode", "no_mode", "input_dist_length"])
+    def test_error_names_its_check(self, tmp_path, capsys, fields, message):
+        assert main(["allocate", "--scenario", write_scenario(tmp_path, **fields)]) == 3
+        assert message in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+
     def test_rejects_boolean_total_q(self, tmp_path, capsys):
         path = write_scenario(tmp_path, total_q=True)
         with pytest.raises(ScenarioError):

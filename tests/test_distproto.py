@@ -167,6 +167,12 @@ class TestDistributedEqualsCentralized:
         with pytest.raises(AllocationError, match=message):
             run_distributed_allocation(rates, pairs, 100)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, 0, True, 2 ** 53 + 1], ids=repr)
+    def test_budget_must_be_an_integer_in_range(self, bad):
+        # inf once raised OverflowError, and a budget of 0 gave ln M = 0
+        with pytest.raises(AllocationError, match=r"budget must be an integer in \[1, 2\*\*53\]"):
+            run_distributed_allocation([1.0], [(1.0, 1.0)], bad)
+
     def test_lengths_must_agree(self):
         ch = HopChannel.awgn(10.0)
         pairs = exponent_pairs([1.0] * 3, [ch] * 3)

@@ -414,8 +414,12 @@ class TestDmcArrayPath:
         for elements in (step * ch._reached.size, 2 ** 62):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(channel, "_SLICE_ELEMENTS", elements)
-                outputs.append([a.tobytes() for a in (*e0_dmc_terms(ch)(rho), e0_dmc(rho, ch))])
+                outputs.append([a.tobytes() for a in (*e0_dmc_terms(ch)(rho), e0_dmc(rho, ch),
+                                                      e0_derivative(rho, ch))])
         assert outputs[0] == outputs[1]
+        # e0_derivative is the scalar step's slope per rho, whatever the slices
+        terms = e0_terms(ch)
+        assert outputs[0][4] == np.array([terms(r)[1] for r in rho.tolist()]).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(ch=_dmcs(), fractions=st.lists(st.floats(1e-6, 1.0)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ class TestExhaustiveAllocation:
         with pytest.raises(ValueError, match="budget smaller than hop count"):
             exhaustive_allocation([0.1, 0.2, 0.3], 2)
 
+    @pytest.mark.parametrize("exponents, q", [
+        ([math.nan, 1.0], 5), ([1.0, math.inf], 5), ([1.0, -0.5], 5), ([1.0, 1.0], 2.5),
+        ([1.0, 1.0], 5.0), ([1.0, 1.0], True)])
+    def test_domain(self, exponents, q):
+        # ([nan, 1.0], 5) once returned None and ([1.0, 1.0], 2.5) raised TypeError
+        with pytest.raises(ValueError, match="need an integer budget and finite exponents >= 0"):
+            exhaustive_allocation(exponents, q)
+
 
 class TestBscEnsemble:
     def test_noiseless_channel_zero_error(self):
@@ -101,6 +110,23 @@ class TestBscEnsemble:
             bsc_ensemble_error(11, 4, 0.1, trials=10, seed=1)
         with pytest.raises(ValueError):
             bsc_ensemble_error(8, 9, 0.1, trials=10, seed=1)
+
+    @pytest.mark.parametrize("args", [
+        (4, 2, math.nan, 3), (4, 2, math.inf, 3), (4, 2, -math.inf, 3), (4, 2, 1e308, 3),
+        (4, 2, -1.0, 3), (4, 2, 1.5, 3), (4, 2, 0.1, 0), (4, 2, 0.1, 2.0), (0, 2, 0.1, 3),
+        (4.0, 2, 0.1, 3), (4, 0, 0.1, 3), (4, 2.5, 0.1, 3), (4, True, 0.1, 3)])
+    def test_domain(self, args):
+        # once: NaN gave (nan, nan), +-inf warned, 1e308 raised OverflowError, -1 a mean
+        # of -31.7, and no trials warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need integers blocklength, num_codewords"):
+                bsc_ensemble_error(*args, seed=1)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_crossover_ends(self, p):
+        mean, _ = bsc_ensemble_error(4, 2, p, trials=3, seed=1)
+        assert 0.0 <= mean <= 1.0
 
     def test_exact_against_direct_enumeration(self):
         # one fixed codebook, tiny instance: compare with a slow direct count

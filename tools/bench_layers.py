@@ -134,6 +134,11 @@ def run(row, out: str) -> None:
     for name, ch in (("awgn", awgn[0]), ("dmc_3x3", dmc)):  # at rho = 2
         timed(f"channel.e0_terms.{name}.us_per_call", 20,
               lambda: partial(channel.e0_terms(ch), 2.0), 200)
+    # the public readers: E0 on a grid oracle's rhos, and dE0/drho
+    timed("channel.e0.dmc_3x3_grid_100000.ms_per_call", 10,
+          lambda: partial(channel.e0, np.linspace(0.0, 10.0, 100_000), dmc))
+    timed("channel.e0_derivative.dmc_3x3_2000.ms_per_call", 10,
+          lambda: partial(channel.e0_derivative, np.linspace(0.0, 10.0, 2000), dmc))
     for family, label in (("r", "rc"), ("sp", "sp")):
         for name, hops, calls in (("awgn_1", awgn[:1], 200), ("awgn_300", awgn[:300], 50),
                                   ("dmc_3x3_1", [dmc], 100), ("dmc_3x3_80", [dmc] * 80, 30)):
