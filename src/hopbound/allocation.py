@@ -29,7 +29,6 @@ __all__ = [
     "balance_share",
     "balance_step",
     "reliability_real_blocks",
-    "balanced_blocks",
     "reliability_optimal_blocks",
     "info_continuous_log_m",
     "information_continuous_blocks",
@@ -150,9 +149,11 @@ def balance_lagrange(frame: tuple, q_total: int) -> float:
 
 def balance_log_m(frame: tuple, q_total: int) -> float:
     """ln M = Q R_p / W of the common-codeword-count split, from the frame of
-    the rates; each hop's share is ln M / R_n."""
+    the rates; each hop's share is ln M / R_n.  AllocationError where it overflows."""
     _, _, weight, _, scaled = frame
-    return q_total / weight * scaled
+    if (ln_m := q_total / weight * scaled) < math.inf:
+        return ln_m
+    raise AllocationError(f"ln M = Q / sum(1/R_n) is not finite at Q = {q_total}")
 
 
 def _check_budget(q_total) -> None:
@@ -169,8 +170,11 @@ def _balance_frame(values: list[float], what: str) -> tuple:
 
 
 def reliability_real_blocks(exponents: list[float], q_total: int) -> list[float]:
-    """Real-valued error-balancing optimum: Q_n*E_n - ln(E_n) is the same on every hop."""
+    """Real-valued error-balancing optimum: Q_n*E_n - ln(E_n) is the same on every hop;
+    AllocationError naming the first hop (from 0) whose finite exponent is <= 0."""
     _check_budget(q_total)
+    if zero := [k for k, e in enumerate(exponents) if -math.inf < e <= 0]:
+        raise AllocationError(f"hop {zero[0]}: rate at/above capacity, zero exponent")
     frame = _balance_frame(exponents, "exponents (rates below capacity)")
     return [balance_share(e, frame, q_total) for e in exponents]
 
@@ -189,10 +193,10 @@ def reliability_optimal_blocks(exponents: list[float], q_total: int) -> list[int
     log-objective.  Only strict improvements move, so splits of equal cost
     keep the starting rounding.  Feasible whenever Q >= N.
     """
-    return balanced_blocks(exponents, q_total, reliability_real_blocks(exponents, q_total))
+    return _balanced_blocks(exponents, q_total, reliability_real_blocks(exponents, q_total))
 
 
-def balanced_blocks(exponents: list[float], q_total: int, shares: list[float]) -> list[int]:
+def _balanced_blocks(exponents: list[float], q_total: int, shares: list[float]) -> list[int]:
     """The split of `reliability_optimal_blocks`, from the real optimum `shares`
     = reliability_real_blocks(exponents, q_total) that the caller holds."""
     _check_budget(q_total)

@@ -277,13 +277,16 @@ def capacity(ch: HopChannel) -> float:
 
 
 def snr_db_to_linear(db: float) -> float:
-    """The linear SNR of `db` decibels; ChannelError if it overflows a double or is 0."""
+    """The linear SNR of `db` decibels; ChannelError if it overflows a double, is 0
+    or is not finite (`db` inf or NaN)."""
     try:
-        if snr := 10.0 ** (db / 10.0):
-            return snr
-        raise ChannelError(f"SNR of {db} dB underflows to 0")
+        snr = 10.0 ** (db / 10.0)
     except OverflowError:
         raise ChannelError(f"SNR of {db} dB overflows a double") from None
+    if not 0.0 < snr < math.inf:
+        raise ChannelError(f"SNR of {db} dB underflows to 0" if snr == 0.0
+                           else f"SNR of {db} dB is not finite")
+    return snr
 
 
 def _mutual_information(ch: HopChannel) -> float:

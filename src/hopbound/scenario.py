@@ -16,9 +16,8 @@ from itertools import accumulate, chain, compress
 
 import numpy as np
 
-from .allocation import (AllocationError, Method, balanced_blocks, end_to_end_rate,
-                         info_continuous_log_m, information_continuous_blocks,
-                         rate_policy_scale, reliability_real_blocks)
+from .allocation import (Method, _balanced_blocks, end_to_end_rate, info_continuous_log_m,
+                         information_continuous_blocks, rate_policy_scale, reliability_real_blocks)
 from .arq import arq_chains, latency_bounds
 from .channel import HopChannel, capacity, snr_db_to_linear
 from .exponents import hop_exponents
@@ -183,14 +182,6 @@ def _solve(family: str):
     return fill
 
 
-def _shares(sc: Scenario, exps: list[list]) -> list[float]:
-    """Real error-balancing shares of Q on a family's exponents, none where one is zero."""
-    if min(exps[0], default=1.0) <= 0:
-        bad = next(k for k, e in enumerate(exps[0]) if e <= 0)
-        raise AllocationError(f"hop {bad}: rate at/above capacity, zero exponent")
-    return reliability_real_blocks(exps[0], sc.total_q)
-
-
 def _spread(sc: Scenario, exps=None, shares=None) -> float | None:
     """Spread over hops of Q_n E_n - ln E_n at the balanced shares (0 at the optimum),
     None for a method that balances no family (no inputs)."""
@@ -216,8 +207,8 @@ _COLUMNS = {
     "exponents_r": (("rates",), _solve("r")),
     "exponents_sp": (("rates",), _solve("sp")),
     "ln_m": (("rates",), _per_row(lambda sc, rates: info_continuous_log_m(rates, sc.total_q))),
-    "shares_r": (("exponents_r",), _per_row(_shares)),
-    "shares_sp": (("exponents_sp",), _per_row(_shares)),
+    **{f"shares_{family}": ((f"exponents_{family}",), _per_row(
+        lambda sc, exps: reliability_real_blocks(exps[0], sc.total_q))) for family in ("r", "sp")},
     "stationarity_residual": (_BALANCED, _per_row(_spread)),
     "blocks": (_SPLIT_INPUTS, _per_row(lambda sc, *inputs: build_allocation(sc, *inputs))),
     "end_to_end_rate": (("blocks", "rates"), _per_row(lambda sc, *q_r: end_to_end_rate(*q_r))),
@@ -297,4 +288,4 @@ def build_allocation(sc: Scenario, *inputs) -> list[int]:
     if sc.allocation_method == Method.INFO_CONTINUOUS:
         return information_continuous_blocks(inputs[0], sc.total_q, inputs[1])
     exps, shares = inputs
-    return balanced_blocks(exps[0], sc.total_q, shares)
+    return _balanced_blocks(exps[0], sc.total_q, shares)

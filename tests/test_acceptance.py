@@ -19,7 +19,7 @@ from hopbound.allocation import (Method, balance_lagrange, balance_step,
 from hopbound.arq import ArqChain, expected_latency, simulate_latency
 from hopbound.channel import HopChannel, capacity
 from hopbound.cli import REPRODUCE_Q, _sweep_targets, main
-from hopbound.distproto import NodeState, compute_and_broadcast, forward_pass, \
+from hopbound.distproto import compute_and_broadcast, derive_blocks, forward_pass, \
     run_distributed_allocation
 from hopbound.exponents import (critical_rate, hop_exponents, random_coding_exponent,
                                 sphere_packing_exponent)
@@ -238,12 +238,12 @@ def test_criterion_10_distributed_protocol_equals_centralized():
     rates = [0.5 * capacity(h) for h in hops]
     pairs = exponent_pairs(rates, hops)
     for i in range(len(hops)):
-        nodes = [NodeState(r, e) for r, e in zip(rates, pairs)]
-        compute_and_broadcast(forward_pass(nodes), 900, nodes)
-        derived = nodes[i].derive_blocks()
-        for other in nodes[:i] + nodes[i + 1:]:
-            other.local_rate, other.local_exponents = math.nan, (math.nan, math.nan)
-        ok = ok and nodes[i].derive_blocks() == derived
+        local_rates, local_pairs = list(rates), list(pairs)
+        constants = compute_and_broadcast(forward_pass(local_rates, local_pairs), 900, len(hops))
+        derived = derive_blocks(local_rates[i], local_pairs[i], constants)
+        for other in [*range(i), *range(i + 1, len(hops))]:
+            local_rates[other], local_pairs[other] = math.nan, (math.nan, math.nan)
+        ok = ok and derive_blocks(local_rates[i], local_pairs[i], constants) == derived
     report(10, "distributed allocation matches centralized bit-exactly", ok)
 
 

@@ -529,6 +529,15 @@ def test_non_finite_values_rejected(solve, bad):
             solve(values, 10)
 
 
+@pytest.mark.parametrize("solve", [reliability_real_blocks, reliability_optimal_blocks])
+def test_first_exponent_at_or_below_zero_is_named(solve):
+    # counted from 0, as a scenario counts its hops; NaN and +-inf stay "positive and finite"
+    with pytest.raises(AllocationError, match=r"^hop 1: rate at/above capacity, zero exponent$"):
+        solve([1.0, 0.0, -1.0], 10)
+    with pytest.raises(AllocationError, match=r"^hop 0: rate at/above capacity, zero exponent$"):
+        solve([-2.0, 1.0], 10)
+
+
 _BAD_BUDGETS = [math.inf, math.nan, 2.5, 10.0, 0, -3, True, 2 ** 53 + 1, "10", None]
 
 
@@ -536,7 +545,7 @@ _BAD_BUDGETS = [math.inf, math.nan, 2.5, 10.0, 0, -3, True, 2 ** 53 + 1, "10", N
 @pytest.mark.parametrize("solve", [
     reliability_real_blocks, reliability_optimal_blocks, info_continuous_log_m,
     information_continuous_blocks,
-    lambda values, q: allocation.balanced_blocks(values, q, [5.0, 5.0])])
+    lambda values, q: allocation._balanced_blocks(values, q, [5.0, 5.0])])
 def test_budget_must_be_an_integer_in_range(solve, bad):
     # once: inf raised OverflowError, 2.5 TypeError, and NaN gave [nan, nan] shares
     with pytest.raises(AllocationError, match=r"budget must be an integer in \[1, 2\*\*53\]"):

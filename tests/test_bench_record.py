@@ -27,6 +27,8 @@ LAYER_ROWS = [
     "exponents.sphere_packing_exponent.min_rate_awgn_40db.ms_per_call",
     "exponents.sphere_packing_exponent.min_rate_bsc.ms_per_call",
     *(f"allocation.reliability_optimal_blocks.n_{n}.ms_per_call" for n in (2, 100, 1000)),
+    "distproto.run_distributed_allocation.awgn_1000.ms_per_call",
+    "distproto.run_distributed_allocation.awgn_1000_trace.ms_per_call",
     "system.stacked_error_bounds.rows_80.ms_per_call",
     *(f"arq.simulate_latency.{chain}.{metric}" for chain in ("sparse", "dense", "tiny_pe")
       for metric in ("ms_per_1e5_trials", "peak_alloc_mb")),

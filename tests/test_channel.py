@@ -317,7 +317,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("db, message", [
         (4000.0, "SNR of 4000.0 dB overflows a double"),
-        (-4000.0, "SNR of -4000.0 dB underflows to 0")])
+        (-4000.0, "SNR of -4000.0 dB underflows to 0"),
+        (math.inf, "SNR of inf dB is not finite"),
+        (math.nan, "SNR of nan dB is not finite")])
     def test_snr_db_beyond_doubles(self, db, message):
         with pytest.raises(ChannelError, match=f"^{message}$"):
             snr_db_to_linear(db)

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hopbound.allocation import (AllocationError, balance_lagrange, balance_log_
                                  balance_step, info_continuous_log_m,
                                  rate_policy_scale, reliability_real_blocks)
 from hopbound.channel import HopChannel, capacity
-from hopbound.distproto import (NodeState, compute_and_broadcast, forward_pass,
+from hopbound.distproto import (compute_and_broadcast, derive_blocks, fold_into, forward_pass,
                                 run_distributed_allocation)
 from hopbound.exponents import hop_exponents, random_coding_exponent, sphere_packing_exponent
 
@@ -17,10 +18,6 @@ def exponent_pairs(rates, hops):
     """Each hop's (E_r, E_sp) at its rate, as the scenario table solves them."""
     rc = hop_exponents(rates, hops, "r")
     return list(zip(rc[0], hop_exponents(rates, hops, "sp", rc)[0]))
-
-
-def make_nodes(rates, hops):
-    return [NodeState(r, e) for r, e in zip(rates, exponent_pairs(rates, hops))]
 
 
 def random_scenario(rng):
@@ -35,17 +32,17 @@ def random_scenario(rng):
 
 class TestForwardPass:
     def test_single_hop_frames(self):
-        nodes = make_nodes([2.0], [HopChannel.awgn(10.0)])
-        msg = forward_pass(nodes)
+        pairs = exponent_pairs([2.0], [HopChannel.awgn(10.0)])
+        msg = forward_pass([2.0], pairs)
         assert msg["frame_rate"] == balance_step(None, 2.0)
         assert balance_log_m(msg["frame_rate"], 1) == 2.0
-        e_r, e_sp = nodes[0].local_exponents
+        e_r, e_sp = pairs[0]
         assert msg["frame_rc"] == balance_step(None, e_r)
         assert msg["frame_sp"] == balance_step(None, e_sp)
 
     def test_two_hop_rate_frame_matches_centralized(self):
         hops = [HopChannel.awgn(10.0), HopChannel.awgn(5.0)]
-        msg = forward_pass(make_nodes([2.0, 1.0], hops))
+        msg = forward_pass([2.0, 1.0], exponent_pairs([2.0, 1.0], hops))
         # pivot R_p = 1, W = 1 + 1/2: ln M = Q R_p / W = Q / (1/2 + 1/1)
         assert msg["frame_rate"] == (1.0, 0.0, 1.5, 0.5 * math.log(2.0), 1.0)
         assert balance_log_m(msg["frame_rate"], 3) == 2.0
@@ -54,29 +51,29 @@ class TestForwardPass:
         rng = np.random.default_rng(41)
         for _ in range(20):
             hops, rates, _ = random_scenario(rng)
-            msg = forward_pass(make_nodes(rates, hops))
+            msg = forward_pass(rates, exponent_pairs(rates, hops))
             assert msg["frame_rate"] == functools.reduce(balance_step, rates, None)
             exps_rc = [random_coding_exponent(r, ch).exponent for r, ch in zip(rates, hops)]
             assert msg["frame_rc"] == functools.reduce(balance_step, exps_rc, None)
 
     def test_needs_a_node(self):
         with pytest.raises(AllocationError, match="need at least one node"):
-            forward_pass([])
+            forward_pass([], [])
 
     def test_rate_at_capacity_propagates_error(self):
         ch = HopChannel.awgn(1.0)
-        nodes = make_nodes([capacity(ch)], [ch])
-        assert nodes[0].local_exponents == (0.0, 0.0)
+        pairs = exponent_pairs([capacity(ch)], [ch])
+        assert pairs[0] == (0.0, 0.0)
         with pytest.raises(AllocationError):
-            forward_pass(nodes)
+            forward_pass([capacity(ch)], pairs)
 
     def test_accumulators_grow_monotonically(self):
         rng = np.random.default_rng(42)
         hops, rates, _ = random_scenario(rng)
-        nodes = make_nodes(rates, hops)
+        pairs = exponent_pairs(rates, hops)
         prev = {"frame_rate": None, "frame_rc": None, "frame_sp": None}
-        for i, node in enumerate(nodes):
-            running = forward_pass(nodes[: i + 1])
+        for i in range(len(rates)):
+            running = forward_pass(rates[: i + 1], pairs[: i + 1])
             if prev["frame_rc"] is not None:
                 # 1 / sum(1/R_n) = ln M at Q = 1 falls as hops join
                 assert (balance_log_m(running["frame_rate"], 1)
@@ -94,17 +91,18 @@ class TestBroadcast:
         frame = balance_step(None, 1.0)
         msg = {"frame_rate": functools.reduce(balance_step, [2.0, 1.0], None),
                "frame_rc": frame, "frame_sp": frame}
-        nodes = [NodeState(2.0, (1.0, 1.0)), NodeState(1.0, (1.0, 1.0))]
-        constants = compute_and_broadcast(msg, 30, nodes)
+        trace = []
+        constants = compute_and_broadcast(msg, 30, 2, trace)
         assert constants.ln_m == pytest.approx(20.0, abs=1e-12)
-        assert all(n.received_broadcast is constants for n in nodes)
+        # the end node, node 2, delivers the one broadcast to both nodes
+        assert trace == [{"step": k, "from": 2, "to": k, "broadcast": asdict(constants)}
+                         for k in (1, 2)]
 
     def test_lambda_matches_allocation_example(self):
         frame = functools.reduce(balance_step, [0.2, 0.1], None)
         msg = {"frame_rate": functools.reduce(balance_step, [1.0, 1.0], None),
                "frame_rc": frame, "frame_sp": frame}
-        nodes = [NodeState(1.0, (0.2, 0.2)), NodeState(1.0, (0.1, 0.1))]
-        constants = compute_and_broadcast(msg, 1000, nodes)
+        constants = compute_and_broadcast(msg, 1000, 2)
         assert constants.lambda_r == pytest.approx(-68.738, abs=1e-3)
 
     def test_single_hop_derives_whole_budget(self):
@@ -146,12 +144,14 @@ class TestDistributedEqualsCentralized:
         hops, rates, q = random_scenario(rng)
         pairs = exponent_pairs(rates, hops)
         for i in range(len(hops)):
-            nodes = [NodeState(r, e) for r, e in zip(rates, pairs)]
-            compute_and_broadcast(forward_pass(nodes), q, nodes)
-            derived = nodes[i].derive_blocks()
-            for other in nodes[:i] + nodes[i + 1:]:
-                other.local_rate, other.local_exponents = math.nan, (math.nan, math.nan)
-            assert nodes[i].derive_blocks() == derived, f"node {i} read non-local state"
+            local_rates, local_pairs = list(rates), list(pairs)
+            constants = compute_and_broadcast(forward_pass(local_rates, local_pairs), q,
+                                              len(hops))
+            derived = derive_blocks(local_rates[i], local_pairs[i], constants)
+            for other in [*range(i), *range(i + 1, len(hops))]:
+                local_rates[other], local_pairs[other] = math.nan, (math.nan, math.nan)
+            assert derive_blocks(local_rates[i], local_pairs[i], constants) == derived, \
+                f"node {i} read non-local state"
 
     @pytest.mark.parametrize("place", ["rate", "e_r", "e_sp"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -167,11 +167,40 @@ class TestDistributedEqualsCentralized:
         with pytest.raises(AllocationError, match=message):
             run_distributed_allocation(rates, pairs, 100)
 
+    @pytest.mark.parametrize("place", ["rate", "e_r", "e_sp"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf], ids=repr)
+    def test_fold_and_derive_reject_a_bad_local_value(self, place, bad):
+        # a rate of 0 once reached derive_blocks' ln M / rate: ZeroDivisionError
+        rate, pair = 1.0, (0.4, 0.5)
+        constants, _ = run_distributed_allocation([rate], [pair], 100)
+        if place == "rate":
+            rate = bad
+        else:
+            pair = (bad, 0.5) if place == "e_r" else (0.4, bad)
+        with pytest.raises(AllocationError, match="^hop 3 has "):
+            fold_into({"frame_rate": None, "frame_rc": None, "frame_sp": None}, 3, rate, pair)
+        with pytest.raises(AllocationError, match="^hop has "):
+            derive_blocks(rate, pair, constants)
+
+    def test_ln_m_beyond_doubles(self):
+        # ln M = Q R overflowed: inf, and an OverflowError from the node's floor
+        with pytest.raises(AllocationError, match="not finite"):
+            info_continuous_log_m([1e308], 10)
+        with pytest.raises(AllocationError, match="not finite"):
+            run_distributed_allocation([1e308], [(1.0, 1.0)], 10)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, 0, True, 2 ** 53 + 1], ids=repr)
     def test_budget_must_be_an_integer_in_range(self, bad):
         # inf once raised OverflowError, and a budget of 0 gave ln M = 0
         with pytest.raises(AllocationError, match=r"budget must be an integer in \[1, 2\*\*53\]"):
             run_distributed_allocation([1.0], [(1.0, 1.0)], bad)
+
+    @pytest.mark.parametrize("bad", [0, 2.5, True], ids=repr)
+    def test_broadcast_checks_the_budget(self, bad):
+        # Q enters the protocol at the end node; a budget of 0 once broadcast ln M = 0
+        msg = forward_pass([1.0], [(1.0, 1.0)])
+        with pytest.raises(AllocationError, match=r"budget must be an integer in \[1, 2\*\*53\]"):
+            compute_and_broadcast(msg, bad, 1)
 
     def test_lengths_must_agree(self):
         ch = HopChannel.awgn(10.0)
@@ -181,14 +210,6 @@ class TestDistributedEqualsCentralized:
         with pytest.raises(AllocationError, match="3 rates but 2 exponent pairs"):
             run_distributed_allocation([1.0] * 3, pairs[:2], 300)
 
-    def test_derive_needs_forward_pass(self):
-        # a node derives its blocks from the broadcast that ends the forward pass
-        nodes = make_nodes([1.0], [HopChannel.awgn(10.0)])
-        with pytest.raises(AllocationError):
-            nodes[0].derive_blocks()
-        compute_and_broadcast(forward_pass(nodes), 100, nodes)
-        assert nodes[0].derive_blocks()["q_info_continuous"] == 100
-
     def test_message_count(self):
         rng = np.random.default_rng(45)
         for n in (1, 2, 4):
@@ -196,10 +217,9 @@ class TestDistributedEqualsCentralized:
                     for _ in range(n)]
             rates = [0.5 * capacity(h) for h in hops]
             trace: list[dict] = []
-            nodes = make_nodes(rates, hops)
-            msg = forward_pass(nodes, trace)
+            msg = forward_pass(rates, exponent_pairs(rates, hops), trace)
             forward_msgs = len(trace)
-            compute_and_broadcast(msg, 100 * n, nodes, trace)
+            compute_and_broadcast(msg, 100 * n, n, trace)
             assert forward_msgs == n - 1
             assert len(trace) - forward_msgs == n
 

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from hopbound import allocation, arq, channel, cli, exponents, scenario, system
+from hopbound import allocation, arq, channel, cli, distproto, exponents, scenario, system
 
 # AWGN hops at 15 (k phi mod 1) dB; an N-hop case takes the first N
 CHAIN_DB = [15.0 * (k * 0.6180339887498949 % 1.0) for k in range(1000)]
@@ -152,6 +152,15 @@ def run(row, out: str) -> None:
     for n, calls in ((2, 200), (100, 50), (1000, 20)):
         timed(f"allocation.reliability_optimal_blocks.n_{n}.ms_per_call", calls, lambda: partial(
             allocation.reliability_optimal_blocks, _solve(awgn[:n], "r")()[0], 1000 * n))
+
+    def protocol(traced: bool):  # on the 1000-hop chain's rates and table-solved (E_r, E_sp)
+        chain = scenario.Evaluation([scenario.load_scenario(os.path.join(out, "awgn_1000"))])[0]
+        args = (chain.rates, list(zip(chain.exponents_r[0], chain.exponents_sp[0])),
+                chain.scenario.total_q)
+        return lambda: distproto.run_distributed_allocation(*args, [] if traced else None)
+    for name, traced in (("awgn_1000", False), ("awgn_1000_trace", True)):
+        timed(f"distproto.run_distributed_allocation.{name}.ms_per_call", 20,
+              lambda: protocol(traced))
 
     def stacked_error_bounds():  # on the blocks and exponents of fig4's two-hop rows
         blocks, e_r, e_sp = _fig4(True, "blocks", "exponents_r", "exponents_sp")
