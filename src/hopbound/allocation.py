@@ -184,10 +184,13 @@ def reliability_optimal_blocks(exponents: list[float], q_total: int) -> list[int
 
     Starts from the floored real optimum under Q_n >= 1, whose shares keep
     their sum Q, so the floors sum to within N of Q for any Q up to 2**53,
-    and runs the greedy marginal allocation.  It stops only when no one-unit
-    exchange lowers the objective (compared in the log domain), which for
-    this separable convex objective makes the split optimal among integer
-    splits up to float rounding: no one-unit exchange lowers the
+    and runs the greedy marginal allocation.  Its fill takes the missing units
+    from one sort of the hops' next-unit gains, which is the greedy's order
+    unless a hop's second unit would come before the last pick; then, and
+    where an exchange remains, the greedy runs on lazy heaps.  It stops only
+    when no one-unit exchange lowers the objective (compared in the log
+    domain), which for this separable convex objective makes the split optimal
+    among integer splits up to float rounding: no one-unit exchange lowers the
     log-objective by more than 1e-12 of its log terms.  Above Q ~ 1e15 the
     split may be the worse of two neighbours less than 4e-31 apart in
     log-objective.  Only strict improvements move, so splits of equal cost
@@ -207,17 +210,27 @@ def _balanced_blocks(exponents: list[float], q_total: int, shares: list[float]) 
     # pass raises the common level), so the floors do not overshoot Q; the
     # cap leaves one unit for every other hop
     free = list(range(n))
-    while any(v < 1.0 for v in shares) and any(v >= 1.0 for v in shares):
+    while min(shares) < 1.0 <= max(shares):
         free = [i for i, v in zip(free, shares) if v >= 1.0]
         shares = reliability_real_blocks([exponents[i] for i in free], q_total - n + len(free))
-    blocks = [1] * n
-    for i, v in zip(free, shares):
-        blocks[i] = min(max(math.floor(v), 1), q_total - n + 1)
+    floors, cap = list(map(math.floor, shares)), q_total - n + 1
+    if not 1 <= min(floors) <= max(floors) <= cap:
+        floors = [min(max(b, 1), cap) for b in floors]
+    blocks = floors
+    if len(free) < n:  # a pinned hop holds 1
+        blocks = [1] * n
+        for i, b in zip(free, floors):
+            blocks[i] = b
     # step(b, E) = -b E + log(1 - exp(-E)) is the log of the objective drop
     # from Q_n = b to b + 1: fill (or drain) one unit at a time at the largest
     # gain (smallest loss), then move a unit from the smallest loss to the
     # largest gain while that strictly improves
     log_gap = [math.log(-math.expm1(-e)) for e in exponents]
+    placed = sum(blocks)
+    if placed < q_total and (filled := _sorted_fill(blocks, exponents, log_gap, q_total - placed)):
+        blocks, placed = filled, q_total
+    if placed == q_total and _no_exchange(blocks, exponents, log_gap):
+        return blocks
     # lazy heaps keyed by -step(Q_i) and step(Q_i - 1), ties to the lowest
     # index; an entry is live while its hop still holds the count it carries
     gains, losses = [], []
@@ -236,7 +249,6 @@ def _balanced_blocks(exponents: list[float], q_total: int, shares: list[float]) 
 
     for i in range(n):
         move(i, 0)
-    placed = sum(blocks)
     for _ in range(placed, q_total):
         move(top(gains)[1], 1)
     for _ in range(q_total, placed):
@@ -248,6 +260,37 @@ def _balanced_blocks(exponents: list[float], q_total: int, shares: list[float]) 
             return blocks
         move(gain[1], 1)
         move(loss[1], -1)
+
+
+def _sorted_fill(blocks: list[int], exponents: list[float], log_gap: list[float],
+                 units: int) -> list[int] | None:
+    """`blocks` after the heap greedy's fill of `units` units, from one sort of each
+    hop's next-unit key b E - log_gap, ties to the lowest index; None where that
+    is not the heap's pop order: more units than hops, or a picked hop's
+    following unit would come before the last pick."""
+    if units > len(blocks):
+        return None
+    keys = [b * e - g for b, e, g in zip(blocks, exponents, log_gap)]
+    picks = sorted(range(len(blocks)), key=keys.__getitem__)[:units]
+    last = picks[-1]
+    if min(((blocks[i] + 1) * exponents[i] - log_gap[i], i) for i in picks) < (keys[last], last):
+        return None
+    filled = blocks.copy()
+    for i in picks:
+        filled[i] += 1
+    return filled
+
+
+def _no_exchange(blocks: list[int], exponents: list[float], log_gap: list[float]) -> bool:
+    """The heap greedy's stop test on `blocks`: the largest gain of one more unit is
+    no more than the smallest loss of one less on another hop (ties to the lowest
+    index), or no hop holds more than one unit."""
+    gains = [b * e - g for b, e, g in zip(blocks, exponents, log_gap)]
+    # a loss g - (b - 1) E is at most 0, so +inf marks a hop at one unit
+    losses = [g - (b - 1) * e if b > 1 else math.inf
+              for b, e, g in zip(blocks, exponents, log_gap)]
+    gain, loss = min(gains), min(losses)
+    return loss == math.inf or gains.index(gain) == losses.index(loss) or -gain <= loss
 
 
 def info_continuous_log_m(rates: list[float], q_total: int) -> float:

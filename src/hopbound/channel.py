@@ -62,8 +62,7 @@ class HopChannel:
     def __post_init__(self):
         if self.kind == "awgn":
             object.__setattr__(self, "_r_inf", 0.0)
-            if self.snr is None or not 0 < self.snr < math.inf:
-                raise ChannelError(f"AWGN channel requires a finite snr > 0, got {self.snr}")
+            object.__setattr__(self, "_capacity", _awgn_capacities([self.snr])[0])
         elif self.kind == "dmc":
             if self.transition is None:
                 raise ChannelError("DMC channel requires a transition matrix")
@@ -93,9 +92,9 @@ class HopChannel:
                 table.setflags(write=False)
                 object.__setattr__(self, name, table)
             object.__setattr__(self, "_r_inf", -math.log1p(-float((q @ (reached == 0)).min())))
+            object.__setattr__(self, "_capacity", _mutual_information(p, q))
         else:
             raise ChannelError(f"unknown channel kind {self.kind!r}")
-        object.__setattr__(self, "_capacity", _mutual_information(self))
 
     def __eq__(self, other):
         return self._key() == other._key() if isinstance(other, HopChannel) else NotImplemented
@@ -110,7 +109,21 @@ class HopChannel:
     @classmethod
     def awgn(cls, snr: float) -> "HopChannel":
         """AWGN hop with linear SNR (convert from dB at the boundary)."""
-        return cls(kind="awgn", snr=float(snr))
+        return cls.awgn_hops([snr])[0]
+
+    @classmethod
+    def awgn_hops(cls, snrs) -> list["HopChannel"]:
+        """`awgn` of each linear SNR, in one pass: the constructor's check and
+        derived constants, each capacity from one np.log1p call over the list."""
+        snrs = list(map(float, snrs))
+        new, assign = object.__new__, object.__setattr__
+        hops = []
+        for snr, cap in zip(snrs, _awgn_capacities(snrs)):
+            ch = new(cls)
+            assign(ch, "__dict__", {"kind": "awgn", "snr": snr, "transition": None,
+                                    "input_dist": None, "_r_inf": 0.0, "_capacity": cap})
+            hops.append(ch)
+        return hops
 
     @classmethod
     def dmc(cls, transition, input_dist=None) -> "HopChannel":
@@ -124,6 +137,15 @@ class HopChannel:
         if not 0.0 <= p <= 1.0:
             raise ChannelError(f"crossover must be in [0, 1], got {p}")
         return cls.dmc([[1.0 - p, p], [p, 1.0 - p]], input_dist)
+
+
+def _awgn_capacities(snrs: list) -> list[float]:
+    """ln(1 + SNR) of each SNR, from one np.log1p call, which equals the 0-d call
+    bit for bit; ChannelError at the first SNR that is not finite and > 0."""
+    for snr in snrs:
+        if snr is None or not 0 < snr < math.inf:  # NaN fails it too
+            raise ChannelError(f"AWGN channel requires a finite snr > 0, got {snr}")
+    return np.log1p(np.array(snrs, dtype=float)).tolist()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -289,11 +311,8 @@ def snr_db_to_linear(db: float) -> float:
     return snr
 
 
-def _mutual_information(ch: HopChannel) -> float:
-    if ch.kind == "awgn":
-        return float(np.log1p(ch.snr))
-    p = ch.transition
-    q = ch.input_dist
+def _mutual_information(p: np.ndarray, q: np.ndarray) -> float:
+    """I(X; Y) of a DMC's transition matrix `p` at input distribution `q`."""
     marginal = q @ p  # output distribution, (Y,)
     joint = q[:, None] * p
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -47,6 +47,9 @@ REPRODUCE_MC_SEED = 20240101
 
 # rows of the `exponent` grid solved and written at a time: its memory is bounded
 _GRID_CHUNK = 4096
+# CSV rows formatted by one template and written as one text; it divides _GRID_CHUNK,
+# so a sweep whose solve fails in a chunk has written every row before that chunk
+_CSV_BATCH = _GRID_CHUNK // 16
 
 # the most rates `exponent` sweeps: its time and output file grow with them
 MAX_RATE_STEPS = 10 ** 7
@@ -75,18 +78,72 @@ def _check_writable(*paths: str | None) -> None:
             os.remove(path)
 
 
-def _write(path: str | None, lines: Iterable[str]) -> None:
-    """Write each line, then a newline, straight to `path` as it comes, or to stdout for None."""
+def _write(path: str | None, texts: Iterable[str]) -> None:
+    """Write each text, whole lines, straight to `path` as it comes, or to stdout for None."""
     with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(texts)
 
 
 def _write_csv(path: str, header: str, rows: Iterable) -> None:
-    _write(path, itertools.chain([header], (",".join(map(_fmt, row)) for row in rows)))
+    """The header and `rows`, each cell as `_fmt` writes it: each batch of rows of
+    one length whose columns each hold one type goes through one str.format
+    template built from those types, any other batch cell by cell."""
+    def lines():
+        yield header + "\n"
+        rows_left = iter(rows)
+        while batch := list(itertools.islice(rows_left, _CSV_BATCH)):
+            types = [set(map(type, column)) for column in zip(*batch)]
+            if set(map(len, batch)) == {len(types)} and all(len(kind) == 1 for kind in types):
+                template = ",".join("{:.12g}" if issubclass(kind.pop(), float) else "{}"
+                                    for kind in types) + "\n"
+                yield "".join(itertools.starmap(template.format, batch))
+            else:
+                yield "".join(",".join(map(_fmt, row)) + "\n" for row in batch)
+    _write(path, lines())
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    _write(path or None, [json.dumps(payload, indent=2)])
+    _write(path or None, [_json_text(payload, "") + "\n"])
+
+
+# the types that the C encoder writes as one token with no comma in it
+_TOKENS = {int, float, bool, type(None)}
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _json_text(obj, indent: str) -> str:
+    """json.dumps(obj, indent=2) for obj whose lines start at `indent`: the C
+    encoder writes each list of numbers whole, and the values of each list of
+    flat number dicts, and the text is indented around them."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        # _compact({key: 0}) is "{", json's text of the key and ":0}"
+        body = (",\n" + inner).join(f"{_compact({key: 0})[1:-3]}: {_json_text(value, inner)}"
+                                    for key, value in obj.items())
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _TOKENS:
+            body = _compact(obj)[1:-1].replace(",", ",\n" + inner)
+        else:
+            body = _flat_dicts(obj, inner) or (",\n" + inner).join(
+                _json_text(value, inner) for value in obj)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return _compact(obj)  # a scalar, [] or {}
+
+
+def _flat_dicts(items: list, indent: str) -> str | None:
+    """The items of json.dumps(indent=2)'s text of `items` at `indent`, joined,
+    where all are dicts with the same str keys and number values: one template
+    filled in from one C encoding of all the values; None otherwise."""
+    if set(map(type, items)) != {dict} or len(keys := set(map(tuple, items))) != 1:
+        return None
+    keys, values = keys.pop(), list(itertools.chain.from_iterable(map(dict.values, items)))
+    if not keys or set(map(type, keys)) != {str} or not set(map(type, values)) <= _TOKENS:
+        return None
+    inner = indent + "  "
+    entry = "{\n" + inner + (",\n" + inner).join(
+        _compact(key).replace("%", "%%") + ": %s" for key in keys) + "\n" + indent + "}"
+    return (",\n" + indent).join([entry] * len(items)) % tuple(_compact(values)[1:-1].split(","))
 
 
 def _grid_chunks(start: float, stop: float, num: int):
@@ -256,7 +313,7 @@ def cmd_distributed(args) -> int:
     constants, per_node = run_distributed_allocation(
         ev.rates, list(zip(ev.exponents_r[0], ev.exponents_sp[0])), ev.scenario.total_q, trace)
     if trace is not None:
-        _write(args.trace, map(json.dumps, trace))
+        _write(args.trace, _trace_lines(trace))
     matches = constants.ln_m == ln_m and all(
         node["q_reliability_rc"] == share_r and node["q_reliability_sp"] == share_sp
         for node, share_r, share_sp in zip(per_node, shares_r, shares_sp))
@@ -268,6 +325,20 @@ def cmd_distributed(args) -> int:
         "matches_centralized": matches,
     })
     return EXIT_OK if matches else EXIT_INFEASIBLE
+
+
+def _trace_lines(trace: list[dict]):
+    """json.dumps of each trace record, as a line; a broadcast record that many
+    nodes share, their records' last field, is encoded once and spliced in."""
+    shared = {}  # id of a broadcast record -> its text
+    for record in trace:
+        body = record.get("broadcast")
+        if body is None or next(reversed(record)) != "broadcast":
+            yield json.dumps(record) + "\n"
+            continue
+        if (text := shared.get(id(body))) is None:
+            text = shared[id(body)] = json.dumps(body) + "}\n"
+        yield json.dumps({**record, "broadcast": 0})[:-2] + text
 
 
 def _verify_grid(seed: int, report) -> bool:

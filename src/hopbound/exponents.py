@@ -17,7 +17,10 @@ those two do not see them.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,8 +205,12 @@ def _array_exponents(rates, caps, params, terms, rho_cap: float):
     return exponent, rho_star, regimes[code]
 
 
-# RC regimes whose solve SP repeats float for float (see hop_exponents)
-_SHARED_REGIMES = (Regime.PARAMETRIC_INTERIOR, Regime.ZERO_ABOVE_CAPACITY)
+# the regimes of the hops that a hop_exponents call solves: none yet, or RC's clamped
+# at rho = 1, the one RC result that SP does not repeat float for float
+_UNSOLVED = frozenset((None, Regime.RHO_CLAMPED_AT_ONE))
+# the rates that each family's per-hop solver takes (NaN fails both)
+_VALID_RATE = {"r": functools.partial(operator.le, 0.0), "sp": functools.partial(operator.lt, 0.0)}
+_KIND, _SNR, _CAPACITY = map(operator.attrgetter, ("kind", "snr", "_capacity"))
 
 
 def hop_exponents(rates, hops, family: str, rc=None) -> list[list]:
@@ -221,33 +228,45 @@ def hop_exponents(rates, hops, family: str, rc=None) -> list[list]:
         raise ValueError(f"rates and hops differ in length ({len(rates)} and {len(hops)})")
     if rc and any(len(column) != len(hops) for column in rc):
         raise ValueError(f"each column of rc must hold one entry per hop ({len(hops)})")
-    for rate, ch in zip(rates, hops):
-        if not (rate > 0 or rate == 0 and family == "r"):
-            solve(rate, ch)  # raises the per-hop solver's ChannelError
-    out = [list(column) for column in rc] if rc else [[None] * len(rates) for _ in range(3)]
-    below = {i for i, ch in enumerate(hops) if rates[i] < ch._r_inf} if family == "sp" else ()
-    for i in below:  # E_sp = +inf below a DMC's R_inf, with no solve
-        out[0][i], out[1][i], out[2][i] = math.inf, math.inf, Regime.INFINITE_BELOW_R_INF
-    todo = [i for i, regime in enumerate(out[2]) if regime not in _SHARED_REGIMES
-            and i not in below]
-    by_object, groups = {}, {}
-    for i in todo:  # the AWGN hops, and the hops on each DMC channel object
-        by_object.setdefault("awgn" if hops[i].kind == "awgn" else id(hops[i]), []).append(i)
-    for key, group in by_object.items():  # equal DMCs merge, each object hashed once
-        groups.setdefault(key if key == "awgn" else hops[group[0]], []).extend(group)
-    for key, group in groups.items():
-        if key != "awgn":
-            dmc_terms = e0_dmc_terms(hops[group[0]])
-            params, terms = np.zeros(len(group)), lambda rho, _: dmc_terms(rho)
-        elif len(group) >= ARRAY_MIN_HOPS:
-            params, terms = [hops[i].snr for i in group], _awgn_terms
-        else:
+    valid = _VALID_RATE[family]
+    if not all(map(valid, rates)):
+        for rate, ch in zip(rates, hops):
+            if not valid(rate):
+                solve(rate, ch)  # raises the per-hop solver's ChannelError
+    n, kinds = len(hops), list(map(_KIND, hops))
+    awgn_only = kinds.count("awgn") == n  # no DMC: no R_inf, and one group
+    out = [list(column) for column in rc] if rc else [[None] * n, [None] * n, [None] * n]
+    for i, ch in enumerate(hops) if family == "sp" and not awgn_only else ():
+        if rates[i] < ch._r_inf:  # E_sp = +inf below a DMC's R_inf, with no solve
+            out[0][i], out[1][i], out[2][i] = math.inf, math.inf, Regime.INFINITE_BELOW_R_INF
+    todo = itertools.compress(range(n), map(_UNSOLVED.__contains__, out[2]))
+    groups = {}
+    if awgn_only:
+        groups["awgn"] = list(todo)
+    else:
+        for i in todo:  # the AWGN hops, and the hops on each DMC object
+            groups.setdefault("awgn" if kinds[i] == "awgn" else id(hops[i]), []).append(i)
+    by_channel = {}
+    for key, group in groups.items():  # equal DMCs merge, each object hashed once
+        by_channel.setdefault(key if key == "awgn" else hops[group[0]], []).extend(group)
+    for key, group in by_channel.items():
+        if key == "awgn" and len(group) < ARRAY_MIN_HOPS:
             for i in group:
                 res = solve(rates[i], hops[i])
                 out[0][i], out[1][i], out[2][i] = res.exponent, res.rho_star, res.regime
             continue
-        solved = _array_exponents([rates[i] for i in group], [capacity(hops[i]) for i in group],
-                                  params, terms, rho_cap)
+        group.sort()  # merged groups interleave
+        members = hops if len(group) == n else [hops[i] for i in group]
+        if key == "awgn":
+            params, terms = list(map(_SNR, members)), _awgn_terms
+        else:
+            dmc_terms = e0_dmc_terms(members[0])
+            params, terms = np.zeros(len(group)), lambda rho, _: dmc_terms(rho)
+        solved = _array_exponents(rates if len(group) == n else [rates[i] for i in group],
+                                  list(map(_CAPACITY, members)), params, terms, rho_cap)
+        if len(group) == n:  # every hop in one pass: its arrays are the columns
+            out = [values.tolist() for values in solved]
+            continue
         for column, values in zip(out, solved):
             for i, value in zip(group, values.tolist()):
                 column[i] = value

@@ -28,8 +28,9 @@ _MAX_EXHAUSTIVE_N = 3
 _MAX_ENSEMBLE_Q = 10
 _MAX_ENSEMBLE_M = 8
 
-# evaluate huge grids in slabs to bound memory
+# evaluate huge grids in slabs to bound memory, and at most this many points to bound time
 _GRID_CHUNK = 2_000_000
+_MAX_GRID_POINTS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,13 @@ class GridSpec:
     def __post_init__(self):
         if not (0 <= self.rho_min < self.rho_max < math.inf and 0 < self.step < math.inf):
             raise ValueError("need 0 <= rho_min < rho_max < inf and 0 < step < inf")
+        if (steps := (self.rho_max - self.rho_min) / self.step) + 1e-9 >= _MAX_GRID_POINTS:
+            raise ValueError(f"grid of {steps + 1:.10g} points, more than {_MAX_GRID_POINTS:.0e}")
+
+    @property
+    def points(self) -> int:
+        # tiny slack so an endpoint like rho = 1.0 is not lost to fp division
+        return math.floor((self.rho_max - self.rho_min) / self.step + 1e-9) + 1
 
 
 def grid_max_exponent(rate: float, ch: HopChannel, grid: GridSpec) -> tuple[float, float]:
@@ -50,10 +58,9 @@ def grid_max_exponent(rate: float, ch: HopChannel, grid: GridSpec) -> tuple[floa
     """
     if not math.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate}")
-    # tiny slack so an endpoint like rho = 1.0 is not lost to fp division
-    npts = int(math.floor((grid.rho_max - grid.rho_min) / grid.step + 1e-9)) + 1
     best_val = -math.inf
     best_rho = grid.rho_min
+    npts = grid.points
     for start in range(0, npts, _GRID_CHUNK):
         stop = min(start + _GRID_CHUNK, npts)
         rho = grid.rho_min + grid.step * np.arange(start, stop, dtype=np.float64)
@@ -110,6 +117,8 @@ def bsc_ensemble_error(blocklength: int, num_codewords: int, crossover: float,
     if not (all(type(k) is int and k >= 1 for k in (blocklength, num_codewords, trials))
             and 0 <= crossover <= 1):  # NaN fails it too
         raise ValueError("need integers blocklength, num_codewords, trials >= 1, p in [0, 1]")
+    if type(seed) is not int or seed < 0:  # not a bool, which numpy would take as 0 or 1
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if blocklength > _MAX_ENSEMBLE_Q or num_codewords > _MAX_ENSEMBLE_M:
         raise ValueError(
             f"instance too large for exact enumeration (Q <= {_MAX_ENSEMBLE_Q}, "

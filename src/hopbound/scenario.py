@@ -239,6 +239,20 @@ def _parse_hop(spec, index: int) -> HopChannel:
     raise ScenarioError(f"hop {index}: unknown type {kind!r}")
 
 
+def _parse_hops(specs: list) -> list[HopChannel]:
+    """The hops of a scenario's list; an all-AWGN list whose snr_db are JSON numbers
+    is built in one pass (`HopChannel.awgn_hops`), with snr_db_to_linear's SNRs.
+    Any other list, or one that fails, is parsed hop by hop, which names the
+    first bad hop."""
+    try:
+        dbs = [spec["snr_db"] for spec in specs if spec["type"] == "awgn"]
+        if len(dbs) == len(specs) and set(map(type, dbs)) <= {int, float}:
+            return HopChannel.awgn_hops([10.0 ** (db / 10.0) for db in dbs])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    return [_parse_hop(spec, i) for i, spec in enumerate(specs)]
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -274,8 +288,7 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioError("manual_blocks length must match hop count")
     elif manual is not None:
         raise ScenarioError("manual_blocks only allowed with the manual method")
-    hops = [_parse_hop(h, i) for i, h in enumerate(hops_spec)]
-    return Scenario(total_q=total_q, hops=hops, rate_policy=policy,
+    return Scenario(total_q=total_q, hops=_parse_hops(hops_spec), rate_policy=policy,
                     allocation_method=method, manual_blocks=manual)
 
 

@@ -66,7 +66,8 @@ def stacked_error_bounds(blocks: list[list[int]], e_r: list[list[float]],
         raise ValueError("need at least one hop, every block at least 1 and exponents >= 0")
     if not blocks:
         return []
-    log_terms = -np.asarray(blocks, dtype=float)[:, None, :] * exps.transpose(1, 0, 2)
+    with np.errstate(over="ignore"):  # Q_n E_n past the doubles is +inf, its term exactly 0
+        log_terms = -np.asarray(blocks, dtype=float)[:, None, :] * exps.transpose(1, 0, 2)
     lse = _logsumexp(log_terms.reshape(2 * len(blocks), -1)).reshape(-1, 2)
     return [SystemBounds(pe_upper=pe_upper, pe_lower=pe_lower,
                          esys_lower=-lse_r / sum(row), esys_upper=-lse_sp / sum(row),

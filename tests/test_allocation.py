@@ -20,6 +20,8 @@ from hopbound.allocation import (AllocationError, balance_lagrange, balance_step
                                  information_continuous_blocks,
                                  network_capacity, rate_policy_scale,
                                  reliability_optimal_blocks, reliability_real_blocks)
+from hopbound.channel import HopChannel
+from hopbound.exponents import random_coding_exponent
 from hopbound.oracle import exhaustive_allocation
 
 TWO_HOP_CAPS = [math.log(1 + 10 ** 0.9), math.log(1 + 10 ** 0.6)]  # 9 dB, 6 dB
@@ -301,6 +303,98 @@ class TestReliabilityOptimal:
     def test_rejects_budget_below_hops(self):
         with pytest.raises(AllocationError):
             reliability_optimal_blocks([0.2, 0.1, 0.3], 2)
+
+
+def heap_balanced_blocks(exponents, q_total, shares):
+    """The greedy with lazy heaps for every fill, drain and exchange, as
+    `allocation._balanced_blocks` ran it before its sorted fill: the reference."""
+    n = len(exponents)
+    free = list(range(n))
+    while any(v < 1.0 for v in shares) and any(v >= 1.0 for v in shares):
+        free = [i for i, v in zip(free, shares) if v >= 1.0]
+        shares = reliability_real_blocks([exponents[i] for i in free], q_total - n + len(free))
+    blocks = [1] * n
+    for i, v in zip(free, shares):
+        blocks[i] = min(max(math.floor(v), 1), q_total - n + 1)
+    log_gap = [math.log(-math.expm1(-e)) for e in exponents]
+    gains, losses = [], []
+
+    def move(i, delta):
+        blocks[i] += delta
+        b, e = blocks[i], exponents[i]
+        heapq.heappush(gains, (b * e - log_gap[i], i, b))
+        if b > 1:
+            heapq.heappush(losses, (log_gap[i] - (b - 1) * e, i, b))
+
+    def top(heap):
+        while heap and blocks[heap[0][1]] != heap[0][2]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    for i in range(n):
+        move(i, 0)
+    placed = sum(blocks)
+    for _ in range(placed, q_total):
+        move(top(gains)[1], 1)
+    for _ in range(q_total, placed):
+        move(top(losses)[1], -1)
+    while True:
+        gain, loss = top(gains), top(losses)
+        if loss is None or gain[1] == loss[1] or -gain[0] <= loss[0]:
+            return blocks
+        move(gain[1], 1)
+        move(loss[1], -1)
+
+
+# exponents of AWGN-like hops, subnormal ones, and a few values that repeat
+_EXPONENTS = st.one_of(st.floats(1e-3, 30.0), st.floats(5e-324, 1e-300),
+                       st.sampled_from([0.003, 0.2, 2.0, 5.0]))
+
+
+class TestSortedFill:
+    """`_balanced_blocks` fills by one sort where its certificate holds and runs
+    the heap greedy otherwise; both give the reference's split."""
+
+    @staticmethod
+    def paths(monkeypatch, exps, q):
+        """(whether the heaps ran, each `_sorted_fill` call's certificate) of the
+        split of `exps` and `q`, which must equal the reference's."""
+        shares = reliability_real_blocks(exps, q)
+        expected = heap_balanced_blocks(exps, q, shares)
+        pushes = TestReliabilityOptimal.count_pushes(monkeypatch, 8 * len(exps))
+        fill, certified = allocation._sorted_fill, []
+        monkeypatch.setattr(allocation, "_sorted_fill", lambda *args: certified.append(
+            fill(*args)) or certified[-1])
+        assert allocation._balanced_blocks(exps, q, shares) == expected
+        return bool(pushes), [filled is not None for filled in certified]
+
+    @pytest.mark.parametrize("exps,q,heaps,certified", [
+        ([0.2, 1.0], 3, False, [True]),  # one unit by the sort, then no exchange
+        ([5.0, 5.0, 0.003], 5, True, [True]),  # by the sort, then an exchange on heaps
+        ([0.2, 2.0, 2.0, 2.0], 6, True, [False]),  # hop 0 takes two units: heaps from the floors
+        ([0.5, 5.0], 2, False, [])])  # the floors sum to Q
+    def test_each_path(self, monkeypatch, exps, q, heaps, certified):
+        assert self.paths(monkeypatch, exps, q) == (heaps, certified)
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_a_long_chain_takes_the_sort_alone(self, monkeypatch, seed):
+        # AWGN hops at 0 to 15 dB and half of capacity, Q = 1000 N: about N/2 units, no exchange
+        snr = 10.0 ** (np.random.default_rng(seed).uniform(0.0, 15.0, 1000) / 10.0)
+        rates = [0.5 * math.log1p(x) for x in snr]
+        exps = [random_coding_exponent(r, HopChannel.awgn(x)).exponent for r, x in zip(rates, snr)]
+        assert self.paths(monkeypatch, exps, 1000 * len(exps)) == (False, [True])
+
+    @settings(max_examples=300, deadline=None)
+    @given(exps=st.lists(_EXPONENTS, min_size=1, max_size=8),
+           log_q=st.floats(0.0, 53.0), small_q=st.integers(1, 60), equal=st.booleans())
+    @example(exps=[0.2, 2.0, 2.0, 2.0], log_q=0.0, small_q=6, equal=False)
+    @example(exps=[5.0, 5.0, 0.003], log_q=0.0, small_q=5, equal=False)
+    def test_equals_the_heap_greedy(self, exps, log_q, small_q, equal):
+        exps = exps[:1] * len(exps) if equal else exps  # equal SNRs
+        q = max(len(exps), min(int(2.0 ** log_q), 2 ** 53) if log_q > 6 else small_q)
+        shares = reliability_real_blocks(exps, q)
+        assert allocation._balanced_blocks(exps, q, shares) == heap_balanced_blocks(
+            exps, q, shares)
 
 
 def mp_balance_level(exps, q):

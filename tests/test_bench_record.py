@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ bench_record = _load("bench_record")
 bench_layers = _load("bench_layers")
 
 LAYER_ROWS = [
+    "scenario.load_scenario.awgn_1000.ms_per_call",
     "channel.e0_terms.awgn.us_per_call",
     "channel.e0_terms.dmc_3x3.us_per_call",
     "channel.e0.dmc_3x3_grid_100000.ms_per_call",
@@ -188,3 +190,27 @@ def test_a_command_this_tree_rejects_records_null_and_its_exit(tmp_path, monkeyp
 def test_peak_rss_reads_this_process_vmhwm():
     peak = bench_layers.peak_rss_mb()
     assert isinstance(peak, float) and peak > 0
+
+
+def test_tier1_runs_once_per_tree_and_reports_its_wall_time(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_record, "_run", lambda label, root, workload, *_: calls.append(
+        (workload, label)) or _row(label, workload, 1.0))
+    for label in ("parent", "change"):
+        (tmp_path / label / "hopbench").mkdir(parents=True)
+        (tmp_path / label / "hopbench" / "run.py").touch()
+    trees = [f"{lb}={tmp_path / lb}" for lb in ("parent", "change")]
+    assert bench_record.main(["--out", str(tmp_path / "b.json"), "--tier1", *trees]) == 0
+    assert calls[-2:] == [("tier1", "parent"), ("tier1", "change")]
+    assert [c for c in calls if c[0] == "tier1"] == calls[-2:]
+
+
+def test_a_tier1_run_is_reported_not_gated(tmp_path, monkeypatch):
+    # a failing suite gives a row with correct false, where a failing benchmark run exits
+    monkeypatch.setattr(bench_record.subprocess, "run",
+                        lambda *args, **kwargs: types.SimpleNamespace(returncode=1))
+    row = bench_record._run("change", str(tmp_path), "tier1", 1, 1.0)
+    assert set(row) == {"label", "workload", "wall_s", "cpu_s", "result"}
+    assert row["result"]["correct"] is False
+    assert set(row["result"]["metrics"]) == {"tier1.wall_s"}
+    assert row["result"]["metrics"]["tier1.wall_s"]["unit"] == "s"

@@ -6,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopbound.channel import (ChannelError, HopChannel, capacity, e0,
                               e0_awgn, e0_derivative, e0_dmc,
@@ -280,6 +282,33 @@ class TestDerivedConstants:
         assert capacity(other) == self.fresh(other)[0] != capacity(dmc)
         with pytest.raises(ChannelError):
             dataclasses.replace(ch, snr=-1.0)
+
+
+class TestAwgnHops:
+    """`HopChannel.awgn_hops` builds what the constructor builds, hop for hop."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(5e-324, 1.7e308), st.sampled_from([1.0, 10.0, 31.6])),
+                    max_size=300))
+    def test_equals_the_constructor(self, snrs):
+        built = HopChannel.awgn_hops(snrs)
+        assert len(built) == len(snrs)
+        for ch, snr in zip(built, snrs):
+            one = HopChannel(kind="awgn", snr=snr)
+            assert ch == one and hash(ch) == hash(one) and repr(ch) == repr(one)
+            # the capacity's bits, as the 0-d np.log1p call gave them
+            assert np.float64(capacity(ch)).tobytes() == np.float64(np.log1p(snr)).tobytes()
+            assert capacity(ch) == capacity(one) and ch._r_inf == one._r_inf == 0.0
+
+    def test_one_log1p_call_equals_the_0d_calls(self):
+        snrs = 10.0 ** np.random.default_rng(36).uniform(-30.0, 30.0, 100_000)
+        built = [capacity(ch) for ch in HopChannel.awgn_hops(snrs)]
+        assert built == [float(np.log1p(x)) for x in snrs.tolist()]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_names_the_first_bad_snr(self, bad):
+        with pytest.raises(ChannelError, match=f"requires a finite snr > 0, got {bad}$"):
+            HopChannel.awgn_hops([2.0, bad, -3.0])
 
 
 class TestEquality:

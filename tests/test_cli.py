@@ -1031,6 +1031,101 @@ def test_trace_file_is_jsonl(tmp_path):
         per_node[1]["q_reliability_rc"]
 
 
+def test_trace_lines_equal_json_dumps():
+    # a shared broadcast record is encoded once; one that is not its record's
+    # last field, or not a dict, goes through json.dumps whole
+    shared = {"ln_m": 1.5, "frame_rc": (-0.0, 1e-310, math.inf), "q_total": 10}
+    trace = [{"step": 1, "from": 1, "to": 2, "message": {"frame_rate": (1.0, math.nan)}},
+             *({"step": k, "from": 3, "to": k - 1, "broadcast": shared} for k in (2, 3, 4)),
+             {"broadcast": shared, "step": 5}, {"step": 6, "broadcast": None},
+             {"step": 7, "broadcast": {"a%s": "x\u2603"}}]
+    assert list(cli._trace_lines(trace)) == [json.dumps(record) + "\n" for record in trace]
+
+
+# JSON leaves: numbers with the floats json spells out, None, and strings with escapes
+_NUMBER = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(), st.booleans(), st.none(),
+                    st.sampled_from([-0.0, 1e-310, math.nan, math.inf, -math.inf]))
+_LEAF = st.one_of(_NUMBER, st.text(alphabet=st.sampled_from('a,%"\\\n\x00\u2603{}:['),
+                                   max_size=5))
+_KEY = st.one_of(st.text(alphabet=st.sampled_from('k,%"\\\u2603: '), max_size=4),
+                 st.integers(-3, 3), st.floats(), st.booleans(), st.none())
+
+
+@st.composite
+def _flat_dict_lists(draw):
+    """Lists of dicts with the same str keys and number values, as per_node_blocks."""
+    keys = draw(st.lists(_KEY.filter(lambda key: isinstance(key, str)), unique=True,
+                         max_size=3))
+    rows = draw(st.lists(st.lists(_NUMBER, min_size=len(keys), max_size=len(keys)), max_size=4))
+    return [dict(zip(keys, row)) for row in rows]
+
+
+_PAYLOADS = st.recursive(_LEAF, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+    st.dictionaries(_KEY, children, max_size=4), st.lists(_NUMBER, max_size=5),
+    _flat_dict_lists()), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+@example({"blocklengths": [1, 2], "e": [], "d": {}, "z": [{}], 1.5: None,
+          "per_node_blocks": [{"a%s": -0.0, "b": 1e-310}, {"a%s": math.nan, "b": -math.inf}]})
+@example([{"k": 1}, {"k": "1"}])  # the same keys, a value that is not a number
+@example([{1: 2}, {True: 3}])  # equal keys that json spells apart
+def test_json_writer_equals_json_dumps_indent_2(payload):
+    assert cli._json_text(payload, "") == json.dumps(payload, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.floats(), st.floats().map(np.float64), st.integers(),
+                                   st.booleans(), st.none(), st.text("ab_", max_size=3)),
+                         min_size=1, max_size=4), max_size=6))
+@example([[0.5, 1, "x"], [1, 0.5, "x"], [0.5, 1, "x"]])  # one row of other types between two
+def test_csv_writer_equals_the_per_cell_form(rows):
+    written = io.StringIO()
+    with contextlib.redirect_stdout(written):
+        cli._write_csv(None, "header", rows)
+    assert written.getvalue() == "".join(
+        f"{line}\n" for line in ["header", *(",".join(map(cli._fmt, row)) for row in rows)])
+
+
+def test_a_failing_sweep_keeps_every_row_before_the_failing_chunk(tmp_path, monkeypatch):
+    # the last rate, 1e-300 nats at 3000 dB, puts the SP maximizer past 2**1014; the
+    # writer's batches divide the grid's chunks, so the rows before its chunk are written
+    assert cli._GRID_CHUNK % cli._CSV_BATCH == 0
+    monkeypatch.setattr(cli, "_GRID_CHUNK", 64)
+    monkeypatch.setattr(cli, "_CSV_BATCH", 16)
+    out = tmp_path / "sweep.csv"
+    assert main(["exponent", "--snr-db", "3000", "--rate-min", "5", "--rate-max", "1e-300",
+                 "--rate-steps", "129", "--out", str(out)]) == 3
+    assert len(out.read_text().splitlines()) == 1 + 128
+
+
+_HOP_SPECS = st.one_of(
+    _AWGN, _DMC, st.just({"type": "awgn"}), st.just([]), st.just({"type": "bec"}),
+    st.fixed_dictionaries({"type": st.just("awgn"), "snr_db": st.one_of(
+        st.integers(-400, 400), st.floats(), st.sampled_from(
+            [True, "3", None, 4000.0, -4000.0, 10 ** 400, -(10 ** 400), 3090.0]))}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_HOP_SPECS, min_size=1, max_size=6), st.integers(1, 200))
+def test_hop_list_parses_as_hop_by_hop(specs, awgn_hops):
+    # an all-AWGN list takes the one-pass build; a bad hop among many names itself
+    specs = specs + [{"type": "awgn", "snr_db": 0.25 * k} for k in range(awgn_hops)]
+    try:
+        expected = [scenario._parse_hop(spec, i) for i, spec in enumerate(specs)]
+    except ScenarioError as exc:
+        with pytest.raises(ScenarioError) as raised:
+            scenario._parse_hops(specs)
+        assert str(raised.value) == str(exc)
+        return
+    got = scenario._parse_hops(specs)
+    assert got == expected and [ch.snr for ch in got] == [ch.snr for ch in expected]
+    assert np.array([capacity(ch) for ch in got]).tobytes() == np.array(
+        [capacity(ch) for ch in expected]).tobytes()
+
+
 class TestPeakMemory:
     """A command's tracemalloc peak at two sizes of an option that must not
     multiply it: the peak is bounded by a constant, or linearly in the hops."""

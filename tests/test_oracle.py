@@ -1,4 +1,6 @@
 import math
+import re
+import time
 import warnings
 
 import numpy as np
@@ -41,6 +43,17 @@ class TestGridMax:
     def test_non_finite_grid_rejected(self, spec):
         with pytest.raises(ValueError, match="rho_min < rho_max < inf"):
             GridSpec(*spec)
+
+    @pytest.mark.parametrize("step,count", [(1e-15, "1e+15"), (5e-324, "inf"),
+                                            (1e-8, "100000001")])
+    def test_grid_past_1e8_points_rejected_at_once(self, step, count):
+        # once: a 1e-15 step ran for as long as its 1e15 points took, and
+        # 5e-324 raised OverflowError
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^grid of {re.escape(count)} points, more than"):
+            grid_max_exponent(0.1, SNR1, GridSpec(0.0, 1.0, step))
+        assert time.perf_counter() - start < 1.0
+        assert GridSpec(0.0, 1.0, 1.00000001e-8).points == 10 ** 8
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_non_finite_rate_rejected(self, rate):
@@ -122,6 +135,12 @@ class TestBscEnsemble:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="need integers blocklength, num_codewords"):
                 bsc_ensemble_error(*args, seed=1)
+
+    @pytest.mark.parametrize("seed", [0.5, True, -1, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # once: 0.5 raised numpy's TypeError and True ran as seed 1
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            bsc_ensemble_error(4, 2, 0.1, 3, seed)
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_crossover_ends(self, p):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -126,6 +127,15 @@ class TestSystemBounds:
             system_error_bounds([1, 1], **exps)
         exps[family] = [math.inf, 1.0]
         assert system_error_bounds([1, 1], **exps).degenerate_hops == []
+
+
+    def test_overflowing_log_term_is_exactly_zero(self):
+        # once: Q_n E_n = 3e308 warned "overflow encountered in multiply"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = system_error_bounds([3, 4], [1e308, 0.6], [0.7, 0.8])
+        assert big == system_error_bounds([3, 4], [math.inf, 0.6], [0.7, 0.8])
+        assert big.per_hop_pe_upper[0] == 0.0
 
 
 @st.composite

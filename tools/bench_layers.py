@@ -131,6 +131,8 @@ def run(row, out: str) -> None:
             json.dump({"schema_version": 1, "total_q": 1000 * len(hops), "hops": hops,
                        "rate_policy": {"mode": "capacity_fraction", "beta": 0.5},
                        "allocation_method": "reliability_optimal_rc"}, fh)
+    timed("scenario.load_scenario.awgn_1000.ms_per_call", 20,
+          lambda: partial(scenario.load_scenario, os.path.join(out, "awgn_1000")))
     for name, ch in (("awgn", awgn[0]), ("dmc_3x3", dmc)):  # at rho = 2
         timed(f"channel.e0_terms.{name}.us_per_call", 20,
               lambda: partial(channel.e0_terms(ch), 2.0), 200)

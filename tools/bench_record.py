@@ -11,7 +11,10 @@ alternating which root goes first in each pair; ``layers`` runs this
 directory's ``bench_layers.py``, the record's one source of per-layer numbers,
 on each root's ``src`` the same way.  Every run's last stdout line, the result
 line, is kept whole; the file adds the machine, the settings and the
-per-label medians of every metric.  ``--table`` prints those medians as a
+per-label medians of every metric.  ``--tier1`` adds one run of each root's
+tier-1 suite (``python -m pytest`` with its ``src``), whose wall time is
+reported as ``tier1.wall_s`` and gates nothing: a failing suite is recorded
+with ``correct`` false.  ``--table`` prints those medians as a
 Markdown table, with the last label over the first as a ratio, and per
 workload how many pairs the last label won on ops_per_s and how many of
 those wins it ran first.
@@ -24,6 +27,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,21 +57,33 @@ def _tree(label: str, root: str) -> dict:
 
 
 def _run(label: str, root: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run of ``root``'s benchmark, or of LAYERS on its ``src``; its
-    result line, kept whole."""
+    """One untraced run of ``root``'s benchmark, of LAYERS on its ``src`` or of its
+    tier-1 suite: its result line, kept whole (a tier-1 run's is built here), with
+    the run's wall time and the CPU time (user and system) of the process and the
+    children it waited for."""
     cmd = [sys.executable, os.path.join("hopbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = None
     if workload == "layers":
         cmd, env = [sys.executable, LAYERS], dict(os.environ, PYTHONPATH="src")
+    elif workload == "tier1":
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               "--continue-on-collection-errors"]
+        env = dict(os.environ, PYTHONPATH="src")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run = {"label": label, "workload": workload, "wall_s": wall,
+           "cpu_s": after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime}
+    if workload == "tier1":
+        return {**run, "result": {"correct": proc.returncode == 0, "metrics": {
+            "tier1.wall_s": {"value": wall, "unit": "s"}}}}
     if proc.returncode != 0:
         raise SystemExit(f"{label} {workload}: exit {proc.returncode}\n"
                          f"{proc.stderr[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"label": label, "workload": workload, "wall_s": wall, "result": result}
+    return {**run, "result": json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
 def _medians(rows: list[dict]) -> list[dict]:
@@ -141,6 +157,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=901)
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--table", action="store_true", help="print the medians as Markdown")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also time one run of each tree's tier-1 suite (not gated)")
     args = parser.parse_args(argv)
 
     roots = {}
@@ -155,6 +173,8 @@ def main(argv=None) -> int:
         for k in range(args.repeats):
             order = list(roots.items()) if k % 2 == 0 else list(roots.items())[::-1]
             rows += [_run(lb, r, workload, args.seed, args.seconds) for lb, r in order]
+    if args.tier1:
+        rows += [_run(lb, r, "tier1", args.seed, args.seconds) for lb, r in roots.items()]
     doc = {
         "machine": {"platform": platform.platform(), "processor": platform.machine(),
                     "cpus": os.cpu_count(), "python": platform.python_version(),
