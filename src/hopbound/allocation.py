@@ -24,10 +24,6 @@ __all__ = [
     "Method",
     "end_to_end_rate",
     "network_capacity",
-    "balance_lagrange",
-    "balance_log_m",
-    "balance_share",
-    "balance_step",
     "reliability_real_blocks",
     "reliability_optimal_blocks",
     "info_continuous_log_m",

@@ -69,8 +69,9 @@ class ArqChain:
             if not 0.0 <= p < 1.0:
                 raise LatencyError(f"P_e on hop {i} must be in [0, 1), got {p}", hop=i)
         for i, q in enumerate(self.costs):
-            if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 1:
-                raise LatencyError(f"cost on hop {i} must be an integer >= 1, got {q!r}",
+            # the cap of total_q: every reader turns a cost into a double
+            if isinstance(q, bool) or not isinstance(q, numbers.Integral) or not 1 <= q <= 2 ** 53:
+                raise LatencyError(f"cost on hop {i} must be an integer in [1, 2**53], got {q!r}",
                                    hop=i)
 
 

@@ -20,8 +20,6 @@ __all__ = [
     "e0_dmc",
     "e0",
     "e0_derivative",
-    "e0_terms",
-    "e0_dmc_terms",
     "capacity",
     "snr_db_to_linear",
 ]

@@ -47,9 +47,6 @@ REPRODUCE_MC_SEED = 20240101
 
 # rows of the `exponent` grid solved and written at a time: its memory is bounded
 _GRID_CHUNK = 4096
-# CSV rows formatted by one template and written as one text; it divides _GRID_CHUNK,
-# so a sweep whose solve fails in a chunk has written every row before that chunk
-_CSV_BATCH = _GRID_CHUNK // 16
 
 # the most rates `exponent` sweeps: its time and output file grow with them
 MAX_RATE_STEPS = 10 ** 7
@@ -60,10 +57,6 @@ MAX_TRIALS = 10 ** 9
 _LN_M_MATERIALIZE_LIMIT = 700.0
 
 _DOMAIN_ERRORS = (AllocationError, ChannelError, LatencyError, ScenarioError)
-
-
-def _fmt(x) -> str:
-    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _check_writable(*paths: str | None) -> None:
@@ -84,22 +77,13 @@ def _write(path: str | None, texts: Iterable[str]) -> None:
         fh.writelines(texts)
 
 
-def _write_csv(path: str, header: str, rows: Iterable) -> None:
-    """The header and `rows`, each cell as `_fmt` writes it: each batch of rows of
-    one length whose columns each hold one type goes through one str.format
-    template built from those types, any other batch cell by cell."""
-    def lines():
-        yield header + "\n"
-        rows_left = iter(rows)
-        while batch := list(itertools.islice(rows_left, _CSV_BATCH)):
-            types = [set(map(type, column)) for column in zip(*batch)]
-            if set(map(len, batch)) == {len(types)} and all(len(kind) == 1 for kind in types):
-                template = ",".join("{:.12g}" if issubclass(kind.pop(), float) else "{}"
-                                    for kind in types) + "\n"
-                yield "".join(itertools.starmap(template.format, batch))
-            else:
-                yield "".join(",".join(map(_fmt, row)) + "\n" for row in batch)
-    _write(path, lines())
+def _write_csv(path: str | None, header: str, rows: Iterable) -> None:
+    """The header and a line per row, each written as it comes: one str.format
+    template writes a `regime_*` column's text as it is and every other
+    column's float as {:.12g}."""
+    template = ",".join("{}" if name.startswith("regime_") else "{:.12g}"
+                        for name in header.split(",")) + "\n"
+    _write(path, itertools.chain([header + "\n"], itertools.starmap(template.format, rows)))
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -182,7 +166,7 @@ def cmd_exponent(args) -> int:
     _write_csv(args.out, "rate_nats,e_r,rho_r,regime_r,e_sp,rho_sp,regime_sp", rows())
     if args.bits:
         lo, hi = args.rate_min / NATS_PER_BIT, args.rate_max / NATS_PER_BIT
-        print(f"swept rates {_fmt(lo)} to {_fmt(hi)} bits/use "
+        print(f"swept rates {lo:.12g} to {hi:.12g} bits/use "
               f"({args.rate_steps} points) -> {args.out}")
     return EXIT_OK
 
@@ -208,7 +192,7 @@ def _sweep_rows(hops, methods: list[str], row) -> list[list]:
             try:
                 table.append(row(next(rows)))
             except _DOMAIN_ERRORS as exc:
-                print(f"skipping rate {_fmt(target)}: {exc}", file=sys.stderr)
+                print(f"skipping rate {target:.12g}: {exc}", file=sys.stderr)
     return tables
 
 
@@ -284,7 +268,7 @@ def cmd_allocate(args) -> int:
     _write_json(args.out, payload)
     if args.bits:
         bits = [r / NATS_PER_BIT for r in ev.rates]
-        print("rates in bits/use:", ", ".join(_fmt(b) for b in bits))
+        print("rates in bits/use:", ", ".join(f"{b:.12g}" for b in bits))
     return EXIT_OK
 
 

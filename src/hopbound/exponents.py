@@ -35,7 +35,6 @@ __all__ = [
     "sphere_packing_exponent",
     "hop_exponents",
     "critical_rate",
-    "ARRAY_MIN_HOPS",
 ]
 
 # AWGN hops from which one `_array_exponents` call beats per-hop solves: its

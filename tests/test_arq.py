@@ -67,6 +67,23 @@ class TestExpectedLatency:
             ArqChain([0.1, 0.2], [10, cost])
         assert err.value.hop == 1
 
+    @pytest.mark.parametrize("reader", [
+        expected_latency, latency_variance, lambda chain: simulate_latency(chain, 10, 1)],
+        ids=["expected_latency", "latency_variance", "simulate_latency"])
+    @pytest.mark.parametrize("cost", [2 ** 53 + 1, 10 ** 200, 10 ** 400],
+                             ids=["2**53+1", "10**200", "10**400"])
+    def test_rejects_a_cost_above_2_53_before_any_reader(self, reader, cost):
+        # past the doubles the readers overflow or warn; 2**53 is total_q's cap
+        with pytest.raises(LatencyError) as err:
+            reader(ArqChain([0.5, 0.5], [10, cost]))
+        assert err.value.hop == 1
+
+    def test_a_cost_of_2_53_runs(self):
+        chain = ArqChain([0.5], [2 ** 53])
+        est = simulate_latency(chain, 10, 1)
+        assert est.analytic == expected_latency(chain) == 2.0 ** 54
+        assert math.isfinite(est.mc_mean) and latency_variance(chain) == 2.0 ** 107
+
     @pytest.mark.parametrize("cost", [1, 2 ** 40, np.int64(7), np.uint8(3)])
     def test_accepts_integral_costs(self, cost):
         assert expected_latency(ArqChain([0.0], [cost])) == float(cost)

@@ -23,7 +23,7 @@ from hopbound import allocation, cli, exponents, scenario
 from hopbound.channel import ChannelError, HopChannel, capacity, snr_db_to_linear
 from hopbound.arq import simulate_latency
 from hopbound.cli import main
-from hopbound.exponents import (ARRAY_MIN_HOPS, random_coding_exponent,
+from hopbound.exponents import (ARRAY_MIN_HOPS, Regime, random_coding_exponent,
                                 sphere_packing_exponent)
 from hopbound.scenario import Evaluation, Scenario, ScenarioError, load_scenario
 
@@ -35,6 +35,11 @@ BASE_DOC = {
     "rate_policy": {"mode": "capacity_fraction", "beta": 0.5},
     "allocation_method": "reliability_optimal_rc",
 }
+
+
+def per_cell(x) -> str:
+    """A CSV cell in the per-cell form: a float as {:.12g}, anything else as str."""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -613,6 +618,23 @@ class TestExponentGrid:
         assert out.read_text() == linspace_csv(ch, lo, hi, steps)
         assert max(calls) == min(steps, self.CHUNK)
 
+    def test_dmc_sweep_across_r_inf_writes_infinite_cells(self, tmp_path):
+        # R_inf = ln 1.5 under the uniform input: below it E_sp is +inf at rho +inf
+        transition = [[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]]
+        ch = HopChannel.dmc(transition)
+        path = write_scenario(tmp_path, hops=[{"type": "dmc", "transition": transition}])
+        lo, hi, steps = 0.05, 0.55, 26
+        assert lo < math.log(1.5) < hi < capacity(ch)
+        out = tmp_path / "sweep.csv"
+        assert main(["exponent", "--scenario", path, f"--rate-min={lo}", f"--rate-max={hi}",
+                     "--rate-steps", str(steps), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == linspace_csv(ch, lo, hi, steps)
+        sp = {tuple(line.split(",")[4:]) for line in text.splitlines()[1:]}
+        assert ("inf", "inf", Regime.INFINITE_BELOW_R_INF) in sp
+        assert {regime for *_, regime in sp} == {Regime.INFINITE_BELOW_R_INF,
+                                                 Regime.PARAMETRIC_INTERIOR}
+
     def test_out_through_a_symlink(self, tmp_path):
         # the rows reach the link's target, and the link stays a link
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
@@ -874,7 +896,7 @@ class TestSweepSkippedRows:
                 try:
                     rows.append(row(Evaluation([sc])[0]))
                 except cli._DOMAIN_ERRORS as exc:
-                    lines.append(f"skipping rate {cli._fmt(target)}: {exc}")
+                    lines.append(f"skipping rate {per_cell(target)}: {exc}")
         return tables, lines
 
     @staticmethod
@@ -912,7 +934,7 @@ class TestSweepSkippedRows:
             expected += lines
             for name, rows in zip(names, tables):
                 written = (tmp_path / f"{figure}_{name}.csv").read_text().splitlines()[1:]
-                assert written == [",".join(cli._fmt(v) for v in r) for r in rows]
+                assert written == [",".join(map(per_cell, r)) for r in rows]
         assert expected == self.LINES[figure]
         assert capsys.readouterr().err.splitlines() == expected
 
@@ -1076,25 +1098,45 @@ def test_json_writer_equals_json_dumps_indent_2(payload):
     assert cli._json_text(payload, "") == json.dumps(payload, indent=2)
 
 
+# each CSV the CLI writes: `exponent`'s sweep, reproduce's fig3 and fig4 tables
+_CSV_HEADERS = ["rate_nats,e_r,rho_r,regime_r,e_sp,rho_sp,regime_sp",
+                "end_to_end_rate_nats,esys_rc,esys_sp",
+                "end_to_end_rate_nats,latency_upper,latency_lower,latency_mc_mean,"
+                "latency_mc_stderr"]
+_REGIMES = st.sampled_from([Regime.PARAMETRIC_INTERIOR, Regime.RHO_CLAMPED_AT_ONE,
+                            Regime.ZERO_ABOVE_CAPACITY, Regime.INFINITE_BELOW_R_INF])
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header the CLI writes and rows of the cells it sends: text in a `regime_*`
+    column, a float (a Python or a numpy one) in every other."""
+    header = draw(st.sampled_from(_CSV_HEADERS))
+    row = st.tuples(*(_REGIMES if name.startswith("regime_")
+                      else st.one_of(st.floats(), st.floats().map(np.float64))
+                      for name in header.split(",")))
+    return header, draw(st.lists(row, max_size=6))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.one_of(st.floats(), st.floats().map(np.float64), st.integers(),
-                                   st.booleans(), st.none(), st.text("ab_", max_size=3)),
-                         min_size=1, max_size=4), max_size=6))
-@example([[0.5, 1, "x"], [1, 0.5, "x"], [0.5, 1, "x"]])  # one row of other types between two
-def test_csv_writer_equals_the_per_cell_form(rows):
+@given(_csv_tables())
+@example((_CSV_HEADERS[0], [(5e-324, math.inf, math.inf, Regime.INFINITE_BELOW_R_INF, -0.0,
+                             math.nan, Regime.ZERO_ABOVE_CAPACITY),
+                            (np.float64(0.1), 1e308, -1e-310, Regime.RHO_CLAMPED_AT_ONE,
+                             np.float64(-math.inf), 2.0 ** 60, Regime.PARAMETRIC_INTERIOR)]))
+def test_csv_writer_equals_the_per_cell_form(table):
+    header, rows = table
     written = io.StringIO()
     with contextlib.redirect_stdout(written):
-        cli._write_csv(None, "header", rows)
+        cli._write_csv(None, header, rows)
     assert written.getvalue() == "".join(
-        f"{line}\n" for line in ["header", *(",".join(map(cli._fmt, row)) for row in rows)])
+        f"{line}\n" for line in [header, *(",".join(map(per_cell, row)) for row in rows)])
 
 
 def test_a_failing_sweep_keeps_every_row_before_the_failing_chunk(tmp_path, monkeypatch):
     # the last rate, 1e-300 nats at 3000 dB, puts the SP maximizer past 2**1014; the
-    # writer's batches divide the grid's chunks, so the rows before its chunk are written
-    assert cli._GRID_CHUNK % cli._CSV_BATCH == 0
+    # writer writes each row as it comes, so the rows before its chunk are written
     monkeypatch.setattr(cli, "_GRID_CHUNK", 64)
-    monkeypatch.setattr(cli, "_CSV_BATCH", 16)
     out = tmp_path / "sweep.csv"
     assert main(["exponent", "--snr-db", "3000", "--rate-min", "5", "--rate-max", "1e-300",
                  "--rate-steps", "129", "--out", str(out)]) == 3

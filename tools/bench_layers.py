@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 tools/bench_layers.py
 
 The line is shaped like hopbench's; each metric's name starts with the stage it
-times.  Rows call public names only: a row whose function is missing or raises
+times.  Rows call public names only, except the `channel.e0_terms.*` rows, which
+time the solver's internal E0 step.  A row whose function is missing or raises
 records null values and its error.  A timed row is the least of a fixed number
 of timeit calls (garbage collector off), after one untimed call.
 """
