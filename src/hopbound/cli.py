@@ -159,9 +159,8 @@ def cmd_exponent(args) -> int:
 
     def rows():
         for rates in grid():
-            hops = [ch] * len(rates)
-            rc = hop_exponents(rates, hops, "r")
-            yield from zip(rates, *rc, *hop_exponents(rates, hops, "sp", rc))
+            rc, sp = hop_exponents(rates, [ch] * len(rates))
+            yield from zip(rates, *rc, *sp)
 
     _write_csv(args.out, "rate_nats,e_r,rho_r,regime_r,e_sp,rho_sp,regime_sp", rows())
     if args.bits:

@@ -4,7 +4,8 @@ Both exponents maximize -rho*R + E0(rho); the random-coding exponent over
 rho in [0, 1], the sphere-packing exponent over rho > 0 (+inf below a DMC's
 R_inf).  Since E0 is concave in rho, the interior maximizer solves dE0/drho =
 R; it is found by Newton's method on that equation, on Python floats, with
-every step kept inside a bisection bracket.
+every step kept inside a bisection bracket.  One solve gives both: RC's result
+is read at its first step, rho = 1 (Gallager 1968, sec. 5.6).
 
 `hop_exponents` solves a list of hops.  ARRAY_MIN_HOPS or more AWGN hops, and
 the hops on equal DMC channels, take one array pass: each element takes
@@ -18,8 +19,8 @@ those two do not see them.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -37,9 +38,9 @@ __all__ = [
     "critical_rate",
 ]
 
-# AWGN hops from which one `_array_exponents` call beats per-hop solves: its
-# ~0.25 ms against 3-4 (RC) or 6-8 us (SP) per hop; RC's break-even, SP's is ~50
-ARRAY_MIN_HOPS = 80
+# AWGN hops from which one `_array_exponents` call beats per-hop solves of both
+# families: the two cost alike at 40-60 hops, ~0.3-0.65 ms (2 vCPUs, numpy 2.4)
+ARRAY_MIN_HOPS = 50
 
 # Newton's stopping distance in ulps (of rho for the step, of the rate for the slope)
 _ULPS = 4
@@ -60,25 +61,26 @@ class ExponentResult:
     regime: str
 
 
-def _maximize(rate: float, ch: HopChannel, rho_cap: float) -> ExponentResult:
-    """max of E0(rho) - rho*rate over 0 <= rho <= rho_cap (1 or inf), for 0 <= rate.
+def _maximize(rate: float, ch: HopChannel, rho_cap: float) -> tuple[ExponentResult, ...]:
+    """(RC, SP): max of E0(rho) - rho*rate over rho in [0, 1] and [0, rho_cap], for 0 <= rate.
 
-    Doubles the bracket from [0, 1] until dE0/drho falls to the rate; a root past
-    rho_cap = 1 clamps there, and a root past _RHO_LIMIT raises ChannelError.
-    Then runs Newton on dE0/drho = rate from the bracket's secant point; a step
-    that leaves the bracket is replaced by its midpoint.  Stops when the step or
-    the slope error is within a few ulps, or the bracket ends are adjacent.
-    """
+    Doubles the bracket from [0, 1] until dE0/drho falls to the rate; RC clamps at
+    rho = 1 if it doubles, and there stops at rho_cap = 1.  A root past _RHO_LIMIT
+    raises ChannelError.  Then runs Newton on dE0/drho = rate from the bracket's
+    secant point; a step that leaves the bracket is replaced by its midpoint.  Stops
+    when the step or the slope error is within a few ulps, or the bracket ends are
+    adjacent."""
     rate = float(rate)
     lo_slope = capacity(ch)  # dE0/drho at rho = 0
     if rate >= lo_slope:
-        return ExponentResult(0.0, 0.0, Regime.ZERO_ABOVE_CAPACITY)
+        return (ExponentResult(0.0, 0.0, Regime.ZERO_ABOVE_CAPACITY),) * 2
     terms = e0_terms(ch)
     lo, hi = 0.0, 1.0
     value, slope, curve = terms(hi)
+    rc = ExponentResult(value - rate, hi, Regime.RHO_CLAMPED_AT_ONE) if slope > rate else None
     while slope > rate:
         if hi >= rho_cap:
-            return ExponentResult(value - hi * rate, hi, Regime.RHO_CLAMPED_AT_ONE)
+            return rc, rc
         lo, lo_slope, hi = hi, slope, 2.0 * hi
         if hi > _RHO_LIMIT:
             raise ChannelError(_OVERFLOW)
@@ -99,7 +101,18 @@ def _maximize(rate: float, ch: HopChannel, rho_cap: float) -> ExponentResult:
         if abs(step) <= _ULPS * math.ulp(rho) or abs(slope - rate) <= _ULPS * math.ulp(rate):
             break
         nxt = rho - step
-    return ExponentResult(max(value - rho * rate, 0.0), rho, Regime.PARAMETRIC_INTERIOR)
+    res = ExponentResult(max(value - rho * rate, 0.0), rho, Regime.PARAMETRIC_INTERIOR)
+    return rc or res, res
+
+
+def _check_rate(rate, sp: bool) -> None:
+    """ChannelError unless rate is a real number, not a bool (as in a scenario), in the
+    family's domain: > 0 for sphere packing (sp), >= 0 for random coding."""
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+        raise ChannelError(f"rate must be a real number, got {rate!r}")
+    if not (rate > 0 if sp else rate >= 0):
+        raise ChannelError(f"rate must be positive for sphere packing, got {rate}" if sp
+                           else f"rate must be nonnegative, got {rate}")
 
 
 def random_coding_exponent(rate: float, ch: HopChannel) -> ExponentResult:
@@ -108,9 +121,8 @@ def random_coding_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     Returns 0 at/above capacity; below the critical rate the maximizer
     clamps at rho = 1 and E_r = E0(1) - rate.
     """
-    if not rate >= 0:
-        raise ChannelError(f"rate must be nonnegative, got {rate}")
-    return _maximize(rate, ch, 1.0)
+    _check_rate(rate, sp=False)
+    return _maximize(rate, ch, 1.0)[0]
 
 
 def sphere_packing_exponent(rate: float, ch: HopChannel) -> ExponentResult:
@@ -122,25 +134,26 @@ def sphere_packing_exponent(rate: float, ch: HopChannel) -> ExponentResult:
     2**1014 it raises ChannelError.  A DMC's step loses ~eps*rho of its slope: past ~1e7, few
     digits of its rho* hold, while E_sp keeps ~1e-8.
     """
-    if not rate > 0:
-        raise ChannelError(f"rate must be positive for sphere packing, got {rate}")
+    _check_rate(rate, sp=True)
     if rate < ch._r_inf:
         return ExponentResult(math.inf, math.inf, Regime.INFINITE_BELOW_R_INF)
-    return _maximize(rate, ch, math.inf)
+    return _maximize(rate, ch, math.inf)[1]
 
 
-# regime codes of `_array_exponents`
-_ABOVE, _CLAMPED, _INTERIOR = 0, 1, 2
+# regime codes of `_array_exponents`, indices of their names
+_ABOVE, _CLAMPED, _INTERIOR, _INFINITE = range(4)
+_REGIMES = np.array([Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CLAMPED_AT_ONE,
+                     Regime.PARAMETRIC_INTERIOR, Regime.INFINITE_BELOW_R_INF], dtype=object)
 
 
-def _array_exponents(rates, caps, params, terms, rho_cap: float):
-    """(exponent, rho_star, regime) arrays of `_maximize` at valid rates on hops
-    of capacities `caps`, bit for bit, given terms(rho, par): the step's
-    (E0, dE0/drho, d2E0/drho2) arrays, element for element its floats, where
-    `par` holds the active hops' entries of `params` (an AWGN hop's SNR).  Runs
-    the bracket doubling and safeguarded Newton steps on float64 arrays, dropping
-    each element, and its entry of `params`, from the active set when it stops
-    (np.spacing equals math.ulp on these non-negative values)."""
+def _array_exponents(rates, caps, params, terms, r_inf: float):
+    """RC's and SP's (exponent, rho_star, regime) arrays, `_maximize`'s at rates > 0 on
+    hops of capacities `caps`, bit for bit (SP +inf below `r_inf`), given terms(rho, par):
+    the step's (E0, dE0/drho, d2E0/drho2) arrays, element for element its floats, where
+    `par` holds the active hops' entries of `params` (an AWGN hop's SNR).  Runs the
+    bracket doubling and safeguarded Newton steps on float64 arrays, dropping each
+    element, and its entry of `params`, from the active set when it stops (np.spacing
+    equals math.ulp on these non-negative values)."""
     rate = np.array(rates, dtype=float)
     n = rate.size
     rho_star, e0_star = np.zeros(n), np.zeros(n)
@@ -151,19 +164,19 @@ def _array_exponents(rates, caps, params, terms, rho_cap: float):
     r, par, lo_slope = rate[idx], np.asarray(params)[idx], cap[idx]
     lo, hi = np.zeros(idx.size), np.ones(idx.size)
     e0, slope, _ = terms(hi, par)
+    up = np.flatnonzero(slope > r)
+    clamped, clamped_e0 = idx[up], e0[up]  # RC's, at rho = 1
+    below = r < r_inf  # E_sp = +inf: no doubling
     # double the bracket until dE0/drho falls to the rate; `up` shares its end `end`
-    up, end = np.flatnonzero(slope > r), 1.0
+    up, end = up[~below[up]], 1.0
     while up.size:
-        if end >= rho_cap:
-            rho_star[idx[up]], e0_star[idx[up]], code[idx[up]] = end, e0[up], _CLAMPED
-            break
         end *= 2.0
         if end > _RHO_LIMIT:
             raise ChannelError(_OVERFLOW)
         lo[up], lo_slope[up], hi[up] = hi[up], slope[up], end
         e0[up], slope[up], _ = terms(hi[up], par[up])
         up = up[slope[up] > r[up]]
-    live = code[idx] != _CLAMPED
+    below, live = idx[below], ~below | (slope <= r)
     idx, r, par, lo, lo_slope, hi, e0, slope = (
         a[live] for a in (idx, r, par, lo, lo_slope, hi, e0, slope))
 
@@ -184,6 +197,8 @@ def _array_exponents(rates, caps, params, terms, rho_cap: float):
             inside = (lo < nxt) & (nxt < hi)
             if not inside.all():  # adjacent bracket ends: stop at the last rho
                 idx, r, par, tol, lo, hi, rho, e0, nxt = finish(~inside)
+                if not idx.size:
+                    break
         rho = nxt
         e0, slope, curve = terms(rho, par)
         above = slope > r
@@ -198,77 +213,66 @@ def _array_exponents(rates, caps, params, terms, rho_cap: float):
     solved = np.flatnonzero(code)
     value = e0_star[solved] - rho_star[solved] * rate[solved]
     exponent = np.zeros(n)
-    exponent[solved] = np.where((code[solved] == _INTERIOR) & (0.0 > value), 0.0, value)
-    regimes = np.array([Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CLAMPED_AT_ONE,
-                        Regime.PARAMETRIC_INTERIOR], dtype=object)
-    return exponent, rho_star, regimes[code]
+    exponent[solved] = np.where(0.0 > value, 0.0, value)
+    rc = exponent.copy(), rho_star.copy(), code.copy()
+    rc[0][clamped], rc[1][clamped], rc[2][clamped] = clamped_e0 - rate[clamped], 1.0, _CLAMPED
+    exponent[below], rho_star[below], code[below] = math.inf, math.inf, _INFINITE
+    return [(e, rho, _REGIMES[c]) for e, rho, c in (rc, (exponent, rho_star, code))]
 
 
-# the regimes of the hops that a hop_exponents call solves: none yet, or RC's clamped
-# at rho = 1, the one RC result that SP does not repeat float for float
-_UNSOLVED = frozenset((None, Regime.RHO_CLAMPED_AT_ONE))
-# the rates that each family's per-hop solver takes (NaN fails both)
-_VALID_RATE = {"r": functools.partial(operator.le, 0.0), "sp": functools.partial(operator.lt, 0.0)}
 _KIND, _SNR, _CAPACITY = map(operator.attrgetter, ("kind", "snr", "_capacity"))
+_POSITIVE = functools.partial(operator.lt, 0.0)
 
 
-def hop_exponents(rates, hops, family: str, rc=None) -> list[list]:
-    """[exponents, rho_stars, regimes] of `family` ("r" or "sp") of each hop at
-    its rate, bit for bit those of `random_coding_exponent` or
-    `sphere_packing_exponent` on each hop in hop order, errors included.  A hop
-    at or above its R_inf whose regime in `rc`, the "r" result on the same hops
-    and rates, is parametric_interior or zero_above_capacity takes that result:
-    there SP makes RC's Newton steps on the same floats (E_sp = E_r, Gallager 1968)."""
-    if family not in ("r", "sp"):
-        raise ValueError(f"family must be 'r' or 'sp', got {family!r}")
-    solve, rho_cap = ((random_coding_exponent, 1.0) if family == "r"
-                      else (sphere_packing_exponent, math.inf))
+def hop_exponents(rates, hops) -> tuple[list, list]:
+    """(rc, sp): the [exponents, rho_stars, regimes] lists of `random_coding_exponent`
+    and of `sphere_packing_exponent` on each hop at its rate, in hop order, bit for
+    bit, from one solve per hop.  Every rate must be in sphere packing's domain: the
+    first that is not raises its ChannelError.  An SP root past 2**1014 raises
+    ChannelError, which carries the RC lists as `rc`: RC never fails because SP does."""
     if len(rates) != len(hops):
         raise ValueError(f"rates and hops differ in length ({len(rates)} and {len(hops)})")
-    if rc and any(len(column) != len(hops) for column in rc):
-        raise ValueError(f"each column of rc must hold one entry per hop ({len(hops)})")
-    valid = _VALID_RATE[family]
-    if not all(map(valid, rates)):
-        for rate, ch in zip(rates, hops):
-            if not valid(rate):
-                solve(rate, ch)  # raises the per-hop solver's ChannelError
+    if not (set(map(type, rates)) <= {float} and all(map(_POSITIVE, rates))):
+        for rate in rates:
+            _check_rate(rate, sp=True)
     n, kinds = len(hops), list(map(_KIND, hops))
-    awgn_only = kinds.count("awgn") == n  # no DMC: no R_inf, and one group
-    out = [list(column) for column in rc] if rc else [[None] * n, [None] * n, [None] * n]
-    for i, ch in enumerate(hops) if family == "sp" and not awgn_only else ():
-        if rates[i] < ch._r_inf:  # E_sp = +inf below a DMC's R_inf, with no solve
-            out[0][i], out[1][i], out[2][i] = math.inf, math.inf, Regime.INFINITE_BELOW_R_INF
-    todo = itertools.compress(range(n), map(_UNSOLVED.__contains__, out[2]))
-    groups = {}
-    if awgn_only:
-        groups["awgn"] = list(todo)
+    if kinds.count("awgn") == n:  # no DMC, and one group
+        by_channel = {"awgn": list(range(n))}
     else:
-        for i in todo:  # the AWGN hops, and the hops on each DMC object
-            groups.setdefault("awgn" if kinds[i] == "awgn" else id(hops[i]), []).append(i)
-    by_channel = {}
-    for key, group in groups.items():  # equal DMCs merge, each object hashed once
-        by_channel.setdefault(key if key == "awgn" else hops[group[0]], []).extend(group)
-    for key, group in by_channel.items():
-        if key == "awgn" and len(group) < ARRAY_MIN_HOPS:
-            for i in group:
-                res = solve(rates[i], hops[i])
-                out[0][i], out[1][i], out[2][i] = res.exponent, res.rho_star, res.regime
-            continue
-        group.sort()  # merged groups interleave
-        members = hops if len(group) == n else [hops[i] for i in group]
-        if key == "awgn":
-            params, terms = list(map(_SNR, members)), _awgn_terms
-        else:
-            dmc_terms = e0_dmc_terms(members[0])
-            params, terms = np.zeros(len(group)), lambda rho, _: dmc_terms(rho)
-        solved = _array_exponents(rates if len(group) == n else [rates[i] for i in group],
-                                  list(map(_CAPACITY, members)), params, terms, rho_cap)
-        if len(group) == n:  # every hop in one pass: its arrays are the columns
-            out = [values.tolist() for values in solved]
-            continue
-        for column, values in zip(out, solved):
-            for i, value in zip(group, values.tolist()):
-                column[i] = value
+        groups, by_channel = {}, {}
+        for i, kind in enumerate(kinds):  # the AWGN hops, and the hops on each DMC object
+            groups.setdefault("awgn" if kind == "awgn" else id(hops[i]), []).append(i)
+        for key, group in groups.items():  # equal DMCs merge, each object hashed once
+            by_channel.setdefault(key if key == "awgn" else hops[group[0]], []).extend(group)
+    out = ([[None] * n, [None] * n, [None] * n], [[None] * n, [None] * n, [None] * n])
+    try:
+        for key, group in by_channel.items():
+            if key == "awgn" and len(group) < ARRAY_MIN_HOPS:
+                for i in group:
+                    for cols, res in zip(out, _maximize(rates[i], hops[i], math.inf)):
+                        cols[0][i], cols[1][i], cols[2][i] = res.exponent, res.rho_star, res.regime
+                continue
+            group.sort()  # merged groups interleave
+            members = hops if len(group) == n else [hops[i] for i in group]
+            if key == "awgn":
+                params, terms = list(map(_SNR, members)), _awgn_terms
+            else:
+                dmc_terms = e0_dmc_terms(members[0])
+                params, terms = np.zeros(len(group)), lambda rho, _: dmc_terms(rho)
+            solved = _array_exponents(rates if len(group) == n else [rates[i] for i in group],
+                                      list(map(_CAPACITY, members)), params, terms,
+                                      members[0]._r_inf)
+            if len(group) == n:  # every hop in one pass: its arrays are the columns
+                return tuple([values.tolist() for values in family] for family in solved)
+            for columns, family in zip(out, solved):
+                for column, values in zip(columns, family):
+                    for i, value in zip(group, values.tolist()):
+                        column[i] = value
+    except ChannelError as exc:  # an SP root past 2**1014: RC alone, hop by hop
+        solved = [_maximize(rate, ch, 1.0)[0] for rate, ch in zip(rates, hops)]
+        exc.rc = [[res.exponent for res in solved], [res.rho_star for res in solved],
+                  [res.regime for res in solved]]
+        raise
     return out
 
 

@@ -98,7 +98,7 @@ class Evaluation:
     def __init__(self, scenarios: list[Scenario]):
         self.scenarios = list(scenarios)
         self.cells = {}  # column -> {row: value, or the domain error computing it raised}
-        self.solved = {"r": {}, "sp": {}}  # family -> {row key (_solve): exponents or error}
+        self.solved = {}  # row key (_solve) -> [rc, sp], each exponents or an error
 
     def __getitem__(self, row: int) -> Row:
         return Row(self, range(len(self.scenarios))[row])
@@ -153,33 +153,29 @@ def _per_row(fn):
                                       for i, *args in zip(rows, *inputs)]
 
 
-def _solve(family: str):
-    """A fill of the family's exponents: one hop_exponents call over the rows whose hop
-    list and rates are unsolved, all of which keep its error if it raises (resolve_rates
-    passes no rate it rejects); SP takes RC's results where the call's rows all have them."""
+def _solve(ev, rows, rates_column):
+    """The exponents column, [rc, sp] per row: one hop_exponents call over the rows whose
+    hop list and rates are unsolved, all of which keep its error if it raises (resolve_rates
+    passes no rate it rejects), in SP alone where the error carries RC's lists."""
     def flat(lists):  # the lists joined, or the one list itself
         return lists[0] if len(lists) == 1 else list(chain.from_iterable(lists))
 
-    def fill(ev, rows, rates_column):
-        solved, rc = ev.solved[family], ev.solved["r"]
-        keys = [(id(ev.scenarios[i].hops), array("d", rates).tobytes())
-                for i, rates in zip(rows, rates_column)]
-        todo = {key: (rates, ev.scenarios[i].hops)  # (hop list id, rate bits) -> (rates, hops)
-                for key, i, rates in zip(keys, rows, rates_column) if key not in solved}
-        if todo:
-            rates, hops = map(flat, zip(*todo.values()))
-            shared = family == "sp" and all(isinstance(rc.get(key), list) for key in todo)
-            prior = [flat(column) for column in zip(*map(rc.get, todo))] if shared else None
-            try:
-                columns = hop_exponents(rates, hops, family, prior)
-            except ValueError as exc:
-                solved.update(dict.fromkeys(todo, exc))
-            else:
-                ends = accumulate(len(part_rates) for part_rates, _ in todo.values())
-                for key, end, (part_rates, _) in zip(todo, ends, todo.values()):
-                    solved[key] = [column[end - len(part_rates):end] for column in columns]
-        return [solved[key] for key in keys]
-    return fill
+    keys = [(id(ev.scenarios[i].hops), array("d", rates).tobytes())
+            for i, rates in zip(rows, rates_column)]
+    todo = {key: (rates, ev.scenarios[i].hops)  # (hop list id, rate bits) -> (rates, hops)
+            for key, i, rates in zip(keys, rows, rates_column) if key not in ev.solved}
+    if todo:
+        rates, hops = map(flat, zip(*todo.values()))
+        try:
+            families = hop_exponents(rates, hops)
+        except ValueError as exc:
+            families = (getattr(exc, "rc", exc), exc)
+        ends = accumulate(len(part_rates) for part_rates, _ in todo.values())
+        for key, end, (part_rates, _) in zip(todo, ends, todo.values()):
+            ev.solved[key] = [family if isinstance(family, ValueError) else
+                              [column[end - len(part_rates):end] for column in family]
+                              for family in families]
+    return [ev.solved[key] for key in keys]
 
 
 def _spread(sc: Scenario, exps=None, shares=None) -> float | None:
@@ -204,8 +200,9 @@ def _bounds(ev, rows, *inputs):
 # rows, *inputs) -> the rows' cells); exponents_* are [exponents, rho_stars, regimes] lists
 _COLUMNS = {
     "rates": ((), _per_row(lambda sc: sc.resolve_rates())),
-    "exponents_r": (("rates",), _solve("r")),
-    "exponents_sp": (("rates",), _solve("sp")),
+    "exponents": (("rates",), _solve),
+    "exponents_r": (("exponents",), _per_row(lambda sc, pair: pair[0])),
+    "exponents_sp": (("exponents",), _per_row(lambda sc, pair: pair[1])),
     "ln_m": (("rates",), _per_row(lambda sc, rates: info_continuous_log_m(rates, sc.total_q))),
     **{f"shares_{family}": ((f"exponents_{family}",), _per_row(
         lambda sc, exps: reliability_real_blocks(exps[0], sc.total_q))) for family in ("r", "sp")},

@@ -202,8 +202,8 @@ def test_criterion_09_ensemble_error_respects_random_coding_bound():
 
 def test_criterion_10_distributed_protocol_equals_centralized():
     def exponent_pairs(rates, hops):  # each hop's (E_r, E_sp), as the table solves them
-        rc = hop_exponents(rates, hops, "r")
-        return list(zip(rc[0], hop_exponents(rates, hops, "sp", rc)[0]))
+        rc, sp = hop_exponents(rates, hops)
+        return list(zip(rc[0], sp[0]))
 
     rng = np.random.default_rng(10)
     ok = True

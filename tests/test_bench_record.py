@@ -24,7 +24,7 @@ LAYER_ROWS = [
     "channel.e0_terms.dmc_3x3.us_per_call",
     "channel.e0.dmc_3x3_grid_100000.ms_per_call",
     "channel.e0_derivative.dmc_3x3_2000.ms_per_call",
-    *(f"exponents.hop_exponents.{family}_{case}.us_per_call" for family in ("rc", "sp")
+    *(f"exponents.hop_exponents.{case}.us_per_call"
       for case in ("awgn_1", "awgn_300", "dmc_3x3_1", "dmc_3x3_80")),
     "exponents.sphere_packing_exponent.min_rate_awgn_40db.ms_per_call",
     "exponents.sphere_packing_exponent.min_rate_bsc.ms_per_call",

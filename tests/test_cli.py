@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopbound.allocation import info_continuous_log_m, reliability_real_blocks
+from hopbound.allocation import (info_continuous_log_m, reliability_optimal_blocks,
+                                 reliability_real_blocks)
 from hopbound import allocation, cli, exponents, scenario
 from hopbound.channel import ChannelError, HopChannel, capacity, snr_db_to_linear
 from hopbound.arq import simulate_latency
@@ -259,13 +260,13 @@ class TestRatesMustBePositive:
         assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {"error": message}
         assert family_totals(solves) == (0, 0)
 
-    def test_a_zero_rate_row_fails_at_rates_and_each_family_is_one_call(self, tmp_path,
-                                                                        monkeypatch):
+    def test_a_zero_rate_row_fails_at_rates_and_both_families_are_one_call(self, tmp_path,
+                                                                           monkeypatch):
         calls = []
 
-        def counted(rates, hops, family, rc=None):
-            calls.append((family, len(rates)))
-            return exponents.hop_exponents(rates, hops, family, rc)
+        def counted(rates, hops):
+            calls.append(len(rates))
+            return exponents.hop_exponents(rates, hops)
 
         monkeypatch.setattr(scenario, "hop_exponents", counted)
         scenarios = [load_scenario(write_scenario(tmp_path)),
@@ -274,7 +275,7 @@ class TestRatesMustBePositive:
         table = Evaluation(scenarios)
         got = [{name: outcome(row, name) for name in ("exponents_sp", "exponents_r", "rates")}
                for row in table]
-        assert calls == [("sp", 5), ("r", 5)]
+        assert calls == [5]
         error = (ScenarioError, "beta gives hop 0 rate 0.0, not > 0")
         assert got[1] == dict.fromkeys(got[1], error)
         monkeypatch.undo()
@@ -600,7 +601,7 @@ class TestExponentGrid:
 
     @pytest.mark.parametrize("steps", [1, 2, CHUNK + 1])
     def test_dmc_scenario_csv_equals_the_linspace_csv(self, tmp_path, monkeypatch, steps):
-        # one channel object on every row: each chunk takes one array call per family
+        # one channel object on every row: each chunk takes one array call
         calls = []
         solve = exponents._array_exponents
         monkeypatch.setattr(exponents, "_array_exponents",
@@ -616,7 +617,7 @@ class TestExponentGrid:
         assert main(["exponent", "--scenario", path, "--hop", "1", f"--rate-min={lo!r}",
                      f"--rate-max={hi!r}", "--rate-steps", str(steps), "--out", str(out)]) == 0
         assert out.read_text() == linspace_csv(ch, lo, hi, steps)
-        assert max(calls) == min(steps, self.CHUNK)
+        assert calls == [min(steps, self.CHUNK)] + [steps - self.CHUNK] * (steps > self.CHUNK)
 
     def test_dmc_sweep_across_r_inf_writes_infinite_cells(self, tmp_path):
         # R_inf = ln 1.5 under the uniform input: below it E_sp is +inf at rho +inf
@@ -1047,7 +1048,7 @@ def test_trace_file_is_jsonl(tmp_path):
     assert set(broadcast) == {"ln_m", "lambda_r", "lambda_sp", "q_total", "frame_rc", "frame_sp"}
     # the traced frames hold every float exactly: they give each node's share again
     sc = load_scenario(path)
-    e_r = exponents.hop_exponents(sc.resolve_rates(), sc.hops, "r")[0][1]
+    e_r = exponents.hop_exponents(sc.resolve_rates(), sc.hops)[0][0][1]
     per_node = json.loads(out.read_text())["per_node_blocks"]
     assert allocation.balance_share(e_r, tuple(broadcast["frame_rc"]), sc.total_q) == \
         per_node[1]["q_reliability_rc"]
@@ -1258,10 +1259,9 @@ class TestEvaluationExponentPaths:
         array_calls = []
         solve = exponents._array_exponents
 
-        def counted(rates, caps, params, terms, rho_cap):
-            kind = "awgn" if terms is exponents._awgn_terms else "dmc"
-            array_calls.append((len(rates), {1.0: "r", math.inf: "sp"}[rho_cap], kind))
-            return solve(rates, caps, params, terms, rho_cap)
+        def counted(rates, caps, params, terms, r_inf):
+            array_calls.append((len(rates), "awgn" if terms is exponents._awgn_terms else "dmc"))
+            return solve(rates, caps, params, terms, r_inf)
         monkeypatch.setattr(exponents, "_array_exponents", counted)
         return ev, array_calls
 
@@ -1279,32 +1279,64 @@ class TestEvaluationExponentPaths:
             assert getattr(ev, f"exponents_{family}") == [
                 [res.exponent for res in solved], [res.rho_star for res in solved],
                 [res.regime for res in solved]]
-        # solved after RC, SP takes RC's results above the critical rate, which
-        # leaves fewer than ARRAY_MIN_HOPS AWGN hops to solve on these chains
-        expected = ([] if array_hops is None else [(array_hops, "r")] if first == "exponents_r"
-                    else [(array_hops, "sp"), (array_hops, "r")])
-        assert [call[:2] for call in array_calls if call[2] == "awgn"] == expected
-        # each DMC hop is its own channel object, so its own array call; SP after
-        # RC solves only the hops RC left clamped at rho = 1
+        # whichever family is read first, one pass solves both: one array call for
+        # the AWGN hops if they are at least ARRAY_MIN_HOPS, and one per DMC hop,
+        # each of which is its own channel object
         dmc = [i for i, ch in enumerate(hops) if ch.kind == "dmc"]
-        sp = [i for i in dmc
-              if first == "exponents_sp" or ev.exponents_r[2][i] == "rho_clamped_at_one"]
-        assert collections.Counter(call[:2] for call in array_calls if call[2] == "dmc") == (
-            collections.Counter({(1, "r"): len(dmc), (1, "sp"): len(sp)}))
+        assert array_calls == [] if array_hops is None else (
+            [(array_hops, "awgn")] + [(1, "dmc")] * len(dmc))
 
     def test_invalid_rate_raises_the_first_hops_error(self, tmp_path, monkeypatch):
-        # SP rejects the zero rate on the BSC at hop 4 first; RC accepts it and
-        # rejects the negative rate on AWGN hop 50, which the array solve sees first
+        # the one pass takes SP's rates: it rejects the zero rate on the BSC at hop 4
+        # before the negative rate on AWGN hop 50, which the array solve sees first
         ev, _ = self.evaluate(tmp_path, LONG_CHAINS["mixed120"], monkeypatch)
         rates = list(ev.rates)
         rates[4], rates[50] = 0.0, -1.0
         sc = ev.scenario
         row = Evaluation([FixedRates(sc.total_q, sc.hops, {"rates": rates},
                                      sc.allocation_method)])[0]
-        with pytest.raises(ChannelError, match="got 0.0$"):
+        message = "^rate must be positive for sphere packing, got 0.0$"
+        with pytest.raises(ChannelError, match=message) as sp:
             row.exponents_sp
-        with pytest.raises(ChannelError, match="got -1.0$"):
+        with pytest.raises(ChannelError, match=message) as rc:
             row.exponents_r
+        assert rc.value is sp.value
+
+
+class TestRcNeverFailsBecauseSpDoes:
+    """A DMC hop at 1e-300 nats whose SP root passes 2**1014 (its q does not sum to 1
+    exactly in doubles): an RC split still allocates, from the RC lists that the one
+    pass's error carries; the commands that read SP exit 3 with its error."""
+
+    HOPS = [{"type": "dmc", "input_dist": [0.37525486086141113, 0.5114899253720673,
+                                           0.11325521376652149],
+             "transition": [[0.15880448167679984, 0.04564996889225682, 0.7955455494309432],
+                            [0.1606019123236171, 0.05056220852076873, 0.788835879155614],
+                            [0.4617995398572841, 0.5106822533177862, 0.027518206824929756]]},
+            {"type": "awgn", "snr_db": 3.0}]
+    MESSAGE = "the sphere-packing maximizer rho* exceeds 1.756e+305"
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        return write_scenario(tmp_path, hops=self.HOPS, total_q=100, rate_policy={
+            "mode": "explicit", "rates_nats": [1e-300, 0.2]})
+
+    def test_an_rc_split_allocates(self, tmp_path, path):
+        sc = load_scenario(path)
+        with pytest.raises(ChannelError, match=re.escape(self.MESSAGE)):
+            sphere_packing_exponent(1e-300, sc.hops[0])
+        rc = [random_coding_exponent(r, ch).exponent for r, ch in zip([1e-300, 0.2], sc.hops)]
+        out = tmp_path / "alloc.json"
+        assert main(["allocate", "--scenario", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["blocklengths"] == reliability_optimal_blocks(rc, 100)
+
+    @pytest.mark.parametrize("argv", [
+        ["latency", "--trials", "10"],
+        ["exponent", "--hop", "0", "--rate-min", "1e-300", "--rate-max", "2e-300",
+         "--rate-steps", "2"]], ids=["latency", "exponent"])
+    def test_the_commands_that_read_sp_exit_3(self, tmp_path, capsys, path, argv):
+        assert main([*argv, "--scenario", path, "--out", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {"error": self.MESSAGE}
 
 
 class TestDistributedCommand:
@@ -1426,31 +1458,29 @@ class TestVerifyCommand:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Exponent solves counted by (family, hop channel, rate), wherever they are
-    called; in an array solve the hop is known by its capacity."""
+    """Exponent solves counted by (kind, hop channel, rate), wherever they are
+    called: "rc" for a solve of RC alone, "both" for one that gives both families;
+    in an array solve, which gives both, the hop is known by its capacity."""
     counts = collections.Counter()
-    for family, solver in (("rc", random_coding_exponent), ("sp", sphere_packing_exponent)):
-        def counted(rate, ch, family=family, solver=solver):
-            counts[family, id(ch), rate] += 1
-            return solver(rate, ch)
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("hopbound"):
-                for attr, value in list(vars(mod).items()):
-                    if value is solver:
-                        monkeypatch.setattr(mod, attr, counted)
+    maximize = exponents._maximize
+
+    def counted(rate, ch, rho_cap):
+        counts["rc" if rho_cap == 1.0 else "both", id(ch), rate] += 1
+        return maximize(rate, ch, rho_cap)
+    monkeypatch.setattr(exponents, "_maximize", counted)
     array_solve = exponents._array_exponents
 
     def counted_array(rates, caps, *args):
-        family = {1.0: "rc", math.inf: "sp"}[args[-1]]
-        counts.update((family, cap, rate) for rate, cap in zip(rates, caps))
+        counts.update(("both", cap, rate) for rate, cap in zip(rates, caps))
         return array_solve(rates, caps, *args)
     monkeypatch.setattr(exponents, "_array_exponents", counted_array)
     return counts
 
 
 def family_totals(counts):
-    return tuple(sum(n for (family, _, _), n in counts.items() if family == f)
-                 for f in ("rc", "sp"))
+    """(solves of RC alone, solves of both families)."""
+    return tuple(sum(n for (kind, _, _), n in counts.items() if kind == k)
+                 for k in ("rc", "both"))
 
 
 MIXED_HOPS = [{"type": "awgn", "snr_db": 9.0},
@@ -1459,42 +1489,84 @@ MIXED_HOPS = [{"type": "awgn", "snr_db": 9.0},
 
 
 class TestSolveCounts:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Each array pass as (its step's kind, its number of rates), and each scalar
+        solve as ("scalar", its rho cap: inf for both families, 1 for RC alone)."""
+        calls = []
+        array_solve, maximize = exponents._array_exponents, exponents._maximize
+
+        def counted_array(rates, caps, params, terms, r_inf):
+            calls.append(("awgn" if terms is exponents._awgn_terms else "dmc", len(rates)))
+            return array_solve(rates, caps, params, terms, r_inf)
+
+        def counted(rate, ch, rho_cap):
+            calls.append(("scalar", rho_cap))
+            return maximize(rate, ch, rho_cap)
+        monkeypatch.setattr(exponents, "_array_exponents", counted_array)
+        monkeypatch.setattr(exponents, "_maximize", counted)
+        return calls
+
+    # ARRAY_MIN_HOPS AWGN hops and two hops on equal BSCs, at beta = 0.5
+    CHAIN = [{"type": "awgn", "snr_db": 0.1 * k} for k in range(ARRAY_MIN_HOPS)] + [
+        {"type": "dmc", "transition": [[0.9, 0.1], [0.1, 0.9]]}] * 2
+
+    @pytest.mark.parametrize("command,expected", [
+        (["exponent", "--snr-db", "3", "--rate-min", "0.01", "--rate-max", "0.9",
+          "--rate-steps", str(cli._GRID_CHUNK + 1)],
+         [("awgn", cli._GRID_CHUNK), ("scalar", math.inf)]),
+        (["exponent", "--hop", str(ARRAY_MIN_HOPS), "--rate-min", "0.01", "--rate-max", "0.9",
+          "--rate-steps", str(cli._GRID_CHUNK + 1)], [("dmc", cli._GRID_CHUNK), ("dmc", 1)]),
+        (["reproduce", "--figure", "fig3"], [("awgn", 80), ("awgn", 160)]),
+        (["reproduce", "--figure", "fig4"], [("awgn", 80), ("awgn", 160)]),
+        (["latency", "--trials", "10"], [("awgn", ARRAY_MIN_HOPS), ("dmc", 2)]),
+        (["distributed"], [("awgn", ARRAY_MIN_HOPS), ("dmc", 2)])],
+        ids=["exponent_awgn", "exponent_dmc", "fig3", "fig4", "latency", "distributed"])
+    def test_one_pass_per_group_and_no_rc_pass(self, tmp_path, passes, command, expected):
+        # each exponent chunk, reproduce table and scenario makes one array pass per
+        # AWGN group of at least ARRAY_MIN_HOPS hops and per DMC group
+        out = ["--out-dir", str(tmp_path)] if command[0] == "reproduce" else [
+            "--out", str(tmp_path / "out")]
+        if command[0] != "reproduce" and "--snr-db" not in command:
+            out += ["--scenario", write_scenario(tmp_path, hops=self.CHAIN)]
+        assert main([*command, *out]) == 0
+        assert passes == expected
+
     def test_reproduce_fig3_solves_each_hop_and_rate_once(self, tmp_path, solves):
         assert main(["reproduce", "--figure", "fig3", "--out-dir", str(tmp_path)]) == 0
         # the relopt and info-continuous sweeps share each target's two-hop
-        # solves; SP takes the RC result above the critical rate
-        assert family_totals(solves) == (240, 109)
+        # solves, each of which gives both families
+        assert family_totals(solves) == (0, 240)
         assert set(solves.values()) == {1}
 
     def test_reproduce_fig4_solves_each_hop_and_rate_once(self, tmp_path, solves):
         assert main(["reproduce", "--figure", "fig4", "--out-dir", str(tmp_path)]) == 0
         # 80 swept targets on one single-hop and two two-hop channels
-        assert family_totals(solves) == (240, 109)
+        assert family_totals(solves) == (0, 240)
         assert set(solves.values()) == {1}
 
     @pytest.mark.parametrize("method,expected", [
-        ("reliability_optimal_rc", (3, 0)), ("reliability_optimal_sp", (0, 3)),
+        ("reliability_optimal_rc", (0, 3)), ("reliability_optimal_sp", (0, 3)),
         ("info_continuous", (0, 0))])
-    def test_allocate_solves_only_the_balanced_family(self, tmp_path, solves, method,
-                                                      expected):
+    def test_allocate_solves_each_hop_once_if_it_balances_a_family(self, tmp_path, solves,
+                                                                   method, expected):
         path = write_scenario(tmp_path, hops=MIXED_HOPS, allocation_method=method)
         assert main(["allocate", "--scenario", path]) == 0
         assert family_totals(solves) == expected
 
-    def test_latency_solves_each_hop_once_per_family(self, tmp_path, solves):
+    def test_latency_solves_each_hop_once(self, tmp_path, solves):
         path = write_scenario(tmp_path, hops=MIXED_HOPS)
         assert main(["latency", "--scenario", path, "--trials", "100"]) == 0
-        # only the 9 dB hop's rate lies below its critical rate
-        assert family_totals(solves) == (3, 1)
+        assert family_totals(solves) == (0, 3)
         assert set(solves.values()) == {1}
 
-    def test_distributed_solves_each_hop_once_per_family(self, tmp_path, solves):
+    def test_distributed_solves_each_hop_once(self, tmp_path, solves):
         # the nodes take their exponents from the evaluation the comparison uses
         path = write_scenario(tmp_path, hops=MIXED_HOPS)
         out = tmp_path / "dist.json"
         assert main(["distributed", "--scenario", path, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["matches_centralized"] is True
-        assert family_totals(solves) == (3, 1)
+        assert family_totals(solves) == (0, 3)
         assert set(solves.values()) == {1}
 
 
@@ -1506,7 +1578,7 @@ TABLE_HOPS = [HopChannel.awgn(10 ** 0.9), HopChannel.awgn(1.0), HopChannel.awgn(
               HopChannel.bsc(0.1), HopChannel.dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
                                                    [0.1, 0.1, 0.8]]),
               HopChannel.dmc([[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])]
-COLUMNS = ["rates", "exponents_r", "exponents_sp", "ln_m", "shares_r", "shares_sp",
+COLUMNS = ["rates", "exponents", "exponents_r", "exponents_sp", "ln_m", "shares_r", "shares_sp",
            "stationarity_residual", "blocks", "end_to_end_rate", "bounds", "chains", "latency"]
 
 
@@ -1573,7 +1645,7 @@ class TestEvaluationTable:
         assert sorted(table.cells["shares_r"]) == [0, 2, 4]
         assert sorted(table.cells["ln_m"]) == [1, 3, 5]
         assert "shares_sp" not in table.cells and "latency" not in table.cells
-        assert family_totals(solves)[0] == 6 and set(solves.values()) == {1}
+        assert family_totals(solves) == (0, 6) and set(solves.values()) == {1}
 
 
 class TestTinyRateSpherePacking:
@@ -1708,7 +1780,7 @@ class TestEvaluationShares:
         else:
             balance = [b * e - math.log(e) for b, e in zip(ev.shares_sp, ev.exponents_sp[0])]
             assert residual == max(balance) - min(balance)
-            assert family_totals(solves) == (0, 2)  # the other family is never solved
+            assert family_totals(solves) == (0, 2)  # one pass per hop gives both
 
 
 class TestSharesComputedOnce:

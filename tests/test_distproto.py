@@ -16,8 +16,8 @@ from hopbound.exponents import hop_exponents, random_coding_exponent, sphere_pac
 
 def exponent_pairs(rates, hops):
     """Each hop's (E_r, E_sp) at its rate, as the scenario table solves them."""
-    rc = hop_exponents(rates, hops, "r")
-    return list(zip(rc[0], hop_exponents(rates, hops, "sp", rc)[0]))
+    rc, sp = hop_exponents(rates, hops)
+    return list(zip(rc[0], sp[0]))
 
 
 def random_scenario(rng):

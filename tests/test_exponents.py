@@ -1,6 +1,8 @@
 import contextlib
+import fractions
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -102,13 +104,18 @@ class TestSpherePacking:
         assert res.rho_star == pytest.approx(2.2356248770e7, rel=1e-9)
         assert res.regime == Regime.PARAMETRIC_INTERIOR
 
-    def test_a_root_past_the_last_bracket_end_raises(self):
-        # rho* ~ 1e450 at SNR 1e300 and 1e-300 nats, on the scalar and the array path
+    @pytest.mark.parametrize("hops", [1, ARRAY_MIN_HOPS - 1, ARRAY_MIN_HOPS])
+    def test_a_root_past_the_last_bracket_end_raises(self, hops):
+        # rho* ~ 1e450 at SNR 1e300 and 1e-300 nats, on the scalar and the array path;
+        # hop_exponents' error carries the RC lists, which do not fail
         ch = HopChannel.awgn(1e300)
         with pytest.raises(ChannelError, match=r"rho\* exceeds 1.756e\+305"):
             sphere_packing_exponent(1e-300, ch)
-        with pytest.raises(ChannelError, match=r"rho\* exceeds 1.756e\+305"):
-            hop_exponents([1e-300] * ARRAY_MIN_HOPS, [ch] * ARRAY_MIN_HOPS, "sp")
+        with pytest.raises(ChannelError, match=r"rho\* exceeds 1.756e\+305") as raised:
+            hop_exponents([1e-300] * hops, [ch] * hops)
+        rc = random_coding_exponent(1e-300, ch)
+        assert rc.regime == Regime.RHO_CLAMPED_AT_ONE
+        assert raised.value.rc == [[rc.exponent] * hops, [1.0] * hops, [rc.regime] * hops]
 
     def test_zero_at_capacity(self):
         res = sphere_packing_exponent(math.log(2.0), SNR1)
@@ -127,10 +134,8 @@ def _separate_solves(rate, ch):
 
 
 def _hop_pairs(rates, chs):
-    """(RC, SP) results per hop from one `hop_exponents` call per family, SP
-    taking the RC results."""
-    rc = hop_exponents(rates, chs, "r")
-    sp = hop_exponents(rates, chs, "sp", rc)
+    """(RC, SP) results per hop from one `hop_exponents` call."""
+    rc, sp = hop_exponents(rates, chs)
     return [(ExponentResult(*r), ExponentResult(*p)) for r, p in zip(zip(*rc), zip(*sp))]
 
 
@@ -148,9 +153,9 @@ def _pair_rates(ch, fractions):
 _FRACTIONS = st.lists(st.floats(1e-6, 1.0), max_size=6)
 
 
-class TestSpherePackingReuse:
-    """hop_exponents' SP solve given the RC results gives the two solvers'
-    results (or errors), solving SP only below the critical rate."""
+class TestOnePass:
+    """hop_exponents' one pass gives the two solvers' results (or SP's error), in
+    the steps of the SP solve alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(snr_db=st.floats(-10.0, 40.0), fractions=_FRACTIONS)
@@ -159,7 +164,7 @@ class TestSpherePackingReuse:
         rates = _pair_rates(ch, fractions)
         for rate in rates:
             assert _outcome(_hop_pair, rate, ch) == _outcome(_separate_solves, rate, ch)
-        # the valid rates in one call per family
+        # the valid rates in one call
         assert _hop_pairs(rates[1:], [ch] * (len(rates) - 1)) == [
             _separate_solves(r, ch) for r in rates[1:]]
 
@@ -176,25 +181,37 @@ class TestSpherePackingReuse:
         assert _hop_pairs(rates[1:], [ch] * (len(rates) - 1)) == [
             _separate_solves(r, ch) for r in rates[1:]]
 
-    def test_rate_zero_raises_the_sphere_packing_error(self):
-        with pytest.raises(ChannelError, match="rate must be positive for sphere packing"):
-            _hop_pair(0.0, SNR1)
-        with pytest.raises(ChannelError, match="rate must be nonnegative"):
-            _hop_pair(-1.0, SNR1)
+    def test_a_nonpositive_rate_raises_the_sphere_packing_error(self):
+        for rate in (0.0, -1.0):
+            with pytest.raises(ChannelError,
+                               match=f"^rate must be positive for sphere packing, got {rate}$"):
+                _hop_pair(rate, SNR1)
 
-    def test_solves_sphere_packing_only_below_the_critical_rate(self, monkeypatch):
-        sp_rates = []
+    @pytest.mark.parametrize("copies", [1, ARRAY_MIN_HOPS])
+    def test_takes_the_steps_of_the_sphere_packing_solves_alone(self, monkeypatch, copies):
+        # RC's result is read at SP's first step, rho = 1, on the scalar path (6 hops)
+        # and the array path (6 * ARRAY_MIN_HOPS); steps count per rho
+        steps = []
 
-        def counted(rate, ch):
-            sp_rates.append(rate)
-            return sphere_packing_exponent(rate, ch)
-
-        monkeypatch.setattr(exponents, "sphere_packing_exponent", counted)
+        def counted_terms(ch):
+            terms = e0_terms(ch)
+            return lambda rho: steps.append(1) or terms(rho)
+        monkeypatch.setattr(exponents, "e0_terms", counted_terms)
+        array_step = exponents._awgn_terms
+        monkeypatch.setattr(exponents, "_awgn_terms",
+                            lambda rho, snr: steps.append(rho.size) or array_step(rho, snr))
         r_crit = critical_rate(SNR1)
         rates = [0.05, math.nextafter(r_crit, 0.0), r_crit, 0.3, math.log(2.0), 1.0]
-        pairs = _hop_pairs(rates, [SNR1] * len(rates))
-        assert sp_rates == rates[:2]
-        assert [rc.regime for rc, _ in pairs] == [Regime.RHO_CLAMPED_AT_ONE] * 2 + [
+        counts = []
+        for solver in (random_coding_exponent, sphere_packing_exponent):
+            steps.clear()
+            for rate in rates:
+                solver(rate, SNR1)
+            counts.append(sum(steps))
+        steps.clear()
+        pairs = _hop_pairs(rates * copies, [SNR1] * (len(rates) * copies))
+        assert counts[0] > 0 and sum(steps) == copies * counts[1]
+        assert [rc.regime for rc, _ in pairs[:6]] == [Regime.RHO_CLAMPED_AT_ONE] * 2 + [
             Regime.PARAMETRIC_INTERIOR] * 2 + [Regime.ZERO_ABOVE_CAPACITY] * 2
 
 
@@ -239,98 +256,113 @@ def _counted_array_calls():
 
 
 class TestHopExponents:
-    """hop_exponents equals the per-hop solves bit for bit, errors included,
-    with and without the RC results for SP."""
+    """hop_exponents equals the per-hop solves of both families bit for bit, SP's
+    errors included."""
 
     @staticmethod
-    def assert_equals_per_hop_solves(rates, chs, family):
-        solve = random_coding_exponent if family == "r" else sphere_packing_exponent
-        try:
-            rc = [hop_exponents(rates, chs, "r")] if family == "sp" else []
-        except ChannelError:
-            rc = []
-        try:
-            expected = [solve(r, ch) for r, ch in zip(rates, chs)]
-        except ChannelError as exc:
-            for given_rc in [None] + rc:
-                with pytest.raises(ChannelError) as raised:
-                    hop_exponents(rates, chs, family, given_rc)
-                assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
-            return None
-        for given_rc in [None] + rc:
-            exponent, rho_star, regime = hop_exponents(rates, chs, family, given_rc)
+    def assert_equals_per_hop_solves(rates, chs):
+        """Returns the sets of RC's and SP's regimes, or of RC's alone where SP fails
+        at positive rates (its error carries the RC lists); None where a rate is not."""
+        expected = []
+        for solve in (random_coding_exponent, sphere_packing_exponent):
+            try:
+                expected.append([solve(r, ch) for r, ch in zip(rates, chs)])
+            except ChannelError as exc:
+                expected.append(exc)
+        if isinstance(expected[1], ChannelError):
+            with pytest.raises(ChannelError) as raised:
+                hop_exponents(rates, chs)
+            exc = expected.pop()
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            if not all(isinstance(r, float) and r > 0 for r in rates):
+                assert not hasattr(raised.value, "rc")
+                return None
+            got = [raised.value.rc]
+        else:
+            got = hop_exponents(rates, chs)
+        for (exponent, rho_star, regime), results in zip(got, expected):
             # bitwise, so NaN payloads and signed zeros count too
             assert np.array(exponent).tobytes() == np.array(
-                [r.exponent for r in expected]).tobytes()
+                [r.exponent for r in results]).tobytes()
             assert np.array(rho_star).tobytes() == np.array(
-                [r.rho_star for r in expected]).tobytes()
-            assert regime == [r.regime for r in expected]
-        return set(regime)
+                [r.rho_star for r in results]).tobytes()
+            assert regime == [r.regime for r in results]
+        return tuple(set(regime) for _, _, regime in got)
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.sampled_from([1, ARRAY_MIN_HOPS - 1, ARRAY_MIN_HOPS, 1000]),
-           seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(["r", "sp"]),
+           seed=st.integers(0, 2 ** 32 - 1),
            invalid=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                                       st.sampled_from(_INVALID_RATES)), max_size=2))
-    def test_equals_per_hop_solves(self, size, seed, family, invalid):
+    def test_equals_per_hop_solves(self, size, seed, invalid):
         rng = np.random.default_rng(seed)
         chs = [HopChannel.awgn(10.0 ** (x / 10.0)) for x in rng.uniform(-10.0, 40.0, size)]
         rates = _batch_rates(rng, chs)
         for where, bad in invalid:
             rates[int(where * size)] = bad
-        self.assert_equals_per_hop_solves(rates, chs, family)
+        self.assert_equals_per_hop_solves(rates, chs)
 
     @pytest.mark.parametrize("ch", [HopChannel.awgn(10.0), HopChannel.bsc(0.05)],
                              ids=["awgn", "dmc"])
-    @pytest.mark.parametrize("rates,n_hops,rc_len,match", [
-        ([0.3], 2, None, r"rates and hops differ in length \(1 and 2\)"),
-        ([0.3, 0.2], 1, None, r"rates and hops differ in length \(2 and 1\)"),
-        ([0.3, 0.2], 2, 1, r"each column of rc must hold one entry per hop \(2\)")],
-        ids=["fewer_rates", "fewer_hops", "short_rc"])
-    def test_list_lengths_must_agree(self, ch, rates, n_hops, rc_len, match):
-        rc = (None if rc_len is None else
-              [column[:rc_len] for column in hop_exponents([0.3, 0.2], [ch] * 2, "r")])
+    @pytest.mark.parametrize("rates,n_hops,match", [
+        ([0.3], 2, r"rates and hops differ in length \(1 and 2\)"),
+        ([0.3, 0.2], 1, r"rates and hops differ in length \(2 and 1\)")],
+        ids=["fewer_rates", "fewer_hops"])
+    def test_list_lengths_must_agree(self, ch, rates, n_hops, match):
         with pytest.raises(ValueError, match=match):
-            hop_exponents(rates, [ch] * n_hops, "r" if rc is None else "sp", rc)
+            hop_exponents(rates, [ch] * n_hops)
 
     @pytest.mark.parametrize("bad", [{4: 0.0, 50: -1.0}, {50: 0.0, 4: -1.0}, {49: math.nan},
                                      {}])
     def test_mixed_chain_keeps_the_hop_order(self, bad):
         # 96 AWGN hops take the array pass, so an array error must not come
-        # before a BSC hop's: SP fails first at the lower of the two hops, RC
-        # at the negative rate
+        # before a BSC hop's: SP fails first at the lower of the two hops
         chs = _mixed_chain(120)
         rates = [f * capacity(ch) for f, ch in zip(np.linspace(0.05, 1.01, 120), chs)]
         for hop, rate in bad.items():
             rates[hop] = rate
         with _counted_array_calls() as array_hops:
-            for family in ("r", "sp"):
-                self.assert_equals_per_hop_solves(rates, chs, family)
-        if not bad:
-            assert 96 in array_hops
+            self.assert_equals_per_hop_solves(rates, chs)
+        assert array_hops == ([] if bad else [96] + [1] * 24)  # one pass per group
 
     def test_reaches_every_regime(self):
         rng = np.random.default_rng(0)
         chs = [HopChannel.awgn(10.0 ** (x / 10.0)) for x in np.linspace(-10.0, 40.0, 400)]
         rates = _batch_rates(rng, chs)
-        assert self.assert_equals_per_hop_solves(rates, chs, "r") == {
-            Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CLAMPED_AT_ONE, Regime.PARAMETRIC_INTERIOR}
-        assert self.assert_equals_per_hop_solves(rates, chs, "sp") == {
-            Regime.ZERO_ABOVE_CAPACITY, Regime.PARAMETRIC_INTERIOR}
+        assert self.assert_equals_per_hop_solves(rates, chs) == (
+            {Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CLAMPED_AT_ONE, Regime.PARAMETRIC_INTERIOR},
+            {Regime.ZERO_ABOVE_CAPACITY, Regime.PARAMETRIC_INTERIOR})
         # E_sp = +inf below a DMC's R_inf = ln 1.5 (capacity 0.598)
         chs = [HopChannel.dmc([[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])] * 4
         rates = [0.1, 0.5, 0.59, 0.6]
-        assert self.assert_equals_per_hop_solves(rates, chs, "r") == {
-            Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CLAMPED_AT_ONE, Regime.PARAMETRIC_INTERIOR}
-        assert self.assert_equals_per_hop_solves(rates, chs, "sp") == {
-            Regime.ZERO_ABOVE_CAPACITY, Regime.INFINITE_BELOW_R_INF, Regime.PARAMETRIC_INTERIOR}
+        assert self.assert_equals_per_hop_solves(rates, chs) == (
+            {Regime.ZERO_ABOVE_CAPACITY, Regime.RHO_CLAMPED_AT_ONE, Regime.PARAMETRIC_INTERIOR},
+            {Regime.ZERO_ABOVE_CAPACITY, Regime.INFINITE_BELOW_R_INF, Regime.PARAMETRIC_INTERIOR})
 
     def test_empty_batch(self):
-        assert hop_exponents([], [], "sp") == [[], [], []]
+        assert hop_exponents([], []) == ([[], [], []], [[], [], []])
 
-    def test_rejects_unknown_families(self):
-        with pytest.raises(ValueError, match="family"):
-            hop_exponents([0.1], [SNR1], "rc")
+    @pytest.mark.parametrize("rate", [True, False, np.True_, "0.1", None, 1j, [0.1]])
+    def test_a_bool_or_non_real_rate_raises(self, rate):
+        # as the scenario loader and the allocation budget reject a bool
+        match = f"^rate must be a real number, got {re.escape(repr(rate))}$"
+        for solver in (random_coding_exponent, sphere_packing_exponent):
+            with pytest.raises(ChannelError, match=match):
+                solver(rate, SNR1)
+        for n in (1, ARRAY_MIN_HOPS):
+            with pytest.raises(ChannelError, match=match):
+                hop_exponents([0.1] * (n - 1) + [rate], [SNR1] * n)
+
+    @pytest.mark.parametrize("rate", [np.float64(0.1), np.float32(0.1), np.int64(1), 1,
+                                      fractions.Fraction(1, 10)])
+    def test_numpy_floats_ints_and_other_reals_pass(self, rate):
+        expected = [solver(float(rate), SNR1)
+                    for solver in (random_coding_exponent, sphere_packing_exponent)]
+        assert [solver(rate, SNR1)
+                for solver in (random_coding_exponent, sphere_packing_exponent)] == expected
+        for n in (1, ARRAY_MIN_HOPS):
+            assert [ExponentResult(*(column[-1] for column in family))
+                    for family in hop_exponents([rate] * n, [SNR1] * n)] == expected
 
 
 def _random_dmc(inputs: int, outputs: int, seed: int) -> HopChannel:
@@ -427,11 +459,11 @@ class TestDmcArrayPath:
         rates = _dmc_rates(ch, fractions)
         chs = [ch] * len(rates)
         with _counted_array_calls() as calls:
-            TestHopExponents.assert_equals_per_hop_solves(rates, chs, "r")
-            # SP without and with the RC results (rate 0 fails SP)
-            TestHopExponents.assert_equals_per_hop_solves(rates[1:], chs[1:], "sp")
+            # rate 0 fails SP, so the whole call, before any pass
+            TestHopExponents.assert_equals_per_hop_solves(rates, chs)
+            TestHopExponents.assert_equals_per_hop_solves(rates[1:], chs[1:])
         if min(rates[1:]) > 0:  # not a channel of capacity 0, where R_crit = 0
-            assert len(rates) in calls and len(rates) - 1 in calls
+            assert calls == [len(rates) - 1]
 
     @pytest.mark.parametrize("size", [1, 2, 50])
     def test_one_call_per_channel_object(self, size):
@@ -440,13 +472,12 @@ class TestDmcArrayPath:
         rates = np.linspace(0.01, 1.1, size).tolist()
         rates = [f * capacity(ch) for f in rates]
         with _counted_array_calls() as calls:
-            for family in ("r", "sp"):
-                TestHopExponents.assert_equals_per_hop_solves(rates, [ch] * size, family)
-        assert size in calls and max(calls) == size
+            TestHopExponents.assert_equals_per_hop_solves(rates, [ch] * size)
+        assert calls == [size]
         # equal channels that are distinct objects share one call too
         with _counted_array_calls() as calls:
             TestHopExponents.assert_equals_per_hop_solves(
-                rates, [HopChannel.dmc(ch.transition, ch.input_dist) for _ in rates], "r")
+                rates, [HopChannel.dmc(ch.transition, ch.input_dist) for _ in rates])
         assert calls == [size]
 
     def test_interleaved_equal_objects_share_a_call_in_hop_order(self):
@@ -457,9 +488,25 @@ class TestDmcArrayPath:
         chs = [kinds[k % 4] for k in range(24)]
         rates = [f * capacity(ch) for f, ch in zip(np.linspace(0.01, 0.95, 24), chs)]
         with _counted_array_calls() as calls:
-            TestHopExponents.assert_equals_per_hop_solves(rates, chs, "r")
+            TestHopExponents.assert_equals_per_hop_solves(rates, chs)
         assert calls == [12, 6]
-        TestHopExponents.assert_equals_per_hop_solves(rates, chs, "sp")
+
+    @pytest.mark.parametrize("ch", [
+        HopChannel.bsc(0.1), HopChannel.bsc(0.05),
+        HopChannel.dmc(0.7 * np.eye(3) + 0.1, [1 / 3] * 3)], ids=["bsc_0.1", "bsc_0.05", "ternary"])
+    def test_no_step_on_an_empty_set(self, monkeypatch, ch):
+        # these sweeps, as curve_sweep's, end with a round whose bracket ends meet on every
+        # element left: the pass stops there, before a step on zero rhos
+        sizes = []
+        step = exponents.e0_dmc_terms
+
+        def counted(dmc):
+            terms = step(dmc)
+            return lambda rho: sizes.append(rho.size) or terms(rho)
+        monkeypatch.setattr(exponents, "e0_dmc_terms", counted)
+        rates = (np.linspace(0.01, 0.99, 80) * capacity(ch)).tolist()
+        hop_exponents(rates, [ch] * 80)
+        assert len(sizes) > 10 and 0 not in sizes
 
     @pytest.mark.parametrize("bad", [{3: 0.0, 20: -1.0}, {20: 0.0, 3: -1.0}, {16: math.nan},
                                      {}])
@@ -472,9 +519,34 @@ class TestDmcArrayPath:
         for hop, rate in bad.items():
             rates[hop] = rate
         with _counted_array_calls() as calls:
-            TestHopExponents.assert_equals_per_hop_solves(rates, chs, "r")
+            TestHopExponents.assert_equals_per_hop_solves(rates, chs)
         assert calls == ([] if bad else [10, 10])
-        TestHopExponents.assert_equals_per_hop_solves(rates, chs, "sp")
+
+
+@settings(max_examples=30, deadline=None)
+@given(awgn_hops=st.sampled_from([ARRAY_MIN_HOPS - 1, ARRAY_MIN_HOPS]),
+       snr_db=st.lists(st.floats(-10.0, 40.0), min_size=1, max_size=8),
+       dmcs=st.lists(_dmcs(), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
+@example(awgn_hops=ARRAY_MIN_HOPS, snr_db=[-10.0, 40.0],
+         dmcs=[HopChannel.dmc([[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])], seed=0)
+def test_one_pass_equals_per_hop_solves(awgn_hops, snr_db, dmcs, seed):
+    # a shuffled chain: AWGN hops from -10 to 40 dB on both sides of ARRAY_MIN_HOPS, and
+    # random DMCs (R_inf > 0 where an output misses an input), each at 1e-300, its
+    # capacity, R_inf and its next double and fractions of capacity (if positive)
+    rng = np.random.default_rng(seed)
+    chs = [HopChannel.awgn(10.0 ** (snr_db[k % len(snr_db)] / 10.0)) for k in range(awgn_hops)]
+    rates = [float(f) * capacity(ch) for f, ch in zip(rng.uniform(1e-6, 1.0, awgn_hops), chs)]
+    rates[:2] = [1e-300, capacity(chs[1])]
+    for ch in dmcs:
+        cap, r_inf = capacity(ch), ch._r_inf
+        dmc_rates = [1e-300] + [r for r in [cap, 0.5 * cap, 0.99 * cap] if r > 0] + (
+            [r_inf, math.nextafter(r_inf, math.inf)] if r_inf else [])
+        chs += [ch] * len(dmc_rates)
+        rates += dmc_rates
+    order = rng.permutation(len(chs)).tolist()
+    got = TestHopExponents.assert_equals_per_hop_solves([rates[i] for i in order],
+                                                         [chs[i] for i in order])
+    assert got is not None
 
 
 def _traced_peak_mib(fn) -> float:
@@ -502,8 +574,7 @@ class TestDmcMemory:
 
         def solve(n):
             rates = (np.linspace(0.01, 0.99, n) * capacity(ch)).tolist()
-            rc = hop_exponents(rates, [ch] * n, "r")
-            hop_exponents(rates, [ch] * n, "sp", rc)
+            hop_exponents(rates, [ch] * n)
         few, many = (_traced_peak_mib(lambda: solve(n)) for n in (1024, 4096))
         assert many < 16 and many - few < 1, (few, many)
 
@@ -713,7 +784,7 @@ class TestDmcMpmathReference:
         for rate in rates:
             assert sphere_packing_exponent(rate, ch) == ExponentResult(
                 math.inf, math.inf, Regime.INFINITE_BELOW_R_INF)
-        TestHopExponents.assert_equals_per_hop_solves(rates, [ch] * len(rates), "sp")
+        TestHopExponents.assert_equals_per_hop_solves(rates, [ch] * len(rates))
         assert sphere_packing_exponent(capacity(ch), ch).regime == Regime.ZERO_ABOVE_CAPACITY
 
     @pytest.mark.parametrize("k", range(1, 13))

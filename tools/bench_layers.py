@@ -86,12 +86,10 @@ def _main(argv: list[str]) -> None:
         raise RuntimeError(f"hopbound {argv[0]} failed")
 
 
-def _solve(hops: list, family: str):
-    """A `hop_exponents` call at 0.1 to 0.9 of capacity; SP gets RC's results, as in
-    an `Evaluation`."""
+def _solve(hops: list):
+    """A `hop_exponents` call at 0.1 to 0.9 of capacity: both families in one pass."""
     rates = [f * channel.capacity(ch) for f, ch in zip(np.linspace(0.1, 0.9, len(hops)), hops)]
-    rc = exponents.hop_exponents(rates, hops, "r") if family == "sp" else None
-    return partial(exponents.hop_exponents, rates, hops, family, rc)
+    return partial(exponents.hop_exponents, rates, hops)
 
 
 def _fig4(two_hop: bool, *columns: str) -> list[list]:
@@ -142,11 +140,9 @@ def run(row, out: str) -> None:
           lambda: partial(channel.e0, np.linspace(0.0, 10.0, 100_000), dmc))
     timed("channel.e0_derivative.dmc_3x3_2000.ms_per_call", 10,
           lambda: partial(channel.e0_derivative, np.linspace(0.0, 10.0, 2000), dmc))
-    for family, label in (("r", "rc"), ("sp", "sp")):
-        for name, hops, calls in (("awgn_1", awgn[:1], 200), ("awgn_300", awgn[:300], 50),
-                                  ("dmc_3x3_1", [dmc], 100), ("dmc_3x3_80", [dmc] * 80, 30)):
-            timed(f"exponents.hop_exponents.{label}_{name}.us_per_call", calls,
-                  lambda: _solve(hops, family))
+    for name, hops, calls in (("awgn_1", awgn[:1], 200), ("awgn_300", awgn[:300], 50),
+                              ("dmc_3x3_1", [dmc], 100), ("dmc_3x3_80", [dmc] * 80, 30)):
+        timed(f"exponents.hop_exponents.{name}.us_per_call", calls, lambda: _solve(hops))
     # at the least positive rate: ~550 AWGN steps to rho* = 3e165, ~80 BSC steps to 2.7e8
     for name, ch, calls in (("awgn_40db", channel.HopChannel.awgn(1e4), 50),
                             ("bsc", channel.HopChannel.bsc(0.1), 10)):
@@ -154,7 +150,7 @@ def run(row, out: str) -> None:
               lambda: partial(exponents.sphere_packing_exponent, 5e-324, ch))
     for n, calls in ((2, 200), (100, 50), (1000, 20)):
         timed(f"allocation.reliability_optimal_blocks.n_{n}.ms_per_call", calls, lambda: partial(
-            allocation.reliability_optimal_blocks, _solve(awgn[:n], "r")()[0], 1000 * n))
+            allocation.reliability_optimal_blocks, _solve(awgn[:n])()[0][0], 1000 * n))
 
     def protocol(traced: bool):  # on the 1000-hop chain's rates and table-solved (E_r, E_sp)
         chain = scenario.Evaluation([scenario.load_scenario(os.path.join(out, "awgn_1000"))])[0]
