@@ -228,8 +228,8 @@ def hop_exponents(rates, hops) -> tuple[list, list]:
     """(rc, sp): the [exponents, rho_stars, regimes] lists of `random_coding_exponent`
     and of `sphere_packing_exponent` on each hop at its rate, in hop order, bit for
     bit, from one solve per hop.  Every rate must be in sphere packing's domain: the
-    first that is not raises its ChannelError.  An SP root past 2**1014 raises
-    ChannelError, which carries the RC lists as `rc`: RC never fails because SP does."""
+    first that is not raises its ChannelError, as does an SP root past 2**1014.  Where
+    SP fails, solve RC alone with `random_coding_exponent`."""
     if len(rates) != len(hops):
         raise ValueError(f"rates and hops differ in length ({len(rates)} and {len(hops)})")
     if not (set(map(type, rates)) <= {float} and all(map(_POSITIVE, rates))):
@@ -245,34 +245,28 @@ def hop_exponents(rates, hops) -> tuple[list, list]:
         for key, group in groups.items():  # equal DMCs merge, each object hashed once
             by_channel.setdefault(key if key == "awgn" else hops[group[0]], []).extend(group)
     out = ([[None] * n, [None] * n, [None] * n], [[None] * n, [None] * n, [None] * n])
-    try:
-        for key, group in by_channel.items():
-            if key == "awgn" and len(group) < ARRAY_MIN_HOPS:
-                for i in group:
-                    for cols, res in zip(out, _maximize(rates[i], hops[i], math.inf)):
-                        cols[0][i], cols[1][i], cols[2][i] = res.exponent, res.rho_star, res.regime
-                continue
-            group.sort()  # merged groups interleave
-            members = hops if len(group) == n else [hops[i] for i in group]
-            if key == "awgn":
-                params, terms = list(map(_SNR, members)), _awgn_terms
-            else:
-                dmc_terms = e0_dmc_terms(members[0])
-                params, terms = np.zeros(len(group)), lambda rho, _: dmc_terms(rho)
-            solved = _array_exponents(rates if len(group) == n else [rates[i] for i in group],
-                                      list(map(_CAPACITY, members)), params, terms,
-                                      members[0]._r_inf)
-            if len(group) == n:  # every hop in one pass: its arrays are the columns
-                return tuple([values.tolist() for values in family] for family in solved)
-            for columns, family in zip(out, solved):
-                for column, values in zip(columns, family):
-                    for i, value in zip(group, values.tolist()):
-                        column[i] = value
-    except ChannelError as exc:  # an SP root past 2**1014: RC alone, hop by hop
-        solved = [_maximize(rate, ch, 1.0)[0] for rate, ch in zip(rates, hops)]
-        exc.rc = [[res.exponent for res in solved], [res.rho_star for res in solved],
-                  [res.regime for res in solved]]
-        raise
+    for key, group in by_channel.items():
+        if key == "awgn" and len(group) < ARRAY_MIN_HOPS:
+            for i in group:
+                for cols, res in zip(out, _maximize(rates[i], hops[i], math.inf)):
+                    cols[0][i], cols[1][i], cols[2][i] = res.exponent, res.rho_star, res.regime
+            continue
+        group.sort()  # merged groups interleave
+        members = hops if len(group) == n else [hops[i] for i in group]
+        if key == "awgn":
+            params, terms = list(map(_SNR, members)), _awgn_terms
+        else:
+            dmc_terms = e0_dmc_terms(members[0])
+            params, terms = np.zeros(len(group)), lambda rho, _: dmc_terms(rho)
+        solved = _array_exponents(rates if len(group) == n else [rates[i] for i in group],
+                                  list(map(_CAPACITY, members)), params, terms,
+                                  members[0]._r_inf)
+        if len(group) == n:  # every hop in one pass: its arrays are the columns
+            return tuple([values.tolist() for values in family] for family in solved)
+        for columns, family in zip(out, solved):
+            for column, values in zip(columns, family):
+                for i, value in zip(group, values.tolist()):
+                    column[i] = value
     return out
 
 

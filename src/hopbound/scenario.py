@@ -20,7 +20,7 @@ from .allocation import (Method, _balanced_blocks, end_to_end_rate, info_continu
                          information_continuous_blocks, rate_policy_scale, reliability_real_blocks)
 from .arq import arq_chains, latency_bounds
 from .channel import HopChannel, capacity, snr_db_to_linear
-from .exponents import hop_exponents
+from .exponents import hop_exponents, random_coding_exponent
 from .system import stacked_error_bounds
 
 __all__ = ["ScenarioError", "Scenario", "Evaluation", "Row", "load_scenario",
@@ -156,7 +156,8 @@ def _per_row(fn):
 def _solve(ev, rows, rates_column):
     """The exponents column, [rc, sp] per row: one hop_exponents call over the rows whose
     hop list and rates are unsolved, all of which keep its error if it raises (resolve_rates
-    passes no rate it rejects), in SP alone where the error carries RC's lists."""
+    passes no rate it rejects).  There RC is solved alone, hop by hop, so it never fails
+    because SP does."""
     def flat(lists):  # the lists joined, or the one list itself
         return lists[0] if len(lists) == 1 else list(chain.from_iterable(lists))
 
@@ -168,8 +169,13 @@ def _solve(ev, rows, rates_column):
         rates, hops = map(flat, zip(*todo.values()))
         try:
             families = hop_exponents(rates, hops)
-        except ValueError as exc:
-            families = (getattr(exc, "rc", exc), exc)
+        except ValueError as sp_error:
+            try:
+                rc = [random_coding_exponent(rate, ch) for rate, ch in zip(rates, hops)]
+                families = ([[res.exponent for res in rc], [res.rho_star for res in rc],
+                             [res.regime for res in rc]], sp_error)
+            except ValueError as rc_error:
+                families = (rc_error, sp_error)
         ends = accumulate(len(part_rates) for part_rates, _ in todo.values())
         for key, end, (part_rates, _) in zip(todo, ends, todo.values()):
             ev.solved[key] = [family if isinstance(family, ValueError) else

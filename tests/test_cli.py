@@ -1283,30 +1283,29 @@ class TestEvaluationExponentPaths:
         # the AWGN hops if they are at least ARRAY_MIN_HOPS, and one per DMC hop,
         # each of which is its own channel object
         dmc = [i for i, ch in enumerate(hops) if ch.kind == "dmc"]
-        assert array_calls == [] if array_hops is None else (
-            [(array_hops, "awgn")] + [(1, "dmc")] * len(dmc))
+        assert array_calls == ([] if array_hops is None else
+                               [(array_hops, "awgn")] + [(1, "dmc")] * len(dmc))
 
     def test_invalid_rate_raises_the_first_hops_error(self, tmp_path, monkeypatch):
-        # the one pass takes SP's rates: it rejects the zero rate on the BSC at hop 4
-        # before the negative rate on AWGN hop 50, which the array solve sees first
+        # SP rejects the zero rate on the BSC at hop 4 first; RC, solved alone where
+        # SP fails, accepts it and rejects the negative rate on AWGN hop 50
         ev, _ = self.evaluate(tmp_path, LONG_CHAINS["mixed120"], monkeypatch)
         rates = list(ev.rates)
         rates[4], rates[50] = 0.0, -1.0
         sc = ev.scenario
         row = Evaluation([FixedRates(sc.total_q, sc.hops, {"rates": rates},
                                      sc.allocation_method)])[0]
-        message = "^rate must be positive for sphere packing, got 0.0$"
-        with pytest.raises(ChannelError, match=message) as sp:
+        with pytest.raises(ChannelError, match="^rate must be positive for sphere packing, "
+                                               "got 0.0$"):
             row.exponents_sp
-        with pytest.raises(ChannelError, match=message) as rc:
+        with pytest.raises(ChannelError, match="got -1.0$"):
             row.exponents_r
-        assert rc.value is sp.value
 
 
 class TestRcNeverFailsBecauseSpDoes:
     """A DMC hop at 1e-300 nats whose SP root passes 2**1014 (its q does not sum to 1
-    exactly in doubles): an RC split still allocates, from the RC lists that the one
-    pass's error carries; the commands that read SP exit 3 with its error."""
+    exactly in doubles): an RC split still allocates, from RC solved alone where the one
+    pass fails; the commands that read SP exit 3 with its error."""
 
     HOPS = [{"type": "dmc", "input_dist": [0.37525486086141113, 0.5114899253720673,
                                            0.11325521376652149],

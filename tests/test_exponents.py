@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from hopbound.exponents import (ARRAY_MIN_HOPS, ExponentResult, Regime, critical
                                 hop_exponents, random_coding_exponent,
                                 sphere_packing_exponent)
 from hopbound.oracle import GridSpec, grid_max_exponent
+from hopbound.scenario import _solve
 
 SNR1 = HopChannel.awgn(1.0)
 R_CR = math.log(1.5) - 1.0 / 6.0
@@ -107,15 +109,16 @@ class TestSpherePacking:
     @pytest.mark.parametrize("hops", [1, ARRAY_MIN_HOPS - 1, ARRAY_MIN_HOPS])
     def test_a_root_past_the_last_bracket_end_raises(self, hops):
         # rho* ~ 1e450 at SNR 1e300 and 1e-300 nats, on the scalar and the array path;
-        # hop_exponents' error carries the RC lists, which do not fail
+        # RC does not fail there, and an Evaluation row solves it alone
         ch = HopChannel.awgn(1e300)
         with pytest.raises(ChannelError, match=r"rho\* exceeds 1.756e\+305"):
             sphere_packing_exponent(1e-300, ch)
-        with pytest.raises(ChannelError, match=r"rho\* exceeds 1.756e\+305") as raised:
+        with pytest.raises(ChannelError, match=r"rho\* exceeds 1.756e\+305"):
             hop_exponents([1e-300] * hops, [ch] * hops)
         rc = random_coding_exponent(1e-300, ch)
         assert rc.regime == Regime.RHO_CLAMPED_AT_ONE
-        assert raised.value.rc == [[rc.exponent] * hops, [1.0] * hops, [rc.regime] * hops]
+        assert TestHopExponents.assert_equals_per_hop_solves([1e-300] * hops, [ch] * hops) == (
+            {Regime.RHO_CLAMPED_AT_ONE},)
 
     def test_zero_at_capacity(self):
         res = sphere_packing_exponent(math.log(2.0), SNR1)
@@ -262,7 +265,11 @@ class TestHopExponents:
     @staticmethod
     def assert_equals_per_hop_solves(rates, chs):
         """Returns the sets of RC's and SP's regimes, or of RC's alone where SP fails
-        at positive rates (its error carries the RC lists); None where a rate is not."""
+        (an Evaluation row then solves RC alone and keeps SP's error); None where RC
+        fails too."""
+        def same_error(got, exc):
+            return type(got) is type(exc) and str(got) == str(exc)
+
         expected = []
         for solve in (random_coding_exponent, sphere_packing_exponent):
             try:
@@ -270,14 +277,14 @@ class TestHopExponents:
             except ChannelError as exc:
                 expected.append(exc)
         if isinstance(expected[1], ChannelError):
-            with pytest.raises(ChannelError) as raised:
-                hop_exponents(rates, chs)
-            exc = expected.pop()
-            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
-            if not all(isinstance(r, float) and r > 0 for r in rates):
-                assert not hasattr(raised.value, "rc")
+            # the Evaluation's solve: hop_exponents' error is sp, and RC is solved alone
+            ev = types.SimpleNamespace(scenarios=[types.SimpleNamespace(hops=chs)], solved={})
+            [[rc, sp]] = _solve(ev, [0], [rates])
+            assert same_error(sp, expected.pop())
+            if isinstance(expected[0], ChannelError):
+                assert same_error(rc, expected[0])
                 return None
-            got = [raised.value.rc]
+            got = [rc]
         else:
             got = hop_exponents(rates, chs)
         for (exponent, rho_star, regime), results in zip(got, expected):
