@@ -9,14 +9,18 @@ The (RC, SP) chains of an allocation take their P_e,n from its
 `SystemBounds`, clamped below 1 in `arq_chains` alone.
 
 `simulate_latency` checks the closed form by Monte Carlo.  It streams the
-trials through fixed blocks of `_BLOCK` on the calling thread and merges
-their moments in block order, so its memory is O(`_BLOCK`), not O(trials).
-Each calling thread keeps one workspace between its calls.  Attempt costs
-are integers, so while a block's sums stay below 2**53 they are exact in
-any order: only trials that can retransmit add to S = sum Q_n.
-`simulate_latencies` runs a table of chains of one hop count in one pass:
-a trial's hashes do not depend on P_e or Q, so each block's hashes,
-candidates and ln u on a hop are made once for every chain;
+trials through fixed blocks of `_BLOCK`, each reduced to its moments, which
+merge in block order on the calling thread, so its memory is O(`_BLOCK`),
+not O(trials).  A call of at least eight blocks splits them into contiguous
+runs of at least four, one per thread, up to the usable CPUs and
+`_MAX_WORKERS`; the calling thread runs the first on the workspace it keeps
+between its calls, each other thread a lean one of its own.  Each block's
+moments are the same on any thread, so every estimate is the same for any
+worker count.  Attempt costs are integers, so while a block's sums stay
+below 2**53 they are exact in any order: only trials that can retransmit add
+to S = sum Q_n.  `simulate_latencies` runs a table of chains of one hop count
+in one pass: a trial's hashes do not depend on P_e or Q, so each block's
+hashes, candidates and ln u on a hop are made once for every chain;
 `simulate_latency` is its one-chain case.  `latency_variance` is the exact
 variance.
 """
@@ -25,9 +29,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -104,14 +109,21 @@ def latency_variance(chain: ArqChain) -> float:
     return var
 
 
-# Trials per block.  A kernel's six buffers of this many 8-byte words
-# (3 MiB) and its byte mask stay in cache; blocks start at multiples of
-# this from trial 0, so the block order and each block's sums are fixed.
+# Trials per block.  A kernel's buffers of this many 8-byte words (at
+# most 2.5 MiB) and its byte mask stay in cache; blocks start at multiples
+# of this from trial 0, so the block order and each block's sums are fixed.
 _BLOCK = 1 << 16
 # Hops with 0 < P_e below this take the log only for their candidate
 # trials; at or above it, where most trials are candidates, gathering them
 # costs more than the log it saves.
 _SPARSE_PE = 0.25
+# At most this many threads run a call's blocks, each a run of at least
+# _MIN_RUN whole blocks: on shorter runs two threads ran slower than one.
+_MAX_WORKERS = 4
+_MIN_RUN = 4
+# Blocks split among the threads at a time: the calling thread holds one
+# round's block moments until it merges them, never more.
+_ROUND = 1024
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -137,15 +149,28 @@ def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
     x ^= scratch
 
 
-class _Workspace:
-    """One kernel's buffers of `_BLOCK` entries: the trial counters, their
-    hop-count ramp, four block buffers and the candidate mask."""
+@cache
+def _counter() -> np.ndarray:
+    """The trial counters 0, ..., `_BLOCK` - 1, read-only and shared by every thread."""
+    counter = np.arange(_BLOCK, dtype=np.uint64)
+    counter.flags.writeable = False
+    return counter
 
-    def __init__(self, size: int = _BLOCK):
-        self.counter = np.arange(size, dtype=np.uint64)
-        self.ramp, self.bits, self.scratch = (np.empty(size, np.uint64) for _ in range(3))
-        self.uniforms, self.totals = np.empty(size), np.empty(size)
-        self.marks = np.empty(size, bool)
+
+class _Workspace:
+    """One kernel's buffers of `size` entries: two hash buffers, the
+    latencies and the candidate mask, and unless lean, the counters'
+    hop-count ramp and a table's attempt costs.  A worker thread's lean
+    workspace reads its caller's ramp, and takes the attempt costs' buffer
+    only for a table: one chain's costs go over its spent hashes."""
+
+    def __init__(self, size: int = _BLOCK, lean: bool = False, table: bool = False):
+        self.bits, self.scratch = np.empty(size, np.uint64), np.empty(size, np.uint64)
+        self.totals, self.marks = np.empty(size), np.empty(size, bool)
+        if not lean:
+            self.ramp = np.empty(size, np.uint64)
+        if table or not lean:
+            self.uniforms = np.empty(size)
 
 
 # Each calling thread's workspace, kept between its calls as `.workspace`.
@@ -189,16 +214,26 @@ class _HashStreams:
     one buffer per hop position (`bits` the first), the candidates of the
     table's largest cap there with their ln u, and every trial's ln u,
     written over the hashes once the candidates are taken.  `cap_of` maps
-    each sparse P_e (0 < P_e < `_SPARSE_PE`) of the chains to its cap."""
+    each sparse P_e (0 < P_e < `_SPARSE_PE`) of the chains to its cap.  A
+    worker thread's streams on a lean workspace take the caps and the
+    counters' ramp, j N GOLDEN for trial start + j, from its caller's,
+    `parent`."""
 
-    def __init__(self, key: int, n: int, size: int, ws: _Workspace, chains: list[ArqChain]):
+    def __init__(self, key: int, n: int, size: int, ws: _Workspace, chains: list[ArqChain],
+                 parent: _HashStreams | None = None):
         self.key, self.n, self.size, self.ws, self.shared = key, n, size, ws, len(chains) > 1
         probs = [chain.self_loop_probs for chain in chains]
-        self.cap_of = {p: _candidate_cap(p) for p in set().union(*probs) if 0.0 < p < _SPARSE_PE}
+        if parent is None:
+            self.cap_of = {p: _candidate_cap(p) for p in set().union(*probs)
+                           if 0.0 < p < _SPARSE_PE}
+            self.ramp = np.multiply(_counter()[:size], np.uint64(n * _GOLDEN & _MASK64),
+                                    out=ws.ramp[:size])
+        else:
+            self.cap_of, self.ramp = parent.cap_of, parent.ramp
         # each hop's distinct candidate caps, ascending
         self.caps = [sorted({self.cap_of[p] for p in hop if p in self.cap_of})
                      for hop in zip(*probs)]
-        self.buffers, self.ramp, self.start, self.made = {}, None, None, {}
+        self.buffers, self.start, self.made = {}, None, {}
 
     def _once(self, start: int, what, make):
         """make(), made once per block and `what` if the streams are shared."""
@@ -219,9 +254,6 @@ class _HashStreams:
             if self.shared:
                 self.buffers[hop] = x
         x = x[:m]
-        if self.ramp is None:  # j N GOLDEN: trial start + j's counter offset
-            self.ramp = np.multiply(ws.counter[:self.size], np.uint64(self.n * _GOLDEN & _MASK64),
-                                    out=ws.ramp[:self.size])
         base = self.key + (start * self.n + hop + 1) * _GOLDEN
         np.add(self.ramp[:m], np.uint64(base & _MASK64), out=x)
         _splitmix64_inplace(x, ws.scratch[:m])
@@ -271,8 +303,11 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
 
     The returned latencies are a view of the workspace's buffer, which the
     next call overwrites, so two concurrent kernels must not share a
-    workspace; `simulate_latency` runs its blocks on the calling thread with
-    that thread's own.
+    workspace; each thread of a `simulate_latency` call runs its blocks on
+    its own.  A one-chain kernel writes its attempt costs into the hash
+    buffer `bits`, whose hashes and ln u it has read by then; the
+    candidates' ln u stay in their own arrays, which the exact sum's
+    fallback past 2**53 reads again.
     Trial i draws on hop h (of N) the uniform
     u = ((splitmix64(key + (i N + h + 1) GOLDEN mod 2**64) >> 11) + 1/2) 2**-53,
     with key = splitmix64(seed + GOLDEN mod 2**64), and makes
@@ -293,7 +328,8 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     candidates' trials; 0 with none.  Other blocks add each hop's costs in
     hop order.  Every latency and moment is the full-array formula's.
     """
-    uniforms, totals = streams.ws.uniforms, streams.ws.totals
+    ws = streams.ws
+    uniforms, totals = ws.uniforms if streams.shared else ws.bits.view(np.float64), ws.totals
     hops = [(int(q), math.log(p) if p > 0.0 else None, streams.cap_of.get(p))
             for q, p in zip(chain.costs, chain.self_loop_probs)]
     sparse = [(hop, cap) for hop, (_, _, cap) in enumerate(hops) if cap is not None]
@@ -362,31 +398,91 @@ def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
     return n_a + n_b, s_a + s_b, m2_a + m2_b + delta * delta * (n_a * n_b / (n_a + n_b))
 
 
-def simulate_latencies(chains: list[ArqChain], trials: int,
-                       seed: int) -> list[LatencyEstimate]:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(workers: int | None, blocks: int) -> int:
+    """Threads for `blocks` blocks: `workers`, or the usable CPUs if None,
+    capped at the usable CPUs, `_MAX_WORKERS` and a `_MIN_RUN` blocks each."""
+    cpus = _usable_cpus()
+    return max(1, min(cpus if workers is None else workers, cpus, _MAX_WORKERS,
+                      blocks // _MIN_RUN))
+
+
+def _on_threads(run, parts: list) -> list:
+    """[run(part, k) for k, part in enumerate(parts)], run(parts[0], 0) on the
+    calling thread and each other on a thread of its own.  Every thread is
+    joined before this returns or raises; the first part's exception is raised."""
+    results, errors, threads = [None] * len(parts), [None] * len(parts), []
+
+    def work(k):
+        try:
+            results[k] = run(parts[k], k)
+        except BaseException as exc:  # raised on the calling thread
+            errors[k] = exc
+
+    try:
+        for k in range(1, len(parts)):
+            thread = threading.Thread(target=work, args=(k,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    error = next((exc for exc in errors if exc is not None), None)
+    if error is not None:
+        raise error
+    return results
+
+
+def simulate_latencies(chains: list[ArqChain], trials: int, seed: int,
+                       workers: int | None = None) -> list[LatencyEstimate]:
     """`simulate_latency` of each chain of a table, bit for bit, in one pass
     over the trials; the chains must have one hop count.  Each block's hashes,
     candidates and ln u on a hop are made once for every chain
     (`_HashStreams`), a chain without a dense hop sums a block as m S + E
     while that stays below 2**53 (`_latency_kernel`), and each chain's block
-    moments merge in block order, as its own call's do.
+    moments merge in block order, as its own call's do, whatever thread ran
+    the block.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    if workers is not None and (isinstance(workers, bool)
+                                or not isinstance(workers, numbers.Integral) or workers < 1):
+        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     if len({len(chain.costs) for chain in chains}) > 1:
         raise ValueError("the chains of one table must have one hop count")
     if not chains:
         return []
     if not hasattr(_per_thread, "workspace"):
         _per_thread.workspace = _Workspace()
-    ws, size = _per_thread.workspace, min(trials, _BLOCK)
-    streams = _HashStreams(_splitmix64((int(seed) + _GOLDEN) & _MASK64), len(chains[0].costs),
-                           size, ws, chains)
-    kernels = [_latency_kernel(chain, streams, True) for chain in chains]
-    blocks = ([kernel(s, min(s + _BLOCK, trials)) for kernel in kernels]
-              for s in range(0, trials, _BLOCK))
+    key, n = _splitmix64((int(seed) + _GOLDEN) & _MASK64), len(chains[0].costs)
+    size = min(trials, _BLOCK)
+    streams = _HashStreams(key, n, size, _per_thread.workspace, chains)
+
+    def run(starts: range, k: int) -> list:
+        own = streams if k == 0 else _HashStreams(
+            key, n, size, _Workspace(size, lean=True, table=streams.shared), chains, streams)
+        kernels = [_latency_kernel(chain, own, True) for chain in chains]
+        return [[kernel(s, min(s + _BLOCK, trials)) for kernel in kernels] for s in starts]
+
+    def rounds():  # each round's blocks in contiguous runs, one per thread
+        starts = range(0, trials, _BLOCK)
+        for first in range(0, len(starts), _ROUND):
+            part = starts[first:first + _ROUND]
+            w = _worker_count(workers, len(part))
+            ends = [len(part) * k // w for k in range(w + 1)]
+            yield _on_threads(run, [part[a:b] for a, b in zip(ends, ends[1:])])
+
+    blocks = (block for results in rounds() for result in results for block in result)
     merged = reduce(lambda acc, block: list(map(_merge_moments, acc, block)), blocks)
     return [LatencyEstimate(
         analytic=expected_latency(chain),
@@ -402,13 +498,20 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     """Monte Carlo latency estimate; bit-identical for fixed (chain, trials, seed).
 
     Trial i's randomness comes from (seed, i, hop) by a counter-based
-    generator (after Salmon et al., SC'11).  Trials run on the calling
-    thread in blocks of `_BLOCK` from trial 0; each block is reduced in
-    place to (n, sum, M2) and merged in block order.  The O(`_BLOCK`)
-    workspace is the calling thread's own, kept between its calls, so
-    concurrent calls never share one.  `workers` is accepted and has no
-    effect.  This is the one-chain case of `simulate_latencies`, which
-    hashes each block into the workspace as the chain's hops read it.
+    generator (after Salmon et al., SC'11), so the trials split into blocks
+    of `_BLOCK` from trial 0 that need nothing of each other.  Each block is
+    reduced in place to (n, sum, M2), and the calling thread merges them in
+    block order, whatever thread ran them: the estimate is the same for any
+    `workers`.  The blocks run on `workers` threads, or the usable CPUs' if
+    None, capped at the usable CPUs, at `_MAX_WORKERS` and at one thread
+    per `_MIN_RUN` blocks, so a call of fewer than 8 blocks stays on the
+    calling thread.  Each thread takes a contiguous run of whole blocks;
+    the calling thread runs the first on the O(`_BLOCK`) workspace it keeps
+    between its calls, so concurrent calls never share one, and each other
+    thread, joined before the call returns or raises, runs on a lean
+    workspace of its own.  `workers` must be None or an integer >= 1.  This
+    is the one-chain case of `simulate_latencies`, which hashes each block
+    into the workspace as the chain's hops read it.
 
     A chain without a dense hop reduces a block whose sums stay below 2**53
     from its candidates' extra channel uses; see `_latency_kernel` for why
@@ -421,7 +524,7 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     bit for bit up to `_BLOCK` trials; above that the merge can move it by a
     few ulps.
     """
-    return simulate_latencies([chain], trials, seed)[0]
+    return simulate_latencies([chain], trials, seed, workers)[0]
 
 
 def arq_chains(bounds: SystemBounds, blocks: list[int]) -> tuple[ArqChain, ArqChain]:

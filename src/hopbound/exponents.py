@@ -106,10 +106,16 @@ def _maximize(rate: float, ch: HopChannel, rho_cap: float) -> tuple[ExponentResu
 
 
 def _check_rate(rate, sp: bool) -> None:
-    """ChannelError unless rate is a real number, not a bool (as in a scenario), in the
-    family's domain: > 0 for sphere packing (sp), >= 0 for random coding."""
+    """ChannelError unless rate is a real number, not a bool (as in a scenario), that
+    converts to a double, in the family's domain: > 0 for sphere packing (sp), >= 0 for
+    random coding."""
     if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
         raise ChannelError(f"rate must be a real number, got {rate!r}")
+    try:
+        float(rate)
+    except OverflowError:  # an int or Fraction past the doubles' range
+        raise ChannelError("rate must convert to a double, got one past the doubles' range"
+                           ) from None
     if not (rate > 0 if sp else rate >= 0):
         raise ChannelError(f"rate must be positive for sphere packing, got {rate}" if sp
                            else f"rate must be nonnegative, got {rate}")

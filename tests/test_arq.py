@@ -160,11 +160,12 @@ class TestSimulateLatency:
         assert a.mc_mean != b.mc_mean
 
     @pytest.mark.parametrize("raw,cpus,workers", [
-        (None, 8, None), ("", 8, None), ("junk", 8, None), ("0", 8, 0), ("-3", 8, -3),
-        ("3", 8, 3), ("8", 8, 8), ("100000", 8, 100_000), ("100000", 2, 2), ("4", None, 4)])
+        (None, 8, None), ("", 8, None), ("junk", 8, None), ("3", 8, 3), ("8", 8, 8),
+        ("100000", 8, 100_000), ("100000", 2, 2), ("4", None, 4)])
     def test_every_block_runs_on_the_calling_thread(self, monkeypatch, raw, cpus, workers):
-        # neither the former HOPBOUND_THREADS variable, the CPU count nor `workers`
-        # starts a thread or changes the result
+        # a 4-block call stays on the calling thread: each thread takes at least 4
+        # blocks; neither the former HOPBOUND_THREADS variable, the CPU count nor
+        # `workers` starts a thread or changes the result
         chain = _mixed_chain(4)
         trials = 3 * _BLOCK + 7
         sequential = simulate_latency(chain, trials, 3, workers=1)
@@ -202,6 +203,16 @@ class TestSimulateLatency:
             with pytest.raises(ValueError, match="trials must be an integer >= 1"):
                 run()
         assert simulate_latency(chain, np.int64(3), 1).trials == 3
+
+    @pytest.mark.parametrize("workers", [0, -3, True, False, 2.5, 2.0, "2"])
+    def test_rejects_workers_that_is_not_an_integer_of_at_least_one(self, workers):
+        chain = ArqChain([0.1], [10])
+        for run in (lambda: simulate_latency(chain, 10, 1, workers=workers),
+                    lambda: simulate_latencies([chain], 10, 1, workers=workers)):
+            with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
+                run()
+        assert (simulate_latency(chain, 10, 1, workers=np.int64(2))
+                == simulate_latency(chain, 10, 1, workers=None))
 
     @pytest.mark.parametrize("seed", [True, 0.5, 1.0, "1", None])
     def test_rejects_a_seed_that_is_not_an_integer(self, seed):
@@ -414,6 +425,199 @@ class TestWorkspaceReuse:
         for workers in (10 ** 6, 64, 3, 2):
             assert simulate_latency(chain, 5 * _BLOCK, 3, workers=workers) == sequential
         assert [ws.thread for ws in built_workspaces] == [threading.current_thread()]
+
+
+def _estimates(chains, trials, seed, workers):
+    """(mean, stderr) of each chain's estimate in one table call, by .hex()."""
+    return [(est.mc_mean.hex(), est.mc_stderr.hex())
+            for est in simulate_latencies(chains, trials, seed, workers=workers)]
+
+
+def _blocks_plus_partial(least, most):
+    """Trial counts of `least` to `most` whole blocks and a partial one."""
+    return st.tuples(st.integers(least, most), st.integers(1, _BLOCK - 1)).map(
+        lambda bp: bp[0] * _BLOCK + bp[1])
+
+
+def _table(n):
+    """Up to three chains of n hops, each from `_chains`' hop draws."""
+    hop = st.tuples(_probabilities, st.integers(1, 2000))
+    chain = st.lists(hop, min_size=n, max_size=n).map(
+        lambda hops: ArqChain([p for p, _ in hops], [q for _, q in hops]))
+    return st.lists(chain, min_size=2, max_size=3)
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Four usable CPUs, so that every worker count up to the cap starts its threads."""
+    monkeypatch.setattr(arq, "_usable_cpus", lambda: 4)
+
+
+@pytest.fixture
+def kernel_threads(monkeypatch):
+    """(block start, thread that ran it) of every kernel built, in call order
+    (thread objects: an ended thread's ident can be reused)."""
+    threads = []
+    make_kernel = arq._latency_kernel
+
+    def recording_kernel(*args):
+        kernel = make_kernel(*args)
+
+        def run(start, stop):
+            threads.append((start, threading.current_thread()))
+            return kernel(start, stop)
+        return run
+
+    monkeypatch.setattr(arq, "_latency_kernel", recording_kernel)
+    return threads
+
+
+class TestWorkerThreads:
+    """Blocks run on up to four threads, whole runs of at least four blocks
+    each, and every estimate is the one-thread estimate bit for bit."""
+
+    WORKERS = (1, 2, 3, 4, None)
+
+    @settings(max_examples=8, deadline=None)
+    @given(chain=_chains.filter(lambda c: PE_CLAMP in c.self_loop_probs) | _chains,
+           seed=_seeds, trials=_blocks_plus_partial(8, 17))
+    def test_any_worker_count_gives_the_same_bits(self, chain, seed, trials):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arq, "_usable_cpus", lambda: 4)
+            got = {w: _estimates([chain], trials, seed, w) for w in self.WORKERS}
+        assert all(got[w] == got[1] for w in self.WORKERS), got
+        _assert_matches_reference(simulate_latency(chain, trials, seed), chain, trials, seed)
+
+    @settings(max_examples=6, deadline=None)
+    @given(chains=st.integers(1, 4).flatmap(_table), seed=_seeds,
+           trials=_blocks_plus_partial(8, 17))
+    def test_any_worker_count_gives_a_tables_bits(self, chains, seed, trials):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arq, "_usable_cpus", lambda: 4)
+            got = {w: _estimates(chains, trials, seed, w) for w in self.WORKERS}
+        assert all(got[w] == got[1] for w in self.WORKERS), got
+        assert got[1] == [_estimates([chain], trials, seed, 1)[0] for chain in chains]
+        for chain in chains:
+            _assert_matches_reference(simulate_latency(chain, trials, seed), chain, trials, seed)
+
+    def test_sums_past_2_53_in_every_run(self, four_cpus):
+        # each block's sum passes 2**53, so a merge out of block order moves the digits
+        chain = ArqChain([PE_CLAMP, 1e-6, 0.3], [2000, 7, 3])
+        trials = 16 * _BLOCK + 5
+        got = {w: _estimates([chain], trials, 4, w) for w in self.WORKERS}
+        assert all(got[w] == got[1] for w in self.WORKERS)
+        _assert_matches_reference(simulate_latency(chain, trials, 4), chain, trials, 4)
+
+    @pytest.mark.parametrize("failing_block", [0, 3, 4, 9, 16])
+    def test_a_kernels_exception_reaches_the_caller(self, monkeypatch, four_cpus,
+                                                    failing_block):
+        # blocks 0-3 run on the calling thread, 4-7, 8-11 and 12-16 on three others
+        raised = []
+        make_kernel = arq._latency_kernel
+
+        def failing_kernel(*args):
+            kernel = make_kernel(*args)
+
+            def run(start, stop):
+                if start == failing_block * _BLOCK:
+                    raised.append(RuntimeError(f"block {failing_block}"))
+                    raise raised[-1]
+                return kernel(start, stop)
+            return run
+
+        monkeypatch.setattr(arq, "_latency_kernel", failing_kernel)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block {failing_block}") as info:
+            simulate_latency(_mixed_chain(5), 16 * _BLOCK + 7, 3, workers=4)
+        assert len(raised) == 1 and info.value is raised[0]
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("blocks", [1, 7, 8, 11, 12, 16, 17, 40])
+    def test_at_most_four_workers_of_four_blocks_each(self, monkeypatch, kernel_threads,
+                                                      blocks):
+        trials = blocks * _BLOCK
+        serial = simulate_latency(_mixed_chain(3), trials, 5, workers=1)
+        monkeypatch.setattr(arq, "_usable_cpus", lambda: 10 ** 6)
+        built = []
+
+        class CountedThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                if len(built) > 4:
+                    raise RuntimeError("a fifth thread")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        for workers in (None, 10 ** 6):
+            kernel_threads.clear()
+            built.clear()
+            assert simulate_latency(_mixed_chain(3), trials, 5, workers=workers) == serial
+            expected = min(4, blocks // 4) or 1
+            threads = [thread for _, thread in sorted(kernel_threads, key=lambda b: b[0])]
+            assert len(set(threads)) == expected
+            assert len(built) == expected - 1
+            assert threads[0] is threading.current_thread()
+
+    def test_rounds_of_blocks_keep_the_bits(self, monkeypatch, kernel_threads):
+        # rounds of 8 blocks: 8, 8 and 1, on 2, 2 and 1 threads of runs of 4
+        chain = ArqChain([0.3, PE_CLAMP, 0.1], [50, 70, 90])
+        serial = simulate_latency(chain, 16 * _BLOCK + 3, 2, workers=1)
+        kernel_threads.clear()
+        monkeypatch.setattr(arq, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(arq, "_ROUND", 8)
+        assert simulate_latency(chain, 16 * _BLOCK + 3, 2) == serial
+        me = threading.current_thread()
+        threads = [thread for _, thread in sorted(kernel_threads, key=lambda b: b[0])]
+        rounds = [threads[:8], threads[8:16], threads[16:]]
+        assert [len(set(r)) for r in rounds] == [2, 2, 1]
+        assert [r.count(me) for r in rounds] == [4, 4, 1]
+
+    def test_each_sparse_pe_capped_once_for_every_thread(self, monkeypatch, four_cpus,
+                                                         kernel_threads):
+        calls = []
+        cap = arq._candidate_cap
+        monkeypatch.setattr(arq, "_candidate_cap", lambda p: calls.append(p) or cap(p))
+        chains = [ArqChain([0.01, 1e-20, 0.6], [5, 7, 9]), ArqChain([1e-20, 0.01, 0.0], [5, 7, 9])]
+        simulate_latencies(chains, 16 * _BLOCK, 3)
+        assert len({thread for _, thread in kernel_threads}) == 4
+        assert sorted(calls) == [1e-20, 0.01]
+
+    def test_concurrent_parallel_calls_get_the_sequential_results(self, four_cpus):
+        # three callers of four threads each on two cores, with frequent switches:
+        # a workspace or ramp shared by two calls would mix their blocks
+        calls = [([_mixed_chain(n)], 16 * _BLOCK + 5, n) for n in (1, 5)]
+        calls.append((_table_chains(3, 2), 16 * _BLOCK + 5, 9))
+        expected = [_estimates(*call, 1) for call in calls]
+        barrier = threading.Barrier(len(calls), timeout=60)
+        results = {}
+
+        def run(i):
+            barrier.wait()
+            results[i] = _estimates(*calls[i], None)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [results.get(i) for i in range(len(calls))] == expected
+
+    def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert arq._usable_cpus() == 3
+        assert [arq._worker_count(None, b) for b in (7, 8, 12, 1000)] == [1, 2, 3, 3]
+        assert [arq._worker_count(w, 1000) for w in (1, 2, 4, 10 ** 6)] == [1, 2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, usable in ((6, 6), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+            assert arq._usable_cpus() == usable
+        assert arq._worker_count(None, 1000) == 1
 
 
 _BOUNDARY_PE = sorted(

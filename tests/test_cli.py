@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from hopbound.allocation import (info_continuous_log_m, reliability_optimal_blocks,
                                  reliability_real_blocks)
-from hopbound import allocation, cli, exponents, scenario
+from hopbound import allocation, arq, cli, exponents, scenario
 from hopbound.channel import ChannelError, HopChannel, capacity, snr_db_to_linear
 from hopbound.arq import simulate_latency
 from hopbound.cli import main
@@ -423,6 +423,10 @@ class TestExponentCommand:
                       "--rate-steps", "3", "--out", "never.csv"], id="nan_rate_min"),
         pytest.param(["exponent", "--snr-db", "0", "--rate-min", "0.1", "--rate-max", "inf",
                       "--rate-steps", "3", "--out", "never.csv"], id="inf_rate_max"),
+        # a rate past the doubles' range parses as inf, so it never reaches the solver
+        pytest.param(["exponent", "--snr-db", "0", "--rate-min", str(10 ** 400), "--rate-max",
+                      "0.5", "--rate-steps", "3", "--out", "never.csv"],
+                     id="rate_min_past_the_doubles"),
         pytest.param(["verify", "--suite", "grid", "--seed", "-1"], id="negative_verify_seed")])
     def test_usage_error_exit_code(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
@@ -1191,17 +1195,22 @@ class TestPeakMemory:
 
     # measured: exponent 1.4 and 1.8 MiB (the grid is solved _GRID_CHUNK rates
     # at a time), on a 32x32 DMC 2.4 and 3.3 MiB (its E0 arrays take the rhos in
-    # slices), latency 3.1 MiB at both (one workspace of _BLOCK trials),
-    # distributed 0.2 and 1.9 MiB (its trace holds a message per hop), allocate
-    # on equal BSC hops 0.18 and 1.6 MiB (one array call over every hop)
+    # slices), latency on two usable CPUs 4.15 MiB at both (the calling thread's
+    # workspace of _BLOCK trials, 2.6 MiB, and a second thread's lean one; one
+    # workspace with its own counters was 3.1 MiB), distributed 0.2 and 1.9 MiB
+    # (its trace holds a message per hop), allocate on equal BSC hops 0.18 and
+    # 1.6 MiB (one array call over every hop)
     @pytest.mark.parametrize("command,small,large,growth", [
         ("exponent", 4096, 40960, 2.0),
-        ("latency", 10 ** 3, 10 ** 6, 1.5),
+        ("latency", 10 ** 6, 4 * 10 ** 6, 1.5),
         ("distributed", 100, 1000, 1.25 * 1000 / 100),
         ("exponent_dmc_32x32", 512, 4096, 2.0),
         ("allocate_equal_bsc", 100, 1000, 1.25 * 1000 / 100)])
-    def test_option_does_not_multiply_the_peak(self, tmp_path, command, small, large, growth):
+    def test_option_does_not_multiply_the_peak(self, tmp_path, monkeypatch, command, small,
+                                               large, growth):
         out = str(tmp_path / "out")
+        if command == "latency":  # two Monte Carlo threads at both sizes, whatever the host
+            monkeypatch.setattr(arq, "_usable_cpus", lambda: 2)
 
         def argv(size):
             if command == "exponent":
@@ -1232,6 +1241,8 @@ class TestPeakMemory:
         assert main(argv(small)) == 0  # the first call's one-time imports and caches
         peak_small, peak_large = self.traced_peak(argv(small)), self.traced_peak(argv(large))
         assert peak_large <= growth * peak_small, (peak_small, peak_large)
+        if command == "latency":  # 1.5 times the one-workspace peak
+            assert peak_small <= 4.65 * 2 ** 20, peak_small
 
     # measured: fig3 0.37 MiB, fig4 4.1 MiB (the Monte Carlo's workspace of _BLOCK trials)
     @pytest.mark.parametrize("figure,bound_mib", [("fig3", 1.0), ("fig4", 8.0)])

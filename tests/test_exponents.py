@@ -360,6 +360,20 @@ class TestHopExponents:
             with pytest.raises(ChannelError, match=match):
                 hop_exponents([0.1] * (n - 1) + [rate], [SNR1] * n)
 
+    @pytest.mark.parametrize("rate", [10 ** 400, -(10 ** 400), fractions.Fraction(10 ** 400, 3)],
+                             ids=["int", "negative_int", "fraction"])
+    @pytest.mark.parametrize("entry", ["random_coding_exponent", "sphere_packing_exponent",
+                                       "hop_exponents", "hop_exponents_array"])
+    def test_a_rate_past_the_doubles_range_raises(self, entry, rate):
+        # float(rate) raised OverflowError, not a domain error
+        run = {"random_coding_exponent": lambda: random_coding_exponent(rate, SNR1),
+               "sphere_packing_exponent": lambda: sphere_packing_exponent(rate, SNR1),
+               "hop_exponents": lambda: hop_exponents([rate], [SNR1]),
+               "hop_exponents_array": lambda: hop_exponents(
+                   [0.1] * (ARRAY_MIN_HOPS - 1) + [rate], [SNR1] * ARRAY_MIN_HOPS)}[entry]
+        with pytest.raises(ChannelError, match="^rate must convert to a double, got one past"):
+            run()
+
     @pytest.mark.parametrize("rate", [np.float64(0.1), np.float32(0.1), np.int64(1), 1,
                                       fractions.Fraction(1, 10)])
     def test_numpy_floats_ints_and_other_reals_pass(self, rate):

@@ -173,6 +173,12 @@ def run(row, out: str) -> None:
         timed(f"arq.simulate_latency.{name}.ms_per_1e5_trials", 20, simulate)
         row({f"arq.simulate_latency.{name}.peak_alloc_mb": "MB"},
             lambda: (_peak_alloc_mb(simulate()),))
+    # 2e6 trials (31 blocks) of a five-hop chain at P_e 0, 1e-6, 0.01, 0.3 and 0.9, on
+    # the default worker count and on the calling thread alone
+    mixed = arq.ArqChain([0.0, 1e-6, 0.01, 0.3, 0.9], [10, 17, 24, 31, 38])
+    for name, workers in (("parallel", None), ("serial", 1)):
+        timed(f"arq.simulate_latency.{name}_2e6.ms_per_call", 10, lambda: partial(
+            arq.simulate_latency, mixed, 2_000_000, 1, workers=workers))
     for name, two_hop in (("single_hop", False), ("two_hop", True)):
         timed(f"arq.simulate_latencies.fig4_{name}.ms_per_call", 10, lambda: partial(
             arq.simulate_latencies, [chains[0] for chains in _fig4(two_hop, "chains")[0]],
