@@ -410,8 +410,7 @@ def _worker_count(workers: int | None, blocks: int) -> int:
     """Threads for `blocks` blocks: `workers`, or the usable CPUs if None,
     capped at the usable CPUs, `_MAX_WORKERS` and a `_MIN_RUN` blocks each."""
     cpus = _usable_cpus()
-    return max(1, min(cpus if workers is None else workers, cpus, _MAX_WORKERS,
-                      blocks // _MIN_RUN))
+    return max(1, min(workers or cpus, cpus, _MAX_WORKERS, blocks // _MIN_RUN))
 
 
 def _on_threads(run, parts: list) -> list:
@@ -431,13 +430,13 @@ def _on_threads(run, parts: list) -> list:
             thread = threading.Thread(target=work, args=(k,))
             thread.start()
             threads.append(thread)
-        work(0)
+        results[0] = run(parts[0], 0)
     finally:
         for thread in threads:
             thread.join()
-    error = next((exc for exc in errors if exc is not None), None)
-    if error is not None:
-        raise error
+    for error in errors:
+        if error is not None:
+            raise error
     return results
 
 
