@@ -18,11 +18,12 @@ between its calls, each other thread a lean one of its own.  Each block's
 moments are the same on any thread, so every estimate is the same for any
 worker count.  Attempt costs are integers, so while a block's sums stay
 below 2**53 they are exact in any order: only trials that can retransmit add
-to S = sum Q_n.  `simulate_latencies` runs a table of chains of one hop count
-in one pass: a trial's hashes do not depend on P_e or Q, so each block's
-hashes, candidates and ln u on a hop are made once for every chain;
-`simulate_latency` is its one-chain case.  `latency_variance` is the exact
-variance.
+to S = sum Q_n, or a chain with a dense hop adds the others in one pass; a
+hop that no chain reads in full skips most trials' last hash step.
+`simulate_latencies` runs a table of chains of one hop count in one pass: a
+trial's hashes do not depend on P_e or Q, so each block's hashes, candidates
+and ln u on a hop are made once for every chain; `simulate_latency` is its
+one-chain case.  `latency_variance` is the exact variance.
 """
 
 from __future__ import annotations
@@ -137,14 +138,19 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
-    """`_splitmix64` on a uint64 array in place; uint64 arrays wrap silently."""
+def _unfinished_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
+    """`_splitmix64` on a uint64 array in place up to w, before y = w ^ (w >> 31)."""
     np.right_shift(x, np.uint64(30), out=scratch)
     x ^= scratch
     x *= np.uint64(_MIX1)
     np.right_shift(x, np.uint64(27), out=scratch)
     x ^= scratch
     x *= np.uint64(_MIX2)
+
+
+def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
+    """`_splitmix64` on a uint64 array in place; uint64 arrays wrap silently."""
+    _unfinished_inplace(x, scratch)
     np.right_shift(x, np.uint64(31), out=scratch)
     x ^= scratch
 
@@ -159,18 +165,17 @@ def _counter() -> np.ndarray:
 
 class _Workspace:
     """One kernel's buffers of `size` entries: two hash buffers, the
-    latencies and the candidate mask, and unless lean, the counters'
-    hop-count ramp and a table's attempt costs.  A worker thread's lean
-    workspace reads its caller's ramp, and takes the attempt costs' buffer
-    only for a table: one chain's costs go over its spent hashes."""
+    latencies and the candidate mask, unless lean the counters' hop-count
+    ramp, and from its first table call on, a table's attempt costs
+    (`uniforms`, built by `_HashStreams`).  A worker thread's lean workspace
+    reads its caller's ramp; one chain's costs go over its spent hashes."""
 
-    def __init__(self, size: int = _BLOCK, lean: bool = False, table: bool = False):
+    def __init__(self, size: int = _BLOCK, lean: bool = False):
         self.bits, self.scratch = np.empty(size, np.uint64), np.empty(size, np.uint64)
         self.totals, self.marks = np.empty(size), np.empty(size, bool)
+        self.uniforms = None
         if not lean:
             self.ramp = np.empty(size, np.uint64)
-        if table or not lean:
-            self.uniforms = np.empty(size)
 
 
 # Each calling thread's workspace, kept between its calls as `.workspace`.
@@ -214,7 +219,8 @@ class _HashStreams:
     one buffer per hop position (`bits` the first), the candidates of the
     table's largest cap there with their ln u, and every trial's ln u,
     written over the hashes once the candidates are taken.  `cap_of` maps
-    each sparse P_e (0 < P_e < `_SPARSE_PE`) of the chains to its cap.  A
+    each sparse P_e (0 < P_e < `_SPARSE_PE`) of the chains to its cap; a hop
+    that no chain reads in full is hashed to splitmix64's w (`_superset`).  A
     worker thread's streams on a lean workspace take the caps and the
     counters' ramp, j N GOLDEN for trial start + j, from its caller's,
     `parent`."""
@@ -230,9 +236,12 @@ class _HashStreams:
                                     out=ws.ramp[:size])
         else:
             self.cap_of, self.ramp = parent.cap_of, parent.ramp
-        # each hop's distinct candidate caps, ascending
+        # each hop's distinct candidate caps, ascending, and if a chain reads its ln u
         self.caps = [sorted({self.cap_of[p] for p in hop if p in self.cap_of})
                      for hop in zip(*probs)]
+        self.dense = [max(hop) >= _SPARSE_PE for hop in zip(*probs)]
+        if self.shared and ws.uniforms is None:
+            ws.uniforms = np.empty(len(ws.totals))
         self.buffers, self.start, self.made = {}, None, {}
 
     def _once(self, start: int, what, make):
@@ -256,24 +265,35 @@ class _HashStreams:
         x = x[:m]
         base = self.key + (start * self.n + hop + 1) * _GOLDEN
         np.add(self.ramp[:m], np.uint64(base & _MASK64), out=x)
-        _splitmix64_inplace(x, ws.scratch[:m])
+        (_splitmix64_inplace if self.dense[hop] else _unfinished_inplace)(x, ws.scratch[:m])
         return x
 
     def _superset(self, start: int, stop: int, hop: int) -> tuple[dict, np.ndarray, np.ndarray]:
-        """({cap: count}, trials, ln u) for the hop's largest cap, by least cap passed."""
+        """({cap: count}, trials, ln u) for the hop's largest cap, by least cap
+        passed.  y = w ^ (w >> 31) keeps w's top 31 bits, so on a hop hashed to
+        w only trials with w <= ((cap >> 33) + 1 << 33) - 1 are finished."""
         caps, scratch, x = self.caps[hop], self.ws.scratch, self._hashes(start, stop, hop)
-        idx = np.flatnonzero(np.less_equal(x, np.uint64(caps[-1]), out=self.ws.marks[:len(x)]))
+        dense = self.dense[hop]
+
+        def hashes(idx):  # the trials' y, in scratch
+            y = np.take(x, idx, out=scratch[:len(idx)], mode="clip")
+            if not dense:
+                y ^= y >> np.uint64(31)
+            return y
+
+        bound = caps[-1] if dense else ((caps[-1] >> 33) + 1 << 33) - 1
+        idx = np.flatnonzero(np.less_equal(x, np.uint64(bound), out=self.ws.marks[:len(x)]))
+        idx = idx[hashes(idx) <= np.uint64(caps[-1])]
         counts = [len(idx)]
         if len(caps) > 1:  # sort (least cap's rank, trial) keys; trials < _BLOCK = 2**16
-            keys = np.searchsorted(np.array(caps, np.uint64),
-                                   np.take(x, idx, out=scratch[:len(idx)], mode="clip"))
+            keys = np.searchsorted(np.array(caps, np.uint64), hashes(idx))
             keys <<= 16
             keys |= idx
             keys.sort()
             counts = np.searchsorted(keys, np.arange(1, len(caps) + 1) << 16).tolist()
             idx = np.bitwise_and(keys, 0xFFFF, out=keys)
-        hashes = np.take(x, idx, out=scratch[:len(idx)], mode="clip")
-        return dict(zip(caps, counts)), idx, _log_uniforms(hashes, np.empty(len(idx)), hashes)
+        y = hashes(idx)
+        return dict(zip(caps, counts)), idx, _log_uniforms(y, np.empty(len(idx)), y)
 
     def candidates(self, start: int, stop: int, hop: int,
                    cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,16 +345,24 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     candidates' extra uses, without adding its hops: attempt costs are
     integers, so its sum is exactly m S + E in any order, and its M2 is one
     sum over `_moments`' squares, (S - mean)**2 but (t_i - mean)**2 on the
-    candidates' trials; 0 with none.  Other blocks add each hop's costs in
-    hop order.  Every latency and moment is the full-array formula's.
+    candidates' trials; 0 with none.  A chain with a dense hop and latencies
+    provably below 2**53 / `streams.size` (u >= 2**-54: at most
+    2 + 38 / |ln p| attempts a hop) adds its dense hops' costs, the other
+    hops' sum of Q_n, then the candidates' extra uses, each partial sum an
+    exact integer.  Other blocks add each hop's costs in hop order.  Every
+    latency and moment is the full-array formula's.
     """
     ws = streams.ws
     uniforms, totals = ws.uniforms if streams.shared else ws.bits.view(np.float64), ws.totals
     hops = [(int(q), math.log(p) if p > 0.0 else None, streams.cap_of.get(p))
             for q, p in zip(chain.costs, chain.self_loop_probs)]
     sparse = [(hop, cap) for hop, (_, _, cap) in enumerate(hops) if cap is not None]
-    exact = moments and all(log_p is None or cap is not None for _, log_p, cap in hops)
+    dense = [hop for hop, (_, log_p, cap) in enumerate(hops) if log_p is not None and cap is None]
+    exact = moments and not dense
     budget = sum(q for q, _, _ in hops)
+    one_pass = bool(dense) and sum(q * (2.0 + 38.0 / -log_p) if log_p is not None else q
+                                   for q, log_p, _ in hops) < 2 ** 53 / streams.size
+    rest = budget - sum(hops[hop][0] for hop in dense)
 
     def latencies(start: int, stop: int):
         m = stop - start
@@ -362,6 +390,16 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
             for idx, extra in extras:
                 total[idx] = np.square(np.subtract(extra, mean, out=extra), out=extra)
             return m, float(block_sum), float(total.sum())
+        if one_pass:  # every partial sum an exact integer, as in hop order
+            first, *others = dense
+            _attempt_costs(streams.log_uniforms(start, stop, first), total, *hops[first][:2], 1.0)
+            for hop in others:
+                total += _attempt_costs(streams.log_uniforms(start, stop, hop), u,
+                                        *hops[hop][:2], 1.0)
+            total += rest
+            for hop, (idx, log_u) in found.items():
+                total[idx] += _attempt_costs(log_u, u[:len(idx)], *hops[hop][:2], 0.0)
+            return _moments(total) if moments else total
         # each step is the full-array formula's, in its order
         total.fill(0.0)
         for hop, (q, log_p, cap) in enumerate(hops):
@@ -469,7 +507,7 @@ def simulate_latencies(chains: list[ArqChain], trials: int, seed: int,
 
     def run(starts: range, k: int) -> list:
         own = streams if k == 0 else _HashStreams(
-            key, n, size, _Workspace(size, lean=True, table=streams.shared), chains, streams)
+            key, n, size, _Workspace(size, lean=True), chains, streams)
         kernels = [_latency_kernel(chain, own, True) for chain in chains]
         return [[kernel(s, min(s + _BLOCK, trials)) for kernel in kernels] for s in starts]
 

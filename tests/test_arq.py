@@ -833,6 +833,74 @@ class TestInvertedCandidates:
             assert got.tobytes() == log_u[idx].tobytes()
 
 
+def _finish(w):
+    """splitmix64's last step, y = w ^ (w >> 31), on a 64-bit int."""
+    return w ^ (w >> 31)
+
+
+def _bound(cap):
+    """The largest w whose y can be at most cap: y keeps w's top 31 bits."""
+    return ((cap >> 33) + 1 << 33) - 1
+
+
+# caps with cap >> 33 of 0 (5e-324 and 1e-12), 1 (6e-10) and large (0.01 and the
+# P_e just below _SPARSE_PE), one per hop and all of them on one hop
+_JUST_SPARSE = math.nextafter(_SPARSE_PE, 0.0)
+_PREFILTER_PE = [[5e-324], [1e-12], [6e-10], [0.01], [_JUST_SPARSE],
+                 [5e-324, 1e-12, 6e-10, 0.01, _JUST_SPARSE]]
+
+
+class TestSparseHopPrefilter:
+    """A hop that no chain reads in full is hashed to splitmix64's w; only the
+    trials with w at most `_bound(cap)` are finished, and y <= cap is tested
+    exactly on them."""
+
+    def test_the_caps_and_bounds_of_the_cases(self):
+        assert [_candidate_cap(p) >> 33 for p in (5e-324, 1e-12, 6e-10)] == [0, 0, 1]
+        assert _candidate_cap(0.01) >> 33 > 2 ** 24
+        for p in _PREFILTER_PE[-1]:
+            cap = _candidate_cap(p)
+            assert _finish(_bound(cap) + 1) > cap
+        # at the P_e just below _SPARSE_PE, w = bound itself is a candidate: a bound
+        # one less would lose it
+        assert _finish(_bound(_candidate_cap(_JUST_SPARSE))) <= _candidate_cap(_JUST_SPARSE)
+
+    @pytest.mark.parametrize("probs", _PREFILTER_PE)
+    def test_hashes_either_side_of_the_bound_and_the_cap(self, probs):
+        n, hop, start, size = 3, 1, 5 * _BLOCK + 3, 64
+        chains = [ArqChain([1e-3, p, 0.0], [5, 7, 9]) for p in probs]
+        caps = sorted({_candidate_cap(p) for p in probs})
+        placed = [x for cap in caps
+                  for x in (_finish(_bound(cap)), _finish(_bound(cap) + 1), cap, cap + 1)]
+        for i, x in enumerate(placed):
+            trial = start + i % size
+            seed = _seed_drawing(x, trial, n, hop)
+            key = _splitmix64((seed + _GOLDEN) & _MASK64)
+            streams = arq._HashStreams(key, n, size, arq._Workspace(size), chains)
+            assert streams.dense == [False] * n
+            hashes = np.array([_splitmix64((key + ((start + j) * n + hop + 1) * _GOLDEN)
+                                           & _MASK64) for j in range(size)], dtype=np.uint64)
+            assert hashes[trial - start] == x
+            log_u = np.log(((hashes >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+            for cap in caps:
+                idx, got = streams.candidates(start, start + size, hop, cap)
+                assert np.array_equal(np.sort(idx), np.flatnonzero(hashes <= np.uint64(cap)))
+                assert (trial - start in idx) == (x <= cap)
+                assert got.tobytes() == log_u[idx].tobytes()
+            for chain, kernel in zip(chains, _table_kernels(chains, seed, size)):
+                got = kernel(start, start + size)
+                assert got.tobytes() == _ref_trial_latencies(chain, seed, start,
+                                                             start + size).tobytes()
+
+    def test_a_hop_that_one_chain_reads_in_full_is_hashed_in_full(self):
+        chains = [ArqChain([0.01, 0.01], [5, 7]), ArqChain([0.01, 0.3], [5, 7])]
+        streams = arq._HashStreams(1, 2, 64, arq._Workspace(64), chains)
+        assert streams.dense == [False, True]
+        # the hop's candidates come from its full hashes, before ln u is written over them
+        idx, log_u = streams.candidates(0, 64, 1, _candidate_cap(0.01))
+        assert streams.log_uniforms(0, 64, 1)[idx].tobytes() == log_u.tobytes()
+
+
 # P_e of zero, subnormal, tiny, sparse, full-block and clamped
 _TABLE_PE = [0.0, 5e-324, 1e-20, 0.01, 0.6, PE_CLAMP]
 
@@ -874,6 +942,24 @@ class TestLatencyTable:
         simulate_latencies(chains, 2 * _BLOCK + 7, 3)
         assert calls == [_BLOCK] * 3 + [_BLOCK] * 3 + [7] * 3
 
+    def test_each_sparse_block_and_hop_hashed_once_to_w(self, monkeypatch):
+        # no chain reads a hop in full, so every hash stops at w; the error-free
+        # last hop is not hashed
+        calls = {"full": [], "w": []}
+        full, unfinished = arq._splitmix64_inplace, arq._unfinished_inplace
+        monkeypatch.setattr(arq, "_splitmix64_inplace",
+                            lambda x, scratch: calls["full"].append(len(x)) or full(x, scratch))
+        monkeypatch.setattr(arq, "_unfinished_inplace",
+                            lambda x, scratch: calls["w"].append(len(x))
+                            or unfinished(x, scratch))
+        chains = [ArqChain([0.01, 1e-20, 0.0], [5, 7, 9]), ArqChain([_JUST_SPARSE, 0.0, 0.0],
+                                                                     [5, 7, 9]),
+                  ArqChain([0.0, 0.01, 0.0], [5, 7, 9])]
+        table = simulate_latencies(chains, 2 * _BLOCK + 7, 3)
+        assert calls == {"full": [], "w": [_BLOCK] * 2 + [_BLOCK] * 2 + [7] * 2}
+        for chain, est in zip(chains, table):
+            _assert_matches_reference(est, chain, 2 * _BLOCK + 7, 3)
+
     def test_each_sparse_pe_capped_once_per_call(self, monkeypatch):
         # the kernels read the streams' caps; zero and dense P_e take none
         calls = []
@@ -895,9 +981,10 @@ class TestLatencyTable:
         assert simulate_latencies([], 10, 1) == []
 
     def test_stream_buffers_only_with_more_than_one_chain(self):
-        # a stream buffer holds _BLOCK 8-byte words; the thread's workspace is
-        # built before tracing starts
-        simulate_latency(ArqChain([0.6], [5]), 10, 1)
+        # a stream buffer holds _BLOCK 8-byte words; the thread's workspace, with
+        # the attempt costs' buffer of its first table call, is built before
+        # tracing starts
+        simulate_latencies([ArqChain([0.6], [5])] * 2, 10, 1)
         buffer = 8 * _BLOCK
         peaks = {}
         for k in (1, 2, 5):  # chains whose two hops both hash
@@ -1019,6 +1106,99 @@ class TestExactIntegerBlocks:
                 _assert_reference_moments(kernel(start, stop), chain, 17, start, stop)
         assert (simulate_latencies(chains, trials, 17)
                 == [simulate_latency(chain, trials, 17) for chain in chains])
+
+
+def _attempt_bound(chain):
+    """The bound on a trial's latency that the one-pass sum takes: u >= 2**-54,
+    so a hop makes at most 2 + 38 / |ln p| attempts."""
+    return sum(q * (2.0 + 38.0 / -math.log(p)) if p > 0.0 else q
+               for q, p in zip(chain.costs, chain.self_loop_probs))
+
+
+def _counted_blocks(monkeypatch, chains, seed, start, stop, moments=True):
+    """Each chain's kernel output on one block of one call over `chains`, and
+    whether its kernel summed the block in one pass: only that path writes a
+    dense hop's attempt costs straight into the workspace's totals."""
+    ws = arq._Workspace()
+    streams = arq._HashStreams(_splitmix64((seed + _GOLDEN) & _MASK64), len(chains[0].costs),
+                               _BLOCK, ws, chains)
+    kernels = [_latency_kernel(chain, streams, moments) for chain in chains]
+    into_totals = []
+    costs = arq._attempt_costs
+    monkeypatch.setattr(arq, "_attempt_costs", lambda log_u, out, *args: into_totals.append(
+        np.shares_memory(out, ws.totals)) or costs(log_u, out, *args))
+    got = []
+    for kernel in kernels:
+        into_totals.clear()
+        out = kernel(start, stop)
+        got.append((out if moments else out.copy(), into_totals.count(True)))
+    return got
+
+
+class TestOnePassSum:
+    """A chain with a dense hop whose trial latencies stay below 2**53 / `_BLOCK`
+    builds its totals from the dense hops' costs, the other hops' budget and the
+    candidates' extra uses: every partial sum is an exact integer, so its
+    latencies and moments are the hop-order sum's bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.6, 0.99])
+    def test_either_side_of_the_bound(self, monkeypatch, p):
+        def chain(q):
+            return ArqChain([1e-6, p, 0.01, 0.0, _JUST_SPARSE], [3, q, 5, 7, 11])
+        limit = 2 ** 53 / _BLOCK
+        q = 1 + int((limit - _attempt_bound(chain(1))) / (2.0 + 38.0 / -math.log(p)))
+        while _attempt_bound(chain(q + 1)) < limit:
+            q += 1
+        while _attempt_bound(chain(q)) >= limit:
+            q -= 1
+        for cost, one_pass in ((q, 1), (q + 1, 0)):
+            for start, stop in ((0, _BLOCK), (3 * _BLOCK, 3 * _BLOCK + 99)):
+                [(got, passes)] = _counted_blocks(monkeypatch, [chain(cost)], 12, start, stop)
+                assert passes == one_pass
+                _assert_reference_moments(got, chain(cost), 12, start, stop)
+                [(got, passes)] = _counted_blocks(monkeypatch, [chain(cost)], 12, start, stop,
+                                                  moments=False)
+                ref = _ref_trial_latencies(chain(cost), 12, start, stop)
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("chain", [
+        ArqChain([PE_CLAMP], [1]), ArqChain([PE_CLAMP, 0.01, 1e-20], [10, 17, 24]),
+        ArqChain([0.3, 1e-6, PE_CLAMP], [3, 5, 7]), ArqChain([0.6, PE_CLAMP], [2 ** 40, 1]),
+        # sums past 2**53, whose order moves their rounding
+        ArqChain([0.6, 0.01, 1e-6], [2 ** 52 + 1, 2 ** 51 + 3, 2 ** 50 + 7]),
+        ArqChain([0.3, 0.2], [2 ** 53, 2 ** 53 - 1])],
+        ids=["clamped", "clamped_with_sparse", "clamped_last", "clamped_large_cost",
+             "past_2_53", "costs_of_2_53"])
+    def test_unbounded_chains_keep_the_hop_order(self, monkeypatch, chain):
+        for chains in ([chain], [ArqChain([0.6] * len(chain.costs), [1] * len(chain.costs)),
+                                 chain]):
+            for start, stop in ((0, _BLOCK), (_BLOCK, _BLOCK + 777)):
+                got, passes = _counted_blocks(monkeypatch, chains, 5, start, stop)[-1]
+                _assert_reference_moments(got, chain, 5, start, stop)
+                assert passes == 0
+        _assert_matches_reference(simulate_latency(chain, 2 * _BLOCK + 7, 5), chain,
+                                  2 * _BLOCK + 7, 5)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_every_kind_of_chain_alone_and_in_a_table(self, monkeypatch, n):
+        # the kinds of test_tables_that_mix_every_kind_of_chain: only the dense ones
+        # below the bound take one pass; the chains without a dense hop keep the
+        # exact block or the hop order, and the clamped one keeps the hop order
+        kinds = [[0.6, 1e-6, 0.0], [1e-20, 0.0, 5e-324], [0.01, 0.2, 1e-6], [0.2, 0.01, 0.24],
+                 [0.0, 0.9, 0.01], [PE_CLAMP, 0.01, 1e-20], [1e-6, 1e-3, 0.1]]
+        chains = [ArqChain(probs[:n], [10 + 7 * h + c for h in range(n)])
+                  for c, probs in enumerate(kinds)]
+        chains.append(ArqChain(kinds[2][:n], [2 ** 40] * n))
+        dense = [max(chain.self_loop_probs) >= _SPARSE_PE for chain in chains]
+        bounded = [_attempt_bound(chain) < 2 ** 53 / _BLOCK for chain in chains]
+        assert sum(d and b for d, b in zip(dense, bounded)) == (1 if n == 1 else 2)
+        start, stop = 2 * _BLOCK, 2 * _BLOCK + 7
+        for table in (chains, *([chain] for chain in chains)):
+            for chain, (got, passes) in zip(table, _counted_blocks(monkeypatch, table, 17,
+                                                                   start, stop)):
+                k = chains.index(chain)
+                assert passes == (dense[k] and bounded[k])
+                _assert_reference_moments(got, chain, 17, start, stop)
 
 
 class TestLatencyVariance:

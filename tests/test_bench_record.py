@@ -36,6 +36,7 @@ LAYER_ROWS = [
       for metric in ("ms_per_1e5_trials", "peak_alloc_mb")),
     "arq.simulate_latency.parallel_2e6.ms_per_call",
     "arq.simulate_latency.serial_2e6.ms_per_call",
+    "arq.simulate_latency.mc16_1e6.ms_per_call",
     "arq.simulate_latencies.fig4_single_hop.ms_per_call",
     "arq.simulate_latencies.fig4_two_hop.ms_per_call",
     *(f"cli.main.{command}.ms_per_call" for command in (

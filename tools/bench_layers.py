@@ -179,6 +179,15 @@ def run(row, out: str) -> None:
     for name, workers in (("parallel", None), ("serial", 1)):
         timed(f"arq.simulate_latency.{name}_2e6.ms_per_call", 10, lambda: partial(
             arq.simulate_latency, mixed, 2_000_000, 1, workers=workers))
+
+    def mc16():  # hopbench mc_latency's 16-hop op at seed 1: 1e6 trials, 15 hops sparse
+        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "hopbench"))
+        from workloads import mc_latency
+        op = mc_latency(1, None)[-1]
+        return partial(arq.simulate_latency, arq.ArqChain(op.probs, op.costs), op.trials,
+                       op.seed, workers=1)
+    timed("arq.simulate_latency.mc16_1e6.ms_per_call", 10, mc16)
     for name, two_hop in (("single_hop", False), ("two_hop", True)):
         timed(f"arq.simulate_latencies.fig4_{name}.ms_per_call", 10, lambda: partial(
             arq.simulate_latencies, [chains[0] for chains in _fig4(two_hop, "chains")[0]],
