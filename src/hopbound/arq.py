@@ -194,8 +194,7 @@ def _log_uniforms(x: np.ndarray, out: np.ndarray, shifted: np.ndarray) -> np.nda
     """out = ln u, u = ((x >> 11) + 1/2) 2**-53, from the raw hashes x, read
     once and shifted into `shifted` (x itself where x may be clobbered)."""
     np.right_shift(x, np.uint64(11), out=shifted)
-    np.copyto(out, shifted)
-    out += 0.5
+    np.add(shifted, 0.5, out=out)
     out *= 2.0 ** -53
     return np.log(out, out=out)
 
@@ -206,7 +205,8 @@ def _attempt_costs(log_u: np.ndarray, out: np.ndarray, q: int, log_p: float,
     the channel uses past the first attempt with first = 0."""
     np.divide(log_u, log_p, out=out)
     np.floor(out, out=out)
-    out += first
+    if first:
+        out += first
     out *= q
     return out
 
@@ -283,16 +283,18 @@ class _HashStreams:
 
         bound = caps[-1] if dense else ((caps[-1] >> 33) + 1 << 33) - 1
         idx = np.flatnonzero(np.less_equal(x, np.uint64(bound), out=self.ws.marks[:len(x)]))
-        idx = idx[hashes(idx) <= np.uint64(caps[-1])]
+        y = hashes(idx)
+        keep = y <= np.uint64(caps[-1])
+        idx, y = idx[keep], y[keep]
         counts = [len(idx)]
         if len(caps) > 1:  # sort (least cap's rank, trial) keys; trials < _BLOCK = 2**16
-            keys = np.searchsorted(np.array(caps, np.uint64), hashes(idx))
+            keys = np.searchsorted(np.array(caps, np.uint64), y)
             keys <<= 16
             keys |= idx
             keys.sort()
             counts = np.searchsorted(keys, np.arange(1, len(caps) + 1) << 16).tolist()
             idx = np.bitwise_and(keys, 0xFFFF, out=keys)
-        y = hashes(idx)
+            y = hashes(idx)
         return dict(zip(caps, counts)), idx, _log_uniforms(y, np.empty(len(idx)), y)
 
     def candidates(self, start: int, stop: int, hop: int,
@@ -369,26 +371,27 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
         u, total = uniforms[:m], totals[:m]
         found = [(hop, *streams.candidates(start, stop, hop, cap)) for hop, cap in sparse]
         found = {hop: (idx, log_u) for hop, idx, log_u in found if len(idx)}
-        if exact:  # each candidate's extra uses, and the block's exact sum
-            extras, used = [], 0  # in the idle buffer u while they fit
+
+        def extras():  # the candidates' trials and extra uses, in the idle u while they fit
+            used, at = sum(len(idx) for idx, _ in found.values()), 0
+            extra = u[:used] if used <= m else np.empty(used)
             for hop, (idx, log_u) in found.items():
-                used += len(idx)
-                out = u[used - len(idx):used] if used <= m else np.empty(len(idx))
-                extras.append((idx, _attempt_costs(log_u, out, *hops[hop][:2], 0.0)))
-            block_sum = m * budget + sum(int(extra.sum()) for _, extra in extras)
+                _attempt_costs(log_u, extra[at:at + len(idx)], *hops[hop][:2], 0.0)
+                at += len(idx)
+            return np.concatenate([idx for idx, _ in found.values()]), extra
+
+        if exact:  # the block's exact sum
+            idx, extra = extras() if found else (None, u[:0])
+            block_sum = m * budget + int(extra.sum())
         if exact and block_sum < 2 ** 53:
-            if not extras:
+            if not found:
                 return m, float(block_sum), 0.0
-            for idx, _ in extras:
-                total[idx] = budget
-            for idx, extra in extras:
-                np.add.at(total, idx, extra)
-            for idx, extra in extras:  # each candidate's total, then its square
-                np.take(total, idx, out=extra, mode="clip")
+            total[idx] = budget
+            np.add.at(total, idx, extra)
+            np.take(total, idx, out=extra, mode="clip")  # each candidate's total, then its square
             mean = block_sum / m
             total.fill((budget - mean) * (budget - mean))
-            for idx, extra in extras:
-                total[idx] = np.square(np.subtract(extra, mean, out=extra), out=extra)
+            total[idx] = np.square(np.subtract(extra, mean, out=extra), out=extra)
             return m, float(block_sum), float(total.sum())
         if one_pass:  # every partial sum an exact integer, as in hop order
             first, *others = dense
@@ -397,8 +400,8 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
                 total += _attempt_costs(streams.log_uniforms(start, stop, hop), u,
                                         *hops[hop][:2], 1.0)
             total += rest
-            for hop, (idx, log_u) in found.items():
-                total[idx] += _attempt_costs(log_u, u[:len(idx)], *hops[hop][:2], 0.0)
+            if found:
+                np.add.at(total, *extras())
             return _moments(total) if moments else total
         # each step is the full-array formula's, in its order
         total.fill(0.0)

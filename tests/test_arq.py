@@ -839,7 +839,8 @@ def _finish(w):
 
 
 def _bound(cap):
-    """The largest w whose y can be at most cap: y keeps w's top 31 bits."""
+    """The prefilter's bound on w: y keeps w's top 31 bits, so every w whose y
+    is at most cap is at most this."""
     return ((cap >> 33) + 1 << 33) - 1
 
 
