@@ -284,10 +284,11 @@ class _HashStreams:
         bound = caps[-1] if dense else ((caps[-1] >> 33) + 1 << 33) - 1
         idx = np.flatnonzero(np.less_equal(x, np.uint64(bound), out=self.ws.marks[:len(x)]))
         y = hashes(idx)
-        keep = y <= np.uint64(caps[-1])
-        idx, y = idx[keep], y[keep]
-        counts = [len(idx)]
-        if len(caps) > 1:  # sort (least cap's rank, trial) keys; trials < _BLOCK = 2**16
+        if len(caps) == 1:  # with more caps, the sort puts the trials past them last
+            keep = y <= np.uint64(caps[0])
+            idx, y = idx[keep], y[keep]
+            counts = [len(idx)]
+        else:  # sort (least cap's rank, trial) keys; trials < _BLOCK = 2**16
             keys = np.searchsorted(np.array(caps, np.uint64), y)
             keys <<= 16
             keys |= idx
@@ -380,19 +381,19 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
                 at += len(idx)
             return np.concatenate([idx for idx, _ in found.values()]), extra
 
-        if exact:  # the block's exact sum
-            idx, extra = extras() if found else (None, u[:0])
+        if exact and not found and m * budget < 2 ** 53:  # every latency is S
+            return m, float(m * budget), 0.0
+        if exact and found:  # the block's exact sum
+            idx, extra = extras()
             block_sum = m * budget + int(extra.sum())
-        if exact and block_sum < 2 ** 53:
-            if not found:
-                return m, float(block_sum), 0.0
-            total[idx] = budget
-            np.add.at(total, idx, extra)
-            np.take(total, idx, out=extra, mode="clip")  # each candidate's total, then its square
-            mean = block_sum / m
-            total.fill((budget - mean) * (budget - mean))
-            total[idx] = np.square(np.subtract(extra, mean, out=extra), out=extra)
-            return m, float(block_sum), float(total.sum())
+            if block_sum < 2 ** 53:
+                total[idx] = budget
+                np.add.at(total, idx, extra)
+                np.take(total, idx, out=extra, mode="clip")  # their totals, then squares
+                mean = block_sum / m
+                total.fill((budget - mean) * (budget - mean))
+                total[idx] = np.square(np.subtract(extra, mean, out=extra), out=extra)
+                return m, float(block_sum), float(total.sum())
         if one_pass:  # every partial sum an exact integer, as in hop order
             first, *others = dense
             _attempt_costs(streams.log_uniforms(start, stop, first), total, *hops[first][:2], 1.0)
