@@ -270,8 +270,9 @@ class _HashStreams:
 
     def _superset(self, start: int, stop: int, hop: int) -> tuple[dict, np.ndarray, np.ndarray]:
         """({cap: count}, trials, ln u) for the hop's largest cap, by least cap
-        passed.  y = w ^ (w >> 31) keeps w's top 31 bits, so on a hop hashed to
-        w only trials with w <= ((cap >> 33) + 1 << 33) - 1 are finished."""
+        passed, with any trials past every cap last.  y = w ^ (w >> 31) keeps
+        w's top 31 bits, so on a hop hashed to w only trials with
+        w <= ((cap >> 33) + 1 << 33) - 1 are finished."""
         caps, scratch, x = self.caps[hop], self.ws.scratch, self._hashes(start, stop, hop)
         dense = self.dense[hop]
 
