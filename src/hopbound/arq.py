@@ -34,6 +34,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -215,7 +216,8 @@ class _HashStreams:
     """A block of trials' hashes on one hop for the kernels of one call over
     `chains` (n hops, one seed), which read a hop's candidates or every
     trial's ln u.  One chain's streams go to the workspace's `bits`, hashed
-    as its hops read them.  More chains share each (block, hop)'s hashes, in
+    as its hops read them; its sparse hops' candidates are finished and
+    logged together (`found`).  More chains share each (block, hop)'s hashes, in
     one buffer per hop position (`bits` the first), the candidates of the
     table's largest cap there with their ln u, and every trial's ln u,
     written over the hashes once the candidates are taken.  `cap_of` maps
@@ -243,6 +245,7 @@ class _HashStreams:
         if self.shared and ws.uniforms is None:
             ws.uniforms = np.empty(len(ws.totals))
         self.buffers, self.start, self.made = {}, None, {}
+        self.pool = np.empty(0)
 
     def _once(self, start: int, what, make):
         """make(), made once per block and `what` if the streams are shared."""
@@ -268,11 +271,16 @@ class _HashStreams:
         (_splitmix64_inplace if self.dense[hop] else _unfinished_inplace)(x, ws.scratch[:m])
         return x
 
+    def _passing(self, x: np.ndarray, cap: int, dense: bool) -> np.ndarray:
+        """The trials whose hash x, y if dense and else w, can be at most cap:
+        y = w ^ (w >> 31) keeps w's top 31 bits, so y <= cap needs
+        w <= ((cap >> 33) + 1 << 33) - 1."""
+        bound = cap if dense else ((cap >> 33) + 1 << 33) - 1
+        return np.flatnonzero(np.less_equal(x, np.uint64(bound), out=self.ws.marks[:len(x)]))
+
     def _superset(self, start: int, stop: int, hop: int) -> tuple[dict, np.ndarray, np.ndarray]:
         """({cap: count}, trials, ln u) for the hop's largest cap, by least cap
-        passed, with any trials past every cap last.  y = w ^ (w >> 31) keeps
-        w's top 31 bits, so on a hop hashed to w only trials with
-        w <= ((cap >> 33) + 1 << 33) - 1 are finished."""
+        passed, with any trials past every cap last."""
         caps, scratch, x = self.caps[hop], self.ws.scratch, self._hashes(start, stop, hop)
         dense = self.dense[hop]
 
@@ -282,8 +290,7 @@ class _HashStreams:
                 y ^= y >> np.uint64(31)
             return y
 
-        bound = caps[-1] if dense else ((caps[-1] >> 33) + 1 << 33) - 1
-        idx = np.flatnonzero(np.less_equal(x, np.uint64(bound), out=self.ws.marks[:len(x)]))
+        idx = self._passing(x, caps[-1], dense)
         y = hashes(idx)
         if len(caps) == 1:  # with more caps, the sort puts the trials past them last
             keep = y <= np.uint64(caps[0])
@@ -306,6 +313,33 @@ class _HashStreams:
         them."""
         counts, idx, log_u = self._once(start, hop, lambda: self._superset(start, stop, hop))
         return idx[:counts[cap]], log_u[:counts[cap]]
+
+    def found(self, start: int, stop: int, sparse: list) -> dict:
+        """{hop: (trials less start, ln u)} on the sparse hops [(hop, cap)] of
+        one chain that have any.  A table's are its candidates; one chain's
+        are the trials that pass `_passing` on each hop, finished and logged
+        at once in the streams' `pool`, which the next call overwrites.  They
+        hold every candidate, and every other has ln u / ln p < 1."""
+        if self.shared:
+            found = [(hop, *self.candidates(start, stop, hop, cap)) for hop, cap in sparse]
+            return {hop: (idx, log_u) for hop, idx, log_u in found if len(idx)}
+        found = []
+        for hop, cap in sparse:
+            x = self._hash(start, stop, hop)
+            idx = self._passing(x, cap, False)
+            if len(idx):
+                found.append((hop, idx, np.take(x, idx)))
+        if not found:
+            return {}
+        used = sum(len(idx) for _, idx, _ in found)
+        if len(self.pool) < used:  # kept between blocks: fresh arrays cost page faults
+            self.pool = np.empty(used)
+        log_u, w = self.pool[:used], self.pool[:used].view(np.uint64)
+        np.concatenate([w for _, _, w in found], out=w)
+        w ^= w >> np.uint64(31)  # y, then ln u
+        _log_uniforms(w, log_u, w)
+        ends = [0, *accumulate(len(idx) for _, idx, _ in found)]
+        return {hop: (idx, log_u[a:b]) for (hop, idx, _), a, b in zip(found, ends, ends[1:])}
 
     def log_uniforms(self, start: int, stop: int, hop: int) -> np.ndarray:
         """ln u of trials [start, stop) on `hop`; readers must not write it."""
@@ -330,7 +364,7 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     workspace; each thread of a `simulate_latency` call runs its blocks on
     its own.  A one-chain kernel writes its attempt costs into the hash
     buffer `bits`, whose hashes and ln u it has read by then; the
-    candidates' ln u stay in their own arrays, which the exact sum's
+    candidates' ln u stay in the streams' pool, which the exact sum's
     fallback past 2**53 reads again.
     Trial i draws on hop h (of N) the uniform
     u = ((splitmix64(key + (i N + h + 1) GOLDEN mod 2**64) >> 11) + 1/2) 2**-53,
@@ -342,7 +376,8 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     P_e (1 + 2**-20) 2**53), take the log; every other trial makes exactly
     one attempt.  Its ln u - ln p >= ~2**-20 and |ln p| <= 745, so
     ln u / ln p <= 1 - 1.2e-9, far beyond the few-ulp error of the log and
-    the divide.
+    the divide: the few other trials that one chain's streams log with
+    them, those past the cap but within the bound on w, add 0 extra uses.
 
     With `moments`, a chain without a dense hop (P_e >= `_SPARSE_PE`) reduces
     a block of m trials with m S + E < 2**53, for S = sum Q_n and E the
@@ -371,8 +406,7 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     def latencies(start: int, stop: int):
         m = stop - start
         u, total = uniforms[:m], totals[:m]
-        found = [(hop, *streams.candidates(start, stop, hop, cap)) for hop, cap in sparse]
-        found = {hop: (idx, log_u) for hop, idx, log_u in found if len(idx)}
+        found = streams.found(start, stop, sparse)
 
         def extras():  # the candidates' trials and extra uses, in the idle u while they fit
             used, at = sum(len(idx) for idx, _ in found.values()), 0

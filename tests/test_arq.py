@@ -838,6 +838,12 @@ def _finish(w):
     return w ^ (w >> 31)
 
 
+def _unfinished(x):
+    """splitmix64 on a 64-bit int up to w, before its last step."""
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    return ((x ^ (x >> 27)) * _MIX2) & _MASK64
+
+
 def _bound(cap):
     """The prefilter's bound on w: y keeps w's top 31 bits, so every w whose y
     is at most cap is at most this."""
@@ -892,6 +898,41 @@ class TestSparseHopPrefilter:
                 got = kernel(start, start + size)
                 assert got.tobytes() == _ref_trial_latencies(chain, seed, start,
                                                              start + size).tobytes()
+
+    @pytest.mark.parametrize("p", [probs[0] for probs in _PREFILTER_PE[:-1]])
+    def test_one_chain_logs_every_trial_within_the_bound(self, p):
+        # one chain's streams log every trial whose w is at most the bound, candidate
+        # or not, in one pass over all its sparse hops; past the cap, a trial's
+        # floor(ln u / ln p) is 0, so its latencies and moments keep their bits
+        n, hop, start, size = 3, 1, 5 * _BLOCK + 3, 64
+        chain = ArqChain([1e-3, p, 0.0], [5, 7, 9])
+        sparse = [(h, _candidate_cap(chain.self_loop_probs[h])) for h in (0, 1)]
+        cap = sparse[hop][1]
+        for i, x in enumerate((_finish(_bound(cap)), cap, cap + 1, _finish(_bound(cap) + 1))):
+            trial = start + 7 * i + 2
+            seed = _seed_drawing(x, trial, n, hop)
+            key = _splitmix64((seed + _GOLDEN) & _MASK64)
+            streams = arq._HashStreams(key, n, size, arq._Workspace(size), [chain])
+            found = streams.found(start, start + size, sparse)
+            for h, c in sparse:
+                states = [(key + ((start + j) * n + h + 1) * _GOLDEN) & _MASK64
+                          for j in range(size)]
+                w = np.array([_unfinished(s) for s in states], dtype=np.uint64)
+                y = np.array([_splitmix64(s) for s in states], dtype=np.uint64)
+                idx, log_u = found.get(h, (np.empty(0, np.intp), np.empty(0)))
+                assert idx.tolist() == np.flatnonzero(w <= np.uint64(_bound(c))).tolist()
+                assert set(np.flatnonzero(y <= np.uint64(c))) <= set(idx.tolist())
+                ref = np.log(((y >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+                assert log_u.tobytes() == ref[idx].tobytes()
+            # w keeps y's top 31 bits; below _SPARSE_PE, cap + 1 starts the next 2**33
+            assert (hop in found and trial - start in found[hop][0]) == (x >> 33 <= cap >> 33)
+            for moments in (False, True):
+                got = _latency_kernel(chain, streams, moments)(start, start + size)
+                if moments:
+                    _assert_reference_moments(got, chain, seed, start, start + size)
+                else:
+                    assert got.tobytes() == _ref_trial_latencies(chain, seed, start,
+                                                                 start + size).tobytes()
 
     def test_a_hop_that_one_chain_reads_in_full_is_hashed_in_full(self):
         chains = [ArqChain([0.01, 0.01], [5, 7]), ArqChain([0.01, 0.3], [5, 7])]
