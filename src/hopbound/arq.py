@@ -222,7 +222,7 @@ class _HashStreams:
     table's largest cap there with their ln u, and every trial's ln u,
     written over the hashes once the candidates are taken.  `cap_of` maps
     each sparse P_e (0 < P_e < `_SPARSE_PE`) of the chains to its cap; a hop
-    that no chain reads in full is hashed to splitmix64's w (`_superset`).  A
+    that no chain reads in full is hashed to splitmix64's w (`_passing`).  A
     worker thread's streams on a lean workspace take the caps and the
     counters' ramp, j N GOLDEN for trial start + j, from its caller's,
     `parent`."""
@@ -364,8 +364,8 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     workspace; each thread of a `simulate_latency` call runs its blocks on
     its own.  A one-chain kernel writes its attempt costs into the hash
     buffer `bits`, whose hashes and ln u it has read by then; the
-    candidates' ln u stay in the streams' pool, which the exact sum's
-    fallback past 2**53 reads again.
+    candidates' ln u stay in their own arrays (one chain's in the streams'
+    pool), which the exact sum's fallback past 2**53 reads again.
     Trial i draws on hop h (of N) the uniform
     u = ((splitmix64(key + (i N + h + 1) GOLDEN mod 2**64) >> 11) + 1/2) 2**-53,
     with key = splitmix64(seed + GOLDEN mod 2**64), and makes
