@@ -34,7 +34,6 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import accumulate
 
 import numpy as np
 
@@ -323,23 +322,24 @@ class _HashStreams:
         if self.shared:
             found = [(hop, *self.candidates(start, stop, hop, cap)) for hop, cap in sparse]
             return {hop: (idx, log_u) for hop, idx, log_u in found if len(idx)}
-        found = []
+        found, at = [], 0
         for hop, cap in sparse:
             x = self._hash(start, stop, hop)
             idx = self._passing(x, cap, False)
             if len(idx):
-                found.append((hop, idx, np.take(x, idx)))
+                end = at + len(idx)
+                if len(self.pool) < end:  # kept between blocks: fresh arrays cost page faults
+                    pool, self.pool = self.pool, np.empty(2 * end)
+                    self.pool[:at] = pool[:at]
+                np.take(x, idx, out=self.pool[at:end].view(np.uint64), mode="clip")
+                found.append((hop, idx, at, end))
+                at = end
         if not found:
             return {}
-        used = sum(len(idx) for _, idx, _ in found)
-        if len(self.pool) < used:  # kept between blocks: fresh arrays cost page faults
-            self.pool = np.empty(used)
-        log_u, w = self.pool[:used], self.pool[:used].view(np.uint64)
-        np.concatenate([w for _, _, w in found], out=w)
+        log_u, w = self.pool[:at], self.pool[:at].view(np.uint64)
         w ^= w >> np.uint64(31)  # y, then ln u
         _log_uniforms(w, log_u, w)
-        ends = [0, *accumulate(len(idx) for _, idx, _ in found)]
-        return {hop: (idx, log_u[a:b]) for (hop, idx, _), a, b in zip(found, ends, ends[1:])}
+        return {hop: (idx, log_u[a:b]) for hop, idx, a, b in found}
 
     def log_uniforms(self, start: int, stop: int, hop: int) -> np.ndarray:
         """ln u of trials [start, stop) on `hop`; readers must not write it."""
