@@ -435,7 +435,8 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
             for hop in others:
                 total += _attempt_costs(streams.log_uniforms(start, stop, hop), u,
                                         *hops[hop][:2], 1.0)
-            total += rest
+            if rest:  # the other hops' Q_n, unless every hop is dense
+                total += rest
             if found:
                 np.add.at(total, *extras())
             return _moments(total) if moments else total
