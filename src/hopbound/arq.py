@@ -34,10 +34,12 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cache, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .system import SystemBounds
+if TYPE_CHECKING:  # an annotation only: `simulate_latency` loads no other module
+    from .system import SystemBounds
 
 __all__ = [
     "LatencyError",

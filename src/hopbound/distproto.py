@@ -69,10 +69,13 @@ def derive_blocks(rate: float, exponents: tuple[float, float],
     the floored information-continuous value.
     """
     e_r, e_sp = _checked(rate, exponents, None)
+    q_info = broadcast.ln_m / rate
+    if not math.isfinite(q_info):
+        raise AllocationError(f"hop has rate {rate}: ln M / rate = {q_info} is not finite")
     return {
         "q_reliability_rc": balance_share(e_r, broadcast.frame_rc, broadcast.q_total),
         "q_reliability_sp": balance_share(e_sp, broadcast.frame_sp, broadcast.q_total),
-        "q_info_continuous": math.floor(broadcast.ln_m / rate),
+        "q_info_continuous": math.floor(q_info),
     }
 
 

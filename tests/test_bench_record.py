@@ -46,6 +46,8 @@ LAYER_ROWS = [
     "cli.main.distributed_awgn_1000.share_sum_rel_error",
     "cli.import.cold_ms",
     "cli.import.loads_scipy",
+    "hopbound.import.cold_ms",
+    "hopbound.import.submodules_loaded",
     *(f"cli.main.{command}.{metric}" for command in (
         "reproduce_fig4", "exponent_awgn_10", "exponent_awgn_200000")
       for metric in ("fresh_main_s", "peak_rss_mb")),
@@ -125,18 +127,27 @@ def test_record_runs_each_tree_untraced_in_alternating_pairs(tmp_path, monkeypat
 
 
 def test_pair_wins_count_the_last_labels_wins_and_its_first_runs():
-    # pairs alternate which label runs first; the change wins pairs 0, 1 and 3,
-    # running first in pair 1 and pair 3
+    # pairs alternate which label runs first; the change wins pairs 0, 1 and 3 on
+    # ops_per_s (higher is better), running first in pair 1 and pair 3, and pairs 0
+    # and 3 on setup_s (lower is better), tying pair 1
     order = [("parent", "change"), ("change", "parent")] * 2
     ops = [{"parent": 20.0, "change": 21.0}, {"parent": 20.0, "change": 22.0},
            {"parent": 23.0, "change": 22.0}, {"parent": 20.0, "change": 25.0}]
+    setup = [{"parent": 0.20, "change": 0.18}, {"parent": 0.20, "change": 0.20},
+             {"parent": 0.19, "change": 0.21}, {"parent": 0.22, "change": 0.17}]
     rows = [_row(label, "curve_sweep", values[label])
             for labels, values in zip(order, ops) for label in labels]
     doc = {"trees": [{"label": "parent"}, {"label": "change"}], "runs": rows}
     assert bench_record.pair_wins(doc) == [
         "curve_sweep: change won 3 of 4 pairs on ops_per_s, 2 of those wins running first"]
+    for row, value in zip(rows, (values[label] for labels, values in zip(order, setup)
+                                 for label in labels)):
+        row["result"]["metrics"]["setup_s"] = {"value": value, "unit": "s"}
+    assert bench_record.pair_wins(doc) == [
+        "curve_sweep: change won 3 of 4 pairs on ops_per_s, 2 of those wins running first",
+        "curve_sweep: change won 2 of 4 pairs on setup_s, 1 of those wins running first"]
     assert bench_record.pair_wins({**doc, "runs": []}) == []
-    # the layer runs carry no ops_per_s: they are skipped, and give no line
+    # the layer runs carry no end-to-end metric: they are skipped, and give no line
     layers = [_row(label, "layers", 1.0, "process.peak_rss_mb") for label in order[0]]
     assert bench_record.pair_wins({**doc, "runs": layers + rows}) == bench_record.pair_wins(doc)
 

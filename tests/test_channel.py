@@ -369,6 +369,18 @@ class TestValidation:
         with pytest.raises(ChannelError):
             HopChannel.dmc([[0.5, 0.5], [0.5, 0.5]], input_dist=[0.7, 0.7])
 
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9, 1e-13, -1e-13], ids=repr)
+    def test_sums_to_one_within_1e_12(self, offset):
+        # a row or an input distribution 1e-13 off 1 is accepted, 1e-9 off is not
+        rows, q = [[0.5 + offset, 0.5], [0.5, 0.5]], [0.5 + offset, 0.5]
+        if abs(offset) > 1e-12:
+            with pytest.raises(ChannelError, match="rows must sum to 1"):
+                HopChannel.dmc(rows)
+            with pytest.raises(ChannelError, match="input_dist must be a probability vector"):
+                HopChannel.dmc([[0.5, 0.5], [0.5, 0.5]], input_dist=q)
+        else:
+            HopChannel.dmc(rows, input_dist=q)
+
     def test_default_input_is_uniform(self):
         ch = HopChannel.dmc([[0.8, 0.2], [0.3, 0.7]])
         np.testing.assert_allclose(ch.input_dist, [0.5, 0.5])

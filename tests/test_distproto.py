@@ -188,6 +188,10 @@ class TestDistributedEqualsCentralized:
             info_continuous_log_m([1e308], 10)
         with pytest.raises(AllocationError, match="not finite"):
             run_distributed_allocation([1e308], [(1.0, 1.0)], 10)
+        # ln M / rate overflowed at a node: an OverflowError from its floor
+        constants, _ = run_distributed_allocation([1.0], [(1.0, 1.0)], 10)
+        with pytest.raises(AllocationError, match="^hop has rate 5e-324: .* not finite"):
+            derive_blocks(5e-324, (1.0, 1.0), constants)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, 0, True, 2 ** 53 + 1], ids=repr)
     def test_budget_must_be_an_integer_in_range(self, bad):

@@ -733,6 +733,18 @@ class TestAwgnMpmathReference:
             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("rate", [10.0 ** (-12.29 + 0.33 * k) for k in range(13)],
+                             ids="{:.2e}".format)
+    def test_series_slope_region_at_40_db(self, rate):
+        # u = SNR/(1+rho*+SNR) in [1e-6, 1e-4], where the step takes `_series_slope`:
+        # the plain form log_term - v u cancels there and moves rho* by up to 7e-11
+        ch = HopChannel.awgn(1e4)
+        res = sphere_packing_exponent(rate, ch)
+        e_ref, rho_ref = _mp_awgn_maximizer(rate, ch.snr)
+        assert 1e-6 <= ch.snr / (1 + rho_ref + ch.snr) <= 1e-4
+        assert abs(res.rho_star - rho_ref) <= 1e-11 * rho_ref, res
+        assert abs(res.exponent - e_ref) <= 1e-12 * e_ref, res
+
 
 # R_inf = ln 1.5, 0.68 of the capacity; and R_inf = C = ln 2
 SPARSE3 = HopChannel.dmc([[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])

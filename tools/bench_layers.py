@@ -48,6 +48,13 @@ if sys.argv[1:]:
     assert main(sys.argv[1:]) == 0
     print(time.perf_counter() - start, peak_rss_mb())
 """
+# a fresh process: the ms its `import hopbound` takes and how many of the
+# package's modules that loads
+_IMPORT = """import sys, time
+start = time.perf_counter()
+import hopbound
+print((time.perf_counter() - start) * 1e3, sum(m.startswith("hopbound.") for m in sys.modules))
+"""
 
 
 def record(metrics: dict, units: dict, fn) -> None:
@@ -61,9 +68,9 @@ def record(metrics: dict, units: dict, fn) -> None:
                    for (name, unit), value in zip(units.items(), values))
 
 
-def _fresh(*argv: str) -> tuple[float, ...]:
-    """What `_FRESH` prints, run on `argv` in a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", _FRESH, *argv], capture_output=True, text=True)
+def _fresh(*argv: str, source: str = _FRESH) -> tuple[float, ...]:
+    """What `source` prints, run on `argv` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", source, *argv], capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(proc.stderr.strip()[-500:])
     return tuple(map(float, proc.stdout.split()))
@@ -218,6 +225,8 @@ def run(row, out: str) -> None:
                    for key in ("q_reliability_rc", "q_reliability_sp")),
     row({"cli.main.distributed_awgn_1000.share_sum_rel_error": "ratio"}, share_sum_error)
     row({"cli.import.cold_ms": "ms", "cli.import.loads_scipy": "0/1"}, _fresh)
+    row({"hopbound.import.cold_ms": "ms", "hopbound.import.submodules_loaded": "count"},
+        partial(_fresh, source=_IMPORT))
     for name, command in (
             ("reproduce_fig4", "reproduce --figure fig4 --out-dir {out}"),
             *((f"exponent_awgn_{steps}", "exponent --snr-db 0 --rate-min 0.01 --rate-max 0.69 "

@@ -16,8 +16,8 @@ tier-1 suite (``python -m pytest`` with its ``src``), whose wall time is
 reported as ``tier1.wall_s`` and gates nothing: a failing suite is recorded
 with ``correct`` false.  ``--table`` prints those medians as a
 Markdown table, with the last label over the first as a ratio, and per
-workload how many pairs the last label won on ops_per_s and how many of
-those wins it ran first.
+workload and end-to-end metric how many pairs the last label won, in the
+direction BENCHMARK.json gives, and how many of those wins it ran first.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ import time
 
 WORKLOADS = ("curve_sweep", "long_chain", "mc_latency")
 LAYERS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_layers.py")
+# the end-to-end metrics and the direction in which each is better
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "BENCHMARK.json")
 
 
 def _git(root: str, *args: str) -> str | None:
@@ -125,27 +128,32 @@ def table(doc: dict) -> str:
 
 
 def pair_wins(doc: dict) -> list[str]:
-    """Per workload, how many pairs of runs the last label won on ops_per_s and
-    how many of those wins it ran first, skipping the runs without ops_per_s.  A
+    """Per workload and end-to-end metric, how many pairs of runs the last label
+    won, by the metric's ``better`` in BENCHMARK.json (ties count for neither), and
+    how many of those wins it ran first, skipping the runs without the metric.  A
     pair runs each label once, in the order its runs are recorded, so a lead that
     follows whichever tree runs first shows as wins that are mostly first runs."""
+    with open(BENCHMARK) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     labels = [t["label"] for t in doc["trees"]]
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in doc.get("runs", [])):
-        runs = [r for r in doc["runs"] if r["workload"] == workload
-                and "ops_per_s" in r["result"]["metrics"]]
-        if not runs:
-            continue
-        pairs = [runs[k:k + len(labels)] for k in range(0, len(runs), len(labels))]
-        wins = first = 0
-        for pair in pairs:
-            order = [r["label"] for r in pair]
-            ops = {r["label"]: r["result"]["metrics"]["ops_per_s"]["value"] for r in pair}
-            if ops[labels[-1]] > ops[labels[0]]:
-                wins += 1
-                first += order.index(labels[-1]) < order.index(labels[0])
-        lines.append(f"{workload}: {labels[-1]} won {wins} of {len(pairs)} pairs on ops_per_s, "
-                     f"{first} of those wins running first")
+        for metric, direction in better.items():
+            runs = [r for r in doc["runs"] if r["workload"] == workload
+                    and metric in r["result"]["metrics"]]
+            if not runs:
+                continue
+            pairs = [runs[k:k + len(labels)] for k in range(0, len(runs), len(labels))]
+            sign = 1 if direction == "higher" else -1
+            wins = first = 0
+            for pair in pairs:
+                order = [r["label"] for r in pair]
+                value = {r["label"]: r["result"]["metrics"][metric]["value"] for r in pair}
+                if sign * (value[labels[-1]] - value[labels[0]]) > 0:
+                    wins += 1
+                    first += order.index(labels[-1]) < order.index(labels[0])
+            lines.append(f"{workload}: {labels[-1]} won {wins} of {len(pairs)} pairs on "
+                         f"{metric}, {first} of those wins running first")
     return lines
 
 
