@@ -188,7 +188,9 @@ class TestDistributedEqualsCentralized:
             info_continuous_log_m([1e308], 10)
         with pytest.raises(AllocationError, match="not finite"):
             run_distributed_allocation([1e308], [(1.0, 1.0)], 10)
-        # ln M / rate overflowed at a node: an OverflowError from its floor
+
+    def test_ln_m_over_rate_beyond_doubles(self):
+        # ln M / rate overflowed at a node: once an OverflowError from its floor
         constants, _ = run_distributed_allocation([1.0], [(1.0, 1.0)], 10)
         with pytest.raises(AllocationError, match="^hop has rate 5e-324: .* not finite"):
             derive_blocks(5e-324, (1.0, 1.0), constants)
