@@ -48,7 +48,8 @@ def end_to_end_rate(blocks: list[int], rates: list[float]) -> float:
     if not (blocks and len(blocks) == len(rates) and min(blocks) >= 1
             and all(0 < r < math.inf for r in rates)):  # NaN fails it too
         raise AllocationError("need one block >= 1 and one positive finite rate per hop")
-    return min(b * r for b, r in zip(blocks, rates)) / sum(blocks)
+    products = [b * r for b, r in zip(_doubles(blocks, "blocks"), _doubles(rates, "rates"))]
+    return min(products) / _doubles([sum(blocks)], "blocks")[0]
 
 
 def network_capacity(capacities: list[float]) -> float:
@@ -61,7 +62,7 @@ def network_capacity(capacities: list[float]) -> float:
     if not all(0 < c < math.inf for c in capacities):
         raise AllocationError("all capacities must be positive and finite")
     inv_sum = 0.0
-    for c in capacities:
+    for c in _doubles(capacities, "capacities"):
         inv_sum += 1.0 / c
     return 1.0 / inv_sum
 
@@ -159,10 +160,27 @@ def _check_budget(q_total) -> None:
         raise AllocationError(f"budget must be an integer in [1, 2**53], got {q_total!r}")
 
 
-def _balance_frame(values: list[float], what: str) -> tuple:
+def _doubles(values, what: str) -> list[float]:
+    """`values`, which the caller has checked, as doubles, each converted once;
+    AllocationError for one past the doubles' range, such as the int 10**400."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise AllocationError(f"{what} must convert to doubles, got one past their range"
+                              ) from None
+
+
+def _positive_doubles(values, what: str) -> list[float]:
+    """`_doubles` of one or more values, all positive and finite, else AllocationError."""
     if not values or not all(0 < v < math.inf for v in values):
         raise AllocationError(f"need one or more {what}, all positive and finite")
-    return functools.reduce(balance_step, values, None)
+    return _doubles(values, what)
+
+
+def _balance_frame(values, what: str) -> tuple[list[float], tuple]:
+    """(the values as doubles, their frame), for values as `_positive_doubles` takes them."""
+    values = _positive_doubles(values, what)
+    return values, functools.reduce(balance_step, values, None)
 
 
 def reliability_real_blocks(exponents: list[float], q_total: int) -> list[float]:
@@ -171,7 +189,7 @@ def reliability_real_blocks(exponents: list[float], q_total: int) -> list[float]
     _check_budget(q_total)
     if zero := [k for k, e in enumerate(exponents) if -math.inf < e <= 0]:
         raise AllocationError(f"hop {zero[0]}: rate at/above capacity, zero exponent")
-    frame = _balance_frame(exponents, "exponents (rates below capacity)")
+    exponents, frame = _balance_frame(exponents, "exponents (rates below capacity)")
     return [balance_share(e, frame, q_total) for e in exponents]
 
 
@@ -292,7 +310,7 @@ def _no_exchange(blocks: list[int], exponents: list[float], log_gap: list[float]
 def info_continuous_log_m(rates: list[float], q_total: int) -> float:
     """ln M for the common-codeword-count allocation: Q / sum(1/R_n)."""
     _check_budget(q_total)
-    return balance_log_m(_balance_frame(rates, "rates"), q_total)
+    return balance_log_m(_balance_frame(rates, "rates")[1], q_total)
 
 
 def information_continuous_blocks(rates: list[float], q_total: int,
@@ -308,7 +326,11 @@ def information_continuous_blocks(rates: list[float], q_total: int,
     n = len(rates)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
-    ln_m = info_continuous_log_m(rates, q_total) if ln_m is None else ln_m
+    if ln_m is None:
+        rates, frame = _balance_frame(rates, "rates")
+        ln_m = balance_log_m(frame, q_total)
+    else:
+        rates, ln_m = _positive_doubles(rates, "rates"), _doubles([ln_m], "ln M")[0]
     shares = [ln_m / r for r in rates]
     if not all(math.isfinite(v) for v in shares):
         raise AllocationError("real-valued allocation is not finite")

@@ -33,7 +33,7 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -127,6 +127,9 @@ _MIN_RUN = 4
 # Blocks split among the threads at a time: the calling thread holds one
 # round's block moments until it merges them, never more.
 _ROUND = 1024
+# A table keeps a 512 KiB `_BLOCK` buffer per hop position that a chain reads in
+# full; past this many (4 MiB) it runs per chain: the same bits, in O(_BLOCK) memory.
+_TABLE_DENSE_HOPS = 8
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -157,20 +160,12 @@ def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
     x ^= scratch
 
 
-@cache
-def _counter() -> np.ndarray:
-    """The trial counters 0, ..., `_BLOCK` - 1, read-only and shared by every thread."""
-    counter = np.arange(_BLOCK, dtype=np.uint64)
-    counter.flags.writeable = False
-    return counter
-
-
 class _Workspace:
     """One kernel's buffers of `size` entries: two hash buffers, the
-    latencies and the candidate mask, unless lean the counters' hop-count
-    ramp, and from its first table call on, a table's attempt costs
-    (`uniforms`, built by `_HashStreams`).  A worker thread's lean workspace
-    reads its caller's ramp; one chain's costs go over its spent hashes."""
+    latencies and the candidate mask, unless lean the trial counters' ramp,
+    and from its first table call on, a table's attempt costs (`uniforms`),
+    both built by `_HashStreams`.  A worker thread's lean workspace reads its
+    caller's ramp; one chain's costs go over its spent hashes."""
 
     def __init__(self, size: int = _BLOCK, lean: bool = False):
         self.bits, self.scratch = np.empty(size, np.uint64), np.empty(size, np.uint64)
@@ -218,10 +213,12 @@ class _HashStreams:
     `chains` (n hops, one seed), which read a hop's candidates or every
     trial's ln u.  One chain's streams go to the workspace's `bits`, hashed
     as its hops read them; its sparse hops' candidates are finished and
-    logged together (`found`).  More chains share each (block, hop)'s hashes, in
-    one buffer per hop position (`bits` the first), the candidates of the
-    table's largest cap there with their ln u, and every trial's ln u,
-    written over the hashes once the candidates are taken.  `cap_of` maps
+    logged together (`found`).  More chains share each (block, hop)'s hashes:
+    a hop that some chain reads in full (`dense`) keeps a buffer of its own,
+    with every trial's ln u written over its hashes once the candidates are
+    taken; every other hop is hashed into one spare buffer (`bits` is the
+    first made) and read there once, by `_superset`.  Each hop keeps the
+    candidates of the table's largest cap with their ln u.  `cap_of` maps
     each sparse P_e (0 < P_e < `_SPARSE_PE`) of the chains to its cap; a hop
     that no chain reads in full is hashed to splitmix64's w (`_passing`).  A
     worker thread's streams on a lean workspace take the caps and the
@@ -235,8 +232,15 @@ class _HashStreams:
         if parent is None:
             self.cap_of = {p: _candidate_cap(p) for p in set().union(*probs)
                            if 0.0 < p < _SPARSE_PE}
-            self.ramp = np.multiply(_counter()[:size], np.uint64(n * _GOLDEN & _MASK64),
-                                    out=ws.ramp[:size])
+            # j N GOLDEN mod 2**64 (uint64 sums wrap) with no array of `size`: a cumsum on
+            # a first row of up to 4096 (narrower ran slower), added to each row's start
+            step, width = np.uint64(n * _GOLDEN & _MASK64), min(size, 4096)
+            rows = ws.ramp[:-(-size // width) * width].reshape(-1, width)
+            rows[0, 0], rows[0, 1:] = 0, step
+            np.cumsum(rows[0], out=rows[0])
+            np.add(rows[0], np.arange(width, rows.size, width, dtype=np.uint64)[:, None] * step,
+                   out=rows[1:])
+            self.ramp = ws.ramp[:size]
         else:
             self.cap_of, self.ramp = parent.cap_of, parent.ramp
         # each hop's distinct candidate caps, ascending, and if a chain reads its ln u
@@ -260,12 +264,12 @@ class _HashStreams:
         return self._once(start, (hop, "hashes"), lambda: self._hash(start, stop, hop))
 
     def _hash(self, start: int, stop: int, hop: int) -> np.ndarray:
-        m, ws = stop - start, self.ws
-        x = self.buffers.get(hop)
+        m, ws, slot = stop - start, self.ws, hop if self.dense[hop] else None
+        x = self.buffers.get(slot)
         if x is None:
             x = np.empty(self.size, np.uint64) if self.buffers else ws.bits
             if self.shared:
-                self.buffers[hop] = x
+                self.buffers[slot] = x
         x = x[:m]
         base = self.key + (start * self.n + hop + 1) * _GOLDEN
         np.add(self.ramp[:m], np.uint64(base & _MASK64), out=x)
@@ -282,8 +286,10 @@ class _HashStreams:
     def _superset(self, start: int, stop: int, hop: int) -> tuple[dict, np.ndarray, np.ndarray]:
         """({cap: count}, trials, ln u) for the hop's largest cap, by least cap
         passed, with any trials past every cap last."""
-        caps, scratch, x = self.caps[hop], self.ws.scratch, self._hashes(start, stop, hop)
-        dense = self.dense[hop]
+        caps, scratch, dense = self.caps[hop], self.ws.scratch, self.dense[hop]
+        # a hop that no chain reads in full is read here alone, once a block, so its
+        # hashes are not kept: the next such hop's go over them in the spare buffer
+        x = (self._hashes if dense else self._hash)(start, stop, hop)
 
         def hashes(idx):  # the trials' y, in scratch
             y = np.take(x, idx, out=scratch[:len(idx)], mode="clip")
@@ -528,10 +534,12 @@ def simulate_latencies(chains: list[ArqChain], trials: int, seed: int,
     (`_HashStreams`), a chain without a dense hop sums a block as m S + E
     while that stays below 2**53 (`_latency_kernel`), and each chain's block
     moments merge in block order, as its own call's do, whatever thread ran
-    the block.
+    the block.  A table with more than `_TABLE_DENSE_HOPS` hop positions read
+    in full runs as one call per chain, so a call holds O(`_BLOCK`) memory.
     """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or not (
+            1 <= trials <= 2 ** 53):  # the cap of ArqChain's costs
+        raise ValueError(f"trials must be an integer >= 1, at most 2**53, got {trials!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if workers is not None and (isinstance(workers, bool)
@@ -541,6 +549,9 @@ def simulate_latencies(chains: list[ArqChain], trials: int, seed: int,
         raise ValueError("the chains of one table must have one hop count")
     if not chains:
         return []
+    if len(chains) > 1 and sum(max(hop) >= _SPARSE_PE for hop in zip(
+            *(chain.self_loop_probs for chain in chains))) > _TABLE_DENSE_HOPS:
+        return [simulate_latency(chain, trials, seed, workers) for chain in chains]
     if not hasattr(_per_thread, "workspace"):
         _per_thread.workspace = _Workspace()
     key, n = _splitmix64((int(seed) + _GOLDEN) & _MASK64), len(chains[0].costs)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .allocation import (AllocationError, _check_budget, balance_lagrange, balance_log_m,
-                         balance_share, balance_step)
+from .allocation import (AllocationError, _check_budget, _doubles, balance_lagrange,
+                         balance_log_m, balance_share, balance_step)
 
 __all__ = [
     "BroadcastConstants",
@@ -42,20 +42,21 @@ class BroadcastConstants:
     frame_sp: tuple
 
 
-def _checked(rate: float, exponents: tuple[float, float], hop: int | None) -> tuple:
-    """(E_r, E_sp); AllocationError, naming the hop, unless all three values are
-    positive and finite."""
+def _checked(rate: float, exponents: tuple[float, float], hop: int | None) -> list[float]:
+    """[rate, E_r, E_sp] as doubles; AllocationError, naming the hop, unless all
+    three values are positive and finite."""
     e_r, e_sp = exponents
     if not (0.0 < rate < math.inf and 0.0 < e_r < math.inf and 0.0 < e_sp < math.inf):
         what = "zero exponent (rate at/above capacity)" if 0.0 in (e_r, e_sp) else (
             f"rate {rate}, exponents ({e_r}, {e_sp}): not all positive and finite")
         raise AllocationError(f"hop {hop} has {what}" if hop is not None else f"hop has {what}")
-    return e_r, e_sp
+    return _doubles((rate, e_r, e_sp), f"hop {hop}'s rate and exponents" if hop is not None
+                    else "the hop's rate and exponents")
 
 
 def fold_into(msg: dict, hop: int, rate: float, exponents: tuple[float, float]) -> None:
     """Add hop `hop`'s rate and (E_r, E_sp) to the message, in place."""
-    e_r, e_sp = _checked(rate, exponents, hop)
+    rate, e_r, e_sp = _checked(rate, exponents, hop)
     msg["frame_rate"] = balance_step(msg["frame_rate"], rate)
     msg["frame_rc"] = balance_step(msg["frame_rc"], e_r)
     msg["frame_sp"] = balance_step(msg["frame_sp"], e_sp)
@@ -68,7 +69,7 @@ def derive_blocks(rate: float, exponents: tuple[float, float],
     Returns the real-valued reliability-optimal values (RC and SP) and
     the floored information-continuous value.
     """
-    e_r, e_sp = _checked(rate, exponents, None)
+    rate, e_r, e_sp = _checked(rate, exponents, None)
     q_info = broadcast.ln_m / rate
     if not math.isfinite(q_info):
         raise AllocationError(f"hop has rate {rate}: ln M / rate = {q_info} is not finite")

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 import hopbound
 from hopbound import arq, cli
 from hopbound.allocation import rate_policy_scale
-from hopbound.arq import (_BLOCK, _GOLDEN, _MASK64, _MIX1, _MIX2, _SPARSE_PE, PE_CLAMP, ArqChain,
-                          LatencyError, _candidate_cap, _latency_kernel, _moments, _splitmix64,
-                          expected_latency, latency_variance, simulate_latencies,
-                          simulate_latency)
+from hopbound.arq import (_BLOCK, _GOLDEN, _MASK64, _MIX1, _MIX2, _SPARSE_PE, _TABLE_DENSE_HOPS,
+                          PE_CLAMP, ArqChain, LatencyError, _candidate_cap, _latency_kernel,
+                          _moments, _splitmix64, expected_latency, latency_variance,
+                          simulate_latencies, simulate_latency)
 from hopbound.channel import HopChannel, capacity, snr_db_to_linear
 from hopbound.scenario import Evaluation, Scenario
 
@@ -1043,6 +1043,38 @@ class TestLatencyTable:
         # position's stream takes the workspace's own
         assert buffer <= peaks[2] < 2 * buffer
         assert buffer <= peaks[5] < 2 * buffer
+
+    @pytest.mark.parametrize("n, probs", [(64, (1e-3, 2e-3)), (200, (1e-3, 2e-3)),
+                                          (64, (0.3, 0.4))], ids=["sparse_64", "sparse_200",
+                                                                  "dense_64"])
+    def test_a_table_holds_memory_of_one_block_at_any_hop_count(self, n, probs):
+        # the sparse hops share one spare buffer, and a table with more hop
+        # positions read in full than _TABLE_DENSE_HOPS runs one chain at a time;
+        # one buffer per hop position held 31.8 MiB at 64 hops and 100.4 MiB at 200
+        simulate_latencies([ArqChain([0.6], [5])] * 2, 10, 1)
+        chains = [ArqChain([p] * n, [5] * n) for p in probs]
+        tracemalloc.start()
+        try:
+            simulate_latencies(chains, _BLOCK, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("dense", [0, 1, _TABLE_DENSE_HOPS, _TABLE_DENSE_HOPS + 1, 16])
+    def test_either_side_of_the_per_chain_cap(self, dense, monkeypatch):
+        # the first `dense` hop positions each have one chain that reads it in
+        # full; the others, and the rest of those, are sparse or error-free
+        chains = [ArqChain([0.3 if h < dense and c == h % 3 else (1e-3, 0.01, 0.0)[(c + h) % 3]
+                            for h in range(16)], list(range(5, 21))) for c in range(3)]
+        built = []
+        streams = arq._HashStreams
+        monkeypatch.setattr(arq, "_HashStreams", lambda *args: built.append(len(args[4]))
+                            or streams(*args))
+        trials = _BLOCK + 7
+        table = simulate_latencies(chains, trials, 5)
+        assert built == ([3] if dense <= _TABLE_DENSE_HOPS else [1, 1, 1])
+        assert table == [simulate_latency(chain, trials, 5) for chain in chains]
 
 
 def _assert_reference_moments(got, chain, seed, start, stop):

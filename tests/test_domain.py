@@ -1,0 +1,59 @@
+"""Public names raise a domain error, not an ArithmeticError, on a value past
+the doubles' range."""
+
+from fractions import Fraction
+
+import pytest
+
+from hopbound.allocation import (AllocationError, end_to_end_rate, info_continuous_log_m,
+                                 information_continuous_blocks, network_capacity,
+                                 rate_policy_scale, reliability_optimal_blocks,
+                                 reliability_real_blocks)
+from hopbound.arq import ArqChain, simulate_latencies, simulate_latency
+from hopbound.distproto import derive_blocks, fold_into, forward_pass, run_distributed_allocation
+
+HUGE = 10 ** 400
+_CHAIN = ArqChain([0.1, 0.01], [5, 7])
+_BROADCAST = run_distributed_allocation([1.0], [(1.0, 1.0)], 10)[0]
+
+
+def _message():
+    return {"frame_rate": None, "frame_rc": None, "frame_sp": None}
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda h: network_capacity([1.0, h]), AllocationError, "capacities must convert"),
+    (lambda h: rate_policy_scale([1.0, h], 0.1), AllocationError, "capacities must convert"),
+    (lambda h: reliability_real_blocks([1.0, h], 10), AllocationError, "exponents .* convert"),
+    (lambda h: reliability_optimal_blocks([1.0, h], 10), AllocationError, "exponents .* convert"),
+    (lambda h: info_continuous_log_m([1.0, h], 10), AllocationError, "rates must convert"),
+    (lambda h: information_continuous_blocks([1.0, h], 10), AllocationError,
+     "rates must convert"),
+    (lambda h: information_continuous_blocks([1.0, h], 10, 5.0), AllocationError,
+     "rates must convert"),
+    (lambda h: information_continuous_blocks([1.0, 1.0], 10, h), AllocationError,
+     "ln M must convert"),
+    (lambda h: end_to_end_rate([1, h], [1.0, 1.0]), AllocationError, "blocks must convert"),
+    (lambda h: end_to_end_rate([1, 1], [1.0, h]), AllocationError, "rates must convert"),
+    (lambda h: fold_into(_message(), 3, h, (1.0, 1.0)), AllocationError, "^hop 3's rate"),
+    (lambda h: fold_into(_message(), 3, 1.0, (1.0, h)), AllocationError, "^hop 3's rate"),
+    (lambda h: forward_pass([1.0, 1.0], [(1.0, 1.0), (h, 1.0)]), AllocationError,
+     "^hop 2's rate"),
+    (lambda h: derive_blocks(h, (1.0, 1.0), _BROADCAST), AllocationError, "^the hop's rate"),
+    (lambda h: derive_blocks(1.0, (h, 1.0), _BROADCAST), AllocationError, "^the hop's rate"),
+    (lambda h: simulate_latency(_CHAIN, int(h), 1), ValueError, r"at most 2\*\*53"),
+    (lambda h: simulate_latencies([_CHAIN] * 2, int(h), 1), ValueError, r"at most 2\*\*53"),
+    # a share past the doubles' range, from finite values
+    (lambda h: information_continuous_blocks([1e-300, 1.0], 10, 1e10), AllocationError,
+     "real-valued allocation is not finite"),
+], ids=["network_capacity", "rate_policy_scale", "reliability_real_blocks",
+        "reliability_optimal_blocks", "info_continuous_log_m", "information_continuous_rates",
+        "information_continuous_rates_with_ln_m", "information_continuous_ln_m",
+        "end_to_end_blocks", "end_to_end_rates", "fold_into_rate", "fold_into_exponent",
+        "forward_pass", "derive_blocks_rate", "derive_blocks_exponent", "simulate_latency",
+        "simulate_latencies", "information_continuous_share"])
+@pytest.mark.parametrize("huge", [HUGE, Fraction(HUGE, 3)], ids=["10**400", "10**400/3"])
+def test_values_past_the_doubles_range_raise_domain_errors(call, error, match, huge):
+    # each but the last raised OverflowError; trials are capped as ArqChain caps costs
+    with pytest.raises(error, match=match):
+        call(huge)

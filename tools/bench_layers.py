@@ -199,6 +199,10 @@ def run(row, out: str) -> None:
         timed(f"arq.simulate_latencies.fig4_{name}.ms_per_call", 10, lambda: partial(
             arq.simulate_latencies, [chains[0] for chains in _fig4(two_hop, "chains")[0]],
             cli.REPRODUCE_MC_TRIALS, cli.REPRODUCE_MC_SEED))
+    # one block of a table of two 64-hop chains whose every hop is sparse
+    table = [arq.ArqChain([p] * 64, [500] * 64) for p in (1e-3, 2e-3)]
+    row({"arq.simulate_latencies.table_64_hops.peak_alloc_mb": "MB"}, lambda: (_peak_alloc_mb(
+        partial(arq.simulate_latencies, table, 65_536, 1, workers=1)),))
     fields = {"out": out, "result": os.path.join(out, "result"),
               "lo": 0.01 * channel.capacity(dmc8), "hi": 0.99 * channel.capacity(dmc8)}
     for name, calls, command in (  # paths without spaces
