@@ -10,20 +10,23 @@ The (RC, SP) chains of an allocation take their P_e,n from its
 
 `simulate_latency` checks the closed form by Monte Carlo.  It streams the
 trials through fixed blocks of `_BLOCK`, each reduced to its moments, which
-merge in block order on the calling thread, so its memory is O(`_BLOCK`),
-not O(trials).  A call of at least eight blocks splits them into contiguous
-runs of at least four, one per thread, up to the usable CPUs and
-`_MAX_WORKERS`; the calling thread runs the first on the workspace it keeps
-between its calls, each other thread a lean one of its own.  Each block's
-moments are the same on any thread, so every estimate is the same for any
-worker count.  Attempt costs are integers, so while a block's sums stay
-below 2**53 they are exact in any order: only trials that can retransmit add
-to S = sum Q_n, or a chain with a dense hop adds the others in one pass; a
-hop that no chain reads in full skips most trials' last hash step.
+merge in block order on the calling thread, and a block's sparse-hop
+candidates reach its kernel in batches of `_BATCH`, so its memory is
+O(`_BLOCK`) at any trial or hop count.  A call of at least eight blocks
+splits them into contiguous runs of at least four, one per thread, up to
+the usable CPUs and `_MAX_WORKERS`; the calling thread runs the first on
+the workspace it keeps between its calls, each other thread a lean one of
+its own.  Each block's moments are the same on any thread, so every
+estimate is the same for any worker count.  Attempt costs are integers, so
+while a block's sums stay below 2**53 they are exact in any order: only
+trials that can retransmit add to S = sum Q_n, or a chain with a dense hop
+adds the others in one pass; a hop that no chain reads in full skips most
+trials' last hash step.
 `simulate_latencies` runs a table of chains of one hop count in one pass: a
 trial's hashes do not depend on P_e or Q, so each block's hashes, candidates
-and ln u on a hop are made once for every chain; `simulate_latency` is its
-one-chain case.  `latency_variance` is the exact variance.
+and ln u on a hop are made once for every chain, unless they would take more
+than `_TABLE_DENSE_HOPS` blocks; `simulate_latency` is its one-chain case.
+`latency_variance` is the exact variance.
 """
 
 from __future__ import annotations
@@ -128,8 +131,12 @@ _MIN_RUN = 4
 # round's block moments until it merges them, never more.
 _ROUND = 1024
 # A table keeps a 512 KiB `_BLOCK` buffer per hop position that a chain reads in
-# full; past this many (4 MiB) it runs per chain: the same bits, in O(_BLOCK) memory.
+# full, and a block's candidates on every hop (two words each); past this many
+# blocks of either (4 MiB) it runs per chain: the same bits, in O(_BLOCK) memory.
 _TABLE_DENSE_HOPS = 8
+# A block's sparse-hop candidates reach a kernel in batches of whole hops of at
+# least this many, but the last: less than this plus one hop's.
+_BATCH = _BLOCK
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -162,15 +169,14 @@ def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
 
 class _Workspace:
     """One kernel's buffers of `size` entries: two hash buffers, the
-    latencies and the candidate mask, unless lean the trial counters' ramp,
-    and from its first table call on, a table's attempt costs (`uniforms`),
-    both built by `_HashStreams`.  A worker thread's lean workspace reads its
-    caller's ramp; one chain's costs go over its spent hashes."""
+    latencies and the candidate mask, and unless lean the trial counters'
+    ramp, built by `_HashStreams`.  A worker thread's lean workspace reads its
+    caller's ramp.  Attempt costs go over spent hashes: one chain's over
+    `bits`, a table's over `scratch` (`_latency_kernel`)."""
 
     def __init__(self, size: int = _BLOCK, lean: bool = False):
         self.bits, self.scratch = np.empty(size, np.uint64), np.empty(size, np.uint64)
         self.totals, self.marks = np.empty(size), np.empty(size, bool)
-        self.uniforms = None
         if not lean:
             self.ramp = np.empty(size, np.uint64)
 
@@ -213,17 +219,17 @@ class _HashStreams:
     `chains` (n hops, one seed), which read a hop's candidates or every
     trial's ln u.  One chain's streams go to the workspace's `bits`, hashed
     as its hops read them; its sparse hops' candidates are finished and
-    logged together (`found`).  More chains share each (block, hop)'s hashes:
-    a hop that some chain reads in full (`dense`) keeps a buffer of its own,
-    with every trial's ln u written over its hashes once the candidates are
-    taken; every other hop is hashed into one spare buffer (`bits` is the
-    first made) and read there once, by `_superset`.  Each hop keeps the
-    candidates of the table's largest cap with their ln u.  `cap_of` maps
-    each sparse P_e (0 < P_e < `_SPARSE_PE`) of the chains to its cap; a hop
-    that no chain reads in full is hashed to splitmix64's w (`_passing`).  A
-    worker thread's streams on a lean workspace take the caps and the
-    counters' ramp, j N GOLDEN for trial start + j, from its caller's,
-    `parent`."""
+    logged a batch of hops at a time (`found`).  More chains share each
+    (block, hop)'s hashes: a hop that some chain reads in full (`dense`)
+    keeps a buffer of its own, with every trial's ln u written over its
+    hashes once the candidates are taken; every other hop is hashed into
+    one spare buffer (`bits` is the first made) and read there once, by
+    `_superset`.  Each hop keeps the candidates of the table's largest cap
+    with their ln u.  `cap_of` maps each sparse P_e (0 < P_e < `_SPARSE_PE`)
+    of the chains to its cap; a hop that no chain reads in full is hashed to
+    splitmix64's w (`_passing`).  A worker thread's streams on a lean
+    workspace take the caps and the counters' ramp, j N GOLDEN for trial
+    start + j, from its caller's, `parent`."""
 
     def __init__(self, key: int, n: int, size: int, ws: _Workspace, chains: list[ArqChain],
                  parent: _HashStreams | None = None):
@@ -247,8 +253,6 @@ class _HashStreams:
         self.caps = [sorted({self.cap_of[p] for p in hop if p in self.cap_of})
                      for hop in zip(*probs)]
         self.dense = [max(hop) >= _SPARSE_PE for hop in zip(*probs)]
-        if self.shared and ws.uniforms is None:
-            ws.uniforms = np.empty(len(ws.totals))
         self.buffers, self.start, self.made = {}, None, {}
         self.pool = np.empty(0)
 
@@ -321,33 +325,42 @@ class _HashStreams:
         counts, idx, log_u = self._once(start, hop, lambda: self._superset(start, stop, hop))
         return idx[:counts[cap]], log_u[:counts[cap]]
 
-    def found(self, start: int, stop: int, sparse: list) -> dict:
-        """{hop: (trials less start, ln u)} on the sparse hops [(hop, cap)] of
-        one chain that have any.  A table's are its candidates; one chain's
+    def found(self, start: int, stop: int, sparse: list):
+        """Yields batches {hop: (trials less start, ln u)} of the sparse hops
+        [(hop, cap)] of one chain that have any, in hop order, each finished
+        before the next hop is hashed once it holds `_BATCH` entries, so one of
+        fewer is the block's last.  A table's are its candidates; one chain's
         are the trials that pass `_passing` on each hop, finished and logged
-        at once in the streams' `pool`, which the next call overwrites.  They
-        hold every candidate, and every other has ln u / ln p < 1."""
-        if self.shared:
-            found = [(hop, *self.candidates(start, stop, hop, cap)) for hop, cap in sparse]
-            return {hop: (idx, log_u) for hop, idx, log_u in found if len(idx)}
-        found, at = [], 0
+        in the streams' `pool`, which the next batch overwrites.  They hold
+        every candidate, and every other has ln u / ln p < 1."""
+        batch, at = [], 0
         for hop, cap in sparse:
-            x = self._hash(start, stop, hop)
-            idx = self._passing(x, cap, False)
+            if at >= _BATCH:
+                yield self._finished(batch, at)
+                batch, at = [], 0
+            if self.shared:
+                idx, log_u = self.candidates(start, stop, hop, cap)
+            else:  # the w of the trials within the bound, at the pool's end
+                x = self._hash(start, stop, hop)
+                idx = self._passing(x, cap, False)
+                log_u = slice(at, at + len(idx))
+                if len(self.pool) < log_u.stop:  # kept between blocks: fresh arrays fault
+                    self.pool = np.resize(self.pool, min(2 * log_u.stop, _BATCH + self.size))
+                np.take(x, idx, out=self.pool[log_u].view(np.uint64), mode="clip")
             if len(idx):
-                end = at + len(idx)
-                if len(self.pool) < end:  # kept between blocks: fresh arrays cost page faults
-                    pool, self.pool = self.pool, np.empty(2 * end)
-                    self.pool[:at] = pool[:at]
-                np.take(x, idx, out=self.pool[at:end].view(np.uint64), mode="clip")
-                found.append((hop, idx, at, end))
-                at = end
-        if not found:
-            return {}
-        log_u, w = self.pool[:at], self.pool[:at].view(np.uint64)
-        w ^= w >> np.uint64(31)  # y, then ln u
-        _log_uniforms(w, log_u, w)
-        return {hop: (idx, log_u[a:b]) for hop, idx, a, b in found}
+                batch.append((hop, idx, log_u))
+                at += len(idx)
+        if batch:
+            yield self._finished(batch, at)
+
+    def _finished(self, batch: list, at: int) -> dict:
+        """A batch [(hop, trials, ln u, or one chain's slice of the pool's w)]."""
+        if not self.shared:
+            log_u, w = self.pool[:at], self.pool[:at].view(np.uint64)
+            w ^= w >> np.uint64(31)  # y, then ln u
+            _log_uniforms(w, log_u, w)
+            batch = [(hop, idx, log_u[part]) for hop, idx, part in batch]
+        return {hop: (idx, log_u) for hop, idx, log_u in batch}
 
     def log_uniforms(self, start: int, stop: int, hop: int) -> np.ndarray:
         """ln u of trials [start, stop) on `hop`; readers must not write it."""
@@ -371,9 +384,9 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     next call overwrites, so two concurrent kernels must not share a
     workspace; each thread of a `simulate_latency` call runs its blocks on
     its own.  A one-chain kernel writes its attempt costs into the hash
-    buffer `bits`, whose hashes and ln u it has read by then; the
-    candidates' ln u stay in their own arrays (one chain's in the streams'
-    pool), which the exact sum's fallback past 2**53 reads again.
+    buffer `bits`, a table's into `scratch`, whose hashes and ln u it has
+    read by then.  It reads the candidates a batch at a time (`found`),
+    so the exact sum's fallback past 2**53 hashes them again.
     Trial i draws on hop h (of N) the uniform
     u = ((splitmix64(key + (i N + h + 1) GOLDEN mod 2**64) >> 11) + 1/2) 2**-53,
     with key = splitmix64(seed + GOLDEN mod 2**64), and makes
@@ -400,7 +413,9 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     latency and moment is the full-array formula's.
     """
     ws = streams.ws
-    uniforms, totals = ws.uniforms if streams.shared else ws.bits.view(np.float64), ws.totals
+    # a table's attempt costs go over `scratch`, which its hashing uses: each step
+    # (`extras`, the one-pass loop, the hop-order step) writes them after its hashing
+    uniforms, totals = (ws.scratch if streams.shared else ws.bits).view(np.float64), ws.totals
     hops = [(int(q), math.log(p) if p > 0.0 else None, streams.cap_of.get(p))
             for q, p in zip(chain.costs, chain.self_loop_probs)]
     sparse = [(hop, cap) for hop, (_, _, cap) in enumerate(hops) if cap is not None]
@@ -414,9 +429,9 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     def latencies(start: int, stop: int):
         m = stop - start
         u, total = uniforms[:m], totals[:m]
-        found = streams.found(start, stop, sparse)
+        batches = streams.found(start, stop, sparse)
 
-        def extras():  # the candidates' trials and extra uses, in the idle u while they fit
+        def extras(found):  # a batch's trials and extra uses, in the idle u while they fit
             used, at = sum(len(idx) for idx, _ in found.values()), 0
             extra = u[:used] if used <= m else np.empty(used)
             for hop, (idx, log_u) in found.items():
@@ -424,19 +439,39 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
                 at += len(idx)
             return np.concatenate([idx for idx, _ in found.values()]), extra
 
-        if exact and not found and m * budget < 2 ** 53:  # every latency is S
-            return m, float(m * budget), 0.0
-        if exact and found:  # the block's exact sum
-            idx, extra = extras()
-            block_sum = m * budget + int(extra.sum())
-            if block_sum < 2 ** 53:
-                total[idx] = budget
+        def exact_moments():  # the block's from its exact sum, or None past 2**53
+            block_sum, touched, idx = m * budget, None, None
+            for found in batches:
+                idx, extra = extras(found)
+                block_sum += int(extra.sum())
+                if touched is None and len(idx) < _BATCH:  # the block's one batch
+                    total[idx] = budget
+                    np.add.at(total, idx, extra)
+                    break
+                if touched is None:  # more batches add to zeros, marking their trials
+                    touched = np.zeros(m, bool)
+                    total.fill(0.0)
                 np.add.at(total, idx, extra)
-                np.take(total, idx, out=extra, mode="clip")  # their totals, then squares
-                mean = block_sum / m
-                total.fill((budget - mean) * (budget - mean))
-                total[idx] = np.square(np.subtract(extra, mean, out=extra), out=extra)
-                return m, float(block_sum), float(total.sum())
+                touched[idx] = True
+            if block_sum >= 2 ** 53:
+                return None
+            if idx is None:  # every latency is S
+                return m, float(block_sum), 0.0
+            if touched is not None:  # every batch's trials, whose totals lack S
+                idx = np.flatnonzero(touched)
+                total[idx] += budget
+                extra = u[:len(idx)]
+            np.take(total, idx, out=extra, mode="clip")  # their totals, then squares
+            mean = block_sum / m
+            total.fill((budget - mean) * (budget - mean))
+            total[idx] = np.square(np.subtract(extra, mean, out=extra), out=extra)
+            return m, float(block_sum), float(total.sum())
+
+        if exact and m * budget < 2 ** 53:
+            got = exact_moments()
+            if got is not None:
+                return got
+            batches = streams.found(start, stop, sparse)  # hashed again, for the hop order
         if one_pass:  # every partial sum an exact integer, as in hop order
             first, *others = dense
             _attempt_costs(streams.log_uniforms(start, stop, first), total, *hops[first][:2], 1.0)
@@ -445,18 +480,20 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
                                         *hops[hop][:2], 1.0)
             if rest:  # the other hops' Q_n, unless every hop is dense
                 total += rest
-            if found:
-                np.add.at(total, *extras())
+            for found in batches:
+                np.add.at(total, *extras(found))
             return _moments(total) if moments else total
-        # each step is the full-array formula's, in its order
+        # each step is the full-array formula's, in its order, pulling batches as needed
         total.fill(0.0)
+        pending = ((hop, *found[hop]) for found in batches for hop in found)
+        at, idx, log_u = next(pending, (None, None, None))
         for hop, (q, log_p, cap) in enumerate(hops):
-            if hop in found:  # saved before every total takes q
-                idx, log_u = found[hop]
+            if hop == at:  # saved before every total takes q
                 cost = _attempt_costs(log_u, u[:len(idx)], q, log_p, 1.0)
                 cost += total[idx]
                 total += q
                 total[idx] = cost
+                at, idx, log_u = next(pending, (None, None, None))
             elif log_p is None or cap is not None:
                 total += q
             else:
@@ -535,7 +572,9 @@ def simulate_latencies(chains: list[ArqChain], trials: int, seed: int,
     while that stays below 2**53 (`_latency_kernel`), and each chain's block
     moments merge in block order, as its own call's do, whatever thread ran
     the block.  A table with more than `_TABLE_DENSE_HOPS` hop positions read
-    in full runs as one call per chain, so a call holds O(`_BLOCK`) memory.
+    in full, or blocks of candidate words (2 x the largest sparse P_e, summed
+    over positions), runs as one call per chain, and a round of k chains
+    holds `_ROUND` / k blocks' moments, so a call holds O(`_BLOCK`) memory.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or not (
             1 <= trials <= 2 ** 53):  # the cap of ArqChain's costs
@@ -549,8 +588,10 @@ def simulate_latencies(chains: list[ArqChain], trials: int, seed: int,
         raise ValueError("the chains of one table must have one hop count")
     if not chains:
         return []
-    if len(chains) > 1 and sum(max(hop) >= _SPARSE_PE for hop in zip(
-            *(chain.self_loop_probs for chain in chains))) > _TABLE_DENSE_HOPS:
+    positions = list(zip(*(chain.self_loop_probs for chain in chains)))
+    if len(chains) > 1 and _TABLE_DENSE_HOPS < max(
+            sum(max(hop) >= _SPARSE_PE for hop in positions),
+            sum(2 * max((p for p in hop if p < _SPARSE_PE), default=0.0) for hop in positions)):
         return [simulate_latency(chain, trials, seed, workers) for chain in chains]
     if not hasattr(_per_thread, "workspace"):
         _per_thread.workspace = _Workspace()
@@ -566,8 +607,9 @@ def simulate_latencies(chains: list[ArqChain], trials: int, seed: int,
 
     def rounds():  # each round's blocks in contiguous runs, one per thread
         starts = range(0, trials, _BLOCK)
-        for first in range(0, len(starts), _ROUND):
-            part = starts[first:first + _ROUND]
+        size = max(_ROUND // len(chains), min(_ROUND, _MIN_RUN * _MAX_WORKERS))
+        for first in range(0, len(starts), size):
+            part = starts[first:first + size]
             w = _worker_count(workers, len(part))
             ends = [len(part) * k // w for k in range(w + 1)]
             yield _on_threads(run, [part[a:b] for a, b in zip(ends, ends[1:])])
@@ -599,8 +641,9 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     the calling thread runs the first on the O(`_BLOCK`) workspace it keeps
     between its calls, so concurrent calls never share one, and each other
     thread, joined before the call returns or raises, runs on a lean
-    workspace of its own.  `workers` must be None or an integer >= 1.  This
-    is the one-chain case of `simulate_latencies`, which hashes each block
+    workspace of its own; each takes a block's candidates in batches of
+    `_BATCH`, at any hop count.  `workers` must be None or an integer >= 1.
+    This is the one-chain case of `simulate_latencies`, which hashes each block
     into the workspace as the chain's hops read it.
 
     A chain without a dense hop reduces a block whose sums stay below 2**53

@@ -9,6 +9,7 @@ and exponents are in nats per channel use; SNR is stored linear.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,16 @@ _RHO_LIMIT = 2.0 ** 1014  # the largest rho read: past it a DMC's (1 + rho) ln a
 
 class ChannelError(ValueError):
     """Invalid channel parameters or out-of-domain arguments."""
+
+
+@contextmanager
+def _doubles(what: str):
+    """Converts `what` to doubles, once, in its body; ChannelError for a value
+    past the doubles' range, such as the int 10**400."""
+    try:
+        yield
+    except OverflowError:
+        raise ChannelError(f"{what} must convert to doubles, got one past their range") from None
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,8 @@ class HopChannel:
     def awgn_hops(cls, snrs) -> list["HopChannel"]:
         """`awgn` of each linear SNR, in one pass: the constructor's check and
         derived constants, each capacity from one np.log1p call over the list."""
-        snrs = list(map(float, snrs))
+        with _doubles("snr"):
+            snrs = list(map(float, snrs))
         new, assign = object.__new__, object.__setattr__
         hops = []
         for snr, cap in zip(snrs, _awgn_capacities(snrs)):
@@ -162,6 +174,8 @@ def e0_awgn(rho, snr: float):
     """
     if not 0 < snr < math.inf:  # NaN fails it too
         raise ChannelError(f"snr must be positive and finite, got {snr}")
+    with _doubles("snr"):
+        snr = float(snr)
     return _column(lambda rho: (rho * np.log1p(snr / (1.0 + rho)),), rho, 0)
 
 
@@ -199,7 +213,8 @@ def e0_derivative(rho, ch: HopChannel):
 def _column(terms, rho, k: int):
     """Column k of the array step `terms` on rho's elements, in rho's shape (a float
     for a scalar); ChannelError unless each is in [0, `_RHO_LIMIT`]."""
-    rho = np.asarray(rho, dtype=float)
+    with _doubles("rho"):
+        rho = np.asarray(rho, dtype=float)
     if not np.all((rho >= 0) & (rho <= _RHO_LIMIT)):  # NaN fails it too
         raise ChannelError(f"rho must be nonnegative and finite, at most {_RHO_LIMIT:.4g}")
     out = terms(rho.ravel())[k].reshape(rho.shape)

@@ -51,13 +51,23 @@ class GridSpec:
         return math.floor((self.rho_max - self.rho_min) / self.step + 1e-9) + 1
 
 
+def _doubles(values, what: str) -> list[float]:
+    """`values`, which the caller has checked, as doubles, each converted once;
+    ValueError for one past the doubles' range, such as the int 10**400."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(f"{what} must convert to doubles, got one past their range") from None
+
+
 def grid_max_exponent(rate: float, ch: HopChannel, grid: GridSpec) -> tuple[float, float]:
     """Maximize -rho*rate + E0(rho) on a dense rho grid.
 
     Ground truth for the parametric solvers; returns (exponent, argmax rho).
     """
-    if not math.isfinite(rate):
+    if not -math.inf < rate < math.inf:  # NaN fails it too
         raise ValueError(f"rate must be finite, got {rate}")
+    rate = _doubles([rate], "rate")[0]
     best_val = -math.inf
     best_rho = grid.rho_min
     npts = grid.points
@@ -87,6 +97,7 @@ def exhaustive_allocation(exponents: list[float], q_total: int) -> list[int]:
             f"N <= {_MAX_EXHAUSTIVE_N})")
     if q_total < n:
         raise ValueError("budget smaller than hop count")
+    exponents = _doubles(exponents, "exponents")
     best = None
     best_val = math.inf
     # cut points over Q-1 interior gaps give all compositions into n positive parts

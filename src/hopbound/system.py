@@ -61,13 +61,18 @@ def stacked_error_bounds(blocks: list[list[int]], e_r: list[list[float]],
     if not len(blocks) == len(e_r) == len(e_sp) or any(
             not len(b) == len(r) == len(sp) for b, r, sp in zip(blocks, e_r, e_sp)):
         raise ValueError("allocation and exponent list lengths differ")
-    exps = np.array([e_r, e_sp], dtype=float)  # NaN fails the check; +inf, E_sp below R_inf, passes
+    try:  # each value converted once; NaN fails the check, +inf (E_sp below R_inf) passes
+        exps = np.array([e_r, e_sp], dtype=float)
+        q = np.asarray(blocks, dtype=float)
+    except OverflowError:
+        raise ValueError("blocks and exponents must convert to doubles, got one past their range"
+                         ) from None
     if not (all(b and min(b) >= 1 for b in blocks) and (exps >= 0).all()):
         raise ValueError("need at least one hop, every block at least 1 and exponents >= 0")
     if not blocks:
         return []
     with np.errstate(over="ignore"):  # Q_n E_n past the doubles is +inf, its term exactly 0
-        log_terms = -np.asarray(blocks, dtype=float)[:, None, :] * exps.transpose(1, 0, 2)
+        log_terms = -q[:, None, :] * exps.transpose(1, 0, 2)
     lse = _logsumexp(log_terms.reshape(2 * len(blocks), -1)).reshape(-1, 2)
     return [SystemBounds(pe_upper=pe_upper, pe_lower=pe_lower,
                          esys_lower=-lse_r / sum(row), esys_upper=-lse_sp / sum(row),

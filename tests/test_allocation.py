@@ -351,6 +351,13 @@ _EXPONENTS = st.one_of(st.floats(1e-3, 30.0), st.floats(5e-324, 1e-300),
                        st.sampled_from([0.003, 0.2, 2.0, 5.0]))
 
 
+# every real share rounds to just below 1, so every floor is 0 and is clamped to 1
+_CLAMPED_EXPS = [0.997986270139433, 0.997986270139433, 0.9979862701394329]
+# at Q = 2**53 - 1 the shares' rounding leaves five units to fill on four hops
+_OVERFULL_EXPS = [5.6954096021356615e-11, 8.772152082565776e-06, 0.03528902617681531,
+                  4.4852401328719054e-07]
+
+
 class TestSortedFill:
     """`_balanced_blocks` fills by one sort where its certificate holds and runs
     the heap greedy otherwise; both give the reference's split."""
@@ -375,6 +382,19 @@ class TestSortedFill:
         ([0.5, 5.0], 2, False, [])])  # the floors sum to Q
     def test_each_path(self, monkeypatch, exps, q, heaps, certified):
         assert self.paths(monkeypatch, exps, q) == (heaps, certified)
+
+    def test_floors_below_1_and_fills_past_the_hop_count_occur(self, monkeypatch):
+        # the floor clamp and `_sorted_fill`'s refusal of more units than hops are
+        # reached by rounding alone, from the public entry point
+        assert max(reliability_real_blocks(_CLAMPED_EXPS, 3)) < 1.0
+        assert reliability_optimal_blocks(_CLAMPED_EXPS, 3) == [1, 1, 1]
+        assert self.paths(monkeypatch, _CLAMPED_EXPS, 3) == (False, [])
+        q = 2 ** 53 - 1
+        shares = reliability_real_blocks(_OVERFULL_EXPS, q)
+        assert min(shares) >= 1.0 and q - sum(map(math.floor, shares)) == 5
+        blocks = reliability_optimal_blocks(_OVERFULL_EXPS, q)
+        assert sum(blocks) == q and best_single_exchange(blocks, _OVERFULL_EXPS) <= 0
+        assert self.paths(monkeypatch, _OVERFULL_EXPS, q) == (True, [False])
 
     @pytest.mark.parametrize("seed", [1, 2, 5])
     def test_a_long_chain_takes_the_sort_alone(self, monkeypatch, seed):

@@ -572,6 +572,23 @@ class TestWorkerThreads:
         assert [len(set(r)) for r in rounds] == [2, 2, 1]
         assert [r.count(me) for r in rounds] == [4, 4, 1]
 
+    @pytest.mark.parametrize("round_, k, rounds", [(8, 4, [8, 8, 1]), (64, 4, [16, 1]),
+                                                   (64, 3, [17]), (64, 1, [17])])
+    def test_a_tables_round_holds_the_moments_of_round_blocks(self, monkeypatch, four_cpus,
+                                                              round_, k, rounds):
+        # a round of a k-chain table is _ROUND // k blocks long, but at least
+        # enough for four threads of four blocks, or _ROUND itself if less
+        chains = _table_chains(k, 2)
+        trials = 16 * _BLOCK + 3
+        expected = [simulate_latency(chain, trials, 6) for chain in chains]
+        blocks = []
+        on_threads = arq._on_threads
+        monkeypatch.setattr(arq, "_on_threads", lambda run, parts: blocks.append(
+            sum(map(len, parts))) or on_threads(run, parts))
+        monkeypatch.setattr(arq, "_ROUND", round_)
+        assert simulate_latencies(chains, trials, 6) == expected
+        assert blocks == rounds
+
     def test_each_sparse_pe_capped_once_for_every_thread(self, monkeypatch, four_cpus,
                                                          kernel_threads):
         calls = []
@@ -913,7 +930,10 @@ class TestSparseHopPrefilter:
             seed = _seed_drawing(x, trial, n, hop)
             key = _splitmix64((seed + _GOLDEN) & _MASK64)
             streams = arq._HashStreams(key, n, size, arq._Workspace(size), [chain])
-            found = streams.found(start, start + size, sparse)
+            # 64 trials: one batch at most, whose pool no later batch overwrites
+            batches = list(streams.found(start, start + size, sparse))
+            assert len(batches) <= 1
+            found = batches[0] if batches else {}
             for h, c in sparse:
                 states = [(key + ((start + j) * n + h + 1) * _GOLDEN) & _MASK64
                           for j in range(size)]
@@ -1075,6 +1095,21 @@ class TestLatencyTable:
         table = simulate_latencies(chains, trials, 5)
         assert built == ([3] if dense <= _TABLE_DENSE_HOPS else [1, 1, 1])
         assert table == [simulate_latency(chain, trials, 5) for chain in chains]
+
+    @pytest.mark.parametrize("n", [2, 32, 33, 40])
+    def test_either_side_of_the_candidate_budget(self, n, monkeypatch):
+        # each hop position's largest sparse P_e is 0.125, a quarter block of
+        # candidate words: 32 positions fill the budget of _TABLE_DENSE_HOPS blocks
+        chains = [ArqChain([0.125 if (h + c) % 2 else 1e-3 for h in range(n)],
+                           [5 + h + c for h in range(n)]) for c in range(2)]
+        built = []
+        streams = arq._HashStreams
+        monkeypatch.setattr(arq, "_HashStreams", lambda *args: built.append(len(args[4]))
+                            or streams(*args))
+        trials = _BLOCK + 7
+        table = simulate_latencies(chains, trials, 8)
+        assert built == ([2] if n <= 32 else [1, 1])
+        assert table == [simulate_latency(chain, trials, 8) for chain in chains]
 
 
 def _assert_reference_moments(got, chain, seed, start, stop):
@@ -1273,6 +1308,96 @@ class TestOnePassSum:
                 k = chains.index(chain)
                 assert passes == (dense[k] and bounded[k])
                 _assert_reference_moments(got, chain, 17, start, stop)
+
+
+def _batch_sizes(monkeypatch):
+    """The entries of each candidate batch that `_HashStreams.found` yields, a
+    list per call, in order."""
+    calls = []
+    found = arq._HashStreams.found
+
+    def counted(self, *args):
+        calls.append([])
+        for batch in found(self, *args):
+            calls[-1].append(sum(len(idx) for idx, _ in batch.values()))
+            yield batch
+    monkeypatch.setattr(arq._HashStreams, "found", counted)
+    return calls
+
+
+def _firsts(monkeypatch):
+    """The `first` argument of each `_attempt_costs` call: 0 adds extra uses alone."""
+    firsts = []
+    costs = arq._attempt_costs
+    monkeypatch.setattr(arq, "_attempt_costs", lambda *args: firsts.append(args[-1])
+                        or costs(*args))
+    return firsts
+
+
+# one chain per kernel path, with 15 or 16 hops at P_e 0.2: about three blocks of
+# candidates, so several batches a block
+_BATCHED = {
+    "exact": ArqChain([0.2] * 16, [3 + h for h in range(16)]),
+    "one_pass": ArqChain([0.2] * 8 + [0.3] + [0.2] * 7, [3 + h for h in range(16)]),
+    "hop_order": ArqChain([0.2] * 8 + [PE_CLAMP] + [0.2] * 7, [3 + h for h in range(16)]),
+}
+
+
+class TestCandidateBatches:
+    """One chain's sparse-hop candidates reach its kernel in batches of whole
+    hops, each finished once it holds `_BATCH` entries, so its memory is
+    bounded at any hop count; every path keeps the bits whatever the batches."""
+
+    @pytest.mark.parametrize("batch", [1, 8192, _BLOCK])  # 1: a batch per hop
+    @pytest.mark.parametrize("path", list(_BATCHED))
+    def test_every_path_keeps_the_bits(self, monkeypatch, path, batch):
+        monkeypatch.setattr(arq, "_BATCH", batch)
+        calls, firsts = _batch_sizes(monkeypatch), _firsts(monkeypatch)
+        chain = _BATCHED[path]
+        for start in (0, 5 * _BLOCK):
+            calls.clear()
+            firsts.clear()
+            got = _table_kernels([chain], 9, _BLOCK, moments=True)[0](start, start + _BLOCK)
+            _assert_reference_moments(got, chain, 9, start, start + _BLOCK)
+            [sizes] = calls
+            assert len(sizes) > 1 and min(sizes[:-1]) >= batch
+            assert max(sizes) < batch + _BLOCK
+            assert set(firsts) == {"exact": {0.0}, "one_pass": {0.0, 1.0},
+                                   "hop_order": {1.0}}[path]
+            latencies = _table_kernels([chain], 9, _BLOCK)[0](start, start + _BLOCK)
+            assert latencies.tobytes() == _ref_trial_latencies(chain, 9, start,
+                                                               start + _BLOCK).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, _BLOCK])
+    @pytest.mark.parametrize("q, exact", [(6 * 2 ** 30, True), (7 * 2 ** 30, False)])
+    def test_either_side_of_2_53_over_many_batches(self, monkeypatch, batch, q, exact):
+        # m S is 0.75 or 0.875 2**53, and the extra uses, about a quarter of it,
+        # keep the block's sum below 2**53 or take it past: then the hop order
+        # hashes the candidates again
+        monkeypatch.setattr(arq, "_BATCH", batch)
+        calls, firsts = _batch_sizes(monkeypatch), _firsts(monkeypatch)
+        chain = ArqChain([0.2] * 16, [q] * 16)
+        got = _table_kernels([chain], 4, _BLOCK, moments=True)[0](0, _BLOCK)
+        _assert_reference_moments(got, chain, 4, 0, _BLOCK)
+        assert (got[1] < 2 ** 53) == exact
+        assert len(calls) == (1 if exact else 2) and all(len(sizes) > 1 for sizes in calls)
+        assert (1.0 not in firsts) == exact
+
+    @pytest.mark.parametrize("chains", [[ArqChain([0.2] * 200, [5] * 200)],
+                                        [ArqChain([p] * 200, [5] * 200) for p in (0.2, 0.1)]],
+                             ids=["one_chain", "table"])
+    def test_a_block_holds_bounded_memory_at_200_hops(self, chains):
+        # one chain held every candidate of a block at once (82 MB here), and a
+        # table every hop's (80 MB); the table now runs per chain
+        simulate_latencies([ArqChain([0.6], [5])] * 2, 10, 1)
+        simulate_latency(ArqChain([0.2], [5]), 10, 1)
+        tracemalloc.start()
+        try:
+            simulate_latencies(chains, _BLOCK, 3, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestLatencyVariance:

@@ -40,6 +40,7 @@ LAYER_ROWS = [
     "arq.simulate_latencies.fig4_single_hop.ms_per_call",
     "arq.simulate_latencies.fig4_two_hop.ms_per_call",
     "arq.simulate_latencies.table_64_hops.peak_alloc_mb",
+    "arq.simulate_latency.chain_200_hops.peak_alloc_mb",
     *(f"cli.main.{command}.ms_per_call" for command in (
         "reproduce_fig3", "reproduce_fig4", "allocate_awgn_2", "allocate_awgn_400",
         "allocate_awgn_1000", "latency_awgn_2", "exponent_dmc_8x8_80", "exponent_awgn_200",

@@ -10,11 +10,15 @@ from hopbound.allocation import (AllocationError, end_to_end_rate, info_continuo
                                  rate_policy_scale, reliability_optimal_blocks,
                                  reliability_real_blocks)
 from hopbound.arq import ArqChain, simulate_latencies, simulate_latency
+from hopbound.channel import ChannelError, HopChannel, e0, e0_awgn, e0_derivative, e0_dmc
 from hopbound.distproto import derive_blocks, fold_into, forward_pass, run_distributed_allocation
+from hopbound.oracle import GridSpec, exhaustive_allocation, grid_max_exponent
+from hopbound.system import system_error_bounds
 
 HUGE = 10 ** 400
 _CHAIN = ArqChain([0.1, 0.01], [5, 7])
 _BROADCAST = run_distributed_allocation([1.0], [(1.0, 1.0)], 10)[0]
+_AWGN, _BSC = HopChannel.awgn(1.0), HopChannel.bsc(0.1)
 
 
 def _message():
@@ -43,6 +47,23 @@ def _message():
     (lambda h: derive_blocks(1.0, (h, 1.0), _BROADCAST), AllocationError, "^the hop's rate"),
     (lambda h: simulate_latency(_CHAIN, int(h), 1), ValueError, r"at most 2\*\*53"),
     (lambda h: simulate_latencies([_CHAIN] * 2, int(h), 1), ValueError, r"at most 2\*\*53"),
+    (lambda h: e0_awgn(h, 1.0), ChannelError, "rho must convert"),
+    (lambda h: e0_awgn(1.0, h), ChannelError, "snr must convert"),
+    (lambda h: e0(h, _AWGN), ChannelError, "rho must convert"),
+    (lambda h: e0(h, _BSC), ChannelError, "rho must convert"),
+    (lambda h: e0_derivative([0.5, h], _AWGN), ChannelError, "rho must convert"),
+    (lambda h: e0_derivative(h, _BSC), ChannelError, "rho must convert"),
+    (lambda h: e0_dmc(h, _BSC), ChannelError, "rho must convert"),
+    (lambda h: HopChannel.awgn(h), ChannelError, "snr must convert"),
+    (lambda h: system_error_bounds([10, h], [0.1, 0.2], [0.3, 0.4]), ValueError,
+     "blocks and exponents must convert"),
+    (lambda h: system_error_bounds([10, 20], [0.1, h], [0.3, 0.4]), ValueError,
+     "blocks and exponents must convert"),
+    (lambda h: system_error_bounds([10, 20], [0.1, 0.2], [h, 0.4]), ValueError,
+     "blocks and exponents must convert"),
+    (lambda h: grid_max_exponent(h, _AWGN, GridSpec(0.0, 1.0, 0.5)), ValueError,
+     "rate must convert"),
+    (lambda h: exhaustive_allocation([1.0, h], 10), ValueError, "exponents must convert"),
     # a share past the doubles' range, from finite values
     (lambda h: information_continuous_blocks([1e-300, 1.0], 10, 1e10), AllocationError,
      "real-valued allocation is not finite"),
@@ -51,7 +72,10 @@ def _message():
         "information_continuous_rates_with_ln_m", "information_continuous_ln_m",
         "end_to_end_blocks", "end_to_end_rates", "fold_into_rate", "fold_into_exponent",
         "forward_pass", "derive_blocks_rate", "derive_blocks_exponent", "simulate_latency",
-        "simulate_latencies", "information_continuous_share"])
+        "simulate_latencies", "e0_awgn_rho", "e0_awgn_snr", "e0_awgn_kind", "e0_dmc_kind",
+        "e0_derivative_awgn", "e0_derivative_dmc", "e0_dmc", "awgn", "system_error_bounds_blocks",
+        "system_error_bounds_e_r", "system_error_bounds_e_sp", "grid_max_exponent",
+        "exhaustive_allocation", "information_continuous_share"])
 @pytest.mark.parametrize("huge", [HUGE, Fraction(HUGE, 3)], ids=["10**400", "10**400/3"])
 def test_values_past_the_doubles_range_raise_domain_errors(call, error, match, huge):
     # each but the last raised OverflowError; trials are capped as ArqChain caps costs

@@ -203,6 +203,10 @@ def run(row, out: str) -> None:
     table = [arq.ArqChain([p] * 64, [500] * 64) for p in (1e-3, 2e-3)]
     row({"arq.simulate_latencies.table_64_hops.peak_alloc_mb": "MB"}, lambda: (_peak_alloc_mb(
         partial(arq.simulate_latencies, table, 65_536, 1, workers=1)),))
+    # one block of one chain of 200 hops at P_e 0.2: about 40 blocks of candidates
+    chain = arq.ArqChain([0.2] * 200, [500] * 200)
+    row({"arq.simulate_latency.chain_200_hops.peak_alloc_mb": "MB"}, lambda: (_peak_alloc_mb(
+        partial(arq.simulate_latency, chain, 65_536, 1, workers=1)),))
     fields = {"out": out, "result": os.path.join(out, "result"),
               "lo": 0.01 * channel.capacity(dmc8), "hi": 0.99 * channel.capacity(dmc8)}
     for name, calls, command in (  # paths without spaces
