@@ -4,10 +4,12 @@ delay-constrained linear multi-hop networks.
 ``import hopbound`` loads none of the package's modules: each public name, and
 each submodule such as ``hopbound.channel``, loads its module on first access
 (PEP 562), so ``hopbound.simulate_latency`` loads ``hopbound.arq`` alone.
-Importing ``hopbound.cli`` loads every module a command may need.
+Importing ``hopbound.cli`` loads every module a command may need.  Every module
+reads the domain's number rules from here: `_doubles` and `_is_integer`.
 """
 
 import importlib
+import numbers
 
 __version__ = "0.1.0"
 
@@ -45,3 +47,18 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+def _doubles(values, error: type, what: str, convert=None):
+    """`values`, which the caller has checked, as a list of doubles, or as convert(values)
+    (np.asarray(values, dtype=float), say); `error` naming `what` for a value past the
+    doubles' range, such as the int 10**400."""
+    try:
+        return [float(v) for v in values] if convert is None else convert(values)
+    except OverflowError:
+        raise error(f"{what} must convert to a double, got one past the doubles' range") from None
+
+
+def _is_integer(x, low=-float("inf"), high=float("inf")) -> bool:
+    """Whether `x` is a numbers.Integral (numpy's too), not a bool, in [low, high]."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and low <= x <= high

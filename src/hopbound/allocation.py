@@ -17,7 +17,8 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import numbers
+
+from . import _doubles, _is_integer
 
 __all__ = [
     "AllocationError",
@@ -45,11 +46,12 @@ class Method:
 
 def end_to_end_rate(blocks: list[int], rates: list[float]) -> float:
     """R = (1/Q) min_n Q_n R_n, the bottleneck end-to-end rate."""
-    if not (blocks and len(blocks) == len(rates) and min(blocks) >= 1
-            and all(0 < r < math.inf for r in rates)):  # NaN fails it too
+    if not (blocks and len(blocks) == len(rates) and min(blocks) >= 1 and (q := sum(blocks)) >= 1
+            and all(0 < r < math.inf for r in rates)):  # a NaN fails a rate's test or the sum's
         raise AllocationError("need one block >= 1 and one positive finite rate per hop")
-    products = [b * r for b, r in zip(_doubles(blocks, "blocks"), _doubles(rates, "rates"))]
-    return min(products) / _doubles([sum(blocks)], "blocks")[0]
+    products = [b * r for b, r in zip(_doubles(blocks, AllocationError, "blocks"),
+                                      _doubles(rates, AllocationError, "rates"))]
+    return min(products) / _doubles([q], AllocationError, "blocks")[0]
 
 
 def network_capacity(capacities: list[float]) -> float:
@@ -62,7 +64,7 @@ def network_capacity(capacities: list[float]) -> float:
     if not all(0 < c < math.inf for c in capacities):
         raise AllocationError("all capacities must be positive and finite")
     inv_sum = 0.0
-    for c in _doubles(capacities, "capacities"):
+    for c in _doubles(capacities, AllocationError, "capacities"):
         inv_sum += 1.0 / c
     return 1.0 / inv_sum
 
@@ -155,26 +157,15 @@ def balance_log_m(frame: tuple, q_total: int) -> float:
 
 def _check_budget(q_total) -> None:
     """AllocationError unless Q is an integer in [1, 2**53] and not a bool, as total_q."""
-    if isinstance(q_total, bool) or not (isinstance(q_total, numbers.Integral)
-                                         and 1 <= q_total <= 2 ** 53):
+    if not _is_integer(q_total, 1, 2 ** 53):
         raise AllocationError(f"budget must be an integer in [1, 2**53], got {q_total!r}")
-
-
-def _doubles(values, what: str) -> list[float]:
-    """`values`, which the caller has checked, as doubles, each converted once;
-    AllocationError for one past the doubles' range, such as the int 10**400."""
-    try:
-        return [float(v) for v in values]
-    except OverflowError:
-        raise AllocationError(f"{what} must convert to doubles, got one past their range"
-                              ) from None
 
 
 def _positive_doubles(values, what: str) -> list[float]:
     """`_doubles` of one or more values, all positive and finite, else AllocationError."""
     if not values or not all(0 < v < math.inf for v in values):
         raise AllocationError(f"need one or more {what}, all positive and finite")
-    return _doubles(values, what)
+    return _doubles(values, AllocationError, what)
 
 
 def _balance_frame(values, what: str) -> tuple[list[float], tuple]:
@@ -330,7 +321,8 @@ def information_continuous_blocks(rates: list[float], q_total: int,
         rates, frame = _balance_frame(rates, "rates")
         ln_m = balance_log_m(frame, q_total)
     else:
-        rates, ln_m = _positive_doubles(rates, "rates"), _doubles([ln_m], "ln M")[0]
+        rates = _positive_doubles(rates, "rates")
+        ln_m = _doubles([ln_m], AllocationError, "ln M")[0]
     shares = [ln_m / r for r in rates]
     if not all(math.isfinite(v) for v in shares):
         raise AllocationError("real-valued allocation is not finite")

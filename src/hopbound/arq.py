@@ -32,7 +32,6 @@ than `_TABLE_DENSE_HOPS` blocks; `simulate_latency` is its one-chain case.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -40,6 +39,8 @@ from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from . import _is_integer
 
 if TYPE_CHECKING:  # an annotation only: `simulate_latency` loads no other module
     from .system import SystemBounds
@@ -81,7 +82,7 @@ class ArqChain:
                 raise LatencyError(f"P_e on hop {i} must be in [0, 1), got {p}", hop=i)
         for i, q in enumerate(self.costs):
             # the cap of total_q: every reader turns a cost into a double
-            if isinstance(q, bool) or not isinstance(q, numbers.Integral) or not 1 <= q <= 2 ** 53:
+            if not _is_integer(q, 1, 2 ** 53):
                 raise LatencyError(f"cost on hop {i} must be an integer in [1, 2**53], got {q!r}",
                                    hop=i)
 
@@ -576,13 +577,11 @@ def simulate_latencies(chains: list[ArqChain], trials: int, seed: int,
     over positions), runs as one call per chain, and a round of k chains
     holds `_ROUND` / k blocks' moments, so a call holds O(`_BLOCK`) memory.
     """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or not (
-            1 <= trials <= 2 ** 53):  # the cap of ArqChain's costs
+    if not _is_integer(trials, 1, 2 ** 53):  # the cap of ArqChain's costs
         raise ValueError(f"trials must be an integer >= 1, at most 2**53, got {trials!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+    if not _is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    if workers is not None and (isinstance(workers, bool)
-                                or not isinstance(workers, numbers.Integral) or workers < 1):
+    if not (workers is None or _is_integer(workers, 1)):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     if len({len(chain.costs) for chain in chains}) > 1:
         raise ValueError("the chains of one table must have one hop count")

@@ -8,11 +8,13 @@ and exponents are in nats per channel use; SNR is stored linear.
 
 from __future__ import annotations
 
+import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _doubles
 
 __all__ = [
     "ChannelError",
@@ -35,14 +37,7 @@ class ChannelError(ValueError):
     """Invalid channel parameters or out-of-domain arguments."""
 
 
-@contextmanager
-def _doubles(what: str):
-    """Converts `what` to doubles, once, in its body; ChannelError for a value
-    past the doubles' range, such as the int 10**400."""
-    try:
-        yield
-    except OverflowError:
-        raise ChannelError(f"{what} must convert to doubles, got one past their range") from None
+_float_array = functools.partial(np.asarray, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class HopChannel:
         elif self.kind == "dmc":
             if self.transition is None:
                 raise ChannelError("DMC channel requires a transition matrix")
-            p = np.asarray(self.transition, dtype=float)
+            p = _doubles(self.transition, ChannelError, "transition", _float_array)
             if p.ndim != 2:
                 raise ChannelError("transition matrix must be 2-D")
             # written so that NaN entries fail the checks
@@ -86,7 +81,7 @@ class HopChannel:
             if self.input_dist is None:
                 q = np.full(p.shape[0], 1.0 / p.shape[0])
             else:
-                q = np.asarray(self.input_dist, dtype=float)
+                q = _doubles(self.input_dist, ChannelError, "input_dist", _float_array)
             if q.shape != (p.shape[0],):
                 raise ChannelError("input_dist length must match the number of inputs")
             if not (np.all(q >= 0) and abs(q.sum() - 1.0) <= _ATOL_STOCHASTIC):
@@ -124,8 +119,7 @@ class HopChannel:
     def awgn_hops(cls, snrs) -> list["HopChannel"]:
         """`awgn` of each linear SNR, in one pass: the constructor's check and
         derived constants, each capacity from one np.log1p call over the list."""
-        with _doubles("snr"):
-            snrs = list(map(float, snrs))
+        snrs = _doubles(snrs, ChannelError, "snr")
         new, assign = object.__new__, object.__setattr__
         hops = []
         for snr, cap in zip(snrs, _awgn_capacities(snrs)):
@@ -137,13 +131,12 @@ class HopChannel:
 
     @classmethod
     def dmc(cls, transition, input_dist=None) -> "HopChannel":
-        return cls(kind="dmc", transition=np.asarray(transition, dtype=float),
-                   input_dist=None if input_dist is None else np.asarray(input_dist, dtype=float))
+        return cls(kind="dmc", transition=transition, input_dist=input_dist)
 
     @classmethod
     def bsc(cls, crossover: float, input_dist=None) -> "HopChannel":
         """Binary symmetric channel with the given crossover probability."""
-        p = float(crossover)
+        p = _doubles([crossover], ChannelError, "crossover")[0]
         if not 0.0 <= p <= 1.0:
             raise ChannelError(f"crossover must be in [0, 1], got {p}")
         return cls.dmc([[1.0 - p, p], [p, 1.0 - p]], input_dist)
@@ -155,7 +148,7 @@ def _awgn_capacities(snrs: list) -> list[float]:
     for snr in snrs:
         if snr is None or not 0 < snr < math.inf:  # NaN fails it too
             raise ChannelError(f"AWGN channel requires a finite snr > 0, got {snr}")
-    return np.log1p(np.array(snrs, dtype=float)).tolist()
+    return np.log1p(_doubles(snrs, ChannelError, "snr", _float_array)).tolist()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -174,8 +167,7 @@ def e0_awgn(rho, snr: float):
     """
     if not 0 < snr < math.inf:  # NaN fails it too
         raise ChannelError(f"snr must be positive and finite, got {snr}")
-    with _doubles("snr"):
-        snr = float(snr)
+    snr = _doubles([snr], ChannelError, "snr")[0]
     return _column(lambda rho: (rho * np.log1p(snr / (1.0 + rho)),), rho, 0)
 
 
@@ -213,8 +205,7 @@ def e0_derivative(rho, ch: HopChannel):
 def _column(terms, rho, k: int):
     """Column k of the array step `terms` on rho's elements, in rho's shape (a float
     for a scalar); ChannelError unless each is in [0, `_RHO_LIMIT`]."""
-    with _doubles("rho"):
-        rho = np.asarray(rho, dtype=float)
+    rho = _doubles(rho, ChannelError, "rho", _float_array)
     if not np.all((rho >= 0) & (rho <= _RHO_LIMIT)):  # NaN fails it too
         raise ChannelError(f"rho must be nonnegative and finite, at most {_RHO_LIMIT:.4g}")
     out = terms(rho.ravel())[k].reshape(rho.shape)

@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .allocation import (AllocationError, _check_budget, _doubles, balance_lagrange,
-                         balance_log_m, balance_share, balance_step)
+from . import _doubles
+from .allocation import (AllocationError, _check_budget, balance_lagrange, balance_log_m,
+                         balance_share, balance_step)
 
 __all__ = [
     "BroadcastConstants",
@@ -50,8 +51,8 @@ def _checked(rate: float, exponents: tuple[float, float], hop: int | None) -> li
         what = "zero exponent (rate at/above capacity)" if 0.0 in (e_r, e_sp) else (
             f"rate {rate}, exponents ({e_r}, {e_sp}): not all positive and finite")
         raise AllocationError(f"hop {hop} has {what}" if hop is not None else f"hop has {what}")
-    return _doubles((rate, e_r, e_sp), f"hop {hop}'s rate and exponents" if hop is not None
-                    else "the hop's rate and exponents")
+    return _doubles((rate, e_r, e_sp), AllocationError, f"hop {hop}'s rate and exponents"
+                    if hop is not None else "the hop's rate and exponents")
 
 
 def fold_into(msg: dict, hop: int, rate: float, exponents: tuple[float, float]) -> None:
@@ -73,11 +74,12 @@ def derive_blocks(rate: float, exponents: tuple[float, float],
     q_info = broadcast.ln_m / rate
     if not math.isfinite(q_info):
         raise AllocationError(f"hop has rate {rate}: ln M / rate = {q_info} is not finite")
-    return {
-        "q_reliability_rc": balance_share(e_r, broadcast.frame_rc, broadcast.q_total),
-        "q_reliability_sp": balance_share(e_sp, broadcast.frame_sp, broadcast.q_total),
-        "q_info_continuous": math.floor(q_info),
-    }
+    q_rc = balance_share(e_r, broadcast.frame_rc, broadcast.q_total)
+    q_sp = balance_share(e_sp, broadcast.frame_sp, broadcast.q_total)
+    if q_rc != q_rc or q_sp != q_sp:  # NaN, from an exponent below the smallest broadcast
+        raise AllocationError(f"hop has exponents ({e_r}, {e_sp}): its shares are undefined")
+    return {"q_reliability_rc": q_rc, "q_reliability_sp": q_sp,
+            "q_info_continuous": math.floor(q_info)}
 
 
 def forward_pass(rates: list[float], exponents: list[tuple[float, float]],

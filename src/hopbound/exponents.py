@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _doubles
 from .channel import (_RHO_LIMIT, ChannelError, HopChannel, _awgn_terms, capacity,
                       e0_derivative, e0_dmc_terms, e0_terms)
 
@@ -111,11 +112,7 @@ def _check_rate(rate, sp: bool) -> None:
     random coding."""
     if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
         raise ChannelError(f"rate must be a real number, got {rate!r}")
-    try:
-        float(rate)
-    except OverflowError:  # an int or Fraction past the doubles' range
-        raise ChannelError("rate must convert to a double, got one past the doubles' range"
-                           ) from None
+    _doubles([rate], ChannelError, "rate")
     if not (rate > 0 if sp else rate >= 0):
         raise ChannelError(f"rate must be positive for sphere packing, got {rate}" if sp
                            else f"rate must be nonnegative, got {rate}")

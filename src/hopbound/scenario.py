@@ -16,6 +16,7 @@ from itertools import accumulate, chain, compress
 
 import numpy as np
 
+from . import _doubles, _is_integer
 from .allocation import (Method, _balanced_blocks, end_to_end_rate, info_continuous_log_m,
                          information_continuous_blocks, rate_policy_scale, reliability_real_blocks)
 from .arq import arq_chains, latency_bounds
@@ -41,9 +42,9 @@ class ScenarioError(ValueError):
 
 def _finite(value, name: str) -> float:
     """A scenario field as a finite float, not a JSON boolean; ScenarioError otherwise."""
-    try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
+    try:  # a value past the doubles' range is not finite either
+        x = math.nan if isinstance(value, bool) else _doubles([value], ScenarioError, name)[0]
+    except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x):
         raise ScenarioError(f"{name} must be a finite number, got {value!r}")
@@ -237,7 +238,7 @@ def _parse_hop(spec, index: int) -> HopChannel:
                 if bad := [x for x in cells if type(x) not in (int, float)]:
                     raise ScenarioError(f"{name} must hold JSON numbers only, got {bad[0]!r}")
             return HopChannel.dmc(*fields.values())
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"hop {index}: {exc}") from exc
     raise ScenarioError(f"hop {index}: unknown type {kind!r}")
 
@@ -250,8 +251,8 @@ def _parse_hops(specs: list) -> list[HopChannel]:
     try:
         dbs = [spec["snr_db"] for spec in specs if spec["type"] == "awgn"]
         if len(dbs) == len(specs) and set(map(type, dbs)) <= {int, float}:
-            return HopChannel.awgn_hops([10.0 ** (db / 10.0) for db in dbs])
-    except (KeyError, TypeError, ValueError, OverflowError):
+            return HopChannel.awgn_hops(list(map(snr_db_to_linear, dbs)))
+    except (KeyError, TypeError, ValueError):
         pass
     return [_parse_hop(spec, i) for i, spec in enumerate(specs)]
 
@@ -272,8 +273,8 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(hops_spec, list) or not hops_spec:
         raise ScenarioError("scenario needs a list of at least one hop")
     total_q = doc.get("total_q")
-    # bool is an int subclass; doubles hold every integer only up to 2**53
-    if type(total_q) is not int or not 1 <= total_q <= 2 ** 53:
+    # doubles hold every integer only up to 2**53
+    if not _is_integer(total_q, 1, 2 ** 53):
         raise ScenarioError("total_q must be an integer in [1, 2**53]")
     policy = doc.get("rate_policy")
     if not isinstance(policy, dict) or "mode" not in policy:
@@ -283,7 +284,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"allocation_method must be one of {_METHODS}, got {method!r}")
     manual = doc.get("manual_blocks")
     if method == Method.MANUAL:
-        if not isinstance(manual, list) or not all(type(b) is int for b in manual):
+        if not isinstance(manual, list) or not all(map(_is_integer, manual)):
             raise ScenarioError("manual allocation requires integer manual_blocks")
         if sum(manual) != total_q or any(b < 1 for b in manual):
             raise ScenarioError("manual_blocks must be positive and sum to total_q")

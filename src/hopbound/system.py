@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _doubles
+
 __all__ = ["SystemBounds", "stacked_error_bounds", "system_error_bounds"]
 
 
@@ -61,13 +63,10 @@ def stacked_error_bounds(blocks: list[list[int]], e_r: list[list[float]],
     if not len(blocks) == len(e_r) == len(e_sp) or any(
             not len(b) == len(r) == len(sp) for b, r, sp in zip(blocks, e_r, e_sp)):
         raise ValueError("allocation and exponent list lengths differ")
-    try:  # each value converted once; NaN fails the check, +inf (E_sp below R_inf) passes
-        exps = np.array([e_r, e_sp], dtype=float)
-        q = np.asarray(blocks, dtype=float)
-    except OverflowError:
-        raise ValueError("blocks and exponents must convert to doubles, got one past their range"
-                         ) from None
-    if not (all(b and min(b) >= 1 for b in blocks) and (exps >= 0).all()):
+    # each value converted once; NaN fails the check, +inf (E_sp below R_inf) passes
+    exps, q = _doubles(([e_r, e_sp], blocks), ValueError, "blocks and exponents",
+                       lambda pair: [np.asarray(a, dtype=float) for a in pair])
+    if not (all(map(len, blocks)) and (q >= 1).all() and (exps >= 0).all()):
         raise ValueError("need at least one hop, every block at least 1 and exponents >= 0")
     if not blocks:
         return []

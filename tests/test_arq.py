@@ -1043,9 +1043,9 @@ class TestLatencyTable:
         assert simulate_latencies([], 10, 1) == []
 
     def test_stream_buffers_only_with_more_than_one_chain(self):
-        # a stream buffer holds _BLOCK 8-byte words; the thread's workspace, with
-        # the attempt costs' buffer of its first table call, is built before
-        # tracing starts
+        # a stream buffer holds _BLOCK 8-byte words; the thread's workspace (hash
+        # buffers, totals, mask and ramp, over whose spent hashes a table's attempt
+        # costs go) is built before tracing starts
         simulate_latencies([ArqChain([0.6], [5])] * 2, 10, 1)
         buffer = 8 * _BLOCK
         peaks = {}

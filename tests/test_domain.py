@@ -3,6 +3,7 @@ the doubles' range."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hopbound.allocation import (AllocationError, end_to_end_rate, info_continuous_log_m,
@@ -12,7 +13,7 @@ from hopbound.allocation import (AllocationError, end_to_end_rate, info_continuo
 from hopbound.arq import ArqChain, simulate_latencies, simulate_latency
 from hopbound.channel import ChannelError, HopChannel, e0, e0_awgn, e0_derivative, e0_dmc
 from hopbound.distproto import derive_blocks, fold_into, forward_pass, run_distributed_allocation
-from hopbound.oracle import GridSpec, exhaustive_allocation, grid_max_exponent
+from hopbound.oracle import GridSpec, bsc_ensemble_error, exhaustive_allocation, grid_max_exponent
 from hopbound.system import system_error_bounds
 
 HUGE = 10 ** 400
@@ -64,6 +65,12 @@ def _message():
     (lambda h: grid_max_exponent(h, _AWGN, GridSpec(0.0, 1.0, 0.5)), ValueError,
      "rate must convert"),
     (lambda h: exhaustive_allocation([1.0, h], 10), ValueError, "exponents must convert"),
+    (lambda h: GridSpec(0, h, 1), ValueError, "rho_min, rho_max and step must convert"),
+    (lambda h: GridSpec(h, 10 * h, 1), ValueError, "rho_min, rho_max and step must convert"),
+    (lambda h: HopChannel("awgn", h), ChannelError, "snr must convert"),
+    (lambda h: HopChannel.dmc([[h, 0.0], [0.0, 1.0]]), ChannelError, "transition must convert"),
+    (lambda h: HopChannel.dmc([[1.0, 0.0], [0.0, 1.0]], [h, 0.0]), ChannelError,
+     "input_dist must convert"),
     # a share past the doubles' range, from finite values
     (lambda h: information_continuous_blocks([1e-300, 1.0], 10, 1e10), AllocationError,
      "real-valued allocation is not finite"),
@@ -75,9 +82,32 @@ def _message():
         "simulate_latencies", "e0_awgn_rho", "e0_awgn_snr", "e0_awgn_kind", "e0_dmc_kind",
         "e0_derivative_awgn", "e0_derivative_dmc", "e0_dmc", "awgn", "system_error_bounds_blocks",
         "system_error_bounds_e_r", "system_error_bounds_e_sp", "grid_max_exponent",
-        "exhaustive_allocation", "information_continuous_share"])
+        "exhaustive_allocation", "grid_rho_max", "grid_rho_min_and_max", "awgn_constructor",
+        "dmc_transition", "dmc_input_dist", "information_continuous_share"])
 @pytest.mark.parametrize("huge", [HUGE, Fraction(HUGE, 3)], ids=["10**400", "10**400/3"])
 def test_values_past_the_doubles_range_raise_domain_errors(call, error, match, huge):
     # each but the last raised OverflowError; trials are capped as ArqChain caps costs
     with pytest.raises(error, match=match):
         call(huge)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: reliability_optimal_blocks([1.0, 2.0], b(10)),
+    lambda b: information_continuous_blocks([1.0, 2.0], b(10)),
+    lambda b: ArqChain([0.1], [b(5)]),
+    lambda b: simulate_latency(_CHAIN, b(10), 1),
+    lambda b: simulate_latency(_CHAIN, 10, b(1)),
+    lambda b: simulate_latency(_CHAIN, 10, 1, b(1)),
+    lambda b: exhaustive_allocation([1.0, 2.0], b(10)),
+    lambda b: bsc_ensemble_error(b(4), 2, 0.1, 3, 1),
+    lambda b: bsc_ensemble_error(4, 2, 0.1, b(3), 1),
+    lambda b: bsc_ensemble_error(4, 2, 0.1, 3, b(1)),
+], ids=["reliability_optimal_blocks", "information_continuous_blocks", "ArqChain",
+        "simulate_latency_trials", "simulate_latency_seed", "simulate_latency_workers",
+        "exhaustive_allocation", "bsc_ensemble_error_blocklength", "bsc_ensemble_error_trials",
+        "bsc_ensemble_error_seed"])
+def test_an_integer_argument_takes_numpy_integers_and_no_bool(call):
+    # exhaustive_allocation and bsc_ensemble_error once took Python ints alone
+    assert call(np.int64) == call(int)
+    with pytest.raises(ValueError):
+        call(lambda k: True)

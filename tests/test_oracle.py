@@ -1,11 +1,14 @@
 import math
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from hopbound import oracle
+from hopbound.arq import _moments
 from hopbound.channel import HopChannel
 from hopbound.exponents import random_coding_exponent
 from hopbound.oracle import (GridSpec, bsc_ensemble_error,
@@ -166,3 +169,43 @@ class TestBscEnsemble:
         expected_pe = 1.0 - total_correct / m
         mean, _ = bsc_ensemble_error(q, m, p, trials=1, seed=5)
         assert mean == pytest.approx(expected_pe, abs=1e-14)
+
+
+class TestBscEnsembleBlocks:
+    """The trials' errors are held one block at a time, each reduced to its moments."""
+
+    def _blocks_seen(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(oracle, "_moments", lambda x: (seen.append(x.copy()), _moments(x))[1])
+        return seen
+
+    def test_one_block_is_numpys_mean_and_stderr_bit_for_bit(self, monkeypatch):
+        seen = self._blocks_seen(monkeypatch)
+        mean, stderr = bsc_ensemble_error(6, 4, 0.2, 300, 3)
+        (pe,) = seen
+        assert len(pe) == 300
+        assert (mean, stderr) == (float(np.mean(pe)), float(np.std(pe, ddof=1) / math.sqrt(300)))
+
+    def test_blocks_merge_in_order_within_ulps(self, monkeypatch):
+        whole = bsc_ensemble_error(6, 4, 0.2, 300, 3)
+        monkeypatch.setattr(oracle, "_ENSEMBLE_BLOCK", 64)
+        seen = self._blocks_seen(monkeypatch)
+        mean, stderr = bsc_ensemble_error(6, 4, 0.2, 300, 3)
+        assert [len(pe) for pe in seen] == [64, 64, 64, 64, 44]
+        assert mean == pytest.approx(whole[0], rel=1e-15)
+        assert stderr == pytest.approx(whole[1], rel=1e-13)
+
+    def test_traced_memory_stops_growing_with_trials(self, monkeypatch):
+        # once: an array of 8 bytes per trial, 7.5 KiB more at 1,024 trials than at 64
+        monkeypatch.setattr(oracle, "_ENSEMBLE_BLOCK", 16)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                bsc_ensemble_error(1, 2, 0.1, trials, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)
+        assert peak(1024) - peak(64) < 4096
