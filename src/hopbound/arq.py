@@ -15,8 +15,8 @@ candidates reach its kernel in batches of `_BATCH`, so its memory is
 O(`_BLOCK`) at any trial or hop count.  A call of at least eight blocks
 splits them into contiguous runs of at least four, one per thread, up to
 the usable CPUs and `_MAX_WORKERS`; the calling thread runs the first on
-the workspace it keeps between its calls, each other thread a lean one of
-its own.  Each block's moments are the same on any thread, so every
+the workspace it keeps between its calls, each other thread on one of its
+own.  Each block's moments are the same on any thread, so every
 estimate is the same for any worker count.  Attempt costs are integers, so
 while a block's sums stay below 2**53 they are exact in any order: only
 trials that can retransmit add to S = sum Q_n, or a chain with a dense hop
@@ -170,16 +170,12 @@ def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
 
 class _Workspace:
     """One kernel's buffers of `size` entries: two hash buffers, the
-    latencies and the candidate mask, and unless lean the trial counters'
-    ramp, built by `_HashStreams`.  A worker thread's lean workspace reads its
-    caller's ramp.  Attempt costs go over spent hashes: one chain's over
-    `bits`, a table's over `scratch` (`_latency_kernel`)."""
+    latencies and the candidate mask.  Attempt costs go over spent hashes:
+    one chain's over `bits`, a table's over `scratch` (`_latency_kernel`)."""
 
-    def __init__(self, size: int = _BLOCK, lean: bool = False):
+    def __init__(self, size: int = _BLOCK):
         self.bits, self.scratch = np.empty(size, np.uint64), np.empty(size, np.uint64)
         self.totals, self.marks = np.empty(size), np.empty(size, bool)
-        if not lean:
-            self.ramp = np.empty(size, np.uint64)
 
 
 # Each calling thread's workspace, kept between its calls as `.workspace`.
@@ -228,9 +224,10 @@ class _HashStreams:
     `_superset`.  Each hop keeps the candidates of the table's largest cap
     with their ln u.  `cap_of` maps each sparse P_e (0 < P_e < `_SPARSE_PE`)
     of the chains to its cap; a hop that no chain reads in full is hashed to
-    splitmix64's w (`_passing`).  A worker thread's streams on a lean
-    workspace take the caps and the counters' ramp, j N GOLDEN for trial
-    start + j, from its caller's, `parent`."""
+    splitmix64's w (`_passing`).  Trial start + j's counter offset j N GOLDEN
+    is `row`[j % w] + `offsets`[j // w] for the row's width w, so no counter
+    array is a block long; a worker thread's streams read their caller's,
+    `parent`, with its caps."""
 
     def __init__(self, key: int, n: int, size: int, ws: _Workspace, chains: list[ArqChain],
                  parent: _HashStreams | None = None):
@@ -239,17 +236,13 @@ class _HashStreams:
         if parent is None:
             self.cap_of = {p: _candidate_cap(p) for p in set().union(*probs)
                            if 0.0 < p < _SPARSE_PE}
-            # j N GOLDEN mod 2**64 (uint64 sums wrap) with no array of `size`: a cumsum on
-            # a first row of up to 4096 (narrower ran slower), added to each row's start
+            # j N GOLDEN mod 2**64 (uint64 products wrap) for j in a row of up to 4096
+            # (narrower ran slower), and at each row's first j, one past a block's last
             step, width = np.uint64(n * _GOLDEN & _MASK64), min(size, 4096)
-            rows = ws.ramp[:-(-size // width) * width].reshape(-1, width)
-            rows[0, 0], rows[0, 1:] = 0, step
-            np.cumsum(rows[0], out=rows[0])
-            np.add(rows[0], np.arange(width, rows.size, width, dtype=np.uint64)[:, None] * step,
-                   out=rows[1:])
-            self.ramp = ws.ramp[:size]
+            self.row = np.arange(width, dtype=np.uint64) * step
+            self.offsets = np.arange(0, size + 1, width, dtype=np.uint64) * step
         else:
-            self.cap_of, self.ramp = parent.cap_of, parent.ramp
+            self.cap_of, self.row, self.offsets = parent.cap_of, parent.row, parent.offsets
         # each hop's distinct candidate caps, ascending, and if a chain reads its ln u
         self.caps = [sorted({self.cap_of[p] for p in hop if p in self.cap_of})
                      for hop in zip(*probs)]
@@ -276,8 +269,11 @@ class _HashStreams:
             if self.shared:
                 self.buffers[slot] = x
         x = x[:m]
-        base = self.key + (start * self.n + hop + 1) * _GOLDEN
-        np.add(self.ramp[:m], np.uint64(base & _MASK64), out=x)
+        # x = row + (its row's offset + base): one add over the whole rows, one on the rest
+        full, rest = divmod(m, len(self.row))
+        firsts = self.offsets + np.uint64(self.key + (start * self.n + hop + 1) * _GOLDEN & _MASK64)
+        np.add(self.row, firsts[:full, None], out=x[:m - rest].reshape(-1, len(self.row)))
+        np.add(self.row[:rest], firsts[full], out=x[m - rest:])
         (_splitmix64_inplace if self.dense[hop] else _unfinished_inplace)(x, ws.scratch[:m])
         return x
 
@@ -599,8 +595,7 @@ def simulate_latencies(chains: list[ArqChain], trials: int, seed: int,
     streams = _HashStreams(key, n, size, _per_thread.workspace, chains)
 
     def run(starts: range, k: int) -> list:
-        own = streams if k == 0 else _HashStreams(
-            key, n, size, _Workspace(size, lean=True), chains, streams)
+        own = streams if k == 0 else _HashStreams(key, n, size, _Workspace(size), chains, streams)
         kernels = [_latency_kernel(chain, own, True) for chain in chains]
         return [[kernel(s, min(s + _BLOCK, trials)) for kernel in kernels] for s in starts]
 
@@ -639,9 +634,9 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     calling thread.  Each thread takes a contiguous run of whole blocks;
     the calling thread runs the first on the O(`_BLOCK`) workspace it keeps
     between its calls, so concurrent calls never share one, and each other
-    thread, joined before the call returns or raises, runs on a lean
-    workspace of its own; each takes a block's candidates in batches of
-    `_BATCH`, at any hop count.  `workers` must be None or an integer >= 1.
+    thread, joined before the call returns or raises, runs on a workspace of
+    its own; each takes a block's candidates in batches of `_BATCH`, at any
+    hop count.  `workers` must be None or an integer >= 1.
     This is the one-chain case of `simulate_latencies`, which hashes each block
     into the workspace as the chain's hops read it.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from . import _doubles
+from . import _doubles, _is_integer
 from .allocation import (AllocationError, _check_budget, balance_lagrange, balance_log_m,
                          balance_share, balance_step)
 
@@ -104,9 +104,12 @@ def forward_pass(rates: list[float], exponents: list[tuple[float, float]],
 
 def compute_and_broadcast(final_msg: dict, q_total: int, n_nodes: int,
                           trace: list[dict] | None = None) -> BroadcastConstants:
-    """End node (node `n_nodes`) computes ln M, lambda_r, lambda_sp and delivers
-    them, with Q and the two exponent frames, to all nodes."""
+    """End node (node `n_nodes`, an integer in [1, 2**53]) computes ln M, lambda_r,
+    lambda_sp and delivers them, with Q and the two exponent frames, to all nodes;
+    a trace gets one broadcast record per node."""
     _check_budget(q_total)
+    if not _is_integer(n_nodes, 1, 2 ** 53):
+        raise AllocationError(f"n_nodes must be an integer in [1, 2**53], got {n_nodes!r}")
     constants = BroadcastConstants(
         ln_m=balance_log_m(final_msg["frame_rate"], q_total),
         lambda_r=balance_lagrange(final_msg["frame_rc"], q_total),

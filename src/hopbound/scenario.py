@@ -40,12 +40,14 @@ class ScenarioError(ValueError):
     """Malformed or inconsistent scenario document."""
 
 
+def _is_number(value) -> bool:
+    """Whether `value` is a JSON number: an int or a float (numpy's too), not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite(value, name: str) -> float:
-    """A scenario field as a finite float, not a JSON boolean; ScenarioError otherwise."""
-    try:  # a value past the doubles' range is not finite either
-        x = math.nan if isinstance(value, bool) else _doubles([value], ScenarioError, name)[0]
-    except (TypeError, ValueError):
-        x = math.nan
+    """A scenario field as a finite float from a JSON number; ScenarioError otherwise."""
+    x = _doubles([value], ScenarioError, name)[0] if _is_number(value) else math.nan
     if not math.isfinite(x):
         raise ScenarioError(f"{name} must be a finite number, got {value!r}")
     return x
@@ -235,7 +237,7 @@ def _parse_hop(spec, index: int) -> HopChannel:
             fields = {"transition": spec["transition"], "input_dist": spec.get("input_dist")}
             for name, value in fields.items():  # numpy reads JSON booleans and strings as numbers
                 cells = () if value is None else np.asarray(value, dtype=object).flat
-                if bad := [x for x in cells if type(x) not in (int, float)]:
+                if bad := [x for x in cells if not _is_number(x)]:
                     raise ScenarioError(f"{name} must hold JSON numbers only, got {bad[0]!r}")
             return HopChannel.dmc(*fields.values())
     except (KeyError, TypeError, ValueError) as exc:

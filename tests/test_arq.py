@@ -368,7 +368,7 @@ def built_workspaces(monkeypatch):
 
 
 class TestWorkspaceReuse:
-    # hop counts interleaved so that each call's counter ramp differs from the last's
+    # hop counts interleaved so that each call's counter row differs from the last's
     CASES = [(n, trials) for trials in (1, _BLOCK - 1, _BLOCK + 1, 100_000)
              for n in (1, 16, 2, 3)]
 
@@ -601,7 +601,7 @@ class TestWorkerThreads:
 
     def test_concurrent_parallel_calls_get_the_sequential_results(self, four_cpus):
         # three callers of four threads each on two cores, with frequent switches:
-        # a workspace or ramp shared by two calls would mix their blocks
+        # a workspace or counter row shared by two calls would mix their blocks
         calls = [([_mixed_chain(n)], 16 * _BLOCK + 5, n) for n in (1, 5)]
         calls.append((_table_chains(3, 2), 16 * _BLOCK + 5, 9))
         expected = [_estimates(*call, 1) for call in calls]
@@ -1044,7 +1044,7 @@ class TestLatencyTable:
 
     def test_stream_buffers_only_with_more_than_one_chain(self):
         # a stream buffer holds _BLOCK 8-byte words; the thread's workspace (hash
-        # buffers, totals, mask and ramp, over whose spent hashes a table's attempt
+        # buffers, totals and mask, over whose spent hashes a table's attempt
         # costs go) is built before tracing starts
         simulate_latencies([ArqChain([0.6], [5])] * 2, 10, 1)
         buffer = 8 * _BLOCK
@@ -1110,6 +1110,59 @@ class TestLatencyTable:
         table = simulate_latencies(chains, trials, 8)
         assert built == ([2] if n <= 32 else [1, 1])
         assert table == [simulate_latency(chain, trials, 8) for chain in chains]
+
+
+class TestCounterRow:
+    """A trial's counter is an entry of one row of up to 4096 plus its row's
+    offset (`_HashStreams._hash`): blocks of whole rows, of a partial last row
+    and of no whole row give the full-array reference's bytes, for one chain
+    and for a table."""
+
+    CHAINS = [ArqChain([0.3, 1e-3, 0.0], [5, 7, 9]), ArqChain([1e-3, 0.6, 0.01], [6, 8, 10])]
+
+    def _assert_blocks_match(self, seed, size, blocks):
+        for table in [[chain] for chain in self.CHAINS] + [self.CHAINS]:
+            kernels = _table_kernels(table, seed, size)
+            for start, stop in blocks:
+                for chain, kernel in zip(table, kernels):  # a table's share one buffer
+                    assert (kernel(start, stop).tobytes()
+                            == _ref_trial_latencies(chain, seed, start, stop).tobytes())
+
+    # 100,000 trials end in fig4's last block, 34,464 trials: 8 rows and 1,696
+    @pytest.mark.parametrize("trials", [4095, 4096, 4097, 8191, 100_000])
+    def test_either_side_of_a_row(self, trials):
+        self._assert_blocks_match(7, min(trials, _BLOCK),
+                                  [(s, min(s + _BLOCK, trials)) for s in range(0, trials, _BLOCK)])
+        for chain in self.CHAINS:
+            _assert_matches_reference(simulate_latency(chain, trials, 7), chain, trials, 7)
+        for chain, est in zip(self.CHAINS, simulate_latencies(self.CHAINS, trials, 7)):
+            _assert_matches_reference(est, chain, trials, 7)
+
+    @pytest.mark.parametrize("size, m", [(8191, 8191), (_BLOCK, 34_464), (_BLOCK, _BLOCK)])
+    def test_a_block_near_trial_2_to_60(self, size, m):
+        start = 2 ** 60 + 3
+        self._assert_blocks_match(11, size, [(start, start + m)])
+
+    def test_a_fresh_threads_first_call_holds_no_counter_array(self):
+        # bench_layers.py's tiny_pe call: its workspace, built on this thread, is
+        # two hash buffers, the latencies and the mask; with a block-long array of
+        # the trials' counters the traced peak was 2.08 MiB
+        chain = ArqChain([1e-20, 1e-18], [500, 500])
+        peak = []
+
+        def call():
+            simulate_latency(chain, 100_000, 1)
+            peak.append(tracemalloc.get_traced_memory()[1])
+
+        tracemalloc.start()
+        try:
+            thread = threading.Thread(target=call)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            tracemalloc.stop()
+        assert not thread.is_alive()
+        assert peak[0] < 1.75 * 2 ** 20
 
 
 def _assert_reference_moments(got, chain, seed, start, stop):

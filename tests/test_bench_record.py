@@ -39,6 +39,7 @@ LAYER_ROWS = [
     "arq.simulate_latency.mc16_1e6.ms_per_call",
     "arq.simulate_latencies.fig4_single_hop.ms_per_call",
     "arq.simulate_latencies.fig4_two_hop.ms_per_call",
+    "arq.simulate_latencies.fig4_two_hop.peak_alloc_mb",
     "arq.simulate_latencies.table_64_hops.peak_alloc_mb",
     "arq.simulate_latency.chain_200_hops.peak_alloc_mb",
     *(f"cli.main.{command}.ms_per_call" for command in (

@@ -193,6 +193,13 @@ class TestScenario:
             ("rates_nats_string", {"rate_policy": {"mode": "explicit",
                                                    "rates_nats": ["abc", 0.5]}}),
             ("rate_nats_string", {"rate_policy": {"mode": "target_rate", "rate_nats": "z"}}),
+            ("snr_db_numeric_string", {"hops": [{"type": "awgn", "snr_db": "3"}]}),
+            ("beta_numeric_string", {"rate_policy": {"mode": "capacity_fraction",
+                                                     "beta": "0.5"}}),
+            ("rates_nats_numeric_string", {"rate_policy": {"mode": "explicit",
+                                                           "rates_nats": ["0.5", 0.5]}}),
+            ("rate_nats_numeric_string", {"rate_policy": {"mode": "target_rate",
+                                                          "rate_nats": "0.5"}}),
             ("transition_strings", {"hops": [{"type": "dmc",
                                               "transition": [["a", "b"], [0.5, 0.5]]}]}),
             ("transition_null", {"hops": [{"type": "dmc",
@@ -1195,9 +1202,9 @@ class TestPeakMemory:
 
     # measured: exponent 1.4 and 1.8 MiB (the grid is solved _GRID_CHUNK rates
     # at a time), on a 32x32 DMC 2.4 and 3.3 MiB (its E0 arrays take the rhos in
-    # slices), latency on two usable CPUs 4.15 MiB at both (the calling thread's
-    # workspace of _BLOCK trials, 2.6 MiB, and a second thread's lean one; one
-    # workspace with its own counters was 3.1 MiB), distributed 0.2 and 1.9 MiB
+    # slices), latency on two usable CPUs 3.2 MiB at both (two threads'
+    # workspaces of _BLOCK trials, 1.6 MiB each; 3.65 MiB when the calling
+    # thread's also held a _BLOCK-long counter array), distributed 0.2 and 1.9 MiB
     # (its trace holds a message per hop), allocate on equal BSC hops 0.18 and
     # 1.6 MiB (one array call over every hop)
     @pytest.mark.parametrize("command,small,large,growth", [
@@ -1244,7 +1251,7 @@ class TestPeakMemory:
         if command == "latency":  # 1.5 times the one-workspace peak
             assert peak_small <= 4.65 * 2 ** 20, peak_small
 
-    # measured: fig3 0.37 MiB, fig4 4.1 MiB (the Monte Carlo's workspace of _BLOCK trials)
+    # measured: fig3 0.37 MiB, fig4 2.8 MiB (the Monte Carlo's workspace of _BLOCK trials)
     @pytest.mark.parametrize("figure,bound_mib", [("fig3", 1.0), ("fig4", 8.0)])
     def test_reproduce_peak_is_bounded(self, tmp_path, figure, bound_mib):
         argv = ["reproduce", "--figure", figure, "--out-dir", str(tmp_path)]

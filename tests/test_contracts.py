@@ -170,7 +170,10 @@ CONTRACTS = {
     # without a trace, which would hold n_nodes records
     "distproto.compute_and_broadcast": ([
         lambda v, _: compute_and_broadcast(forward_pass([0.5, 0.25], [(0.3, 0.4), (0.2, 0.5)]),
-                                           v, 2)], None),
+                                           v, 2),
+        # n_nodes with a trace: no value of VALUES is a node count, so returning is a fault
+        lambda v, _: (compute_and_broadcast(forward_pass([0.5, 0.25], [(0.3, 0.4), (0.2, 0.5)]),
+                                            20, v, []), math.nan)], None),
     "distproto.run_distributed_allocation": ([
         lambda v, _: run_distributed_allocation([0.5, v], [(0.3, 0.4), (0.2, 0.5)], 20, []),
         lambda v, _: run_distributed_allocation([0.5, 0.25], [(0.3, 0.4), (0.2, v)], 20),

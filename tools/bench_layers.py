@@ -196,9 +196,12 @@ def run(row, out: str) -> None:
                        op.seed, workers=1)
     timed("arq.simulate_latency.mc16_1e6.ms_per_call", 10, mc16)
     for name, two_hop in (("single_hop", False), ("two_hop", True)):
-        timed(f"arq.simulate_latencies.fig4_{name}.ms_per_call", 10, lambda: partial(
-            arq.simulate_latencies, [chains[0] for chains in _fig4(two_hop, "chains")[0]],
-            cli.REPRODUCE_MC_TRIALS, cli.REPRODUCE_MC_SEED))
+        def fig4(two_hop=two_hop):  # the Monte Carlo call of a fig4 table, as the CLI's
+            return partial(arq.simulate_latencies, [chains[0] for chains in _fig4(
+                two_hop, "chains")[0]], cli.REPRODUCE_MC_TRIALS, cli.REPRODUCE_MC_SEED)
+        timed(f"arq.simulate_latencies.fig4_{name}.ms_per_call", 10, fig4)
+    row({"arq.simulate_latencies.fig4_two_hop.peak_alloc_mb": "MB"},
+        lambda: (_peak_alloc_mb(fig4(True)),))
     # one block of a table of two 64-hop chains whose every hop is sparse
     table = [arq.ArqChain([p] * 64, [500] * 64) for p in (1e-3, 2e-3)]
     row({"arq.simulate_latencies.table_64_hops.peak_alloc_mb": "MB"}, lambda: (_peak_alloc_mb(

@@ -48,6 +48,9 @@ MUTANTS = [
     Mutant("moment_merge_weight", "src/hopbound/arq.py",
            "delta * delta * (n_a * n_b / (n_a + n_b))",
            "delta * delta * (n_a * n_b / (n_a + n_b + 1))", ("tests/test_arq.py",)),
+    Mutant("partial_row_offset_one_row_back", "src/hopbound/arq.py",
+           "np.add(self.row[:rest], firsts[full], out=x[m - rest:])",
+           "np.add(self.row[:rest], firsts[full - 1], out=x[m - rest:])", ("tests/test_arq.py",)),
     Mutant("greedy_exchange_stop_always", "src/hopbound/allocation.py",
            "return loss == math.inf or gains.index(gain) == losses.index(loss) or -gain <= loss",
            "return True", ("tests/test_allocation.py",)),
