@@ -18,9 +18,10 @@ the usable CPUs and `_MAX_WORKERS`; the calling thread runs the first on
 the workspace it keeps between its calls, each other thread on one of its
 own.  Each block's moments are the same on any thread, so every
 estimate is the same for any worker count.  Attempt costs are integers, so
-while a block's sums stay below 2**53 they are exact in any order: only
-trials that can retransmit add to S = sum Q_n, or a chain with a dense hop
-adds the others in one pass; a hop that no chain reads in full skips most
+while a chain's latencies provably stay below 2**53 / `_BLOCK` its block sums
+are exact in any order: it adds its dense hops' costs, or S = sum Q_n, and
+then its candidates' extra uses in one pass, and a block with no candidate
+has its moments at once; a hop that no chain reads in full skips most
 trials' last hash step.
 `simulate_latencies` runs a table of chains of one hop count in one pass: a
 trial's hashes do not depend on P_e or Q, so each block's hashes, candidates
@@ -298,20 +299,16 @@ class _HashStreams:
                 y ^= y >> np.uint64(31)
             return y
 
+        # sort (least cap's rank, trial) keys, which puts the trials past every cap
+        # last; trials < _BLOCK = 2**16
         idx = self._passing(x, caps[-1], dense)
+        keys = np.searchsorted(np.array(caps, np.uint64), hashes(idx))
+        keys <<= 16
+        keys |= idx
+        keys.sort()
+        counts = np.searchsorted(keys, np.arange(1, len(caps) + 1) << 16).tolist()
+        idx = np.bitwise_and(keys, 0xFFFF, out=keys)
         y = hashes(idx)
-        if len(caps) == 1:  # with more caps, the sort puts the trials past them last
-            keep = y <= np.uint64(caps[0])
-            idx, y = idx[keep], y[keep]
-            counts = [len(idx)]
-        else:  # sort (least cap's rank, trial) keys; trials < _BLOCK = 2**16
-            keys = np.searchsorted(np.array(caps, np.uint64), y)
-            keys <<= 16
-            keys |= idx
-            keys.sort()
-            counts = np.searchsorted(keys, np.arange(1, len(caps) + 1) << 16).tolist()
-            idx = np.bitwise_and(keys, 0xFFFF, out=keys)
-            y = hashes(idx)
         return dict(zip(caps, counts)), idx, _log_uniforms(y, np.empty(len(idx)), y)
 
     def candidates(self, start: int, stop: int, hop: int,
@@ -383,7 +380,7 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     its own.  A one-chain kernel writes its attempt costs into the hash
     buffer `bits`, a table's into `scratch`, whose hashes and ln u it has
     read by then.  It reads the candidates a batch at a time (`found`),
-    so the exact sum's fallback past 2**53 hashes them again.
+    and hashes each block once.
     Trial i draws on hop h (of N) the uniform
     u = ((splitmix64(key + (i N + h + 1) GOLDEN mod 2**64) >> 11) + 1/2) 2**-53,
     with key = splitmix64(seed + GOLDEN mod 2**64), and makes
@@ -397,17 +394,13 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
     the divide: the few other trials that one chain's streams log with
     them, those past the cap but within the bound on w, add 0 extra uses.
 
-    With `moments`, a chain without a dense hop (P_e >= `_SPARSE_PE`) reduces
-    a block of m trials with m S + E < 2**53, for S = sum Q_n and E the
-    candidates' extra uses, without adding its hops: attempt costs are
-    integers, so its sum is exactly m S + E in any order, and its M2 is one
-    sum over `_moments`' squares, (S - mean)**2 but (t_i - mean)**2 on the
-    candidates' trials; 0 with none.  A chain with a dense hop and latencies
-    provably below 2**53 / `streams.size` (u >= 2**-54: at most
-    2 + 38 / |ln p| attempts a hop) adds its dense hops' costs, the other
-    hops' sum of Q_n, then the candidates' extra uses, each partial sum an
-    exact integer.  Other blocks add each hop's costs in hop order.  Every
-    latency and moment is the full-array formula's.
+    A chain whose latencies are provably below 2**53 / `streams.size`
+    (u >= 2**-54: at most 2 + 38 / |ln p| attempts a hop) sums a block in one
+    pass: its dense hops' (P_e >= `_SPARSE_PE`) costs, the other hops' sum of
+    Q_n, then the candidates' extra uses, each partial sum an exact integer;
+    without a dense hop it starts from S = sum Q_n, and with `moments` a block
+    with no candidate is (m, m S, 0) at once.  Other chains add each hop's
+    costs in hop order.  Every latency and moment is the full-array formula's.
     """
     ws = streams.ws
     # a table's attempt costs go over `scratch`, which its hashing uses: each step
@@ -417,10 +410,9 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
             for q, p in zip(chain.costs, chain.self_loop_probs)]
     sparse = [(hop, cap) for hop, (_, _, cap) in enumerate(hops) if cap is not None]
     dense = [hop for hop, (_, log_p, cap) in enumerate(hops) if log_p is not None and cap is None]
-    exact = moments and not dense
     budget = sum(q for q, _, _ in hops)
-    one_pass = bool(dense) and sum(q * (2.0 + 38.0 / -log_p) if log_p is not None else q
-                                   for q, log_p, _ in hops) < 2 ** 53 / streams.size
+    one_pass = sum(q * (2.0 + 38.0 / -log_p) if log_p is not None else q
+                   for q, log_p, _ in hops) < 2 ** 53 / streams.size
     rest = budget - sum(hops[hop][0] for hop in dense)
 
     def latencies(start: int, stop: int):
@@ -436,47 +428,23 @@ def _latency_kernel(chain: ArqChain, streams: _HashStreams, moments: bool = Fals
                 at += len(idx)
             return np.concatenate([idx for idx, _ in found.values()]), extra
 
-        def exact_moments():  # the block's from its exact sum, or None past 2**53
-            block_sum, touched, idx = m * budget, None, None
-            for found in batches:
-                idx, extra = extras(found)
-                block_sum += int(extra.sum())
-                if touched is None and len(idx) < _BATCH:  # the block's one batch
-                    total[idx] = budget
-                    np.add.at(total, idx, extra)
-                    break
-                if touched is None:  # more batches add to zeros, marking their trials
-                    touched = np.zeros(m, bool)
-                    total.fill(0.0)
-                np.add.at(total, idx, extra)
-                touched[idx] = True
-            if block_sum >= 2 ** 53:
-                return None
-            if idx is None:  # every latency is S
-                return m, float(block_sum), 0.0
-            if touched is not None:  # every batch's trials, whose totals lack S
-                idx = np.flatnonzero(touched)
-                total[idx] += budget
-                extra = u[:len(idx)]
-            np.take(total, idx, out=extra, mode="clip")  # their totals, then squares
-            mean = block_sum / m
-            total.fill((budget - mean) * (budget - mean))
-            total[idx] = np.square(np.subtract(extra, mean, out=extra), out=extra)
-            return m, float(block_sum), float(total.sum())
-
-        if exact and m * budget < 2 ** 53:
-            got = exact_moments()
-            if got is not None:
-                return got
-            batches = streams.found(start, stop, sparse)  # hashed again, for the hop order
         if one_pass:  # every partial sum an exact integer, as in hop order
-            first, *others = dense
-            _attempt_costs(streams.log_uniforms(start, stop, first), total, *hops[first][:2], 1.0)
-            for hop in others:
-                total += _attempt_costs(streams.log_uniforms(start, stop, hop), u,
-                                        *hops[hop][:2], 1.0)
-            if rest:  # the other hops' Q_n, unless every hop is dense
-                total += rest
+            if dense:
+                first, *others = dense
+                _attempt_costs(streams.log_uniforms(start, stop, first), total,
+                               *hops[first][:2], 1.0)
+                for hop in others:
+                    total += _attempt_costs(streams.log_uniforms(start, stop, hop), u,
+                                            *hops[hop][:2], 1.0)
+                if rest:  # the other hops' Q_n, unless every hop is dense
+                    total += rest
+            else:  # S, then the candidates' extra uses; without any, every latency is S
+                found = next(batches, None)
+                if found is None and moments:
+                    return m, float(m * budget), 0.0
+                total.fill(budget)
+                if found is not None:
+                    np.add.at(total, *extras(found))
             for found in batches:
                 np.add.at(total, *extras(found))
             return _moments(total) if moments else total
@@ -565,8 +533,8 @@ def simulate_latencies(chains: list[ArqChain], trials: int, seed: int,
     """`simulate_latency` of each chain of a table, bit for bit, in one pass
     over the trials; the chains must have one hop count.  Each block's hashes,
     candidates and ln u on a hop are made once for every chain
-    (`_HashStreams`), a chain without a dense hop sums a block as m S + E
-    while that stays below 2**53 (`_latency_kernel`), and each chain's block
+    (`_HashStreams`), a chain whose latencies provably stay below 2**53 /
+    `_BLOCK` sums a block in one pass (`_latency_kernel`), and each chain's block
     moments merge in block order, as its own call's do, whatever thread ran
     the block.  A table with more than `_TABLE_DENSE_HOPS` hop positions read
     in full, or blocks of candidate words (2 x the largest sparse P_e, summed
@@ -640,9 +608,10 @@ def simulate_latency(chain: ArqChain, trials: int, seed: int,
     This is the one-chain case of `simulate_latencies`, which hashes each block
     into the workspace as the chain's hops read it.
 
-    A chain without a dense hop reduces a block whose sums stay below 2**53
-    from its candidates' extra channel uses; see `_latency_kernel` for why
-    that gives the same bits as the full-array formula.
+    A chain whose latencies provably stay below 2**53 / `_BLOCK` sums a
+    block in one pass, from its candidates' extra channel uses; see
+    `_latency_kernel` for why that gives the same bits as the full-array
+    formula.
 
     Every trial's latency equals the full-array formula's bit for bit.  The
     mean, the left-to-right sum of the block sums over `trials`, is exact

@@ -51,8 +51,11 @@ def _checked(rate: float, exponents: tuple[float, float], hop: int | None) -> li
         what = "zero exponent (rate at/above capacity)" if 0.0 in (e_r, e_sp) else (
             f"rate {rate}, exponents ({e_r}, {e_sp}): not all positive and finite")
         raise AllocationError(f"hop {hop} has {what}" if hop is not None else f"hop has {what}")
-    return _doubles((rate, e_r, e_sp), AllocationError, f"hop {hop}'s rate and exponents"
-                    if hop is not None else "the hop's rate and exponents")
+    try:
+        return [float(rate), float(e_r), float(e_sp)]
+    except OverflowError:  # an int past the doubles' range: `_doubles` names the hop
+        return _doubles((rate, e_r, e_sp), AllocationError, f"hop {hop}'s rate and exponents"
+                        if hop is not None else "the hop's rate and exponents")
 
 
 def fold_into(msg: dict, hop: int, rate: float, exponents: tuple[float, float]) -> None:

@@ -758,11 +758,16 @@ class TestInvertedCandidates:
         assert (est.mc_mean, est.mc_stderr) == (mean, stderr)
         _assert_matches_reference(est, chain, self.TRIALS, seed)
 
-    @pytest.mark.parametrize("cost,constant", [(2 ** 37 - 2, True), (2 ** 37 - 1, False),
+    @pytest.mark.parametrize("cost,constant", [("edge", True), ("past_edge", False),
+                                               (2 ** 37 - 2, False), (2 ** 37 - 1, False),
                                                (2 ** 40, False)])
     def test_constant_block_only_while_its_sum_is_exact(self, monkeypatch, cost, constant):
-        # 2**16 trials of latency S: the block's sum m S passes 2**53 at S = 2**37;
-        # below it the block's moments are written down without `_moments`' passes
+        # 2**16 trials of latency S: up to the one-pass bound's edge (`_one_pass_edge`,
+        # near S = 2**37 / 2.05) the block's moments are written down without
+        # `_moments`' passes; past it, though m S stays below 2**53 until S = 2**37,
+        # the hop order reduces the block
+        edge = _one_pass_edge(lambda q: ArqChain([1e-300, 5e-324], [q, 1]))
+        cost = {"edge": edge, "past_edge": edge + 1}.get(cost, cost)
         chain = ArqChain([1e-300, 5e-324], [cost, 1])
         got = _table_kernels([chain], 9, _BLOCK)[0](0, _BLOCK)
         assert got.tobytes() == _ref_trial_latencies(chain, 9, 0, _BLOCK).tobytes()
@@ -1178,9 +1183,10 @@ _EXACT_PE = [0.0, 5e-324, 1e-20, 1e-6, 0.01, math.nextafter(_SPARSE_PE, 0.0), _S
 
 
 class TestExactIntegerBlocks:
-    """A chain without a dense hop reduces a block whose sums stay below
-    2**53 from S = sum Q_n in at most two passes; its (n, sum, M2) equal the
-    full-array reference's bit for bit on both sides of the guard."""
+    """A chain without a dense hop whose latencies stay below the one-pass
+    bound starts a block's totals at S = sum Q_n and adds its candidates'
+    extra uses; its (n, sum, M2) equal the full-array reference's bit for bit
+    on both sides of the bound."""
 
     @pytest.mark.parametrize("p", _EXACT_PE)
     @pytest.mark.parametrize("start,stop", [(0, _BLOCK), (5 * _BLOCK, 5 * _BLOCK + 777)])
@@ -1232,16 +1238,20 @@ class TestExactIntegerBlocks:
 
     @pytest.mark.parametrize("p", [0.2, 0.6])
     def test_either_side_of_the_guard(self, monkeypatch, p):
-        # the guard is m S + E < 2**53, with E the hop's extra channel uses; the
-        # exact block adds the extra uses alone (first = 0), the hop-order path
-        # whole costs, as a chain with a dense hop does on either side
+        # the guard is the one-pass bound, `_attempt_bound` < 2**53 / _BLOCK: up to
+        # its edge a chain without a dense hop adds the extra uses alone (first = 0),
+        # past it the hop-order path whole costs, as a chain with a dense hop does on
+        # either side; limit is the largest Q with m S + E < 2**53, E the hop's extra
+        # channel uses, which no longer picks a path
         retransmissions = (_ref_trial_latencies(ArqChain([p], [1]), 8, 0, _BLOCK) - 1).sum()
         limit = (2 ** 53 - 1) // (_BLOCK + int(retransmissions))
+        edge = _one_pass_edge(lambda q: ArqChain([p], [q]))
         firsts = []
         costs = arq._attempt_costs
         monkeypatch.setattr(arq, "_attempt_costs",
                             lambda *args: firsts.append(args[-1]) or costs(*args))
-        for q, exact in ((limit, p < _SPARSE_PE), (limit + 1, False)):
+        for q, exact in ((edge, p < _SPARSE_PE), (edge + 1, False), (limit, False),
+                         (limit + 1, False)):
             firsts.clear()
             chain = ArqChain([p], [q])
             got = _table_kernels([chain], 8, _BLOCK, moments=True)[0](0, _BLOCK)
@@ -1277,6 +1287,16 @@ def _attempt_bound(chain):
                for q, p in zip(chain.costs, chain.self_loop_probs))
 
 
+def _one_pass_edge(chain_of):
+    """The largest q in [1, 2**53) whose chain_of(q) takes the one-pass sum,
+    its `_attempt_bound` below 2**53 / `_BLOCK`, for chain_of(1) that does."""
+    low, high = 1, 2 ** 53
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if _attempt_bound(chain_of(mid)) < 2 ** 53 / _BLOCK else (low, mid)
+    return low
+
+
 def _counted_blocks(monkeypatch, chains, seed, start, stop, moments=True):
     """Each chain's kernel output on one block of one call over `chains`, and
     whether its kernel summed the block in one pass: only that path writes a
@@ -1298,8 +1318,8 @@ def _counted_blocks(monkeypatch, chains, seed, start, stop, moments=True):
 
 
 class TestOnePassSum:
-    """A chain with a dense hop whose trial latencies stay below 2**53 / `_BLOCK`
-    builds its totals from the dense hops' costs, the other hops' budget and the
+    """A chain whose trial latencies stay below 2**53 / `_BLOCK` builds its
+    totals from the dense hops' costs, the other hops' budget and the
     candidates' extra uses: every partial sum is an exact integer, so its
     latencies and moments are the hop-order sum's bit for bit."""
 
@@ -1323,6 +1343,28 @@ class TestOnePassSum:
                 ref = _ref_trial_latencies(chain(cost), 12, start, stop)
                 assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_a_chain_without_a_dense_hop_hashes_each_block_once(self, monkeypatch, past):
+        # up to the edge the one-pass sum starts at S, one past it the hop order adds
+        # each hop's costs; either way each sparse hop of a block is hashed once
+        def chain(q):
+            return ArqChain([1e-6, 0.2, 0.01, 0.0, _JUST_SPARSE], [3, q, 5, 7, 11])
+        one = chain(_one_pass_edge(chain) + past)
+        hashed = Counter()
+        hash_ = arq._HashStreams._hash
+        monkeypatch.setattr(arq._HashStreams, "_hash", lambda self, start, stop, hop: (
+            hashed.update([(start, hop)]) or hash_(self, start, stop, hop)))
+        firsts = _firsts(monkeypatch)
+        for start, stop in ((0, _BLOCK), (3 * _BLOCK, 3 * _BLOCK + 99)):
+            hashed.clear()
+            got = _table_kernels([one], 12, _BLOCK, moments=True)[0](start, stop)
+            _assert_reference_moments(got, one, 12, start, stop)
+            assert hashed == Counter({(start, hop): 1 for hop in (0, 1, 2, 4)})
+            assert (1.0 in firsts) == bool(past)
+            firsts.clear()
+        _assert_matches_reference(simulate_latency(one, 2 * _BLOCK + 7, 12), one,
+                                  2 * _BLOCK + 7, 12)
+
     @pytest.mark.parametrize("chain", [
         ArqChain([PE_CLAMP], [1]), ArqChain([PE_CLAMP, 0.01, 1e-20], [10, 17, 24]),
         ArqChain([0.3, 1e-6, PE_CLAMP], [3, 5, 7]), ArqChain([0.6, PE_CLAMP], [2 ** 40, 1]),
@@ -1344,8 +1386,8 @@ class TestOnePassSum:
     @pytest.mark.parametrize("n", [1, 3])
     def test_every_kind_of_chain_alone_and_in_a_table(self, monkeypatch, n):
         # the kinds of test_tables_that_mix_every_kind_of_chain: only the dense ones
-        # below the bound take one pass; the chains without a dense hop keep the
-        # exact block or the hop order, and the clamped one keeps the hop order
+        # below the bound write a hop's costs into the totals; the chains without a
+        # dense hop below it start them at S, the others keep the hop order
         kinds = [[0.6, 1e-6, 0.0], [1e-20, 0.0, 5e-324], [0.01, 0.2, 1e-6], [0.2, 0.01, 0.24],
                  [0.0, 0.9, 0.01], [PE_CLAMP, 0.01, 1e-20], [1e-6, 1e-3, 0.1]]
         chains = [ArqChain(probs[:n], [10 + 7 * h + c for h in range(n)])
@@ -1388,7 +1430,8 @@ def _firsts(monkeypatch):
 
 
 # one chain per kernel path, with 15 or 16 hops at P_e 0.2: about three blocks of
-# candidates, so several batches a block
+# candidates, so several batches a block; "exact" is the one-pass sum of a chain
+# without a dense hop, which adds extra uses alone
 _BATCHED = {
     "exact": ArqChain([0.2] * 16, [3 + h for h in range(16)]),
     "one_pass": ArqChain([0.2] * 8 + [0.3] + [0.2] * 7, [3 + h for h in range(16)]),
@@ -1422,18 +1465,22 @@ class TestCandidateBatches:
                                                                start + _BLOCK).tobytes()
 
     @pytest.mark.parametrize("batch", [1, _BLOCK])
-    @pytest.mark.parametrize("q, exact", [(6 * 2 ** 30, True), (7 * 2 ** 30, False)])
+    @pytest.mark.parametrize("q, exact", [("edge", True), ("past_edge", False),
+                                          (6 * 2 ** 30, False), (7 * 2 ** 30, False)])
     def test_either_side_of_2_53_over_many_batches(self, monkeypatch, batch, q, exact):
-        # m S is 0.75 or 0.875 2**53, and the extra uses, about a quarter of it,
-        # keep the block's sum below 2**53 or take it past: then the hop order
-        # hashes the candidates again
+        # either side of the one-pass bound's edge the block takes the one-pass sum
+        # or the hop order; at 6 and 7 2**30, m S is 0.75 or 0.875 2**53, and the
+        # extra uses, about a quarter of it, keep the block's sum below 2**53 or take
+        # it past, in the hop order; every path hashes the candidates once
         monkeypatch.setattr(arq, "_BATCH", batch)
         calls, firsts = _batch_sizes(monkeypatch), _firsts(monkeypatch)
+        edge = _one_pass_edge(lambda cost: ArqChain([0.2] * 16, [cost] * 16))
+        q = {"edge": edge, "past_edge": edge + 1}.get(q, q)
         chain = ArqChain([0.2] * 16, [q] * 16)
         got = _table_kernels([chain], 4, _BLOCK, moments=True)[0](0, _BLOCK)
         _assert_reference_moments(got, chain, 4, 0, _BLOCK)
-        assert (got[1] < 2 ** 53) == exact
-        assert len(calls) == (1 if exact else 2) and all(len(sizes) > 1 for sizes in calls)
+        assert (got[1] < 2 ** 53) == (q < 7 * 2 ** 30)
+        assert len(calls) == 1 and all(len(sizes) > 1 for sizes in calls)
         assert (1.0 not in firsts) == exact
 
     @pytest.mark.parametrize("chains", [[ArqChain([0.2] * 200, [5] * 200)],

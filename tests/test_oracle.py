@@ -186,6 +186,16 @@ class TestBscEnsembleBlocks:
         assert len(pe) == 300
         assert (mean, stderr) == (float(np.mean(pe)), float(np.std(pe, ddof=1) / math.sqrt(300)))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_numpys_mean_and_stderr_bit_for_bit_past_1000_trials(self, monkeypatch, seed):
+        # the verify suite's instance at 1,500 trials, one block of _ENSEMBLE_BLOCK
+        seen = self._blocks_seen(monkeypatch)
+        mean, stderr = bsc_ensemble_error(8, 4, 0.05, 1500, seed)
+        pe = np.concatenate(seen)
+        assert len(pe) == 1500
+        assert (mean.hex(), stderr.hex()) == (
+            float(np.mean(pe)).hex(), float(np.std(pe, ddof=1) / math.sqrt(1500)).hex())
+
     def test_blocks_merge_in_order_within_ulps(self, monkeypatch):
         whole = bsc_ensemble_error(6, 4, 0.2, 300, 3)
         monkeypatch.setattr(oracle, "_ENSEMBLE_BLOCK", 64)

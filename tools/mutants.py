@@ -60,6 +60,20 @@ MUTANTS = [
            ("tests/test_exponents.py",)),
     Mutant("series_u_1e-2", "src/hopbound/channel.py", "_SERIES_U = 1e-4 ", "_SERIES_U = 1e-2 ",
            ("tests/test_channel.py", "tests/test_exponents.py")),
+    Mutant("series_u_1e-6", "src/hopbound/channel.py", "_SERIES_U = 1e-4 ", "_SERIES_U = 1e-6 ",
+           ("tests/test_channel.py", "tests/test_exponents.py")),
+    Mutant("stochastic_atol_1e-6", "src/hopbound/channel.py", "_ATOL_STOCHASTIC = 1e-12",
+           "_ATOL_STOCHASTIC = 1e-6", ("tests/test_channel.py", "tests/test_exponents.py")),
+    Mutant("verify_grid_rc_tolerance_1e-2", "src/hopbound/cli.py",
+           "abs(rc.exponent - g_rc) <= 1e-8", "abs(rc.exponent - g_rc) <= 1e-2",
+           ("tests/test_cli.py",)),
+    Mutant("verify_grid_sp_tolerance_1e-2", "src/hopbound/cli.py",
+           "abs(sp.exponent - g_sp) <= 1e-8", "abs(sp.exponent - g_sp) <= 1e-2",
+           ("tests/test_cli.py",)),
+    Mutant("verify_ensemble_margin_300", "src/hopbound/cli.py", "bound + 3.0 * stderr",
+           "bound + 300.0 * stderr", ("tests/test_cli.py",)),
+    Mutant("ensemble_block_1000", "src/hopbound/oracle.py", "_ENSEMBLE_BLOCK = 65_536",
+           "_ENSEMBLE_BLOCK = 1_000", ("tests/test_oracle.py",)),
     Mutant("certificate_slack_n", "src/hopbound/allocation.py",
            "slack = (8 * n + 16) * 2.0 ** -53 * q_total", "slack = n * 2.0 ** -53 * q_total",
            ("tests/test_allocation.py",),
