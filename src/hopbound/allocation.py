@@ -161,16 +161,12 @@ def _check_budget(q_total) -> None:
         raise AllocationError(f"budget must be an integer in [1, 2**53], got {q_total!r}")
 
 
-def _positive_doubles(values, what: str) -> list[float]:
-    """`_doubles` of one or more values, all positive and finite, else AllocationError."""
+def _balance_frame(values, what: str) -> tuple[list[float], tuple]:
+    """(the values as doubles, their frame) of one or more values, all positive and
+    finite, else AllocationError."""
     if not values or not all(0 < v < math.inf for v in values):
         raise AllocationError(f"need one or more {what}, all positive and finite")
-    return _doubles(values, AllocationError, what)
-
-
-def _balance_frame(values, what: str) -> tuple[list[float], tuple]:
-    """(the values as doubles, their frame), for values as `_positive_doubles` takes them."""
-    values = _positive_doubles(values, what)
+    values = _doubles(values, AllocationError, what)
     return values, functools.reduce(balance_step, values, None)
 
 
@@ -304,10 +300,9 @@ def info_continuous_log_m(rates: list[float], q_total: int) -> float:
     return balance_log_m(_balance_frame(rates, "rates")[1], q_total)
 
 
-def information_continuous_blocks(rates: list[float], q_total: int,
-                                  ln_m: float | None = None) -> list[int]:
-    """Common-M allocation: Q_n = floor(ln M / R_n), leftovers by remainder;
-    `ln_m` is info_continuous_log_m(rates, q_total) where the caller holds it.
+def information_continuous_blocks(rates: list[float], q_total: int) -> list[int]:
+    """Common-M allocation: Q_n = floor(ln M / R_n), leftovers by remainder, with
+    ln M = info_continuous_log_m(rates, q_total) folded from the rates here.
 
     The floors and remainders are those of the exact shares Q (1/R_n) /
     sum_m 1/R_m: the float shares ln M / R_n give them where their error
@@ -317,15 +312,9 @@ def information_continuous_blocks(rates: list[float], q_total: int,
     n = len(rates)
     if q_total < n:
         raise AllocationError(f"budget {q_total} cannot give every one of {n} hops a block")
-    if ln_m is None:
-        rates, frame = _balance_frame(rates, "rates")
-        ln_m = balance_log_m(frame, q_total)
-    else:
-        rates = _positive_doubles(rates, "rates")
-        ln_m = _doubles([ln_m], AllocationError, "ln M")[0]
+    rates, frame = _balance_frame(rates, "rates")
+    ln_m = balance_log_m(frame, q_total)
     shares = [ln_m / r for r in rates]
-    if not all(math.isfinite(v) for v in shares):
-        raise AllocationError("real-valued allocation is not finite")
     blocks = [math.floor(v) for v in shares]
     remainders = [v - b for v, b in zip(shares, blocks)]
     by_remainder = sorted(range(n), key=lambda i: (-remainders[i], i))
@@ -337,7 +326,7 @@ def information_continuous_blocks(rates: list[float], q_total: int,
             and (leftover == 0 or 0 < leftover < n and remainders[by_remainder[leftover - 1]]
                  - remainders[by_remainder[leftover]] > 2 * slack)):
         # a floor or the cut between the remainders is not certain
-        blocks, by_remainder = _exact_common_m_split(rates, q_total)
+        blocks, by_remainder = _exact_common_m_split(rates, int(q_total))
         leftover = q_total - sum(blocks)
     for i in by_remainder[:leftover]:
         blocks[i] += 1

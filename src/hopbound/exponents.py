@@ -7,13 +7,13 @@ R; it is found by Newton's method on that equation, on Python floats, with
 every step kept inside a bisection bracket.  One solve gives both: RC's result
 is read at its first step, rho = 1 (Gallager 1968, sec. 5.6).
 
-`hop_exponents` solves a list of hops.  ARRAY_MIN_HOPS or more AWGN hops, and
-the hops on equal DMC channels, take one array pass: each element takes
-the scalar solve's IEEE-754 operations in the same order, so the results are
+`hop_exponents` solves a list of hops in one array pass per group: the AWGN
+hops, and the hops on each set of equal DMC channels.  Each element takes the
+scalar solve's IEEE-754 operations in the same order, so the results are
 bit-identical.  Both steps, the scalar `channel.e0_terms` and the array
-`channel._awgn_terms` or `channel.e0_dmc_terms`, are `channel`'s.  Those solves
-bypass `random_coding_exponent` and `sphere_packing_exponent`, so wrappers of
-those two do not see them.
+`channel._awgn_terms` or `channel.e0_dmc_terms`, are `channel`'s.  The array
+passes bypass `random_coding_exponent` and `sphere_packing_exponent`, so wrappers
+of those two do not see them.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ __all__ = [
     "hop_exponents",
     "critical_rate",
 ]
-
-# AWGN hops from which one `_array_exponents` call beats per-hop solves of both
-# families: the two cost alike at 40-60 hops, ~0.3-0.65 ms (2 vCPUs, numpy 2.4)
-ARRAY_MIN_HOPS = 50
 
 # Newton's stopping distance in ulps (of rho for the step, of the rate for the slope)
 _ULPS = 4
@@ -239,7 +235,7 @@ def hop_exponents(rates, hops) -> tuple[list, list]:
         for rate in rates:
             _check_rate(rate, sp=True)
     n, kinds = len(hops), list(map(_KIND, hops))
-    if kinds.count("awgn") == n:  # no DMC, and one group
+    if n and kinds.count("awgn") == n:  # no DMC, and one group
         by_channel = {"awgn": list(range(n))}
     else:
         groups, by_channel = {}, {}
@@ -249,11 +245,6 @@ def hop_exponents(rates, hops) -> tuple[list, list]:
             by_channel.setdefault(key if key == "awgn" else hops[group[0]], []).extend(group)
     out = ([[None] * n, [None] * n, [None] * n], [[None] * n, [None] * n, [None] * n])
     for key, group in by_channel.items():
-        if key == "awgn" and len(group) < ARRAY_MIN_HOPS:
-            for i in group:
-                for cols, res in zip(out, _maximize(rates[i], hops[i], math.inf)):
-                    cols[0][i], cols[1][i], cols[2][i] = res.exponent, res.rho_star, res.regime
-            continue
         group.sort()  # merged groups interleave
         members = hops if len(group) == n else [hops[i] for i in group]
         if key == "awgn":

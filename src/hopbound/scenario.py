@@ -32,7 +32,7 @@ SCHEMA_VERSION = 1
 # the columns a split reads, by method: a reliability-optimal one, the family it balances
 _BALANCED = {Method.RELIABILITY_OPTIMAL_RC: ("exponents_r", "shares_r"),
              Method.RELIABILITY_OPTIMAL_SP: ("exponents_sp", "shares_sp")}
-_SPLIT_INPUTS = {**_BALANCED, Method.INFO_CONTINUOUS: ("rates", "ln_m"), Method.MANUAL: ()}
+_SPLIT_INPUTS = {**_BALANCED, Method.INFO_CONTINUOUS: ("rates",), Method.MANUAL: ()}
 _METHODS = tuple(_SPLIT_INPUTS)
 
 
@@ -158,9 +158,9 @@ def _per_row(fn):
 
 def _solve(ev, rows, rates_column):
     """The exponents column, [rc, sp] per row: one hop_exponents call over the rows whose
-    hop list and rates are unsolved, all of which keep its error if it raises (resolve_rates
-    passes no rate it rejects).  There RC is solved alone, hop by hop, so it never fails
-    because SP does."""
+    hop list and rates are unsolved.  If it raises, each row key is solved alone, so a row
+    keeps its own error (resolve_rates passes no rate it rejects); where one key's call
+    raises, RC is solved alone, hop by hop, so it never fails because SP does."""
     def flat(lists):  # the lists joined, or the one list itself
         return lists[0] if len(lists) == 1 else list(chain.from_iterable(lists))
 
@@ -173,6 +173,10 @@ def _solve(ev, rows, rates_column):
         try:
             families = hop_exponents(rates, hops)
         except ValueError as sp_error:
+            if len(todo) > 1:
+                for i, part_rates in zip(rows, rates_column):
+                    _solve(ev, [i], [part_rates])
+                return [ev.solved[key] for key in keys]
             try:
                 rc = [random_coding_exponent(rate, ch) for rate, ch in zip(rates, hops)]
                 families = ([[res.exponent for res in rc], [res.rho_star for res in rc],
@@ -301,10 +305,10 @@ def load_scenario(path: str) -> Scenario:
 def build_allocation(sc: Scenario, *inputs) -> list[int]:
     """Integer split of Q by the scenario's allocation method, from the columns
     its method reads (`_SPLIT_INPUTS`): a reliability-optimal split's exponents
-    and shares, an info-continuous split's rates and ln M, a manual split's none."""
+    and shares, an info-continuous split's rates, a manual split's none."""
     if sc.allocation_method == Method.MANUAL:
         return list(sc.manual_blocks)
     if sc.allocation_method == Method.INFO_CONTINUOUS:
-        return information_continuous_blocks(inputs[0], sc.total_q, inputs[1])
+        return information_continuous_blocks(inputs[0], sc.total_q)
     exps, shares = inputs
     return _balanced_blocks(exps[0], sc.total_q, shares)

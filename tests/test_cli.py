@@ -24,8 +24,7 @@ from hopbound import allocation, arq, cli, exponents, scenario
 from hopbound.channel import ChannelError, HopChannel, capacity, snr_db_to_linear
 from hopbound.arq import simulate_latency
 from hopbound.cli import main
-from hopbound.exponents import (ARRAY_MIN_HOPS, Regime, random_coding_exponent,
-                                sphere_packing_exponent)
+from hopbound.exponents import Regime, random_coding_exponent, sphere_packing_exponent
 from hopbound.scenario import Evaluation, Scenario, ScenarioError, load_scenario
 
 
@@ -970,7 +969,7 @@ def chain_doc(kinds, method="reliability_optimal_rc"):
 
 
 LONG_CHAINS = {"awgn300": ["awgn"] * 300,
-               # 96 AWGN hops, at least ARRAY_MIN_HOPS, and a BSC every fifth hop
+               # 96 AWGN hops and a BSC every fifth hop
                "mixed120": ["dmc" if k % 5 == 4 else "awgn" for k in range(120)]}
 
 
@@ -1268,7 +1267,8 @@ class FixedRates(Scenario):
 
 
 class TestEvaluationExponentPaths:
-    """An evaluation's exponents equal the per-hop solves on both sides of ARRAY_MIN_HOPS."""
+    """An evaluation's exponents equal the per-hop solves bit for bit, from one array pass
+    per group at any number of AWGN hops."""
 
     @staticmethod
     def evaluate(tmp_path, kinds, monkeypatch):
@@ -1285,25 +1285,24 @@ class TestEvaluationExponentPaths:
         return ev, array_calls
 
     @pytest.mark.parametrize("first", ["exponents_r", "exponents_sp"])
-    @pytest.mark.parametrize("kinds,array_hops", [
-        (["awgn"] * (ARRAY_MIN_HOPS - 1), None),
-        (["awgn"] * ARRAY_MIN_HOPS, ARRAY_MIN_HOPS),
-        (LONG_CHAINS["mixed120"], 96)])
-    def test_equal_to_per_hop_solves(self, tmp_path, monkeypatch, kinds, array_hops, first):
+    @pytest.mark.parametrize("kinds,awgn_hops", [
+        *((["awgn"] * n, n) for n in (1, 2, 49, 50, 96)), (LONG_CHAINS["mixed120"], 96)],
+        ids=["awgn1", "awgn2", "awgn49", "awgn50", "awgn96", "mixed120"])
+    def test_equal_to_per_hop_solves(self, tmp_path, monkeypatch, kinds, awgn_hops, first):
         ev, array_calls = self.evaluate(tmp_path, kinds, monkeypatch)
         hops, rates = ev.scenario.hops, ev.rates
         getattr(ev, first)
         for family, solver in (("r", random_coding_exponent), ("sp", sphere_packing_exponent)):
             solved = [solver(r, ch) for r, ch in zip(rates, hops)]
-            assert getattr(ev, f"exponents_{family}") == [
-                [res.exponent for res in solved], [res.rho_star for res in solved],
-                [res.regime for res in solved]]
+            exps, rho_stars, regimes = getattr(ev, f"exponents_{family}")
+            assert [x.hex() for x in exps] == [res.exponent.hex() for res in solved]
+            assert [x.hex() for x in rho_stars] == [res.rho_star.hex() for res in solved]
+            assert regimes == [res.regime for res in solved]
         # whichever family is read first, one pass solves both: one array call for
-        # the AWGN hops if they are at least ARRAY_MIN_HOPS, and one per DMC hop,
-        # each of which is its own channel object
+        # the AWGN hops, however few, and one per DMC hop, each of which is its own
+        # channel object
         dmc = [i for i, ch in enumerate(hops) if ch.kind == "dmc"]
-        assert array_calls == ([] if array_hops is None else
-                               [(array_hops, "awgn")] + [(1, "dmc")] * len(dmc))
+        assert array_calls == [(awgn_hops, "awgn")] + [(1, "dmc")] * len(dmc)
 
     def test_invalid_rate_raises_the_first_hops_error(self, tmp_path, monkeypatch):
         # SP rejects the zero rate on the BSC at hop 4 first; RC, solved alone where
@@ -1554,24 +1553,24 @@ class TestSolveCounts:
         monkeypatch.setattr(exponents, "_maximize", counted)
         return calls
 
-    # ARRAY_MIN_HOPS AWGN hops and two hops on equal BSCs, at beta = 0.5
-    CHAIN = [{"type": "awgn", "snr_db": 0.1 * k} for k in range(ARRAY_MIN_HOPS)] + [
+    # 50 AWGN hops and two hops on equal BSCs, at beta = 0.5
+    CHAIN = [{"type": "awgn", "snr_db": 0.1 * k} for k in range(50)] + [
         {"type": "dmc", "transition": [[0.9, 0.1], [0.1, 0.9]]}] * 2
 
     @pytest.mark.parametrize("command,expected", [
         (["exponent", "--snr-db", "3", "--rate-min", "0.01", "--rate-max", "0.9",
           "--rate-steps", str(cli._GRID_CHUNK + 1)],
-         [("awgn", cli._GRID_CHUNK), ("scalar", math.inf)]),
-        (["exponent", "--hop", str(ARRAY_MIN_HOPS), "--rate-min", "0.01", "--rate-max", "0.9",
+         [("awgn", cli._GRID_CHUNK), ("awgn", 1)]),
+        (["exponent", "--hop", "50", "--rate-min", "0.01", "--rate-max", "0.9",
           "--rate-steps", str(cli._GRID_CHUNK + 1)], [("dmc", cli._GRID_CHUNK), ("dmc", 1)]),
         (["reproduce", "--figure", "fig3"], [("awgn", 80), ("awgn", 160)]),
         (["reproduce", "--figure", "fig4"], [("awgn", 80), ("awgn", 160)]),
-        (["latency", "--trials", "10"], [("awgn", ARRAY_MIN_HOPS), ("dmc", 2)]),
-        (["distributed"], [("awgn", ARRAY_MIN_HOPS), ("dmc", 2)])],
+        (["latency", "--trials", "10"], [("awgn", 50), ("dmc", 2)]),
+        (["distributed"], [("awgn", 50), ("dmc", 2)])],
         ids=["exponent_awgn", "exponent_dmc", "fig3", "fig4", "latency", "distributed"])
     def test_one_pass_per_group_and_no_rc_pass(self, tmp_path, passes, command, expected):
         # each exponent chunk, reproduce table and scenario makes one array pass per
-        # AWGN group of at least ARRAY_MIN_HOPS hops and per DMC group
+        # AWGN group, a one-rate chunk's too, and per DMC group, and no scalar solve
         out = ["--out-dir", str(tmp_path)] if command[0] == "reproduce" else [
             "--out", str(tmp_path / "out")]
         if command[0] != "reproduce" and "--snr-db" not in command:
@@ -1682,7 +1681,8 @@ class TestEvaluationTable:
 
     def test_method_columns_fill_only_the_rows_that_read_them(self, solves):
         # fig3's two-hop table: the RC and info-continuous rows of each target
-        # share their exponent solves; ln M and the shares are their own method's
+        # share their exponent solves; the shares are RC's rows' alone, and an
+        # info-continuous split folds ln M from its rates, so no row fills ln_m
         hops = [HopChannel.awgn(10 ** 0.9), HopChannel.awgn(10 ** 0.6)]
         table = Evaluation([Scenario(1000, hops, {"mode": "target_rate", "rate_nats": target},
                                      method)
@@ -1690,9 +1690,27 @@ class TestEvaluationTable:
                             for method in ("reliability_optimal_rc", "info_continuous")])
         assert [row.bounds.esys_lower > 0 for row in table] == [True] * 6
         assert sorted(table.cells["shares_r"]) == [0, 2, 4]
-        assert sorted(table.cells["ln_m"]) == [1, 3, 5]
-        assert "shares_sp" not in table.cells and "latency" not in table.cells
+        assert "ln_m" not in table.cells and "shares_sp" not in table.cells
+        assert "latency" not in table.cells
         assert family_totals(solves) == (0, 6) and set(solves.values()) == {1}
+
+    def test_a_row_keeps_its_own_sp_error(self):
+        # the fourth draw of seed 0 is a DMC whose SP root at 5e-324 nats passes
+        # 2**1014: the table's one joint solve raises, and each row is solved alone,
+        # where every row once took that error
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            p, q = rng.dirichlet(np.ones(5), size=4), rng.dirichlet(np.ones(4))
+        awgn = Scenario(100, [HopChannel.awgn(1.0)], {"mode": "explicit", "rates_nats": [0.3]},
+                        "reliability_optimal_rc")
+        dmc = FixedRates(100, [HopChannel.dmc(p, q)], {"rates": [5e-324]},
+                         "reliability_optimal_rc")
+        table = Evaluation([awgn, dmc])
+        assert table[0].bounds.esys_lower == 0.11401625377408417
+        assert table[0].bounds == Evaluation([awgn])[0].bounds
+        with pytest.raises(ChannelError, match=r"^the sphere-packing maximizer rho\* exceeds"):
+            table[1].exponents_sp
+        assert table[1].exponents_r == Evaluation([dmc])[0].exponents_r
 
 
 class TestTinyRateSpherePacking:
@@ -1851,8 +1869,9 @@ class TestSharesComputedOnce:
         assert calls == [300]
 
 
-def test_info_continuous_allocate_folds_its_rates_once(tmp_path, monkeypatch):
-    # the split takes the evaluation's ln M, which the output reports
+def test_info_continuous_allocate_folds_its_rates_once_per_quantity(tmp_path, monkeypatch):
+    # the split folds ln M from its own rates, and the output reports the ln_m
+    # column's fold of the same rates, the same double
     folds = []
     balance_frame = allocation._balance_frame
 
@@ -1862,8 +1881,12 @@ def test_info_continuous_allocate_folds_its_rates_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(allocation, "_balance_frame", counted)
     path = write_scenario(tmp_path, allocation_method="info_continuous")
-    assert main(["allocate", "--scenario", path]) == 0
-    assert folds == [(2, "rates")]
+    out = tmp_path / "alloc.json"
+    assert main(["allocate", "--scenario", path, "--out", str(out)]) == 0
+    assert folds == [(2, "rates")] * 2
+    doc = json.loads(out.read_text())
+    assert doc["ln_m"] == allocation.info_continuous_log_m(doc["rates_nats"],
+                                                           sum(doc["blocklengths"]))
 
 
 class TestVerifyGrid:

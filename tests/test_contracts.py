@@ -25,8 +25,8 @@ from hopbound.channel import (HopChannel, capacity, e0, e0_awgn, e0_derivative, 
                               snr_db_to_linear)
 from hopbound.distproto import (compute_and_broadcast, derive_blocks, fold_into, forward_pass,
                                 run_distributed_allocation)
-from hopbound.exponents import (ARRAY_MIN_HOPS, critical_rate, hop_exponents,
-                                random_coding_exponent, sphere_packing_exponent)
+from hopbound.exponents import (critical_rate, hop_exponents, random_coding_exponent,
+                                sphere_packing_exponent)
 from hopbound.oracle import GridSpec, bsc_ensemble_error, exhaustive_allocation, grid_max_exponent
 from hopbound.scenario import _COLUMNS, Evaluation, Row, Scenario, build_allocation, load_scenario
 from hopbound.system import stacked_error_bounds, system_error_bounds
@@ -112,8 +112,7 @@ CONTRACTS = {
         lambda v, _: info_continuous_log_m([0.5, 0.25], v)], None),
     "allocation.information_continuous_blocks": ([
         lambda v, _: information_continuous_blocks([0.5, v], 10),
-        lambda v, _: information_continuous_blocks([0.5, 0.25], v),
-        lambda v, _: information_continuous_blocks([0.5, 0.25], 10, v)], None),
+        lambda v, _: information_continuous_blocks([0.5, 0.25], v)], None),
     "allocation.rate_policy_scale": ([
         lambda v, _: rate_policy_scale([1.0, v], 0.1),
         lambda v, _: rate_policy_scale([1.0, 2.0], v)], None),
@@ -186,7 +185,7 @@ CONTRACTS = {
                                           "E_sp below R_inf"),
     "exponents.hop_exponents": ([
         lambda v, _: hop_exponents([0.2, v], [AWGN, DMC]),
-        lambda v, _: hop_exponents([0.2] * (ARRAY_MIN_HOPS - 1) + [v], [AWGN] * ARRAY_MIN_HOPS),
+        lambda v, _: hop_exponents([0.2] * 49 + [v], [AWGN] * 50),
         lambda v, _: hop_exponents([0.2, 0.2], [AWGN, HopChannel.awgn(v)])], "E_sp below R_inf"),
     "exponents.critical_rate": ([lambda v, _: critical_rate(HopChannel.awgn(v)),
                                  lambda v, _: critical_rate(HopChannel.bsc(v))], None),

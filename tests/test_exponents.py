@@ -19,9 +19,8 @@ import hopbound
 from hopbound.channel import (ChannelError, HopChannel, capacity, e0_derivative, e0_dmc,
                               e0_dmc_terms, e0_terms)
 from hopbound import channel, exponents
-from hopbound.exponents import (ARRAY_MIN_HOPS, ExponentResult, Regime, critical_rate,
-                                hop_exponents, random_coding_exponent,
-                                sphere_packing_exponent)
+from hopbound.exponents import (ExponentResult, Regime, critical_rate, hop_exponents,
+                                random_coding_exponent, sphere_packing_exponent)
 from hopbound.oracle import GridSpec, grid_max_exponent
 from hopbound.scenario import _solve
 
@@ -106,9 +105,9 @@ class TestSpherePacking:
         assert res.rho_star == pytest.approx(2.2356248770e7, rel=1e-9)
         assert res.regime == Regime.PARAMETRIC_INTERIOR
 
-    @pytest.mark.parametrize("hops", [1, ARRAY_MIN_HOPS - 1, ARRAY_MIN_HOPS])
+    @pytest.mark.parametrize("hops", [1, 49, 50])
     def test_a_root_past_the_last_bracket_end_raises(self, hops):
-        # rho* ~ 1e450 at SNR 1e300 and 1e-300 nats, on the scalar and the array path;
+        # rho* ~ 1e450 at SNR 1e300 and 1e-300 nats, per hop and in one array pass;
         # RC does not fail there, and an Evaluation row solves it alone
         ch = HopChannel.awgn(1e300)
         with pytest.raises(ChannelError, match=r"rho\* exceeds 1.756e\+305"):
@@ -190,10 +189,10 @@ class TestOnePass:
                                match=f"^rate must be positive for sphere packing, got {rate}$"):
                 _hop_pair(rate, SNR1)
 
-    @pytest.mark.parametrize("copies", [1, ARRAY_MIN_HOPS])
+    @pytest.mark.parametrize("copies", [1, 50])
     def test_takes_the_steps_of_the_sphere_packing_solves_alone(self, monkeypatch, copies):
-        # RC's result is read at SP's first step, rho = 1, on the scalar path (6 hops)
-        # and the array path (6 * ARRAY_MIN_HOPS); steps count per rho
+        # RC's result is read at SP's first step, rho = 1, in one array pass of 6 hops
+        # and of 300; steps count per rho
         steps = []
 
         def counted_terms(ch):
@@ -297,7 +296,7 @@ class TestHopExponents:
         return tuple(set(regime) for _, _, regime in got)
 
     @settings(max_examples=60, deadline=None)
-    @given(size=st.sampled_from([1, ARRAY_MIN_HOPS - 1, ARRAY_MIN_HOPS, 1000]),
+    @given(size=st.sampled_from([1, 2, 49, 50, 1000]),
            seed=st.integers(0, 2 ** 32 - 1),
            invalid=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                                       st.sampled_from(_INVALID_RATES)), max_size=2))
@@ -356,7 +355,7 @@ class TestHopExponents:
         for solver in (random_coding_exponent, sphere_packing_exponent):
             with pytest.raises(ChannelError, match=match):
                 solver(rate, SNR1)
-        for n in (1, ARRAY_MIN_HOPS):
+        for n in (1, 50):
             with pytest.raises(ChannelError, match=match):
                 hop_exponents([0.1] * (n - 1) + [rate], [SNR1] * n)
 
@@ -370,7 +369,7 @@ class TestHopExponents:
                "sphere_packing_exponent": lambda: sphere_packing_exponent(rate, SNR1),
                "hop_exponents": lambda: hop_exponents([rate], [SNR1]),
                "hop_exponents_array": lambda: hop_exponents(
-                   [0.1] * (ARRAY_MIN_HOPS - 1) + [rate], [SNR1] * ARRAY_MIN_HOPS)}[entry]
+                   [0.1] * 49 + [rate], [SNR1] * 50)}[entry]
         with pytest.raises(ChannelError, match="^rate must convert to a double, got one past"):
             run()
 
@@ -381,7 +380,7 @@ class TestHopExponents:
                     for solver in (random_coding_exponent, sphere_packing_exponent)]
         assert [solver(rate, SNR1)
                 for solver in (random_coding_exponent, sphere_packing_exponent)] == expected
-        for n in (1, ARRAY_MIN_HOPS):
+        for n in (1, 50):
             assert [ExponentResult(*(column[-1] for column in family))
                     for family in hop_exponents([rate] * n, [SNR1] * n)] == expected
 
@@ -503,14 +502,15 @@ class TestDmcArrayPath:
 
     def test_interleaved_equal_objects_share_a_call_in_hop_order(self):
         # hops alternate between two equal objects, with a third, unequal channel and
-        # AWGN hops between them: the equal objects' hops, out of order, take one call
+        # AWGN hops between them: the equal objects' hops, out of order, take one call,
+        # the unequal channel's another and the AWGN hops a third
         kinds = [HopChannel.bsc(0.1), HopChannel.bsc(0.1), HopChannel.bsc(0.2),
                  HopChannel.awgn(2.0)]
         chs = [kinds[k % 4] for k in range(24)]
         rates = [f * capacity(ch) for f, ch in zip(np.linspace(0.01, 0.95, 24), chs)]
         with _counted_array_calls() as calls:
             TestHopExponents.assert_equals_per_hop_solves(rates, chs)
-        assert calls == [12, 6]
+        assert calls == [12, 6, 6]
 
     @pytest.mark.parametrize("ch", [
         HopChannel.bsc(0.1), HopChannel.bsc(0.05),
@@ -532,8 +532,8 @@ class TestDmcArrayPath:
     @pytest.mark.parametrize("bad", [{3: 0.0, 20: -1.0}, {20: 0.0, 3: -1.0}, {16: math.nan},
                                      {}])
     def test_shared_objects_in_a_mixed_chain_keep_the_hop_order(self, bad):
-        # two BSC objects on 10 hops each, between AWGN hops: each takes one array
-        # call, and the first failing hop's error wins over both
+        # two BSC objects on 10 hops each, between 10 AWGN hops: each group takes one
+        # array call, and the first failing hop's error wins over all three
         shared = [HopChannel.bsc(0.05), HopChannel.bsc(0.11, [0.3, 0.7])]
         chs = [shared[k % 3] if k % 3 < 2 else HopChannel.awgn(1.0 + k) for k in range(30)]
         rates = [f * capacity(ch) for f, ch in zip(np.linspace(0.005, 1.05, 30), chs)]
@@ -541,17 +541,17 @@ class TestDmcArrayPath:
             rates[hop] = rate
         with _counted_array_calls() as calls:
             TestHopExponents.assert_equals_per_hop_solves(rates, chs)
-        assert calls == ([] if bad else [10, 10])
+        assert calls == ([] if bad else [10, 10, 10])
 
 
 @settings(max_examples=30, deadline=None)
-@given(awgn_hops=st.sampled_from([ARRAY_MIN_HOPS - 1, ARRAY_MIN_HOPS]),
+@given(awgn_hops=st.sampled_from([49, 50]),
        snr_db=st.lists(st.floats(-10.0, 40.0), min_size=1, max_size=8),
        dmcs=st.lists(_dmcs(), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
-@example(awgn_hops=ARRAY_MIN_HOPS, snr_db=[-10.0, 40.0],
+@example(awgn_hops=50, snr_db=[-10.0, 40.0],
          dmcs=[HopChannel.dmc([[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])], seed=0)
 def test_one_pass_equals_per_hop_solves(awgn_hops, snr_db, dmcs, seed):
-    # a shuffled chain: AWGN hops from -10 to 40 dB on both sides of ARRAY_MIN_HOPS, and
+    # a shuffled chain: 49 or 50 AWGN hops from -10 to 40 dB, and
     # random DMCs (R_inf > 0 where an output misses an input), each at 1e-300, its
     # capacity, R_inf and its next double and fractions of capacity (if positive)
     rng = np.random.default_rng(seed)

@@ -86,6 +86,19 @@ MUTANTS = [
     Mutant("is_integer_takes_bools", "src/hopbound/__init__.py",
            "numbers.Integral) and not isinstance(x, bool) and", "numbers.Integral) and",
            ("tests/test_domain.py",)),
+    Mutant("logsumexp_without_fallback", "src/hopbound/system.py", "if bad.any():",
+           "if False:", ("tests/test_system.py",)),
+    Mutant("logsumexp_ties_counted_once", "src/hopbound/system.py",
+           "m = np.sum(is_max, axis=-1, keepdims=True, dtype=float)", "m = np.ones_like(a_max)",
+           ("tests/test_system.py",)),
+    Mutant("forward_trace_extra_record", "src/hopbound/distproto.py",
+           "if trace is not None and hop < len(rates):",
+           "if trace is not None and hop <= len(rates):", ("tests/test_distproto.py",)),
+    Mutant("broadcast_to_off_by_one", "src/hopbound/distproto.py", '"to": i + 1,', '"to": i,',
+           ("tests/test_distproto.py",)),
+    Mutant("is_number_takes_bools", "src/hopbound/scenario.py",
+           "(int, float)) and not isinstance(value, bool)", "(int, float))",
+           ("tests/test_cli.py",)),
 ]
 
 
