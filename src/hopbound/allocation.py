@@ -308,6 +308,11 @@ def information_continuous_blocks(rates: list[float], q_total: int) -> list[int]
     sum_m 1/R_m: the float shares ln M / R_n give them where their error
     bound certifies every floor and the cut between the remainders that get
     the leftover and the rest; otherwise integer arithmetic does."""
+    return _common_m_split(rates, q_total)[0]
+
+
+def _common_m_split(rates: list[float], q_total: int) -> tuple[list[int], float]:
+    """(information_continuous_blocks, the ln M it folds from the rates)."""
     _check_budget(q_total)
     n = len(rates)
     if q_total < n:
@@ -332,7 +337,7 @@ def information_continuous_blocks(rates: list[float], q_total: int) -> list[int]
         blocks[i] += 1
     if min(blocks) < 1:
         raise AllocationError("cannot keep every hop at blocklength >= 1")
-    return blocks
+    return blocks, ln_m
 
 
 def rate_policy_scale(capacities: list[float], target_rate: float) -> list[float]:

@@ -17,8 +17,9 @@ from itertools import accumulate, chain, compress
 import numpy as np
 
 from . import _doubles, _is_integer
-from .allocation import (Method, _balanced_blocks, end_to_end_rate, info_continuous_log_m,
-                         information_continuous_blocks, rate_policy_scale, reliability_real_blocks)
+from .allocation import (Method, _balanced_blocks, _common_m_split, end_to_end_rate,
+                         info_continuous_log_m, information_continuous_blocks, rate_policy_scale,
+                         reliability_real_blocks)
 from .arq import arq_chains, latency_bounds
 from .channel import HopChannel, capacity, snr_db_to_linear
 from .exponents import hop_exponents, random_coding_exponent
@@ -198,6 +199,21 @@ def _spread(sc: Scenario, exps=None, shares=None) -> float | None:
     return max(balance) - min(balance) if balance else None
 
 
+def _split(ev, rows, *inputs):
+    """The blocks column, build_allocation's split per row; an info-continuous split
+    (`_common_m_split`) also gives the ln M it folds from its rates, which fills the
+    row's ln_m cell, so those rates are folded once."""
+    def split(sc, *args):  # (blocks, ln M or None)
+        if sc.allocation_method != Method.INFO_CONTINUOUS:
+            return build_allocation(sc, *args), None
+        return _common_m_split(args[0], sc.total_q)
+
+    cells = _per_row(split)(ev, rows, *inputs)
+    ev.cells.setdefault("ln_m", {}).update(
+        (i, c[1]) for i, c in zip(rows, cells) if not isinstance(c, ValueError) and c[1] is not None)
+    return [c if isinstance(c, ValueError) else c[0] for c in cells]
+
+
 def _bounds(ev, rows, *inputs):
     """System bounds, one stacked_error_bounds pass per hop count."""
     cells, by_hops = {}, {}
@@ -220,7 +236,7 @@ _COLUMNS = {
     **{f"shares_{family}": ((f"exponents_{family}",), _per_row(
         lambda sc, exps: reliability_real_blocks(exps[0], sc.total_q))) for family in ("r", "sp")},
     "stationarity_residual": (_BALANCED, _per_row(_spread)),
-    "blocks": (_SPLIT_INPUTS, _per_row(lambda sc, *inputs: build_allocation(sc, *inputs))),
+    "blocks": (_SPLIT_INPUTS, _split),
     "end_to_end_rate": (("blocks", "rates"), _per_row(lambda sc, *q_r: end_to_end_rate(*q_r))),
     "bounds": (("blocks", "exponents_r", "exponents_sp"), _bounds),
     "chains": (("bounds", "blocks"), _per_row(lambda sc, *bounds_q: arq_chains(*bounds_q))),

@@ -1681,8 +1681,7 @@ class TestEvaluationTable:
 
     def test_method_columns_fill_only_the_rows_that_read_them(self, solves):
         # fig3's two-hop table: the RC and info-continuous rows of each target
-        # share their exponent solves; the shares are RC's rows' alone, and an
-        # info-continuous split folds ln M from its rates, so no row fills ln_m
+        # share their exponent solves; ln M and the shares are their own method's
         hops = [HopChannel.awgn(10 ** 0.9), HopChannel.awgn(10 ** 0.6)]
         table = Evaluation([Scenario(1000, hops, {"mode": "target_rate", "rate_nats": target},
                                      method)
@@ -1690,8 +1689,8 @@ class TestEvaluationTable:
                             for method in ("reliability_optimal_rc", "info_continuous")])
         assert [row.bounds.esys_lower > 0 for row in table] == [True] * 6
         assert sorted(table.cells["shares_r"]) == [0, 2, 4]
-        assert "ln_m" not in table.cells and "shares_sp" not in table.cells
-        assert "latency" not in table.cells
+        assert sorted(table.cells["ln_m"]) == [1, 3, 5]
+        assert "shares_sp" not in table.cells and "latency" not in table.cells
         assert family_totals(solves) == (0, 6) and set(solves.values()) == {1}
 
     def test_a_row_keeps_its_own_sp_error(self):
@@ -1869,9 +1868,8 @@ class TestSharesComputedOnce:
         assert calls == [300]
 
 
-def test_info_continuous_allocate_folds_its_rates_once_per_quantity(tmp_path, monkeypatch):
-    # the split folds ln M from its own rates, and the output reports the ln_m
-    # column's fold of the same rates, the same double
+def test_info_continuous_allocate_folds_its_rates_once(tmp_path, monkeypatch):
+    # the split folds ln M from its own rates, and the output reports that ln M
     folds = []
     balance_frame = allocation._balance_frame
 
@@ -1883,7 +1881,7 @@ def test_info_continuous_allocate_folds_its_rates_once_per_quantity(tmp_path, mo
     path = write_scenario(tmp_path, allocation_method="info_continuous")
     out = tmp_path / "alloc.json"
     assert main(["allocate", "--scenario", path, "--out", str(out)]) == 0
-    assert folds == [(2, "rates")] * 2
+    assert folds == [(2, "rates")]
     doc = json.loads(out.read_text())
     assert doc["ln_m"] == allocation.info_continuous_log_m(doc["rates_nats"],
                                                            sum(doc["blocklengths"]))
